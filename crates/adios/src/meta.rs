@@ -68,7 +68,7 @@ pub struct ChunkEntry {
     pub len: u64,
     /// Number of f64 elements the chunk decodes to.
     pub elements: u64,
-    /// FNV-1a checksum of the chunk's stored bytes, verified on every
+    /// [`checksum64`] of the chunk's stored bytes, verified on every
     /// ranged fetch (0 = unverified).
     pub checksum: u64,
     /// Axis-aligned bounding box of the chunk's vertices:
@@ -104,7 +104,7 @@ pub struct BlockMeta {
     /// Value range of the decompressed data (for query pushdown).
     pub min: f64,
     pub max: f64,
-    /// FNV-1a checksum of the stored payload ([`checksum64`]), recorded
+    /// Checksum of the stored payload ([`checksum64`]), recorded
     /// at placement and verified on every read. `0` means "unverified"
     /// — the manifest predates checksums (legacy `CBP1` format).
     pub checksum: u64,
@@ -258,16 +258,66 @@ const META_MAGIC_V2: &[u8; 4] = b"CBP2";
 /// carry `checksum == 0`, which reads treat as "skip verification".
 const META_MAGIC_V1: &[u8; 4] = b"CBP1";
 
-/// FNV-1a over the stored payload — the checksum recorded per block in
-/// the manifest. Fast, dependency-free and plenty for detecting the
-/// bit flips the fault injector (or a real tier) can introduce.
-pub fn checksum64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+/// Multiplier of every [`checksum64`] step; odd, so multiplying by it
+/// permutes `u64`.
+const SUM_MUL: u64 = 0x9E37_79B9_7F4A_7C15;
+/// Start values of the four lanes.
+const SUM_LANES: [u64; 4] = [
+    0x243F_6A88_85A3_08D3,
+    0x1319_8A2E_0370_7344,
+    0xA409_3822_299F_31D0,
+    0x082E_FA98_EC4E_6C89,
+];
+/// What a sum of 0 is stored as: 0 in a manifest means "unverified".
+const SUM_OF_ZERO: u64 = 0x4528_21E6_38D0_1377;
+
+/// One step: for a fixed `word` a permutation of `h` (and the reverse),
+/// so two states that differ stay different under equal input. The
+/// rotation feeds the well-mixed high bits back under the next multiply.
+#[inline(always)]
+fn sum_step(h: u64, word: u64) -> u64 {
+    (h ^ word).wrapping_mul(SUM_MUL).rotate_left(29)
+}
+
+/// [`checksum64`] before 0 is mapped away (the tests invert it).
+#[inline]
+fn checksum64_raw(bytes: &[u8]) -> u64 {
+    let mut lanes = SUM_LANES;
+    let mut blocks = bytes.chunks_exact(32);
+    for block in &mut blocks {
+        for (lane, word) in lanes.iter_mut().zip(block.chunks_exact(8)) {
+            *lane = sum_step(
+                *lane,
+                u64::from_le_bytes(word.try_into().expect("8-byte word")),
+            );
+        }
     }
-    h
+    let mut h = bytes.len() as u64;
+    for lane in lanes {
+        h = sum_step(h, lane);
+    }
+    for &b in blocks.remainder() {
+        h = sum_step(h, b as u64);
+    }
+    h ^= h >> 32;
+    h = h.wrapping_mul(SUM_MUL);
+    h ^ (h >> 29)
+}
+
+/// The checksum recorded per block (and per shard chunk) in the
+/// manifest. The payload is consumed 32 bytes at a time as four
+/// independent little-endian 8-byte lanes of xor-multiply-rotate, so
+/// the multiplies overlap and the sum runs near memory speed; the
+/// lanes, the length and the up-to-31-byte tail then fold into one
+/// word through the same step. Every step permutes its state, so any
+/// change confined to one word — in particular any single flipped bit
+/// or byte, what the fault injector or a real tier introduces — always
+/// changes the sum. Never 0, which manifests reserve for "unverified".
+pub fn checksum64(bytes: &[u8]) -> u64 {
+    match checksum64_raw(bytes) {
+        0 => SUM_OF_ZERO,
+        h => h,
+    }
 }
 
 // --- serialization helpers -------------------------------------------------
@@ -798,16 +848,109 @@ mod tests {
         assert!(parsed.vars[0].delta_chunks_to(2).is_empty());
     }
 
+    /// Deterministic filler that is neither constant nor periodic in 8
+    /// or 32 bytes.
+    fn filler(len: usize, seed: u64) -> Vec<u8> {
+        let mut x = seed;
+        (0..len)
+            .map(|_| {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                (x >> 56) as u8
+            })
+            .collect()
+    }
+
     #[test]
-    fn checksum64_detects_any_single_byte_flip() {
-        let payload: Vec<u8> = (0..255u8).collect();
-        let base = checksum64(&payload);
-        assert_eq!(base, checksum64(&payload), "deterministic");
-        for i in [0usize, 17, 254] {
-            let mut flipped = payload.clone();
-            flipped[i] ^= 0xA5;
-            assert_ne!(checksum64(&flipped), base, "flip at {i} undetected");
+    fn checksum64_detects_every_single_bit_flip_at_lane_and_tail_boundaries() {
+        // 0..=129 covers the empty payload, a pure tail, one and four
+        // whole blocks, and every tail length after them.
+        for len in 0..=129usize {
+            let payload = filler(len, len as u64);
+            let base = checksum64(&payload);
+            assert_eq!(base, checksum64(&payload), "deterministic");
+            for bit in 0..len * 8 {
+                let mut flipped = payload.clone();
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                assert_ne!(checksum64(&flipped), base, "len {len}, bit {bit}");
+            }
         }
-        assert_ne!(checksum64(b""), 0, "FNV offset basis, not 0");
+    }
+
+    #[test]
+    fn checksum64_detects_bit_flips_anywhere_in_a_large_payload() {
+        let mut payload = filler(1 << 20, 7);
+        let base = checksum64(&payload);
+        for pick in filler(512 * 4, 99).chunks_exact(4) {
+            let bit = u32::from_le_bytes(pick.try_into().unwrap()) as usize % (payload.len() * 8);
+            payload[bit / 8] ^= 1 << (bit % 8);
+            assert_ne!(checksum64(&payload), base, "bit {bit}");
+            payload[bit / 8] ^= 1 << (bit % 8);
+        }
+        assert_eq!(checksum64(&payload), base);
+    }
+
+    #[test]
+    fn checksum64_covers_the_length() {
+        // Trailing zeros are what a short transfer padded by the device
+        // (or a truncated one) looks like; the bytes alone cannot tell.
+        for len in 0..=129usize {
+            for body in [vec![0u8; len], filler(len, 3)] {
+                let base = checksum64(&body);
+                let mut longer = body.clone();
+                for extra in 1..=40 {
+                    longer.push(0);
+                    assert_ne!(checksum64(&longer), base, "len {len} + {extra} zeros");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn checksum64_is_independent_of_alignment() {
+        let backing = filler(4096 + 8, 11);
+        let expect = checksum64(&backing[..4096]);
+        for shift in 0..8 {
+            let mut moved = vec![0u8; 4096 + 8];
+            moved[shift..shift + 4096].copy_from_slice(&backing[..4096]);
+            assert_eq!(
+                checksum64(&moved[shift..shift + 4096]),
+                expect,
+                "shift {shift}"
+            );
+        }
+    }
+
+    #[test]
+    fn checksum64_is_never_zero() {
+        // Every step can be undone, so a payload whose sum would be 0 can
+        // be built: with no tail, the last fold reaches 0 exactly when
+        // the fourth lane equals the running word, and the final mix
+        // keeps 0 at 0.
+        let mut inv = SUM_MUL;
+        for _ in 0..6 {
+            inv = inv.wrapping_mul(2u64.wrapping_sub(SUM_MUL.wrapping_mul(inv)));
+        }
+        assert_eq!(SUM_MUL.wrapping_mul(inv), 1, "inverse of the multiplier");
+        let mut payload = filler(32, 5);
+        let mut h = payload.len() as u64;
+        for (seed, word) in SUM_LANES.iter().zip(payload.chunks_exact(8)).take(3) {
+            let word = u64::from_le_bytes(word.try_into().unwrap());
+            h = sum_step(h, sum_step(*seed, word));
+        }
+        let last = h.rotate_right(29).wrapping_mul(inv) ^ SUM_LANES[3];
+        payload[24..].copy_from_slice(&last.to_le_bytes());
+        assert_eq!(checksum64_raw(&payload), 0, "the construction holds");
+        assert_eq!(checksum64(&payload), SUM_OF_ZERO);
+        assert_ne!(checksum64(b""), 0);
+    }
+
+    #[test]
+    fn checksum64_definition_is_pinned() {
+        // The stored definition: a change here orphans every manifest.
+        let payload: Vec<u8> = (0..=255u8).cycle().take(1000).collect();
+        assert_eq!(checksum64(&payload), 0xC6F6_199E_6514_8344);
+        assert_eq!(checksum64(b""), 0x411E_1BF4_1E2E_328F);
     }
 }

@@ -8,8 +8,9 @@
 //!   implementation the equivalence tests pin the pipelined path to;
 //! * the **pipelined** path runs a bounded prefetch stage (tier reads
 //!   issued ahead of need through a crossbeam channel), a parallel
-//!   decode pool, and a restore stage that scatters decoded chunks the
-//!   moment they arrive instead of waiting for a full-level barrier.
+//!   decode pool, and a restore stage that loads each level's geometry
+//!   while the pool decodes and applies a level the moment its last
+//!   block lands instead of waiting for a full-walk barrier.
 //!
 //! Both paths feed the same decoded-level LRU cache, so campaign
 //! analytics that revisit a `(var, level)` pair skip tier I/O and
@@ -136,6 +137,36 @@ pub struct ReadOutcome {
     pub level_exact: bool,
 }
 
+/// One level's parsed geometry. Shared, never copied: the geometry
+/// cache, the decoded-level cache and a walk in flight hold the same
+/// allocation, and the only copy is the one into a caller's
+/// [`ReadOutcome`].
+struct LevelMeta {
+    mesh: Arc<TriMesh>,
+    /// Fine vertex → triangle of the next-coarser level (empty for the
+    /// base level).
+    mapping: Vec<u32>,
+}
+
+impl LevelMeta {
+    /// Parse a metadata block's payload — bytes from a tier, so every
+    /// length in them is checked against what is really there. The
+    /// payload is split in place and each half converted once.
+    fn parse(bytes: &[u8]) -> Result<Self, CanopusError> {
+        let (mesh_bytes, mapping_bytes) = decode_level_meta(bytes)?;
+        let mesh = canopus_mesh::io::from_binary(mesh_bytes)
+            .map_err(|e| CanopusError::MeshIo(e.to_string()))?;
+        let mapping = mapping_from_bytes(mapping_bytes).map_err(CanopusError::MeshIo)?;
+        Ok(Self {
+            mesh: Arc::new(mesh),
+            mapping,
+        })
+    }
+}
+
+/// Cached level geometry: `(var, level) -> geometry`.
+type MetaCache = Mutex<HashMap<(String, u32), Arc<LevelMeta>>>;
+
 /// Reader over one Canopus BP file.
 ///
 /// Level meshes and mappings are cached after first use: simulations
@@ -143,9 +174,7 @@ pub struct ReadOutcome {
 /// hierarchy, so analytics pays the geometry I/O once per campaign, not
 /// once per read — matching how the paper accounts only the variable's
 /// own I/O in Figs. 9–11.
-/// Cached level geometry: `(var, level) -> (mesh, mapping)`.
-type MetaCache = Mutex<HashMap<(String, u32), (TriMesh, Vec<u32>)>>;
-
+///
 /// Every read method takes `&self`: a single reader is shared by the
 /// serving layer's worker pool ([`crate::serve::CanopusService`]) and
 /// by ad-hoc scoped threads, with all mutable state behind interior
@@ -190,12 +219,21 @@ pub struct CanopusReader {
 
 /// A small free list of decode output buffers.
 ///
-/// Decode workers `take` a buffer sized to the block's element count
-/// (reusing a retired buffer's allocation when one is available); the
-/// restore stage `put`s buffers back once their values are scattered or
-/// their level has applied. Hits and misses land on
-/// [`names::READ_DECODE_BUF_HITS`] / [`names::READ_DECODE_BUF_MISSES`],
-/// so steady-state zero-allocation behavior is observable.
+/// The pipelined walk `take`s one buffer per block on the calling
+/// thread before it spawns its stages (reusing a retired buffer's
+/// allocation when one is available) and the decode worker that gets
+/// the block sizes it; the restore stage `put`s buffers back once their
+/// values are scattered or their level has applied. Hits and misses
+/// land on [`names::READ_DECODE_BUF_HITS`] /
+/// [`names::READ_DECODE_BUF_MISSES`], so steady-state zero-allocation
+/// behavior is observable.
+///
+/// The allocation stays off the workers on purpose: a freshly spawned
+/// thread is handed whichever malloc arena is free, so a multi-megabyte
+/// buffer allocated there lands on never-touched pages in some walks
+/// and on warm ones in others, and first-touch faults measured 50-100
+/// ms per 8 MB on the benchmark's target. The caller's heap is the one
+/// every walk reuses.
 struct BufferPool {
     bufs: Mutex<Vec<Vec<f64>>>,
     hits: Arc<canopus_obs::Counter>,
@@ -216,19 +254,19 @@ impl BufferPool {
         }
     }
 
-    /// A zeroed buffer of exactly `n` elements, recycled if possible.
+    /// An empty buffer with room for `n` elements, recycled if possible.
     fn take(&self, n: usize) -> Vec<f64> {
         let recycled = self.bufs.lock().pop();
         match recycled {
             Some(mut b) => {
                 self.hits.inc();
                 b.clear();
-                b.resize(n, 0.0);
+                b.reserve_exact(n);
                 b
             }
             None => {
                 self.misses.inc();
-                vec![0.0; n]
+                Vec::with_capacity(n)
             }
         }
     }
@@ -347,7 +385,14 @@ impl CanopusReader {
     }
 
     /// Retain a restored level for future reads (no-op when disabled).
-    fn cache_store(&self, var: &str, level: u32, mesh: &TriMesh, data: &[f64], delta_rms: f64) {
+    fn cache_store(
+        &self,
+        var: &str,
+        level: u32,
+        mesh: &Arc<TriMesh>,
+        data: &[f64],
+        delta_rms: f64,
+    ) {
         if !self.level_cache.enabled() {
             return;
         }
@@ -355,7 +400,7 @@ impl CanopusReader {
             var,
             level,
             CachedLevel {
-                mesh: Arc::new(mesh.clone()),
+                mesh: Arc::clone(mesh),
                 data: Arc::new(data.to_vec()),
                 delta_rms,
             },
@@ -728,32 +773,28 @@ impl CanopusReader {
         }
     }
 
-    /// Read the auxiliary metadata of `level`: its mesh and (for non-base
-    /// levels) the mapping to the coarser level. Returns the simulated
-    /// I/O seconds alongside.
+    /// The geometry of `level`: its mesh and (for non-base levels) the
+    /// mapping to the coarser level, from the cache or — fetched,
+    /// verified and parsed — from its metadata block. Returns the
+    /// simulated I/O seconds alongside.
     fn read_level_meta(
         &self,
         var: &str,
         level: u32,
         parent: SpanContext,
-    ) -> Result<(TriMesh, Vec<u32>, f64), CanopusError> {
-        if let Some((mesh, mapping)) = self.meta_cache.lock().get(&(var.to_string(), level)) {
-            return Ok((mesh.clone(), mapping.clone(), 0.0));
+    ) -> Result<(Arc<LevelMeta>, f64), CanopusError> {
+        let key = (var.to_string(), level);
+        if let Some(meta) = self.meta_cache.lock().get(&key) {
+            return Ok((Arc::clone(meta), 0.0));
         }
         let v = self.file.inq_var(var)?;
         let block = v
             .metadata_for(level)
-            .ok_or_else(|| CanopusError::Invalid(format!("no metadata for level {level}")))?
-            .clone();
-        let (bytes, _, dt) = self.read_block_observed(&block, parent)?;
-        let (mesh_bytes, mapping_bytes) = decode_level_meta(&bytes)?;
-        let mesh = canopus_mesh::io::from_binary(&mesh_bytes)
-            .map_err(|e| CanopusError::MeshIo(e.to_string()))?;
-        let mapping = mapping_from_bytes(&mapping_bytes).map_err(CanopusError::MeshIo)?;
-        self.meta_cache
-            .lock()
-            .insert((var.to_string(), level), (mesh.clone(), mapping.clone()));
-        Ok((mesh, mapping, dt.seconds()))
+            .ok_or_else(|| CanopusError::Invalid(format!("no metadata for level {level}")))?;
+        let (bytes, _, dt) = self.read_block_observed(block, parent)?;
+        let meta = Arc::new(LevelMeta::parse(&bytes)?);
+        self.meta_cache.lock().insert(key, Arc::clone(&meta));
+        Ok((meta, dt.seconds()))
     }
 
     /// Read the base level: the paper's option (1), the fastest path.
@@ -793,13 +834,13 @@ impl CanopusReader {
         let data = self.decode_block(&block, &bytes, parent)?;
         timing.decompress_secs += t.elapsed().as_secs_f64();
 
-        let (mesh, _, meta_io) = self.read_level_meta(var, base_level, parent)?;
+        let (meta, meta_io) = self.read_level_meta(var, base_level, parent)?;
         timing.io_secs += meta_io;
         timing.elapsed_secs = wall.elapsed().as_secs_f64();
 
-        self.cache_store(var, base_level, &mesh, &data, 0.0);
+        self.cache_store(var, base_level, &meta.mesh, &data, 0.0);
         Ok(ReadOutcome {
-            mesh,
+            mesh: TriMesh::clone(&meta.mesh),
             data,
             level: base_level,
             achieved_level: base_level,
@@ -922,17 +963,18 @@ impl CanopusReader {
         }
         let wall = Instant::now();
 
-        let (fine_mesh, mapping, meta_io) = self.read_level_meta(var, finer, parent)?;
-        let (delta, mut timing) = self.read_delta_values(var, finer, &fine_mesh, parent)?;
+        let (meta, meta_io) = self.read_level_meta(var, finer, parent)?;
+        let fine_mesh = &meta.mesh;
+        let (delta, mut timing) = self.read_delta_values(var, finer, fine_mesh, parent)?;
         timing.io_secs += meta_io;
 
         let t = Instant::now();
         let data = restore_level(
-            &fine_mesh,
+            fine_mesh,
             &delta,
             &current.mesh,
             &current.data,
-            &mapping,
+            &meta.mapping,
             self.estimator,
         );
         timing.restore_secs += t.elapsed().as_secs_f64();
@@ -941,19 +983,15 @@ impl CanopusReader {
             .record_wall(timing.restore_secs);
         self.obs.counter(names::READ_REFINEMENTS).inc();
 
-        let delta_rms = if delta.is_empty() {
-            0.0
-        } else {
-            (delta.iter().map(|d| d * d).sum::<f64>() / delta.len() as f64).sqrt()
-        };
+        let delta_rms = rms(&delta);
         timing.elapsed_secs = wall.elapsed().as_secs_f64();
 
         if current.level_exact {
-            self.cache_store(var, finer, &fine_mesh, &data, delta_rms);
+            self.cache_store(var, finer, fine_mesh, &data, delta_rms);
         }
         Ok((
             ReadOutcome {
-                mesh: fine_mesh,
+                mesh: TriMesh::clone(fine_mesh),
                 data,
                 level: finer,
                 achieved_level: finer,
@@ -991,8 +1029,9 @@ impl CanopusReader {
         let wall = Instant::now();
         let mut timing = PhaseTiming::default();
 
-        let (fine_mesh, mapping, meta_io) = self.read_level_meta(var, finer, ctx)?;
+        let (meta, meta_io) = self.read_level_meta(var, finer, ctx)?;
         timing.io_secs += meta_io;
+        let fine_mesh: &TriMesh = &meta.mesh;
         let n = fine_mesh.num_vertices();
 
         let v = self.file.inq_var(var)?;
@@ -1015,7 +1054,7 @@ impl CanopusReader {
             // cache answers revisited chunks with zero I/O.
             let total: usize = shard_blocks.iter().map(|b| b.chunks.len()).sum();
             stats.chunks_total = total;
-            let assignment = spatial_chunks(&fine_mesh, total as u32);
+            let assignment = spatial_chunks(fine_mesh, total as u32);
             let mut cached: Vec<(u32, Arc<Vec<f64>>)> = Vec::new();
             let mut plan: Vec<(&BlockMeta, &ChunkEntry)> = Vec::new();
             for b in &shard_blocks {
@@ -1092,7 +1131,7 @@ impl CanopusReader {
             stats.chunks_cached = cached.len();
         } else if chunk_blocks.is_empty() {
             // Unchunked file: a region read degrades to a full refinement.
-            let (full, dt) = self.read_delta_values(var, finer, &fine_mesh, ctx)?;
+            let (full, dt) = self.read_delta_values(var, finer, fine_mesh, ctx)?;
             timing += dt;
             delta.copy_from_slice(&full);
             exact.fill(true);
@@ -1100,7 +1139,7 @@ impl CanopusReader {
             stats.chunks_read = 1;
             stats.bytes_read = v.delta_to(finer).map_or(0, |b| b.stored_bytes);
         } else {
-            let assignment = spatial_chunks(&fine_mesh, chunk_blocks.len() as u32);
+            let assignment = spatial_chunks(fine_mesh, chunk_blocks.len() as u32);
             stats.chunks_total = chunk_blocks.len();
             for (block, ids) in chunk_blocks.iter().zip(&assignment) {
                 let bbox = Aabb::from_points(ids.iter().map(|&vid| fine_mesh.point(vid)));
@@ -1143,11 +1182,11 @@ impl CanopusReader {
 
         let t = Instant::now();
         let data = restore_level(
-            &fine_mesh,
+            fine_mesh,
             &delta,
             &current.mesh,
             &current.data,
-            &mapping,
+            &meta.mapping,
             self.estimator,
         );
         timing.restore_secs += t.elapsed().as_secs_f64();
@@ -1175,7 +1214,7 @@ impl CanopusReader {
 
         Ok((
             ReadOutcome {
-                mesh: fine_mesh,
+                mesh: fine_mesh.clone(),
                 data,
                 level: finer,
                 achieved_level: finer,
@@ -1353,20 +1392,25 @@ impl CanopusReader {
     ///    the queue, its `_PEAK` twin the high-water mark);
     /// 2. **Decode** — a worker pool decompresses payloads in parallel,
     ///    in whatever order they arrive;
-    /// 3. **Restore** — the calling thread scatters decoded chunks into
-    ///    per-level delta buffers and applies each level the moment its
-    ///    last chunk lands, instead of waiting for the whole walk:
-    ///    level `l` restores while level `l - 1` is still in flight.
+    /// 3. **Restore** — the calling thread takes the levels coarse to
+    ///    fine: it loads a level's geometry (fetch, verify, parse — most
+    ///    of the bytes a cold walk moves) while the workers decode,
+    ///    scatters that level's decoded blocks, and applies it the moment
+    ///    its last block lands: level `l` restores while the geometry and
+    ///    the deltas of level `l - 1` are still in flight.
     ///
-    /// Phase sums in the returned [`PhaseTiming`] keep their serial
-    /// meaning, so the overlap won shows up as `total() - elapsed_secs`
-    /// and is exported under [`names::READ_OVERLAP`]. Every restored
-    /// level enters the decoded-level cache.
+    /// The plan comes from the manifest alone, so stages 1 and 2 start
+    /// before any geometry has moved. Phase sums in the returned
+    /// [`PhaseTiming`] keep their serial meaning, so the overlap won
+    /// shows up as `total() - elapsed_secs` and is exported under
+    /// [`names::READ_OVERLAP`]. Every restored level enters the
+    /// decoded-level cache.
     ///
-    /// Fault-class failures that outlast the per-block retry budget stop
-    /// the prefetcher; the levels already complete still apply and the
-    /// walk returns the finest of them with [`ReadOutcome::degraded`]
-    /// set (see [`Self::degrade`]) instead of erroring.
+    /// Fault-class failures that outlast the per-block retry budget —
+    /// on a delta, which stops the prefetcher, or on a level's geometry
+    /// — end the walk at the finest level already applied, returned
+    /// with [`ReadOutcome::degraded`] set (see [`Self::degrade`])
+    /// instead of an error.
     fn restore_walk_pipelined(
         &self,
         var: &str,
@@ -1377,81 +1421,56 @@ impl CanopusReader {
         let wall = Instant::now();
         let mut timing = start.timing;
 
-        // Plan the walk and pre-load level geometry (cached across reads
-        // of the same campaign, so this is cheap after the first walk).
         let plan = self.file.restore_plan(var, start.level, target_level)?;
         let v = self.file.inq_var(var)?;
-        let mut states: Vec<LevelState> = Vec::with_capacity(plan.len());
+        let mut levels: Vec<LevelProgress> = Vec::with_capacity(plan.len());
         let mut jobs: Vec<RestoreJob> = Vec::new();
-        // A fault-class failure while loading a level's geometry truncates
-        // the plan there: coarser levels still restore, and the walk
-        // reports itself degraded instead of failing.
-        let mut planning_fault: Option<CanopusError> = None;
         for (level_idx, (finer, blocks)) in plan.into_iter().enumerate() {
-            let monolithic = v.delta_to(finer).is_some();
-            let (fine_mesh, mapping, meta_io) = match self.read_level_meta(var, finer, ctx) {
-                Ok(meta) => meta,
-                Err(e) if e.is_availability_fault() => {
-                    planning_fault = Some(e);
-                    break;
-                }
-                Err(e) => return Err(e),
-            };
-            timing.io_secs += meta_io;
             // Shard blocks span several Morton chunks each; the
             // assignment covers the level's full chunk population, not
             // the block count.
-            let sharded = !monolithic
-                && blocks
-                    .first()
-                    .map(|b| !b.chunks.is_empty())
-                    .unwrap_or(false);
-            let assignment = if monolithic {
+            let chunks = if v.delta_to(finer).is_some() {
                 None
-            } else if sharded {
-                let total: usize = blocks.iter().map(|b| b.chunks.len()).sum();
-                Some(spatial_chunks(&fine_mesh, total as u32))
+            } else if blocks.first().is_some_and(|b| !b.chunks.is_empty()) {
+                Some(blocks.iter().map(|b| b.chunks.len()).sum())
             } else {
-                Some(spatial_chunks(&fine_mesh, blocks.len() as u32))
+                Some(blocks.len())
             };
-            let n = fine_mesh.num_vertices();
-            states.push(LevelState {
+            levels.push(LevelProgress {
                 finer,
-                fine_mesh,
-                mapping,
-                delta: vec![0.0; n],
-                assignment,
+                chunks,
                 remaining: blocks.len(),
+                early: Vec::new(),
             });
-            for (chunk_idx, block) in blocks.into_iter().enumerate() {
-                jobs.push(RestoreJob {
-                    level_idx,
-                    chunk_idx,
-                    block,
-                });
-            }
+            jobs.extend(
+                blocks
+                    .into_iter()
+                    .enumerate()
+                    .map(|(chunk_idx, block)| RestoreJob {
+                        level_idx,
+                        chunk_idx,
+                        out: Mutex::new(self.decode_pool.take(block.elements as usize)),
+                        block,
+                    }),
+            );
         }
         let total_jobs = jobs.len();
-        if total_jobs == 0 {
-            let out = ReadOutcome { timing, ..start };
-            return Ok(match planning_fault {
-                Some(cause) if out.level > target_level => {
-                    self.degrade(var, out, target_level, &cause, ctx)
-                }
-                _ => out,
-            });
-        }
 
         let depth = self.pipeline_depth.max(1) as usize;
+        // Stage 3 is the critical path (geometry parse, scatter and
+        // restore all run on this thread), so it keeps a core to itself
+        // and the decode pool gets the others; a worker on every core
+        // leaves it to the scheduler which of them stage 3 displaces.
         let workers = std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1)
+            .saturating_sub(1)
+            .max(1)
             .min(total_jobs);
 
         let (fetch_tx, fetch_rx) = channel::bounded::<Fetched>(depth);
-        // Sized so decode-pool sends can never block: an early error
-        // return on the restore side then cannot deadlock the workers,
-        // which simply drain the fetch queue and exit.
+        // Sized so decode-pool sends can never block: an early return on
+        // the restore side then cannot deadlock the workers.
         let (done_tx, done_rx) = channel::bounded::<Decoded>(total_jobs + workers + 1);
         let depth_gauge = self.obs.gauge(names::READ_PREFETCH_DEPTH);
         let peak_gauge = self.obs.gauge(names::READ_PREFETCH_DEPTH_PEAK);
@@ -1484,7 +1503,7 @@ impl CanopusReader {
             // Stage 2: decode pool. The receiver is multi-consumer, so
             // each worker holds its own clone of the shared queue;
             // workers exit when the producer is done and the queue is
-            // drained (recv disconnects).
+            // drained (recv disconnects), or when stage 3 has hung up.
             for _ in 0..workers {
                 let done_tx = done_tx.clone();
                 let fetch_rx = fetch_rx.clone();
@@ -1495,8 +1514,8 @@ impl CanopusReader {
                         let decoded = fetched.and_then(|(idx, bytes, io, enqueued)| {
                             queue_wait.observe_secs(enqueued.elapsed().as_secs_f64());
                             let t = Instant::now();
-                            let mut values =
-                                self.decode_pool.take(jobs[idx].block.elements as usize);
+                            let mut values = std::mem::take(&mut *jobs[idx].out.lock());
+                            values.resize(jobs[idx].block.elements as usize, 0.0);
                             match self.decode_block_values_into(
                                 &jobs[idx].block,
                                 &bytes,
@@ -1516,124 +1535,117 @@ impl CanopusReader {
                     }
                 });
             }
-            // The workers hold the only senders from here on: when a
-            // fault stops the prefetcher early, their exit is what
-            // disconnects `done_rx` and ends the drain below. Keeping
-            // this handle alive would block the drain forever.
+            // The workers hold the only senders and, with the prefetcher,
+            // the only fetch-queue handles from here on. When a fault
+            // stops the prefetcher early, the workers' exit is what
+            // disconnects `done_rx` and ends the drain below; when stage
+            // 3 returns early, dropping `done_rx` with it is what stops
+            // the workers, and their exit the prefetcher.
             drop(done_tx);
+            drop(fetch_rx);
+            let done_rx = done_rx;
 
-            // Stage 3: scatter + in-order restore on this thread. On a
-            // fault-class failure the prefetcher has already stopped and
-            // dropped its queue; keep draining `done_rx` so every level
-            // whose blocks all landed before the fault still applies,
-            // then return the finest of them as a degraded outcome.
-            let mut cur = start;
-            let mut next_level = 0usize;
+            // Stage 3: geometry, scatter and restore, one level at a
+            // time on this thread. A fault-class failure ends the walk at
+            // the finest level already applied.
+            let mut cur_mesh = Arc::new(start.mesh);
+            let mut cur_data = start.data;
+            let mut cur_level = start.level;
             let mut fault: Option<CanopusError> = None;
-            while next_level < states.len() {
-                let decoded = match done_rx.recv() {
-                    Ok(decoded) => decoded,
-                    // Pipeline drained without completing the walk.
-                    Err(_) => break,
-                };
-                let (idx, values, io, decompress) = match decoded {
-                    Ok(decoded) => decoded,
+            'walk: for level_idx in 0..levels.len() {
+                let finer = levels[level_idx].finer;
+                let (meta, meta_io) = match self.read_level_meta(var, finer, ctx) {
+                    Ok(meta) => meta,
                     Err(e) if e.is_availability_fault() => {
                         fault = Some(e);
-                        continue;
+                        break;
                     }
                     Err(e) => return Err(e),
                 };
-                timing.io_secs += io;
-                timing.decompress_secs += decompress;
-                let job = &jobs[idx];
-                let state = &mut states[job.level_idx];
-                match &state.assignment {
-                    None => {
-                        if values.len() != state.delta.len() {
-                            return Err(CanopusError::Invalid(format!(
-                                "delta {} decoded {} values for {} vertices",
-                                job.block.key,
-                                values.len(),
-                                state.delta.len()
-                            )));
-                        }
-                        // The monolithic delta adopts the decoded buffer
-                        // wholesale; retire the placeholder it replaces.
-                        self.decode_pool
-                            .put(std::mem::replace(&mut state.delta, values));
-                    }
-                    Some(assignment) if !job.block.chunks.is_empty() => {
-                        scatter_shard_values(&job.block, &values, assignment, &mut state.delta)?;
-                        self.decode_pool.put(values);
-                    }
-                    Some(assignment) => {
-                        let ids = &assignment[job.chunk_idx];
-                        if values.len() != ids.len() {
-                            return Err(CanopusError::Invalid(format!(
-                                "chunk {} decoded {} values for {} vertices",
-                                job.block.key,
-                                values.len(),
-                                ids.len()
-                            )));
-                        }
-                        for (&vid, &val) in ids.iter().zip(&values) {
-                            state.delta[vid as usize] = val;
-                        }
-                        self.decode_pool.put(values);
-                    }
+                timing.io_secs += meta_io;
+                let assignment = levels[level_idx]
+                    .chunks
+                    .map(|chunks| spatial_chunks(&meta.mesh, chunks as u32));
+                let mut delta = match assignment {
+                    // A monolithic delta adopts its decoded buffer whole.
+                    None => Vec::new(),
+                    Some(_) => vec![0.0; meta.mesh.num_vertices()],
+                };
+                for (idx, values) in std::mem::take(&mut levels[level_idx].early) {
+                    self.scatter_block(&jobs[idx], values, assignment.as_deref(), &mut delta)?;
                 }
-                state.remaining -= 1;
-
-                // Apply every level whose delta is now complete, in
-                // strict coarse-to-fine order.
-                while next_level < states.len() && states[next_level].remaining == 0 {
-                    let st = &mut states[next_level];
-                    let span = stage_child!(self.obs, ctx, "restore", var = var, level = st.finer);
-                    let t = Instant::now();
-                    let data = restore_level(
-                        &st.fine_mesh,
-                        &st.delta,
-                        &cur.mesh,
-                        &cur.data,
-                        &st.mapping,
-                        self.estimator,
-                    );
-                    let restore = t.elapsed().as_secs_f64();
-                    drop(span);
-                    timing.restore_secs += restore;
-                    self.obs.timer(names::READ_RESTORE).record_wall(restore);
-                    self.obs.counter(names::READ_REFINEMENTS).inc();
-                    let delta = std::mem::take(&mut st.delta);
-                    let delta_rms = if delta.is_empty() {
-                        0.0
+                while levels[level_idx].remaining > 0 {
+                    let (idx, values, io, decompress) = match done_rx.recv() {
+                        Ok(Ok(decoded)) => decoded,
+                        // The prefetcher has stopped; what it had already
+                        // fetched may still complete this level.
+                        Ok(Err(e)) if e.is_availability_fault() => {
+                            fault = Some(e);
+                            continue;
+                        }
+                        Ok(Err(e)) => return Err(e),
+                        // Pipeline drained without completing the level.
+                        Err(_) => break 'walk,
+                    };
+                    timing.io_secs += io;
+                    timing.decompress_secs += decompress;
+                    let owner = jobs[idx].level_idx;
+                    levels[owner].remaining -= 1;
+                    if owner == level_idx {
+                        self.scatter_block(&jobs[idx], values, assignment.as_deref(), &mut delta)?;
                     } else {
-                        (delta.iter().map(|d| d * d).sum::<f64>() / delta.len() as f64).sqrt()
-                    };
-                    self.decode_pool.put(delta);
-                    // `st` is done once its level applies; steal the mesh
-                    // instead of cloning it for every restored level.
-                    cur = ReadOutcome {
-                        mesh: std::mem::take(&mut st.fine_mesh),
-                        data,
-                        level: st.finer,
-                        achieved_level: st.finer,
-                        degraded: false,
-                        timing: PhaseTiming::default(),
-                        // The walk starts from `read_level`'s cache hit
-                        // or base read, both level-exact.
-                        level_exact: true,
-                    };
-                    self.cache_store(var, cur.level, &cur.mesh, &cur.data, delta_rms);
-                    next_level += 1;
+                        levels[owner].early.push((idx, values));
+                    }
                 }
+                if delta.len() != meta.mesh.num_vertices() {
+                    return Err(CanopusError::Invalid(format!(
+                        "delta to level {finer} of {var} decoded {} values for {} vertices",
+                        delta.len(),
+                        meta.mesh.num_vertices()
+                    )));
+                }
+
+                let span = stage_child!(self.obs, ctx, "restore", var = var, level = finer);
+                let t = Instant::now();
+                let data = restore_level(
+                    &meta.mesh,
+                    &delta,
+                    &cur_mesh,
+                    &cur_data,
+                    &meta.mapping,
+                    self.estimator,
+                );
+                let restore = t.elapsed().as_secs_f64();
+                drop(span);
+                timing.restore_secs += restore;
+                self.obs.timer(names::READ_RESTORE).record_wall(restore);
+                self.obs.counter(names::READ_REFINEMENTS).inc();
+                let delta_rms = rms(&delta);
+                self.decode_pool.put(delta);
+                cur_mesh = Arc::clone(&meta.mesh);
+                cur_data = data;
+                cur_level = finer;
+                self.cache_store(var, cur_level, &cur_mesh, &cur_data, delta_rms);
             }
-            if next_level < states.len() && fault.is_none() {
+            if cur_level > target_level && fault.is_none() {
                 return Err(CanopusError::Invalid(
                     "restore pipeline terminated early".to_string(),
                 ));
             }
-            Ok((cur, fault))
+            let reached = ReadOutcome {
+                // The start's own mesh comes back as it went in; a
+                // level's shared geometry is copied out, once.
+                mesh: Arc::try_unwrap(cur_mesh).unwrap_or_else(|shared| TriMesh::clone(&shared)),
+                data: cur_data,
+                level: cur_level,
+                achieved_level: cur_level,
+                degraded: false,
+                timing: PhaseTiming::default(),
+                // The walk starts from `read_level`'s cache hit or base
+                // read, both level-exact.
+                level_exact: true,
+            };
+            Ok((reached, fault))
         });
 
         let (mut outcome, fault) = outcome?;
@@ -1642,12 +1654,49 @@ impl CanopusReader {
         let overlap = (timing.total() - timing.elapsed_secs).max(0.0);
         self.obs.timer(names::READ_OVERLAP).record_wall(overlap);
         self.obs.counter(names::READ_PIPELINED_RESTORES).inc();
-        if let Some(cause) = fault.or(planning_fault) {
-            if outcome.level > target_level {
-                return Ok(self.degrade(var, outcome, target_level, &cause, ctx));
+        match fault {
+            Some(cause) if outcome.level > target_level => {
+                Ok(self.degrade(var, outcome, target_level, &cause, ctx))
             }
+            _ => Ok(outcome),
         }
-        Ok(outcome)
+    }
+
+    /// Put one decoded block of the level being restored where it
+    /// belongs in the level's `delta`, and retire the buffer that is
+    /// left over. `assignment` is the level's chunk → vertex-id table,
+    /// `None` for a monolithic delta.
+    fn scatter_block(
+        &self,
+        job: &RestoreJob,
+        values: Vec<f64>,
+        assignment: Option<&[Vec<u32>]>,
+        delta: &mut Vec<f64>,
+    ) -> Result<(), CanopusError> {
+        let retired = match assignment {
+            None => std::mem::replace(delta, values),
+            Some(assignment) if !job.block.chunks.is_empty() => {
+                scatter_shard_values(&job.block, &values, assignment, delta)?;
+                values
+            }
+            Some(assignment) => {
+                let ids = &assignment[job.chunk_idx];
+                if values.len() != ids.len() {
+                    return Err(CanopusError::Invalid(format!(
+                        "chunk {} decoded {} values for {} vertices",
+                        job.block.key,
+                        values.len(),
+                        ids.len()
+                    )));
+                }
+                for (&vid, &val) in ids.iter().zip(&values) {
+                    delta[vid as usize] = val;
+                }
+                values
+            }
+        };
+        self.decode_pool.put(retired);
+        Ok(())
     }
 
     /// Conservative bounds on the values of `var` restored to `level`,
@@ -1718,6 +1767,15 @@ impl CanopusReader {
     }
 }
 
+/// Root mean square of an applied delta — the paper's adjacent-level
+/// termination criterion (0 for an empty delta).
+fn rms(values: &[f64]) -> f64 {
+    if values.is_empty() {
+        return 0.0;
+    }
+    (values.iter().map(|d| d * d).sum::<f64>() / values.len() as f64).sqrt()
+}
+
 /// Scatter a shard block's concatenated chunk values (chunk-index
 /// order, as [`CanopusReader::decode_block_values`] produces them) into
 /// a full-level delta buffer through the deterministic Morton
@@ -1768,18 +1826,23 @@ struct RestoreJob {
     level_idx: usize,
     chunk_idx: usize,
     block: BlockMeta,
+    /// The block's decode output buffer, taken from the pool by the
+    /// calling thread; the worker that decodes the block takes it out.
+    out: Mutex<Vec<f64>>,
 }
 
-/// Per-level scatter state for the in-order restore stage.
-struct LevelState {
+/// What the restore stage knows about one level of the walk before its
+/// geometry is loaded, all of it from the manifest.
+struct LevelProgress {
     finer: u32,
-    fine_mesh: TriMesh,
-    mapping: Vec<u32>,
-    delta: Vec<f64>,
-    /// Chunk → vertex-id assignment; `None` for a monolithic delta.
-    assignment: Option<Vec<Vec<u32>>>,
-    /// Blocks of this level still in flight.
+    /// Size of the level's Morton chunk assignment; `None` for a
+    /// monolithic delta.
+    chunks: Option<usize>,
+    /// Blocks of this level not yet received from the decode pool.
     remaining: usize,
+    /// Decoded blocks `(job index, values)` that arrived while a coarser
+    /// level was still being restored.
+    early: Vec<(usize, Vec<f64>)>,
 }
 
 /// Prefetch → decode message: `(job index, payload, simulated I/O secs,
@@ -1923,11 +1986,40 @@ mod tests {
             rel_tolerance: 1e-6,
         });
         c.write("t.bp", "v", &mesh, &data).unwrap();
-        let serial = c.open("t.bp").unwrap();
-        let expect = serial.read_level("v", 0).unwrap();
-        let reader = c.open("t.bp").unwrap().with_pipeline_depth(4);
+        let expect = c.open("t.bp").unwrap().read_level_serial("v", 0).unwrap();
+        // No level cache: the repeat read must run the decode pool again
+        // instead of being answered from memory.
+        let reader = c
+            .open("t.bp")
+            .unwrap()
+            .with_pipeline_depth(4)
+            .with_level_cache(0);
+        let takes = || {
+            let snap = reader.obs.snapshot();
+            (
+                snap.counter(names::READ_DECODE_BUF_HITS),
+                snap.counter(names::READ_DECODE_BUF_MISSES),
+            )
+        };
+        // One decode buffer per delta block of the three-level file.
+        let blocks = 2;
+
         let first = reader.read_level("v", 0).unwrap();
+        // Whether the first walk's second decode found the first one's
+        // buffer already retired depends on the schedule; that every
+        // buffer is retired once the walk's threads have joined does not.
+        let (hits, misses) = takes();
+        assert_eq!(hits + misses, blocks);
+        assert!(misses > 0, "the pool starts empty");
+        assert!(!reader.decode_pool.bufs.lock().is_empty());
+
         let again = reader.read_level("v", 0).unwrap();
+        let (hits_again, misses_again) = takes();
+        assert_eq!(hits_again + misses_again, 2 * blocks);
+        assert!(
+            hits_again > hits,
+            "the repeat walk's first decode finds a retired buffer waiting"
+        );
         for out in [&first, &again] {
             assert_eq!(
                 out.data.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
@@ -1935,12 +2027,60 @@ mod tests {
                 "arena-backed pipelined decode must match the serial engine"
             );
         }
-        let snap = reader.obs.snapshot();
-        assert!(
-            snap.counter(names::READ_DECODE_BUF_HITS) > 0,
-            "repeat pipelined reads should reuse retired decode buffers"
-        );
-        assert!(snap.counter(names::READ_DECODE_BUF_MISSES) > 0);
+    }
+
+    proptest::proptest! {
+        /// The geometry parsers read bytes that came off a tier: a
+        /// truncated or bit-flipped payload is an error or a well-formed
+        /// level no larger than its input, never a panic, a hang or an
+        /// allocation the input's size does not justify.
+        #[test]
+        fn level_meta_parsers_survive_hostile_input(
+            nx in 1usize..6,
+            ny in 1usize..6,
+            flips in proptest::collection::vec((proptest::prelude::any::<u32>(), 0u8..8), 0..4),
+            cut in proptest::prelude::any::<u32>(),
+            truncate in proptest::prelude::any::<bool>(),
+            junk in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..96),
+        ) {
+            let mesh = rectangle_mesh(
+                nx,
+                ny,
+                Aabb::from_points([Point2::new(0.0, 0.0), Point2::new(1.0, 1.0)]),
+            );
+            let mapping: Vec<u32> = (0..mesh.num_vertices() as u32).rev().collect();
+            let payload = crate::write::encode_level_meta(
+                &canopus_mesh::io::to_binary(&mesh),
+                &canopus_refactor::mapping::mapping_to_bytes(&mapping),
+            );
+            let clean = LevelMeta::parse(&payload).unwrap();
+            proptest::prop_assert_eq!(&*clean.mesh, &mesh);
+            proptest::prop_assert_eq!(&clean.mapping, &mapping);
+
+            let mut hostile = payload.clone();
+            for (at, bit) in flips {
+                let at = at as usize % hostile.len();
+                hostile[at] ^= 1 << bit;
+            }
+            if truncate {
+                hostile.truncate(cut as usize % (hostile.len() + 1));
+            }
+            if let Ok(meta) = LevelMeta::parse(&hostile) {
+                let n = meta.mesh.num_vertices();
+                let held = 8 + 24 + n * 16 + meta.mesh.num_triangles() * 12 + meta.mapping.len() * 4;
+                proptest::prop_assert!(held <= hostile.len());
+                proptest::prop_assert!(meta
+                    .mesh
+                    .triangles()
+                    .iter()
+                    .flatten()
+                    .all(|&v| (v as usize) < n));
+            }
+            let _ = LevelMeta::parse(&junk);
+            let _ = decode_level_meta(&junk);
+            let _ = mapping_from_bytes(&junk);
+            let _ = canopus_mesh::io::from_binary(&junk);
+        }
     }
 
     #[test]

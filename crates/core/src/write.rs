@@ -162,7 +162,7 @@ pub(crate) fn spatial_chunks(mesh: &TriMesh, chunks: u32) -> Vec<Vec<u32>> {
 
 /// Pack a level's auxiliary metadata payload: mesh geometry plus (for
 /// non-base levels) the fine-vertex → coarse-triangle mapping.
-fn encode_level_meta(mesh_bytes: &[u8], mapping_bytes: &[u8]) -> Vec<u8> {
+pub(crate) fn encode_level_meta(mesh_bytes: &[u8], mapping_bytes: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(8 + mesh_bytes.len() + mapping_bytes.len());
     out.extend_from_slice(&(mesh_bytes.len() as u32).to_le_bytes());
     out.extend_from_slice(mesh_bytes);
@@ -171,24 +171,18 @@ fn encode_level_meta(mesh_bytes: &[u8], mapping_bytes: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Unpack [`encode_level_meta`]'s payload.
-pub(crate) fn decode_level_meta(bytes: &[u8]) -> Result<(Vec<u8>, Vec<u8>), CanopusError> {
+/// Unpack [`encode_level_meta`]'s payload into its mesh and mapping
+/// bytes, borrowed from `bytes`.
+pub(crate) fn decode_level_meta(bytes: &[u8]) -> Result<(&[u8], &[u8]), CanopusError> {
+    /// Split a `u32` length prefix and the bytes it counts off `bytes`.
+    fn framed(bytes: &[u8]) -> Option<(&[u8], &[u8])> {
+        let (len, rest) = bytes.split_first_chunk::<4>()?;
+        let len = usize::try_from(u32::from_le_bytes(*len)).ok()?;
+        (len <= rest.len()).then(|| rest.split_at(len))
+    }
     let fail = || CanopusError::MeshIo("level metadata truncated".into());
-    if bytes.len() < 4 {
-        return Err(fail());
-    }
-    let mesh_len = u32::from_le_bytes(bytes[..4].try_into().expect("4")) as usize;
-    let rest = &bytes[4..];
-    if rest.len() < mesh_len + 4 {
-        return Err(fail());
-    }
-    let mesh_bytes = rest[..mesh_len].to_vec();
-    let rest = &rest[mesh_len..];
-    let map_len = u32::from_le_bytes(rest[..4].try_into().expect("4")) as usize;
-    if rest.len() < 4 + map_len {
-        return Err(fail());
-    }
-    let mapping_bytes = rest[4..4 + map_len].to_vec();
+    let (mesh_bytes, rest) = framed(bytes).ok_or_else(fail)?;
+    let (mapping_bytes, _) = framed(rest).ok_or_else(fail)?;
     Ok((mesh_bytes, mapping_bytes))
 }
 
@@ -1459,7 +1453,15 @@ mod tests {
         assert_eq!(mesh, b"MESHBYTES");
         assert_eq!(mapping, b"MAPPING");
         assert!(decode_level_meta(&payload[..5]).is_err());
+        assert!(decode_level_meta(&payload[..payload.len() - 1]).is_err());
         assert!(decode_level_meta(&[]).is_err());
+        // A length prefix that promises more than follows is truncation,
+        // however much it promises.
+        for at in [0, 4 + b"MESHBYTES".len()] {
+            let mut lying = payload.clone();
+            lying[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+            assert!(decode_level_meta(&lying).is_err());
+        }
     }
 
     #[test]

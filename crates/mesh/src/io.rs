@@ -151,52 +151,58 @@ pub fn to_binary(mesh: &TriMesh) -> Vec<u8> {
     buf
 }
 
-/// Parse a mesh from the binary format.
-pub fn read_binary<R: Read>(mut r: R) -> Result<TriMesh, MeshIoError> {
-    let mut magic = [0u8; 8];
-    r.read_exact(&mut magic)?;
-    if &magic != BINARY_MAGIC {
-        return Err(MeshIoError::Parse("bad binary mesh magic".into()));
-    }
-    let mut n8 = [0u8; 8];
-    r.read_exact(&mut n8)?;
-    let nv = u64::from_le_bytes(n8) as usize;
-    r.read_exact(&mut n8)?;
-    let nf = u64::from_le_bytes(n8) as usize;
+/// Bytes before the vertex array: magic, vertex count, triangle count.
+const BINARY_HEADER: usize = 24;
+const POINT_BYTES: usize = 16;
+const TRI_BYTES: usize = 12;
 
-    // Cap the up-front reservation: a corrupted header must not demand
-    // gigabytes. read_exact still errors cleanly on truncated streams.
-    let mut points = Vec::with_capacity(nv.min(1 << 22));
-    for _ in 0..nv {
-        r.read_exact(&mut n8)?;
-        let x = f64::from_le_bytes(n8);
-        r.read_exact(&mut n8)?;
-        let y = f64::from_le_bytes(n8);
-        points.push(Point2::new(x, y));
-    }
-    let mut tris = Vec::with_capacity(nf.min(1 << 22));
-    let mut n4 = [0u8; 4];
-    for _ in 0..nf {
-        let mut t = [0 as VertexId; 3];
-        for slot in &mut t {
-            r.read_exact(&mut n4)?;
-            *slot = u32::from_le_bytes(n4);
-        }
-        for &v in &t {
-            if v as usize >= nv {
-                return Err(MeshIoError::Parse(format!(
-                    "binary face references vertex {v} beyond {nv}"
-                )));
-            }
-        }
-        tris.push(t);
-    }
-    Ok(TriMesh::new(points, tris))
-}
-
-/// Parse a mesh from an owned byte buffer.
+/// Parse a mesh from the binary format, in one pass over `bytes`.
+///
+/// The header's counts must account for the slice's length exactly,
+/// which is checked before anything is allocated: a corrupted header
+/// can ask for no more memory than the bytes that are really there.
 pub fn from_binary(bytes: &[u8]) -> Result<TriMesh, MeshIoError> {
-    read_binary(bytes)
+    if bytes.len() < BINARY_HEADER || &bytes[..8] != BINARY_MAGIC {
+        return Err(MeshIoError::Parse("bad binary mesh header".into()));
+    }
+    let count = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes"));
+    let (nv, nf) = (count(8), count(16));
+    let sized = |n: u64, each: usize| usize::try_from(n).ok()?.checked_mul(each);
+    let expected = sized(nv, POINT_BYTES).and_then(|points| {
+        sized(nf, TRI_BYTES)?
+            .checked_add(points)?
+            .checked_add(BINARY_HEADER)
+    });
+    if expected != Some(bytes.len()) {
+        return Err(MeshIoError::Parse(format!(
+            "binary mesh header counts {nv} vertices and {nf} triangles, \
+             which {} bytes do not hold",
+            bytes.len()
+        )));
+    }
+    let (points, tris) = bytes[BINARY_HEADER..].split_at(nv as usize * POINT_BYTES);
+    let f64_at = |c: &[u8]| f64::from_le_bytes(c.try_into().expect("8 bytes"));
+    let points: Vec<Point2> = points
+        .chunks_exact(POINT_BYTES)
+        .map(|c| Point2::new(f64_at(&c[..8]), f64_at(&c[8..])))
+        .collect();
+    // The largest index stands for the per-index range check: it is in
+    // range exactly when every index is.
+    let mut largest: VertexId = 0;
+    let tris: Vec<[VertexId; 3]> = tris
+        .chunks_exact(TRI_BYTES)
+        .map(|c| {
+            let t = [0, 4, 8].map(|at| u32::from_le_bytes(c[at..at + 4].try_into().expect("4")));
+            largest = largest.max(t[0]).max(t[1]).max(t[2]);
+            t
+        })
+        .collect();
+    if !tris.is_empty() && largest as u64 >= nv {
+        return Err(MeshIoError::Parse(format!(
+            "binary face references vertex {largest} beyond {nv}"
+        )));
+    }
+    Ok(TriMesh::from_checked(points, tris))
 }
 
 #[cfg(test)]
@@ -257,6 +263,80 @@ mod tests {
     fn binary_rejects_truncation() {
         let bytes = to_binary(&sample());
         assert!(from_binary(&bytes[..bytes.len() - 3]).is_err());
+        assert!(from_binary(&bytes[..20]).is_err(), "inside the header");
+        assert!(from_binary(&[]).is_err());
+    }
+
+    #[test]
+    fn binary_rejects_counts_the_bytes_do_not_hold() {
+        let good = to_binary(&sample());
+        let with_counts = |nv: u64, nf: u64| {
+            let mut bytes = good.clone();
+            bytes[8..16].copy_from_slice(&nv.to_le_bytes());
+            bytes[16..24].copy_from_slice(&nf.to_le_bytes());
+            bytes
+        };
+        let (nv, nf) = (
+            sample().num_vertices() as u64,
+            sample().num_triangles() as u64,
+        );
+        assert!(from_binary(&with_counts(nv, nf)).is_ok());
+        // Each would ask for terabytes, or overflow the size sum, if the
+        // counts were believed before being compared with the length.
+        for (nv, nf) in [
+            (u64::MAX, nf),
+            (nv, u64::MAX),
+            (1 << 40, nf),
+            (nv, 1 << 40),
+            (u64::MAX / 16 + 1, 0),
+            (nv + 1, nf),
+            (nv, nf - 1),
+        ] {
+            assert!(from_binary(&with_counts(nv, nf)).is_err(), "{nv} x {nf}");
+        }
+        // Trailing bytes are not a mesh either.
+        let mut longer = good.clone();
+        longer.push(0);
+        assert!(from_binary(&longer).is_err());
+    }
+
+    #[test]
+    fn binary_rejects_out_of_range_face() {
+        let m = sample();
+        let mut bytes = to_binary(&m);
+        let last = bytes.len() - 4;
+        bytes[last..].copy_from_slice(&(m.num_vertices() as u32).to_le_bytes());
+        assert!(from_binary(&bytes).is_err());
+    }
+
+    proptest::proptest! {
+        /// Bytes from a tier may be truncated or flipped anywhere: the
+        /// parser answers with an error or a valid mesh of exactly the
+        /// input's size, and never panics.
+        #[test]
+        fn binary_parser_survives_hostile_input(
+            flips in proptest::collection::vec((proptest::prelude::any::<u32>(), 0u8..8), 1..4),
+            cut in proptest::prelude::any::<u32>(),
+            truncate in proptest::prelude::any::<bool>(),
+        ) {
+            let mut bytes = to_binary(&sample());
+            for (at, bit) in flips {
+                // Half of the flips land in the 24 header bytes.
+                let at = at as usize % if at % 2 == 0 { 24 } else { bytes.len() };
+                bytes[at] ^= 1 << bit;
+            }
+            if truncate {
+                bytes.truncate(cut as usize % (bytes.len() + 1));
+            }
+            if let Ok(m) = from_binary(&bytes) {
+                proptest::prop_assert_eq!(
+                    BINARY_HEADER + m.num_vertices() * POINT_BYTES + m.num_triangles() * TRI_BYTES,
+                    bytes.len()
+                );
+                let n = m.num_vertices();
+                proptest::prop_assert!(m.triangles().iter().flatten().all(|&v| (v as usize) < n));
+            }
+        }
     }
 
     #[test]

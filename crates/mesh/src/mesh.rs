@@ -44,6 +44,13 @@ impl TriMesh {
         Self { points, tris }
     }
 
+    /// [`Self::new`] for a parser that has already range-checked every
+    /// index and reported a violation as an error of its own.
+    pub(crate) fn from_checked(points: Vec<Point2>, tris: Vec<[VertexId; 3]>) -> Self {
+        debug_assert!(tris.iter().flatten().all(|&v| (v as usize) < points.len()));
+        Self { points, tris }
+    }
+
     #[inline]
     pub fn num_vertices(&self) -> usize {
         self.points.len()
