@@ -52,15 +52,15 @@ impl From<canopus_storage::StorageError> for AdiosError {
     }
 }
 
-/// One entry of a shard's chunk index (format rev `CBP3`): where one
-/// independently compressed Morton spatial chunk lives inside its shard
-/// object, what it decodes to, and the spatial extent it covers. The
-/// read path plans region refinements against the bounding boxes and
-/// issues ranged fetches of `[offset, offset + len)` — one chunk moves
-/// without the rest of the shard.
+/// One entry of a shard's chunk index: where one independently
+/// compressed spatial chunk lives inside its shard object, what it
+/// decodes to, and the spatial extent it covers. The read path plans
+/// region refinements against the bounding boxes and issues ranged
+/// fetches of `[offset, offset + len)` — one chunk moves without the
+/// rest of the shard.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChunkEntry {
-    /// Global chunk index within the delta's Morton order.
+    /// Global chunk index within the delta's chunk order.
     pub chunk: u32,
     /// Byte offset of the chunk's compressed stream within the shard.
     pub offset: u64,
@@ -69,7 +69,7 @@ pub struct ChunkEntry {
     /// Number of f64 elements the chunk decodes to.
     pub elements: u64,
     /// [`checksum64`] of the chunk's stored bytes, verified on every
-    /// ranged fetch (0 = unverified).
+    /// ranged fetch.
     pub checksum: u64,
     /// Axis-aligned bounding box of the chunk's vertices:
     /// `[min_x, min_y, max_x, max_y]`.
@@ -105,37 +105,52 @@ pub struct BlockMeta {
     pub min: f64,
     pub max: f64,
     /// Checksum of the stored payload ([`checksum64`]), recorded
-    /// at placement and verified on every read. `0` means "unverified"
-    /// — the manifest predates checksums (legacy `CBP1` format).
+    /// at placement and verified on every read.
     pub checksum: u64,
-    /// Chunk index of a [`ProductKind::DeltaShard`] block (format rev
-    /// `CBP3`), ordered by ascending in-shard offset. Empty for
-    /// monolithic blocks and for manifests predating `CBP3`.
+    /// Chunk index of a [`ProductKind::DeltaShard`] block, ordered by
+    /// ascending in-shard offset; [`FileMeta::from_bytes`] checks it
+    /// against the block's sizes. Empty for base and metadata blocks.
     pub chunks: Vec<ChunkEntry>,
+}
+
+impl BlockMeta {
+    /// Check the chunk index against the block's own sizes, once, where
+    /// the manifest enters the program: every entry's byte range lies
+    /// inside the stored object, ranges ascend without overlapping, and
+    /// the entries' element counts add up to the block's. Readers slice
+    /// payloads and size buffers by these numbers.
+    fn check_chunk_index(&self) -> Result<(), AdiosError> {
+        if self.chunks.is_empty() && !matches!(self.kind, ProductKind::DeltaShard { .. }) {
+            return Ok(());
+        }
+        let corrupt = |what: &str| AdiosError::Corrupt(format!("{}: chunk index {what}", self.key));
+        let (mut end, mut elements) = (0u64, 0u64);
+        for e in &self.chunks {
+            if e.offset < end {
+                return Err(corrupt("entries overlap or do not ascend"));
+            }
+            end = e
+                .offset
+                .checked_add(e.len)
+                .filter(|&end| end <= self.stored_bytes)
+                .ok_or_else(|| corrupt("entry runs past the stored bytes"))?;
+            elements = elements
+                .checked_add(e.elements)
+                .ok_or_else(|| corrupt("element counts overflow"))?;
+        }
+        if elements != self.elements {
+            return Err(corrupt("element counts do not add up to the block's"));
+        }
+        Ok(())
+    }
 }
 
 /// Metadata for one variable: an ordered list of blocks (base, deltas,
 /// auxiliary metadata).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct VarMeta {
     pub name: String,
     pub blocks: Vec<BlockMeta>,
-    /// Parse-time restore-planner index: finer level → indices into
-    /// `blocks` of that delta's `DeltaChunk` blocks in ascending chunk
-    /// order. Built once by [`FileMeta::from_bytes`] so
-    /// [`delta_chunks_to`](Self::delta_chunks_to) — a hot path in the
-    /// restore planner — neither rescans nor re-sorts per call.
-    /// Writer-side `VarMeta`s assembled block-by-block leave it empty
-    /// and fall back to the scan. Never serialized, never compared.
-    chunk_order: std::collections::HashMap<u32, Vec<u32>>,
-}
-
-/// `chunk_order` is a derived cache; two metas are equal iff their
-/// serialized contents are.
-impl PartialEq for VarMeta {
-    fn eq(&self, other: &Self) -> bool {
-        self.name == other.name && self.blocks == other.blocks
-    }
 }
 
 impl VarMeta {
@@ -144,7 +159,6 @@ impl VarMeta {
         Self {
             name: name.into(),
             blocks: Vec::new(),
-            chunk_order: std::collections::HashMap::new(),
         }
     }
 
@@ -155,40 +169,8 @@ impl VarMeta {
             .find(|b| matches!(b.kind, ProductKind::Base { .. }))
     }
 
-    /// Find the delta refining level `finer + 1` into `finer`.
-    pub fn delta_to(&self, finer: u32) -> Option<&BlockMeta> {
-        self.blocks
-            .iter()
-            .find(|b| matches!(b.kind, ProductKind::Delta { finer: f, .. } if f == finer))
-    }
-
-    /// All chunks of the delta refining into `finer`, ordered by chunk
-    /// index (empty when the delta was stored unchunked). Served from
-    /// the precomputed `chunk_order` index on parsed manifests; the
-    /// scan-and-sort fallback only runs for writer-side metas that were
-    /// never [`rebuild_indexes`](Self::rebuild_indexes)d.
-    pub fn delta_chunks_to(&self, finer: u32) -> Vec<&BlockMeta> {
-        if !self.chunk_order.is_empty() {
-            return self
-                .chunk_order
-                .get(&finer)
-                .map(|idxs| idxs.iter().map(|&i| &self.blocks[i as usize]).collect())
-                .unwrap_or_default();
-        }
-        let mut chunks: Vec<&BlockMeta> = self
-            .blocks
-            .iter()
-            .filter(|b| matches!(b.kind, ProductKind::DeltaChunk { finer: f, .. } if f == finer))
-            .collect();
-        chunks.sort_by_key(|b| match b.kind {
-            ProductKind::DeltaChunk { chunk, .. } => chunk,
-            _ => unreachable!("filtered to chunks"),
-        });
-        chunks
-    }
-
-    /// All shards of the delta refining into `finer`, ordered by shard
-    /// index (empty when the delta was not stored sharded).
+    /// All shards of the delta refining level `finer + 1` into `finer`,
+    /// ordered by shard index.
     pub fn delta_shards_to(&self, finer: u32) -> Vec<&BlockMeta> {
         let mut shards: Vec<&BlockMeta> = self
             .blocks
@@ -200,25 +182,6 @@ impl VarMeta {
             _ => unreachable!("filtered to shards"),
         });
         shards
-    }
-
-    /// (Re)build the derived lookup indexes from `blocks`. Called once
-    /// per variable at manifest parse time.
-    pub fn rebuild_indexes(&mut self) {
-        self.chunk_order.clear();
-        let mut keyed: Vec<(u32, u32, u32)> = self
-            .blocks
-            .iter()
-            .enumerate()
-            .filter_map(|(i, b)| match b.kind {
-                ProductKind::DeltaChunk { finer, chunk, .. } => Some((finer, chunk, i as u32)),
-                _ => None,
-            })
-            .collect();
-        keyed.sort_unstable_by_key(|&(finer, chunk, _)| (finer, chunk));
-        for (finer, _, idx) in keyed {
-            self.chunk_order.entry(finer).or_default().push(idx);
-        }
     }
 
     /// Find the auxiliary metadata block for `level`.
@@ -246,17 +209,11 @@ impl FileMeta {
     }
 }
 
-/// Current manifest format: v3 adds a per-block chunk index (byte
-/// ranges, bounding boxes, per-chunk checksums) for sharded spatial
-/// layouts.
+/// The manifest format: per-block payload checksums and a per-block
+/// chunk index (byte ranges, bounding boxes, per-chunk checksums). The
+/// earlier revisions `CBP1`/`CBP2` are rejected like any other unknown
+/// magic.
 const META_MAGIC: &[u8; 4] = b"CBP3";
-/// v2 manifests (per-block payload checksum, no chunk index) are still
-/// readable; their blocks carry an empty `chunks` vector and read via
-/// the monolithic path.
-const META_MAGIC_V2: &[u8; 4] = b"CBP2";
-/// Legacy manifests (no checksums) are still readable; their blocks
-/// carry `checksum == 0`, which reads treat as "skip verification".
-const META_MAGIC_V1: &[u8; 4] = b"CBP1";
 
 /// Multiplier of every [`checksum64`] step; odd, so multiplying by it
 /// permutes `u64`.
@@ -268,7 +225,8 @@ const SUM_LANES: [u64; 4] = [
     0xA409_3822_299F_31D0,
     0x082E_FA98_EC4E_6C89,
 ];
-/// What a sum of 0 is stored as: 0 in a manifest means "unverified".
+/// What a sum of 0 is stored as, so a zeroed manifest field never
+/// verifies.
 const SUM_OF_ZERO: u64 = 0x4528_21E6_38D0_1377;
 
 /// One step: for a fixed `word` a permutation of `h` (and the reverse),
@@ -312,7 +270,8 @@ fn checksum64_raw(bytes: &[u8]) -> u64 {
 /// word through the same step. Every step permutes its state, so any
 /// change confined to one word — in particular any single flipped bit
 /// or byte, what the fault injector or a real tier introduces — always
-/// changes the sum. Never 0, which manifests reserve for "unverified".
+/// changes the sum. Never 0, so a payload cannot verify against a
+/// checksum field that was zeroed.
 pub fn checksum64(bytes: &[u8]) -> u64 {
     match checksum64_raw(bytes) {
         0 => SUM_OF_ZERO,
@@ -330,13 +289,7 @@ fn put_str(out: &mut Vec<u8>, s: &str) {
 fn put_kind(out: &mut Vec<u8>, kind: ProductKind) {
     let (tag, a, b, c) = match kind {
         ProductKind::Base { level } => (0u8, level, 0, 0),
-        ProductKind::Delta { finer, coarser } => (1, finer, coarser, 0),
         ProductKind::Metadata { level } => (2, level, 0, 0),
-        ProductKind::DeltaChunk {
-            finer,
-            coarser,
-            chunk,
-        } => (3, finer, coarser, chunk),
         ProductKind::DeltaShard {
             finer,
             coarser,
@@ -396,21 +349,14 @@ impl<'a> Cursor<'a> {
         let c = self.u32()?;
         match tag {
             0 => Ok(ProductKind::Base { level: a }),
-            1 => Ok(ProductKind::Delta {
-                finer: a,
-                coarser: b,
-            }),
             2 => Ok(ProductKind::Metadata { level: a }),
-            3 => Ok(ProductKind::DeltaChunk {
-                finer: a,
-                coarser: b,
-                chunk: c,
-            }),
             4 => Ok(ProductKind::DeltaShard {
                 finer: a,
                 coarser: b,
                 shard: c,
             }),
+            // 1 and 3 were the monolithic and per-chunk-object delta
+            // layouts; no writer emits them any more.
             t => Err(AdiosError::Corrupt(format!("bad product kind tag {t}"))),
         }
     }
@@ -465,13 +411,9 @@ impl FileMeta {
     /// Parse the binary form.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, AdiosError> {
         let mut c = Cursor { bytes, pos: 0 };
-        let magic = c.take(4)?;
-        let (has_checksums, has_chunk_index) = match () {
-            _ if magic == META_MAGIC => (true, true),
-            _ if magic == META_MAGIC_V2 => (true, false),
-            _ if magic == META_MAGIC_V1 => (false, false),
-            _ => return Err(AdiosError::Corrupt("bad BP metadata magic".into())),
-        };
+        if c.take(4)? != META_MAGIC {
+            return Err(AdiosError::Corrupt("bad BP metadata magic".into()));
+        }
         let name = c.str()?;
         let num_levels = c.u32()?;
         let nvars = c.u32()? as usize;
@@ -497,39 +439,34 @@ impl FileMeta {
                     stored_bytes: c.u64()?,
                     min: c.f64()?,
                     max: c.f64()?,
-                    checksum: if has_checksums { c.u64()? } else { 0 },
+                    checksum: c.u64()?,
                     chunks: Vec::new(),
                 };
-                if has_chunk_index {
-                    let nchunks = c.u32()? as usize;
-                    if nchunks > 1 << 20 {
-                        return Err(AdiosError::Corrupt("absurd chunk count".into()));
-                    }
-                    let mut chunks = Vec::with_capacity(nchunks);
-                    for _ in 0..nchunks {
-                        chunks.push(ChunkEntry {
-                            chunk: c.u32()?,
-                            offset: c.u64()?,
-                            len: c.u64()?,
-                            elements: c.u64()?,
-                            checksum: c.u64()?,
-                            bbox: [c.f64()?, c.f64()?, c.f64()?, c.f64()?],
-                            min: c.f64()?,
-                            max: c.f64()?,
-                            codec_id: c.u8()?,
-                        });
-                    }
-                    block.chunks = chunks;
+                let nchunks = c.u32()? as usize;
+                if nchunks > 1 << 20 {
+                    return Err(AdiosError::Corrupt("absurd chunk count".into()));
                 }
+                block.chunks.reserve_exact(nchunks);
+                for _ in 0..nchunks {
+                    block.chunks.push(ChunkEntry {
+                        chunk: c.u32()?,
+                        offset: c.u64()?,
+                        len: c.u64()?,
+                        elements: c.u64()?,
+                        checksum: c.u64()?,
+                        bbox: [c.f64()?, c.f64()?, c.f64()?, c.f64()?],
+                        min: c.f64()?,
+                        max: c.f64()?,
+                        codec_id: c.u8()?,
+                    });
+                }
+                block.check_chunk_index()?;
                 blocks.push(block);
             }
-            let mut var = VarMeta {
+            vars.push(VarMeta {
                 name: vname,
                 blocks,
-                ..VarMeta::default()
-            };
-            var.rebuild_indexes();
-            vars.push(var);
+            });
         }
         let nattrs = c.u32()? as usize;
         if nattrs > 1 << 20 {
@@ -547,53 +484,6 @@ impl FileMeta {
             vars,
             attrs,
         })
-    }
-
-    /// Serialize in the previous `CBP2` layout: per-block checksums but
-    /// no chunk index. Back-compat fixture support — the regression
-    /// tests downgrade a live manifest with this and prove old files
-    /// keep opening and reading via the monolithic path. Lossy for
-    /// sharded blocks (their chunk index is dropped).
-    pub fn to_bytes_v2(&self) -> Vec<u8> {
-        self.to_bytes_versioned(META_MAGIC_V2, true)
-    }
-
-    /// Serialize in the legacy `CBP1` layout: no checksums, no chunk
-    /// index. See [`Self::to_bytes_v2`] for the intended use.
-    pub fn to_bytes_v1(&self) -> Vec<u8> {
-        self.to_bytes_versioned(META_MAGIC_V1, false)
-    }
-
-    fn to_bytes_versioned(&self, magic: &[u8; 4], checksums: bool) -> Vec<u8> {
-        let mut out = Vec::with_capacity(256);
-        out.extend_from_slice(magic);
-        put_str(&mut out, &self.name);
-        out.extend_from_slice(&self.num_levels.to_le_bytes());
-        out.extend_from_slice(&(self.vars.len() as u32).to_le_bytes());
-        for var in &self.vars {
-            put_str(&mut out, &var.name);
-            out.extend_from_slice(&(var.blocks.len() as u32).to_le_bytes());
-            for b in &var.blocks {
-                put_str(&mut out, &b.key);
-                put_kind(&mut out, b.kind);
-                out.extend_from_slice(&b.elements.to_le_bytes());
-                out.push(b.codec_id);
-                out.extend_from_slice(&b.codec_param.to_le_bytes());
-                out.extend_from_slice(&b.raw_bytes.to_le_bytes());
-                out.extend_from_slice(&b.stored_bytes.to_le_bytes());
-                out.extend_from_slice(&b.min.to_le_bytes());
-                out.extend_from_slice(&b.max.to_le_bytes());
-                if checksums {
-                    out.extend_from_slice(&b.checksum.to_le_bytes());
-                }
-            }
-        }
-        out.extend_from_slice(&(self.attrs.len() as u32).to_le_bytes());
-        for (k, v) in &self.attrs {
-            put_str(&mut out, k);
-            put_str(&mut out, v);
-        }
-        out
     }
 }
 
@@ -621,11 +511,13 @@ mod tests {
                         checksum: 0xDEAD_BEEF_0000_0001,
                         chunks: vec![],
                     },
+                    // A one-chunk delta: the index covers the whole object.
                     BlockMeta {
-                        key: "xgc1.bp/dpot/d1-2".into(),
-                        kind: ProductKind::Delta {
+                        key: "xgc1.bp/dpot/s1-2.0".into(),
+                        kind: ProductKind::DeltaShard {
                             finer: 1,
                             coarser: 2,
+                            shard: 0,
                         },
                         elements: 10_000,
                         codec_id: 1,
@@ -635,7 +527,17 @@ mod tests {
                         min: -0.1,
                         max: 0.1,
                         checksum: 0xDEAD_BEEF_0000_0002,
-                        chunks: vec![],
+                        chunks: vec![ChunkEntry {
+                            chunk: 0,
+                            offset: 0,
+                            len: 7_000,
+                            elements: 10_000,
+                            checksum: 0xDEAD_BEEF_0000_0002,
+                            bbox: [0.0, 0.0, 1.0, 1.0],
+                            min: -0.1,
+                            max: 0.1,
+                            codec_id: 1,
+                        }],
                     },
                     BlockMeta {
                         key: "xgc1.bp/dpot/s0-1.0".into(),
@@ -691,7 +593,6 @@ mod tests {
                         chunks: vec![],
                     },
                 ],
-                ..VarMeta::default()
             }],
             attrs: vec![("app".into(), "XGC1".into())],
         }
@@ -713,8 +614,8 @@ mod tests {
             v.base().unwrap().kind,
             ProductKind::Base { level: 2 }
         ));
-        assert!(v.delta_to(1).is_some());
-        assert!(v.delta_to(0).is_none());
+        assert_eq!(v.delta_shards_to(1).len(), 1);
+        assert!(v.delta_shards_to(2).is_empty());
         assert!(v.metadata_for(1).is_some());
         assert!(v.metadata_for(2).is_none());
         assert!(m.var("nope").is_none());
@@ -753,34 +654,65 @@ mod tests {
         assert_eq!(FileMeta::from_bytes(&m.to_bytes()).unwrap(), m);
     }
 
+    /// The manifest `sample()` serializes to, with `edit` applied to its
+    /// two-chunk shard block before serialization.
+    fn sample_with(edit: impl FnOnce(&mut BlockMeta)) -> Vec<u8> {
+        let mut m = sample();
+        edit(&mut m.vars[0].blocks[2]);
+        m.to_bytes()
+    }
+
     #[test]
-    fn legacy_v1_manifests_parse_with_unverified_checksums() {
-        let m = sample();
-        let back = FileMeta::from_bytes(&m.to_bytes_v1()).unwrap();
-        assert_eq!(back.vars.len(), 1);
-        for (old, new) in m.vars[0].blocks.iter().zip(&back.vars[0].blocks) {
-            assert_eq!(new.checksum, 0, "v1 blocks are unverified");
-            assert!(new.chunks.is_empty(), "v1 blocks carry no chunk index");
-            assert_eq!(
-                BlockMeta {
-                    checksum: 0,
-                    chunks: vec![],
-                    ..old.clone()
-                },
-                *new,
-                "everything but checksum and chunk index survives"
+    fn retired_revisions_and_kind_tags_are_rejected() {
+        let good = sample().to_bytes();
+        assert!(FileMeta::from_bytes(&good).is_ok());
+        for magic in [b"CBP1", b"CBP2", b"CBP4"] {
+            let mut bytes = good.clone();
+            bytes[..4].copy_from_slice(magic);
+            assert!(
+                matches!(FileMeta::from_bytes(&bytes), Err(AdiosError::Corrupt(_))),
+                "{}",
+                String::from_utf8_lossy(magic)
+            );
+        }
+        // The kind tag is the byte after a block's key; 1 and 3 were
+        // the monolithic and per-chunk-object delta layouts.
+        let key = b"xgc1.bp/dpot/s1-2.0";
+        let tag_at = good.windows(key.len()).position(|w| w == key).unwrap() + key.len();
+        assert_eq!(good[tag_at], 4);
+        for tag in [1u8, 3, 5, 0xFF] {
+            let mut bytes = good.clone();
+            bytes[tag_at] = tag;
+            assert!(
+                matches!(FileMeta::from_bytes(&bytes), Err(AdiosError::Corrupt(_))),
+                "kind tag {tag}"
             );
         }
     }
 
     #[test]
-    fn v2_manifests_parse_with_empty_chunk_index() {
-        let m = sample();
-        let back = FileMeta::from_bytes(&m.to_bytes_v2()).unwrap();
-        for (old, new) in m.vars[0].blocks.iter().zip(&back.vars[0].blocks) {
-            assert_eq!(new.checksum, old.checksum, "v2 keeps checksums");
-            assert!(new.chunks.is_empty(), "v2 blocks carry no chunk index");
+    fn inconsistent_chunk_indexes_are_rejected() {
+        type Edit = fn(&mut BlockMeta);
+        let cases: [(&str, Edit); 7] = [
+            ("range past the object", |b| b.chunks[1].len += 1),
+            ("offset + len overflows", |b| b.chunks[1].offset = u64::MAX),
+            ("overlap", |b| b.chunks[1].offset -= 1),
+            ("descending", |b| b.chunks.swap(0, 1)),
+            ("elements short", |b| b.chunks[0].elements -= 1),
+            ("elements overflow", |b| b.chunks[0].elements = u64::MAX),
+            ("shard without an index", |b| b.chunks.clear()),
+        ];
+        for (what, edit) in cases {
+            assert!(
+                matches!(
+                    FileMeta::from_bytes(&sample_with(edit)),
+                    Err(AdiosError::Corrupt(_))
+                ),
+                "{what}"
+            );
         }
+        // Gaps between entries are allowed; only overlap is not.
+        assert!(FileMeta::from_bytes(&sample_with(|b| b.chunks[0].len -= 1)).is_ok());
     }
 
     #[test]
@@ -790,62 +722,14 @@ mod tests {
         let shard = back.vars[0]
             .blocks
             .iter()
-            .find(|b| matches!(b.kind, ProductKind::DeltaShard { .. }))
+            .find(|b| matches!(b.kind, ProductKind::DeltaShard { finer: 0, .. }))
             .unwrap();
         assert_eq!(shard.chunks.len(), 2);
         assert_eq!(shard.chunks[1].offset, 7_000);
         assert_eq!(shard.chunks[1].bbox, [0.5, 0.0, 1.0, 1.0]);
         assert_eq!(back, m);
         assert_eq!(back.vars[0].delta_shards_to(0).len(), 1);
-        assert!(back.vars[0].delta_shards_to(1).is_empty());
-    }
-
-    #[test]
-    fn parsed_chunk_order_matches_scan_fallback() {
-        // Chunks interleaved across two deltas, out of chunk order.
-        let mk = |finer: u32, chunk: u32| BlockMeta {
-            key: format!("f/v/d{finer}-{}.{chunk}", finer + 1),
-            kind: ProductKind::DeltaChunk {
-                finer,
-                coarser: finer + 1,
-                chunk,
-            },
-            elements: 8,
-            codec_id: 0,
-            codec_param: 0.0,
-            raw_bytes: 64,
-            stored_bytes: 64,
-            min: 0.0,
-            max: 1.0,
-            checksum: 7,
-            chunks: vec![],
-        };
-        let scrambled = VarMeta {
-            name: "v".into(),
-            blocks: vec![mk(1, 2), mk(0, 1), mk(1, 0), mk(0, 0), mk(1, 1)],
-            ..VarMeta::default()
-        };
-        let m = FileMeta {
-            name: "f".into(),
-            num_levels: 3,
-            vars: vec![scrambled.clone()],
-            attrs: vec![],
-        };
-        let parsed = FileMeta::from_bytes(&m.to_bytes()).unwrap();
-        for finer in 0..2 {
-            let from_index = parsed.vars[0].delta_chunks_to(finer);
-            let from_scan = scrambled.delta_chunks_to(finer);
-            assert_eq!(from_index, from_scan, "finer {finer}");
-            let order: Vec<u32> = from_index
-                .iter()
-                .map(|b| match b.kind {
-                    ProductKind::DeltaChunk { chunk, .. } => chunk,
-                    _ => unreachable!(),
-                })
-                .collect();
-            assert!(order.windows(2).all(|w| w[0] < w[1]), "sorted: {order:?}");
-        }
-        assert!(parsed.vars[0].delta_chunks_to(2).is_empty());
+        assert!(back.vars[0].delta_shards_to(2).is_empty());
     }
 
     /// Deterministic filler that is neither constant nor periodic in 8

@@ -17,12 +17,6 @@ fn meta_key(file: &str) -> String {
 pub fn block_key(file: &str, var: &str, kind: ProductKind) -> String {
     match kind {
         ProductKind::Base { level } => format!("{file}/{var}/L{level}"),
-        ProductKind::Delta { finer, coarser } => format!("{file}/{var}/d{finer}-{coarser}"),
-        ProductKind::DeltaChunk {
-            finer,
-            coarser,
-            chunk,
-        } => format!("{file}/{var}/d{finer}-{coarser}.{chunk}"),
         ProductKind::DeltaShard {
             finer,
             coarser,
@@ -45,7 +39,7 @@ pub struct BlockWrite {
     pub raw_bytes: u64,
     pub min: f64,
     pub max: f64,
-    /// Chunk index of a shard block (empty for everything else); copied
+    /// Chunk index of a delta shard (empty for everything else); copied
     /// verbatim into the manifest's [`BlockMeta::chunks`].
     pub chunks: Vec<ChunkEntry>,
 }
@@ -313,19 +307,17 @@ impl BpFile {
     /// simulated transfer time. The payload is verified against the
     /// checksum the manifest recorded at placement; a mismatch is a
     /// retryable [`AdiosError::ChecksumMismatch`] (the stored object may
-    /// be fine — the corruption can sit in the transfer). Blocks from
-    /// legacy manifests (`checksum == 0`) skip verification.
+    /// be fine — the corruption can sit in the transfer). No recorded
+    /// value skips the check.
     pub fn read_block(&self, block: &BlockMeta) -> Result<(Bytes, usize, SimDuration), AdiosError> {
         let (bytes, tier, dt) = self.store.hierarchy.read(&block.key)?;
-        if block.checksum != 0 {
-            let actual = checksum64(&bytes);
-            if actual != block.checksum {
-                return Err(AdiosError::ChecksumMismatch {
-                    key: block.key.clone(),
-                    expected: block.checksum,
-                    actual,
-                });
-            }
+        let actual = checksum64(&bytes);
+        if actual != block.checksum {
+            return Err(AdiosError::ChecksumMismatch {
+                key: block.key.clone(),
+                expected: block.checksum,
+                actual,
+            });
         }
         Ok((bytes, tier, dt))
     }
@@ -333,8 +325,8 @@ impl BpFile {
     /// Read one chunk of a shard block with a ranged fetch — only
     /// `entry.len` bytes move off the tier, not the whole shard. The
     /// slice is verified against the per-chunk checksum the manifest
-    /// recorded at placement (`0` skips verification); a mismatch is
-    /// retryable like [`read_block`](Self::read_block)'s.
+    /// recorded at placement; a mismatch is retryable like
+    /// [`read_block`](Self::read_block)'s.
     pub fn read_block_range(
         &self,
         block: &BlockMeta,
@@ -344,15 +336,13 @@ impl BpFile {
             self.store
                 .hierarchy
                 .read_range(&block.key, entry.offset, entry.len)?;
-        if entry.checksum != 0 {
-            let actual = checksum64(&bytes);
-            if actual != entry.checksum {
-                return Err(AdiosError::ChecksumMismatch {
-                    key: format!("{}#{}", block.key, entry.chunk),
-                    expected: entry.checksum,
-                    actual,
-                });
-            }
+        let actual = checksum64(&bytes);
+        if actual != entry.checksum {
+            return Err(AdiosError::ChecksumMismatch {
+                key: format!("{}#{}", block.key, entry.chunk),
+                expected: entry.checksum,
+                actual,
+            });
         }
         Ok((bytes, tier, dt))
     }
@@ -370,11 +360,10 @@ impl BpFile {
 
     /// Plan the data blocks a restore walk needs, in fetch order: for
     /// each refinement step `finer = from_level - 1` down to `to_level`,
-    /// the delta block(s) refining into `finer` — one monolithic block,
-    /// the spatial chunks in chunk order, or the shard objects in shard
-    /// order (shard blocks carry their chunk index in
-    /// [`BlockMeta::chunks`]). This is the work-list the pipelined
-    /// reader's prefetch stage walks ahead of the decoder.
+    /// the shard objects of the delta refining into `finer`, in shard
+    /// order (each carries its chunk index in [`BlockMeta::chunks`]).
+    /// This is the work-list the pipelined reader's prefetch stage walks
+    /// ahead of the decoder.
     pub fn restore_plan(
         &self,
         var: &str,
@@ -389,18 +378,7 @@ impl BpFile {
         let v = self.inq_var(var)?;
         let mut plan = Vec::with_capacity((from_level - to_level) as usize);
         for finer in (to_level..from_level).rev() {
-            let blocks: Vec<BlockMeta> = match v.delta_to(finer) {
-                Some(b) => vec![b.clone()],
-                None => {
-                    let chunks: Vec<BlockMeta> =
-                        v.delta_chunks_to(finer).into_iter().cloned().collect();
-                    if chunks.is_empty() {
-                        v.delta_shards_to(finer).into_iter().cloned().collect()
-                    } else {
-                        chunks
-                    }
-                }
-            };
+            let blocks: Vec<BlockMeta> = v.delta_shards_to(finer).into_iter().cloned().collect();
             if blocks.is_empty() {
                 return Err(AdiosError::NotFound(format!(
                     "delta to level {finer} of {var}"
@@ -409,21 +387,6 @@ impl BpFile {
             plan.push((finer, blocks));
         }
         Ok(plan)
-    }
-
-    /// Convenience: read the delta that refines `finer + 1` into `finer`.
-    pub fn read_delta(
-        &self,
-        var: &str,
-        finer: u32,
-    ) -> Result<(Bytes, BlockMeta, SimDuration), AdiosError> {
-        let v = self.inq_var(var)?;
-        let block = v
-            .delta_to(finer)
-            .ok_or_else(|| AdiosError::NotFound(format!("delta to level {finer} of {var}")))?
-            .clone();
-        let (bytes, _, dt) = self.read_block(&block)?;
-        Ok((bytes, block, dt))
     }
 }
 
@@ -454,37 +417,45 @@ mod tests {
                 max: 1.0,
                 chunks: vec![],
             },
-            BlockWrite {
-                var: "dpot".into(),
-                kind: ProductKind::Delta {
-                    finer: 1,
-                    coarser: 2,
-                },
-                data: Bytes::from(vec![2u8; 200]),
-                elements: 25,
-                codec_id: 1,
-                codec_param: 1e-6,
-                raw_bytes: 200,
-                min: -0.1,
-                max: 0.1,
-                chunks: vec![],
+            one_chunk_delta(1, vec![2u8; 200], 25),
+            one_chunk_delta(0, vec![3u8; 400], 50),
+        ]
+    }
+
+    /// A delta as the default layout writes it: one shard whose index
+    /// holds one chunk covering the whole object.
+    fn one_chunk_delta(finer: u32, payload: Vec<u8>, elements: u64) -> BlockWrite {
+        BlockWrite {
+            var: "dpot".into(),
+            kind: ProductKind::DeltaShard {
+                finer,
+                coarser: finer + 1,
+                shard: 0,
             },
-            BlockWrite {
-                var: "dpot".into(),
-                kind: ProductKind::Delta {
-                    finer: 0,
-                    coarser: 1,
-                },
-                data: Bytes::from(vec![3u8; 400]),
-                elements: 50,
-                codec_id: 1,
-                codec_param: 1e-6,
-                raw_bytes: 400,
+            elements,
+            codec_id: 1,
+            codec_param: 1e-6,
+            raw_bytes: elements * 8,
+            min: -0.2,
+            max: 0.2,
+            chunks: vec![ChunkEntry {
+                chunk: 0,
+                offset: 0,
+                len: payload.len() as u64,
+                elements,
+                checksum: checksum64(&payload),
+                bbox: [0.0, 0.0, 1.0, 1.0],
                 min: -0.2,
                 max: 0.2,
-                chunks: vec![],
-            },
-        ]
+                codec_id: 1,
+            }],
+            data: Bytes::from(payload),
+        }
+    }
+
+    /// The one shard of the delta refining into `finer`.
+    fn delta_block(f: &BpFile, finer: u32) -> BlockMeta {
+        f.inq_var("dpot").unwrap().delta_shards_to(finer)[0].clone()
     }
 
     #[test]
@@ -503,11 +474,18 @@ mod tests {
         assert_eq!(bytes.len(), 100);
         assert_eq!(block.elements, 12);
 
-        let (bytes, block, _) = f.read_delta("dpot", 1).unwrap();
-        assert_eq!(bytes.len(), 200);
-        assert!(matches!(block.kind, ProductKind::Delta { finer: 1, .. }));
-        let (bytes, _, _) = f.read_delta("dpot", 0).unwrap();
-        assert_eq!(bytes.len(), 400);
+        let block = delta_block(&f, 1);
+        assert!(matches!(
+            block.kind,
+            ProductKind::DeltaShard { finer: 1, .. }
+        ));
+        assert_eq!(f.read_block(&block).unwrap().0.len(), 200);
+        // One chunk: the ranged fetch of it moves the same bytes.
+        let block = delta_block(&f, 0);
+        let (whole, _, _) = f.read_block(&block).unwrap();
+        let (ranged, _, _) = f.read_block_range(&block, &block.chunks[0]).unwrap();
+        assert_eq!(whole.len(), 400);
+        assert_eq!(whole, ranged);
     }
 
     #[test]
@@ -515,8 +493,8 @@ mod tests {
         let s = store();
         let (plan, _) = s.write("f.bp", 3, sample_blocks()).unwrap();
         assert_eq!(plan.tier_of("f.bp/dpot/L2"), Some(0));
-        assert_eq!(plan.tier_of("f.bp/dpot/d1-2"), Some(1));
-        assert_eq!(plan.tier_of("f.bp/dpot/d0-1"), Some(1));
+        assert_eq!(plan.tier_of("f.bp/dpot/s1-2.0"), Some(1));
+        assert_eq!(plan.tier_of("f.bp/dpot/s0-1.0"), Some(1));
     }
 
     #[test]
@@ -525,7 +503,7 @@ mod tests {
         s.write("f.bp", 3, sample_blocks()).unwrap();
         let f = s.open("f.bp").unwrap();
         let (_, _, t_base) = f.read_base("dpot").unwrap();
-        let (_, _, t_delta) = f.read_delta("dpot", 1).unwrap();
+        let (_, _, t_delta) = f.read_block(&delta_block(&f, 1)).unwrap();
         assert!(
             t_delta.seconds() > t_base.seconds() * 5.0,
             "tier gap should dominate: base {} vs delta {}",
@@ -544,7 +522,7 @@ mod tests {
         assert_eq!(plan[0].0, 1);
         assert_eq!(plan[1].0, 0);
         assert!(plan.iter().all(|(_, blocks)| blocks.len() == 1));
-        assert_eq!(plan[0].1[0].key, "f.bp/dpot/d1-2");
+        assert_eq!(plan[0].1[0].key, "f.bp/dpot/s1-2.0");
         // Empty walk, inverted walk, unknown delta.
         assert!(f.restore_plan("dpot", 0, 0).unwrap().is_empty());
         assert!(f.restore_plan("dpot", 0, 2).is_err());
@@ -565,8 +543,8 @@ mod tests {
         assert!((t_a.seconds() - t_b.seconds()).abs() < 1e-12);
         for key in [
             "f.bp/dpot/L2",
-            "f.bp/dpot/d1-2",
-            "f.bp/dpot/d0-1",
+            "f.bp/dpot/s1-2.0",
+            "f.bp/dpot/s0-1.0",
             "f.bp/.bpmeta",
         ] {
             let (da, tier_a, _) = a.hierarchy().read(key).unwrap();
@@ -611,7 +589,7 @@ mod tests {
         assert!(s.exists("f.bp"));
         let f = s.open("f.bp").unwrap();
         assert!(f.inq_var("nope").is_err());
-        assert!(f.read_delta("dpot", 7).is_err());
+        assert!(f.restore_plan("dpot", 8, 7).is_err());
     }
 
     #[test]
@@ -675,37 +653,52 @@ mod tests {
     }
 
     #[test]
+    fn zeroed_checksum_fields_fail_the_read() {
+        // 0 once meant "unverified" (manifests before checksums). It is
+        // an ordinary value now: a manifest whose checksum fields were
+        // zeroed must not read as if nothing had been recorded.
+        let s = store();
+        s.write("f.bp", 3, sample_blocks()).unwrap();
+        let mut meta = s.open("f.bp").unwrap().meta().clone();
+        for b in &mut meta.vars[0].blocks {
+            b.checksum = 0;
+            for e in &mut b.chunks {
+                e.checksum = 0;
+            }
+        }
+        s.hierarchy().remove(&meta_key("f.bp")).unwrap();
+        s.write_file_meta("f.bp", &meta).unwrap();
+        let f = s.open("f.bp").unwrap();
+        for b in &f.inq_var("dpot").unwrap().blocks {
+            match f.read_block(b) {
+                Err(AdiosError::ChecksumMismatch { key, expected, .. }) => {
+                    assert_eq!((key, expected), (b.key.clone(), 0));
+                }
+                other => panic!("{}: expected checksum mismatch, got {other:?}", b.key),
+            }
+            for e in &b.chunks {
+                assert!(
+                    matches!(
+                        f.read_block_range(b, e),
+                        Err(AdiosError::ChecksumMismatch { expected: 0, .. })
+                    ),
+                    "{}#{}",
+                    b.key,
+                    e.chunk
+                );
+            }
+        }
+    }
+
+    #[test]
     fn block_key_format() {
         assert_eq!(
             block_key("f", "v", ProductKind::Base { level: 2 }),
             "f/v/L2"
         );
         assert_eq!(
-            block_key(
-                "f",
-                "v",
-                ProductKind::Delta {
-                    finer: 0,
-                    coarser: 1
-                }
-            ),
-            "f/v/d0-1"
-        );
-        assert_eq!(
             block_key("f", "v", ProductKind::Metadata { level: 1 }),
             "f/v/m1"
-        );
-        assert_eq!(
-            block_key(
-                "f",
-                "v",
-                ProductKind::DeltaChunk {
-                    finer: 0,
-                    coarser: 1,
-                    chunk: 3
-                }
-            ),
-            "f/v/d0-1.3"
         );
         assert_eq!(
             block_key(
@@ -772,10 +765,10 @@ mod tests {
     fn shard_chunks_fetch_ranged_and_verified() {
         let s = store();
         let mut blocks = sample_blocks();
-        blocks.push(shard_block());
+        blocks[1] = shard_block();
         s.write("f.bp", 3, blocks).unwrap();
         let f = s.open("f.bp").unwrap();
-        let shard = f.inq_var("dpot").unwrap().delta_shards_to(1)[0].clone();
+        let shard = delta_block(&f, 1);
         assert_eq!(shard.chunks.len(), 2);
 
         let tier = s.hierarchy().find(&shard.key).unwrap();
@@ -804,10 +797,9 @@ mod tests {
     #[test]
     fn restore_plan_returns_shards_with_chunk_index() {
         let s = store();
-        // Base + shard for level 1, monolithic delta for level 0.
+        // Base + two-chunk shard for level 1, one-chunk delta for level 0.
         let mut blocks = sample_blocks();
-        blocks.retain(|b| !matches!(b.kind, ProductKind::Delta { finer: 1, .. }));
-        blocks.insert(1, shard_block());
+        blocks[1] = shard_block();
         s.write("f.bp", 3, blocks).unwrap();
         let f = s.open("f.bp").unwrap();
         let plan = f.restore_plan("dpot", 2, 0).unwrap();
@@ -819,6 +811,6 @@ mod tests {
         ));
         assert_eq!(plan[0].1[0].chunks.len(), 2);
         assert_eq!(plan[1].0, 0);
-        assert!(matches!(plan[1].1[0].kind, ProductKind::Delta { .. }));
+        assert_eq!(plan[1].1[0].chunks.len(), 1);
     }
 }

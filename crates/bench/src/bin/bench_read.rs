@@ -73,7 +73,7 @@ fn main() {
         report.cache.cache_misses
     );
 
-    println!("\n# Region refinement (1/8-domain window), monolithic vs sharded\n");
+    println!("\n# Region refinement (1/8-domain window), delta_chunks 1 vs 16\n");
     let region_rows: Vec<Vec<String>> = report
         .region
         .iter()
@@ -92,7 +92,7 @@ fn main() {
         "{}",
         table::render(
             &[
-                "layout",
+                "file",
                 "chunks",
                 "bytes moved",
                 "level bytes",

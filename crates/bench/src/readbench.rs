@@ -1,22 +1,20 @@
 //! Restore-engine throughput: the perf trajectory behind `BENCH_read.json`.
 //!
 //! Times a full base → L0 restoration on the Fig. 9 XGC1 configuration
-//! under three engine configurations of the *same* stored variable:
+//! under both read engines over the *same* stored variable:
 //!
-//! * `serial` — `pipeline_depth = 0` over monolithic codec streams: the
-//!   read path exactly as it was before the pipelined engine landed;
-//! * `serial_chunked` — the serial walk over chunk-framed streams, so
-//!   only the decode parallelism contributes;
+//! * `serial` — `pipeline_depth = 0`: fetch → decode → restore in strict
+//!   sequence (chunk-framed streams still decode across cores);
 //! * `pipelined` — bounded prefetch + parallel decode + eager restore.
 //!
 //! Tier I/O is simulated (`SimClock` advances without sleeping), so the
 //! measured wall clock isolates the real CPU work — decompression and
 //! delta application — which is exactly what the engines differ on. The
-//! headline `speedup` is `serial` over `pipelined`: the before/after of
-//! this optimisation.
+//! headline `speedup` is `serial` over `pipelined`.
 //!
 //! A second section exercises the decoded-level cache: the repeat read
-//! of a cached `(var, level)` must move zero tier bytes.
+//! of a cached `(var, level)` must move zero tier bytes. A third
+//! refines a 1/8-domain window of a one-chunk and a 16-chunk file.
 
 use crate::histsum;
 use crate::setup::titan_hierarchy;
@@ -66,7 +64,7 @@ pub struct RegionSample {
     pub decode_count: u64,
     /// Wall seconds spent in those decodes (host-noisy; indicative).
     pub decode_secs: f64,
-    /// Ranged chunk fetches issued (sharded layout only; 0 otherwise).
+    /// Ranged chunk fetches issued: one per chunk that moved.
     pub chunk_fetches: u64,
 }
 
@@ -83,8 +81,8 @@ pub struct ReadBenchReport {
     /// `serial` wall over `pipelined` wall — the before/after speedup.
     pub speedup: f64,
     pub cache: CacheSample,
-    /// Small-window region refinement under the monolithic and the
-    /// Morton-sharded layouts: the bytes-moved gap is the O(region) win.
+    /// Small-window region refinement of a one-chunk (default) and a
+    /// 16-chunk file: the bytes-moved gap is the O(region) win.
     pub region: Vec<RegionSample>,
     /// Latency histograms of the pipelined engine's run (write + all
     /// restore iterations). The `.sim` entries are deterministic at a
@@ -229,14 +227,15 @@ fn sample_cache(ds: &Dataset, config: CanopusConfig) -> CacheSample {
     }
 }
 
-/// Region refinement of a 1/8-domain window under one layout. Cache off
-/// so every planned-and-needed chunk is a real fetch; bytes are
-/// deterministic (simulated tiers, fixed Morton partition).
+/// Region refinement of a 1/8-domain window of a file written with
+/// `delta_chunks` chunks per delta. Cache off so every
+/// planned-and-needed chunk is a real fetch; bytes are deterministic
+/// (simulated tiers, fixed Morton partition).
 fn sample_region(
     ds: &Dataset,
     num_levels: u32,
     label: &'static str,
-    sharded: bool,
+    delta_chunks: u32,
 ) -> RegionSample {
     use canopus_mesh::geometry::{Aabb, Point2};
     let raw = (ds.data.len() * 8) as u64;
@@ -246,7 +245,7 @@ fn sample_region(
             ..Default::default()
         },
         level_cache: 0,
-        spatial_chunking: sharded,
+        delta_chunks,
         ..Default::default()
     };
     let canopus = Canopus::new(titan_hierarchy(raw), config);
@@ -293,8 +292,8 @@ fn sample_region(
     }
 }
 
-/// Run the full benchmark: three engine configurations plus the cache
-/// section, all on `num_levels` refactoring of `ds`.
+/// Run the full benchmark: both read engines plus the cache and region
+/// sections, all on `num_levels` refactoring of `ds`.
 pub fn read_bench(ds: &Dataset, num_levels: u32, iters: usize) -> ReadBenchReport {
     let base = CanopusConfig {
         refactor: RefactorConfig {
@@ -310,22 +309,12 @@ pub fn read_bench(ds: &Dataset, num_levels: u32, iters: usize) -> ReadBenchRepor
         "serial",
         CanopusConfig {
             pipeline_depth: 0,
-            codec_chunking: false,
-            ..base
-        },
-    );
-    let (serial_chunked, _) = sample_engine(
-        ds,
-        iters,
-        "serial_chunked",
-        CanopusConfig {
-            pipeline_depth: 0,
             ..base
         },
     );
     let (pipelined, pipelined_snap) = sample_engine(ds, iters, "pipelined", base);
-    let engines = vec![serial, serial_chunked, pipelined];
-    let speedup = engines[0].wall_secs / engines[2].wall_secs.max(f64::MIN_POSITIVE);
+    let speedup = serial.wall_secs / pipelined.wall_secs.max(f64::MIN_POSITIVE);
+    let engines = vec![serial, pipelined];
     let cache = sample_cache(
         ds,
         CanopusConfig {
@@ -337,8 +326,8 @@ pub fn read_bench(ds: &Dataset, num_levels: u32, iters: usize) -> ReadBenchRepor
         },
     );
     let region = vec![
-        sample_region(ds, num_levels, "monolithic", false),
-        sample_region(ds, num_levels, "sharded", true),
+        sample_region(ds, num_levels, "chunks_1", 1),
+        sample_region(ds, num_levels, "chunks_16", 16),
     ];
     ReadBenchReport {
         dataset: ds.name.to_string(),
@@ -366,7 +355,7 @@ mod tests {
     fn report_covers_engines_and_cache() {
         let ds = xgc1_dataset_sized(10, 50, 7);
         let r = read_bench(&ds, 3, 1);
-        assert_eq!(r.engines.len(), 3);
+        assert_eq!(r.engines.len(), 2);
         assert!(r.engine("serial").is_some());
         assert!(r.engine("pipelined").is_some());
         for e in &r.engines {
@@ -378,17 +367,18 @@ mod tests {
         assert!(r.cache.first_read_bytes_io > 0);
         assert_eq!(r.cache.repeat_read_bytes_io, 0);
         assert!(r.cache.cache_hits > 0);
-        // Region scenario: the monolithic layout moves the whole level
-        // for a 1/8-domain window; the sharded layout moves a strict
-        // chunk-and-byte subset via ranged fetches.
+        // Region scenario: the one-chunk file moves the whole level
+        // for a 1/8-domain window; the 16-chunk file moves a strict
+        // chunk-and-byte subset. Both go through ranged fetches.
         assert_eq!(r.region.len(), 2);
-        let mono = &r.region[0];
+        let one = &r.region[0];
         let shard = &r.region[1];
-        assert_eq!(mono.label, "monolithic");
-        assert_eq!(shard.label, "sharded");
-        assert_eq!(mono.chunks_total, 1);
-        assert_eq!(mono.bytes_read, mono.level_bytes);
-        assert_eq!(mono.chunk_fetches, 0, "no ranged reads without shards");
+        assert_eq!(one.label, "chunks_1");
+        assert_eq!(shard.label, "chunks_16");
+        assert_eq!(one.chunks_total, 1);
+        assert_eq!(one.bytes_read, one.level_bytes);
+        assert_eq!(one.chunk_fetches, 1, "the one chunk is one ranged read");
+        assert_eq!(shard.chunks_total, 16);
         assert!(shard.chunks_read < shard.chunks_total, "{shard:?}");
         assert!(shard.bytes_read < shard.level_bytes, "{shard:?}");
         assert_eq!(shard.chunk_fetches, shard.chunks_read as u64);

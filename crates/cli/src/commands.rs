@@ -17,15 +17,16 @@ commands:
   demo-data <xgc1|genasis|cfd> --mesh m.off --data d.f64 [--seed S] [--small]
       synthesize one of the paper's datasets to files
   write <store> <file.bp> <var> --mesh m.off --data d.f64
-        [--levels N] [--chunks C] [--sharded] [--codec zfp|sz|fpc|raw]
+        [--levels N] [--chunks C] [--codec zfp|sz|fpc|raw]
         [--rel-tol T] [--write-pipeline-depth N] [--serial-write]
         [--decimation-parts P]
       refactor + compress + place a variable into the store;
       --serial-write (= --write-pipeline-depth 0) selects the serial
       barrier engine instead of the level-streaming pipeline;
-      --sharded packs each delta's Morton chunks into indexed shard
-      objects (format rev CBP3) so `region` fetches only intersecting
-      chunks via ranged reads
+      --chunks C (default 1) stores each delta as C spatial chunks in
+      indexed shard objects; with C > 1 the chunks follow the Morton
+      order and `region` fetches only the intersecting ones via ranged
+      reads
   info <store> <file.bp>
       show the file's variables, blocks, codecs and tier placement
   read <store> <file.bp> <var> [--level L] [--pipeline-depth N] [--no-cache]
@@ -254,7 +255,7 @@ fn cmd_demo_data(argv: &[String]) -> Result<(), String> {
 }
 
 fn cmd_write(argv: &[String]) -> Result<(), String> {
-    let a = Args::parse(argv, &["serial-write", "sharded"])?;
+    let a = Args::parse(argv, &["serial-write"])?;
     let store_dir = a.pos(0, "store directory")?;
     let file = a.pos(1, "file name")?;
     let var = a.pos(2, "variable name")?;
@@ -291,7 +292,6 @@ fn cmd_write(argv: &[String]) -> Result<(), String> {
             },
             codec,
             delta_chunks: chunks,
-            spatial_chunking: a.flag("sharded"),
             write_pipeline_depth,
             decimation_parts,
             ..Default::default()
@@ -1087,8 +1087,8 @@ mod tests {
     }
 
     #[test]
-    fn sharded_write_then_region_with_metrics() {
-        let dir = tmpdir("sharded");
+    fn chunked_write_then_region_with_metrics() {
+        let dir = tmpdir("chunked");
         let store = dir.join("store");
         let mesh = dir.join("m.off");
         let data = dir.join("d.f64");
@@ -1113,22 +1113,11 @@ mod tests {
         ]))
         .unwrap();
         run(&s(&[
-            "write",
-            store,
-            "x.bp",
-            "dpot",
-            "--mesh",
-            mesh,
-            "--data",
-            data,
-            "--levels",
-            "3",
-            "--chunks",
-            "8",
-            "--sharded",
+            "write", store, "x.bp", "dpot", "--mesh", mesh, "--data", data, "--levels", "3",
+            "--chunks", "8",
         ]))
         .unwrap();
-        // A small window against the persisted sharded store: ranged
+        // A small window against the persisted 8-chunk file: ranged
         // reads off the directory-backed device, counters in the dump.
         run(&s(&[
             "region",

@@ -19,21 +19,18 @@ pub struct CanopusConfig {
     pub codec: RelativeCodec,
     /// Tier assignment policy (paper §III-D).
     pub policy: PlacementPolicy,
-    /// Number of spatial chunks each delta is split into (1 = unchunked).
-    /// Chunking enables the paper's focused data retrieval: a region of
-    /// interest can be refined by fetching only the intersecting chunks
-    /// ("reading smaller subsets of high accuracy data", §III-E/§IV-D).
+    /// Number of spatial chunks each delta is split into — the one
+    /// layout knob. Every delta is stored as shard objects with a chunk
+    /// index (byte ranges, bounding boxes, per-chunk checksums) in the
+    /// manifest. `1` — the default — is one chunk in vertex order: no
+    /// Morton sort on either side, and the decoded buffer is the
+    /// level's delta as it stands. `k > 1` stores `k` Morton (Z-order)
+    /// chunks, 8 to a shard object, and enables the paper's focused data
+    /// retrieval: a region refinement fetches only the chunks whose
+    /// bounding boxes intersect the request, via ranged reads ("reading
+    /// smaller subsets of high accuracy data", §III-E/§IV-D), turning
+    /// region I/O from O(level) into O(region).
     pub delta_chunks: u32,
-    /// Store each delta's Morton spatial chunks packed into a few shard
-    /// objects per tier with a chunk index (byte ranges, bounding
-    /// boxes, per-chunk checksums) in the manifest — format rev `CBP3`.
-    /// Region refinement then fetches only the chunks whose bounding
-    /// boxes intersect the request, via ranged reads, turning region
-    /// I/O from O(level) into O(region). `false` — the default — keeps
-    /// today's layout (one monolithic or per-chunk object per delta)
-    /// and its byte-identity guarantees. The chunk count is
-    /// `delta_chunks` when that is > 1, else a default spatial split.
-    pub spatial_chunking: bool,
     /// Bounded prefetch depth of the pipelined restore engine: how many
     /// fetched-but-undecoded blocks may sit between the tier-read stage
     /// and the parallel decode stage. `0` selects the strictly serial
@@ -44,10 +41,6 @@ pub struct CanopusConfig {
     /// performs zero tier I/O and zero decompression. `0` disables the
     /// cache.
     pub level_cache: u32,
-    /// Chunk-frame large codec streams so they (de)compress across
-    /// cores. `false` reproduces the earlier monolithic streams — the
-    /// restore benchmarks use it for their serial baseline.
-    pub codec_chunking: bool,
     /// Bounded depth of the level-streaming write engine: how many
     /// decimated level jobs may sit between the decimation stage and the
     /// mapping/delta/compression worker pool (also the bound on each
@@ -180,10 +173,8 @@ impl Default for CanopusConfig {
             },
             policy: PlacementPolicy::RankSpread,
             delta_chunks: 1,
-            spatial_chunking: false,
             pipeline_depth: 4,
             level_cache: 8,
-            codec_chunking: true,
             write_pipeline_depth: 4,
             decimation_parts: 1,
             retry: RetryPolicy::new(),
@@ -232,11 +223,9 @@ mod tests {
         let c = CanopusConfig::default();
         assert_eq!(c.refactor.num_levels, 3);
         assert!(matches!(c.codec, RelativeCodec::ZfpLike { .. }));
-        assert_eq!(c.delta_chunks, 1, "unchunked by default");
-        assert!(!c.spatial_chunking, "legacy layout by default");
+        assert_eq!(c.delta_chunks, 1, "one chunk per delta by default");
         assert!(c.pipeline_depth > 0, "pipelined restore by default");
         assert!(c.level_cache > 0, "decoded-level cache on by default");
-        assert!(c.codec_chunking, "chunk-framed codec streams by default");
         assert!(
             c.write_pipeline_depth > 0,
             "level-streaming write by default"

@@ -98,8 +98,8 @@ pub struct RegionStats {
     /// whether fetched from a tier or answered by the chunk cache).
     pub chunks_read: usize,
     /// Of [`chunks_read`](Self::chunks_read), chunks answered by the
-    /// decoded-chunk cache — no tier fetch, no decode (sharded layout
-    /// only).
+    /// decoded-chunk cache — no tier fetch, no decode. Always 0 for a
+    /// one-chunk level, which the chunk cache does not admit.
     pub chunks_cached: usize,
     /// Compressed bytes transferred for the fetched chunks.
     pub bytes_read: u64,
@@ -365,9 +365,9 @@ impl CanopusReader {
         hit
     }
 
-    /// Probe the decoded-chunk cache (sharded layout only). Chunk
-    /// residency is a side population of the level cache: no level
-    /// hit/miss accounting moves.
+    /// Probe the decoded-chunk cache. Chunk residency is a side
+    /// population of the level cache: no level hit/miss accounting
+    /// moves.
     fn chunk_cache_get(&self, var: &str, level: u32, chunk: u32) -> Option<Arc<Vec<f64>>> {
         if !self.level_cache.enabled() {
             return None;
@@ -533,36 +533,19 @@ impl CanopusReader {
         self.file.meta().num_levels
     }
 
-    /// Decode one data block (base or delta) through its recorded codec.
-    /// A set [`CHUNKED_CODEC_ID_FLAG`] bit marks a chunk-framed stream
-    /// (the writer compressed it through [`Chunked`]); the flag is
-    /// stripped to recover the payload codec, and the observed codec
-    /// sits *inside* the chunk framing so per-chunk metrics still land
-    /// under the real codec's name.
+    /// Codec-level decode of one stream — a base block or one chunk of a
+    /// delta shard (a shard's chunks each carry their own codec id,
+    /// since chunk framing depends on the element count). A set
+    /// [`CHUNKED_CODEC_ID_FLAG`] bit marks a chunk-framed stream (the
+    /// writer compressed it through [`Chunked`]); the flag is stripped
+    /// to recover the payload codec, and the observed codec sits
+    /// *inside* the chunk framing so per-chunk metrics still land under
+    /// the real codec's name.
     ///
     /// Decodes run inside a `decode` span under `parent` (so the
     /// pipelined engine's worker-thread decodes still attach to their
-    /// restore root), and per-block decode wall time feeds the
+    /// restore root), and per-stream decode wall time feeds the
     /// [`names::READ_DECODE_HIST`] histogram.
-    fn decode_block(
-        &self,
-        block: &BlockMeta,
-        bytes: &[u8],
-        parent: SpanContext,
-    ) -> Result<Vec<f64>, CanopusError> {
-        self.decode_payload(
-            &block.key,
-            block.codec_id,
-            block.codec_param,
-            block.elements as usize,
-            bytes,
-            parent,
-        )
-    }
-
-    /// Codec-level decode shared by whole blocks and individual shard
-    /// chunks (a shard's chunks each carry their own codec id, since
-    /// chunk framing depends on the element count).
     fn decode_payload(
         &self,
         key: &str,
@@ -626,7 +609,7 @@ impl CanopusReader {
         Ok(())
     }
 
-    /// Decode a whole block to its values in storage order: a plain
+    /// Decode a whole block to its values in storage order: a base
     /// block decodes as one stream; a shard block decodes chunk by chunk
     /// (each through its own codec id) and concatenates in chunk-index
     /// order.
@@ -831,7 +814,7 @@ impl CanopusReader {
         timing.io_secs += io.seconds();
 
         let t = Instant::now();
-        let data = self.decode_block(&block, &bytes, parent)?;
+        let data = self.decode_block_values(&block, &bytes, parent)?;
         timing.decompress_secs += t.elapsed().as_secs_f64();
 
         let (meta, meta_io) = self.read_level_meta(var, base_level, parent)?;
@@ -850,10 +833,12 @@ impl CanopusReader {
         })
     }
 
-    /// Read and decode the full delta refining into `finer`, whether it
-    /// was stored as one block or as spatial chunks. Chunked deltas are
-    /// scattered back to vertex order using the same deterministic Morton
-    /// assignment the writer used (`fine_mesh` provides the geometry).
+    /// Read and decode the full delta refining into `finer`: every shard
+    /// object is fetched whole (one object read each), decoded chunk by
+    /// chunk, and its values put in vertex order through the same
+    /// deterministic assignment the writer used (`fine_mesh` provides
+    /// the geometry) — which for a one-chunk level is the identity, so
+    /// the decoded buffer is the delta.
     fn read_delta_values(
         &self,
         var: &str,
@@ -862,59 +847,33 @@ impl CanopusReader {
         parent: SpanContext,
     ) -> Result<(Vec<f64>, PhaseTiming), CanopusError> {
         let mut timing = PhaseTiming::default();
-        let v = self.file.inq_var(var)?;
-        if let Some(block) = v.delta_to(finer).cloned() {
-            let (bytes, _, io) = self.read_block_observed(&block, parent)?;
-            timing.io_secs += io.seconds();
-            let t = Instant::now();
-            let delta = self.decode_block(&block, &bytes, parent)?;
-            timing.decompress_secs += t.elapsed().as_secs_f64();
-            return Ok((delta, timing));
-        }
-        let chunks: Vec<_> = v.delta_chunks_to(finer).into_iter().cloned().collect();
-        if !chunks.is_empty() {
-            let assignment = spatial_chunks(fine_mesh, chunks.len() as u32);
-            let mut delta = vec![0.0f64; fine_mesh.num_vertices()];
-            for (block, ids) in chunks.iter().zip(&assignment) {
-                let (bytes, _, io) = self.read_block_observed(block, parent)?;
-                timing.io_secs += io.seconds();
-                let t = Instant::now();
-                let values = self.decode_block(block, &bytes, parent)?;
-                timing.decompress_secs += t.elapsed().as_secs_f64();
-                if values.len() != ids.len() {
-                    return Err(CanopusError::Invalid(format!(
-                        "chunk {} decoded {} values for {} vertices",
-                        block.key,
-                        values.len(),
-                        ids.len()
-                    )));
-                }
-                for (&vid, &val) in ids.iter().zip(&values) {
-                    delta[vid as usize] = val;
-                }
-            }
-            return Ok((delta, timing));
-        }
-        // Sharded layout: each shard object carries several Morton
-        // chunks; a full-level read fetches whole shards (one object
-        // read each) and scatters chunk by chunk through the same
-        // deterministic assignment.
-        let shards: Vec<_> = v.delta_shards_to(finer).into_iter().cloned().collect();
-        if shards.is_empty() {
+        let shards = self.file.inq_var(var)?.delta_shards_to(finer);
+        let total_chunks: usize = shards.iter().map(|b| b.chunks.len()).sum();
+        if total_chunks == 0 {
             return Err(CanopusError::Invalid(format!(
                 "no delta to level {finer} of {var}"
             )));
         }
-        let total_chunks: usize = shards.iter().map(|b| b.chunks.len()).sum();
+        let n = fine_mesh.num_vertices();
         let assignment = spatial_chunks(fine_mesh, total_chunks as u32);
-        let mut delta = vec![0.0f64; fine_mesh.num_vertices()];
-        for block in &shards {
+        let mut delta = match assignment {
+            // The one chunk's decoded buffer is adopted whole.
+            None => Vec::new(),
+            Some(_) => vec![0.0; n],
+        };
+        for block in shards {
             let (bytes, _, io) = self.read_block_observed(block, parent)?;
             timing.io_secs += io.seconds();
             let t = Instant::now();
             let values = self.decode_block_values(block, &bytes, parent)?;
             timing.decompress_secs += t.elapsed().as_secs_f64();
-            scatter_shard_values(block, &values, &assignment, &mut delta)?;
+            place_shard_values(block, values, assignment.as_deref(), &mut delta)?;
+        }
+        if delta.len() != n {
+            return Err(CanopusError::Invalid(format!(
+                "delta to level {finer} of {var} decoded {} values for {n} vertices",
+                delta.len()
+            )));
         }
         Ok((delta, timing))
     }
@@ -1004,14 +963,26 @@ impl CanopusReader {
     }
 
     /// Focused data retrieval (paper §III-E / §IV-D): refine one level,
-    /// but fetch only the delta chunks whose vertices intersect `region`.
-    /// Vertices outside the fetched chunks are restored from the estimate
-    /// alone (coarse accuracy), giving a mixed-accuracy field that is
-    /// level-exact inside the region of interest.
+    /// but fetch only the delta chunks whose bounding boxes intersect
+    /// `region`, each as a ranged read of its shard object planned from
+    /// the manifest's chunk index alone. Vertices outside the fetched
+    /// chunks are restored from the estimate alone, giving a
+    /// mixed-accuracy field.
     ///
-    /// Requires the file to have been written with `delta_chunks > 1`;
-    /// unchunked deltas degrade gracefully to a full refinement
-    /// (`chunks_read == chunks_total == 1`).
+    /// What "level accuracy inside the region" means depends on
+    /// `current`: a vertex of a fetched chunk gets its exact delta, but
+    /// its estimate interpolates `current` over the enclosing coarser
+    /// triangle. One step from a level-exact `current` is therefore
+    /// level-exact at every fetched vertex. Chained steps are not: a
+    /// triangle that straddles the previous step's fetched chunks has
+    /// estimate-only corners, and their error carries into fetched
+    /// vertices near the region's edge. Exactness through a chain needs
+    /// a halo of extra chunks per step, which this does not fetch.
+    ///
+    /// A level written as one chunk (`delta_chunks: 1`, the default) has
+    /// nothing to prune: the step is a full refinement
+    /// (`chunks_read == chunks_total == 1`) and, like any step that
+    /// fetched every chunk, level-exact when `current` is.
     pub fn refine_region(
         &self,
         var: &str,
@@ -1034,142 +1005,127 @@ impl CanopusReader {
         let fine_mesh: &TriMesh = &meta.mesh;
         let n = fine_mesh.num_vertices();
 
-        let v = self.file.inq_var(var)?;
-        let chunk_blocks: Vec<_> = v.delta_chunks_to(finer).into_iter().cloned().collect();
-        let shard_blocks: Vec<_> = if chunk_blocks.is_empty() {
-            v.delta_shards_to(finer).into_iter().cloned().collect()
-        } else {
-            Vec::new()
+        let shards = self.file.inq_var(var)?.delta_shards_to(finer);
+        let total: usize = shards.iter().map(|b| b.chunks.len()).sum();
+        if total == 0 {
+            return Err(CanopusError::Invalid(format!(
+                "no delta to level {finer} of {var}"
+            )));
+        }
+        let mut stats = RegionStats {
+            chunks_total: total,
+            ..RegionStats::default()
         };
+        // `None` is the identity assignment of a one-chunk level. Its
+        // one chunk is the whole level's delta, so it stays out of the
+        // decoded-chunk cache: that shares the level cache's entry and
+        // byte budget, and a level-sized chunk would evict levels.
+        let assignment = spatial_chunks(fine_mesh, total as u32);
 
-        let mut delta = vec![0.0f64; n];
-        let mut exact = vec![false; n];
-        let mut stats = RegionStats::default();
-
-        if !shard_blocks.is_empty() {
-            // Sharded layout: plan purely from the manifest's chunk
-            // index — no geometry pass, no whole-object reads. Only the
-            // chunks whose recorded bounding boxes intersect the region
-            // move, each as a ranged read of its shard; the decoded-chunk
-            // cache answers revisited chunks with zero I/O.
-            let total: usize = shard_blocks.iter().map(|b| b.chunks.len()).sum();
-            stats.chunks_total = total;
-            let assignment = spatial_chunks(fine_mesh, total as u32);
-            let mut cached: Vec<(u32, Arc<Vec<f64>>)> = Vec::new();
-            let mut plan: Vec<(&BlockMeta, &ChunkEntry)> = Vec::new();
-            for b in &shard_blocks {
-                for e in &b.chunks {
-                    let bbox = Aabb::from_points([
-                        Point2::new(e.bbox[0], e.bbox[1]),
-                        Point2::new(e.bbox[2], e.bbox[3]),
-                    ]);
-                    if !bbox.intersects(&region) {
-                        continue;
-                    }
-                    if let Some(values) = self.chunk_cache_get(var, finer, e.chunk) {
-                        cached.push((e.chunk, values));
-                    } else {
-                        plan.push((b, e));
-                    }
-                }
-            }
-            let mut payloads: Vec<(&BlockMeta, &ChunkEntry, Bytes)> =
-                Vec::with_capacity(plan.len());
-            for (b, e) in plan {
-                let (bytes, io) = self.read_chunk_observed(b, e, ctx)?;
-                timing.io_secs += io;
-                stats.bytes_read += bytes.len() as u64;
-                payloads.push((b, e, bytes));
-            }
-            // Decode the fetched chunks in parallel on the worker pool.
-            let t = Instant::now();
-            let decoded: Vec<(u32, Vec<f64>)> = payloads
-                .par_iter()
-                .map(|(b, e, bytes)| {
-                    let values = self.decode_payload(
-                        &b.key,
-                        e.codec_id,
-                        b.codec_param,
-                        e.elements as usize,
-                        bytes,
-                        ctx,
-                    )?;
-                    Ok((e.chunk, values))
-                })
-                .collect::<Result<_, CanopusError>>()?;
-            timing.decompress_secs += t.elapsed().as_secs_f64();
-            let mut scatter = |chunk: u32, values: &[f64]| -> Result<(), CanopusError> {
-                let ids = assignment.get(chunk as usize).ok_or_else(|| {
-                    CanopusError::Invalid(format!(
-                        "chunk {chunk} beyond the {}-chunk assignment",
-                        assignment.len()
-                    ))
-                })?;
-                if values.len() != ids.len() {
-                    return Err(CanopusError::Invalid(format!(
-                        "chunk {chunk} decoded {} values for {} vertices",
-                        values.len(),
-                        ids.len()
-                    )));
-                }
-                for (&vid, &val) in ids.iter().zip(values) {
-                    delta[vid as usize] = val;
-                    exact[vid as usize] = true;
-                }
-                Ok(())
-            };
-            for (chunk, values) in decoded {
-                let values = Arc::new(values);
-                scatter(chunk, &values)?;
-                self.chunk_cache_insert(var, finer, chunk, Arc::clone(&values));
-                stats.chunks_read += 1;
-            }
-            for (chunk, values) in &cached {
-                scatter(*chunk, values)?;
-                stats.chunks_read += 1;
-            }
-            stats.chunks_cached = cached.len();
-        } else if chunk_blocks.is_empty() {
-            // Unchunked file: a region read degrades to a full refinement.
-            let (full, dt) = self.read_delta_values(var, finer, fine_mesh, ctx)?;
-            timing += dt;
-            delta.copy_from_slice(&full);
-            exact.fill(true);
-            stats.chunks_total = 1;
-            stats.chunks_read = 1;
-            stats.bytes_read = v.delta_to(finer).map_or(0, |b| b.stored_bytes);
-        } else {
-            let assignment = spatial_chunks(fine_mesh, chunk_blocks.len() as u32);
-            stats.chunks_total = chunk_blocks.len();
-            for (block, ids) in chunk_blocks.iter().zip(&assignment) {
-                let bbox = Aabb::from_points(ids.iter().map(|&vid| fine_mesh.point(vid)));
+        // Plan purely from the manifest's chunk index — no geometry
+        // pass, no whole-object reads. Only the chunks whose recorded
+        // bounding boxes intersect the region move; the decoded-chunk
+        // cache answers revisited chunks with zero I/O.
+        let mut cached: Vec<(u32, Arc<Vec<f64>>)> = Vec::new();
+        let mut plan: Vec<(&BlockMeta, &ChunkEntry)> = Vec::new();
+        for &b in &shards {
+            for e in &b.chunks {
+                let bbox = Aabb::from_points([
+                    Point2::new(e.bbox[0], e.bbox[1]),
+                    Point2::new(e.bbox[2], e.bbox[3]),
+                ]);
                 if !bbox.intersects(&region) {
                     continue;
                 }
-                let (bytes, _, io) = self.read_block_observed(block, ctx)?;
-                timing.io_secs += io.seconds();
-                stats.bytes_read += bytes.len() as u64;
-                let t = Instant::now();
-                let values = self.decode_block(block, &bytes, ctx)?;
-                timing.decompress_secs += t.elapsed().as_secs_f64();
-                if values.len() != ids.len() {
-                    return Err(CanopusError::Invalid(format!(
-                        "chunk {} decoded {} values for {} vertices",
-                        block.key,
-                        values.len(),
-                        ids.len()
-                    )));
+                let hit = assignment
+                    .as_ref()
+                    .and_then(|_| self.chunk_cache_get(var, finer, e.chunk));
+                match hit {
+                    Some(values) => cached.push((e.chunk, values)),
+                    None => plan.push((b, e)),
                 }
-                for (&vid, &val) in ids.iter().zip(&values) {
-                    delta[vid as usize] = val;
-                    exact[vid as usize] = true;
-                }
-                stats.chunks_read += 1;
             }
         }
+        let mut payloads: Vec<(&BlockMeta, &ChunkEntry, Bytes)> = Vec::with_capacity(plan.len());
+        for (b, e) in plan {
+            let (bytes, io) = self.read_chunk_observed(b, e, ctx)?;
+            timing.io_secs += io;
+            stats.bytes_read += bytes.len() as u64;
+            payloads.push((b, e, bytes));
+        }
+        // Decode the fetched chunks in parallel on the worker pool.
+        let t = Instant::now();
+        let decoded: Vec<(u32, Vec<f64>)> = payloads
+            .par_iter()
+            .map(|(b, e, bytes)| {
+                let values = self.decode_payload(
+                    &b.key,
+                    e.codec_id,
+                    b.codec_param,
+                    e.elements as usize,
+                    bytes,
+                    ctx,
+                )?;
+                Ok((e.chunk, values))
+            })
+            .collect::<Result<_, CanopusError>>()?;
+        timing.decompress_secs += t.elapsed().as_secs_f64();
+
+        stats.chunks_read = decoded.len() + cached.len();
+        stats.chunks_cached = cached.len();
+        let mut exact = vec![false; n];
+        let delta = match &assignment {
+            None => match decoded.into_iter().next() {
+                // Adopt the one chunk's decoded buffer as the delta.
+                Some((_, values)) if values.len() == n => {
+                    exact.fill(true);
+                    values
+                }
+                Some((_, values)) => {
+                    return Err(CanopusError::Invalid(format!(
+                        "delta to level {finer} of {var} decoded {} values for {n} vertices",
+                        values.len()
+                    )));
+                }
+                // The region misses the mesh: the estimate alone.
+                None => vec![0.0; n],
+            },
+            Some(assignment) => {
+                let mut delta = vec![0.0f64; n];
+                let mut scatter = |chunk: u32, values: &[f64]| -> Result<(), CanopusError> {
+                    let ids = assignment.get(chunk as usize).ok_or_else(|| {
+                        CanopusError::Invalid(format!(
+                            "chunk {chunk} beyond the {}-chunk assignment",
+                            assignment.len()
+                        ))
+                    })?;
+                    if values.len() != ids.len() {
+                        return Err(CanopusError::Invalid(format!(
+                            "chunk {chunk} decoded {} values for {} vertices",
+                            values.len(),
+                            ids.len()
+                        )));
+                    }
+                    for (&vid, &val) in ids.iter().zip(values) {
+                        delta[vid as usize] = val;
+                        exact[vid as usize] = true;
+                    }
+                    Ok(())
+                };
+                for (chunk, values) in decoded {
+                    let values = Arc::new(values);
+                    scatter(chunk, &values)?;
+                    self.chunk_cache_insert(var, finer, chunk, values);
+                }
+                for (chunk, values) in &cached {
+                    scatter(*chunk, values)?;
+                }
+                delta
+            }
+        };
         stats.exact_vertices = exact.iter().filter(|&&e| e).count();
-        // Chunk-planning accounting, for every layout: planned = the
-        // level's chunk population, fetched = chunks that moved bytes
+        // Chunk-planning accounting: planned = the level's chunk
+        // population, fetched = chunks that moved bytes
         // (cache-served chunks count as skipped I/O).
         let fetched = (stats.chunks_read - stats.chunks_cached) as u64;
         self.obs
@@ -1221,8 +1177,8 @@ impl CanopusReader {
                 degraded: false,
                 timing,
                 // Exact only when every chunk was fetched (a region
-                // covering the mesh, or the unchunked fallback) on top
-                // of an already-exact field.
+                // covering the mesh, or a one-chunk level) on top of an
+                // already-exact field.
                 level_exact: current.level_exact && stats.chunks_read == stats.chunks_total,
             },
             stats,
@@ -1422,37 +1378,23 @@ impl CanopusReader {
         let mut timing = start.timing;
 
         let plan = self.file.restore_plan(var, start.level, target_level)?;
-        let v = self.file.inq_var(var)?;
         let mut levels: Vec<LevelProgress> = Vec::with_capacity(plan.len());
         let mut jobs: Vec<RestoreJob> = Vec::new();
         for (level_idx, (finer, blocks)) in plan.into_iter().enumerate() {
-            // Shard blocks span several Morton chunks each; the
-            // assignment covers the level's full chunk population, not
-            // the block count.
-            let chunks = if v.delta_to(finer).is_some() {
-                None
-            } else if blocks.first().is_some_and(|b| !b.chunks.is_empty()) {
-                Some(blocks.iter().map(|b| b.chunks.len()).sum())
-            } else {
-                Some(blocks.len())
-            };
             levels.push(LevelProgress {
                 finer,
-                chunks,
+                // A shard spans several chunks; the assignment covers
+                // the level's full chunk population, not the block
+                // count.
+                chunks: blocks.iter().map(|b| b.chunks.len()).sum(),
                 remaining: blocks.len(),
                 early: Vec::new(),
             });
-            jobs.extend(
-                blocks
-                    .into_iter()
-                    .enumerate()
-                    .map(|(chunk_idx, block)| RestoreJob {
-                        level_idx,
-                        chunk_idx,
-                        out: Mutex::new(self.decode_pool.take(block.elements as usize)),
-                        block,
-                    }),
-            );
+            jobs.extend(blocks.into_iter().map(|block| RestoreJob {
+                level_idx,
+                out: Mutex::new(self.decode_pool.take(block.elements as usize)),
+                block,
+            }));
         }
         let total_jobs = jobs.len();
 
@@ -1563,11 +1505,9 @@ impl CanopusReader {
                     Err(e) => return Err(e),
                 };
                 timing.io_secs += meta_io;
-                let assignment = levels[level_idx]
-                    .chunks
-                    .map(|chunks| spatial_chunks(&meta.mesh, chunks as u32));
+                let assignment = spatial_chunks(&meta.mesh, levels[level_idx].chunks as u32);
                 let mut delta = match assignment {
-                    // A monolithic delta adopts its decoded buffer whole.
+                    // A one-chunk level adopts its decoded buffer whole.
                     None => Vec::new(),
                     Some(_) => vec![0.0; meta.mesh.num_vertices()],
                 };
@@ -1662,10 +1602,9 @@ impl CanopusReader {
         }
     }
 
-    /// Put one decoded block of the level being restored where it
-    /// belongs in the level's `delta`, and retire the buffer that is
-    /// left over. `assignment` is the level's chunk → vertex-id table,
-    /// `None` for a monolithic delta.
+    /// Put one decoded shard of the level being restored where it
+    /// belongs in the level's `delta` ([`place_shard_values`]), and
+    /// retire the buffer that is left over.
     fn scatter_block(
         &self,
         job: &RestoreJob,
@@ -1673,28 +1612,7 @@ impl CanopusReader {
         assignment: Option<&[Vec<u32>]>,
         delta: &mut Vec<f64>,
     ) -> Result<(), CanopusError> {
-        let retired = match assignment {
-            None => std::mem::replace(delta, values),
-            Some(assignment) if !job.block.chunks.is_empty() => {
-                scatter_shard_values(&job.block, &values, assignment, delta)?;
-                values
-            }
-            Some(assignment) => {
-                let ids = &assignment[job.chunk_idx];
-                if values.len() != ids.len() {
-                    return Err(CanopusError::Invalid(format!(
-                        "chunk {} decoded {} values for {} vertices",
-                        job.block.key,
-                        values.len(),
-                        ids.len()
-                    )));
-                }
-                for (&vid, &val) in ids.iter().zip(&values) {
-                    delta[vid as usize] = val;
-                }
-                values
-            }
-        };
+        let retired = place_shard_values(&job.block, values, assignment, delta)?;
         self.decode_pool.put(retired);
         Ok(())
     }
@@ -1718,25 +1636,18 @@ impl CanopusReader {
             .ok_or_else(|| CanopusError::Invalid(format!("no base block of {var}")))?;
         let (mut lo, mut hi) = (base.min, base.max);
         for l in (level..n - 1).rev() {
-            let (dmin, dmax) = if let Some(block) = v.delta_to(l) {
-                (block.min, block.max)
-            } else {
-                let mut parts = v.delta_chunks_to(l);
-                if parts.is_empty() {
-                    // Shard blocks carry the fold of their chunk bounds.
-                    parts = v.delta_shards_to(l);
-                }
-                if parts.is_empty() {
-                    return Err(CanopusError::Invalid(format!(
-                        "no delta to level {l} of {var}"
-                    )));
-                }
-                parts
-                    .iter()
-                    .fold((f64::INFINITY, f64::NEG_INFINITY), |(a, b), c| {
-                        (a.min(c.min), b.max(c.max))
-                    })
-            };
+            // Shard blocks carry the fold of their chunk bounds.
+            let shards = v.delta_shards_to(l);
+            if shards.is_empty() {
+                return Err(CanopusError::Invalid(format!(
+                    "no delta to level {l} of {var}"
+                )));
+            }
+            let (dmin, dmax) = shards
+                .iter()
+                .fold((f64::INFINITY, f64::NEG_INFINITY), |(a, b), c| {
+                    (a.min(c.min), b.max(c.max))
+                });
             lo += dmin;
             hi += dmax;
         }
@@ -1776,16 +1687,22 @@ fn rms(values: &[f64]) -> f64 {
     (values.iter().map(|d| d * d).sum::<f64>() / values.len() as f64).sqrt()
 }
 
-/// Scatter a shard block's concatenated chunk values (chunk-index
-/// order, as [`CanopusReader::decode_block_values`] produces them) into
-/// a full-level delta buffer through the deterministic Morton
-/// assignment. Shared by the serial and pipelined restore engines.
-fn scatter_shard_values(
+/// Put one shard's decoded values — its chunks' values concatenated in
+/// chunk-index order, as [`CanopusReader::decode_block_values`] produces
+/// them — where they belong in the level's `delta`, and return the
+/// buffer left over. `assignment` is the level's chunk → vertex-id
+/// table ([`spatial_chunks`]); `None` is the identity assignment of a
+/// one-chunk level, whose values *are* the delta: adopted, not copied.
+/// Shared by the serial and pipelined restore engines.
+fn place_shard_values(
     block: &BlockMeta,
-    values: &[f64],
-    assignment: &[Vec<u32>],
-    delta: &mut [f64],
-) -> Result<(), CanopusError> {
+    values: Vec<f64>,
+    assignment: Option<&[Vec<u32>]>,
+    delta: &mut Vec<f64>,
+) -> Result<Vec<f64>, CanopusError> {
+    let Some(assignment) = assignment else {
+        return Ok(std::mem::replace(delta, values));
+    };
     let mut pos = 0usize;
     for e in &block.chunks {
         let ids = assignment.get(e.chunk as usize).ok_or_else(|| {
@@ -1818,13 +1735,12 @@ fn scatter_shard_values(
             values.len()
         )));
     }
-    Ok(())
+    Ok(values)
 }
 
 /// One unit of pipeline work: fetch + decode one stored block.
 struct RestoreJob {
     level_idx: usize,
-    chunk_idx: usize,
     block: BlockMeta,
     /// The block's decode output buffer, taken from the pool by the
     /// calling thread; the worker that decodes the block takes it out.
@@ -1835,9 +1751,8 @@ struct RestoreJob {
 /// geometry is loaded, all of it from the manifest.
 struct LevelProgress {
     finer: u32,
-    /// Size of the level's Morton chunk assignment; `None` for a
-    /// monolithic delta.
-    chunks: Option<usize>,
+    /// The level's chunk count, summed over its shards' indexes.
+    chunks: usize,
     /// Blocks of this level not yet received from the decode pool.
     remaining: usize,
     /// Decoded blocks `(job index, values)` that arrived while a coarser

@@ -16,6 +16,7 @@ use canopus_refactor::{compute_delta, decimate_parallel_morton, DecimationResult
 use canopus_storage::{PlacementPlan, ProductKind, SimDuration, StorageHierarchy};
 use crossbeam::channel;
 use rayon::prelude::*;
+use std::borrow::Cow;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -60,7 +61,7 @@ impl WriteReport {
     pub fn original_bytes(&self) -> u64 {
         self.products
             .iter()
-            .filter(|p| matches!(p.kind, ProductKind::Delta { finer: 0, .. }))
+            .filter(|p| matches!(p.kind, ProductKind::DeltaShard { finer: 0, .. }))
             .map(|p| p.raw_bytes)
             .sum::<u64>()
             .max(
@@ -80,20 +81,16 @@ impl WriteReport {
 pub(crate) const CHUNK_MIN_ELEMS: usize = 4096;
 
 /// Chunk size (in elements) for compressing an `n`-value product
-/// stream, or `None` to keep the stream monolithic. The grain targets
-/// one chunk per core, but never coarser than the configured
-/// `delta_chunks` so chunk-framed codec streams scale with the same
-/// knob as spatial placement chunks; chunks never shrink below 512
-/// elements.
-pub(crate) fn codec_chunk_elems(n: usize, delta_chunks: u32) -> Option<usize> {
+/// stream, or `None` for a stream too short to frame. The grain is one
+/// chunk per core; chunks never shrink below 512 elements.
+pub(crate) fn codec_chunk_elems(n: usize) -> Option<usize> {
     if n < CHUNK_MIN_ELEMS {
         return None;
     }
     let cores = std::thread::available_parallelism()
         .map(|c| c.get())
         .unwrap_or(1);
-    let grain = cores.max(delta_chunks as usize).max(1);
-    Some(n.div_ceil(grain).max(512))
+    Some(n.div_ceil(cores).max(512))
 }
 
 /// Contiguous vertex-index ranges for splitting a delta of `n` values
@@ -104,29 +101,14 @@ pub(crate) fn chunk_ranges(n: usize, chunks: u32) -> Vec<std::ops::Range<usize>>
     (0..c).map(|i| (i * n / c)..((i + 1) * n / c)).collect()
 }
 
-/// Spatial chunk count of the sharded layout when `delta_chunks` does
-/// not pin one: enough chunks that a small region prunes most of a
-/// level, few enough that per-chunk codec headers stay negligible.
-pub(crate) const DEFAULT_SPATIAL_CHUNKS: u32 = 16;
-
 /// How many spatial chunks pack into one shard object. Few shards per
 /// tier keep the object count (and placement decisions) small; the
 /// chunk index makes each shard range-addressable.
 pub(crate) const SHARD_CHUNKS: u32 = 8;
 
-/// Chunk count of the sharded spatial layout for a given `delta_chunks`
-/// setting (the knob pins it when > 1).
-pub(crate) fn spatial_chunk_count(delta_chunks: u32) -> u32 {
-    if delta_chunks > 1 {
-        delta_chunks
-    } else {
-        DEFAULT_SPATIAL_CHUNKS
-    }
-}
-
 /// Interleave the low 21 bits of `x` and `y` into a Morton code
-/// (bit-by-bit; this runs once per vertex per write/read, so clarity
-/// beats the magic-mask variant).
+/// (bit-by-bit; this runs once per vertex per write/read of a level
+/// with more than one chunk, so clarity beats the magic-mask variant).
 fn morton(x: u32, y: u32) -> u64 {
     let mut out = 0u64;
     for bit in 0..21 {
@@ -136,28 +118,43 @@ fn morton(x: u32, y: u32) -> u64 {
     out
 }
 
-/// Spatially coherent vertex partitioning: vertices sorted by the Morton
-/// code of their quantized position, split into `chunks` equal runs.
+/// The chunk → vertex-id table of a level stored as `chunks` spatial
+/// chunks, or `None` for the identity assignment: one chunk holds every
+/// vertex in vertex order, so there is nothing to sort and no table to
+/// build — a delta's values are its chunk's values as they stand.
+///
+/// For `chunks > 1` the partitioning is spatially coherent: vertices
+/// sorted by the Morton code of their quantized position (ties by
+/// vertex id, so the order is total), split into `chunks` equal runs.
 /// Deterministic in the mesh geometry, so the reader recomputes the same
 /// assignment with no extra metadata — exactly how the focused-retrieval
 /// chunks stay self-describing.
-pub(crate) fn spatial_chunks(mesh: &TriMesh, chunks: u32) -> Vec<Vec<u32>> {
+pub(crate) fn spatial_chunks(mesh: &TriMesh, chunks: u32) -> Option<Vec<Vec<u32>>> {
     let n = mesh.num_vertices();
+    let ranges = chunk_ranges(n, chunks);
+    if ranges.len() <= 1 {
+        return None;
+    }
     let bb = mesh.aabb();
     let w = bb.width().max(f64::MIN_POSITIVE);
     let h = bb.height().max(f64::MIN_POSITIVE);
     let scale = ((1u32 << 21) - 1) as f64;
-    let mut order: Vec<u32> = (0..n as u32).collect();
-    order.sort_by_key(|&v| {
-        let p = mesh.point(v);
-        let qx = (((p.x - bb.min.x) / w) * scale) as u32;
-        let qy = (((p.y - bb.min.y) / h) * scale) as u32;
-        (morton(qx, qy), v)
-    });
-    chunk_ranges(n, chunks)
-        .into_iter()
-        .map(|r| order[r].to_vec())
-        .collect()
+    // Each key is computed once; the sort then compares plain pairs.
+    let mut order: Vec<(u64, u32)> = (0..n as u32)
+        .map(|v| {
+            let p = mesh.point(v);
+            let qx = (((p.x - bb.min.x) / w) * scale) as u32;
+            let qy = (((p.y - bb.min.y) / h) * scale) as u32;
+            (morton(qx, qy), v)
+        })
+        .collect();
+    order.sort_unstable();
+    Some(
+        ranges
+            .into_iter()
+            .map(|r| order[r].iter().map(|&(_, v)| v).collect())
+            .collect(),
+    )
 }
 
 /// Pack a level's auxiliary metadata payload: mesh geometry plus (for
@@ -279,9 +276,30 @@ impl Canopus {
         }
     }
 
-    /// The serial write engine: every stage runs as a barrier — all
-    /// decimation, then all mappings + deltas, then all compression,
-    /// then placement.
+    /// What every level job of one `write` shares: the codec resolved
+    /// against the variable's value range, and the layout knob.
+    fn job_ctx(&self, var: &str, data: &[f64], parent: SpanContext) -> WriteJobCtx {
+        let codec_kind = self.config.codec.resolve(FieldStats::of(data).range());
+        WriteJobCtx {
+            var: var.to_string(),
+            codec_kind,
+            codec_param: match codec_kind {
+                CodecKind::ZfpLike { tolerance } => tolerance,
+                CodecKind::SzLike { error_bound } => error_bound,
+                _ => 0.0,
+            },
+            delta_chunks: self.config.delta_chunks,
+            estimator: self.config.refactor.estimator,
+            obs: Arc::clone(self.metrics()),
+            parent,
+        }
+    }
+
+    /// The serial write engine, the byte-identity reference for the
+    /// streaming one: decimate the whole chain, run each level's job
+    /// ([`run_write_job`], the same one the pipeline's workers run) in
+    /// placement order on this thread, then place every block in one
+    /// [`BpStore::write`].
     fn write_serial(
         &self,
         file: &str,
@@ -289,211 +307,42 @@ impl Canopus {
         mesh: &TriMesh,
         data: &[f64],
     ) -> Result<WriteReport, CanopusError> {
-        let rc = self.config.refactor;
-        let n = rc.num_levels;
-        let estimator = rc.estimator;
+        let n = self.config.refactor.num_levels;
         let obs = Arc::clone(self.metrics());
-        let _span = stage!(obs, "write", file = file, var = var, levels = n);
+        let span = stage!(obs, "write", file = file, var = var, levels = n);
         let t_total = Instant::now();
+        let ctx = self.job_ctx(var, data, span.context());
 
-        // --- refactor: decimation then mapping+delta, timed separately ---
-        let mut meshes: Vec<TriMesh> = vec![mesh.clone()];
-        let mut level_data: Vec<Vec<f64>> = vec![data.to_vec()];
+        let mut meshes: Vec<Arc<TriMesh>> = vec![Arc::new(mesh.clone())];
+        let mut level_data: Vec<Arc<Vec<f64>>> = vec![Arc::new(data.to_vec())];
         let t0 = Instant::now();
         for l in 0..n.saturating_sub(1) as usize {
             let r = self.decimate_level(&meshes[l], &level_data[l]);
-            meshes.push(r.mesh);
-            level_data.push(r.data);
+            meshes.push(Arc::new(r.mesh));
+            level_data.push(Arc::new(r.data));
         }
         let decimation_secs = t0.elapsed().as_secs_f64();
         obs.timer(names::WRITE_DECIMATE)
             .record_wall(decimation_secs);
 
-        let t1 = Instant::now();
-        let mappings: Vec<Vec<u32>> = (0..n.saturating_sub(1) as usize)
-            .into_par_iter()
-            .map(|l| build_mapping(&meshes[l], &meshes[l + 1]))
-            .collect();
-        let deltas: Vec<Vec<f64>> = (0..n.saturating_sub(1) as usize)
-            .into_par_iter()
-            .map(|l| {
-                compute_delta(
-                    &meshes[l],
-                    &level_data[l],
-                    &meshes[l + 1],
-                    &level_data[l + 1],
-                    &mappings[l],
-                    estimator,
-                )
-            })
-            .collect();
-        let delta_secs = t1.elapsed().as_secs_f64();
+        // Base first, then deltas coarse→fine: the placement order.
+        let base = n.saturating_sub(1) as usize;
+        let jobs = std::iter::once(WriteJob::base(&meshes, &level_data)).chain(
+            (0..base)
+                .rev()
+                .map(|l| WriteJob::delta(l, &meshes, &level_data)),
+        );
+        let mut blocks: Vec<BlockWrite> = Vec::new();
+        let (mut delta_secs, mut compress_secs) = (0.0, 0.0);
+        for job in jobs {
+            let (level_blocks, delta_wall, compress_wall) = run_write_job(&job, &ctx)?;
+            blocks.extend(level_blocks);
+            delta_secs += delta_wall;
+            compress_secs += compress_wall;
+        }
         obs.timer(names::WRITE_DELTA).record_wall(delta_secs);
-
-        // --- compress base + deltas ---
-        let range = FieldStats::of(data).range();
-        let codec_kind = self.config.codec.resolve(range);
-        let codec_param = match codec_kind {
-            CodecKind::ZfpLike { tolerance } => tolerance,
-            CodecKind::SzLike { error_bound } => error_bound,
-            _ => 0.0,
-        };
-        let t2 = Instant::now();
-        let base_idx = (n - 1) as usize;
-        if self.config.spatial_chunking {
-            // Sharded spatial layout: the base stays monolithic, while
-            // each delta's Morton chunks compress independently and pack
-            // into a few indexed shard objects per level.
-            let (bytes, codec_id) = compress_stream(
-                &level_data[base_idx],
-                codec_kind,
-                self.config.codec_chunking,
-                self.config.delta_chunks,
-                &obs,
-            )?;
-            let mut blocks = vec![
-                data_block(
-                    var,
-                    ProductKind::Base { level: n - 1 },
-                    bytes,
-                    FieldStats::of(&level_data[base_idx]),
-                    level_data[base_idx].len(),
-                    codec_id,
-                    codec_param,
-                ),
-                level_meta_block(var, n - 1, &meshes[base_idx], None),
-            ];
-            for l in (0..n.saturating_sub(1) as usize).rev() {
-                blocks.extend(build_shard_blocks(
-                    var,
-                    l as u32,
-                    &meshes[l],
-                    &deltas[l],
-                    codec_kind,
-                    codec_param,
-                    self.config.codec_chunking,
-                    self.config.delta_chunks,
-                    &obs,
-                )?);
-                blocks.push(level_meta_block(var, l as u32, &meshes[l], mappings.get(l)));
-            }
-            let compress_secs = t2.elapsed().as_secs_f64();
-            obs.timer(names::WRITE_COMPRESS).record_wall(compress_secs);
-
-            let t3 = Instant::now();
-            let (plan, io_time) = self.store.write(file, n, blocks)?;
-            obs.timer(names::WRITE_IO)
-                .record(t3.elapsed().as_secs_f64(), io_time.seconds());
-            let vertex_counts: Vec<usize> = meshes.iter().map(|m| m.num_vertices()).collect();
-            let products = self.products_from_plan(&plan, &vertex_counts);
-            let report = WriteReport {
-                decimation_secs,
-                delta_secs,
-                compress_secs,
-                io_time,
-                products,
-                num_levels: n,
-            };
-            self.record_write_totals(&obs, &report, data.len(), t_total.elapsed().as_secs_f64());
-            return Ok(report);
-        }
-        let mut streams: Vec<(ProductKind, &[f64])> =
-            vec![(ProductKind::Base { level: n - 1 }, &level_data[base_idx])];
-        // Spatially chunked delta payloads, gathered in Morton order so
-        // each chunk's vertices are geometrically local.
-        let chunked_payloads: Vec<Vec<Vec<f64>>> = if self.config.delta_chunks > 1 {
-            (0..n.saturating_sub(1) as usize)
-                .map(|l| {
-                    spatial_chunks(&meshes[l], self.config.delta_chunks)
-                        .into_iter()
-                        .map(|ids| ids.iter().map(|&v| deltas[l][v as usize]).collect())
-                        .collect()
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
-        for l in (0..n.saturating_sub(1) as usize).rev() {
-            if self.config.delta_chunks > 1 {
-                for (ci, payload) in chunked_payloads[l].iter().enumerate() {
-                    streams.push((
-                        ProductKind::DeltaChunk {
-                            finer: l as u32,
-                            coarser: l as u32 + 1,
-                            chunk: ci as u32,
-                        },
-                        payload.as_slice(),
-                    ));
-                }
-            } else {
-                streams.push((
-                    ProductKind::Delta {
-                        finer: l as u32,
-                        coarser: l as u32 + 1,
-                    },
-                    &deltas[l],
-                ));
-            }
-        }
-        // Large streams are chunk-framed through `Chunked` so their
-        // chunks compress (and later decompress) across cores; the flag
-        // bit in the stored codec id tells the reader which framing to
-        // expect.
-        let compressed: Vec<(ProductKind, Vec<u8>, FieldStats, usize, u8)> = streams
-            .par_iter()
-            .map(|&(kind, values)| {
-                let (bytes, codec_id) = compress_stream(
-                    values,
-                    codec_kind,
-                    self.config.codec_chunking,
-                    self.config.delta_chunks,
-                    &obs,
-                )?;
-                Ok((kind, bytes, FieldStats::of(values), values.len(), codec_id))
-            })
-            .collect::<Result<_, CanopusError>>()?;
-        let compress_secs = t2.elapsed().as_secs_f64();
         obs.timer(names::WRITE_COMPRESS).record_wall(compress_secs);
 
-        // --- assemble blocks in placement order ---
-        let mut blocks: Vec<BlockWrite> = Vec::new();
-        for (kind, bytes, stats, elements, codec_id) in compressed {
-            blocks.push(data_block(
-                var,
-                kind,
-                bytes,
-                stats,
-                elements,
-                codec_id,
-                codec_param,
-            ));
-            // Right after each level's data products, its auxiliary
-            // metadata (mesh geometry + mapping) with the same rank. For
-            // chunked deltas, only after the last chunk.
-            let level = match kind {
-                ProductKind::Base { level } => level,
-                ProductKind::Delta { finer, .. } => finer,
-                ProductKind::DeltaChunk { finer, chunk, .. } => {
-                    if chunk + 1 < self.config.delta_chunks {
-                        continue;
-                    }
-                    finer
-                }
-                ProductKind::DeltaShard { .. } => {
-                    unreachable!("sharded layout assembles its blocks above")
-                }
-                ProductKind::Metadata { level } => level,
-            };
-            let mapping = mappings.get(level as usize);
-            blocks.push(level_meta_block(
-                var,
-                level,
-                &meshes[level as usize],
-                mapping,
-            ));
-        }
-
-        // --- place ---
         let t3 = Instant::now();
         let (plan, io_time) = self.store.write(file, n, blocks)?;
         obs.timer(names::WRITE_IO)
@@ -523,8 +372,8 @@ impl Canopus {
     ///    level `l + 1` exists ([`names::WRITE_STAGE_DEPTH`] tracks the
     ///    queue, its `_PEAK` twin the high-water mark);
     /// 2. **Refactor + compress** — a worker pool builds each level's
-    ///    mapping, delta, spatial chunks and compressed blocks, in
-    ///    whatever order jobs arrive;
+    ///    mapping, delta and compressed shard blocks, in whatever order
+    ///    jobs arrive;
     /// 3. **Place** — this thread emits finished blocks in the serial
     ///    engine's exact order (base first, then deltas coarse→fine)
     ///    into a streaming store write; per-tier write-behind queues
@@ -550,24 +399,7 @@ impl Canopus {
         let root_ctx = span.context();
         let t_total = Instant::now();
 
-        let range = FieldStats::of(data).range();
-        let codec_kind = self.config.codec.resolve(range);
-        let codec_param = match codec_kind {
-            CodecKind::ZfpLike { tolerance } => tolerance,
-            CodecKind::SzLike { error_bound } => error_bound,
-            _ => 0.0,
-        };
-        let ctx = WriteJobCtx {
-            var: var.to_string(),
-            codec_kind,
-            codec_param,
-            delta_chunks: self.config.delta_chunks,
-            codec_chunking: self.config.codec_chunking,
-            spatial_chunking: self.config.spatial_chunking,
-            estimator: self.config.refactor.estimator,
-            obs: Arc::clone(&obs),
-            parent: root_ctx,
-        };
+        let ctx = self.job_ctx(var, data, root_ctx);
 
         let depth = self.config.write_pipeline_depth.max(1) as usize;
         let total_jobs = n as usize; // n - 1 delta jobs + the base job
@@ -639,23 +471,12 @@ impl Canopus {
                         decimation_secs += t.elapsed().as_secs_f64();
                         meshes.push(Arc::new(r.mesh));
                         level_data.push(Arc::new(r.data));
-                        submit(WriteJob::Delta {
-                            finer: l,
-                            fine_mesh: Arc::clone(&meshes[l]),
-                            fine_data: Arc::clone(&level_data[l]),
-                            coarse_mesh: Arc::clone(&meshes[l + 1]),
-                            coarse_data: Arc::clone(&level_data[l + 1]),
-                        })?;
+                        submit(WriteJob::delta(l, &meshes, &level_data))?;
                     }
                     // The base is submitted last: it is the first block
                     // to place, and with the chain fully decimated it is
                     // ready immediately.
-                    let base = n.saturating_sub(1) as usize;
-                    submit(WriteJob::Base {
-                        level: base,
-                        mesh: Arc::clone(&meshes[base]),
-                        data: Arc::clone(&level_data[base]),
-                    })?;
+                    submit(WriteJob::base(&meshes, &level_data))?;
                 }
                 drop(job_tx);
 
@@ -740,17 +561,9 @@ impl Canopus {
                 let kind = parse_kind_from_key(key).unwrap_or(ProductKind::Metadata { level: 0 });
                 let raw_bytes = match kind {
                     ProductKind::Base { level } => vertex_counts[level as usize] as u64 * 8,
-                    ProductKind::Delta { finer, .. } => vertex_counts[finer as usize] as u64 * 8,
-                    ProductKind::DeltaChunk { finer, chunk, .. } => {
+                    ProductKind::DeltaShard { finer, shard, .. } => {
                         let ranges =
                             chunk_ranges(vertex_counts[finer as usize], self.config.delta_chunks);
-                        ranges[chunk as usize].len() as u64 * 8
-                    }
-                    ProductKind::DeltaShard { finer, shard, .. } => {
-                        let ranges = chunk_ranges(
-                            vertex_counts[finer as usize],
-                            spatial_chunk_count(self.config.delta_chunks),
-                        );
                         ranges
                             .iter()
                             .skip(shard as usize * SHARD_CHUNKS as usize)
@@ -905,8 +718,8 @@ impl Canopus {
 }
 
 /// Compress one value stream through the configured codec: chunk-framed
-/// via [`Chunked`] when enabled and the stream is large enough, so its
-/// chunks (de)compress across cores. The observed codec sits inside the
+/// via [`Chunked`] when the stream is large enough, so its chunks
+/// (de)compress across cores. The observed codec sits inside the
 /// framing, keeping per-chunk metrics under the payload codec's name;
 /// the flag bit in the returned codec id tells the reader which framing
 /// to expect. Both write engines funnel through here, which is one of
@@ -914,17 +727,10 @@ impl Canopus {
 fn compress_stream(
     values: &[f64],
     codec_kind: CodecKind,
-    codec_chunking: bool,
-    delta_chunks: u32,
     obs: &Arc<Registry>,
 ) -> Result<(Vec<u8>, u8), CanopusError> {
     let codec = ObservedCodec::new(codec_kind.build(), Arc::clone(obs));
-    let chunk_elems = if codec_chunking {
-        codec_chunk_elems(values.len(), delta_chunks)
-    } else {
-        None
-    };
-    match chunk_elems {
+    match codec_chunk_elems(values.len()) {
         Some(chunk_elems) => Ok((
             Chunked::new(codec, chunk_elems).compress(values)?,
             codec_kind.id() | CHUNKED_CODEC_ID_FLAG,
@@ -933,50 +739,19 @@ fn compress_stream(
     }
 }
 
-/// Assemble one data product block.
-fn data_block(
-    var: &str,
-    kind: ProductKind,
-    bytes: Vec<u8>,
-    stats: FieldStats,
-    elements: usize,
-    codec_id: u8,
-    codec_param: f64,
-) -> BlockWrite {
-    BlockWrite {
-        var: var.to_string(),
-        kind,
-        data: Bytes::from(bytes),
-        elements: elements as u64,
-        codec_id,
-        codec_param,
-        raw_bytes: elements as u64 * 8,
-        min: stats.min,
-        max: stats.max,
-        chunks: vec![],
-    }
-}
-
-/// Build one delta level's shard blocks under the sharded spatial
-/// layout: the level's Morton chunks compress independently — with the
-/// same codec framing the chunked layout uses, so per-chunk bytes match
-/// it exactly — then pack in chunk order into shards of [`SHARD_CHUNKS`]
-/// chunks. Each shard carries a chunk index (byte ranges, element
-/// counts, bounding boxes, value bounds, per-chunk checksums) that the
-/// manifest records so readers can plan ranged fetches per region.
-/// Both write engines funnel through here, keeping their bytes
-/// identical.
-#[allow(clippy::too_many_arguments)]
+/// Build one delta level's shard blocks: the level's spatial chunks
+/// ([`spatial_chunks`]) compress independently, then pack in chunk order
+/// into shards of [`SHARD_CHUNKS`] chunks. Each shard carries a chunk
+/// index (byte ranges, element counts, bounding boxes, value bounds,
+/// per-chunk checksums) that the manifest records so readers can plan
+/// ranged fetches per region. Under the identity assignment the one
+/// chunk compresses `delta` where it lies — no gather, no copy — and its
+/// bounding box is the mesh's.
 fn build_shard_blocks(
-    var: &str,
+    ctx: &WriteJobCtx,
     finer: u32,
     fine_mesh: &TriMesh,
     delta: &[f64],
-    codec_kind: CodecKind,
-    codec_param: f64,
-    codec_chunking: bool,
-    delta_chunks: u32,
-    obs: &Arc<Registry>,
 ) -> Result<Vec<BlockWrite>, CanopusError> {
     struct ChunkBuild {
         bytes: Vec<u8>,
@@ -985,14 +760,19 @@ fn build_shard_blocks(
         codec_id: u8,
         bbox: [f64; 4],
     }
-    let id_sets = spatial_chunks(fine_mesh, spatial_chunk_count(delta_chunks));
-    let built: Vec<ChunkBuild> = id_sets
-        .par_iter()
-        .map(|ids| {
-            let values: Vec<f64> = ids.iter().map(|&v| delta[v as usize]).collect();
-            let (bytes, codec_id) =
-                compress_stream(&values, codec_kind, codec_chunking, delta_chunks, obs)?;
-            let bb = Aabb::from_points(ids.iter().map(|&v| fine_mesh.point(v)));
+    let id_sets = spatial_chunks(fine_mesh, ctx.delta_chunks);
+    let chunks = id_sets.as_ref().map_or(1, Vec::len);
+    let built: Vec<ChunkBuild> = (0..chunks)
+        .into_par_iter()
+        .map(|ci| {
+            let (values, bb) = match &id_sets {
+                None => (Cow::Borrowed(delta), fine_mesh.aabb()),
+                Some(sets) => (
+                    sets[ci].iter().map(|&v| delta[v as usize]).collect(),
+                    Aabb::from_points(sets[ci].iter().map(|&v| fine_mesh.point(v))),
+                ),
+            };
+            let (bytes, codec_id) = compress_stream(&values, ctx.codec_kind, &ctx.obs)?;
             Ok(ChunkBuild {
                 stats: FieldStats::of(&values),
                 elements: values.len(),
@@ -1027,7 +807,7 @@ fn build_shard_blocks(
             elements += c.elements as u64;
         }
         blocks.push(BlockWrite {
-            var: var.to_string(),
+            var: ctx.var.clone(),
             kind: ProductKind::DeltaShard {
                 finer,
                 coarser: finer + 1,
@@ -1035,8 +815,8 @@ fn build_shard_blocks(
             },
             data: Bytes::from(payload),
             elements,
-            codec_id: codec_kind.id(),
-            codec_param,
+            codec_id: ctx.codec_kind.id(),
+            codec_param: ctx.codec_param,
             raw_bytes: elements * 8,
             min,
             max,
@@ -1074,29 +854,29 @@ fn level_meta_block(
     }
 }
 
-/// Per-level output of one pipeline job: the level's blocks in
-/// placement order, plus the wall seconds its mapping+delta and
-/// compression stages took (phase sums keep their serial meaning).
+/// Per-level output of one write job: the level's blocks in placement
+/// order, plus the wall seconds its mapping+delta and compression stages
+/// took (phase sums keep their serial meaning).
 type LevelBlocks = (Vec<BlockWrite>, f64, f64);
 
-/// Everything a write-pipeline worker needs to build one level's blocks.
+/// Everything a write job needs to build one level's blocks.
 struct WriteJobCtx {
     var: String,
     codec_kind: CodecKind,
     codec_param: f64,
     delta_chunks: u32,
-    codec_chunking: bool,
-    spatial_chunking: bool,
     estimator: Estimator,
     obs: Arc<Registry>,
-    /// The enclosing `write` span — worker-thread `write.level` spans
-    /// attach here so the pipelined write emits one connected tree.
+    /// The enclosing `write` span — `write.level` spans (on worker
+    /// threads, in the pipelined engine) attach here so a write emits
+    /// one connected tree.
     parent: SpanContext,
 }
 
-/// One unit of work for the write pipeline's worker pool. Level meshes
-/// and data are shared via `Arc` because the decimation stage keeps
-/// growing the level chain while earlier levels are still compressing.
+/// One level's unit of work for either write engine. Level meshes and
+/// data are shared via `Arc` because the pipelined engine's decimation
+/// stage keeps growing the level chain while earlier levels are still
+/// compressing.
 enum WriteJob {
     /// Mapping + delta + compression between `finer` and `finer + 1`.
     Delta {
@@ -1115,6 +895,27 @@ enum WriteJob {
 }
 
 impl WriteJob {
+    /// The job refining level `finer + 1` of the chain into `finer`.
+    fn delta(finer: usize, meshes: &[Arc<TriMesh>], level_data: &[Arc<Vec<f64>>]) -> Self {
+        WriteJob::Delta {
+            finer,
+            fine_mesh: Arc::clone(&meshes[finer]),
+            fine_data: Arc::clone(&level_data[finer]),
+            coarse_mesh: Arc::clone(&meshes[finer + 1]),
+            coarse_data: Arc::clone(&level_data[finer + 1]),
+        }
+    }
+
+    /// The job for the coarsest level of a fully decimated chain.
+    fn base(meshes: &[Arc<TriMesh>], level_data: &[Arc<Vec<f64>>]) -> Self {
+        let level = meshes.len() - 1;
+        WriteJob::Base {
+            level,
+            mesh: Arc::clone(&meshes[level]),
+            data: Arc::clone(&level_data[level]),
+        }
+    }
+
     /// Result slot: delta jobs index by their finer level, the base job
     /// takes the last slot.
     fn slot(&self, total_jobs: usize) -> usize {
@@ -1134,9 +935,11 @@ impl WriteJob {
     }
 }
 
-/// Run one write-pipeline job: build the level's blocks exactly as the
-/// serial engine would — same streams, same codec framing, same
-/// metadata payloads — so the emitted bytes are identical.
+/// Build one level's blocks: the base stream and its geometry, or a
+/// delta's mapping, values, shard blocks and geometry. Both write
+/// engines run every level through here — same streams, same codec
+/// framing, same metadata payloads — so the bytes they emit are
+/// identical.
 fn run_write_job(job: &WriteJob, ctx: &WriteJobCtx) -> Result<LevelBlocks, CanopusError> {
     let _span = stage_child!(
         ctx.obs,
@@ -1147,25 +950,23 @@ fn run_write_job(job: &WriteJob, ctx: &WriteJobCtx) -> Result<LevelBlocks, Canop
     match job {
         WriteJob::Base { level, mesh, data } => {
             let t = Instant::now();
-            let (bytes, codec_id) = compress_stream(
-                data,
-                ctx.codec_kind,
-                ctx.codec_chunking,
-                ctx.delta_chunks,
-                &ctx.obs,
-            )?;
+            let (bytes, codec_id) = compress_stream(data, ctx.codec_kind, &ctx.obs)?;
+            let stats = FieldStats::of(data);
             let blocks = vec![
-                data_block(
-                    &ctx.var,
-                    ProductKind::Base {
+                BlockWrite {
+                    var: ctx.var.clone(),
+                    kind: ProductKind::Base {
                         level: *level as u32,
                     },
-                    bytes,
-                    FieldStats::of(data),
-                    data.len(),
+                    data: Bytes::from(bytes),
+                    elements: data.len() as u64,
                     codec_id,
-                    ctx.codec_param,
-                ),
+                    codec_param: ctx.codec_param,
+                    raw_bytes: data.len() as u64 * 8,
+                    min: stats.min,
+                    max: stats.max,
+                    chunks: vec![],
+                },
                 level_meta_block(&ctx.var, *level as u32, mesh, None),
             ];
             Ok((blocks, 0.0, t.elapsed().as_secs_f64()))
@@ -1191,79 +992,15 @@ fn run_write_job(job: &WriteJob, ctx: &WriteJobCtx) -> Result<LevelBlocks, Canop
 
             let t = Instant::now();
             let l = *finer as u32;
-            if ctx.spatial_chunking {
-                let mut blocks = build_shard_blocks(
-                    &ctx.var,
-                    l,
-                    fine_mesh,
-                    &delta,
-                    ctx.codec_kind,
-                    ctx.codec_param,
-                    ctx.codec_chunking,
-                    ctx.delta_chunks,
-                    &ctx.obs,
-                )?;
-                blocks.push(level_meta_block(&ctx.var, l, fine_mesh, Some(&mapping)));
-                return Ok((blocks, delta_wall, t.elapsed().as_secs_f64()));
-            }
-            let streams: Vec<(ProductKind, Vec<f64>)> = if ctx.delta_chunks > 1 {
-                spatial_chunks(fine_mesh, ctx.delta_chunks)
-                    .into_iter()
-                    .enumerate()
-                    .map(|(ci, ids)| {
-                        (
-                            ProductKind::DeltaChunk {
-                                finer: l,
-                                coarser: l + 1,
-                                chunk: ci as u32,
-                            },
-                            ids.iter().map(|&v| delta[v as usize]).collect(),
-                        )
-                    })
-                    .collect()
-            } else {
-                vec![(
-                    ProductKind::Delta {
-                        finer: l,
-                        coarser: l + 1,
-                    },
-                    delta,
-                )]
-            };
-            let compressed: Vec<(ProductKind, Vec<u8>, FieldStats, usize, u8)> = streams
-                .par_iter()
-                .map(|(kind, values)| {
-                    let (bytes, codec_id) = compress_stream(
-                        values,
-                        ctx.codec_kind,
-                        ctx.codec_chunking,
-                        ctx.delta_chunks,
-                        &ctx.obs,
-                    )?;
-                    Ok((*kind, bytes, FieldStats::of(values), values.len(), codec_id))
-                })
-                .collect::<Result<_, CanopusError>>()?;
-            let mut blocks: Vec<BlockWrite> = compressed
-                .into_iter()
-                .map(|(kind, bytes, stats, elements, codec_id)| {
-                    data_block(
-                        &ctx.var,
-                        kind,
-                        bytes,
-                        stats,
-                        elements,
-                        codec_id,
-                        ctx.codec_param,
-                    )
-                })
-                .collect();
+            let mut blocks = build_shard_blocks(ctx, l, fine_mesh, &delta)?;
             blocks.push(level_meta_block(&ctx.var, l, fine_mesh, Some(&mapping)));
             Ok((blocks, delta_wall, t.elapsed().as_secs_f64()))
         }
     }
 }
 
-/// Recover the product kind from a block key (`…/L2`, `…/d1-2`, `…/m0`).
+/// Recover the product kind from a block key (`…/L2`, `…/s1-2.0`,
+/// `…/m0`).
 fn parse_kind_from_key(key: &str) -> Option<ProductKind> {
     let tag = key.rsplit('/').next()?;
     if let Some(rest) = tag.strip_prefix('L') {
@@ -1271,23 +1008,8 @@ fn parse_kind_from_key(key: &str) -> Option<ProductKind> {
             level: rest.parse().ok()?,
         });
     }
-    if let Some(rest) = tag.strip_prefix('d') {
-        let (a, b) = rest.split_once('-')?;
-        // Chunked form: d{finer}-{coarser}.{chunk}
-        if let Some((b, c)) = b.split_once('.') {
-            return Some(ProductKind::DeltaChunk {
-                finer: a.parse().ok()?,
-                coarser: b.parse().ok()?,
-                chunk: c.parse().ok()?,
-            });
-        }
-        return Some(ProductKind::Delta {
-            finer: a.parse().ok()?,
-            coarser: b.parse().ok()?,
-        });
-    }
     if let Some(rest) = tag.strip_prefix('s') {
-        // Sharded form: s{finer}-{coarser}.{shard}
+        // s{finer}-{coarser}.{shard}
         let (a, rest) = rest.split_once('-')?;
         let (b, c) = rest.split_once('.')?;
         return Some(ProductKind::DeltaShard {
@@ -1369,7 +1091,7 @@ mod tests {
         let d0_tier = r
             .products
             .iter()
-            .find(|p| matches!(p.kind, ProductKind::Delta { finer: 0, .. }))
+            .find(|p| matches!(p.kind, ProductKind::DeltaShard { finer: 0, .. }))
             .unwrap()
             .tier;
         assert!(base_tier < d0_tier);
@@ -1381,7 +1103,7 @@ mod tests {
         let (mesh, data) = small_mesh();
         let r = c.write("t.bp", "v", &mesh, &data).unwrap();
         for p in &r.products {
-            if matches!(p.kind, ProductKind::Delta { .. } | ProductKind::Base { .. }) {
+            if !matches!(p.kind, ProductKind::Metadata { .. }) {
                 assert!(
                     p.stored_bytes < p.raw_bytes,
                     "{}: {} !< {}",
@@ -1471,24 +1193,12 @@ mod tests {
             Some(ProductKind::Base { level: 2 })
         );
         assert_eq!(
-            parse_kind_from_key("f.bp/v/d1-2"),
-            Some(ProductKind::Delta {
-                finer: 1,
-                coarser: 2
-            })
-        );
-        assert_eq!(
             parse_kind_from_key("f.bp/v/m0"),
             Some(ProductKind::Metadata { level: 0 })
         );
-        assert_eq!(
-            parse_kind_from_key("f.bp/v/d1-2.7"),
-            Some(ProductKind::DeltaChunk {
-                finer: 1,
-                coarser: 2,
-                chunk: 7
-            })
-        );
+        // The retired delta spellings no longer parse.
+        assert_eq!(parse_kind_from_key("f.bp/v/d1-2"), None);
+        assert_eq!(parse_kind_from_key("f.bp/v/d1-2.7"), None);
         assert_eq!(
             parse_kind_from_key("f.bp/v/s0-1.3"),
             Some(ProductKind::DeltaShard {
@@ -1512,43 +1222,50 @@ mod tests {
         }
     }
 
+    /// The comparator `spatial_chunks` used before it computed each key
+    /// once: both keys re-derived on every comparison of a stable sort.
+    fn spatial_chunks_by_recomputed_keys(mesh: &TriMesh, chunks: u32) -> Vec<Vec<u32>> {
+        let n = mesh.num_vertices();
+        let bb = mesh.aabb();
+        let w = bb.width().max(f64::MIN_POSITIVE);
+        let h = bb.height().max(f64::MIN_POSITIVE);
+        let scale = ((1u32 << 21) - 1) as f64;
+        let mut order: Vec<u32> = (0..n as u32).collect();
+        order.sort_by_key(|&v| {
+            let p = mesh.point(v);
+            let qx = (((p.x - bb.min.x) / w) * scale) as u32;
+            let qy = (((p.y - bb.min.y) / h) * scale) as u32;
+            (morton(qx, qy), v)
+        });
+        chunk_ranges(n, chunks)
+            .into_iter()
+            .map(|r| order[r].to_vec())
+            .collect()
+    }
+
     #[test]
-    fn chunked_write_produces_chunk_products() {
-        let c = {
-            let h = Arc::new(StorageHierarchy::new(vec![
-                TierSpec::new("fast", 1 << 20, 1e9, 1e9, 1e-6),
-                TierSpec::new("slow", 1 << 26, 1e7, 1e7, 1e-3),
-            ]));
-            Canopus::new(
-                h,
-                CanopusConfig {
-                    delta_chunks: 4,
-                    ..Default::default()
-                },
-            )
-        };
-        let (mesh, data) = small_mesh();
-        let r = c.write("ch.bp", "v", &mesh, &data).unwrap();
-        let chunk_count = r
-            .products
-            .iter()
-            .filter(|p| matches!(p.kind, ProductKind::DeltaChunk { .. }))
-            .count();
-        // 2 deltas x 4 chunks each.
-        assert_eq!(chunk_count, 8);
-        let plain = r
-            .products
-            .iter()
-            .filter(|p| matches!(p.kind, ProductKind::Delta { .. }))
-            .count();
-        assert_eq!(plain, 0, "chunked mode stores no monolithic deltas");
-        // Metadata still once per level.
-        let metas = r
-            .products
-            .iter()
-            .filter(|p| matches!(p.kind, ProductKind::Metadata { .. }))
-            .count();
-        assert_eq!(metas, 3);
+    fn spatial_chunks_keep_the_permutation_of_the_old_comparator() {
+        // `(key, id)` is a total order, so an unstable sort of
+        // precomputed pairs lands on the same permutation — and every
+        // stored byte of a k > 1 file with it. The unjittered grid has
+        // vertices sharing a Morton key, where the id tie-break decides.
+        let (jittered, _) = small_mesh();
+        let grid = rectangle_mesh(
+            9,
+            7,
+            Aabb::from_points([Point2::new(0.0, 0.0), Point2::new(1.0, 1.0)]),
+        );
+        for mesh in [&jittered, &grid] {
+            for chunks in [2, 4, 16, 1000] {
+                assert_eq!(
+                    spatial_chunks(mesh, chunks).unwrap(),
+                    spatial_chunks_by_recomputed_keys(mesh, chunks),
+                    "{chunks} chunks"
+                );
+            }
+            assert!(spatial_chunks(mesh, 1).is_none(), "one chunk: identity");
+            assert!(spatial_chunks(mesh, 0).is_none(), "0 is treated as 1");
+        }
     }
 
     fn sharded_canopus(write_pipeline_depth: u32) -> Canopus {
@@ -1559,12 +1276,32 @@ mod tests {
         Canopus::new(
             h,
             CanopusConfig {
-                spatial_chunking: true,
                 delta_chunks: 4,
                 write_pipeline_depth,
                 ..Default::default()
             },
         )
+    }
+
+    #[test]
+    fn default_write_stores_each_delta_as_one_indexed_chunk() {
+        let c = canopus();
+        let (mesh, data) = small_mesh();
+        c.write("t.bp", "v", &mesh, &data).unwrap();
+        let f = c.store().open("t.bp").unwrap();
+        let var = f.inq_var("v").unwrap();
+        for finer in 0..2 {
+            let shards = var.delta_shards_to(finer);
+            assert_eq!(shards.len(), 1, "level {finer}");
+            let b = shards[0];
+            assert_eq!(b.key, format!("t.bp/v/s{finer}-{}.0", finer + 1));
+            assert_eq!(b.chunks.len(), 1);
+            let e = &b.chunks[0];
+            assert_eq!((e.chunk, e.offset, e.len), (0, 0, b.stored_bytes));
+            assert_eq!(e.elements, b.elements);
+            assert_eq!(e.checksum, b.checksum, "the chunk is the whole object");
+            assert_eq!((e.min, e.max), (b.min, b.max));
+        }
     }
 
     #[test]
@@ -1579,17 +1316,13 @@ mod tests {
             .filter(|p| matches!(p.kind, ProductKind::DeltaShard { .. }))
             .collect();
         assert_eq!(shards.len(), 2, "one shard per delta level");
-        let loose = r
+        // Metadata still once per level.
+        let metas = r
             .products
             .iter()
-            .filter(|p| {
-                matches!(
-                    p.kind,
-                    ProductKind::Delta { .. } | ProductKind::DeltaChunk { .. }
-                )
-            })
+            .filter(|p| matches!(p.kind, ProductKind::Metadata { .. }))
             .count();
-        assert_eq!(loose, 0, "sharded mode stores no loose deltas");
+        assert_eq!(metas, 3);
         // The manifest indexes every shard: contiguous byte ranges that
         // cover the stored object exactly, with per-chunk checksums.
         let f = c.store().open("sh.bp").unwrap();

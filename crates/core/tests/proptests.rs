@@ -17,7 +17,6 @@ fn build_layout(
     chunks: u32,
     amp: f64,
     codec: RelativeCodec,
-    sharded: bool,
 ) -> (Canopus, canopus_mesh::TriMesh, Vec<f64>) {
     let bb = Aabb::from_points([Point2::new(0.0, 0.0), Point2::new(1.0, 1.0)]);
     let mesh = jitter_interior(&rectangle_mesh(nx, ny, bb), 0.2, seed);
@@ -36,7 +35,6 @@ fn build_layout(
             },
             codec,
             delta_chunks: chunks,
-            spatial_chunking: sharded,
             ..Default::default()
         },
     );
@@ -51,13 +49,13 @@ fn build(
     chunks: u32,
     amp: f64,
 ) -> (Canopus, canopus_mesh::TriMesh, Vec<f64>) {
-    build_layout(nx, ny, seed, chunks, amp, RelativeCodec::Raw, false)
+    build_layout(nx, ny, seed, chunks, amp, RelativeCodec::Raw)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Any chunk count restores identically to the unchunked layout.
+    /// Any chunk count restores identically to the one-chunk default.
     #[test]
     fn chunking_is_transparent_to_full_reads(
         nx in 5usize..12,
@@ -85,7 +83,7 @@ proptest! {
         nx in 5usize..12,
         ny in 5usize..12,
         seed in 0u64..200,
-        chunks in 2u32..16,
+        chunks in 1u32..16,
     ) {
         let (canopus, mesh, _) = build(nx, ny, seed, chunks, 2.0);
         let reader = canopus.open("p.bp").unwrap();
@@ -151,53 +149,70 @@ proptest! {
         prop_assert_eq!(a.mesh.num_vertices(), b.mesh.num_vertices());
     }
 
-    /// The Morton-sharded layout is value-identical to the legacy
-    /// per-chunk layout for every geometry, chunk count, codec, level,
-    /// and region window: full restores at each level agree, and a
-    /// region refinement returns the same data with the same chunk
-    /// accounting.
+    /// One layout, any chunk count: files with 1, 4 and 16 chunks per
+    /// delta restore every level through both read engines —
+    /// bit-identically to the lossless reference under `Raw`/`Fpc`, and
+    /// within the codec bound under `ZfpLike`/`SzLike`, whose streams
+    /// depend on how the values are split. A region refinement plans
+    /// the file's whole chunk population.
     #[test]
-    fn sharded_layout_matches_chunked(
+    fn every_chunk_count_restores_every_level_through_both_engines(
         nx in 5usize..12,
         ny in 5usize..12,
         seed in 0u64..200,
-        chunks in 2u32..16,
         codec_sel in 0u8..4,
-        level in 0u32..3,
         cx in 0.2f64..0.8,
         cy in 0.2f64..0.8,
         half in 0.05f64..0.4,
     ) {
-        let codec = match codec_sel {
-            0 => RelativeCodec::Raw,
-            1 => RelativeCodec::Fpc,
-            2 => RelativeCodec::ZfpLike { rel_tolerance: 1e-6 },
-            _ => RelativeCodec::SzLike { rel_error_bound: 1e-4 },
+        let (codec, rel) = match codec_sel {
+            0 => (RelativeCodec::Raw, 0.0),
+            1 => (RelativeCodec::Fpc, 0.0),
+            2 => (RelativeCodec::ZfpLike { rel_tolerance: 1e-6 }, 1e-6),
+            _ => (RelativeCodec::SzLike { rel_error_bound: 1e-4 }, 1e-4),
         };
-        let (sharded, mesh, _) = build_layout(nx, ny, seed, chunks, 3.0, codec, true);
-        let (chunked, _, _) = build_layout(nx, ny, seed, chunks, 3.0, codec, false);
-
-        let a = sharded.open("p.bp").unwrap().read_level("v", level).unwrap();
-        let b = chunked.open("p.bp").unwrap().read_level("v", level).unwrap();
-        prop_assert_eq!(&a.data, &b.data, "full restore at level {}", level);
-
+        let (reference, _, data) = build(nx, ny, seed, 1, 3.0);
+        let reference = reference.open("p.bp").unwrap().with_level_cache(0);
+        let range = canopus_mesh::FieldStats::of(&data).range();
+        // The base and each delta add at most one codec bound.
+        let bound = 3.0 * rel * range;
         let window = Aabb::from_points([
             Point2::new(cx - half, cy - half),
             Point2::new(cx + half, cy + half),
         ]);
-        let ra = sharded.open("p.bp").unwrap();
-        let rb = chunked.open("p.bp").unwrap();
-        let base_a = ra.read_base("v").unwrap();
-        let base_b = rb.read_base("v").unwrap();
-        let (roi_a, stats_a) = ra.refine_region("v", &base_a, window).unwrap();
-        let (roi_b, stats_b) = rb.refine_region("v", &base_b, window).unwrap();
-        prop_assert_eq!(roi_a.data, roi_b.data);
-        prop_assert_eq!(stats_a.chunks_total, stats_b.chunks_total);
-        prop_assert_eq!(stats_a.chunks_read, stats_b.chunks_read);
-        prop_assert_eq!(stats_a.exact_vertices, stats_b.exact_vertices);
-        // A window clear of the domain still planned every chunk.
-        prop_assert_eq!(stats_a.chunks_total, chunks as usize);
-        let _ = mesh;
+        for chunks in [1u32, 4, 16] {
+            let (canopus, _, _) = build_layout(nx, ny, seed, chunks, 3.0, codec);
+            for depth in [0u32, 4] {
+                let reader = canopus
+                    .open("p.bp")
+                    .unwrap()
+                    .with_pipeline_depth(depth)
+                    .with_level_cache(0);
+                for level in 0..3u32 {
+                    let want = reference.read_level_serial("v", level).unwrap();
+                    let got = reader.read_level("v", level).unwrap();
+                    prop_assert_eq!(got.level, level);
+                    prop_assert_eq!(got.data.len(), want.data.len());
+                    let max_err = got
+                        .data
+                        .iter()
+                        .zip(&want.data)
+                        .map(|(x, y)| (x - y).abs())
+                        .fold(0.0f64, f64::max);
+                    prop_assert!(
+                        max_err <= bound,
+                        "k={} depth={} level={}: err {} > {}",
+                        chunks, depth, level, max_err, bound
+                    );
+                }
+            }
+            let reader = canopus.open("p.bp").unwrap();
+            let base = reader.read_base("v").unwrap();
+            let (roi, stats) = reader.refine_region("v", &base, window).unwrap();
+            // The writer never makes more chunks than vertices.
+            let expect = (chunks as usize).min(roi.mesh.num_vertices());
+            prop_assert_eq!(stats.chunks_total, expect);
+        }
     }
 
     /// Metadata bounds always contain the restored data at every level —

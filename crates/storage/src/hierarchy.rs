@@ -375,14 +375,7 @@ impl StorageHierarchy {
     /// in [`names::STORAGE_INFLIGHT_READS_PEAK`]) — a peak above 1 is
     /// direct evidence that a read pipeline overlapped tier fetches.
     pub fn read(&self, key: &str) -> Result<(Bytes, usize, SimDuration), StorageError> {
-        let inflight = self.obs.gauge(names::STORAGE_INFLIGHT_READS);
-        inflight.add(1);
-        self.obs
-            .gauge(names::STORAGE_INFLIGHT_READS_PEAK)
-            .set_max(inflight.get());
-        let out = self.read_inner(key, true);
-        inflight.sub(1);
-        out
+        self.read_inner(key, None, true)
     }
 
     /// The read `migrate` uses for its accounted source fetch: identical
@@ -392,21 +385,31 @@ impl StorageHierarchy {
         &self,
         key: &str,
     ) -> Result<(Bytes, usize, SimDuration), StorageError> {
-        let inflight = self.obs.gauge(names::STORAGE_INFLIGHT_READS);
-        inflight.add(1);
-        self.obs
-            .gauge(names::STORAGE_INFLIGHT_READS_PEAK)
-            .set_max(inflight.get());
-        let out = self.read_inner(key, false);
-        inflight.sub(1);
-        out
+        self.read_inner(key, None, false)
     }
 
-    /// Locate `key` and fetch its bytes, tolerating a concurrent
-    /// migration: between `find` and the device `get` the copy-verify-
-    /// then-remove window may shift the object to another tier, turning
-    /// the device read into a spurious `NotFound` while the object very
-    /// much exists — so re-find and retry a bounded number of times,
+    /// Read `len` bytes of an object starting at `offset` (fastest tier
+    /// first), advancing simulated time by the cost of moving only the
+    /// requested range. This is the transport primitive behind region
+    /// refinement: one chunk of a shard object moves without pulling the
+    /// whole shard. Fault injection draws on the same per-key sequence
+    /// as [`read`](Self::read), and a concurrent migration is tolerated
+    /// the same way.
+    pub fn read_range(
+        &self,
+        key: &str,
+        offset: u64,
+        len: u64,
+    ) -> Result<(Bytes, usize, SimDuration), StorageError> {
+        self.read_inner(key, Some((offset, len)), true)
+    }
+
+    /// Locate `key` and fetch its bytes — all of them, or the
+    /// `(offset, len)` range — tolerating a concurrent migration:
+    /// between `find` and the device `get` the copy-verify-then-remove
+    /// window may shift the object to another tier, turning the device
+    /// read into a spurious `NotFound` while the object very much
+    /// exists — so re-find and retry a bounded number of times,
     /// yielding between attempts so the in-flight migration can finish
     /// its window. `find` itself can also race a demotion: it scans
     /// fastest-first, so if the whole put-then-remove lands between its
@@ -418,6 +421,7 @@ impl StorageHierarchy {
     fn locate_and_get(
         &self,
         key: &str,
+        range: Option<(u64, u64)>,
     ) -> Result<(Bytes, usize, SimDuration, Option<u64>), StorageError> {
         for attempt in 0..12 {
             if attempt > 0 {
@@ -433,7 +437,12 @@ impl StorageHierarchy {
             } else {
                 (SimDuration::ZERO, None)
             };
-            match self.tiers[idx].device.get(key) {
+            let device = &self.tiers[idx].device;
+            let got = match range {
+                None => device.get(key),
+                Some((offset, len)) => device.get_range(key, offset, len),
+            };
+            match got {
                 Ok(data) => return Ok((data, idx, extra, corrupt)),
                 Err(StorageError::NotFound(_)) => continue,
                 Err(e) => return Err(e),
@@ -442,13 +451,23 @@ impl StorageHierarchy {
         Err(StorageError::NotFound(key.to_string()))
     }
 
+    /// Every accounted read — whole or ranged, tracked or not — runs
+    /// through here: one locate, one accounting tail.
     fn read_inner(
         &self,
         key: &str,
+        range: Option<(u64, u64)>,
         track: bool,
     ) -> Result<(Bytes, usize, SimDuration), StorageError> {
+        let inflight = self.obs.gauge(names::STORAGE_INFLIGHT_READS);
+        inflight.add(1);
+        self.obs
+            .gauge(names::STORAGE_INFLIGHT_READS_PEAK)
+            .set_max(inflight.get());
         let wall = Instant::now();
-        let (data, idx, extra, corrupt) = self.locate_and_get(key)?;
+        let located = self.locate_and_get(key, range);
+        inflight.sub(1);
+        let (data, idx, extra, corrupt) = located?;
         let tier = &self.tiers[idx];
         let data = match corrupt {
             Some(hash) => corrupt_payload(data, hash),
@@ -476,86 +495,6 @@ impl StorageHierarchy {
             .histogram(&names::tier_read_latency_sim(idx))
             .observe_secs(dt.seconds());
         if track && self.tracking_enabled.load(Ordering::Relaxed) {
-            self.tracker.touch(key);
-        }
-        Ok((data, idx, dt))
-    }
-
-    /// Read `len` bytes of an object starting at `offset` (fastest tier
-    /// first), advancing simulated time by the cost of moving only the
-    /// requested range. This is the transport primitive behind sharded
-    /// region refinement: one chunk of a shard object moves without
-    /// pulling the whole shard. Fault injection draws on the same
-    /// per-key sequence as [`read`](Self::read).
-    pub fn read_range(
-        &self,
-        key: &str,
-        offset: u64,
-        len: u64,
-    ) -> Result<(Bytes, usize, SimDuration), StorageError> {
-        let inflight = self.obs.gauge(names::STORAGE_INFLIGHT_READS);
-        inflight.add(1);
-        self.obs
-            .gauge(names::STORAGE_INFLIGHT_READS_PEAK)
-            .set_max(inflight.get());
-        let out = self.read_range_inner(key, offset, len);
-        inflight.sub(1);
-        out
-    }
-
-    fn read_range_inner(
-        &self,
-        key: &str,
-        offset: u64,
-        len: u64,
-    ) -> Result<(Bytes, usize, SimDuration), StorageError> {
-        let wall = Instant::now();
-        // Same migration-race tolerance as `read`: a concurrent
-        // copy-verify-then-remove may shift the object between `find`
-        // and the device read — re-find instead of failing spuriously.
-        let (data, idx, extra, corrupt) = 'located: {
-            for _ in 0..4 {
-                let idx = self.find(key)?;
-                let (extra, corrupt) = if self.faults_enabled.load(Ordering::Relaxed) {
-                    self.inject(idx, FaultOp::GetError, key)?
-                } else {
-                    (SimDuration::ZERO, None)
-                };
-                match self.tiers[idx].device.get_range(key, offset, len) {
-                    Ok(data) => break 'located (data, idx, extra, corrupt),
-                    Err(StorageError::NotFound(_)) => continue,
-                    Err(e) => return Err(e),
-                }
-            }
-            return Err(StorageError::NotFound(key.to_string()));
-        };
-        let tier = &self.tiers[idx];
-        let data = match corrupt {
-            Some(hash) => corrupt_payload(data, hash),
-            None => data,
-        };
-        let dt = SimDuration(tier.spec.read_time(data.len() as u64)) + extra;
-        self.clock.advance(dt);
-        {
-            let mut stats = tier.stats.lock();
-            stats.bytes_read += data.len() as u64;
-            stats.reads += 1;
-            stats.read_time += dt;
-        }
-        self.obs
-            .counter(&names::tier_bytes_read(idx))
-            .add(data.len() as u64);
-        self.obs.counter(&names::tier_reads(idx)).inc();
-        self.obs
-            .timer(&names::tier_read_timer(idx))
-            .record(0.0, dt.seconds());
-        self.obs
-            .histogram(&names::tier_read_latency_wall(idx))
-            .observe_secs(wall.elapsed().as_secs_f64());
-        self.obs
-            .histogram(&names::tier_read_latency_sim(idx))
-            .observe_secs(dt.seconds());
-        if self.tracking_enabled.load(Ordering::Relaxed) {
             self.tracker.touch(key);
         }
         Ok((data, idx, dt))

@@ -16,21 +16,13 @@ pub enum ProductKind {
     /// The base dataset `L^{N-1}` (paper notation), i.e. the coarsest
     /// level.
     Base { level: u32 },
-    /// A delta `delta^{l-(l+1)}` between adjacent accuracy levels.
-    Delta { finer: u32, coarser: u32 },
-    /// One spatial chunk of a delta, enabling the paper's focused data
-    /// retrieval ("reading smaller subsets of high accuracy data"):
-    /// chunks covering a region of interest can be fetched without the
-    /// rest of the delta.
-    DeltaChunk {
-        finer: u32,
-        coarser: u32,
-        chunk: u32,
-    },
-    /// A shard object packing several independently compressed Morton
-    /// spatial chunks of one delta back-to-back; a chunk index in the
-    /// manifest records each chunk's byte range so the read path can
-    /// fetch only the chunks intersecting a region of interest.
+    /// One shard object of the delta `delta^{l-(l+1)}` between adjacent
+    /// accuracy levels: one or more independently compressed spatial
+    /// chunks packed back-to-back. A chunk index in the manifest records
+    /// each chunk's byte range, enabling the paper's focused data
+    /// retrieval ("reading smaller subsets of high accuracy data"): the
+    /// read path can fetch only the chunks intersecting a region of
+    /// interest. A delta written as one chunk is one shard.
     DeltaShard {
         finer: u32,
         coarser: u32,
@@ -49,9 +41,7 @@ impl ProductKind {
         let cap = num_levels.saturating_sub(1);
         let level = match *self {
             ProductKind::Base { level } | ProductKind::Metadata { level } => level,
-            ProductKind::Delta { finer, .. }
-            | ProductKind::DeltaChunk { finer, .. }
-            | ProductKind::DeltaShard { finer, .. } => finer,
+            ProductKind::DeltaShard { finer, .. } => finer,
         };
         cap - level.min(cap)
     }
@@ -194,17 +184,19 @@ mod tests {
             product("v/L2", ProductKind::Base { level: 2 }, 25),
             product(
                 "v/d1-2",
-                ProductKind::Delta {
+                ProductKind::DeltaShard {
                     finer: 1,
                     coarser: 2,
+                    shard: 0,
                 },
                 25,
             ),
             product(
                 "v/d0-1",
-                ProductKind::Delta {
+                ProductKind::DeltaShard {
                     finer: 0,
                     coarser: 1,
+                    shard: 0,
                 },
                 50,
             ),
@@ -216,32 +208,25 @@ mod tests {
         // N = 3 levels: base L2 rank 0, delta(1-2) rank 1, delta(0-1) rank 2.
         assert_eq!(ProductKind::Base { level: 2 }.rank(3), 0);
         assert_eq!(
-            ProductKind::Delta {
+            ProductKind::DeltaShard {
                 finer: 1,
-                coarser: 2
+                coarser: 2,
+                shard: 0
             }
             .rank(3),
             1
         );
+        // Every shard ranks with its delta.
         assert_eq!(
-            ProductKind::Delta {
+            ProductKind::DeltaShard {
                 finer: 0,
-                coarser: 1
+                coarser: 1,
+                shard: 5
             }
             .rank(3),
             2
         );
         assert_eq!(ProductKind::Metadata { level: 2 }.rank(3), 0);
-        // Chunks rank with their parent delta.
-        assert_eq!(
-            ProductKind::DeltaChunk {
-                finer: 0,
-                coarser: 1,
-                chunk: 5
-            }
-            .rank(3),
-            2
-        );
     }
 
     #[test]
@@ -252,15 +237,6 @@ mod tests {
             ProductKind::Base { level: 0 },
             ProductKind::Base { level: 7 },
             ProductKind::Metadata { level: 3 },
-            ProductKind::Delta {
-                finer: 2,
-                coarser: 3,
-            },
-            ProductKind::DeltaChunk {
-                finer: 1,
-                coarser: 2,
-                chunk: 9,
-            },
             ProductKind::DeltaShard {
                 finer: 0,
                 coarser: 1,

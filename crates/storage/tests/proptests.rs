@@ -38,7 +38,7 @@ proptest! {
             .enumerate()
             .map(|(i, &sz)| Product {
                 key: format!("p{i}"),
-                kind: ProductKind::Delta { finer: i as u32, coarser: i as u32 + 1 },
+                kind: ProductKind::DeltaShard { finer: i as u32, coarser: i as u32 + 1, shard: 0 },
                 data: Bytes::from(vec![(i & 0xFF) as u8; sz]),
             })
             .collect();

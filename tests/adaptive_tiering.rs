@@ -141,10 +141,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Migration under concurrent readers never loses, duplicates, or
-    /// corrupts a key: readers spin on `read()` (which rides the
-    /// find/get retry that covers the copy-verify-then-remove window)
-    /// while the main thread shuttles every key between tiers; at the
-    /// end each key lives on exactly one tier with its exact bytes.
+    /// corrupts a key: readers spin on `read()` and `read_range()`
+    /// (both ride the one find/get retry that covers the
+    /// copy-verify-then-remove window) while the main thread shuttles
+    /// every key between tiers; at the end each key lives on exactly
+    /// one tier with its exact bytes.
     #[test]
     fn concurrent_readers_never_observe_loss_or_corruption(
         nkeys in 3usize..8,
@@ -167,12 +168,23 @@ proptest! {
                     let mut i = r;
                     while !stop.load(Ordering::Relaxed) {
                         let idx = i % keys.len();
-                        let (data, _, _) = h
-                            .read(&keys[idx])
-                            .expect("reads must never fail mid-migration");
+                        let whole = payload(idx, size + idx);
+                        // Whole and ranged reads take turns; a range is
+                        // how one chunk of a shard object is fetched.
+                        let (data, want) = if i % 2 == 0 {
+                            let (data, _, _) = h
+                                .read(&keys[idx])
+                                .expect("reads must never fail mid-migration");
+                            (data, whole)
+                        } else {
+                            let (offset, len) = (i % (size / 2), size / 2 + idx);
+                            let (data, _, _) = h
+                                .read_range(&keys[idx], offset as u64, len as u64)
+                                .expect("ranged reads must never fail mid-migration");
+                            (data, whole.slice(offset..offset + len))
+                        };
                         assert_eq!(
-                            data,
-                            payload(idx, size + idx),
+                            data, want,
                             "mid-migration read of {} corrupted",
                             keys[idx]
                         );

@@ -75,7 +75,7 @@ fn corrupted_delta_fails_cleanly() {
     let (ds, canopus) = setup(RelativeCodec::SzLike {
         rel_error_bound: 1e-5,
     });
-    corrupt_object(&canopus, "fi.bp/pressure/d1-2");
+    corrupt_object(&canopus, "fi.bp/pressure/s1-2.0");
     let reader = canopus.open("fi.bp").expect("open");
     let base = reader.read_base(ds.var).expect("base is untouched");
     assert!(
@@ -109,7 +109,7 @@ fn missing_delta_fails_cleanly() {
     let (ds, canopus) = setup(RelativeCodec::Raw);
     canopus
         .hierarchy()
-        .remove("fi.bp/pressure/d0-1")
+        .remove("fi.bp/pressure/s0-1.0")
         .expect("remove delta");
     let reader = canopus.open("fi.bp").expect("open");
     let base = reader.read_base(ds.var).expect("base");

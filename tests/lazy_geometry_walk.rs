@@ -1,7 +1,7 @@
 //! The pipelined walk plans from the manifest alone and loads each
 //! level's geometry lazily, on the restore thread, while the decode pool
 //! is already running. That reordering must not be observable: the
-//! engines return the same bits for every on-disk layout, and a fault on
+//! engines return the same bits for every chunk count, and a fault on
 //! a level's *metadata* block — the block the reordering moved — is
 //! retried within the budget and degrades the walk past it, exactly as
 //! a fault on a delta does.
@@ -23,28 +23,18 @@ const FILE: &str = "walk.bp";
 /// One tier per placement rank, then the spare.
 const SPARE: usize = LEVELS as usize;
 
-#[derive(Debug, Clone, Copy)]
-enum Layout {
-    Monolithic,
-    ChunkFramed,
-    Sharded,
-}
-
-const LAYOUTS: [Layout; 3] = [Layout::Monolithic, Layout::ChunkFramed, Layout::Sharded];
+/// Chunks per delta: the default (one chunk in vertex order, identity
+/// assignment), Morton chunks in one shard object, and in two.
+const CHUNK_COUNTS: [u32; 3] = [1, 4, 16];
 
 fn dataset() -> Dataset {
     xgc1_dataset_sized(16, 80, 11)
 }
 
-fn written(ds: &Dataset, layout: Layout) -> Canopus {
+fn written(ds: &Dataset, delta_chunks: u32) -> Canopus {
     let tiers = (0..=SPARE)
         .map(|i| TierSpec::new(format!("t{i}"), 1 << 26, 1e8, 1e8, 1e-4))
         .collect();
-    let (delta_chunks, spatial_chunking) = match layout {
-        Layout::Monolithic => (1, false),
-        Layout::ChunkFramed => (8, false),
-        Layout::Sharded => (8, true),
-    };
     let canopus = Canopus::new(
         Arc::new(StorageHierarchy::new(tiers)),
         CanopusConfig {
@@ -54,7 +44,6 @@ fn written(ds: &Dataset, layout: Layout) -> Canopus {
             },
             codec: RelativeCodec::Fpc,
             delta_chunks,
-            spatial_chunking,
             ..Default::default()
         },
     );
@@ -134,8 +123,8 @@ fn fires_twice_then_stops(op: FaultOp, key: &str) -> FaultPlan {
 #[test]
 fn engines_agree_bit_for_bit_at_every_level_of_every_layout() {
     let ds = dataset();
-    for layout in LAYOUTS {
-        let canopus = written(&ds, layout);
+    for chunks in CHUNK_COUNTS {
+        let canopus = written(&ds, chunks);
         let clean = clean_levels(&ds, &canopus);
         for level in 0..LEVELS {
             let [_, pipelined] = both_engines(&canopus);
@@ -143,7 +132,7 @@ fn engines_agree_bit_for_bit_at_every_level_of_every_layout() {
             assert_same(
                 &out,
                 &clean[level as usize],
-                &format!("{layout:?} level {level}"),
+                &format!("k={chunks} level {level}"),
             );
         }
         // One long-lived reader with the level cache on: walks that
@@ -155,7 +144,7 @@ fn engines_agree_bit_for_bit_at_every_level_of_every_layout() {
             assert_same(
                 &out,
                 &clean[level as usize],
-                &format!("{layout:?} level {level}, long-lived reader"),
+                &format!("k={chunks} level {level}, long-lived reader"),
             );
         }
     }
@@ -164,10 +153,10 @@ fn engines_agree_bit_for_bit_at_every_level_of_every_layout() {
 #[test]
 fn metadata_faults_within_the_budget_are_retried_at_every_level() {
     let ds = dataset();
-    for layout in LAYOUTS {
+    for chunks in CHUNK_COUNTS {
         // The base level too: its geometry is part of every read.
         for level in 0..LEVELS {
-            let canopus = written(&ds, layout);
+            let canopus = written(&ds, chunks);
             let clean = clean_levels(&ds, &canopus);
             let key = isolate_metadata(&ds, &canopus, level);
             for op in [FaultOp::GetError, FaultOp::Corrupt] {
@@ -182,7 +171,7 @@ fn metadata_faults_within_the_budget_are_retried_at_every_level() {
                         .set_fault_plan(SPARE, plan)
                         .expect("spare tier");
                     let out = reader.read_level(ds.var, 0).expect("read");
-                    let what = format!("{layout:?} level {level} {op:?}");
+                    let what = format!("k={chunks} level {level} {op:?}");
                     assert_same(&out, &clean[0], &what);
                     assert!(!out.degraded, "{what}: two faults fit a budget of four");
                     assert_eq!(
@@ -215,9 +204,9 @@ fn metadata_faults_past_the_budget_degrade_to_the_next_coarser_level() {
             ..FaultPlan::none()
         },
     ];
-    for layout in LAYOUTS {
+    for chunks in CHUNK_COUNTS {
         for level in 0..LEVELS - 1 {
-            let canopus = written(&ds, layout);
+            let canopus = written(&ds, chunks);
             let clean = clean_levels(&ds, &canopus);
             isolate_metadata(&ds, &canopus, level);
             for plan in persistent {
@@ -231,7 +220,7 @@ fn metadata_faults_past_the_budget_degrade_to_the_next_coarser_level() {
                     let out = reader
                         .read_level(ds.var, 0)
                         .expect("an unreachable level is not an error");
-                    let what = format!("{layout:?} level {level} {plan:?}");
+                    let what = format!("k={chunks} level {level} {plan:?}");
                     assert!(out.degraded, "{what}");
                     assert_eq!(out.level, level + 1, "{what}: the next-coarser level");
                     assert_eq!(out.achieved_level, out.level, "{what}");
@@ -252,7 +241,7 @@ fn metadata_faults_past_the_budget_degrade_to_the_next_coarser_level() {
 #[test]
 fn unreachable_base_geometry_is_still_an_error() {
     let ds = dataset();
-    let canopus = written(&ds, Layout::Monolithic);
+    let canopus = written(&ds, 1);
     isolate_metadata(&ds, &canopus, LEVELS - 1);
     for reader in both_engines(&canopus) {
         canopus

@@ -86,7 +86,9 @@ fn engines_are_byte_identical_across_codecs_levels_and_chunking() {
     ];
     for codec in codecs {
         for levels in 1..=5u32 {
-            for chunks in [1u32, 4] {
+            // One chunk (identity assignment), one shard of Morton
+            // chunks, two shards.
+            for chunks in [1u32, 4, 16] {
                 let serial = written(&mesh, &data, codec, levels, chunks, 0, 1);
                 let pipelined = written(&mesh, &data, codec, levels, chunks, 4, 1);
                 let a = tier_contents(&serial);

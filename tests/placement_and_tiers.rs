@@ -44,17 +44,20 @@ fn four_tier_placement_spreads_base_to_fastest() {
             .expect("product placed")
     };
     let base_tier = tier_of(ProductKind::Base { level: 3 });
-    let d2 = tier_of(ProductKind::Delta {
+    let d2 = tier_of(ProductKind::DeltaShard {
         finer: 2,
         coarser: 3,
+        shard: 0,
     });
-    let d1 = tier_of(ProductKind::Delta {
+    let d1 = tier_of(ProductKind::DeltaShard {
         finer: 1,
         coarser: 2,
+        shard: 0,
     });
-    let d0 = tier_of(ProductKind::Delta {
+    let d0 = tier_of(ProductKind::DeltaShard {
         finer: 0,
         coarser: 1,
+        shard: 0,
     });
     assert_eq!(base_tier, 0, "base goes to the fastest tier");
     assert!(base_tier <= d2 && d2 <= d1 && d1 <= d0, "monotone spread");

@@ -288,6 +288,47 @@ fn in_flight_corruption_is_caught_by_checksums_and_cured_by_refetch() {
     );
 }
 
+/// 0 in a manifest's checksum field once meant "unverified" (manifests
+/// from before checksums). With one manifest revision it is an ordinary
+/// value: zeroing the fields must not switch verification off — block
+/// and chunk fetches alike fail with a mismatch, a region step errors,
+/// and a level walk degrades to the base it verified before.
+#[test]
+fn zeroed_manifest_checksums_fail_reads() {
+    let (ds, canopus) = written();
+    let reader = canopus.open("rel.bp").expect("open").with_level_cache(0);
+    let base = reader.read_base(ds.var).expect("the manifest is intact");
+
+    let hier = canopus.hierarchy();
+    let key = "rel.bp/.bpmeta";
+    let tier = hier.find(key).expect("manifest");
+    let mut meta =
+        canopus_adios::FileMeta::from_bytes(&hier.remove(key).expect("manifest")).expect("parse");
+    for block in meta.vars.iter_mut().flat_map(|v| &mut v.blocks) {
+        // The base and its geometry stay readable.
+        if block.kind.rank(LEVELS) > 0 {
+            block.checksum = 0;
+            block.chunks.iter_mut().for_each(|e| e.checksum = 0);
+        }
+    }
+    hier.write_to_tier(tier, key, meta.to_bytes().into())
+        .expect("republish");
+
+    let m = canopus.metrics();
+    let mismatches = m.counter(names::READ_CHECKSUM_FAILURES).get();
+    for reader in both_engines(&canopus) {
+        let out = reader.read_level(ds.var, 0).expect("degrades");
+        assert!(out.degraded, "no delta or geometry block verifies");
+        assert_eq!(out.level, LEVELS - 1);
+        assert_eq!(out.data, base.data);
+        let err = reader
+            .refine_region(ds.var, &out, ds.mesh.aabb())
+            .expect_err("a region step has nothing coarser to fall back to");
+        assert!(err.is_checksum_mismatch(), "{err}");
+    }
+    assert!(m.counter(names::READ_CHECKSUM_FAILURES).get() > mismatches);
+}
+
 #[test]
 fn fault_injection_is_deterministic_across_runs() {
     // Two identical runs under the same seed observe identical fault
