@@ -1189,6 +1189,8 @@ mod tests {
         let text = std::fs::read_to_string(json).unwrap();
         let snap = canopus::MetricsSnapshot::from_json_str(&text).unwrap();
         assert!(snap.counter(canopus_obs::names::READ_BYTES_IO) > 0);
+        let geometry = snap.counter(canopus_obs::names::READ_GEOMETRY_BYTES);
+        assert!(0 < geometry && geometry < snap.counter(canopus_obs::names::READ_BYTES_IO));
         assert!(snap.counter(canopus_obs::names::READ_BLOCKS) > 0);
         assert!(snap.timer(canopus_obs::names::READ_IO).count > 0);
         // Default engine: cache enabled, so the cold read records misses.

@@ -150,13 +150,17 @@ struct LevelMeta {
 
 impl LevelMeta {
     /// Parse a metadata block's payload — bytes from a tier, so every
-    /// length in them is checked against what is really there. The
-    /// payload is split in place and each half converted once.
-    fn parse(bytes: &[u8]) -> Result<Self, CanopusError> {
+    /// length in them is checked against what is really there, and,
+    /// since both halves are packed, against `raw_bytes`: the parsed
+    /// size the manifest records for the block, and the most this
+    /// allocates. The payload is split in place and each half decoded
+    /// once.
+    fn parse(bytes: &[u8], raw_bytes: u64) -> Result<Self, CanopusError> {
         let (mesh_bytes, mapping_bytes) = decode_level_meta(bytes)?;
-        let mesh = canopus_mesh::io::from_binary(mesh_bytes)
+        let mesh = canopus_mesh::io::from_binary(mesh_bytes, raw_bytes)
             .map_err(|e| CanopusError::MeshIo(e.to_string()))?;
-        let mapping = mapping_from_bytes(mapping_bytes).map_err(CanopusError::MeshIo)?;
+        let left = raw_bytes - canopus_mesh::io::decoded_bytes(&mesh);
+        let mapping = mapping_from_bytes(mapping_bytes, left).map_err(CanopusError::MeshIo)?;
         Ok(Self {
             mesh: Arc::new(mesh),
             mapping,
@@ -775,7 +779,10 @@ impl CanopusReader {
             .metadata_for(level)
             .ok_or_else(|| CanopusError::Invalid(format!("no metadata for level {level}")))?;
         let (bytes, _, dt) = self.read_block_observed(block, parent)?;
-        let meta = Arc::new(LevelMeta::parse(&bytes)?);
+        self.obs
+            .counter(names::READ_GEOMETRY_BYTES)
+            .add(bytes.len() as u64);
+        let meta = Arc::new(LevelMeta::parse(&bytes, block.raw_bytes)?);
         self.meta_cache.lock().insert(key, Arc::clone(&meta));
         Ok((meta, dt.seconds()))
     }
@@ -810,15 +817,36 @@ impl CanopusReader {
             .base()
             .ok_or_else(|| CanopusError::Invalid(format!("no base block of {var}")))?
             .clone();
-        let (bytes, _, io) = self.read_block_observed(&block, parent)?;
-        timing.io_secs += io.seconds();
-
-        let t = Instant::now();
-        let data = self.decode_block_values(&block, &bytes, parent)?;
-        timing.decompress_secs += t.elapsed().as_secs_f64();
-
-        let (meta, meta_io) = self.read_level_meta(var, base_level, parent)?;
-        timing.io_secs += meta_io;
+        // The base's geometry costs about what its field does (each is
+        // a fetch, a checksum and a decode), so a cold read loads it on
+        // a second thread meanwhile, as the pipelined walk does for the
+        // finer levels.
+        let cold = !self
+            .meta_cache
+            .lock()
+            .contains_key(&(var.to_string(), base_level));
+        let (field, geometry) = std::thread::scope(|s| {
+            let loader =
+                cold.then(|| s.spawn(move || self.read_level_meta(var, base_level, parent)));
+            let field = self
+                .read_block_observed(&block, parent)
+                .and_then(|(bytes, _, io)| {
+                    let t = Instant::now();
+                    let data = self.decode_block_values(&block, &bytes, parent)?;
+                    Ok((data, io.seconds(), t.elapsed().as_secs_f64()))
+                });
+            let geometry = match loader {
+                Some(loader) => loader
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic)),
+                None => self.read_level_meta(var, base_level, parent),
+            };
+            (field, geometry)
+        });
+        let (data, io, decompress) = field?;
+        let (meta, meta_io) = geometry?;
+        timing.io_secs += io + meta_io;
+        timing.decompress_secs += decompress;
         timing.elapsed_secs = wall.elapsed().as_secs_f64();
 
         self.cache_store(var, base_level, &meta.mesh, &data, 0.0);
@@ -1944,11 +1972,59 @@ mod tests {
         }
     }
 
+    #[test]
+    fn stored_geometry_is_the_writers_through_every_read_path() {
+        let (c, mesh, data) = setup(RelativeCodec::Fpc);
+        c.write("t.bp", "v", &mesh, &data).unwrap();
+        // What the writer decimated and mapped, rebuilt in memory.
+        let h = canopus_refactor::LevelHierarchy::build(&mesh, &data, c.config().refactor);
+        let base = h.num_levels() - 1;
+        let bits = |d: &[f64]| d.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let open = || c.open("t.bp").unwrap().with_level_cache(0);
+        for (engine, depth) in [("serial", 0), ("pipelined", 4)] {
+            // A cold `read_base` loads the geometry on its second
+            // thread, the repeat takes it from the geometry cache.
+            let reader = open().with_pipeline_depth(depth);
+            for pass in ["cold", "warm"] {
+                let out = reader.read_base("v").unwrap();
+                assert_eq!(
+                    out.mesh, h.levels[base as usize].mesh,
+                    "{engine} {pass} base"
+                );
+                assert_eq!(
+                    bits(&out.data),
+                    bits(&h.base().data),
+                    "{engine} {pass} base"
+                );
+            }
+            for level in 0..=base {
+                // Each walk on a reader of its own: every level's
+                // geometry comes off the tier.
+                let reader = open().with_pipeline_depth(depth);
+                let out = reader.read_level("v", level).unwrap();
+                assert_eq!(out.mesh, h.levels[level as usize].mesh, "{engine} L{level}");
+                // Lossless deltas: the restored bits are the in-memory
+                // chain's exactly when every mapping on the way is.
+                assert_eq!(
+                    bits(&out.data),
+                    bits(&h.restore_to(level)),
+                    "{engine} L{level}"
+                );
+                let (meta, _) = reader
+                    .read_level_meta("v", level, SpanContext::none())
+                    .unwrap();
+                assert_eq!(*meta.mesh, h.levels[level as usize].mesh);
+                let mapping = h.mappings.get(level as usize).cloned().unwrap_or_default();
+                assert_eq!(meta.mapping, mapping, "{engine} L{level} mapping");
+            }
+        }
+    }
+
     proptest::proptest! {
         /// The geometry parsers read bytes that came off a tier: a
         /// truncated or bit-flipped payload is an error or a well-formed
-        /// level no larger than its input, never a panic, a hang or an
-        /// allocation the input's size does not justify.
+        /// level no larger than the manifest's `raw_bytes` allows, never
+        /// a panic, a hang or an allocation beyond that.
         #[test]
         fn level_meta_parsers_survive_hostile_input(
             nx in 1usize..6,
@@ -1968,9 +2044,11 @@ mod tests {
                 &canopus_mesh::io::to_binary(&mesh),
                 &canopus_refactor::mapping::mapping_to_bytes(&mapping),
             );
-            let clean = LevelMeta::parse(&payload).unwrap();
+            let raw_bytes = canopus_mesh::io::decoded_bytes(&mesh) + mapping.len() as u64 * 4;
+            let clean = LevelMeta::parse(&payload, raw_bytes).unwrap();
             proptest::prop_assert_eq!(&*clean.mesh, &mesh);
             proptest::prop_assert_eq!(&clean.mapping, &mapping);
+            proptest::prop_assert!(LevelMeta::parse(&payload, raw_bytes - 1).is_err());
 
             let mut hostile = payload.clone();
             for (at, bit) in flips {
@@ -1980,10 +2058,10 @@ mod tests {
             if truncate {
                 hostile.truncate(cut as usize % (hostile.len() + 1));
             }
-            if let Ok(meta) = LevelMeta::parse(&hostile) {
+            if let Ok(meta) = LevelMeta::parse(&hostile, raw_bytes) {
                 let n = meta.mesh.num_vertices();
-                let held = 8 + 24 + n * 16 + meta.mesh.num_triangles() * 12 + meta.mapping.len() * 4;
-                proptest::prop_assert!(held <= hostile.len());
+                let held = canopus_mesh::io::decoded_bytes(&meta.mesh) + meta.mapping.len() as u64 * 4;
+                proptest::prop_assert!(held <= raw_bytes);
                 proptest::prop_assert!(meta
                     .mesh
                     .triangles()
@@ -1991,10 +2069,10 @@ mod tests {
                     .flatten()
                     .all(|&v| (v as usize) < n));
             }
-            let _ = LevelMeta::parse(&junk);
+            let _ = LevelMeta::parse(&junk, raw_bytes);
             let _ = decode_level_meta(&junk);
-            let _ = mapping_from_bytes(&junk);
-            let _ = canopus_mesh::io::from_binary(&junk);
+            let _ = mapping_from_bytes(&junk, raw_bytes);
+            let _ = canopus_mesh::io::from_binary(&junk, raw_bytes);
         }
     }
 

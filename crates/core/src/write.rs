@@ -600,6 +600,9 @@ impl Canopus {
             .add(raw_values as u64 * 8);
         obs.counter(names::WRITE_BYTES_STORED)
             .add(report.stored_data_bytes());
+        let stored: u64 = report.products.iter().map(|p| p.stored_bytes).sum();
+        obs.counter(names::WRITE_GEOMETRY_BYTES)
+            .add(stored - report.stored_data_bytes());
         obs.counter(names::WRITE_PRODUCTS)
             .add(report.products.len() as u64);
     }
@@ -644,7 +647,6 @@ impl Canopus {
         let codec = ObservedCodec::new(CodecKind::Raw.build(), Arc::clone(&obs));
         let bytes = codec.compress(data)?;
         let stats = FieldStats::of(data);
-        let mesh_bytes = canopus_mesh::io::to_binary(mesh);
         let blocks = vec![
             BlockWrite {
                 var: var.to_string(),
@@ -658,18 +660,7 @@ impl Canopus {
                 max: stats.max,
                 chunks: vec![],
             },
-            BlockWrite {
-                var: var.to_string(),
-                kind: ProductKind::Metadata { level: 0 },
-                data: Bytes::from(encode_level_meta(&mesh_bytes, &[])),
-                elements: 0,
-                codec_id: 0,
-                codec_param: 0.0,
-                raw_bytes: mesh_bytes.len() as u64,
-                min: 0.0,
-                max: 0.0,
-                chunks: vec![],
-            },
+            level_meta_block(var, 0, mesh, &[]),
         ];
         let t_io = Instant::now();
         let (plan, io_time) = self.store.write(file, 1, blocks)?;
@@ -826,20 +817,15 @@ fn build_shard_blocks(
     Ok(blocks)
 }
 
-/// Assemble a level's auxiliary metadata block: mesh geometry plus, for
-/// non-base levels, the fine→coarse mapping.
-fn level_meta_block(
-    var: &str,
-    level: u32,
-    mesh: &TriMesh,
-    mapping: Option<&Vec<u32>>,
-) -> BlockWrite {
-    let mesh_bytes = canopus_mesh::io::to_binary(mesh);
-    let mapping_bytes = match mapping {
-        Some(m) => mapping_to_bytes(m),
-        None => Vec::new(),
-    };
-    let payload = encode_level_meta(&mesh_bytes, &mapping_bytes);
+/// Assemble a level's auxiliary metadata block: mesh geometry plus the
+/// fine→coarse mapping (empty for the coarsest level), both packed. Its
+/// `raw_bytes` is what the two occupy once parsed, and the most a reader
+/// will allocate for the block.
+fn level_meta_block(var: &str, level: u32, mesh: &TriMesh, mapping: &[u32]) -> BlockWrite {
+    let payload = encode_level_meta(
+        &canopus_mesh::io::to_binary(mesh),
+        &mapping_to_bytes(mapping),
+    );
     BlockWrite {
         var: var.to_string(),
         kind: ProductKind::Metadata { level },
@@ -847,7 +833,7 @@ fn level_meta_block(
         elements: 0,
         codec_id: 0,
         codec_param: 0.0,
-        raw_bytes: mesh_bytes.len() as u64,
+        raw_bytes: canopus_mesh::io::decoded_bytes(mesh) + mapping.len() as u64 * 4,
         min: 0.0,
         max: 0.0,
         chunks: vec![],
@@ -967,7 +953,7 @@ fn run_write_job(job: &WriteJob, ctx: &WriteJobCtx) -> Result<LevelBlocks, Canop
                     max: stats.max,
                     chunks: vec![],
                 },
-                level_meta_block(&ctx.var, *level as u32, mesh, None),
+                level_meta_block(&ctx.var, *level as u32, mesh, &[]),
             ];
             Ok((blocks, 0.0, t.elapsed().as_secs_f64()))
         }
@@ -993,7 +979,7 @@ fn run_write_job(job: &WriteJob, ctx: &WriteJobCtx) -> Result<LevelBlocks, Canop
             let t = Instant::now();
             let l = *finer as u32;
             let mut blocks = build_shard_blocks(ctx, l, fine_mesh, &delta)?;
-            blocks.push(level_meta_block(&ctx.var, l, fine_mesh, Some(&mapping)));
+            blocks.push(level_meta_block(&ctx.var, l, fine_mesh, &mapping));
             Ok((blocks, delta_wall, t.elapsed().as_secs_f64()))
         }
     }

@@ -4,14 +4,17 @@
 //!
 //! * a text format compatible with the classic OFF layout, convenient for
 //!   eyeballing and for importing into external viewers;
-//! * a little-endian binary format with a magic header, used by the ADIOS
-//!   container to embed mesh levels next to their data.
+//! * a lossless bit-packed binary format with a magic header, used by the
+//!   ADIOS container to embed mesh levels next to their data.
 
 use crate::geometry::Point2;
 use crate::mesh::{TriMesh, VertexId};
+use crate::pack::{pack_block, Reader, BLOCK};
 use std::io::{self, BufRead, BufReader, Read, Write};
 
-const BINARY_MAGIC: &[u8; 8] = b"CNPMESH1";
+const BINARY_MAGIC: &[u8; 8] = b"CNPMESH2";
+/// The raw 16 B/vertex, 12 B/triangle layout this format replaced.
+const RETIRED_MAGIC: &[u8; 8] = b"CNPMESH1";
 
 /// Errors raised by mesh parsing.
 #[derive(Debug)]
@@ -127,79 +130,152 @@ fn parse_tok<T: std::str::FromStr>(tok: Option<&str>, what: &str) -> Result<T, M
         .map_err(|_| MeshIoError::Parse(format!("bad {what}: {tok:?}")))
 }
 
-/// Serialize `mesh` in the compact binary format.
-pub fn write_binary<W: Write>(mesh: &TriMesh, mut w: W) -> io::Result<()> {
-    w.write_all(BINARY_MAGIC)?;
-    w.write_all(&(mesh.num_vertices() as u64).to_le_bytes())?;
-    w.write_all(&(mesh.num_triangles() as u64).to_le_bytes())?;
-    for p in mesh.points() {
-        w.write_all(&p.x.to_le_bytes())?;
-        w.write_all(&p.y.to_le_bytes())?;
-    }
-    for t in mesh.triangles() {
-        for &v in t {
-            w.write_all(&v.to_le_bytes())?;
+/// Serialize `mesh` in the packed binary format, losslessly.
+///
+/// After the magic and the two counts, vertices and then triangles follow
+/// in blocks of [`BLOCK`]. A coordinate is split at the middle of its
+/// `f64`: the high word (sign, exponent, leading mantissa) moves little
+/// between neighbouring vertices and is packed ([`crate::pack`])
+/// against the previous vertex's; the low word is noise and is stored as
+/// it is. A vertex block is `x` highs, `y` highs, then the `(x, y)` low
+/// words. A triangle block is its first corners, second corners, third
+/// corners, each packed against the same corner two triangles back — in
+/// a mesh built strip by strip that is the same corner of the
+/// neighbouring quad. A mesh numbered at random gains nothing and pays
+/// the width bytes, 0.2%.
+pub fn to_binary(mesh: &TriMesh) -> Vec<u8> {
+    let (nv, nf) = (mesh.num_vertices(), mesh.num_triangles());
+    // Typical of a locality-ordered mesh; a shuffled one grows past it.
+    let mut out = Vec::with_capacity(BINARY_HEADER + nv * 13 + nf * 3);
+    out.extend_from_slice(BINARY_MAGIC);
+    out.extend_from_slice(&(nv as u64).to_le_bytes());
+    out.extend_from_slice(&(nf as u64).to_le_bytes());
+
+    let mut values = [0u32; BLOCK];
+    let (mut xs, mut ys) = ([0], [0]);
+    for block in mesh.points().chunks(BLOCK) {
+        for (history, coordinate) in [(&mut xs, 0), (&mut ys, 1)] {
+            for (v, p) in values.iter_mut().zip(block) {
+                *v = ([p.x, p.y][coordinate].to_bits() >> 32) as u32;
+            }
+            pack_block(&values[..block.len()], history, &mut out);
+        }
+        for p in block {
+            out.extend_from_slice(&(p.x.to_bits() as u32).to_le_bytes());
+            out.extend_from_slice(&(p.y.to_bits() as u32).to_le_bytes());
         }
     }
-    Ok(())
+    let mut corners = [[0; 2]; 3];
+    for block in mesh.triangles().chunks(BLOCK) {
+        for (c, history) in corners.iter_mut().enumerate() {
+            for (v, t) in values.iter_mut().zip(block) {
+                *v = t[c];
+            }
+            pack_block(&values[..block.len()], history, &mut out);
+        }
+    }
+    out
 }
 
-/// Serialize `mesh` into an owned byte buffer.
-pub fn to_binary(mesh: &TriMesh) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(24 + mesh.num_vertices() * 16 + mesh.num_triangles() * 12);
-    write_binary(mesh, &mut buf).expect("writing to Vec cannot fail");
-    buf
+/// Bytes `mesh` occupies once parsed: what [`from_binary`]'s limit is
+/// measured against.
+pub fn decoded_bytes(mesh: &TriMesh) -> u64 {
+    (mesh.num_vertices() * POINT_BYTES + mesh.num_triangles() * TRI_BYTES) as u64
 }
 
-/// Bytes before the vertex array: magic, vertex count, triangle count.
+/// Magic, vertex count, triangle count.
 const BINARY_HEADER: usize = 24;
 const POINT_BYTES: usize = 16;
 const TRI_BYTES: usize = 12;
 
-/// Parse a mesh from the binary format, in one pass over `bytes`.
+/// Parse a mesh from the packed binary format, in one checked pass over
+/// `bytes` — which came off a tier, so nothing in them is believed.
 ///
-/// The header's counts must account for the slice's length exactly,
-/// which is checked before anything is allocated: a corrupted header
-/// can ask for no more memory than the bytes that are really there.
-pub fn from_binary(bytes: &[u8]) -> Result<TriMesh, MeshIoError> {
-    if bytes.len() < BINARY_HEADER || &bytes[..8] != BINARY_MAGIC {
-        return Err(MeshIoError::Parse("bad binary mesh header".into()));
+/// Packed data can declare far more than its own size, so the caller
+/// says how large a mesh it expects: the header's counts must fit
+/// `max_decoded_bytes` (see [`decoded_bytes`]) before anything is
+/// allocated, and no more than that is. Every block is checked against
+/// the bytes that are left, every corner against the vertex count, and
+/// the last block must end where `bytes` does.
+pub fn from_binary(bytes: &[u8], max_decoded_bytes: u64) -> Result<TriMesh, MeshIoError> {
+    let fail = |why: &str| MeshIoError::Parse(format!("binary mesh: {why}"));
+    let mut r = Reader::new(bytes);
+    match r.raw(BINARY_MAGIC.len()) {
+        Ok(magic) if magic == BINARY_MAGIC => {}
+        Ok(magic) if magic == RETIRED_MAGIC => {
+            return Err(fail("CNPMESH1 is a retired format; rewrite the file"));
+        }
+        _ => return Err(fail("bad header")),
     }
-    let count = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes"));
-    let (nv, nf) = (count(8), count(16));
-    let sized = |n: u64, each: usize| usize::try_from(n).ok()?.checked_mul(each);
-    let expected = sized(nv, POINT_BYTES).and_then(|points| {
-        sized(nf, TRI_BYTES)?
-            .checked_add(points)?
-            .checked_add(BINARY_HEADER)
-    });
-    if expected != Some(bytes.len()) {
-        return Err(MeshIoError::Parse(format!(
-            "binary mesh header counts {nv} vertices and {nf} triangles, \
-             which {} bytes do not hold",
+    let (nv, nf) = (r.u64().map_err(fail)?, r.u64().map_err(fail)?);
+    // Within the caller's limit; and a vertex has eight raw bytes, a
+    // block of triangles three width bytes, whatever the rest packs to.
+    let within = |n: u64, each: usize, limit: u64| {
+        n.checked_mul(each as u64).filter(|&bytes| bytes <= limit)
+    };
+    let left = r.remaining() as u64;
+    let fits = within(nv, POINT_BYTES, max_decoded_bytes)
+        .and_then(|points| within(nf, TRI_BYTES, max_decoded_bytes - points))
+        .and(within(nv, 8, left))
+        .and(within(nf.div_ceil(BLOCK as u64), 3, left));
+    let (Some(_), Ok(nv), Ok(nf)) = (fits, usize::try_from(nv), usize::try_from(nf)) else {
+        return Err(fail(&format!(
+            "header counts {nv} vertices and {nf} triangles, which {} bytes \
+             and a limit of {max_decoded_bytes} decoded do not hold",
             bytes.len()
         )));
+    };
+
+    // Each block is decoded into local arrays and then appended whole.
+    let mut values = [[0u32; BLOCK]; 3];
+    let mut points: Vec<Point2> = Vec::with_capacity(nv);
+    let mut decoded = [Point2::default(); BLOCK];
+    let (mut xs, mut ys) = ([0], [0]);
+    while points.len() < nv {
+        let n = BLOCK.min(nv - points.len());
+        let [x, y, _] = &mut values;
+        r.unpack_block(&mut xs, &mut x[..n]).map_err(fail)?;
+        r.unpack_block(&mut ys, &mut y[..n]).map_err(fail)?;
+        let lows = r.raw(n * 8).map_err(fail)?;
+        let highs = x[..n].iter().zip(&y[..n]);
+        for ((p, (&x, &y)), lows) in decoded.iter_mut().zip(highs).zip(lows.chunks_exact(8)) {
+            let lows = u64::from_le_bytes(lows.try_into().expect("8 bytes"));
+            *p = Point2::new(
+                f64::from_bits((x as u64) << 32 | lows & 0xFFFF_FFFF),
+                f64::from_bits((y as u64) << 32 | lows >> 32),
+            );
+        }
+        points.extend_from_slice(&decoded[..n]);
     }
-    let (points, tris) = bytes[BINARY_HEADER..].split_at(nv as usize * POINT_BYTES);
-    let f64_at = |c: &[u8]| f64::from_le_bytes(c.try_into().expect("8 bytes"));
-    let points: Vec<Point2> = points
-        .chunks_exact(POINT_BYTES)
-        .map(|c| Point2::new(f64_at(&c[..8]), f64_at(&c[8..])))
-        .collect();
+
     // The largest index stands for the per-index range check: it is in
     // range exactly when every index is.
     let mut largest: VertexId = 0;
-    let tris: Vec<[VertexId; 3]> = tris
-        .chunks_exact(TRI_BYTES)
-        .map(|c| {
-            let t = [0, 4, 8].map(|at| u32::from_le_bytes(c[at..at + 4].try_into().expect("4")));
-            largest = largest.max(t[0]).max(t[1]).max(t[2]);
-            t
-        })
-        .collect();
-    if !tris.is_empty() && largest as u64 >= nv {
-        return Err(MeshIoError::Parse(format!(
-            "binary face references vertex {largest} beyond {nv}"
+    let mut tris: Vec<[VertexId; 3]> = Vec::with_capacity(nf);
+    let mut decoded = [[0; 3]; BLOCK];
+    let mut corners = [[0; 2]; 3];
+    while tris.len() < nf {
+        let n = BLOCK.min(nf - tris.len());
+        for (corner, history) in values.iter_mut().zip(&mut corners) {
+            r.unpack_block(history, &mut corner[..n]).map_err(fail)?;
+            largest = corner[..n].iter().fold(largest, |m, &v| m.max(v));
+        }
+        let [a, b, c] = &values;
+        let abc = a[..n].iter().zip(&b[..n]).zip(&c[..n]);
+        for (t, ((&a, &b), &c)) in decoded.iter_mut().zip(abc) {
+            *t = [a, b, c];
+        }
+        tris.extend_from_slice(&decoded[..n]);
+    }
+    if nf > 0 && largest as usize >= nv {
+        return Err(fail(&format!(
+            "face references vertex {largest} beyond {nv}"
+        )));
+    }
+    if r.remaining() != 0 {
+        return Err(fail(&format!(
+            "{} bytes follow the last triangle block",
+            r.remaining()
         )));
     }
     Ok(TriMesh::from_checked(points, tris))
@@ -227,12 +303,98 @@ mod tests {
         }
     }
 
+    /// Any limit will do where the input is the test's own.
+    const NO_LIMIT: u64 = u64::MAX;
+
     #[test]
     fn binary_roundtrip_is_exact() {
         let m = sample();
         let bytes = to_binary(&m);
-        let back = from_binary(&bytes).unwrap();
+        let back = from_binary(&bytes, decoded_bytes(&m)).unwrap();
         assert_eq!(back, m, "binary roundtrip must be bit-exact");
+        assert_eq!(
+            from_binary(&to_binary(&TriMesh::default()), 0).unwrap(),
+            TriMesh::default()
+        );
+    }
+
+    #[test]
+    fn binary_roundtrips_awkward_coordinates_and_ids() {
+        // Signed zeros, subnormals, NaNs with payloads, infinities and
+        // neighbours on either side of zero: every bit must come back.
+        let coordinates = [
+            0.0,
+            -0.0,
+            f64::MIN_POSITIVE / 4.0,
+            -f64::from_bits(1),
+            f64::from_bits(0x7FF8_0000_DEAD_BEEF),
+            f64::from_bits(0xFFF0_0000_0000_0001),
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            1e-300,
+            -1e300,
+            0.25,
+            -0.25,
+        ];
+        let points: Vec<Point2> = coordinates
+            .iter()
+            .zip(coordinates.iter().rev())
+            .map(|(&x, &y)| Point2::new(x, y))
+            .collect();
+        let last = points.len() as u32 - 1;
+        let m = TriMesh::new(points, vec![[0, last, 1], [last, 0, last], [2, 3, 4]]);
+        let back = from_binary(&to_binary(&m), decoded_bytes(&m)).unwrap();
+        assert_eq!(back.triangles(), m.triangles());
+        let bits = |m: &TriMesh| -> Vec<[u64; 2]> {
+            let of = |p: &Point2| [p.x.to_bits(), p.y.to_bits()];
+            m.points().iter().map(of).collect()
+        };
+        assert_eq!(bits(&back), bits(&m));
+    }
+
+    #[test]
+    fn locality_ordered_mesh_packs_and_shuffled_mesh_costs_width_bytes_only() {
+        let m = jitter_interior(&annulus_mesh(40, 200, 0.5, 1.0), 0.2, 3);
+        let raw = BINARY_HEADER as u64 + decoded_bytes(&m);
+        let packed = to_binary(&m).len() as u64;
+        assert!(
+            packed * 10 < raw * 7,
+            "row-major annulus: {packed} of {raw} B"
+        );
+
+        // Renumber the vertices and reorder the triangles at random.
+        let n = m.num_vertices();
+        let mut rank: Vec<u32> = (0..n as u32).collect();
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = |below: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % below as u64) as usize
+        };
+        for i in (1..n).rev() {
+            rank.swap(i, next(i + 1));
+        }
+        let mut points = vec![Point2::default(); n];
+        for (old, &new) in rank.iter().enumerate() {
+            points[new as usize] = m.point(old as u32);
+        }
+        let mut tris: Vec<[u32; 3]> = m
+            .triangles()
+            .iter()
+            .map(|t| t.map(|v| rank[v as usize]))
+            .collect();
+        for i in (1..tris.len()).rev() {
+            tris.swap(i, next(i + 1));
+        }
+        let shuffled = TriMesh::new(points, tris);
+        let bytes = to_binary(&shuffled);
+        assert!(
+            (bytes.len() as u64) * 100 <= raw * 101,
+            "shuffled: {} of {raw} B",
+            bytes.len()
+        );
+        assert_eq!(from_binary(&bytes, raw).unwrap(), shuffled);
     }
 
     #[test]
@@ -253,36 +415,45 @@ mod tests {
     }
 
     #[test]
-    fn binary_rejects_bad_magic() {
+    fn binary_rejects_bad_and_retired_magic() {
         let mut bytes = to_binary(&sample());
         bytes[0] = b'X';
-        assert!(from_binary(&bytes).is_err());
+        assert!(from_binary(&bytes, NO_LIMIT).is_err());
+        // The raw layout this format replaced, as the parent wrote it.
+        let mut old = b"CNPMESH1".to_vec();
+        old.extend_from_slice(&1u64.to_le_bytes());
+        old.extend_from_slice(&0u64.to_le_bytes());
+        old.extend_from_slice(&[0; 16]);
+        let why = from_binary(&old, NO_LIMIT).unwrap_err().to_string();
+        assert!(why.contains("retired format"), "{why}");
     }
 
     #[test]
     fn binary_rejects_truncation() {
         let bytes = to_binary(&sample());
-        assert!(from_binary(&bytes[..bytes.len() - 3]).is_err());
-        assert!(from_binary(&bytes[..20]).is_err(), "inside the header");
-        assert!(from_binary(&[]).is_err());
+        assert!(from_binary(&bytes[..bytes.len() - 3], NO_LIMIT).is_err());
+        assert!(
+            from_binary(&bytes[..20], NO_LIMIT).is_err(),
+            "inside the header"
+        );
+        assert!(from_binary(&[], NO_LIMIT).is_err());
     }
 
     #[test]
-    fn binary_rejects_counts_the_bytes_do_not_hold() {
-        let good = to_binary(&sample());
+    fn binary_rejects_counts_the_bytes_or_the_limit_do_not_hold() {
+        let m = sample();
+        let good = to_binary(&m);
         let with_counts = |nv: u64, nf: u64| {
             let mut bytes = good.clone();
             bytes[8..16].copy_from_slice(&nv.to_le_bytes());
             bytes[16..24].copy_from_slice(&nf.to_le_bytes());
             bytes
         };
-        let (nv, nf) = (
-            sample().num_vertices() as u64,
-            sample().num_triangles() as u64,
-        );
-        assert!(from_binary(&with_counts(nv, nf)).is_ok());
+        let (nv, nf) = (m.num_vertices() as u64, m.num_triangles() as u64);
+        assert!(from_binary(&with_counts(nv, nf), NO_LIMIT).is_ok());
         // Each would ask for terabytes, or overflow the size sum, if the
-        // counts were believed before being compared with the length.
+        // counts were believed before being compared with the length;
+        // the last three are caught block by block.
         for (nv, nf) in [
             (u64::MAX, nf),
             (nv, u64::MAX),
@@ -290,35 +461,80 @@ mod tests {
             (nv, 1 << 40),
             (u64::MAX / 16 + 1, 0),
             (nv + 1, nf),
-            (nv, nf - 1),
+            (nv - 1, nf),
+            (nv, nf + 1),
         ] {
-            assert!(from_binary(&with_counts(nv, nf)).is_err(), "{nv} x {nf}");
+            let bytes = with_counts(nv, nf);
+            assert!(from_binary(&bytes, NO_LIMIT).is_err(), "{nv} x {nf}");
+        }
+        // One triangle fewer can end on the same byte (blocks are padded
+        // to one): then it is the mesh without its last triangle.
+        if let Ok(shorter) = from_binary(&with_counts(nv, nf - 1), NO_LIMIT) {
+            assert_eq!(shorter.points(), m.points());
+            assert_eq!(shorter.triangles(), &m.triangles()[..nf as usize - 1]);
         }
         // Trailing bytes are not a mesh either.
         let mut longer = good.clone();
         longer.push(0);
-        assert!(from_binary(&longer).is_err());
+        assert!(from_binary(&longer, NO_LIMIT).is_err());
+
+        // Packed blocks can promise 512 bytes for one: triangles whose
+        // residuals are all zero cost three width bytes per 128. Only
+        // the caller's limit stands between such a header and its
+        // allocation.
+        let mut bomb = BINARY_MAGIC.to_vec();
+        bomb.extend_from_slice(&1u64.to_le_bytes());
+        bomb.extend_from_slice(&(1u64 << 20).to_le_bytes());
+        bomb.extend_from_slice(&[0; 2 + 8]);
+        bomb.resize(bomb.len() + 3 * (1 << 13), 0);
+        assert!(bomb.len() < 25 << 10);
+        assert!(from_binary(&bomb, 16 + (12 << 20) - 1).is_err());
+        let flat = from_binary(&bomb, 16 + (12 << 20)).unwrap();
+        assert_eq!(flat.num_triangles(), 1 << 20);
+
+        let exact = decoded_bytes(&m);
+        assert!(from_binary(&good, exact).is_ok());
+        assert!(from_binary(&good, exact - 1).is_err());
     }
 
     #[test]
     fn binary_rejects_out_of_range_face() {
-        let m = sample();
+        // A one-triangle mesh: its third corner's residual is the last
+        // byte's low bits (a step of +v from zero is stored as 2v), so
+        // the corner can be moved past the vertices.
+        let m = TriMesh::new(
+            vec![
+                Point2::new(0.0, 0.0),
+                Point2::new(1.0, 0.0),
+                Point2::new(0.0, 1.0),
+            ],
+            vec![[0, 1, 2]],
+        );
         let mut bytes = to_binary(&m);
-        let last = bytes.len() - 4;
-        bytes[last..].copy_from_slice(&(m.num_vertices() as u32).to_le_bytes());
-        assert!(from_binary(&bytes).is_err());
+        let (width, residual) = (bytes.len() - 2, bytes.len() - 1);
+        assert_eq!((bytes[width], bytes[residual]), (3, 4));
+        bytes[residual] = 6;
+        let why = from_binary(&bytes, NO_LIMIT).unwrap_err().to_string();
+        assert!(why.contains("beyond 3"), "{why}");
+        bytes[residual] = 2;
+        assert_eq!(
+            from_binary(&bytes, NO_LIMIT).unwrap().triangles(),
+            [[0, 1, 1]]
+        );
     }
 
     proptest::proptest! {
         /// Bytes from a tier may be truncated or flipped anywhere: the
-        /// parser answers with an error or a valid mesh of exactly the
-        /// input's size, and never panics.
+        /// parser answers with an error or a valid mesh within the
+        /// caller's limit, and never panics.
         #[test]
         fn binary_parser_survives_hostile_input(
             flips in proptest::collection::vec((proptest::prelude::any::<u32>(), 0u8..8), 1..4),
             cut in proptest::prelude::any::<u32>(),
             truncate in proptest::prelude::any::<bool>(),
+            slack in 0u64..64,
         ) {
+            let limit = decoded_bytes(&sample()) + slack;
             let mut bytes = to_binary(&sample());
             for (at, bit) in flips {
                 // Half of the flips land in the 24 header bytes.
@@ -328,11 +544,8 @@ mod tests {
             if truncate {
                 bytes.truncate(cut as usize % (bytes.len() + 1));
             }
-            if let Ok(m) = from_binary(&bytes) {
-                proptest::prop_assert_eq!(
-                    BINARY_HEADER + m.num_vertices() * POINT_BYTES + m.num_triangles() * TRI_BYTES,
-                    bytes.len()
-                );
+            if let Ok(m) = from_binary(&bytes, limit) {
+                proptest::prop_assert!(decoded_bytes(&m) <= limit);
                 let n = m.num_vertices();
                 proptest::prop_assert!(m.triangles().iter().flatten().all(|&v| (v as usize) < n));
             }

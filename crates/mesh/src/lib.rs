@@ -20,7 +20,7 @@
 //! * [`field`] — scalar fields over mesh vertices plus the smoothness
 //!   statistics the paper uses to argue deltas compress better.
 //! * [`io`] — a small text + binary mesh serialization, used by examples and
-//!   the benchmark harness.
+//!   the benchmark harness; the binary form is bit-packed ([`pack`]).
 //! * [`partition`] — spatial strip partitioning used to parallelize
 //!   refactoring across "planes"/domains the way XGC1 does.
 //!
@@ -35,6 +35,7 @@ pub mod geometry;
 pub mod io;
 pub mod locate;
 pub mod mesh;
+pub mod pack;
 pub mod partition;
 pub mod quality;
 

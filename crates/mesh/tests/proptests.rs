@@ -95,7 +95,8 @@ proptest! {
         let bb = Aabb::from_points([Point2::new(-1.0, -1.0), Point2::new(1.0, 1.0)]);
         let m = jitter_interior(&rectangle_mesh(nx, ny, bb), 0.2, seed);
         let bytes = canopus_mesh::io::to_binary(&m);
-        let back = canopus_mesh::io::from_binary(&bytes).unwrap();
+        let limit = canopus_mesh::io::decoded_bytes(&m);
+        let back = canopus_mesh::io::from_binary(&bytes, limit).unwrap();
         prop_assert_eq!(back, m);
     }
 

@@ -15,6 +15,9 @@ pub const WRITE_TOTAL: &str = "canopus.write.total";
 // ---- core write path (counters) -------------------------------------
 pub const WRITE_BYTES_RAW: &str = "canopus.write.bytes_raw";
 pub const WRITE_BYTES_STORED: &str = "canopus.write.bytes_stored";
+/// Encoded bytes of the level-geometry (`Metadata`) products: meshes and
+/// mappings, which `bytes_stored` leaves out.
+pub const WRITE_GEOMETRY_BYTES: &str = "canopus.write.geometry_bytes";
 pub const WRITE_PRODUCTS: &str = "canopus.write.products";
 pub const WRITES: &str = "canopus.write.calls";
 
@@ -37,6 +40,8 @@ pub const READ_IO: &str = "canopus.read.io";
 pub const READ_DECOMPRESS: &str = "canopus.read.decompress";
 pub const READ_RESTORE: &str = "canopus.read.restore";
 pub const READ_BYTES_IO: &str = "canopus.read.bytes_io";
+/// The part of `bytes_io` that was level geometry (`Metadata` blocks).
+pub const READ_GEOMETRY_BYTES: &str = "canopus.read.geometry_bytes";
 pub const READ_VALUES_DECODED: &str = "canopus.read.values_decoded";
 pub const READ_BLOCKS: &str = "canopus.read.blocks";
 pub const READ_REFINEMENTS: &str = "canopus.read.refinements";

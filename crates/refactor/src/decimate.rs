@@ -58,6 +58,13 @@ struct Working {
     /// Vertices that must survive (partition-shared vertices in the
     /// parallel decimation). Empty = none frozen.
     frozen: Vec<bool>,
+    /// Each vertex's place in the input order: its own index for an
+    /// input vertex, the smaller of its parents' places for a collapse
+    /// product. The parents die with the collapse, so the places of the
+    /// vertices alive at any moment are distinct, and [`Self::finish`]
+    /// numbers the output by them: every level keeps the locality of
+    /// the level it was decimated from.
+    slot: Vec<u32>,
 }
 
 impl Working {
@@ -90,6 +97,7 @@ impl Working {
             data_weight,
             inv_range,
             frozen: Vec::new(),
+            slot: (0..nv as u32).collect(),
         };
         for &(u, v) in &mesh.edges() {
             let pr = w.priority(u, v);
@@ -209,6 +217,8 @@ impl Working {
         self.points.push(k_pos);
         self.data.push(k_data);
         self.alive_v.push(true);
+        self.slot
+            .push(self.slot[u as usize].min(self.slot[v as usize]));
         self.vtris.push(Vec::with_capacity(new_tris.len()));
 
         for &t in &tris_uv {
@@ -238,22 +248,55 @@ impl Working {
         true
     }
 
-    /// Compact alive vertices/triangles into a fresh `TriMesh` + data.
-    /// Returns the per-output-vertex original index (None for collapse-
-    /// created vertices, whose working index is >= the input count).
-    fn finish(self, original_count: usize) -> (TriMesh, Vec<f64>, Vec<Option<u32>>) {
+    /// Pop and try edges in priority order until at most `target`
+    /// vertices are alive or no collapsible edge remains; returns how
+    /// many collapsed and how many the guards rejected.
+    fn collapse_until(&mut self, target: usize) -> (usize, usize) {
+        let (mut collapses, mut rejected) = (0, 0);
+        while self.alive_count > target {
+            let Some(((u, v), _)) = self.queue.pop() else {
+                break; // no collapsible edges left
+            };
+            if !self.alive_v[u as usize] || !self.alive_v[v as usize] {
+                continue; // stale entry
+            }
+            if self.try_collapse(u, v) {
+                collapses += 1;
+            } else {
+                rejected += 1;
+            }
+        }
+        (collapses, rejected)
+    }
+
+    /// The step's result: alive vertices and triangles compacted into a
+    /// fresh `TriMesh` + data, vertices in the order of their
+    /// [`slot`](Self::slot)s (one bucket per input vertex, no sort) and
+    /// triangles in input order. A vertex's original index is `None` if a
+    /// collapse created it (its working index is >= the input count).
+    fn finish(
+        self,
+        original_count: usize,
+        (collapses, rejected): (usize, usize),
+    ) -> DecimationResult {
+        let mut occupant = vec![u32::MAX; original_count];
+        for (i, &alive) in self.alive_v.iter().enumerate() {
+            if alive {
+                occupant[self.slot[i] as usize] = i as u32;
+            }
+        }
         let mut remap = vec![u32::MAX; self.points.len()];
         let mut points = Vec::with_capacity(self.alive_count);
         let mut data = Vec::with_capacity(self.alive_count);
         let mut original_index = Vec::with_capacity(self.alive_count);
-        for (i, &alive) in self.alive_v.iter().enumerate() {
-            if alive {
-                remap[i] = points.len() as u32;
-                points.push(self.points[i]);
-                data.push(self.data[i]);
-                original_index.push((i < original_count).then_some(i as u32));
-            }
+        for i in occupant.into_iter().filter(|&i| i != u32::MAX) {
+            let i = i as usize;
+            remap[i] = points.len() as u32;
+            points.push(self.points[i]);
+            data.push(self.data[i]);
+            original_index.push((i < original_count).then_some(i as u32));
         }
+        debug_assert_eq!(points.len(), self.alive_count);
         let mut tris = Vec::new();
         for (ti, t) in self.tris.iter().enumerate() {
             if self.alive_t[ti] {
@@ -264,7 +307,14 @@ impl Working {
                 ]);
             }
         }
-        (TriMesh::new(points, tris), data, original_index)
+        DecimationResult {
+            achieved_ratio: original_count as f64 / points.len().max(1) as f64,
+            mesh: TriMesh::new(points, tris),
+            data,
+            collapses,
+            rejected,
+            original_index,
+        }
     }
 }
 
@@ -280,33 +330,8 @@ pub fn decimate(mesh: &TriMesh, data: &[f64], ratio: f64) -> DecimationResult {
     let target = ((n0 as f64 / ratio).ceil() as usize).max(3);
 
     let mut w = Working::new(mesh, data, 0.0);
-    let mut collapses = 0usize;
-    let mut rejected = 0usize;
-    while w.alive_count > target {
-        let Some(((u, v), _len)) = w.queue.pop() else {
-            break; // no collapsible edges left
-        };
-        if !w.alive_v[u as usize] || !w.alive_v[v as usize] {
-            continue; // stale entry
-        }
-        if w.try_collapse(u, v) {
-            collapses += 1;
-        } else {
-            rejected += 1;
-        }
-    }
-
-    let alive = w.alive_count;
-    let (out_mesh, out_data, original_index) = w.finish(n0);
-    debug_assert_eq!(out_mesh.num_vertices(), alive);
-    DecimationResult {
-        achieved_ratio: n0 as f64 / out_mesh.num_vertices().max(1) as f64,
-        mesh: out_mesh,
-        data: out_data,
-        collapses,
-        rejected,
-        original_index,
-    }
+    let counts = w.collapse_until(target);
+    w.finish(n0, counts)
 }
 
 /// Decimate while *freezing* the flagged vertices (they survive
@@ -326,30 +351,8 @@ pub fn decimate_frozen(
 
     let mut w = Working::new(mesh, data, 0.0);
     w.frozen = frozen.to_vec();
-    let mut collapses = 0usize;
-    let mut rejected = 0usize;
-    while w.alive_count > target {
-        let Some(((u, v), _)) = w.queue.pop() else {
-            break;
-        };
-        if !w.alive_v[u as usize] || !w.alive_v[v as usize] {
-            continue;
-        }
-        if w.try_collapse(u, v) {
-            collapses += 1;
-        } else {
-            rejected += 1;
-        }
-    }
-    let (out_mesh, out_data, original_index) = w.finish(n0);
-    DecimationResult {
-        achieved_ratio: n0 as f64 / out_mesh.num_vertices().max(1) as f64,
-        mesh: out_mesh,
-        data: out_data,
-        collapses,
-        rejected,
-        original_index,
-    }
+    let counts = w.collapse_until(target);
+    w.finish(n0, counts)
 }
 
 /// Data-aware collapse ordering: prioritize edges by
@@ -370,30 +373,8 @@ pub fn decimate_data_aware(
     let target = ((n0 as f64 / ratio).ceil() as usize).max(3);
 
     let mut w = Working::new(mesh, data, weight);
-    let mut collapses = 0usize;
-    let mut rejected = 0usize;
-    while w.alive_count > target {
-        let Some(((u, v), _)) = w.queue.pop() else {
-            break;
-        };
-        if !w.alive_v[u as usize] || !w.alive_v[v as usize] {
-            continue;
-        }
-        if w.try_collapse(u, v) {
-            collapses += 1;
-        } else {
-            rejected += 1;
-        }
-    }
-    let (out_mesh, out_data, original_index) = w.finish(n0);
-    DecimationResult {
-        achieved_ratio: n0 as f64 / out_mesh.num_vertices().max(1) as f64,
-        mesh: out_mesh,
-        data: out_data,
-        collapses,
-        rejected,
-        original_index,
-    }
+    let counts = w.collapse_until(target);
+    w.finish(n0, counts)
 }
 
 /// Random-order collapse baseline for the ablation bench: identical
@@ -416,35 +397,11 @@ pub fn decimate_random_order(
         q.push(edge(u, v), hash_priority(u, v, seed));
     }
     w.queue = q;
-
-    let mut collapses = 0usize;
-    let mut rejected = 0usize;
-    while w.alive_count > target {
-        let Some(((u, v), _)) = w.queue.pop() else {
-            break;
-        };
-        if !w.alive_v[u as usize] || !w.alive_v[v as usize] {
-            continue;
-        }
-        // New edges created by collapses get hashed priorities too: patch
-        // them by draining/reinserting is overkill; instead we rely on
-        // try_collapse pushing length-keyed entries, which is fine for a
-        // baseline (the initial order is already randomized).
-        if w.try_collapse(u, v) {
-            collapses += 1;
-        } else {
-            rejected += 1;
-        }
-    }
-    let (out_mesh, out_data, original_index) = w.finish(n0);
-    DecimationResult {
-        achieved_ratio: n0 as f64 / out_mesh.num_vertices().max(1) as f64,
-        mesh: out_mesh,
-        data: out_data,
-        collapses,
-        rejected,
-        original_index,
-    }
+    // Edges created by collapses get length-keyed priorities from
+    // `try_collapse`, which is fine for a baseline: the initial order is
+    // already randomized.
+    let counts = w.collapse_until(target);
+    w.finish(n0, counts)
 }
 
 fn hash_priority(u: u32, v: u32, seed: u64) -> f64 {
@@ -664,6 +621,102 @@ mod tests {
         let b = decimate(&m, &data, 2.0);
         assert_eq!(a.mesh, b.mesh);
         assert_eq!(a.data, b.data);
+    }
+
+    #[test]
+    fn inherited_order_renumbers_the_same_level() {
+        // The level as the former numbering listed it — survivors in
+        // input order, then collapse products in the order they were
+        // made — read off the working state before `finish` renumbers.
+        let m = grid(14);
+        let data: Vec<f64> = m.points().iter().map(|p| p.x * 3.0 - p.y).collect();
+        let n0 = m.num_vertices();
+        let mut w = Working::new(&m, &data, 0.0);
+        let counts = w.collapse_until(n0.div_ceil(2));
+        let alive =
+            |flags: &[bool]| -> Vec<usize> { (0..flags.len()).filter(|&i| flags[i]).collect() };
+        let bits = |p: Point2, value: f64| [p.x.to_bits(), p.y.to_bits(), value.to_bits()];
+        let mut old_vertices: Vec<[u64; 3]> = alive(&w.alive_v)
+            .iter()
+            .map(|&i| bits(w.points[i], w.data[i]))
+            .collect();
+        let mut old_tris: Vec<[[u64; 3]; 3]> = alive(&w.alive_t)
+            .iter()
+            .map(|&t| w.tris[t].map(|v| bits(w.points[v as usize], w.data[v as usize])))
+            .collect();
+        let r = w.finish(n0, counts);
+
+        assert_eq!(r.collapses, counts.0);
+        assert_eq!(
+            r.collapses,
+            n0 - r.mesh.num_vertices(),
+            "one vertex per collapse"
+        );
+        let vertex = |v: u32| bits(r.mesh.point(v), r.data[v as usize]);
+        let mut new_vertices: Vec<[u64; 3]> =
+            (0..r.mesh.num_vertices() as u32).map(vertex).collect();
+        let mut new_tris: Vec<[[u64; 3]; 3]> =
+            r.mesh.triangles().iter().map(|t| t.map(vertex)).collect();
+        // Same points carrying the same data, same triangles over them
+        // with the same winding: only the numbering differs.
+        for list in [&mut old_vertices, &mut new_vertices] {
+            list.sort_unstable();
+        }
+        for list in [&mut old_tris, &mut new_tris] {
+            list.sort_unstable();
+        }
+        assert_eq!(new_vertices, old_vertices);
+        assert_eq!(new_tris, old_tris);
+
+        // Survivors are still named, in input order; products fall
+        // between them, where the smaller of their parents stood.
+        let survivors: Vec<u32> = r.original_index.iter().flatten().copied().collect();
+        assert!(survivors.is_sorted());
+        assert!(
+            survivors.len() < r.mesh.num_vertices(),
+            "some vertices are products"
+        );
+        assert!(
+            r.original_index.iter().rposition(Option::is_none)
+                > r.original_index.iter().position(Option::is_some),
+            "products are no longer appended after the survivors"
+        );
+        for (out, o) in r.original_index.iter().enumerate() {
+            if let Some(o) = *o {
+                assert_eq!(r.mesh.point(out as u32), m.point(o));
+                assert_eq!(r.data[out], data[o as usize]);
+            }
+        }
+    }
+
+    #[test]
+    fn levels_keep_the_input_orders_locality() {
+        // How far apart a triangle's corners are numbered, on average: a
+        // ring's width on a row-major annulus, and what a packed
+        // connectivity or a gather through it pays for.
+        fn spread(m: &TriMesh) -> f64 {
+            let sum: u64 = m
+                .triangles()
+                .iter()
+                .map(|t| (t.iter().max().unwrap() - t.iter().min().unwrap()) as u64)
+                .sum();
+            sum as f64 / m.num_triangles() as f64
+        }
+        let mut mesh = jitter_interior(&annulus_mesh(16, 96, 0.4, 1.0), 0.2, 7);
+        let mut data = vec![0.0; mesh.num_vertices()];
+        for level in 1..=3 {
+            let r = decimate(&mesh, &data, 2.0);
+            let (fine, coarse) = (spread(&mesh), spread(&r.mesh));
+            // Appended in shortest-edge order, products were numbered at
+            // random: a spread near a third of the vertex count.
+            assert!(
+                coarse <= 2.0 * fine,
+                "level {level}: corner spread {coarse:.1} after {fine:.1} ({} vertices)",
+                r.mesh.num_vertices()
+            );
+            mesh = r.mesh;
+            data = r.data;
+        }
     }
 
     #[test]

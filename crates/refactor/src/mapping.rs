@@ -8,6 +8,7 @@
 //! each delta.
 
 use canopus_mesh::locate::GridLocator;
+use canopus_mesh::pack::{pack_block, Reader, BLOCK};
 use canopus_mesh::TriMesh;
 use rayon::prelude::*;
 
@@ -39,27 +40,57 @@ pub fn build_mapping(fine: &TriMesh, coarse: &TriMesh) -> Mapping {
         .collect()
 }
 
-/// Serialize a mapping as little-endian u32s.
-pub fn mapping_to_bytes(mapping: &Mapping) -> Vec<u8> {
-    let mut out = Vec::with_capacity(mapping.len() * 4);
-    for &t in mapping {
-        out.extend_from_slice(&t.to_le_bytes());
+/// Serialize a mapping losslessly: its length, then every triangle id
+/// packed against the previous vertex's ([`canopus_mesh::pack`]). Neighbouring fine vertices fall into
+/// neighbouring coarse triangles, so where both levels are numbered
+/// along the mesh the residuals are a few bits each.
+pub fn mapping_to_bytes(mapping: &[u32]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(8 + mapping.len() * 2);
+    out.extend_from_slice(&(mapping.len() as u64).to_le_bytes());
+    let mut previous = [0];
+    for block in mapping.chunks(BLOCK) {
+        pack_block(block, &mut previous, &mut out);
     }
     out
 }
 
-/// Parse a mapping serialized by [`mapping_to_bytes`].
-pub fn mapping_from_bytes(bytes: &[u8]) -> Result<Mapping, String> {
-    if !bytes.len().is_multiple_of(4) {
+/// Parse a mapping serialized by [`mapping_to_bytes`] — bytes that came
+/// off a tier. Packed data can declare far more than its own size, so
+/// the declared length must fit `max_decoded_bytes` (four per entry)
+/// before anything is allocated; every block is checked against the
+/// bytes that are left, and the last must end where `bytes` does.
+pub fn mapping_from_bytes(bytes: &[u8], max_decoded_bytes: u64) -> Result<Mapping, String> {
+    let mut r = Reader::new(bytes);
+    let declared = r.u64()?;
+    // A block costs at least its width byte.
+    let n = usize::try_from(declared).ok().filter(|_| {
+        declared
+            .checked_mul(4)
+            .is_some_and(|d| d <= max_decoded_bytes)
+            && declared.div_ceil(BLOCK as u64) <= r.remaining() as u64
+    });
+    let Some(n) = n else {
         return Err(format!(
-            "mapping byte length {} is not a multiple of 4",
+            "mapping declares {declared} entries, which {} bytes and a limit \
+             of {max_decoded_bytes} decoded do not hold",
             bytes.len()
         ));
+    };
+    let mut mapping = Vec::with_capacity(n);
+    let mut entries = [0u32; BLOCK];
+    let mut previous = [0];
+    while mapping.len() < n {
+        let block = &mut entries[..BLOCK.min(n - mapping.len())];
+        r.unpack_block(&mut previous, block)?;
+        mapping.extend_from_slice(block);
     }
-    Ok(bytes
-        .chunks_exact(4)
-        .map(|c| u32::from_le_bytes(c.try_into().expect("chunk of 4")))
-        .collect())
+    if r.remaining() != 0 {
+        return Err(format!(
+            "{} bytes follow the mapping's last block",
+            r.remaining()
+        ));
+    }
+    Ok(mapping)
 }
 
 #[cfg(test)]
@@ -121,12 +152,49 @@ mod tests {
 
     #[test]
     fn serialization_roundtrip() {
-        let m: Mapping = vec![0, 7, 42, u32::MAX];
+        let m: Mapping = vec![0, 7, 42, u32::MAX, 0, u32::MAX - 1, 1 << 31];
         let bytes = mapping_to_bytes(&m);
-        assert_eq!(bytes.len(), 16);
-        assert_eq!(mapping_from_bytes(&bytes).unwrap(), m);
-        assert!(mapping_from_bytes(&bytes[..5]).is_err());
-        assert_eq!(mapping_from_bytes(&[]).unwrap(), Vec::<u32>::new());
+        assert_eq!(mapping_from_bytes(&bytes, 4 * 7).unwrap(), m);
+        assert!(mapping_from_bytes(&bytes, 4 * 7 - 1).is_err(), "limit");
+        assert!(mapping_from_bytes(&bytes[..bytes.len() - 1], 64).is_err());
+        assert!(mapping_from_bytes(&bytes[..5], 64).is_err());
+        assert!(mapping_from_bytes(&[], 64).is_err(), "no length");
+        let mut longer = bytes.clone();
+        longer.push(0);
+        assert!(mapping_from_bytes(&longer, 64).is_err(), "trailing byte");
+        let empty = mapping_to_bytes(&[]);
+        assert_eq!(empty.len(), 8);
+        assert_eq!(mapping_from_bytes(&empty, 0).unwrap(), Vec::<u32>::new());
+
+        // Several blocks, the last one partial.
+        let (fine, coarse) = fine_and_coarse();
+        let real = build_mapping(&fine, &coarse);
+        assert!(real.len() > BLOCK && !real.len().is_multiple_of(BLOCK));
+        let bytes = mapping_to_bytes(&real);
+        assert!(bytes.len() < real.len() * 4, "{} B", bytes.len());
+        assert_eq!(
+            mapping_from_bytes(&bytes, 4 * real.len() as u64).unwrap(),
+            real
+        );
+    }
+
+    #[test]
+    fn hostile_lengths_never_allocate_beyond_the_limit() {
+        // All-zero residuals cost one width byte per 128 entries: 1 KiB
+        // of bytes can honestly declare 512 KiB of mapping, and a lying
+        // header anything at all.
+        let mut flat = (128u64 * 1024).to_le_bytes().to_vec();
+        flat.resize(8 + 1024, 0);
+        assert_eq!(
+            mapping_from_bytes(&flat, 512 << 10).unwrap(),
+            vec![0; 128 * 1024]
+        );
+        assert!(mapping_from_bytes(&flat, (512 << 10) - 1).is_err());
+        for n in [u64::MAX, u64::MAX / 4 + 1, 1 << 40, 128 * 1024 + 1] {
+            let mut lying = flat.clone();
+            lying[..8].copy_from_slice(&n.to_le_bytes());
+            assert!(mapping_from_bytes(&lying, u64::MAX).is_err(), "{n}");
+        }
     }
 
     #[test]

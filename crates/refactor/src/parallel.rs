@@ -225,30 +225,43 @@ mod tests {
 
     #[test]
     fn shared_vertices_survive_with_identity() {
+        type Kernel = fn(&TriMesh, &[f64], f64, usize) -> DecimationResult;
         let (mesh, data) = grid(16);
-        let parts = strip_partition(&mesh, 4);
-        let mut occurrences = vec![0u8; mesh.num_vertices()];
-        for p in &parts {
-            for &g in &p.to_parent {
-                occurrences[g as usize] += 1;
+        for (parts, kernel) in [
+            (strip_partition(&mesh, 4), decimate_parallel as Kernel),
+            (morton_partition(&mesh, 4), decimate_parallel_morton),
+        ] {
+            let mut occurrences = vec![0u8; mesh.num_vertices()];
+            for p in &parts {
+                for &g in &p.to_parent {
+                    occurrences[g as usize] += 1;
+                }
             }
-        }
-        let r = decimate_parallel(&mesh, &data, 2.0, 4);
-        // Every shared parent vertex appears in the output exactly once,
-        // with its original position and data.
-        for (pv, &c) in occurrences.iter().enumerate() {
-            if c > 1 {
-                let hits: Vec<usize> = r
-                    .original_index
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, &o)| o == Some(pv as u32))
-                    .map(|(i, _)| i)
-                    .collect();
-                assert_eq!(hits.len(), 1, "shared vertex {pv} stitched once");
-                let out = hits[0];
-                assert_eq!(r.mesh.point(out as u32), mesh.point(pv as u32));
-                assert_eq!(r.data[out], data[pv]);
+            let r = kernel(&mesh, &data, 2.0, 4);
+            // Every shared parent vertex appears in the output exactly
+            // once, with its original position and data — wherever the
+            // partitions' own numbering put their collapse products.
+            for (pv, &c) in occurrences.iter().enumerate() {
+                if c > 1 {
+                    let hits: Vec<usize> = r
+                        .original_index
+                        .iter()
+                        .enumerate()
+                        .filter(|(_, &o)| o == Some(pv as u32))
+                        .map(|(i, _)| i)
+                        .collect();
+                    assert_eq!(hits.len(), 1, "shared vertex {pv} stitched once");
+                    let out = hits[0];
+                    assert_eq!(r.mesh.point(out as u32), mesh.point(pv as u32));
+                    assert_eq!(r.data[out], data[pv]);
+                }
+            }
+            // And every survivor the output names is where it was.
+            for (out, o) in r.original_index.iter().enumerate() {
+                if let Some(o) = *o {
+                    assert_eq!(r.mesh.point(out as u32), mesh.point(o));
+                    assert_eq!(r.data[out], data[o as usize]);
+                }
             }
         }
     }

@@ -142,9 +142,17 @@ proptest! {
         ops in proptest::collection::vec((0u8..8, 0usize..128), 1..24),
         file_backed in any::<bool>(),
     ) {
+        // A directory of this case's own. The vendored `proptest!`
+        // emits a `#[test]` beside the one written above, so this
+        // property is registered twice and its two copies run on
+        // parallel threads; under a name shared by both (it used to be
+        // the pid alone) one copy's clean-up removed the directory the
+        // other was about to reopen — the ENOENT this test failed with.
+        static CASE: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
         let dir = std::env::temp_dir().join(format!(
-            "canopus_prop_used_{}_{file_backed}",
-            std::process::id()
+            "canopus_prop_used_{}_{}",
+            std::process::id(),
+            CASE.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
         ));
         let _ = std::fs::remove_dir_all(&dir);
         let dev = if file_backed {

@@ -91,6 +91,15 @@ fn lossless_restore_to_l0_is_faithful_and_fully_counted() {
     assert_eq!(snap.counter(names::READ_REFINEMENTS), (LEVELS - 1) as u64);
     assert!(snap.counter(names::READ_BLOCKS) >= LEVELS as u64);
     assert!(snap.counter(names::READ_BYTES_IO) > 0);
+    // A cold restore to L0 fetches every product once: each level's
+    // packed geometry, counted apart on both sides, and the field.
+    let geometry = snap.counter(names::WRITE_GEOMETRY_BYTES);
+    assert!(geometry > 0);
+    assert_eq!(snap.counter(names::READ_GEOMETRY_BYTES), geometry);
+    assert_eq!(
+        snap.counter(names::READ_BYTES_IO),
+        snap.counter(names::WRITE_BYTES_STORED) + geometry
+    );
     // Base + deltas are decoded per level, so the decoded-value count
     // strictly exceeds the final field size whenever refinements ran.
     assert!(
