@@ -26,6 +26,6 @@ pub mod meta;
 pub mod store;
 pub mod transport;
 
-pub use meta::{checksum64, AdiosError, BlockMeta, ChunkEntry, FileMeta, VarMeta};
+pub use meta::{checksum64, AdiosError, BlockMeta, ChunkEntry, FileMeta, GeometrySection, VarMeta};
 pub use store::{BpFile, BpStore};
 pub use transport::{Transport, TransportWriter};

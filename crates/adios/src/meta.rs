@@ -58,6 +58,11 @@ impl From<canopus_storage::StorageError> for AdiosError {
 /// region refinements against the bounding boxes and issues ranged
 /// fetches of `[offset, offset + len)` — one chunk moves without the
 /// rest of the shard.
+///
+/// A [`ProductKind::Metadata`] block indexes its two
+/// [`GeometrySection`]s the same way: `chunk` is the section's number,
+/// `elements` what it holds (vertices, triangles), and the value and
+/// codec fields are unused.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChunkEntry {
     /// Global chunk index within the delta's chunk order.
@@ -81,6 +86,30 @@ pub struct ChunkEntry {
     /// chunk (element count vs the framing threshold), so this can
     /// differ between chunks of one shard.
     pub codec_id: u8,
+}
+
+/// The two sections of a level's geometry object (a
+/// [`ProductKind::Metadata`] block), in stored order. Each is verified
+/// against its own checksum, so a reader fetches the one it consumes:
+/// restoring with the mean estimator reads a passed level's topology and
+/// never its coordinates.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum GeometrySection {
+    /// The mesh header and every vertex position.
+    Coordinates = 0,
+    /// The triangles, then the fine-vertex → coarse-triangle mapping.
+    Topology = 1,
+}
+
+impl GeometrySection {
+    pub const ALL: [GeometrySection; 2] = [GeometrySection::Coordinates, GeometrySection::Topology];
+
+    pub fn name(self) -> &'static str {
+        match self {
+            GeometrySection::Coordinates => "coordinates",
+            GeometrySection::Topology => "topology",
+        }
+    }
 }
 
 /// Metadata for one stored block (one refactored product of one variable).
@@ -108,20 +137,58 @@ pub struct BlockMeta {
     /// at placement and verified on every read.
     pub checksum: u64,
     /// Chunk index of a [`ProductKind::DeltaShard`] block, ordered by
-    /// ascending in-shard offset; [`FileMeta::from_bytes`] checks it
-    /// against the block's sizes. Empty for base and metadata blocks.
+    /// ascending in-shard offset, or the two-entry section index of a
+    /// [`ProductKind::Metadata`] block; [`FileMeta::from_bytes`] checks
+    /// either against the block's sizes. Empty for base blocks.
     pub chunks: Vec<ChunkEntry>,
 }
 
 impl BlockMeta {
+    /// The index entry of one section of a geometry block. `None` for
+    /// any other block (and for a hand-built one without its index; a
+    /// parsed manifest has been checked).
+    pub fn section(&self, section: GeometrySection) -> Option<&ChunkEntry> {
+        matches!(self.kind, ProductKind::Metadata { .. })
+            .then(|| self.chunks.get(section as usize))
+            .flatten()
+    }
+
+    /// A geometry block's index is its two sections, in order, tiling
+    /// `[0, stored_bytes)`: readers slice a whole payload and issue
+    /// ranged fetches by these numbers.
+    fn check_section_index(&self) -> Result<(), AdiosError> {
+        let corrupt =
+            |what: &str| AdiosError::Corrupt(format!("{}: section index {what}", self.key));
+        let [coordinates, topology] = self.chunks.as_slice() else {
+            return Err(corrupt("does not hold exactly two sections"));
+        };
+        for (entry, section) in [coordinates, topology]
+            .into_iter()
+            .zip(GeometrySection::ALL)
+        {
+            if entry.chunk != section as u32 {
+                return Err(corrupt("is out of order"));
+            }
+        }
+        let tiles = coordinates.offset == 0
+            && topology.offset == coordinates.len
+            && topology.offset.checked_add(topology.len) == Some(self.stored_bytes);
+        if !tiles {
+            return Err(corrupt("does not tile the stored bytes"));
+        }
+        Ok(())
+    }
+
     /// Check the chunk index against the block's own sizes, once, where
     /// the manifest enters the program: every entry's byte range lies
     /// inside the stored object, ranges ascend without overlapping, and
     /// the entries' element counts add up to the block's. Readers slice
     /// payloads and size buffers by these numbers.
     fn check_chunk_index(&self) -> Result<(), AdiosError> {
-        if self.chunks.is_empty() && !matches!(self.kind, ProductKind::DeltaShard { .. }) {
-            return Ok(());
+        match self.kind {
+            ProductKind::Metadata { .. } => return self.check_section_index(),
+            ProductKind::Base { .. } if self.chunks.is_empty() => return Ok(()),
+            _ => {}
         }
         let corrupt = |what: &str| AdiosError::Corrupt(format!("{}: chunk index {what}", self.key));
         let (mut end, mut elements) = (0u64, 0u64);
@@ -585,16 +652,31 @@ mod tests {
                         elements: 0,
                         codec_id: 0,
                         codec_param: 0.0,
-                        raw_bytes: 123,
+                        raw_bytes: 500,
                         stored_bytes: 123,
                         min: 0.0,
                         max: 0.0,
                         checksum: 0,
-                        chunks: vec![],
+                        chunks: vec![section(0, 0, 100, 10_000), section(1, 100, 23, 19_000)],
                     },
                 ],
             }],
             attrs: vec![("app".into(), "XGC1".into())],
+        }
+    }
+
+    /// One entry of a geometry block's section index.
+    fn section(chunk: u32, offset: u64, len: u64, elements: u64) -> ChunkEntry {
+        ChunkEntry {
+            chunk,
+            offset,
+            len,
+            elements,
+            checksum: 0xFACE_0000_0000_0000 + chunk as u64,
+            bbox: [0.0; 4],
+            min: 0.0,
+            max: 0.0,
+            codec_id: 0,
         }
     }
 
@@ -657,8 +739,12 @@ mod tests {
     /// The manifest `sample()` serializes to, with `edit` applied to its
     /// two-chunk shard block before serialization.
     fn sample_with(edit: impl FnOnce(&mut BlockMeta)) -> Vec<u8> {
+        sample_with_block(2, edit)
+    }
+
+    fn sample_with_block(block: usize, edit: impl FnOnce(&mut BlockMeta)) -> Vec<u8> {
         let mut m = sample();
-        edit(&mut m.vars[0].blocks[2]);
+        edit(&mut m.vars[0].blocks[block]);
         m.to_bytes()
     }
 
@@ -713,6 +799,43 @@ mod tests {
         }
         // Gaps between entries are allowed; only overlap is not.
         assert!(FileMeta::from_bytes(&sample_with(|b| b.chunks[0].len -= 1)).is_ok());
+    }
+
+    #[test]
+    fn geometry_blocks_need_two_sections_tiling_the_object() {
+        let geometry = sample().vars[0].blocks[3].clone();
+        for (s, name) in GeometrySection::ALL
+            .into_iter()
+            .zip(["coordinates", "topology"])
+        {
+            assert_eq!(geometry.section(s), Some(&geometry.chunks[s as usize]));
+            assert_eq!(s.name(), name);
+        }
+        // Only geometry blocks have sections.
+        let shard = &sample().vars[0].blocks[2];
+        assert_eq!(shard.section(GeometrySection::Coordinates), None);
+
+        type Edit = fn(&mut BlockMeta);
+        let cases: [(&str, Edit); 9] = [
+            ("no index", |b| b.chunks.clear()),
+            ("one section", |b| b.chunks.truncate(1)),
+            ("three sections", |b| b.chunks.push(b.chunks[1].clone())),
+            ("swapped", |b| b.chunks.swap(0, 1)),
+            ("renumbered", |b| b.chunks[1].chunk = 2),
+            ("gap", |b| b.chunks[0].len -= 1),
+            ("overlap", |b| b.chunks[1].offset -= 1),
+            ("short of the object", |b| b.chunks[1].len -= 1),
+            ("end overflows", |b| b.chunks[1].len = u64::MAX),
+        ];
+        for (what, edit) in cases {
+            assert!(
+                matches!(
+                    FileMeta::from_bytes(&sample_with_block(3, edit)),
+                    Err(AdiosError::Corrupt(_))
+                ),
+                "{what}"
+            );
+        }
     }
 
     #[test]

@@ -61,7 +61,8 @@ fn arb_chunk_entry() -> impl Strategy<Value = ChunkEntry> {
 /// A block whose chunk index is consistent with it, as
 /// `FileMeta::from_bytes` demands: entries ascend without overlapping
 /// inside the stored bytes, and their element counts add up. A shard
-/// always has an index; other kinds may (it is checked when present).
+/// always has an index; a base may (it is checked when present); a
+/// geometry block's is its two sections, tiling the stored bytes.
 fn arb_block() -> impl Strategy<Value = BlockMeta> {
     (
         "[a-z0-9/._-]{1,40}",
@@ -90,16 +91,37 @@ fn arb_block() -> impl Strategy<Value = BlockMeta> {
                 min,
                 (max, checksum, mut chunks),
             )| {
+                let geometry = matches!(kind, ProductKind::Metadata { .. });
+                if geometry {
+                    let filler = ChunkEntry {
+                        chunk: 0,
+                        offset: 0,
+                        len: slack,
+                        elements: raw,
+                        checksum,
+                        bbox: [0.0; 4],
+                        min: 0.0,
+                        max: 0.0,
+                        codec_id: 0,
+                    };
+                    chunks.resize(2, filler);
+                }
                 let mut end = 0;
-                for e in &mut chunks {
+                for (at, e) in chunks.iter_mut().enumerate() {
+                    if geometry {
+                        (e.chunk, e.offset) = (at as u32, 0);
+                    }
                     e.offset += end;
                     end = e.offset + e.len;
                 }
+                let slack = if geometry { 0 } else { slack };
                 let indexed = !chunks.is_empty() || matches!(kind, ProductKind::DeltaShard { .. });
                 BlockMeta {
                     key,
                     kind,
-                    elements: if indexed {
+                    elements: if geometry {
+                        0
+                    } else if indexed {
                         chunks.iter().map(|e| e.elements).sum()
                     } else {
                         stored / 8
@@ -147,7 +169,8 @@ fn arb_meta() -> impl Strategy<Value = FileMeta> {
 
 /// Ways a manifest can be wrong that a flipped or missing byte rarely
 /// produces: an earlier format revision, a delta kind no writer emits
-/// any more, a chunk index that contradicts its block.
+/// any more, a chunk index that contradicts its block, a geometry block
+/// whose sections are not the two that tile it.
 #[derive(Debug, Clone, Copy)]
 enum Damage {
     None,
@@ -158,6 +181,10 @@ enum Damage {
     Overlap,
     PastEnd,
     ElementsOff,
+    MissingSections,
+    SwappedSections,
+    OverlappingSections,
+    ShortSections,
 }
 
 fn arb_damage() -> impl Strategy<Value = Damage> {
@@ -168,18 +195,46 @@ fn arb_damage() -> impl Strategy<Value = Damage> {
         Just(Damage::Overlap),
         Just(Damage::PastEnd),
         Just(Damage::ElementsOff),
+        Just(Damage::MissingSections),
+        Just(Damage::SwappedSections),
+        Just(Damage::OverlappingSections),
+        Just(Damage::ShortSections),
     ]
 }
 
 /// `meta` serialized with `damage` applied, and whether the damage took
 /// (an index can only be broken where there is one).
 fn damaged(mut meta: FileMeta, damage: Damage) -> (Vec<u8>, bool) {
+    let is_geometry = |b: &BlockMeta| matches!(b.kind, ProductKind::Metadata { .. });
+    let sections = matches!(
+        damage,
+        Damage::MissingSections
+            | Damage::SwappedSections
+            | Damage::OverlappingSections
+            | Damage::ShortSections
+    );
     let indexed = meta
         .vars
         .iter_mut()
         .flat_map(|v| &mut v.blocks)
-        .find(|b| b.chunks.len() >= 2);
+        .find(|b| is_geometry(b) == sections && b.chunks.len() >= 2);
     let took = match (damage, indexed) {
+        (Damage::MissingSections, Some(b)) => {
+            b.chunks.clear();
+            true
+        }
+        (Damage::SwappedSections, Some(b)) => {
+            b.chunks.swap(0, 1);
+            true
+        }
+        (Damage::OverlappingSections, Some(b)) => {
+            b.chunks[0].len += 1;
+            true
+        }
+        (Damage::ShortSections, Some(b)) => {
+            b.stored_bytes += 1;
+            true
+        }
         (Damage::Overlap, Some(b)) => {
             // Below the first entry's end, or far past the object.
             b.chunks[1].offset = b.chunks[0].offset.wrapping_sub(1);

@@ -332,9 +332,18 @@ fn cmd_info(argv: &[String]) -> Result<(), String> {
                 .find(&b.key)
                 .map(|t| t.to_string())
                 .unwrap_or_else(|_| "?".into());
+            // A level's geometry: the two sections a read fetches apart.
+            let sections = canopus_adios::GeometrySection::ALL
+                .iter()
+                .filter_map(|&s| Some(format!("{} {} B", s.name(), b.section(s)?.len)))
+                .collect::<Vec<_>>();
+            let stored = match sections.is_empty() {
+                true => format!("{} B", b.stored_bytes),
+                false => format!("{} B ({})", b.stored_bytes, sections.join(" + ")),
+            };
             println!(
-                "    {:?} tier {} codec {} stored {} B raw {} B range [{:.3}, {:.3}]",
-                b.kind, tier, b.codec_id, b.stored_bytes, b.raw_bytes, b.min, b.max
+                "    {:?} tier {} codec {} stored {stored} raw {} B range [{:.3}, {:.3}]",
+                b.kind, tier, b.codec_id, b.raw_bytes, b.min, b.max
             );
         }
     }
@@ -1191,6 +1200,8 @@ mod tests {
         assert!(snap.counter(canopus_obs::names::READ_BYTES_IO) > 0);
         let geometry = snap.counter(canopus_obs::names::READ_GEOMETRY_BYTES);
         assert!(0 < geometry && geometry < snap.counter(canopus_obs::names::READ_BYTES_IO));
+        let coordinates = snap.counter(canopus_obs::names::READ_COORDINATE_BYTES);
+        assert!(0 < coordinates && coordinates < geometry);
         assert!(snap.counter(canopus_obs::names::READ_BLOCKS) > 0);
         assert!(snap.timer(canopus_obs::names::READ_IO).count > 0);
         // Default engine: cache enabled, so the cold read records misses.

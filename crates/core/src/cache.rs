@@ -7,9 +7,10 @@
 //! skips tier I/O *and* decompression entirely — the reader answers from
 //! the cache with zero `read.bytes_io` traffic.
 //!
-//! Entries share their mesh and data through `Arc`s, so a hit clones two
-//! pointers; the deep copy happens only when the caller materialises a
-//! [`ReadOutcome`](crate::read::ReadOutcome). Only level-exact fields are
+//! Entries share their data and their level's geometry entry (the one
+//! the reader's geometry cache holds, halves filled lazily) through
+//! `Arc`s, so a hit clones two pointers; the deep copy happens only when
+//! the caller materialises a [`ReadOutcome`](crate::read::ReadOutcome). Only level-exact fields are
 //! cached — mixed-accuracy results from region refinement never enter.
 //!
 //! Retention is bounded twice over: by entry count (the configured
@@ -33,7 +34,7 @@
 //! `LevelCache::inner` → registry instrument maps, each released before
 //! the next is taken.
 
-use canopus_mesh::TriMesh;
+use crate::geometry::LevelGeometry;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -42,7 +43,7 @@ use std::sync::Arc;
 /// One cached restored level.
 #[derive(Clone)]
 pub(crate) struct CachedLevel {
-    pub mesh: Arc<TriMesh>,
+    pub geometry: Arc<LevelGeometry>,
     pub data: Arc<Vec<f64>>,
     /// RMS of the delta applied to reach this level (0 for the base),
     /// so a cache-served refinement can still report the paper's
@@ -52,11 +53,10 @@ pub(crate) struct CachedLevel {
 
 impl CachedLevel {
     /// Approximate resident size: the vertex field plus the mesh's
-    /// point and connectivity arrays.
+    /// point and connectivity arrays (counted whether or not the
+    /// coordinates have been loaded yet).
     fn approx_bytes(&self) -> usize {
-        self.data.len() * std::mem::size_of::<f64>()
-            + self.mesh.num_vertices() * std::mem::size_of::<canopus_mesh::geometry::Point2>()
-            + self.mesh.num_triangles() * std::mem::size_of::<[canopus_mesh::VertexId; 3]>()
+        self.data.len() * std::mem::size_of::<f64>() + self.geometry.approx_bytes()
     }
 }
 
@@ -297,17 +297,11 @@ impl LevelCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use canopus_mesh::generators::rectangle_mesh;
-    use canopus_mesh::geometry::{Aabb, Point2};
+    use crate::geometry::tests::sample_entry;
 
     fn level(v: f64) -> CachedLevel {
-        let mesh = rectangle_mesh(
-            2,
-            2,
-            Aabb::from_points([Point2::new(0.0, 0.0), Point2::new(1.0, 1.0)]),
-        );
         CachedLevel {
-            mesh: Arc::new(mesh),
+            geometry: Arc::new(sample_entry(2, 2)),
             data: Arc::new(vec![v; 4]),
             delta_rms: v,
         }
@@ -315,13 +309,8 @@ mod tests {
 
     /// A level with `n` data values, for byte-bound tests.
     fn sized_level(n: usize) -> CachedLevel {
-        let mesh = rectangle_mesh(
-            2,
-            2,
-            Aabb::from_points([Point2::new(0.0, 0.0), Point2::new(1.0, 1.0)]),
-        );
         CachedLevel {
-            mesh: Arc::new(mesh),
+            geometry: Arc::new(sample_entry(2, 2)),
             data: Arc::new(vec![0.0; n]),
             delta_rms: 0.0,
         }

@@ -48,6 +48,7 @@ mod cache;
 pub mod campaign;
 pub mod config;
 pub mod error;
+mod geometry;
 pub mod progressive;
 pub mod read;
 pub mod serve;

@@ -27,16 +27,15 @@
 use crate::cache::{CachedLevel, LevelCache, Probe};
 use crate::config::RetryPolicy;
 use crate::error::CanopusError;
-use crate::write::{decode_level_meta, spatial_chunks};
+use crate::geometry::{section_of, LevelGeometry, Need};
+use crate::write::spatial_chunks;
 use bytes::Bytes;
-use canopus_adios::{BlockMeta, BpFile, ChunkEntry};
+use canopus_adios::{BlockMeta, BpFile, ChunkEntry, GeometrySection};
 use canopus_compress::{Chunked, Codec, CodecKind, ObservedCodec, CHUNKED_CODEC_ID_FLAG};
 use canopus_mesh::geometry::Point2;
-use canopus_mesh::Aabb;
-use canopus_mesh::TriMesh;
+use canopus_mesh::{Aabb, TriMesh, VertexId};
 use canopus_obs::{names, stage, stage_child, FieldValue, Registry, SpanContext};
-use canopus_refactor::mapping::mapping_from_bytes;
-use canopus_refactor::{restore_level, Estimator};
+use canopus_refactor::{restore_in_place, Estimator};
 use crossbeam::channel;
 use parking_lot::Mutex;
 use rayon::prelude::*;
@@ -137,39 +136,103 @@ pub struct ReadOutcome {
     pub level_exact: bool,
 }
 
-/// One level's parsed geometry. Shared, never copied: the geometry
-/// cache, the decoded-level cache and a walk in flight hold the same
-/// allocation, and the only copy is the one into a caller's
-/// [`ReadOutcome`].
-struct LevelMeta {
-    mesh: Arc<TriMesh>,
-    /// Fine vertex → triangle of the next-coarser level (empty for the
-    /// base level).
-    mapping: Vec<u32>,
+/// A restored level inside the reader: its field, and the geometry
+/// entry it shares with the caches — which holds the level's topology,
+/// and its coordinates only if something needed them. A mesh is
+/// assembled where one is handed out ([`CanopusReader::outcome`]).
+struct Restored {
+    level: u32,
+    geometry: Arc<LevelGeometry>,
+    data: Vec<f64>,
+    timing: PhaseTiming,
 }
 
-impl LevelMeta {
-    /// Parse a metadata block's payload — bytes from a tier, so every
-    /// length in them is checked against what is really there, and,
-    /// since both halves are packed, against `raw_bytes`: the parsed
-    /// size the manifest records for the block, and the most this
-    /// allocates. The payload is split in place and each half decoded
-    /// once.
-    fn parse(bytes: &[u8], raw_bytes: u64) -> Result<Self, CanopusError> {
-        let (mesh_bytes, mapping_bytes) = decode_level_meta(bytes)?;
-        let mesh = canopus_mesh::io::from_binary(mesh_bytes, raw_bytes)
-            .map_err(|e| CanopusError::MeshIo(e.to_string()))?;
-        let left = raw_bytes - canopus_mesh::io::decoded_bytes(&mesh);
-        let mapping = mapping_from_bytes(mapping_bytes, left).map_err(CanopusError::MeshIo)?;
-        Ok(Self {
-            mesh: Arc::new(mesh),
-            mapping,
+impl Restored {
+    /// A caller-owned copy of a cached level's field. Timing is zero: a
+    /// cache hit performs no I/O, decompression or restoration.
+    fn from_cached(level: u32, hit: &CachedLevel) -> Self {
+        Self {
+            level,
+            geometry: Arc::clone(&hit.geometry),
+            data: (*hit.data).clone(),
+            timing: PhaseTiming::default(),
+        }
+    }
+
+    fn as_coarse(&self) -> Result<Coarse<'_>, CanopusError> {
+        let topology = self.geometry.topology().ok_or_else(|| {
+            CanopusError::Invalid(format!(
+                "level {} was restored without topology",
+                self.level
+            ))
+        })?;
+        Ok(Coarse {
+            level: self.level,
+            vertices: topology.connectivity.num_vertices(),
+            triangles: topology.connectivity.triangles(),
+            points: self.geometry.points().unwrap_or(&[]),
+            data: &self.data,
         })
     }
 }
 
-/// Cached level geometry: `(var, level) -> geometry`.
-type MetaCache = Mutex<HashMap<(String, u32), Arc<LevelMeta>>>;
+/// The coarser level as one restore step reads it.
+struct Coarse<'a> {
+    level: u32,
+    /// What every corner of `triangles` is below.
+    vertices: usize,
+    triangles: &'a [[VertexId; 3]],
+    /// Vertex positions; may be empty unless the estimator reads them.
+    points: &'a [Point2],
+    data: &'a [f64],
+}
+
+impl<'a> Coarse<'a> {
+    fn of_outcome(outcome: &'a ReadOutcome) -> Self {
+        Self {
+            level: outcome.level,
+            vertices: outcome.mesh.num_vertices(),
+            triangles: outcome.mesh.triangles(),
+            points: outcome.mesh.points(),
+            data: &outcome.data,
+        }
+    }
+}
+
+/// Where a level walk stands: the finest level restored so far and,
+/// once the walk has left it, the level it started from (the base, read
+/// whole, or a cached level) — which a walk that stops short falls back
+/// on if the mesh of the level it stopped at cannot be completed.
+struct Walk {
+    cur: Restored,
+    start: Option<Restored>,
+}
+
+impl Walk {
+    fn new(start: Restored) -> Self {
+        Self {
+            cur: start,
+            start: None,
+        }
+    }
+
+    /// Step to `next`; returns the field buffer of the level left
+    /// behind, unless that was the start.
+    fn advance(&mut self, next: Restored) -> Option<Vec<f64>> {
+        let left = std::mem::replace(&mut self.cur, next);
+        match self.start {
+            None => {
+                self.start = Some(left);
+                None
+            }
+            Some(_) => Some(left.data),
+        }
+    }
+}
+
+/// Cached level geometry: `(var, level) -> entry`. Entries are created
+/// empty and never removed; their halves fill on demand.
+type MetaCache = Mutex<HashMap<(String, u32), Arc<LevelGeometry>>>;
 
 /// Reader over one Canopus BP file.
 ///
@@ -186,20 +249,25 @@ type MetaCache = Mutex<HashMap<(String, u32), Arc<LevelMeta>>>;
 ///
 /// ## Lock order
 ///
-/// The read path holds at most one lock at a time, acquired in this
-/// order and released before the next is taken:
+/// The read path acquires its locks in this order, and holds none of
+/// the map-like ones across I/O:
 ///
-/// 1. `meta_cache` — probe/fill of level geometry (dropped before any
-///    tier I/O to fill it);
-/// 2. `LevelCache::inner` — one [`Probe`]/insert per read (a leaf lock:
+/// 1. `meta_cache` — lookup/insert of a level's (possibly still empty)
+///    geometry entry; released before anything is fetched;
+/// 2. one entry's fill lock ([`LevelGeometry::filling`]) — held by the
+///    reader that fetches a missing half of *that* level, across the
+///    tier read and the parse, so that concurrent misses on one level
+///    wait for a single fetch instead of each repeating it. Never two
+///    entries' at once, and nothing above it is taken while it is held;
+/// 3. `LevelCache::inner` — one [`Probe`]/insert per read (a leaf lock:
 ///    never held across I/O, decode or registry calls);
-/// 3. registry instrument maps inside [`Registry`] — leaf locks of the
+/// 4. registry instrument maps inside [`Registry`] — leaf locks of the
 ///    obs layer; hot-path hit/miss counters don't even reach them, they
 ///    bump pre-resolved atomic handles (`cache_hits` / `cache_misses`).
 ///
 /// Storage locks (`Device`'s `RwLock`, per-tier stats) sit strictly
-/// below all of these: the reader never calls into a tier while holding
-/// any reader-level lock.
+/// below all of these: of the reader-level locks only a fill lock is
+/// ever held while calling into a tier.
 pub struct CanopusReader {
     file: BpFile,
     estimator: Estimator,
@@ -393,7 +461,7 @@ impl CanopusReader {
         &self,
         var: &str,
         level: u32,
-        mesh: &Arc<TriMesh>,
+        geometry: &Arc<LevelGeometry>,
         data: &[f64],
         delta_rms: f64,
     ) {
@@ -404,30 +472,52 @@ impl CanopusReader {
             var,
             level,
             CachedLevel {
-                mesh: Arc::clone(mesh),
+                geometry: Arc::clone(geometry),
                 data: Arc::new(data.to_vec()),
                 delta_rms,
             },
         );
     }
 
-    /// Deep-copy a cached level into a caller-owned outcome. Timing is
-    /// zero: a cache hit performs no I/O, decompression or restoration.
-    fn materialize(level: u32, hit: &CachedLevel) -> ReadOutcome {
-        ReadOutcome {
-            mesh: (*hit.mesh).clone(),
-            data: (*hit.data).clone(),
+    /// Hand a restored level to the caller. This is where a mesh is
+    /// assembled — the one copy of a level's geometry — and so where the
+    /// level's coordinates are fetched, once, if no step that led here
+    /// consumed them (a walk passed through the level, or stopped at it
+    /// short of its target).
+    fn outcome(
+        &self,
+        var: &str,
+        restored: Restored,
+        parent: SpanContext,
+    ) -> Result<ReadOutcome, CanopusError> {
+        let Restored {
+            level,
+            geometry,
+            data,
+            mut timing,
+        } = restored;
+        if !geometry.holds(Need::Whole) {
+            timing.io_secs += self.geometry(var, level, Need::Whole, parent)?.1;
+        }
+        let mesh = geometry.mesh().ok_or_else(|| {
+            CanopusError::Invalid(format!("geometry of level {level} of {var} is incomplete"))
+        })?;
+        Ok(ReadOutcome {
+            mesh,
+            data,
             level,
             achieved_level: level,
             degraded: false,
-            timing: PhaseTiming::default(),
+            timing,
             level_exact: true,
-        }
+        })
     }
 
-    /// Read one block's payload with I/O accounting: records the
-    /// simulated transfer time under [`names::READ_IO`] and the byte
-    /// volume under [`names::READ_BYTES_IO`].
+    /// Fetch one block — all of it, or the `range` of it one index
+    /// entry describes — with I/O accounting: records the simulated
+    /// transfer time under [`names::READ_IO`] and the byte volume under
+    /// [`names::READ_BYTES_IO`]. Either way the bytes are verified
+    /// against the checksum the manifest holds for exactly them.
     ///
     /// Fault-class failures — transient tier errors, down tiers, and
     /// manifest checksum mismatches — are retried up to the configured
@@ -439,33 +529,49 @@ impl CanopusReader {
     /// block — fails immediately. I/O accounting only records the
     /// successful attempt.
     ///
-    /// When tracing is armed the fetch runs inside a `read.block` span
-    /// under `parent`, with one `read.fault` event per observed fault
+    /// When tracing is armed, one `read.fault` event per observed fault
     /// and one `read.retry` event (attempt number, backoff slept) per
-    /// retry nested beneath it. Backoffs also land in the
-    /// [`names::READ_RETRY_BACKOFF_HIST`] histogram either way.
-    fn read_block_observed(
+    /// retry nest under `ctx`, the caller's span of the fetch. Backoffs
+    /// also land in the [`names::READ_RETRY_BACKOFF_HIST`] histogram
+    /// either way. Returns the payload, its simulated I/O seconds and
+    /// the wall seconds of the attempt that succeeded.
+    fn fetch_with_retry(
         &self,
         block: &BlockMeta,
-        parent: SpanContext,
-    ) -> Result<(Bytes, usize, canopus_storage::SimDuration), CanopusError> {
-        let span = stage_child!(self.obs, parent, "read.block", key = block.key.as_str());
-        let ctx = span.context();
+        range: Option<&ChunkEntry>,
+        ctx: SpanContext,
+    ) -> Result<(Bytes, f64, f64), CanopusError> {
         let max_attempts = self.retry.max_attempts.max(1);
         let mut attempt = 0u32;
+        let event = |name: &str, attempt: u32, what: (&str, FieldValue)| {
+            if !self.obs.sink_enabled() {
+                return;
+            }
+            let mut fields = vec![
+                ("key".to_string(), FieldValue::from(block.key.as_str())),
+                ("attempt".to_string(), FieldValue::from(attempt)),
+                (what.0.to_string(), what.1),
+            ];
+            if let Some(entry) = range {
+                fields.push(("chunk".to_string(), FieldValue::from(entry.chunk)));
+            }
+            self.obs.event_child(name, ctx, fields);
+        };
         loop {
             attempt += 1;
             let t = Instant::now();
-            match self.file.read_block(block) {
-                Ok((bytes, tier, dt)) => {
-                    self.obs
-                        .timer(names::READ_IO)
-                        .record(t.elapsed().as_secs_f64(), dt.seconds());
+            let fetched = match range {
+                None => self.file.read_block(block),
+                Some(entry) => self.file.read_block_range(block, entry),
+            };
+            match fetched {
+                Ok((bytes, _, dt)) => {
+                    let wall = t.elapsed().as_secs_f64();
+                    self.obs.timer(names::READ_IO).record(wall, dt.seconds());
                     self.obs
                         .counter(names::READ_BYTES_IO)
                         .add(bytes.len() as u64);
-                    self.obs.counter(names::READ_BLOCKS).inc();
-                    return Ok((bytes, tier, dt));
+                    return Ok((bytes, dt.seconds(), wall));
                 }
                 Err(e) => {
                     let e = CanopusError::from(e);
@@ -476,17 +582,11 @@ impl CanopusReader {
                     if e.is_checksum_mismatch() {
                         self.obs.counter(names::READ_CHECKSUM_FAILURES).inc();
                     }
-                    if self.obs.sink_enabled() {
-                        self.obs.event_child(
-                            "read.fault",
-                            ctx,
-                            vec![
-                                ("key".to_string(), FieldValue::from(block.key.as_str())),
-                                ("attempt".to_string(), FieldValue::from(attempt)),
-                                ("cause".to_string(), FieldValue::from(e.to_string())),
-                            ],
-                        );
-                    }
+                    event(
+                        "read.fault",
+                        attempt,
+                        ("cause", FieldValue::from(e.to_string())),
+                    );
                     if attempt >= max_attempts {
                         return Err(e);
                     }
@@ -495,23 +595,139 @@ impl CanopusReader {
                     self.obs
                         .histogram(names::READ_RETRY_BACKOFF_HIST)
                         .observe_secs(backoff);
-                    if self.obs.sink_enabled() {
-                        self.obs.event_child(
-                            "read.retry",
-                            ctx,
-                            vec![
-                                ("key".to_string(), FieldValue::from(block.key.as_str())),
-                                ("attempt".to_string(), FieldValue::from(attempt)),
-                                ("backoff_s".to_string(), FieldValue::from(backoff)),
-                            ],
-                        );
-                    }
+                    event(
+                        "read.retry",
+                        attempt,
+                        ("backoff_s", FieldValue::from(backoff)),
+                    );
                     if backoff > 0.0 {
                         std::thread::sleep(std::time::Duration::from_secs_f64(backoff));
                     }
                 }
             }
         }
+    }
+
+    /// Read one block's payload whole ([`Self::fetch_with_retry`]),
+    /// inside a `read.block` span under `parent` when tracing is armed.
+    /// Returns the payload and its simulated I/O seconds.
+    fn read_block_observed(
+        &self,
+        block: &BlockMeta,
+        parent: SpanContext,
+    ) -> Result<(Bytes, f64), CanopusError> {
+        let span = stage_child!(self.obs, parent, "read.block", key = block.key.as_str());
+        let (bytes, io, _) = self.fetch_with_retry(block, None, span.context())?;
+        self.obs.counter(names::READ_BLOCKS).inc();
+        Ok((bytes, io))
+    }
+
+    /// Ranged fetch of one spatial chunk out of a shard block — only
+    /// `entry.len` bytes move off the tier — inside a `read.chunk` span.
+    /// Each successful fetch feeds [`names::READ_CHUNK_FETCH_HIST`].
+    fn read_chunk_observed(
+        &self,
+        block: &BlockMeta,
+        entry: &ChunkEntry,
+        parent: SpanContext,
+    ) -> Result<(Bytes, f64), CanopusError> {
+        let span = stage_child!(self.obs, parent, "read.chunk", key = block.key.as_str());
+        let (bytes, io, wall) = self.fetch_with_retry(block, Some(entry), span.context())?;
+        self.obs
+            .histogram(names::READ_CHUNK_FETCH_HIST)
+            .observe_secs(wall);
+        Ok((bytes, io))
+    }
+
+    /// Fetch a geometry block — whole, or the one `section` of it that
+    /// is missing — as a `read.block` span that names the section.
+    /// Counts what moved under [`names::READ_GEOMETRY_BYTES`], and the
+    /// coordinates among it under [`names::READ_COORDINATE_BYTES`].
+    fn read_geometry_observed(
+        &self,
+        block: &BlockMeta,
+        section: Option<GeometrySection>,
+        parent: SpanContext,
+    ) -> Result<(Bytes, f64), CanopusError> {
+        let entry = section.map(|s| section_of(block, s)).transpose()?;
+        let key = block.key.as_str();
+        let span = match section {
+            None => stage_child!(self.obs, parent, "read.block", key = key),
+            Some(s) => stage_child!(
+                self.obs,
+                parent,
+                "read.block",
+                key = key,
+                section = s.name()
+            ),
+        };
+        let (bytes, io, _) = self.fetch_with_retry(block, entry, span.context())?;
+        self.obs.counter(names::READ_BLOCKS).inc();
+        self.obs
+            .counter(names::READ_GEOMETRY_BYTES)
+            .add(bytes.len() as u64);
+        let coordinates = match section {
+            None => section_of(block, GeometrySection::Coordinates)?.len,
+            Some(GeometrySection::Coordinates) => bytes.len() as u64,
+            Some(GeometrySection::Topology) => 0,
+        };
+        self.obs
+            .counter(names::READ_COORDINATE_BYTES)
+            .add(coordinates);
+        Ok((bytes, io))
+    }
+
+    /// The geometry entry of `level`, holding at least what `need` asks
+    /// for: from the cache or — fetched, verified and parsed — from the
+    /// level's metadata block. Only what is missing moves: the whole
+    /// object in one read when nothing is loaded, else the one missing
+    /// section as a ranged read. Concurrent callers that miss on the
+    /// same level wait for the one fetch. Returns the simulated I/O
+    /// seconds alongside (zero on a hit).
+    fn geometry(
+        &self,
+        var: &str,
+        level: u32,
+        need: Need,
+        parent: SpanContext,
+    ) -> Result<(Arc<LevelGeometry>, f64), CanopusError> {
+        let block = self
+            .file
+            .inq_var(var)?
+            .metadata_for(level)
+            .ok_or_else(|| CanopusError::Invalid(format!("no metadata for level {level}")))?;
+        let entry = {
+            let mut cache = self.meta_cache.lock();
+            let key = (var.to_string(), level);
+            match cache.get(&key) {
+                Some(entry) => Arc::clone(entry),
+                None => {
+                    let fresh = Arc::new(LevelGeometry::of(block)?);
+                    cache.insert(key, Arc::clone(&fresh));
+                    fresh
+                }
+            }
+        };
+        if entry.holds(need) {
+            return Ok((entry, 0.0));
+        }
+        let io = {
+            let _filling = entry.filling();
+            let section = match (
+                need == Need::Whole && entry.points().is_none(),
+                entry.topology().is_none(),
+            ) {
+                // Filled while this thread waited for the lock.
+                (false, false) => return Ok((Arc::clone(&entry), 0.0)),
+                (true, true) => None,
+                (true, false) => Some(GeometrySection::Coordinates),
+                (false, true) => Some(GeometrySection::Topology),
+            };
+            let (bytes, io) = self.read_geometry_observed(block, section, parent)?;
+            entry.absorb(block, section, &bytes)?;
+            io
+        };
+        Ok((entry, io))
     }
 
     /// The shared observability registry (anchored on the hierarchy).
@@ -523,7 +739,7 @@ impl CanopusReader {
     /// (one-time campaign cost; subsequent reads skip geometry I/O).
     pub fn warm_metadata(&self, var: &str) -> Result<(), CanopusError> {
         for level in 0..self.num_levels() {
-            self.read_level_meta(var, level, SpanContext::none())?;
+            self.geometry(var, level, Need::Whole, SpanContext::none())?;
         }
         Ok(())
     }
@@ -692,121 +908,32 @@ impl CanopusReader {
         Ok(())
     }
 
-    /// Ranged fetch of one spatial chunk out of a shard block, with the
-    /// same I/O accounting and retry budget as
-    /// [`Self::read_block_observed`] — only `entry.len` bytes move off
-    /// the tier. Each successful fetch feeds
-    /// [`names::READ_CHUNK_FETCH_HIST`]. Returns the chunk payload and
-    /// its simulated I/O seconds.
-    fn read_chunk_observed(
-        &self,
-        block: &BlockMeta,
-        entry: &ChunkEntry,
-        parent: SpanContext,
-    ) -> Result<(Bytes, f64), CanopusError> {
-        let span = stage_child!(self.obs, parent, "read.chunk", key = block.key.as_str());
-        let ctx = span.context();
-        let max_attempts = self.retry.max_attempts.max(1);
-        let mut attempt = 0u32;
-        loop {
-            attempt += 1;
-            let t = Instant::now();
-            match self.file.read_block_range(block, entry) {
-                Ok((bytes, _, dt)) => {
-                    let wall = t.elapsed().as_secs_f64();
-                    self.obs.timer(names::READ_IO).record(wall, dt.seconds());
-                    self.obs
-                        .histogram(names::READ_CHUNK_FETCH_HIST)
-                        .observe_secs(wall);
-                    self.obs
-                        .counter(names::READ_BYTES_IO)
-                        .add(bytes.len() as u64);
-                    return Ok((bytes, dt.seconds()));
-                }
-                Err(e) => {
-                    let e = CanopusError::from(e);
-                    if !e.is_availability_fault() {
-                        return Err(e);
-                    }
-                    self.obs.counter(names::READ_FAULTS_INJECTED).inc();
-                    if e.is_checksum_mismatch() {
-                        self.obs.counter(names::READ_CHECKSUM_FAILURES).inc();
-                    }
-                    if self.obs.sink_enabled() {
-                        self.obs.event_child(
-                            "read.fault",
-                            ctx,
-                            vec![
-                                ("key".to_string(), FieldValue::from(block.key.as_str())),
-                                ("chunk".to_string(), FieldValue::from(entry.chunk)),
-                                ("attempt".to_string(), FieldValue::from(attempt)),
-                                ("cause".to_string(), FieldValue::from(e.to_string())),
-                            ],
-                        );
-                    }
-                    if attempt >= max_attempts {
-                        return Err(e);
-                    }
-                    self.obs.counter(names::READ_RETRIES).inc();
-                    let backoff = self.retry.backoff_s(&block.key, attempt);
-                    self.obs
-                        .histogram(names::READ_RETRY_BACKOFF_HIST)
-                        .observe_secs(backoff);
-                    if backoff > 0.0 {
-                        std::thread::sleep(std::time::Duration::from_secs_f64(backoff));
-                    }
-                }
-            }
-        }
-    }
-
-    /// The geometry of `level`: its mesh and (for non-base levels) the
-    /// mapping to the coarser level, from the cache or — fetched,
-    /// verified and parsed — from its metadata block. Returns the
-    /// simulated I/O seconds alongside.
-    fn read_level_meta(
-        &self,
-        var: &str,
-        level: u32,
-        parent: SpanContext,
-    ) -> Result<(Arc<LevelMeta>, f64), CanopusError> {
-        let key = (var.to_string(), level);
-        if let Some(meta) = self.meta_cache.lock().get(&key) {
-            return Ok((Arc::clone(meta), 0.0));
-        }
-        let v = self.file.inq_var(var)?;
-        let block = v
-            .metadata_for(level)
-            .ok_or_else(|| CanopusError::Invalid(format!("no metadata for level {level}")))?;
-        let (bytes, _, dt) = self.read_block_observed(block, parent)?;
-        self.obs
-            .counter(names::READ_GEOMETRY_BYTES)
-            .add(bytes.len() as u64);
-        let meta = Arc::new(LevelMeta::parse(&bytes, block.raw_bytes)?);
-        self.meta_cache.lock().insert(key, Arc::clone(&meta));
-        Ok((meta, dt.seconds()))
-    }
-
     /// Read the base level: the paper's option (1), the fastest path.
     /// Served from the decoded-level cache when present.
     pub fn read_base(&self, var: &str) -> Result<ReadOutcome, CanopusError> {
         let base_level = self.num_levels() - 1;
         let root = stage!(self.obs, "read", var = var, level = base_level);
-        if let Some(hit) = self.cache_lookup(var, base_level) {
-            return Ok(Self::materialize(base_level, &hit));
-        }
-        self.read_base_uncached(var, root.context())
+        let base = self.base_restored(var, root.context())?;
+        self.outcome(var, base, root.context())
     }
 
-    /// `read_base` without the cache probe, for callers that already
-    /// accounted a lookup (the missed tail of `read_level`). Still
-    /// stores the decoded base for future reads. Block fetches and
-    /// decodes attach under `parent` (the caller's root `read` span).
-    fn read_base_uncached(
-        &self,
-        var: &str,
-        parent: SpanContext,
-    ) -> Result<ReadOutcome, CanopusError> {
+    /// The base level from the decoded-level cache (one accounted
+    /// probe) or, on a miss, from its blocks.
+    fn base_restored(&self, var: &str, parent: SpanContext) -> Result<Restored, CanopusError> {
+        let base_level = self.num_levels() - 1;
+        match self.cache_lookup(var, base_level) {
+            Some(hit) => Ok(Restored::from_cached(base_level, &hit)),
+            None => self.restore_base(var, parent),
+        }
+    }
+
+    /// Fetch and decode the base level without a cache probe, for
+    /// callers that already accounted one (the missed tail of
+    /// `read_level`). Still stores the decoded base for future reads.
+    /// The base's geometry object is read whole: every read hands the
+    /// base out or starts a walk from it. Block fetches and decodes
+    /// attach under `parent` (the caller's root `read` span).
+    fn restore_base(&self, var: &str, parent: SpanContext) -> Result<Restored, CanopusError> {
         let base_level = self.num_levels() - 1;
         let wall = Instant::now();
         let mut timing = PhaseTiming::default();
@@ -824,86 +951,176 @@ impl CanopusReader {
         let cold = !self
             .meta_cache
             .lock()
-            .contains_key(&(var.to_string(), base_level));
+            .get(&(var.to_string(), base_level))
+            .is_some_and(|entry| entry.holds(Need::Whole));
+        let load = move || self.geometry(var, base_level, Need::Whole, parent);
         let (field, geometry) = std::thread::scope(|s| {
-            let loader =
-                cold.then(|| s.spawn(move || self.read_level_meta(var, base_level, parent)));
+            let loader = cold.then(|| s.spawn(load));
             let field = self
                 .read_block_observed(&block, parent)
-                .and_then(|(bytes, _, io)| {
+                .and_then(|(bytes, io)| {
                     let t = Instant::now();
                     let data = self.decode_block_values(&block, &bytes, parent)?;
-                    Ok((data, io.seconds(), t.elapsed().as_secs_f64()))
+                    Ok((data, io, t.elapsed().as_secs_f64()))
                 });
             let geometry = match loader {
                 Some(loader) => loader
                     .join()
                     .unwrap_or_else(|panic| std::panic::resume_unwind(panic)),
-                None => self.read_level_meta(var, base_level, parent),
+                None => load(),
             };
             (field, geometry)
         });
         let (data, io, decompress) = field?;
-        let (meta, meta_io) = geometry?;
+        let (geometry, meta_io) = geometry?;
         timing.io_secs += io + meta_io;
         timing.decompress_secs += decompress;
         timing.elapsed_secs = wall.elapsed().as_secs_f64();
 
-        self.cache_store(var, base_level, &meta.mesh, &data, 0.0);
-        Ok(ReadOutcome {
-            mesh: TriMesh::clone(&meta.mesh),
-            data,
+        self.cache_store(var, base_level, &geometry, &data, 0.0);
+        Ok(Restored {
             level: base_level,
-            achieved_level: base_level,
-            degraded: false,
+            geometry,
+            data,
             timing,
-            level_exact: true,
         })
+    }
+
+    /// The shard objects of the delta refining into `finer`, in shard
+    /// order, and the number of chunks the level is stored in.
+    fn delta_shards(
+        &self,
+        var: &str,
+        finer: u32,
+    ) -> Result<(Vec<&BlockMeta>, usize), CanopusError> {
+        let shards = self.file.inq_var(var)?.delta_shards_to(finer);
+        let chunks: usize = shards.iter().map(|b| b.chunks.len()).sum();
+        if chunks == 0 {
+            return Err(CanopusError::Invalid(format!(
+                "no delta to level {finer} of {var}"
+            )));
+        }
+        Ok((shards, chunks))
+    }
+
+    /// What restoring a level stored in `chunks` chunks consumes of its
+    /// geometry: the topology always, the coordinates only if the level
+    /// is `handed_out` as a mesh, if the chunk → vertex assignment has
+    /// to be recomputed from them, or if the estimator weighs by them.
+    fn geometry_need(&self, chunks: usize, handed_out: bool) -> Need {
+        if handed_out || chunks > 1 || self.estimator.reads_coordinates() {
+            Need::Whole
+        } else {
+            Need::Topology
+        }
+    }
+
+    /// The chunk → vertex-id table of a level stored in `chunks` chunks
+    /// ([`spatial_chunks`]; `None` is the identity assignment), from the
+    /// coordinates [`Self::geometry_need`] had loaded for it.
+    fn assignment(geometry: &LevelGeometry, chunks: usize) -> Option<Vec<Vec<u32>>> {
+        if chunks <= 1 {
+            return None;
+        }
+        let points = geometry
+            .points()
+            .expect("a level in several chunks is loaded whole");
+        spatial_chunks(points, chunks as u32)
     }
 
     /// Read and decode the full delta refining into `finer`: every shard
     /// object is fetched whole (one object read each), decoded chunk by
     /// chunk, and its values put in vertex order through the same
-    /// deterministic assignment the writer used (`fine_mesh` provides
-    /// the geometry) — which for a one-chunk level is the identity, so
-    /// the decoded buffer is the delta.
+    /// deterministic assignment the writer used — which for a one-chunk
+    /// level is the identity, so the decoded buffer is the delta.
     fn read_delta_values(
         &self,
-        var: &str,
-        finer: u32,
-        fine_mesh: &TriMesh,
+        shards: &[&BlockMeta],
+        assignment: Option<&[Vec<u32>]>,
+        vertices: usize,
         parent: SpanContext,
     ) -> Result<(Vec<f64>, PhaseTiming), CanopusError> {
         let mut timing = PhaseTiming::default();
-        let shards = self.file.inq_var(var)?.delta_shards_to(finer);
-        let total_chunks: usize = shards.iter().map(|b| b.chunks.len()).sum();
-        if total_chunks == 0 {
-            return Err(CanopusError::Invalid(format!(
-                "no delta to level {finer} of {var}"
-            )));
-        }
-        let n = fine_mesh.num_vertices();
-        let assignment = spatial_chunks(fine_mesh, total_chunks as u32);
         let mut delta = match assignment {
             // The one chunk's decoded buffer is adopted whole.
             None => Vec::new(),
-            Some(_) => vec![0.0; n],
+            Some(_) => vec![0.0; vertices],
         };
         for block in shards {
-            let (bytes, _, io) = self.read_block_observed(block, parent)?;
-            timing.io_secs += io.seconds();
+            let (bytes, io) = self.read_block_observed(block, parent)?;
+            timing.io_secs += io;
             let t = Instant::now();
             let values = self.decode_block_values(block, &bytes, parent)?;
             timing.decompress_secs += t.elapsed().as_secs_f64();
-            place_shard_values(block, values, assignment.as_deref(), &mut delta)?;
+            place_shard_values(block, values, assignment, &mut delta)?;
         }
+        Ok((delta, timing))
+    }
+
+    /// Turn the decoded `delta` into level `finer` itself, where it lies
+    /// (paper Alg. 3): one pass adds each vertex's estimate from
+    /// `coarse` and sums the squared deltas. Everything the kernel
+    /// indexes by came out of stored bytes, so it is checked first.
+    /// Returns the level's data, the delta's RMS (the paper's
+    /// adjacent-level termination criterion; 0 for an empty delta) and
+    /// the wall seconds of the pass.
+    fn apply_delta(
+        &self,
+        var: &str,
+        finer: u32,
+        geometry: &LevelGeometry,
+        mut delta: Vec<f64>,
+        coarse: &Coarse<'_>,
+    ) -> Result<(Vec<f64>, f64, f64), CanopusError> {
+        let invalid =
+            |why: String| CanopusError::Invalid(format!("restoring level {finer} of {var}: {why}"));
+        let n = geometry.num_vertices();
+        let topology = geometry
+            .topology()
+            .ok_or_else(|| invalid("topology not loaded".into()))?;
         if delta.len() != n {
-            return Err(CanopusError::Invalid(format!(
-                "delta to level {finer} of {var} decoded {} values for {n} vertices",
+            return Err(invalid(format!(
+                "delta decoded {} values for {n} vertices",
                 delta.len()
             )));
         }
-        Ok((delta, timing))
+        if topology.mapping.len() != n || topology.mapping_end > coarse.triangles.len() {
+            return Err(invalid(format!(
+                "mapping of {} entries below {} for {n} vertices over {} triangles",
+                topology.mapping.len(),
+                topology.mapping_end,
+                coarse.triangles.len()
+            )));
+        }
+        if coarse.data.len() != coarse.vertices {
+            return Err(invalid(format!(
+                "level {} holds {} values for {} vertices",
+                coarse.level,
+                coarse.data.len(),
+                coarse.vertices
+            )));
+        }
+        let fine_points = geometry.points().unwrap_or(&[]);
+        if self.estimator.reads_coordinates()
+            && (fine_points.len() != n || coarse.points.len() != coarse.vertices)
+        {
+            return Err(invalid("coordinates not loaded".into()));
+        }
+        let t = Instant::now();
+        let squares = restore_in_place(
+            &mut delta,
+            coarse.triangles,
+            coarse.data,
+            &topology.mapping,
+            self.estimator.weights(fine_points, coarse.points),
+        );
+        let secs = t.elapsed().as_secs_f64();
+        let rms = if n == 0 {
+            0.0
+        } else {
+            (squares / n as f64).sqrt()
+        };
+        Ok((delta, rms, secs))
     }
 
     /// Refine an already-restored level by one step: read + decompress
@@ -922,72 +1139,79 @@ impl CanopusReader {
     }
 
     /// [`Self::refine_once`] with the block fetch / decode spans of the
-    /// step attached under `parent` — the serial restore walk and the
-    /// progressive reader pass their enclosing span so serial trees stay
-    /// connected like pipelined ones.
+    /// step attached under `parent` — the progressive reader passes its
+    /// enclosing span so its trees stay connected like a walk's.
     pub(crate) fn refine_once_ctx(
         &self,
         var: &str,
         current: &ReadOutcome,
         parent: SpanContext,
     ) -> Result<(ReadOutcome, f64), CanopusError> {
-        if current.level == 0 {
+        let coarse = Coarse::of_outcome(current);
+        let (finer, rms) = self.refine_step(var, &coarse, current.level_exact, true, parent)?;
+        let mut outcome = self.outcome(var, finer, parent)?;
+        outcome.level_exact = current.level_exact;
+        Ok((outcome, rms))
+    }
+
+    /// One refinement step below `coarse`: fetch and decode the delta,
+    /// load what the step consumes of the finer level's geometry — its
+    /// coordinates too when the level is `handed_out` — and restore.
+    ///
+    /// The cache holds canonical level-exact fields only. Refining a
+    /// mixed-accuracy field (from a partial region pass, `exact` unset)
+    /// must neither answer from the cache — the hit would silently
+    /// replace the caller's field with the canonical one — nor store its
+    /// contaminated result as the canonical level.
+    fn refine_step(
+        &self,
+        var: &str,
+        coarse: &Coarse<'_>,
+        exact: bool,
+        handed_out: bool,
+        parent: SpanContext,
+    ) -> Result<(Restored, f64), CanopusError> {
+        if coarse.level == 0 {
             return Err(CanopusError::Invalid(
                 "already at full accuracy".to_string(),
             ));
         }
-        let finer = current.level - 1;
-        // The cache holds canonical level-exact fields only. Refining a
-        // mixed-accuracy `current` (from a partial region pass) must
-        // neither answer from the cache — the hit would silently replace
-        // the caller's field with the canonical one — nor store its
-        // contaminated result as the canonical level.
-        if current.level_exact {
+        let finer = coarse.level - 1;
+        if exact {
             if let Some(hit) = self.cache_lookup(var, finer) {
-                let rms = hit.delta_rms;
-                return Ok((Self::materialize(finer, &hit), rms));
+                return Ok((Restored::from_cached(finer, &hit), hit.delta_rms));
             }
         }
         let wall = Instant::now();
 
-        let (meta, meta_io) = self.read_level_meta(var, finer, parent)?;
-        let fine_mesh = &meta.mesh;
-        let (delta, mut timing) = self.read_delta_values(var, finer, fine_mesh, parent)?;
+        let (shards, chunks) = self.delta_shards(var, finer)?;
+        let need = self.geometry_need(chunks, handed_out);
+        let (geometry, meta_io) = self.geometry(var, finer, need, parent)?;
+        let assignment = Self::assignment(&geometry, chunks);
+        let (delta, mut timing) = self.read_delta_values(
+            &shards,
+            assignment.as_deref(),
+            geometry.num_vertices(),
+            parent,
+        )?;
         timing.io_secs += meta_io;
 
-        let t = Instant::now();
-        let data = restore_level(
-            fine_mesh,
-            &delta,
-            &current.mesh,
-            &current.data,
-            &meta.mapping,
-            self.estimator,
-        );
-        timing.restore_secs += t.elapsed().as_secs_f64();
-        self.obs
-            .timer(names::READ_RESTORE)
-            .record_wall(timing.restore_secs);
+        let (data, delta_rms, restore) = self.apply_delta(var, finer, &geometry, delta, coarse)?;
+        timing.restore_secs += restore;
+        self.obs.timer(names::READ_RESTORE).record_wall(restore);
         self.obs.counter(names::READ_REFINEMENTS).inc();
-
-        let delta_rms = rms(&delta);
         timing.elapsed_secs = wall.elapsed().as_secs_f64();
 
-        if current.level_exact {
-            self.cache_store(var, finer, fine_mesh, &data, delta_rms);
+        if exact {
+            self.cache_store(var, finer, &geometry, &data, delta_rms);
         }
-        Ok((
-            ReadOutcome {
-                mesh: TriMesh::clone(fine_mesh),
-                data,
-                level: finer,
-                achieved_level: finer,
-                degraded: false,
-                timing,
-                level_exact: current.level_exact,
-            },
-            delta_rms,
-        ))
+        let restored = Restored {
+            level: finer,
+            geometry,
+            data,
+            timing,
+        };
+        Ok((restored, delta_rms))
     }
 
     /// Focused data retrieval (paper §III-E / §IV-D): refine one level,
@@ -1028,18 +1252,12 @@ impl CanopusReader {
         let wall = Instant::now();
         let mut timing = PhaseTiming::default();
 
-        let (meta, meta_io) = self.read_level_meta(var, finer, ctx)?;
+        // The refined mesh is handed out, so the level is loaded whole.
+        let (geometry, meta_io) = self.geometry(var, finer, Need::Whole, ctx)?;
         timing.io_secs += meta_io;
-        let fine_mesh: &TriMesh = &meta.mesh;
-        let n = fine_mesh.num_vertices();
+        let n = geometry.num_vertices();
 
-        let shards = self.file.inq_var(var)?.delta_shards_to(finer);
-        let total: usize = shards.iter().map(|b| b.chunks.len()).sum();
-        if total == 0 {
-            return Err(CanopusError::Invalid(format!(
-                "no delta to level {finer} of {var}"
-            )));
-        }
+        let (shards, total) = self.delta_shards(var, finer)?;
         let mut stats = RegionStats {
             chunks_total: total,
             ..RegionStats::default()
@@ -1048,7 +1266,7 @@ impl CanopusReader {
         // one chunk is the whole level's delta, so it stays out of the
         // decoded-chunk cache: that shares the level cache's entry and
         // byte budget, and a level-sized chunk would evict levels.
-        let assignment = spatial_chunks(fine_mesh, total as u32);
+        let assignment = Self::assignment(&geometry, total);
 
         // Plan purely from the manifest's chunk index — no geometry
         // pass, no whole-object reads. Only the chunks whose recorded
@@ -1164,19 +1382,10 @@ impl CanopusReader {
             .counter(names::READ_CHUNKS_SKIPPED)
             .add(stats.chunks_total as u64 - fetched);
 
-        let t = Instant::now();
-        let data = restore_level(
-            fine_mesh,
-            &delta,
-            &current.mesh,
-            &current.data,
-            &meta.mapping,
-            self.estimator,
-        );
-        timing.restore_secs += t.elapsed().as_secs_f64();
-        self.obs
-            .timer(names::READ_RESTORE)
-            .record_wall(timing.restore_secs);
+        let coarse = Coarse::of_outcome(current);
+        let (data, _, restore) = self.apply_delta(var, finer, &geometry, delta, &coarse)?;
+        timing.restore_secs += restore;
+        self.obs.timer(names::READ_RESTORE).record_wall(restore);
         self.obs.counter(names::READ_REGION_REFINEMENTS).inc();
         self.obs.event_child(
             "read.region",
@@ -1196,21 +1405,17 @@ impl CanopusReader {
         );
         timing.elapsed_secs = wall.elapsed().as_secs_f64();
 
-        Ok((
-            ReadOutcome {
-                mesh: fine_mesh.clone(),
-                data,
-                level: finer,
-                achieved_level: finer,
-                degraded: false,
-                timing,
-                // Exact only when every chunk was fetched (a region
-                // covering the mesh, or a one-chunk level) on top of an
-                // already-exact field.
-                level_exact: current.level_exact && stats.chunks_read == stats.chunks_total,
-            },
-            stats,
-        ))
+        let refined = Restored {
+            level: finer,
+            geometry,
+            data,
+            timing,
+        };
+        let mut outcome = self.outcome(var, refined, ctx)?;
+        // Exact only when every chunk was fetched (a region covering the
+        // mesh, or a one-chunk level) on top of an already-exact field.
+        outcome.level_exact = current.level_exact && stats.chunks_read == stats.chunks_total;
+        Ok((outcome, stats))
     }
 
     /// Restore straight to `target_level` (0 = full accuracy),
@@ -1244,22 +1449,24 @@ impl CanopusReader {
             match self.level_cache.probe(var, target_level, base_level) {
                 Probe::Exact(hit) => {
                     self.cache_hits.inc();
-                    return Ok(Self::materialize(target_level, &hit));
+                    // Its coordinates are fetched now if the walk that
+                    // cached the level only passed through it.
+                    return self.outcome(var, Restored::from_cached(target_level, &hit), ctx);
                 }
                 Probe::Coarser(level, hit) => {
                     self.cache_hits.inc();
-                    Self::materialize(level, &hit)
+                    Restored::from_cached(level, &hit)
                 }
                 Probe::Miss => {
                     self.cache_misses.inc();
-                    self.read_base_uncached(var, ctx)?
+                    self.restore_base(var, ctx)?
                 }
             }
         } else {
-            self.read_base_uncached(var, ctx)?
+            self.restore_base(var, ctx)?
         };
         if start.level == target_level {
-            return Ok(start);
+            return self.outcome(var, start, ctx);
         }
         if self.pipeline_depth == 0 {
             self.restore_walk_serial(var, start, target_level, ctx)
@@ -1284,11 +1491,12 @@ impl CanopusReader {
             )));
         }
         let root = stage!(self.obs, "read", var = var, level = target_level);
-        let start = self.read_base(var)?;
+        let ctx = root.context();
+        let start = self.base_restored(var, ctx)?;
         if start.level == target_level {
-            return Ok(start);
+            return self.outcome(var, start, ctx);
         }
-        self.restore_walk_serial(var, start, target_level, root.context())
+        self.restore_walk_serial(var, start, target_level, ctx)
     }
 
     /// Mark `outcome` as the degraded answer to a request for
@@ -1325,46 +1533,78 @@ impl CanopusReader {
         outcome
     }
 
+    /// Close a level walk: hand out the level it reached, marked
+    /// degraded if a fault stopped it short of `target_level`.
+    ///
+    /// A walk that stopped short stands on a level it only meant to
+    /// pass through, so that level's coordinates are fetched here. If
+    /// they cannot be had either, the walk falls back on the level it
+    /// started from — the base, read whole, or a cached level.
+    fn finish_walk(
+        &self,
+        var: &str,
+        walk: Walk,
+        target_level: u32,
+        mut fault: Option<CanopusError>,
+        ctx: SpanContext,
+    ) -> Result<ReadOutcome, CanopusError> {
+        let Walk { cur, start } = walk;
+        let timing = cur.timing;
+        let outcome = match (self.outcome(var, cur, ctx), start) {
+            (Ok(outcome), _) => outcome,
+            (Err(e), Some(mut start)) if e.is_availability_fault() => {
+                start.timing = timing;
+                fault.get_or_insert(e);
+                self.outcome(var, start, ctx)?
+            }
+            (Err(e), _) => return Err(e),
+        };
+        match fault {
+            Some(cause) if outcome.level > target_level => {
+                Ok(self.degrade(var, outcome, target_level, &cause, ctx))
+            }
+            _ => Ok(outcome),
+        }
+    }
+
     /// The serial reference engine: fetch → decode → restore each level
     /// in strict sequence. A level left unreachable by fault-class
-    /// failures (after [`Self::read_block_observed`]'s retries) degrades
+    /// failures (after [`Self::fetch_with_retry`]'s retries) degrades
     /// the walk: the finest restored level is returned with
     /// [`ReadOutcome::degraded`] set rather than an error.
     fn restore_walk_serial(
         &self,
         var: &str,
-        start: ReadOutcome,
+        start: Restored,
         target_level: u32,
         ctx: SpanContext,
     ) -> Result<ReadOutcome, CanopusError> {
-        let mut outcome = start;
-        while outcome.level > target_level {
+        let mut walk = Walk::new(start);
+        while walk.cur.level > target_level {
+            let finer = walk.cur.level - 1;
             // Same per-level "restore" child the pipelined walk emits, so
             // both engines produce one span-tree shape (the serial span
             // covers fetch + decode + apply, the pipelined one only the
             // apply — the fetch/decode time lives in sibling spans).
-            let span = stage_child!(
-                self.obs,
-                ctx,
-                "restore",
-                var = var,
-                level = outcome.level - 1
-            );
-            let refined = self.refine_once_ctx(var, &outcome, ctx);
+            let span = stage_child!(self.obs, ctx, "restore", var = var, level = finer);
+            let refined = walk.cur.as_coarse().and_then(|coarse| {
+                self.refine_step(var, &coarse, true, finer == target_level, ctx)
+            });
             drop(span);
             match refined {
-                Ok((next, _)) => {
-                    let timing = outcome.timing + next.timing;
-                    outcome = next;
-                    outcome.timing = timing;
+                Ok((mut next, _)) => {
+                    next.timing += walk.cur.timing;
+                    if let Some(retired) = walk.advance(next) {
+                        self.decode_pool.put(retired);
+                    }
                 }
                 Err(e) if e.is_availability_fault() => {
-                    return Ok(self.degrade(var, outcome, target_level, &e, ctx));
+                    return self.finish_walk(var, walk, target_level, Some(e), ctx);
                 }
                 Err(e) => return Err(e),
             }
         }
-        Ok(outcome)
+        self.finish_walk(var, walk, target_level, None, ctx)
     }
 
     /// The pipelined restore engine. Three stages run concurrently,
@@ -1377,11 +1617,14 @@ impl CanopusReader {
     /// 2. **Decode** — a worker pool decompresses payloads in parallel,
     ///    in whatever order they arrive;
     /// 3. **Restore** — the calling thread takes the levels coarse to
-    ///    fine: it loads a level's geometry (fetch, verify, parse — most
-    ///    of the bytes a cold walk moves) while the workers decode,
+    ///    fine: it loads what the level's restore consumes of its
+    ///    geometry (fetch, verify, parse — most of the bytes a cold walk
+    ///    moves; see [`Self::geometry_need`]) while the workers decode,
     ///    scatters that level's decoded blocks, and applies it the moment
     ///    its last block lands: level `l` restores while the geometry and
-    ///    the deltas of level `l - 1` are still in flight.
+    ///    the deltas of level `l - 1` are still in flight. The level is
+    ///    restored where its delta was decoded, and the buffer of the
+    ///    level before it goes back to the decode pool.
     ///
     /// The plan comes from the manifest alone, so stages 1 and 2 start
     /// before any geometry has moved. Phase sums in the returned
@@ -1393,12 +1636,12 @@ impl CanopusReader {
     /// Fault-class failures that outlast the per-block retry budget —
     /// on a delta, which stops the prefetcher, or on a level's geometry
     /// — end the walk at the finest level already applied, returned
-    /// with [`ReadOutcome::degraded`] set (see [`Self::degrade`])
+    /// with [`ReadOutcome::degraded`] set (see [`Self::finish_walk`])
     /// instead of an error.
     fn restore_walk_pipelined(
         &self,
         var: &str,
-        start: ReadOutcome,
+        start: Restored,
         target_level: u32,
         ctx: SpanContext,
     ) -> Result<ReadOutcome, CanopusError> {
@@ -1448,15 +1691,15 @@ impl CanopusReader {
         let jobs = &jobs;
         let depth_gauge = &depth_gauge;
 
-        type WalkResult = Result<(ReadOutcome, Option<CanopusError>), CanopusError>;
-        let outcome = std::thread::scope(|s| -> WalkResult {
+        type WalkResult = Result<(Walk, Option<CanopusError>), CanopusError>;
+        let walked = std::thread::scope(|s| -> WalkResult {
             // Stage 1: prefetch. Owns `fetch_tx`; dropping it on exit is
             // what lets the decode pool drain out and shut down.
             s.spawn(move || {
                 for (idx, job) in jobs.iter().enumerate() {
                     let fetched = self
                         .read_block_observed(&job.block, ctx)
-                        .map(|(bytes, _, io)| (idx, bytes, io.seconds(), Instant::now()));
+                        .map(|(bytes, io)| (idx, bytes, io, Instant::now()));
                     let stop = fetched.is_err();
                     depth_gauge.add(1);
                     peak_gauge.set_max(depth_gauge.get());
@@ -1518,14 +1761,14 @@ impl CanopusReader {
             // Stage 3: geometry, scatter and restore, one level at a
             // time on this thread. A fault-class failure ends the walk at
             // the finest level already applied.
-            let mut cur_mesh = Arc::new(start.mesh);
-            let mut cur_data = start.data;
-            let mut cur_level = start.level;
+            let mut walk = Walk::new(start);
             let mut fault: Option<CanopusError> = None;
             'walk: for level_idx in 0..levels.len() {
                 let finer = levels[level_idx].finer;
-                let (meta, meta_io) = match self.read_level_meta(var, finer, ctx) {
-                    Ok(meta) => meta,
+                let chunks = levels[level_idx].chunks;
+                let need = self.geometry_need(chunks, finer == target_level);
+                let (geometry, meta_io) = match self.geometry(var, finer, need, ctx) {
+                    Ok(loaded) => loaded,
                     Err(e) if e.is_availability_fault() => {
                         fault = Some(e);
                         break;
@@ -1533,11 +1776,11 @@ impl CanopusReader {
                     Err(e) => return Err(e),
                 };
                 timing.io_secs += meta_io;
-                let assignment = spatial_chunks(&meta.mesh, levels[level_idx].chunks as u32);
+                let assignment = Self::assignment(&geometry, chunks);
                 let mut delta = match assignment {
                     // A one-chunk level adopts its decoded buffer whole.
                     None => Vec::new(),
-                    Some(_) => vec![0.0; meta.mesh.num_vertices()],
+                    Some(_) => vec![0.0; geometry.num_vertices()],
                 };
                 for (idx, values) in std::mem::take(&mut levels[level_idx].early) {
                     self.scatter_block(&jobs[idx], values, assignment.as_deref(), &mut delta)?;
@@ -1565,69 +1808,41 @@ impl CanopusReader {
                         levels[owner].early.push((idx, values));
                     }
                 }
-                if delta.len() != meta.mesh.num_vertices() {
-                    return Err(CanopusError::Invalid(format!(
-                        "delta to level {finer} of {var} decoded {} values for {} vertices",
-                        delta.len(),
-                        meta.mesh.num_vertices()
-                    )));
-                }
 
                 let span = stage_child!(self.obs, ctx, "restore", var = var, level = finer);
-                let t = Instant::now();
-                let data = restore_level(
-                    &meta.mesh,
-                    &delta,
-                    &cur_mesh,
-                    &cur_data,
-                    &meta.mapping,
-                    self.estimator,
-                );
-                let restore = t.elapsed().as_secs_f64();
+                let coarse = walk.cur.as_coarse()?;
+                let (data, delta_rms, restore) =
+                    self.apply_delta(var, finer, &geometry, delta, &coarse)?;
                 drop(span);
                 timing.restore_secs += restore;
                 self.obs.timer(names::READ_RESTORE).record_wall(restore);
                 self.obs.counter(names::READ_REFINEMENTS).inc();
-                let delta_rms = rms(&delta);
-                self.decode_pool.put(delta);
-                cur_mesh = Arc::clone(&meta.mesh);
-                cur_data = data;
-                cur_level = finer;
-                self.cache_store(var, cur_level, &cur_mesh, &cur_data, delta_rms);
+                self.cache_store(var, finer, &geometry, &data, delta_rms);
+                let restored = Restored {
+                    level: finer,
+                    geometry,
+                    data,
+                    timing: PhaseTiming::default(),
+                };
+                if let Some(retired) = walk.advance(restored) {
+                    self.decode_pool.put(retired);
+                }
             }
-            if cur_level > target_level && fault.is_none() {
+            if walk.cur.level > target_level && fault.is_none() {
                 return Err(CanopusError::Invalid(
                     "restore pipeline terminated early".to_string(),
                 ));
             }
-            let reached = ReadOutcome {
-                // The start's own mesh comes back as it went in; a
-                // level's shared geometry is copied out, once.
-                mesh: Arc::try_unwrap(cur_mesh).unwrap_or_else(|shared| TriMesh::clone(&shared)),
-                data: cur_data,
-                level: cur_level,
-                achieved_level: cur_level,
-                degraded: false,
-                timing: PhaseTiming::default(),
-                // The walk starts from `read_level`'s cache hit or base
-                // read, both level-exact.
-                level_exact: true,
-            };
-            Ok((reached, fault))
+            Ok((walk, fault))
         });
 
-        let (mut outcome, fault) = outcome?;
+        let (mut walk, fault) = walked?;
         timing.elapsed_secs += wall.elapsed().as_secs_f64();
-        outcome.timing = timing;
+        walk.cur.timing = timing;
         let overlap = (timing.total() - timing.elapsed_secs).max(0.0);
         self.obs.timer(names::READ_OVERLAP).record_wall(overlap);
         self.obs.counter(names::READ_PIPELINED_RESTORES).inc();
-        match fault {
-            Some(cause) if outcome.level > target_level => {
-                Ok(self.degrade(var, outcome, target_level, &cause, ctx))
-            }
-            _ => Ok(outcome),
-        }
+        self.finish_walk(var, walk, target_level, fault, ctx)
     }
 
     /// Put one decoded shard of the level being restored where it
@@ -1704,15 +1919,6 @@ impl CanopusReader {
     ) -> Result<crate::progressive::ProgressiveReader<'_>, CanopusError> {
         crate::progressive::ProgressiveReader::start(self, var)
     }
-}
-
-/// Root mean square of an applied delta — the paper's adjacent-level
-/// termination criterion (0 for an empty delta).
-fn rms(values: &[f64]) -> f64 {
-    if values.is_empty() {
-        return 0.0;
-    }
-    (values.iter().map(|d| d * d).sum::<f64>() / values.len() as f64).sqrt()
 }
 
 /// Put one shard's decoded values — its chunks' values concatenated in
@@ -2010,69 +2216,57 @@ mod tests {
                     bits(&h.restore_to(level)),
                     "{engine} L{level}"
                 );
-                let (meta, _) = reader
-                    .read_level_meta("v", level, SpanContext::none())
+                let (geometry, _) = reader
+                    .geometry("v", level, Need::Whole, SpanContext::none())
                     .unwrap();
-                assert_eq!(*meta.mesh, h.levels[level as usize].mesh);
+                assert_eq!(geometry.mesh().unwrap(), h.levels[level as usize].mesh);
                 let mapping = h.mappings.get(level as usize).cloned().unwrap_or_default();
-                assert_eq!(meta.mapping, mapping, "{engine} L{level} mapping");
+                let stored = &geometry.topology().unwrap().mapping;
+                assert_eq!(stored, &mapping, "{engine} L{level} mapping");
             }
-        }
-    }
 
-    proptest::proptest! {
-        /// The geometry parsers read bytes that came off a tier: a
-        /// truncated or bit-flipped payload is an error or a well-formed
-        /// level no larger than the manifest's `raw_bytes` allows, never
-        /// a panic, a hang or an allocation beyond that.
-        #[test]
-        fn level_meta_parsers_survive_hostile_input(
-            nx in 1usize..6,
-            ny in 1usize..6,
-            flips in proptest::collection::vec((proptest::prelude::any::<u32>(), 0u8..8), 0..4),
-            cut in proptest::prelude::any::<u32>(),
-            truncate in proptest::prelude::any::<bool>(),
-            junk in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..96),
-        ) {
-            let mesh = rectangle_mesh(
-                nx,
-                ny,
-                Aabb::from_points([Point2::new(0.0, 0.0), Point2::new(1.0, 1.0)]),
+            // A walk only passes through the levels between the base
+            // and its target, and loads no coordinates there; a later
+            // read that hands such a level out — off the level cache, or
+            // by walking again — completes the same shared entry, once.
+            let reader = c.open("t.bp").unwrap().with_pipeline_depth(depth);
+            reader.read_level("v", 0).unwrap();
+            let passed = 1;
+            let entry = |need| {
+                let cached = reader
+                    .meta_cache
+                    .lock()
+                    .get(&("v".to_string(), passed))
+                    .cloned();
+                cached.is_some_and(|g| g.holds(need))
+            };
+            assert!(entry(Need::Topology) && !entry(Need::Whole), "{engine}");
+            let coordinates = || reader.obs.counter(names::READ_COORDINATE_BYTES).get();
+            let (before, io) = (
+                coordinates(),
+                reader.obs.counter(names::READ_BYTES_IO).get(),
             );
-            let mapping: Vec<u32> = (0..mesh.num_vertices() as u32).rev().collect();
-            let payload = crate::write::encode_level_meta(
-                &canopus_mesh::io::to_binary(&mesh),
-                &canopus_refactor::mapping::mapping_to_bytes(&mapping),
+            let hit = reader.read_level("v", passed).unwrap();
+            assert_eq!(hit.mesh, h.levels[passed as usize].mesh, "{engine} hit");
+            assert_eq!(bits(&hit.data), bits(&h.restore_to(passed)), "{engine} hit");
+            let section = reader
+                .file
+                .inq_var("v")
+                .unwrap()
+                .metadata_for(passed)
+                .and_then(|b| b.section(GeometrySection::Coordinates))
+                .unwrap()
+                .len;
+            assert_eq!(coordinates() - before, section, "{engine}: one section");
+            assert_eq!(
+                reader.obs.counter(names::READ_BYTES_IO).get() - io,
+                section,
+                "{engine}: and nothing else"
             );
-            let raw_bytes = canopus_mesh::io::decoded_bytes(&mesh) + mapping.len() as u64 * 4;
-            let clean = LevelMeta::parse(&payload, raw_bytes).unwrap();
-            proptest::prop_assert_eq!(&*clean.mesh, &mesh);
-            proptest::prop_assert_eq!(&clean.mapping, &mapping);
-            proptest::prop_assert!(LevelMeta::parse(&payload, raw_bytes - 1).is_err());
-
-            let mut hostile = payload.clone();
-            for (at, bit) in flips {
-                let at = at as usize % hostile.len();
-                hostile[at] ^= 1 << bit;
-            }
-            if truncate {
-                hostile.truncate(cut as usize % (hostile.len() + 1));
-            }
-            if let Ok(meta) = LevelMeta::parse(&hostile, raw_bytes) {
-                let n = meta.mesh.num_vertices();
-                let held = canopus_mesh::io::decoded_bytes(&meta.mesh) + meta.mapping.len() as u64 * 4;
-                proptest::prop_assert!(held <= raw_bytes);
-                proptest::prop_assert!(meta
-                    .mesh
-                    .triangles()
-                    .iter()
-                    .flatten()
-                    .all(|&v| (v as usize) < n));
-            }
-            let _ = LevelMeta::parse(&junk, raw_bytes);
-            let _ = decode_level_meta(&junk);
-            let _ = mapping_from_bytes(&junk, raw_bytes);
-            let _ = canopus_mesh::io::from_binary(&junk, raw_bytes);
+            assert!(entry(Need::Whole), "{engine}");
+            let again = reader.read_level("v", passed).unwrap();
+            assert_eq!(again.mesh, hit.mesh, "{engine} again");
+            assert_eq!(coordinates() - before, section, "{engine}: fetched once");
         }
     }
 

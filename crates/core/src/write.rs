@@ -3,15 +3,16 @@
 
 use crate::config::CanopusConfig;
 use crate::error::CanopusError;
+use crate::geometry::level_meta_block;
 use bytes::Bytes;
 use canopus_adios::store::{BlockWrite, BpStore};
 use canopus_adios::{checksum64, BpFile, ChunkEntry};
 use canopus_compress::{Chunked, Codec, CodecKind, ObservedCodec, CHUNKED_CODEC_ID_FLAG};
-use canopus_mesh::geometry::Aabb;
+use canopus_mesh::geometry::{Aabb, Point2};
 use canopus_mesh::{FieldStats, TriMesh};
 use canopus_obs::{names, stage, stage_child, Registry, SpanContext};
 use canopus_refactor::decimate::decimate;
-use canopus_refactor::mapping::{build_mapping, mapping_to_bytes};
+use canopus_refactor::mapping::build_mapping;
 use canopus_refactor::{compute_delta, decimate_parallel_morton, DecimationResult, Estimator};
 use canopus_storage::{PlacementPlan, ProductKind, SimDuration, StorageHierarchy};
 use crossbeam::channel;
@@ -126,23 +127,23 @@ fn morton(x: u32, y: u32) -> u64 {
 /// For `chunks > 1` the partitioning is spatially coherent: vertices
 /// sorted by the Morton code of their quantized position (ties by
 /// vertex id, so the order is total), split into `chunks` equal runs.
-/// Deterministic in the mesh geometry, so the reader recomputes the same
+/// Deterministic in the vertex positions, so the reader recomputes the same
 /// assignment with no extra metadata — exactly how the focused-retrieval
 /// chunks stay self-describing.
-pub(crate) fn spatial_chunks(mesh: &TriMesh, chunks: u32) -> Option<Vec<Vec<u32>>> {
-    let n = mesh.num_vertices();
+pub(crate) fn spatial_chunks(points: &[Point2], chunks: u32) -> Option<Vec<Vec<u32>>> {
+    let n = points.len();
     let ranges = chunk_ranges(n, chunks);
     if ranges.len() <= 1 {
         return None;
     }
-    let bb = mesh.aabb();
+    let bb = Aabb::from_points(points.iter().copied());
     let w = bb.width().max(f64::MIN_POSITIVE);
     let h = bb.height().max(f64::MIN_POSITIVE);
     let scale = ((1u32 << 21) - 1) as f64;
     // Each key is computed once; the sort then compares plain pairs.
     let mut order: Vec<(u64, u32)> = (0..n as u32)
-        .map(|v| {
-            let p = mesh.point(v);
+        .zip(points)
+        .map(|(v, p)| {
             let qx = (((p.x - bb.min.x) / w) * scale) as u32;
             let qy = (((p.y - bb.min.y) / h) * scale) as u32;
             (morton(qx, qy), v)
@@ -155,32 +156,6 @@ pub(crate) fn spatial_chunks(mesh: &TriMesh, chunks: u32) -> Option<Vec<Vec<u32>
             .map(|r| order[r].iter().map(|&(_, v)| v).collect())
             .collect(),
     )
-}
-
-/// Pack a level's auxiliary metadata payload: mesh geometry plus (for
-/// non-base levels) the fine-vertex → coarse-triangle mapping.
-pub(crate) fn encode_level_meta(mesh_bytes: &[u8], mapping_bytes: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(8 + mesh_bytes.len() + mapping_bytes.len());
-    out.extend_from_slice(&(mesh_bytes.len() as u32).to_le_bytes());
-    out.extend_from_slice(mesh_bytes);
-    out.extend_from_slice(&(mapping_bytes.len() as u32).to_le_bytes());
-    out.extend_from_slice(mapping_bytes);
-    out
-}
-
-/// Unpack [`encode_level_meta`]'s payload into its mesh and mapping
-/// bytes, borrowed from `bytes`.
-pub(crate) fn decode_level_meta(bytes: &[u8]) -> Result<(&[u8], &[u8]), CanopusError> {
-    /// Split a `u32` length prefix and the bytes it counts off `bytes`.
-    fn framed(bytes: &[u8]) -> Option<(&[u8], &[u8])> {
-        let (len, rest) = bytes.split_first_chunk::<4>()?;
-        let len = usize::try_from(u32::from_le_bytes(*len)).ok()?;
-        (len <= rest.len()).then(|| rest.split_at(len))
-    }
-    let fail = || CanopusError::MeshIo("level metadata truncated".into());
-    let (mesh_bytes, rest) = framed(bytes).ok_or_else(fail)?;
-    let (mapping_bytes, _) = framed(rest).ok_or_else(fail)?;
-    Ok((mesh_bytes, mapping_bytes))
 }
 
 /// The Canopus middleware handle: one storage hierarchy + one pipeline
@@ -751,7 +726,7 @@ fn build_shard_blocks(
         codec_id: u8,
         bbox: [f64; 4],
     }
-    let id_sets = spatial_chunks(fine_mesh, ctx.delta_chunks);
+    let id_sets = spatial_chunks(fine_mesh.points(), ctx.delta_chunks);
     let chunks = id_sets.as_ref().map_or(1, Vec::len);
     let built: Vec<ChunkBuild> = (0..chunks)
         .into_par_iter()
@@ -815,29 +790,6 @@ fn build_shard_blocks(
         });
     }
     Ok(blocks)
-}
-
-/// Assemble a level's auxiliary metadata block: mesh geometry plus the
-/// fine→coarse mapping (empty for the coarsest level), both packed. Its
-/// `raw_bytes` is what the two occupy once parsed, and the most a reader
-/// will allocate for the block.
-fn level_meta_block(var: &str, level: u32, mesh: &TriMesh, mapping: &[u32]) -> BlockWrite {
-    let payload = encode_level_meta(
-        &canopus_mesh::io::to_binary(mesh),
-        &mapping_to_bytes(mapping),
-    );
-    BlockWrite {
-        var: var.to_string(),
-        kind: ProductKind::Metadata { level },
-        data: Bytes::from(payload),
-        elements: 0,
-        codec_id: 0,
-        codec_param: 0.0,
-        raw_bytes: canopus_mesh::io::decoded_bytes(mesh) + mapping.len() as u64 * 4,
-        min: 0.0,
-        max: 0.0,
-        chunks: vec![],
-    }
 }
 
 /// Per-level output of one write job: the level's blocks in placement
@@ -1155,24 +1107,6 @@ mod tests {
     }
 
     #[test]
-    fn level_meta_roundtrip() {
-        let payload = encode_level_meta(b"MESHBYTES", b"MAPPING");
-        let (mesh, mapping) = decode_level_meta(&payload).unwrap();
-        assert_eq!(mesh, b"MESHBYTES");
-        assert_eq!(mapping, b"MAPPING");
-        assert!(decode_level_meta(&payload[..5]).is_err());
-        assert!(decode_level_meta(&payload[..payload.len() - 1]).is_err());
-        assert!(decode_level_meta(&[]).is_err());
-        // A length prefix that promises more than follows is truncation,
-        // however much it promises.
-        for at in [0, 4 + b"MESHBYTES".len()] {
-            let mut lying = payload.clone();
-            lying[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-            assert!(decode_level_meta(&lying).is_err());
-        }
-    }
-
-    #[test]
     fn parse_kind_roundtrip() {
         assert_eq!(
             parse_kind_from_key("f.bp/v/L2"),
@@ -1244,13 +1178,19 @@ mod tests {
         for mesh in [&jittered, &grid] {
             for chunks in [2, 4, 16, 1000] {
                 assert_eq!(
-                    spatial_chunks(mesh, chunks).unwrap(),
+                    spatial_chunks(mesh.points(), chunks).unwrap(),
                     spatial_chunks_by_recomputed_keys(mesh, chunks),
                     "{chunks} chunks"
                 );
             }
-            assert!(spatial_chunks(mesh, 1).is_none(), "one chunk: identity");
-            assert!(spatial_chunks(mesh, 0).is_none(), "0 is treated as 1");
+            assert!(
+                spatial_chunks(mesh.points(), 1).is_none(),
+                "one chunk: identity"
+            );
+            assert!(
+                spatial_chunks(mesh.points(), 0).is_none(),
+                "0 is treated as 1"
+            );
         }
     }
 

@@ -8,7 +8,7 @@
 //!   ADIOS container to embed mesh levels next to their data.
 
 use crate::geometry::Point2;
-use crate::mesh::{TriMesh, VertexId};
+use crate::mesh::{Connectivity, TriMesh, VertexId};
 use crate::pack::{pack_block, Reader, BLOCK};
 use std::io::{self, BufRead, BufReader, Read, Write};
 
@@ -144,6 +144,15 @@ fn parse_tok<T: std::str::FromStr>(tok: Option<&str>, what: &str) -> Result<T, M
 /// neighbouring quad. A mesh numbered at random gains nothing and pays
 /// the width bytes, 0.2%.
 pub fn to_binary(mesh: &TriMesh) -> Vec<u8> {
+    to_binary_sections(mesh).0
+}
+
+/// [`to_binary`]'s bytes and the offset at which the triangle blocks
+/// start. What lies before it — the header and every vertex block — is
+/// what [`points_from_binary`] parses on its own, what lies after it
+/// [`connectivity_from_binary`]: a reader that wants only one of the two
+/// needs only those bytes.
+pub fn to_binary_sections(mesh: &TriMesh) -> (Vec<u8>, usize) {
     let (nv, nf) = (mesh.num_vertices(), mesh.num_triangles());
     // Typical of a locality-ordered mesh; a shuffled one grows past it.
     let mut out = Vec::with_capacity(BINARY_HEADER + nv * 13 + nf * 3);
@@ -165,6 +174,7 @@ pub fn to_binary(mesh: &TriMesh) -> Vec<u8> {
             out.extend_from_slice(&(p.y.to_bits() as u32).to_le_bytes());
         }
     }
+    let triangles_at = out.len();
     let mut corners = [[0; 2]; 3];
     for block in mesh.triangles().chunks(BLOCK) {
         for (c, history) in corners.iter_mut().enumerate() {
@@ -174,7 +184,7 @@ pub fn to_binary(mesh: &TriMesh) -> Vec<u8> {
             pack_block(&values[..block.len()], history, &mut out);
         }
     }
-    out
+    (out, triangles_at)
 }
 
 /// Bytes `mesh` occupies once parsed: what [`from_binary`]'s limit is
@@ -185,21 +195,21 @@ pub fn decoded_bytes(mesh: &TriMesh) -> u64 {
 
 /// Magic, vertex count, triangle count.
 const BINARY_HEADER: usize = 24;
-const POINT_BYTES: usize = 16;
-const TRI_BYTES: usize = 12;
+/// Bytes one vertex, one triangle occupy once parsed.
+pub const POINT_BYTES: usize = 16;
+pub const TRI_BYTES: usize = 12;
 
-/// Parse a mesh from the packed binary format, in one checked pass over
-/// `bytes` — which came off a tier, so nothing in them is believed.
-///
-/// Packed data can declare far more than its own size, so the caller
-/// says how large a mesh it expects: the header's counts must fit
-/// `max_decoded_bytes` (see [`decoded_bytes`]) before anything is
-/// allocated, and no more than that is. Every block is checked against
-/// the bytes that are left, every corner against the vertex count, and
-/// the last block must end where `bytes` does.
-pub fn from_binary(bytes: &[u8], max_decoded_bytes: u64) -> Result<TriMesh, MeshIoError> {
-    let fail = |why: &str| MeshIoError::Parse(format!("binary mesh: {why}"));
-    let mut r = Reader::new(bytes);
+fn fail(why: impl std::fmt::Display) -> MeshIoError {
+    MeshIoError::Parse(format!("binary mesh: {why}"))
+}
+
+/// `n * each`, if that is at most `limit`.
+fn within(n: u64, each: usize, limit: u64) -> Option<u64> {
+    n.checked_mul(each as u64).filter(|&bytes| bytes <= limit)
+}
+
+/// The header: the vertex and triangle counts it declares.
+fn read_header(r: &mut Reader) -> Result<(u64, u64), MeshIoError> {
     match r.raw(BINARY_MAGIC.len()) {
         Ok(magic) if magic == BINARY_MAGIC => {}
         Ok(magic) if magic == RETIRED_MAGIC => {
@@ -207,33 +217,33 @@ pub fn from_binary(bytes: &[u8], max_decoded_bytes: u64) -> Result<TriMesh, Mesh
         }
         _ => return Err(fail("bad header")),
     }
-    let (nv, nf) = (r.u64().map_err(fail)?, r.u64().map_err(fail)?);
-    // Within the caller's limit; and a vertex has eight raw bytes, a
-    // block of triangles three width bytes, whatever the rest packs to.
-    let within = |n: u64, each: usize, limit: u64| {
-        n.checked_mul(each as u64).filter(|&bytes| bytes <= limit)
-    };
-    let left = r.remaining() as u64;
-    let fits = within(nv, POINT_BYTES, max_decoded_bytes)
-        .and_then(|points| within(nf, TRI_BYTES, max_decoded_bytes - points))
-        .and(within(nv, 8, left))
-        .and(within(nf.div_ceil(BLOCK as u64), 3, left));
-    let (Some(_), Ok(nv), Ok(nf)) = (fits, usize::try_from(nv), usize::try_from(nf)) else {
-        return Err(fail(&format!(
-            "header counts {nv} vertices and {nf} triangles, which {} bytes \
-             and a limit of {max_decoded_bytes} decoded do not hold",
-            bytes.len()
+    Ok((r.u64().map_err(fail)?, r.u64().map_err(fail)?))
+}
+
+/// `nv` vertices' blocks. Nothing is allocated unless the points fit
+/// `max_decoded_bytes` and — a vertex has eight raw bytes, whatever the
+/// rest packs to — the bytes that are left.
+fn read_points(
+    r: &mut Reader,
+    nv: u64,
+    max_decoded_bytes: u64,
+) -> Result<Vec<Point2>, MeshIoError> {
+    let fits = within(nv, POINT_BYTES, max_decoded_bytes).and(within(nv, 8, r.remaining() as u64));
+    let (Some(_), Ok(nv)) = (fits, usize::try_from(nv)) else {
+        return Err(fail(format!(
+            "{nv} vertices declared, which {} bytes and a limit of \
+             {max_decoded_bytes} decoded do not hold",
+            r.remaining()
         )));
     };
-
     // Each block is decoded into local arrays and then appended whole.
-    let mut values = [[0u32; BLOCK]; 3];
+    let mut values = [[0u32; BLOCK]; 2];
     let mut points: Vec<Point2> = Vec::with_capacity(nv);
     let mut decoded = [Point2::default(); BLOCK];
     let (mut xs, mut ys) = ([0], [0]);
     while points.len() < nv {
         let n = BLOCK.min(nv - points.len());
-        let [x, y, _] = &mut values;
+        let [x, y] = &mut values;
         r.unpack_block(&mut xs, &mut x[..n]).map_err(fail)?;
         r.unpack_block(&mut ys, &mut y[..n]).map_err(fail)?;
         let lows = r.raw(n * 8).map_err(fail)?;
@@ -247,10 +257,34 @@ pub fn from_binary(bytes: &[u8], max_decoded_bytes: u64) -> Result<TriMesh, Mesh
         }
         points.extend_from_slice(&decoded[..n]);
     }
+    Ok(points)
+}
 
+/// `nf` triangles' blocks over `nv` vertices. Nothing is allocated
+/// unless the triangles fit `max_decoded_bytes` and — a block of
+/// triangles has three width bytes — the bytes that are left.
+fn read_triangles(
+    r: &mut Reader,
+    nv: usize,
+    nf: u64,
+    max_decoded_bytes: u64,
+) -> Result<Connectivity, MeshIoError> {
+    let fits = within(nf, TRI_BYTES, max_decoded_bytes).and(within(
+        nf.div_ceil(BLOCK as u64),
+        3,
+        r.remaining() as u64,
+    ));
+    let (Some(_), Ok(nf)) = (fits, usize::try_from(nf)) else {
+        return Err(fail(format!(
+            "{nf} triangles declared, which {} bytes and a limit of \
+             {max_decoded_bytes} decoded do not hold",
+            r.remaining()
+        )));
+    };
     // The largest index stands for the per-index range check: it is in
     // range exactly when every index is.
     let mut largest: VertexId = 0;
+    let mut values = [[0u32; BLOCK]; 3];
     let mut tris: Vec<[VertexId; 3]> = Vec::with_capacity(nf);
     let mut decoded = [[0; 3]; BLOCK];
     let mut corners = [[0; 2]; 3];
@@ -268,17 +302,69 @@ pub fn from_binary(bytes: &[u8], max_decoded_bytes: u64) -> Result<TriMesh, Mesh
         tris.extend_from_slice(&decoded[..n]);
     }
     if nf > 0 && largest as usize >= nv {
-        return Err(fail(&format!(
+        return Err(fail(format!(
             "face references vertex {largest} beyond {nv}"
         )));
     }
-    if r.remaining() != 0 {
-        return Err(fail(&format!(
-            "{} bytes follow the last triangle block",
-            r.remaining()
-        )));
+    Ok(Connectivity::from_checked(tris, nv))
+}
+
+fn expect_end(r: &Reader, of: &str) -> Result<(), MeshIoError> {
+    match r.remaining() {
+        0 => Ok(()),
+        n => Err(fail(format!("{n} bytes follow the last {of} block"))),
     }
-    Ok(TriMesh::from_checked(points, tris))
+}
+
+/// Parse a mesh from the packed binary format, in one checked pass over
+/// `bytes` — which came off a tier, so nothing in them is believed.
+///
+/// Packed data can declare far more than its own size, so the caller
+/// says how large a mesh it expects: the header's counts must fit
+/// `max_decoded_bytes` (see [`decoded_bytes`]) before anything is
+/// allocated, and no more than that is. Every block is checked against
+/// the bytes that are left, every corner against the vertex count, and
+/// the last block must end where `bytes` does.
+pub fn from_binary(bytes: &[u8], max_decoded_bytes: u64) -> Result<TriMesh, MeshIoError> {
+    let mut r = Reader::new(bytes);
+    let (nv, nf) = read_header(&mut r)?;
+    let points = read_points(&mut r, nv, max_decoded_bytes)?;
+    let left = max_decoded_bytes - (points.len() * POINT_BYTES) as u64;
+    let connectivity = read_triangles(&mut r, points.len(), nf, left)?;
+    expect_end(&r, "triangle")?;
+    Ok(connectivity
+        .into_mesh(points)
+        .expect("checked against these points"))
+}
+
+/// Parse the part of a packed mesh before its triangle blocks (see
+/// [`to_binary_sections`]) on its own: the vertex positions, and the
+/// triangle count the header declares. Checked like [`from_binary`];
+/// `bytes` must end with the last vertex block.
+pub fn points_from_binary(
+    bytes: &[u8],
+    max_decoded_bytes: u64,
+) -> Result<(Vec<Point2>, u64), MeshIoError> {
+    let mut r = Reader::new(bytes);
+    let (nv, nf) = read_header(&mut r)?;
+    let points = read_points(&mut r, nv, max_decoded_bytes)?;
+    expect_end(&r, "vertex")?;
+    Ok((points, nf))
+}
+
+/// Parse the triangle blocks of a packed mesh on their own. They do not
+/// repeat the header, so the caller says how many vertices and triangles
+/// the mesh has; every corner is checked against the former. Returns
+/// what follows the last triangle block along with the triangles.
+pub fn connectivity_from_binary(
+    bytes: &[u8],
+    num_vertices: usize,
+    num_triangles: u64,
+    max_decoded_bytes: u64,
+) -> Result<(Connectivity, &[u8]), MeshIoError> {
+    let mut r = Reader::new(bytes);
+    let connectivity = read_triangles(&mut r, num_vertices, num_triangles, max_decoded_bytes)?;
+    Ok((connectivity, r.rest()))
 }
 
 #[cfg(test)]
@@ -316,6 +402,45 @@ mod tests {
             from_binary(&to_binary(&TriMesh::default()), 0).unwrap(),
             TriMesh::default()
         );
+    }
+
+    #[test]
+    fn sections_parse_on_their_own_and_end_exactly() {
+        let m = sample();
+        let (bytes, at) = to_binary_sections(&m);
+        assert_eq!(bytes, to_binary(&m));
+        let (nv, nf) = (m.num_vertices(), m.num_triangles() as u64);
+        let (coordinates, triangles) = bytes.split_at(at);
+
+        let (points, declared) =
+            points_from_binary(coordinates, (nv * POINT_BYTES) as u64).unwrap();
+        assert_eq!((points.as_slice(), declared), (m.points(), nf));
+        let limit = nf * TRI_BYTES as u64;
+        let (connectivity, rest) = connectivity_from_binary(triangles, nv, nf, limit).unwrap();
+        assert!(rest.is_empty());
+        assert_eq!(connectivity.num_vertices(), nv);
+        assert_eq!(connectivity.mesh_over(&points), Some(m.clone()));
+        assert_eq!(connectivity.mesh_over(&points[1..]), None);
+
+        // What follows the triangles is the caller's; what follows the
+        // vertices is an error, as is a section cut short or mistaken
+        // for the other, and a limit one byte short.
+        let mut longer = triangles.to_vec();
+        longer.extend_from_slice(b"next");
+        let (again, rest) = connectivity_from_binary(&longer, nv, nf, limit).unwrap();
+        assert_eq!((again, rest), (connectivity, &b"next"[..]));
+        assert!(points_from_binary(&bytes[..at + 1], NO_LIMIT).is_err());
+        assert!(points_from_binary(&bytes[..at - 1], NO_LIMIT).is_err());
+        assert!(points_from_binary(triangles, NO_LIMIT).is_err());
+        assert!(points_from_binary(coordinates, (nv * POINT_BYTES) as u64 - 1).is_err());
+        assert!(
+            connectivity_from_binary(&triangles[..triangles.len() - 1], nv, nf, limit).is_err()
+        );
+        assert!(connectivity_from_binary(triangles, nv, nf, limit - 1).is_err());
+        assert!(connectivity_from_binary(triangles, nv, u64::MAX, NO_LIMIT).is_err());
+        // Corners are checked against the caller's vertex count.
+        let why = connectivity_from_binary(triangles, nv - 1, nf, limit).unwrap_err();
+        assert!(why.to_string().contains("beyond"), "{why}");
     }
 
     #[test]

@@ -43,4 +43,4 @@ pub use adjacency::Adjacency;
 pub use field::{FieldStats, ScalarField};
 pub use geometry::{Aabb, Point2, Triangle};
 pub use locate::GridLocator;
-pub use mesh::{TriMesh, VertexId};
+pub use mesh::{Connectivity, TriMesh, VertexId};

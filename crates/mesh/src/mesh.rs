@@ -25,6 +25,49 @@ pub struct TriMesh {
     tris: Vec<[VertexId; 3]>,
 }
 
+/// The triangles of a mesh without its vertex positions: what
+/// restoration with the mean estimator reads of a coarser level. Every
+/// corner id is below [`num_vertices`](Self::num_vertices) — checked
+/// once, by whoever built it — so a [`TriMesh`] can be assembled over
+/// matching points without checking again.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct Connectivity {
+    tris: Vec<[VertexId; 3]>,
+    num_vertices: usize,
+}
+
+impl Connectivity {
+    /// For a parser that has range-checked every corner against
+    /// `num_vertices` and reported a violation as an error of its own.
+    pub(crate) fn from_checked(tris: Vec<[VertexId; 3]>, num_vertices: usize) -> Self {
+        debug_assert!(tris.iter().flatten().all(|&v| (v as usize) < num_vertices));
+        Self { tris, num_vertices }
+    }
+
+    #[inline]
+    pub fn triangles(&self) -> &[[VertexId; 3]] {
+        &self.tris
+    }
+
+    /// The vertex count the corner ids were checked against.
+    #[inline]
+    pub fn num_vertices(&self) -> usize {
+        self.num_vertices
+    }
+
+    /// The mesh these triangles form over `points`, or `None` unless
+    /// there is exactly one point per vertex.
+    pub fn into_mesh(self, points: Vec<Point2>) -> Option<TriMesh> {
+        (points.len() == self.num_vertices).then(|| TriMesh::from_checked(points, self.tris))
+    }
+
+    /// [`Self::into_mesh`] over copies of both halves.
+    pub fn mesh_over(&self, points: &[Point2]) -> Option<TriMesh> {
+        (points.len() == self.num_vertices)
+            .then(|| TriMesh::from_checked(points.to_vec(), self.tris.clone()))
+    }
+}
+
 impl TriMesh {
     /// Build a mesh from raw arrays.
     ///

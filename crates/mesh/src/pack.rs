@@ -86,6 +86,11 @@ impl<'a> Reader<'a> {
         self.bytes.len()
     }
 
+    /// Everything not yet consumed.
+    pub fn rest(self) -> &'a [u8] {
+        self.bytes
+    }
+
     /// The next `n` bytes as they are.
     pub fn raw(&mut self, n: usize) -> Result<&'a [u8], &'static str> {
         let (head, rest) = self.bytes.split_at_checked(n).ok_or(TRUNCATED)?;

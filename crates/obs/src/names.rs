@@ -42,6 +42,10 @@ pub const READ_RESTORE: &str = "canopus.read.restore";
 pub const READ_BYTES_IO: &str = "canopus.read.bytes_io";
 /// The part of `bytes_io` that was level geometry (`Metadata` blocks).
 pub const READ_GEOMETRY_BYTES: &str = "canopus.read.geometry_bytes";
+/// The part of `geometry_bytes` that was vertex coordinates: fetched for
+/// the levels a read hands out as meshes, not for those a walk with the
+/// mean estimator only passes through.
+pub const READ_COORDINATE_BYTES: &str = "canopus.read.coordinate_bytes";
 pub const READ_VALUES_DECODED: &str = "canopus.read.values_decoded";
 pub const READ_BLOCKS: &str = "canopus.read.blocks";
 pub const READ_REFINEMENTS: &str = "canopus.read.refinements";

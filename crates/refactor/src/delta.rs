@@ -8,9 +8,9 @@
 //! always bit-identical to `a`); with compressed deltas the pointwise
 //! error adds the codec's bound.
 
-use crate::estimate::Estimator;
+use crate::estimate::{Estimator, Weights};
 use crate::mapping::Mapping;
-use canopus_mesh::TriMesh;
+use canopus_mesh::{TriMesh, VertexId};
 use rayon::prelude::*;
 
 /// Compute `delta^{l-(l+1)}` for all fine vertices.
@@ -50,15 +50,55 @@ pub fn restore_level(
 ) -> Vec<f64> {
     assert_eq!(delta.len(), fine_mesh.num_vertices());
     assert_eq!(coarse_data.len(), coarse_mesh.num_vertices());
-    assert_eq!(mapping.len(), fine_mesh.num_vertices());
+    let mut values = delta.to_vec();
+    restore_in_place(
+        &mut values,
+        coarse_mesh.triangles(),
+        coarse_data,
+        mapping,
+        estimator.weights(fine_mesh.points(), coarse_mesh.points()),
+    );
+    values
+}
 
-    (0..delta.len())
-        .into_par_iter()
-        .map(|x| {
-            let est = estimator.estimate(fine_mesh, x as u32, coarse_mesh, coarse_data, mapping[x]);
-            delta[x] + est
+/// Values per task of [`restore_in_place`]. Fixed, so that the sum it
+/// returns does not depend on how many cores ran it.
+const RESTORE_GRAIN: usize = 1 << 16;
+
+/// [`restore_level`] where the delta lies: `values` holds `delta^{l-(l+1)}`
+/// on entry and `L^l` on return, each value touched once. Of the coarse
+/// level it takes the triangles' corner ids and the data, and whatever
+/// `weights` carries. Returns the sum of the squared deltas (for the
+/// paper's adjacent-level RMS), accumulated in the same pass.
+///
+/// # Panics
+/// Panics if `mapping` is not one entry per value, or names a triangle
+/// `coarse_triangles` does not have, or a corner is beyond `coarse_data`.
+pub fn restore_in_place(
+    values: &mut [f64],
+    coarse_triangles: &[[VertexId; 3]],
+    coarse_data: &[f64],
+    mapping: &[u32],
+    weights: Weights<'_>,
+) -> f64 {
+    assert_eq!(mapping.len(), values.len());
+    values
+        .par_chunks_mut(RESTORE_GRAIN)
+        .enumerate()
+        .map(|(task, values)| {
+            let first = task * RESTORE_GRAIN;
+            let mut squares = 0.0;
+            for (at, (value, &tri)) in values.iter_mut().zip(&mapping[first..]).enumerate() {
+                let delta = *value;
+                squares += delta * delta;
+                let corners = coarse_triangles[tri as usize];
+                *value = delta + weights.estimate(first + at, corners, coarse_data);
+            }
+            squares
         })
-        .collect()
+        .collect::<Vec<f64>>()
+        .iter()
+        .sum()
 }
 
 #[cfg(test)]
@@ -104,6 +144,39 @@ mod tests {
             assert!(
                 max_err < 1e-14,
                 "estimator {estimator:?}: restoration error {max_err} beyond rounding"
+            );
+        }
+    }
+
+    #[test]
+    fn restoring_in_place_gives_the_same_bits_and_the_delta_square_sum() {
+        let (fine, data, coarse, cdata, mapping) = setup();
+        for estimator in [Estimator::Mean, Estimator::Barycentric] {
+            let delta = compute_delta(&fine, &data, &coarse, &cdata, &mapping, estimator);
+            // What `restore_level` was before it shared this kernel.
+            let expect: Vec<u64> = (0..delta.len())
+                .map(|x| {
+                    let est = estimator.estimate(&fine, x as u32, &coarse, &cdata, mapping[x]);
+                    (delta[x] + est).to_bits()
+                })
+                .collect();
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            let restored = restore_level(&fine, &delta, &coarse, &cdata, &mapping, estimator);
+            assert_eq!(bits(&restored), expect, "{estimator:?}");
+
+            // The mean reads no vertex position of either level.
+            let weights = match estimator {
+                Estimator::Mean => estimator.weights(&[], &[]),
+                Estimator::Barycentric => estimator.weights(fine.points(), coarse.points()),
+            };
+            let mut values = delta.clone();
+            let squares =
+                restore_in_place(&mut values, coarse.triangles(), &cdata, &mapping, weights);
+            assert_eq!(bits(&values), expect, "{estimator:?} in place");
+            let direct: f64 = delta.iter().map(|d| d * d).sum();
+            assert!(
+                (squares - direct).abs() <= 1e-12 * direct,
+                "{squares} vs {direct}"
             );
         }
     }

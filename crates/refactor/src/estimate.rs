@@ -7,7 +7,8 @@
 //! default and the natural improvement (barycentric weights from the
 //! vertex position), and ablate them in `canopus-bench`.
 
-use canopus_mesh::TriMesh;
+use canopus_mesh::geometry::{Point2, Triangle};
+use canopus_mesh::{TriMesh, VertexId};
 
 /// Which estimator to use for delta calculation/restoration. Encoder and
 /// decoder must agree (the choice is recorded in the BP attributes).
@@ -19,6 +20,43 @@ pub enum Estimator {
     /// Barycentric interpolation: weights from the fine vertex's position
     /// inside the coarse triangle (clamped extrapolation outside).
     Barycentric,
+}
+
+/// An [`Estimator`] together with what it reads of the two levels
+/// besides the coarse triangles' corner ids and values: the mean reads
+/// nothing more, so a level can be restored without any vertex position.
+#[derive(Debug, Clone, Copy)]
+pub enum Weights<'a> {
+    Mean,
+    /// The vertex positions of the fine and of the coarse level.
+    Barycentric {
+        fine: &'a [Point2],
+        coarse: &'a [Point2],
+    },
+}
+
+impl Weights<'_> {
+    /// Predict the value at fine vertex `x` from the coarse triangle
+    /// with corners `[i, j, k]`, corner data taken from `coarse_data`.
+    #[inline]
+    pub fn estimate(&self, x: usize, [i, j, k]: [VertexId; 3], coarse_data: &[f64]) -> f64 {
+        let (li, lj, lk) = (
+            coarse_data[i as usize],
+            coarse_data[j as usize],
+            coarse_data[k as usize],
+        );
+        match self {
+            Weights::Mean => (li + lj + lk) / 3.0,
+            Weights::Barycentric { fine, coarse } => {
+                let t = Triangle::new(coarse[i as usize], coarse[j as usize], coarse[k as usize]);
+                match t.barycentric(fine[x]) {
+                    Some([wa, wb, wc]) => wa * li + wb * lj + wc * lk,
+                    // Degenerate coarse triangle: fall back to the mean.
+                    None => (li + lj + lk) / 3.0,
+                }
+            }
+        }
+    }
 }
 
 impl Estimator {
@@ -39,6 +77,21 @@ impl Estimator {
         }
     }
 
+    /// Whether estimating reads vertex positions at all.
+    pub fn reads_coordinates(&self) -> bool {
+        matches!(self, Estimator::Barycentric)
+    }
+
+    /// This estimator over the vertex positions of a fine and a coarse
+    /// level; either may be empty unless
+    /// [`reads_coordinates`](Self::reads_coordinates).
+    pub fn weights<'a>(&self, fine: &'a [Point2], coarse: &'a [Point2]) -> Weights<'a> {
+        match self {
+            Estimator::Mean => Weights::Mean,
+            Estimator::Barycentric => Weights::Barycentric { fine, coarse },
+        }
+    }
+
     /// Predict the value at fine vertex `x` (a vertex of `fine_mesh`) from
     /// coarse triangle `tri` of `coarse_mesh` with corner data taken from
     /// `coarse_data`.
@@ -51,23 +104,8 @@ impl Estimator {
         coarse_data: &[f64],
         tri: u32,
     ) -> f64 {
-        let [i, j, k] = coarse_mesh.triangle_vertices(tri);
-        let (li, lj, lk) = (
-            coarse_data[i as usize],
-            coarse_data[j as usize],
-            coarse_data[k as usize],
-        );
-        match self {
-            Estimator::Mean => (li + lj + lk) / 3.0,
-            Estimator::Barycentric => {
-                let t = coarse_mesh.triangle(tri);
-                match t.barycentric(fine_mesh.point(x)) {
-                    Some([wa, wb, wc]) => wa * li + wb * lj + wc * lk,
-                    // Degenerate coarse triangle: fall back to the mean.
-                    None => (li + lj + lk) / 3.0,
-                }
-            }
-        }
+        self.weights(fine_mesh.points(), coarse_mesh.points())
+            .estimate(x as usize, coarse_mesh.triangle_vertices(tri), coarse_data)
     }
 }
 

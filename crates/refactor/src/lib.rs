@@ -38,8 +38,8 @@ pub mod parallel;
 pub mod pqueue;
 
 pub use decimate::{decimate, DecimationResult};
-pub use delta::{compute_delta, restore_level};
-pub use estimate::Estimator;
+pub use delta::{compute_delta, restore_in_place, restore_level};
+pub use estimate::{Estimator, Weights};
 pub use levels::{LevelHierarchy, RefactorConfig};
 pub use mapping::build_mapping;
 pub use parallel::{decimate_parallel, decimate_parallel_morton};

@@ -6,17 +6,29 @@
 //! retried within the budget and degrades the walk past it, exactly as
 //! a fault on a delta does.
 //!
+//! Lazy goes one step further: a level's geometry object is two
+//! separately verified sections, and a walk fetches only what it
+//! consumes of each level — with the default (mean) estimator the
+//! topology of the levels it passes through, and coordinates only where
+//! a mesh is handed out, the chunk assignment has to be recomputed, or
+//! the estimator weighs by position. The second half of this file pins
+//! exactly which bytes move, and that a level's missing half arrives
+//! once, later, when something does need it.
+//!
 //! Faults are aimed at one block by moving it alone onto a spare tier
 //! that no placement rank reaches and arming only that tier.
 
+use bytes::Bytes;
 use canopus::config::RelativeCodec;
 use canopus::read::{CanopusReader, ReadOutcome};
 use canopus::{Canopus, CanopusConfig, FaultPlan};
+use canopus_adios::GeometrySection;
 use canopus_data::{xgc1_dataset_sized, Dataset};
 use canopus_obs::names;
 use canopus_refactor::levels::RefactorConfig;
-use canopus_storage::{FaultOp, StorageHierarchy, TierSpec};
-use std::sync::Arc;
+use canopus_refactor::{Estimator, LevelHierarchy};
+use canopus_storage::{FaultOp, ProductKind, StorageHierarchy, TierSpec};
+use std::sync::{Arc, Barrier};
 
 const LEVELS: u32 = 4;
 const FILE: &str = "walk.bp";
@@ -32,6 +44,15 @@ fn dataset() -> Dataset {
 }
 
 fn written(ds: &Dataset, delta_chunks: u32) -> Canopus {
+    written_with(ds, delta_chunks, Estimator::Mean, RelativeCodec::Fpc)
+}
+
+fn written_with(
+    ds: &Dataset,
+    delta_chunks: u32,
+    estimator: Estimator,
+    codec: RelativeCodec,
+) -> Canopus {
     let tiers = (0..=SPARE)
         .map(|i| TierSpec::new(format!("t{i}"), 1 << 26, 1e8, 1e8, 1e-4))
         .collect();
@@ -40,9 +61,10 @@ fn written(ds: &Dataset, delta_chunks: u32) -> Canopus {
         CanopusConfig {
             refactor: RefactorConfig {
                 num_levels: LEVELS,
+                estimator,
                 ..Default::default()
             },
-            codec: RelativeCodec::Fpc,
+            codec,
             delta_chunks,
             ..Default::default()
         },
@@ -257,6 +279,365 @@ fn unreachable_base_geometry_is_still_an_error() {
         assert!(
             reader.read_level(ds.var, 0).is_err(),
             "there is no coarser level to degrade to"
+        );
+    }
+}
+
+/// Stored sizes of what a read can fetch, from the manifest: the field
+/// (base and delta blocks together) and each level's geometry sections
+/// as `[coordinates, topology]`.
+struct Stored {
+    field: u64,
+    sections: Vec<[u64; 2]>,
+}
+
+impl Stored {
+    fn of(ds: &Dataset, canopus: &Canopus) -> Self {
+        let reader = canopus.open(FILE).expect("open");
+        let var = reader.file().inq_var(ds.var).expect("variable");
+        let field = var
+            .blocks
+            .iter()
+            .filter(|b| !matches!(b.kind, ProductKind::Metadata { .. }))
+            .map(|b| b.stored_bytes)
+            .sum();
+        let sections = (0..LEVELS)
+            .map(|level| {
+                let block = var.metadata_for(level).expect("geometry of every level");
+                let len = |s| block.section(s).expect("both sections").len;
+                let lens = GeometrySection::ALL.map(len);
+                assert_eq!(lens[0] + lens[1], block.stored_bytes, "sections tile");
+                lens
+            })
+            .collect();
+        Self { field, sections }
+    }
+
+    fn coordinates(&self, level: u32) -> u64 {
+        self.sections[level as usize][0]
+    }
+
+    fn geometry(&self) -> u64 {
+        self.sections.iter().flatten().sum()
+    }
+
+    /// Coordinates of the levels strictly between level 0 and the base:
+    /// what a walk from the one to the other only passes through.
+    fn passed_coordinates(&self) -> u64 {
+        (1..LEVELS - 1).map(|l| self.coordinates(l)).sum()
+    }
+}
+
+/// Bytes every tier has served so far.
+fn tier_bytes_read(canopus: &Canopus) -> u64 {
+    (0..=SPARE)
+        .map(|t| canopus.hierarchy().tier_stats(t).expect("tier").bytes_read)
+        .sum()
+}
+
+/// What the writer refactored, rebuilt in memory: the reference no read
+/// path had a hand in.
+fn in_memory(ds: &Dataset, canopus: &Canopus) -> LevelHierarchy {
+    LevelHierarchy::build(&ds.mesh, &ds.data, canopus.config().refactor)
+}
+
+#[test]
+fn a_cold_walk_fetches_the_topology_it_passes_and_the_meshes_it_hands_out() {
+    let ds = dataset();
+    for chunks in [1, 4] {
+        let canopus = written(&ds, chunks);
+        let stored = Stored::of(&ds, &canopus);
+        let h = in_memory(&ds, &canopus);
+        // A level in several chunks needs its coordinates to recompute
+        // which vertices each chunk holds; a one-chunk level does not.
+        let skipped = if chunks == 1 {
+            stored.passed_coordinates()
+        } else {
+            0
+        };
+        assert!(stored.passed_coordinates() > 0);
+        for (engine, reader) in ["serial", "pipelined"]
+            .into_iter()
+            .zip(both_engines(&canopus))
+        {
+            let what = format!("k={chunks} {engine}");
+            let m = canopus.metrics();
+            let (tier, geometry, coordinates) = (
+                tier_bytes_read(&canopus),
+                m.counter(names::READ_GEOMETRY_BYTES).get(),
+                m.counter(names::READ_COORDINATE_BYTES).get(),
+            );
+            let out = reader.read_level(ds.var, 0).expect("cold walk");
+            assert_eq!(
+                tier_bytes_read(&canopus) - tier,
+                stored.field + stored.geometry() - skipped,
+                "{what}: base + deltas + topology of every level + coordinates of level 0 and the base"
+            );
+            assert_eq!(
+                m.counter(names::READ_GEOMETRY_BYTES).get() - geometry,
+                stored.geometry() - skipped,
+                "{what}"
+            );
+            let all: u64 = (0..LEVELS).map(|l| stored.coordinates(l)).sum();
+            assert_eq!(
+                m.counter(names::READ_COORDINATE_BYTES).get() - coordinates,
+                all - skipped,
+                "{what}"
+            );
+            assert!(!out.degraded, "{what}");
+            assert_eq!(out.mesh, h.levels[0].mesh, "{what}");
+            assert_eq!(bits(&out.data), bits(&h.restore_to(0)), "{what}");
+        }
+    }
+}
+
+#[test]
+fn the_barycentric_estimator_fetches_every_section() {
+    let ds = dataset();
+    let tolerance = 1e-6;
+    let codec = RelativeCodec::ZfpLike {
+        rel_tolerance: tolerance,
+    };
+    let canopus = written_with(&ds, 1, Estimator::Barycentric, codec);
+    let stored = Stored::of(&ds, &canopus);
+    let (lo, hi) = ds
+        .data
+        .iter()
+        .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &v| {
+            (lo.min(v), hi.max(v))
+        });
+    // Base and each delta add at most the codec's error.
+    let bound = LEVELS as f64 * tolerance * (hi - lo);
+    for (engine, reader) in ["serial", "pipelined"]
+        .into_iter()
+        .zip(both_engines(&canopus))
+    {
+        let tier = tier_bytes_read(&canopus);
+        let out = reader.read_level(ds.var, 0).expect("cold walk");
+        assert_eq!(
+            tier_bytes_read(&canopus) - tier,
+            stored.field + stored.geometry(),
+            "{engine}: the weights are the vertices' positions"
+        );
+        assert_eq!(out.mesh, ds.mesh, "{engine}");
+        let err = out
+            .data
+            .iter()
+            .zip(&ds.data)
+            .map(|(a, b)| (a - b).abs())
+            .fold(0.0, f64::max);
+        assert!(err <= bound, "{engine}: error {err} beyond {bound}");
+    }
+}
+
+#[test]
+fn a_passed_level_gets_its_coordinates_once_when_it_is_handed_out() {
+    let ds = dataset();
+    let canopus = written(&ds, 1);
+    let stored = Stored::of(&ds, &canopus);
+    let h = in_memory(&ds, &canopus);
+    let passed = 2;
+    for depth in [0, 4] {
+        // Level cache on: the hand-out is a cache hit, and the
+        // coordinates section is all that moves.
+        let reader = canopus.open(FILE).expect("open").with_pipeline_depth(depth);
+        reader.read_level(ds.var, 0).expect("cold walk");
+        let tier = tier_bytes_read(&canopus);
+        for pass in ["first", "again"] {
+            let hit = reader.read_level(ds.var, passed).expect("cached level");
+            assert_eq!(hit.mesh, h.levels[passed as usize].mesh, "{depth} {pass}");
+            assert_eq!(
+                bits(&hit.data),
+                bits(&h.restore_to(passed)),
+                "{depth} {pass}"
+            );
+            assert_eq!(
+                tier_bytes_read(&canopus) - tier,
+                stored.coordinates(passed),
+                "depth {depth} {pass}: one section, once"
+            );
+        }
+
+        // Level cache off: the read walks again, and of the geometry
+        // only the target's coordinates are missing.
+        let reader = canopus
+            .open(FILE)
+            .expect("open")
+            .with_level_cache(0)
+            .with_pipeline_depth(depth);
+        reader.read_level(ds.var, 0).expect("cold walk");
+        let geometry = canopus.metrics().counter(names::READ_GEOMETRY_BYTES);
+        let before = geometry.get();
+        let out = reader.read_level(ds.var, passed).expect("second walk");
+        assert_eq!(out.mesh, h.levels[passed as usize].mesh, "depth {depth}");
+        assert_eq!(
+            bits(&out.data),
+            bits(&h.restore_to(passed)),
+            "depth {depth}"
+        );
+        assert_eq!(
+            geometry.get() - before,
+            stored.coordinates(passed),
+            "depth {depth}"
+        );
+    }
+}
+
+/// Flip one byte of `level`'s stored coordinates section, in place.
+fn corrupt_coordinates(ds: &Dataset, canopus: &Canopus, level: u32) {
+    let reader = canopus.open(FILE).expect("open");
+    let block = reader
+        .file()
+        .inq_var(ds.var)
+        .expect("variable")
+        .metadata_for(level)
+        .expect("geometry");
+    let section = block
+        .section(GeometrySection::Coordinates)
+        .expect("coordinates");
+    let h = canopus.hierarchy();
+    let tier = h.find(&block.key).expect("stored");
+    let mut bytes = h.remove(&block.key).expect("stored").to_vec();
+    bytes[(section.offset + section.len / 2) as usize] ^= 0x5A;
+    h.write_to_tier(tier, &block.key, Bytes::from(bytes))
+        .expect("same size, same tier");
+}
+
+#[test]
+fn damaged_coordinates_of_a_passed_level_fail_only_reads_that_need_them() {
+    let ds = dataset();
+    let canopus = written(&ds, 1);
+    let clean = clean_levels(&ds, &canopus);
+    let damaged = 2;
+    corrupt_coordinates(&ds, &canopus, damaged);
+    let m = canopus.metrics();
+    for reader in both_engines(&canopus) {
+        // A walk through the level verifies and uses its topology only.
+        let mismatches = m.counter(names::READ_CHECKSUM_FAILURES).get();
+        let out = reader.read_level(ds.var, 0).expect("walk past the damage");
+        assert_same(&out, &clean[0], "walk to level 0");
+        assert_eq!(m.counter(names::READ_CHECKSUM_FAILURES).get(), mismatches);
+
+        // A walk *to* the level reads its object whole: the checksum
+        // catches it on every attempt, and the walk degrades.
+        let out = reader.read_level(ds.var, damaged).expect("degrades");
+        assert!(out.degraded);
+        assert_same(
+            &ReadOutcome {
+                degraded: false,
+                ..out
+            },
+            &clean[damaged as usize + 1],
+            "degraded to the next coarser level",
+        );
+        assert!(m.counter(names::READ_CHECKSUM_FAILURES).get() > mismatches);
+    }
+    // A level-cache hit on the level has nothing coarser to offer.
+    let reader = canopus.open(FILE).expect("open");
+    reader.read_level(ds.var, 0).expect("walk past the damage");
+    let err = reader
+        .read_level(ds.var, damaged)
+        .expect_err("no mesh to hand out");
+    assert!(err.is_checksum_mismatch(), "{err}");
+    // The damage costs the levels around it nothing.
+    assert_same(
+        &reader.read_level(ds.var, 1).expect("level 1"),
+        &clean[1],
+        "level 1",
+    );
+}
+
+#[test]
+fn a_walk_stopped_on_a_passed_level_hands_out_its_whole_mesh() {
+    // Delta faults stop a walk on a level it had only meant to pass
+    // through; the mesh it returns is nonetheless complete.
+    let ds = dataset();
+    let canopus = written(&ds, 1);
+    let clean = clean_levels(&ds, &canopus);
+    let reader = canopus.open(FILE).expect("open");
+    let key = reader
+        .file()
+        .inq_var(ds.var)
+        .expect("variable")
+        .delta_shards_to(0)[0]
+        .key
+        .clone();
+    canopus
+        .hierarchy()
+        .migrate(&key, SPARE)
+        .expect("spare tier");
+    for reader in both_engines(&canopus) {
+        canopus
+            .hierarchy()
+            .set_fault_plan(
+                SPARE,
+                FaultPlan {
+                    down: Some((0, u64::MAX)),
+                    ..FaultPlan::none()
+                },
+            )
+            .expect("spare tier");
+        let out = reader.read_level(ds.var, 0).expect("degrades");
+        assert!(out.degraded);
+        assert_same(
+            &ReadOutcome {
+                degraded: false,
+                ..out
+            },
+            &clean[1],
+            "stopped on level 1",
+        );
+    }
+}
+
+#[test]
+fn concurrent_cold_readers_fetch_each_geometry_section_once() {
+    let ds = dataset();
+    let canopus = written(&ds, 1);
+    let stored = Stored::of(&ds, &canopus);
+    let clean = clean_levels(&ds, &canopus);
+    let one_walk = stored.geometry() - stored.passed_coordinates();
+
+    const READERS: usize = 8;
+    for depth in [0, 4] {
+        // No level cache: every thread walks from the base to level 0.
+        let reader = canopus
+            .open(FILE)
+            .expect("open")
+            .with_level_cache(0)
+            .with_pipeline_depth(depth);
+        let m = canopus.metrics();
+        let (tier, geometry) = (
+            tier_bytes_read(&canopus),
+            m.counter(names::READ_GEOMETRY_BYTES).get(),
+        );
+        let start = Barrier::new(READERS);
+        let outcomes: Vec<ReadOutcome> = std::thread::scope(|s| {
+            let walkers: Vec<_> = (0..READERS)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        reader.read_level(ds.var, 0).expect("concurrent walk")
+                    })
+                })
+                .collect();
+            walkers
+                .into_iter()
+                .map(|w| w.join().expect("walker"))
+                .collect()
+        });
+        for out in &outcomes {
+            assert_same(out, &clean[0], "concurrent walk");
+        }
+        assert_eq!(
+            m.counter(names::READ_GEOMETRY_BYTES).get() - geometry,
+            one_walk,
+            "depth {depth}: {READERS} walks share one load of each section"
+        );
+        assert_eq!(
+            tier_bytes_read(&canopus) - tier,
+            READERS as u64 * stored.field + one_walk,
+            "depth {depth}: each walk reads the field, one of them the geometry"
         );
     }
 }

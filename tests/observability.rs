@@ -9,6 +9,7 @@
 
 use canopus::config::RelativeCodec;
 use canopus::{Canopus, CanopusConfig, MetricsSnapshot};
+use canopus_adios::GeometrySection;
 use canopus_data::xgc1_dataset_sized;
 use canopus_obs::{names, RingBufferSink};
 use canopus_refactor::levels::RefactorConfig;
@@ -45,6 +46,21 @@ fn restore_and_snapshot() -> (MetricsSnapshot, Vec<f64>, canopus_data::Dataset) 
     let reader = canopus.open("obs.bp").expect("open");
     let out = reader.read_level(ds.var, 0).expect("restore to L0");
     (canopus.metrics().snapshot(), out.data, ds)
+}
+
+/// Stored bytes of the coordinates section of each level's geometry
+/// object, from the manifest.
+fn coordinate_sections(canopus: &Canopus, var: &str) -> Vec<u64> {
+    let reader = canopus.open("obs.bp").expect("open");
+    let var = reader.file().inq_var(var).expect("variable");
+    (0..LEVELS)
+        .map(|level| {
+            var.metadata_for(level)
+                .and_then(|block| block.section(GeometrySection::Coordinates))
+                .expect("every level's geometry has its sections")
+                .len
+        })
+        .collect()
 }
 
 fn max_err(a: &[f64], b: &[f64]) -> f64 {
@@ -91,11 +107,23 @@ fn lossless_restore_to_l0_is_faithful_and_fully_counted() {
     assert_eq!(snap.counter(names::READ_REFINEMENTS), (LEVELS - 1) as u64);
     assert!(snap.counter(names::READ_BLOCKS) >= LEVELS as u64);
     assert!(snap.counter(names::READ_BYTES_IO) > 0);
-    // A cold restore to L0 fetches every product once: each level's
-    // packed geometry, counted apart on both sides, and the field.
-    let geometry = snap.counter(names::WRITE_GEOMETRY_BYTES);
-    assert!(geometry > 0);
-    assert_eq!(snap.counter(names::READ_GEOMETRY_BYTES), geometry);
+    // A cold restore to L0 fetches the field and what it consumes of
+    // the geometry, each once: every level's topology, and coordinates
+    // only of the two levels whose meshes it handles — the base it
+    // starts from and level 0 it returns — not of those it passes
+    // through (the default estimator reads none).
+    let written = snap.counter(names::WRITE_GEOMETRY_BYTES);
+    assert!(written > 0);
+    let (canopus, _) = written_canopus();
+    let coordinates = coordinate_sections(&canopus, ds.var);
+    let passed: u64 = coordinates[1..LEVELS as usize - 1].iter().sum();
+    assert!(passed > 0);
+    let geometry = snap.counter(names::READ_GEOMETRY_BYTES);
+    assert_eq!(geometry, written - passed);
+    assert_eq!(
+        snap.counter(names::READ_COORDINATE_BYTES),
+        coordinates.iter().sum::<u64>() - passed
+    );
     assert_eq!(
         snap.counter(names::READ_BYTES_IO),
         snap.counter(names::WRITE_BYTES_STORED) + geometry

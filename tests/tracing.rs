@@ -192,3 +192,38 @@ fn serial_and_pipelined_walks_tell_the_same_causal_story() {
         );
     }
 }
+
+#[test]
+fn a_section_fetch_names_its_section_on_the_block_span() {
+    // Base -> level 0 over three levels passes through level 1 alone:
+    // its geometry object is the one fetched in part, and the span says
+    // which part. Whole-object fetches carry no section.
+    for depth in [0, CanopusConfig::default().pipeline_depth.max(2)] {
+        let events = traced_read(depth);
+        let fetches: Vec<(String, Option<String>)> = events
+            .iter()
+            .filter(|e| e.name == "read.block")
+            .map(|e| {
+                let text = |key| match e.field(key) {
+                    Some(FieldValue::Str(s)) => Some(s.clone()),
+                    _ => None,
+                };
+                (
+                    text("key").expect("every fetch names its key"),
+                    text("section"),
+                )
+            })
+            .collect();
+        let geometry = |level: u32| format!("/m{level}");
+        for (key, section) in &fetches {
+            let expect = key.ends_with(&geometry(1)).then(|| "topology".to_string());
+            assert_eq!(section, &expect, "depth {depth}: {key}");
+        }
+        for level in 0..LEVELS {
+            let fetched = fetches
+                .iter()
+                .filter(|(k, _)| k.ends_with(&geometry(level)));
+            assert_eq!(fetched.count(), 1, "depth {depth}: level {level} geometry");
+        }
+    }
+}
