@@ -162,7 +162,7 @@ fn sample(ds: &Dataset, num_levels: u32, sc: &Scenario) -> (FaultSample, Metrics
     canopus
         .write("faults.bp", ds.var, &ds.mesh, &ds.data)
         .expect("bench write");
-    let clean: Vec<Vec<f64>> = (0..num_levels)
+    let clean: Vec<Arc<Vec<f64>>> = (0..num_levels)
         .map(|l| {
             canopus
                 .open("faults.bp")

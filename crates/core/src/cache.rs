@@ -9,9 +9,15 @@
 //!
 //! Entries share their data and their level's geometry entry (the one
 //! the reader's geometry cache holds, halves filled lazily) through
-//! `Arc`s, so a hit clones two pointers; the deep copy happens only when
-//! the caller materialises a [`ReadOutcome`](crate::read::ReadOutcome). Only level-exact fields are
-//! cached — mixed-accuracy results from region refinement never enter.
+//! `Arc`s, so a hit clones two pointers — and nothing is copied after
+//! that either: the [`ReadOutcome`](crate::read::ReadOutcome) a caller
+//! receives points at the entry's field buffer and at the geometry
+//! entry's point and triangle arrays. Nobody can write through those
+//! pointers, which is what keeps an entry canonical; a caller that wants
+//! to mutate copies first
+//! ([`ReadOutcome::into_data`](crate::read::ReadOutcome::into_data)).
+//! Only level-exact fields are cached — mixed-accuracy results from
+//! region refinement never enter.
 //!
 //! Retention is bounded twice over: by entry count (the configured
 //! capacity) and by approximate resident bytes
@@ -20,6 +26,15 @@
 //! is LRU-first under either bound; the most recently inserted entry is
 //! always retained — even alone over the byte budget — so a repeat read
 //! of the same `(var, level)` still answers from memory.
+//!
+//! The budget counts what the cache *retains*, each array once: an
+//! entry is charged its field plus its level's point and triangle
+//! arrays in full, however many outcomes point at them. Eviction drops
+//! the cache's references and un-charges the entry; the memory itself
+//! goes back to the allocator when the last outcome a caller still
+//! holds does (and the geometry arrays stay with the reader's geometry
+//! cache, which never evicts). The budget therefore bounds the cache,
+//! not the process: callers that keep outcomes alive keep them resident.
 //!
 //! ## Lock order
 //!
@@ -54,7 +69,8 @@ pub(crate) struct CachedLevel {
 impl CachedLevel {
     /// Approximate resident size: the vertex field plus the mesh's
     /// point and connectivity arrays (counted whether or not the
-    /// coordinates have been loaded yet).
+    /// coordinates have been loaded yet), each allocation once — the
+    /// outcomes handed out for this entry add nothing to it.
     fn approx_bytes(&self) -> usize {
         self.data.len() * std::mem::size_of::<f64>() + self.geometry.approx_bytes()
     }
@@ -99,7 +115,9 @@ struct Inner {
 }
 
 /// A small LRU of decoded levels, keyed by `(var, level)`, bounded by
-/// entry count and approximate bytes.
+/// entry count and approximate bytes. Both bounds are on what the cache
+/// itself retains: evicting an entry frees its arrays only once no
+/// caller holds an outcome over them (see the module doc).
 pub(crate) struct LevelCache {
     capacity: usize,
     /// Atomic (not a field behind the mutex, not `&mut`): the budget is
@@ -354,6 +372,32 @@ mod tests {
         assert!(c.get("v", 1).is_none(), "LRU entry evicted on bytes");
         assert!(c.get("v", 2).is_some());
         assert!(c.resident_bytes() <= 20 << 10);
+    }
+
+    #[test]
+    fn shared_arrays_are_charged_once_and_outlive_eviction() {
+        let c = LevelCache::new(16);
+        let entry = sized_level(1024);
+        let one = 1024 * 8 + entry.geometry.approx_bytes();
+        c.set_max_bytes(2 * one);
+        c.insert("v", 0, entry.clone());
+        // Outcomes in callers' hands point at the entry's arrays; the
+        // cache still holds, and charges, one copy.
+        let handed_out: Vec<CachedLevel> = (0..8).map(|_| c.get("v", 0).unwrap()).collect();
+        assert!(handed_out.iter().all(|h| Arc::ptr_eq(&h.data, &entry.data)));
+        assert_eq!(c.resident_bytes(), one);
+        c.insert("v", 1, sized_level(1024));
+        assert_eq!(c.resident_bytes(), 2 * one);
+
+        // Over the budget: level 0 leaves the cache and its charge with
+        // it, but not the memory its holders still read.
+        c.insert("v", 2, sized_level(1024));
+        assert!(c.get("v", 0).is_none());
+        assert_eq!((c.len(), c.resident_bytes()), (2, 2 * one));
+        assert_eq!(Arc::strong_count(&entry.data), 1 + handed_out.len());
+        assert_eq!(*handed_out[7].data, vec![0.0; 1024]);
+        drop(handed_out);
+        assert_eq!(Arc::strong_count(&entry.data), 1);
     }
 
     #[test]

@@ -25,7 +25,7 @@ use canopus_mesh::{Connectivity, TriMesh};
 use canopus_refactor::mapping::{mapping_from_bytes, mapping_to_bytes};
 use canopus_storage::ProductKind;
 use parking_lot::{Mutex, MutexGuard};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// Assemble a level's geometry block: both sections packed, and the
 /// index that lets a reader fetch and verify either alone. The entries'
@@ -107,8 +107,9 @@ pub(crate) struct Topology {
 
 /// One level's geometry in memory. Shared, never copied: the geometry
 /// cache, the decoded-level cache and a walk in flight hold the same
-/// entry, and the only copy is the mesh assembled for a caller's
-/// [`ReadOutcome`](crate::read::ReadOutcome).
+/// entry, and the mesh assembled for a caller's
+/// [`ReadOutcome`](crate::read::ReadOutcome) reads the entry's own point
+/// and triangle arrays.
 ///
 /// The halves are filled lazily and at most once each, under
 /// [`Self::filling`]: concurrent readers that miss on the same level
@@ -120,7 +121,7 @@ pub(crate) struct LevelGeometry {
     triangles: u64,
     raw_bytes: u64,
     fill: Mutex<()>,
-    points: OnceLock<Vec<Point2>>,
+    points: OnceLock<Arc<Vec<Point2>>>,
     topology: OnceLock<Topology>,
 }
 
@@ -159,8 +160,10 @@ impl LevelGeometry {
         self.vertices
     }
 
-    /// Resident size once both halves are loaded (the decoded-level
-    /// cache budgets an entry at this from the start).
+    /// Resident size of the point and triangle arrays once both halves
+    /// are loaded (the decoded-level cache budgets an entry at this from
+    /// the start). Each array is one allocation however many meshes have
+    /// been assembled over it, so it is counted once.
     pub fn approx_bytes(&self) -> usize {
         let triangles = usize::try_from(self.triangles).unwrap_or(usize::MAX);
         (self.vertices.saturating_mul(POINT_BYTES))
@@ -173,7 +176,7 @@ impl LevelGeometry {
 
     /// The vertex positions, if they have been loaded.
     pub fn points(&self) -> Option<&[Point2]> {
-        self.points.get().map(Vec::as_slice)
+        self.points.get().map(|points| points.as_slice())
     }
 
     /// Whether what `need` asks for is loaded.
@@ -181,10 +184,11 @@ impl LevelGeometry {
         self.topology.get().is_some() && (need == Need::Topology || self.points.get().is_some())
     }
 
-    /// The level's mesh, assembled (copied) from both halves; `None`
-    /// until both are loaded.
+    /// The level's mesh over this entry's own arrays (two reference
+    /// counts, no copy); `None` until both halves are loaded.
     pub fn mesh(&self) -> Option<TriMesh> {
-        self.topology()?.connectivity.mesh_over(self.points()?)
+        let points = Arc::clone(self.points.get()?);
+        self.topology()?.connectivity.mesh_over(points)
     }
 
     /// The lock a filler holds from deciding what is missing until it
@@ -220,7 +224,7 @@ impl LevelGeometry {
             let points = self
                 .parse_coordinates(bytes)
                 .map_err(|why| malformed(block, why))?;
-            let _ = self.points.set(points);
+            let _ = self.points.set(Arc::new(points));
         }
         if let (Some(bytes), None) = (topology, self.topology.get()) {
             let topology = self
@@ -343,8 +347,17 @@ pub(crate) mod tests {
                 assert_eq!(g.holds(Need::Whole), step == 1);
                 assert_eq!(g.holds(Need::Topology), g.topology().is_some());
             }
-            assert_eq!(g.mesh().as_ref(), Some(&mesh));
+            // Every mesh handed out is the entry's own two arrays, so
+            // `approx_bytes` below counts what all of them occupy.
+            let (first, second) = (g.mesh().unwrap(), g.mesh().unwrap());
+            assert_eq!(first, mesh);
+            assert!(std::ptr::eq(first.points(), g.points().unwrap()));
+            assert!(std::ptr::eq(first.triangles(), second.triangles()));
             let topology = g.topology().unwrap();
+            assert!(std::ptr::eq(
+                first.triangles(),
+                topology.connectivity.triangles()
+            ));
             assert_eq!(topology.mapping, mapping);
             assert_eq!(topology.mapping_end, mesh.num_vertices());
             assert_eq!(

@@ -108,12 +108,20 @@ pub struct RegionStats {
 }
 
 /// Result of restoring a variable to some accuracy level.
+///
+/// The mesh and the field are shared and immutable: a level answered
+/// from the reader's caches is handed out as pointers to the arrays the
+/// caches hold, not as copies, so `clone` is cheap and an outcome stays
+/// valid after its cache entry is evicted and after the reader is
+/// dropped. Read through them as before (`out.data.len()`, `&out.data`
+/// as `&[f64]`, `&out.mesh` as `&TriMesh`); for a field to own or
+/// mutate, take [`ReadOutcome::into_data`].
 #[derive(Debug, Clone)]
 pub struct ReadOutcome {
     /// The mesh at the restored level.
     pub mesh: TriMesh,
-    /// The restored data.
-    pub data: Vec<f64>,
+    /// The restored data, one value per vertex of `mesh`.
+    pub data: Arc<Vec<f64>>,
     /// Which level this is (0 = full accuracy).
     pub level: u32,
     /// The level actually restored — always equal to [`level`](Self::level).
@@ -136,25 +144,37 @@ pub struct ReadOutcome {
     pub level_exact: bool,
 }
 
-/// A restored level inside the reader: its field, and the geometry
-/// entry it shares with the caches — which holds the level's topology,
-/// and its coordinates only if something needed them. A mesh is
-/// assembled where one is handed out ([`CanopusReader::outcome`]).
+impl ReadOutcome {
+    /// The field as a `Vec` of the caller's own: moved out when this
+    /// outcome is the buffer's only holder, copied when a cache or
+    /// another outcome shares it — which is what keeps a caller's writes
+    /// away from what the next reader is served.
+    pub fn into_data(self) -> Vec<f64> {
+        Arc::unwrap_or_clone(self.data)
+    }
+}
+
+/// A restored level inside the reader: its field — the one buffer the
+/// level was restored in, shared with the decoded-level cache and handed
+/// to the caller as it is — and the geometry entry it shares with the
+/// caches, which holds the level's topology, and its coordinates only if
+/// something needed them. A mesh is assembled where one is handed out
+/// ([`CanopusReader::outcome`]).
 struct Restored {
     level: u32,
     geometry: Arc<LevelGeometry>,
-    data: Vec<f64>,
+    data: Arc<Vec<f64>>,
     timing: PhaseTiming,
 }
 
 impl Restored {
-    /// A caller-owned copy of a cached level's field. Timing is zero: a
-    /// cache hit performs no I/O, decompression or restoration.
+    /// A cached level, by reference. Timing is zero: a cache hit
+    /// performs no I/O, decompression or restoration.
     fn from_cached(level: u32, hit: &CachedLevel) -> Self {
         Self {
             level,
             geometry: Arc::clone(&hit.geometry),
-            data: (*hit.data).clone(),
+            data: Arc::clone(&hit.data),
             timing: PhaseTiming::default(),
         }
     }
@@ -217,7 +237,8 @@ impl Walk {
     }
 
     /// Step to `next`; returns the field buffer of the level left
-    /// behind, unless that was the start.
+    /// behind — unless that was the start, or the decoded-level cache
+    /// holds the buffer too.
     fn advance(&mut self, next: Restored) -> Option<Vec<f64>> {
         let left = std::mem::replace(&mut self.cur, next);
         match self.start {
@@ -225,7 +246,7 @@ impl Walk {
                 self.start = Some(left);
                 None
             }
-            Some(_) => Some(left.data),
+            Some(_) => Arc::into_inner(left.data),
         }
     }
 }
@@ -295,8 +316,10 @@ pub struct CanopusReader {
 /// thread before it spawns its stages (reusing a retired buffer's
 /// allocation when one is available) and the decode worker that gets
 /// the block sizes it; the restore stage `put`s buffers back once their
-/// values are scattered or their level has applied. Hits and misses
-/// land on [`names::READ_DECODE_BUF_HITS`] /
+/// values are scattered or — for a level's own buffer — once the walk
+/// has left the level behind and nothing else holds it: a level the
+/// decoded-level cache retains *is* its buffer, so that one is not
+/// recycled. Hits and misses land on [`names::READ_DECODE_BUF_HITS`] /
 /// [`names::READ_DECODE_BUF_MISSES`], so steady-state zero-allocation
 /// behavior is observable.
 ///
@@ -456,13 +479,15 @@ impl CanopusReader {
         self.level_cache.insert_chunk(var, level, chunk, values);
     }
 
-    /// Retain a restored level for future reads (no-op when disabled).
+    /// Retain a restored level for future reads (no-op when disabled):
+    /// the cache takes a reference to the buffer the level was restored
+    /// in, which the walk goes on to read and the caller to receive.
     fn cache_store(
         &self,
         var: &str,
         level: u32,
         geometry: &Arc<LevelGeometry>,
-        data: &[f64],
+        data: &Arc<Vec<f64>>,
         delta_rms: f64,
     ) {
         if !self.level_cache.enabled() {
@@ -473,14 +498,14 @@ impl CanopusReader {
             level,
             CachedLevel {
                 geometry: Arc::clone(geometry),
-                data: Arc::new(data.to_vec()),
+                data: Arc::clone(data),
                 delta_rms,
             },
         );
     }
 
     /// Hand a restored level to the caller. This is where a mesh is
-    /// assembled — the one copy of a level's geometry — and so where the
+    /// assembled over the level's shared arrays, and so where the
     /// level's coordinates are fetched, once, if no step that led here
     /// consumed them (a walk passed through the level, or stopped at it
     /// short of its target).
@@ -977,6 +1002,7 @@ impl CanopusReader {
         timing.decompress_secs += decompress;
         timing.elapsed_secs = wall.elapsed().as_secs_f64();
 
+        let data = Arc::new(data);
         self.cache_store(var, base_level, &geometry, &data, 0.0);
         Ok(Restored {
             level: base_level,
@@ -1061,9 +1087,9 @@ impl CanopusReader {
     /// (paper Alg. 3): one pass adds each vertex's estimate from
     /// `coarse` and sums the squared deltas. Everything the kernel
     /// indexes by came out of stored bytes, so it is checked first.
-    /// Returns the level's data, the delta's RMS (the paper's
-    /// adjacent-level termination criterion; 0 for an empty delta) and
-    /// the wall seconds of the pass.
+    /// Returns the level's data — from here on shared and read-only —
+    /// the delta's RMS (the paper's adjacent-level termination
+    /// criterion; 0 for an empty delta) and the wall seconds of the pass.
     fn apply_delta(
         &self,
         var: &str,
@@ -1071,7 +1097,7 @@ impl CanopusReader {
         geometry: &LevelGeometry,
         mut delta: Vec<f64>,
         coarse: &Coarse<'_>,
-    ) -> Result<(Vec<f64>, f64, f64), CanopusError> {
+    ) -> Result<(Arc<Vec<f64>>, f64, f64), CanopusError> {
         let invalid =
             |why: String| CanopusError::Invalid(format!("restoring level {finer} of {var}: {why}"));
         let n = geometry.num_vertices();
@@ -1120,7 +1146,7 @@ impl CanopusReader {
         } else {
             (squares / n as f64).sqrt()
         };
-        Ok((delta, rms, secs))
+        Ok((Arc::new(delta), rms, secs))
     }
 
     /// Refine an already-restored level by one step: read + decompress
@@ -2267,6 +2293,21 @@ mod tests {
             let again = reader.read_level("v", passed).unwrap();
             assert_eq!(again.mesh, hit.mesh, "{engine} again");
             assert_eq!(coordinates() - before, section, "{engine}: fetched once");
+
+            // The hit and the repeat are the cache's own arrays, so a
+            // caller that wants to write takes a copy — and what it
+            // writes there is not what the next hit is served.
+            assert!(Arc::ptr_eq(&again.data, &hit.data), "{engine}");
+            assert!(std::ptr::eq(again.mesh.points(), hit.mesh.points()));
+            let mut scribbled = again.into_data();
+            scribbled.fill(f64::NAN);
+            let later = reader.read_level("v", passed).unwrap();
+            assert!(Arc::ptr_eq(&later.data, &hit.data), "{engine}");
+            assert_eq!(
+                bits(&later.data),
+                bits(&h.restore_to(passed)),
+                "{engine} after a caller's writes"
+            );
         }
     }
 
@@ -2514,7 +2555,7 @@ mod tests {
         let reader = c.open("raw.bp").unwrap();
         assert_eq!(reader.num_levels(), 1);
         let out = reader.read_level("v", 0).unwrap();
-        assert_eq!(out.data, data);
+        assert_eq!(*out.data, data);
         assert_eq!(out.timing.restore_secs, 0.0);
     }
 }

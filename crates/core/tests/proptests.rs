@@ -196,7 +196,7 @@ proptest! {
                     let max_err = got
                         .data
                         .iter()
-                        .zip(&want.data)
+                        .zip(want.data.iter())
                         .map(|(x, y)| (x - y).abs())
                         .fold(0.0f64, f64::max);
                     prop_assert!(
@@ -229,7 +229,7 @@ proptest! {
         for level in 0..3u32 {
             let (lo, hi) = reader.value_bounds("v", level).unwrap();
             let out = reader.read_level("v", level).unwrap();
-            for &x in &out.data {
+            for &x in out.data.iter() {
                 prop_assert!(x >= lo - 1e-9 && x <= hi + 1e-9,
                     "level {}: value {} outside [{}, {}]", level, x, lo, hi);
             }

@@ -11,6 +11,7 @@ use crate::geometry::Point2;
 use crate::mesh::{Connectivity, TriMesh, VertexId};
 use crate::pack::{pack_block, Reader, BLOCK};
 use std::io::{self, BufRead, BufReader, Read, Write};
+use std::sync::Arc;
 
 const BINARY_MAGIC: &[u8; 8] = b"CNPMESH2";
 /// The raw 16 B/vertex, 12 B/triangle layout this format replaced.
@@ -333,7 +334,7 @@ pub fn from_binary(bytes: &[u8], max_decoded_bytes: u64) -> Result<TriMesh, Mesh
     let connectivity = read_triangles(&mut r, points.len(), nf, left)?;
     expect_end(&r, "triangle")?;
     Ok(connectivity
-        .into_mesh(points)
+        .mesh_over(Arc::new(points))
         .expect("checked against these points"))
 }
 
@@ -419,8 +420,13 @@ mod tests {
         let (connectivity, rest) = connectivity_from_binary(triangles, nv, nf, limit).unwrap();
         assert!(rest.is_empty());
         assert_eq!(connectivity.num_vertices(), nv);
-        assert_eq!(connectivity.mesh_over(&points), Some(m.clone()));
-        assert_eq!(connectivity.mesh_over(&points[1..]), None);
+        let points = Arc::new(points);
+        let over = connectivity.mesh_over(Arc::clone(&points)).unwrap();
+        assert_eq!(over, m);
+        // Assembled, not copied: the mesh reads the parsed arrays.
+        assert!(std::ptr::eq(over.points(), points.as_slice()));
+        assert!(std::ptr::eq(over.triangles(), connectivity.triangles()));
+        assert_eq!(connectivity.mesh_over(Arc::new(points[1..].to_vec())), None);
 
         // What follows the triangles is the caller's; what follows the
         // vertices is an error, as is a section cut short or mistaken

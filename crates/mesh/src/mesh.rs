@@ -3,6 +3,7 @@
 use crate::adjacency::Adjacency;
 use crate::geometry::{Aabb, Point2, Triangle};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Index of a vertex within a [`TriMesh`]. Kept at 32 bits: the largest mesh
 /// in the paper has 130 050 triangles, and u32 halves the memory traffic of
@@ -19,20 +20,28 @@ pub type TriId = u32;
 /// dedicated working structure in `canopus-refactor`; everything else
 /// (point location, rasterization, quality checks, serialization) consumes
 /// this type.
+///
+/// Both arrays live in shared immutable storage, so `clone` is two
+/// reference-count bumps and every clone — a reader's geometry cache, the
+/// outcomes it hands out — reads the same allocations. Equality compares
+/// contents. There is no way to mutate a mesh in place: for arrays of
+/// your own, copy them out (`mesh.points().to_vec()`) and build a new
+/// mesh with [`TriMesh::new`].
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct TriMesh {
-    points: Vec<Point2>,
-    tris: Vec<[VertexId; 3]>,
+    points: Arc<Vec<Point2>>,
+    tris: Arc<Vec<[VertexId; 3]>>,
 }
 
 /// The triangles of a mesh without its vertex positions: what
 /// restoration with the mean estimator reads of a coarser level. Every
 /// corner id is below [`num_vertices`](Self::num_vertices) — checked
 /// once, by whoever built it — so a [`TriMesh`] can be assembled over
-/// matching points without checking again.
+/// matching points without checking again. The triangle array is shared
+/// with every mesh assembled over it.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Connectivity {
-    tris: Vec<[VertexId; 3]>,
+    tris: Arc<Vec<[VertexId; 3]>>,
     num_vertices: usize,
 }
 
@@ -41,7 +50,10 @@ impl Connectivity {
     /// `num_vertices` and reported a violation as an error of its own.
     pub(crate) fn from_checked(tris: Vec<[VertexId; 3]>, num_vertices: usize) -> Self {
         debug_assert!(tris.iter().flatten().all(|&v| (v as usize) < num_vertices));
-        Self { tris, num_vertices }
+        Self {
+            tris: Arc::new(tris),
+            num_vertices,
+        }
     }
 
     #[inline]
@@ -56,15 +68,14 @@ impl Connectivity {
     }
 
     /// The mesh these triangles form over `points`, or `None` unless
-    /// there is exactly one point per vertex.
-    pub fn into_mesh(self, points: Vec<Point2>) -> Option<TriMesh> {
-        (points.len() == self.num_vertices).then(|| TriMesh::from_checked(points, self.tris))
-    }
-
-    /// [`Self::into_mesh`] over copies of both halves.
-    pub fn mesh_over(&self, points: &[Point2]) -> Option<TriMesh> {
-        (points.len() == self.num_vertices)
-            .then(|| TriMesh::from_checked(points.to_vec(), self.tris.clone()))
+    /// there is exactly one point per vertex. Nothing is copied: the
+    /// mesh shares `points` with the caller and the triangle array with
+    /// `self`.
+    pub fn mesh_over(&self, points: Arc<Vec<Point2>>) -> Option<TriMesh> {
+        (points.len() == self.num_vertices).then(|| TriMesh {
+            points,
+            tris: Arc::clone(&self.tris),
+        })
     }
 }
 
@@ -84,14 +95,10 @@ impl TriMesh {
                 );
             }
         }
-        Self { points, tris }
-    }
-
-    /// [`Self::new`] for a parser that has already range-checked every
-    /// index and reported a violation as an error of its own.
-    pub(crate) fn from_checked(points: Vec<Point2>, tris: Vec<[VertexId; 3]>) -> Self {
-        debug_assert!(tris.iter().flatten().all(|&v| (v as usize) < points.len()));
-        Self { points, tris }
+        Self {
+            points: Arc::new(points),
+            tris: Arc::new(tris),
+        }
     }
 
     #[inline]
@@ -140,7 +147,7 @@ impl TriMesh {
     /// All undirected edges, each as an ordered pair `(lo, hi)`, sorted.
     pub fn edges(&self) -> Vec<(VertexId, VertexId)> {
         let mut edges: Vec<(VertexId, VertexId)> = Vec::with_capacity(self.tris.len() * 3);
-        for &[a, b, c] in &self.tris {
+        for &[a, b, c] in self.tris.iter() {
             for (u, v) in [(a, b), (b, c), (c, a)] {
                 edges.push((u.min(v), u.max(v)));
             }

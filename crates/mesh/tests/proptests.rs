@@ -4,8 +4,9 @@ use canopus_mesh::generators::{
     annulus_mesh, boundary_vertices, disk_mesh, jitter_interior, rectangle_mesh,
 };
 use canopus_mesh::geometry::{Aabb, Point2, Triangle};
-use canopus_mesh::{quality, GridLocator, ScalarField};
+use canopus_mesh::{quality, GridLocator, ScalarField, TriMesh};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 fn arb_point() -> impl Strategy<Value = Point2> {
     (-100.0f64..100.0, -100.0f64..100.0).prop_map(|(x, y)| Point2::new(x, y))
@@ -98,6 +99,42 @@ proptest! {
         let limit = canopus_mesh::io::decoded_bytes(&m);
         let back = canopus_mesh::io::from_binary(&bytes, limit).unwrap();
         prop_assert_eq!(back, m);
+    }
+
+    /// Shared storage shows only as pointer identity: a clone and every
+    /// mesh assembled over one set of parsed sections read the same
+    /// arrays, while equality still compares contents — a mesh rebuilt
+    /// from copies is equal and shares nothing, one moved vertex is
+    /// unequal — and the section parsers round-trip exactly.
+    #[test]
+    fn shared_storage_keeps_equality_and_roundtrips(nx in 1usize..8, ny in 1usize..8, seed in 0u64..50) {
+        let bb = Aabb::from_points([Point2::new(-1.0, -1.0), Point2::new(1.0, 1.0)]);
+        let m = jitter_interior(&rectangle_mesh(nx, ny, bb), 0.2, seed);
+        let copy = m.clone();
+        prop_assert!(std::ptr::eq(copy.points(), m.points()));
+        prop_assert!(std::ptr::eq(copy.triangles(), m.triangles()));
+
+        let rebuilt = TriMesh::new(m.points().to_vec(), m.triangles().to_vec());
+        prop_assert_eq!(&rebuilt, &m);
+        prop_assert!(!std::ptr::eq(rebuilt.points(), m.points()));
+        let mut moved = m.points().to_vec();
+        moved[0].x += 1.0;
+        prop_assert_ne!(&TriMesh::new(moved, m.triangles().to_vec()), &m);
+
+        let (bytes, at) = canopus_mesh::io::to_binary_sections(&m);
+        let limit = canopus_mesh::io::decoded_bytes(&m);
+        let (points, nf) = canopus_mesh::io::points_from_binary(&bytes[..at], limit).unwrap();
+        let (connectivity, rest) = canopus_mesh::io::connectivity_from_binary(
+            &bytes[at..], points.len(), nf, limit).unwrap();
+        prop_assert!(rest.is_empty());
+        let points = Arc::new(points);
+        let first = connectivity.mesh_over(Arc::clone(&points)).unwrap();
+        let second = connectivity.mesh_over(Arc::clone(&points)).unwrap();
+        prop_assert_eq!(&first, &m);
+        prop_assert!(std::ptr::eq(first.points(), points.as_slice()));
+        prop_assert!(std::ptr::eq(first.points(), second.points()));
+        prop_assert!(std::ptr::eq(first.triangles(), connectivity.triangles()));
+        prop_assert!(std::ptr::eq(first.triangles(), second.triangles()));
     }
 
     /// Boundary vertices of a rectangle grid are exactly the outer frame.

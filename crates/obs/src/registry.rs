@@ -307,8 +307,18 @@ impl Registry {
         SpanGuard::activate(sink, name, fields, id, parent.id(), self.epoch)
     }
 
-    /// Point-in-time copy of every instrument (plus any events the
-    /// current sink has retained).
+    /// A copy of every instrument (plus any events the current sink has
+    /// retained).
+    ///
+    /// Instruments are lock-free atomics read one after another, in the
+    /// name maps' (per-registry random) iteration order, while writers
+    /// keep running. Each value is therefore one the instrument really
+    /// held during the call — a counter never goes backwards across one
+    /// observer's successive snapshots and never exceeds its final total
+    /// — but the snapshot is not a consistent cut *across* instruments:
+    /// of two counters a writer bumps in order, the second may be read
+    /// after a bump the first was read before. Compare instruments with
+    /// each other only once the writers are quiescent.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let counters = self
             .counters

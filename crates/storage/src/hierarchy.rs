@@ -12,11 +12,11 @@
 //! three independent leaves — the device's `RwLock` (held only for the
 //! keyed byte map operation itself), the stats mutex, and the fault
 //! mutex — each taken and released separately; the sim clock is an
-//! atomic. Metrics calls from in here hit the registry's own leaf locks
-//! (see `canopus_obs::Registry`) strictly after every storage lock is
-//! released or on lock-free instrument handles, so the cross-crate
-//! order is: reader caches → scheduler/reader-map → storage leaves →
-//! registry maps, with at most one held at a time.
+//! atomic. Metrics calls from in here go through instrument handles
+//! resolved when the hierarchy is built — lock-free atomics, no name
+//! lookup in the registry's maps (see `canopus_obs::Registry`) — so the
+//! cross-crate order is: reader caches → scheduler/reader-map → storage
+//! leaves, with at most one held at a time.
 
 use crate::clock::{SimClock, SimDuration};
 use crate::device::Device;
@@ -25,7 +25,7 @@ use crate::fault::{corrupt_payload, FaultOp, FaultPlan};
 use crate::migration::AccessTracker;
 use crate::tier::TierSpec;
 use bytes::Bytes;
-use canopus_obs::{names, Registry};
+use canopus_obs::{names, Counter, Gauge, Histogram, Registry, StageTimer};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -48,15 +48,58 @@ struct TierState {
     device: Device,
     stats: Mutex<TierStats>,
     faults: Mutex<FaultState>,
+    metrics: TierMetrics,
 }
 
-impl TierState {
-    fn new(spec: TierSpec, device: Device) -> Self {
+/// One direction's per-tier instruments: bytes moved, operations, the
+/// modelled transfer time, and the per-op latency on each clock.
+struct OpMetrics {
+    bytes: Arc<Counter>,
+    ops: Arc<Counter>,
+    timer: Arc<StageTimer>,
+    latency_wall: Arc<Histogram>,
+    latency_sim: Arc<Histogram>,
+}
+
+impl OpMetrics {
+    fn record(&self, bytes: u64, wall_secs: f64, dt: SimDuration) {
+        self.bytes.add(bytes);
+        self.ops.inc();
+        self.timer.record(0.0, dt.seconds());
+        self.latency_wall.observe_secs(wall_secs);
+        self.latency_sim.observe_secs(dt.seconds());
+    }
+}
+
+/// A tier's instruments, resolved by name once, when the hierarchy is
+/// built: an accounted read or write bumps atomics through these handles
+/// and neither formats a metric name nor takes a registry map lock.
+/// ([`Registry::reset`] zeroes instruments in place, so the handles
+/// outlive [`StorageHierarchy::clear`].)
+struct TierMetrics {
+    read: OpMetrics,
+    write: OpMetrics,
+    faults: Arc<Counter>,
+}
+
+impl TierMetrics {
+    fn resolve(obs: &Registry, idx: usize) -> Self {
         Self {
-            spec,
-            device,
-            stats: Mutex::new(TierStats::default()),
-            faults: Mutex::new(FaultState::default()),
+            read: OpMetrics {
+                bytes: obs.counter(&names::tier_bytes_read(idx)),
+                ops: obs.counter(&names::tier_reads(idx)),
+                timer: obs.timer(&names::tier_read_timer(idx)),
+                latency_wall: obs.histogram(&names::tier_read_latency_wall(idx)),
+                latency_sim: obs.histogram(&names::tier_read_latency_sim(idx)),
+            },
+            write: OpMetrics {
+                bytes: obs.counter(&names::tier_bytes_written(idx)),
+                ops: obs.counter(&names::tier_writes(idx)),
+                timer: obs.timer(&names::tier_write_timer(idx)),
+                latency_wall: obs.histogram(&names::tier_write_latency_wall(idx)),
+                latency_sim: obs.histogram(&names::tier_write_latency_sim(idx)),
+            },
+            faults: obs.counter(&names::tier_faults(idx)),
         }
     }
 }
@@ -98,6 +141,9 @@ pub struct StorageHierarchy {
     tiers: Vec<TierState>,
     clock: SimClock,
     obs: Arc<Registry>,
+    /// [`names::STORAGE_INFLIGHT_READS`] and its high-water mark.
+    inflight_reads: Arc<Gauge>,
+    inflight_reads_peak: Arc<Gauge>,
     /// Fast path: false ⇒ no tier has an active [`FaultPlan`], and the
     /// read/write paths skip fault bookkeeping entirely.
     faults_enabled: AtomicBool,
@@ -116,17 +162,38 @@ impl StorageHierarchy {
     /// Panics on an empty spec list.
     pub fn new(specs: Vec<TierSpec>) -> Self {
         assert!(!specs.is_empty(), "hierarchy needs at least one tier");
-        let tiers = specs
+        Self::over(
+            specs
+                .into_iter()
+                .map(|spec| {
+                    let device = Device::new(spec.name.clone(), spec.capacity);
+                    (spec, device)
+                })
+                .collect(),
+        )
+    }
+
+    /// The hierarchy over `tiers`, fastest first, with a registry of its
+    /// own and every tier's instruments resolved.
+    fn over(tiers: Vec<(TierSpec, Device)>) -> Self {
+        let obs = Arc::new(Registry::new());
+        let tiers = tiers
             .into_iter()
-            .map(|spec| {
-                let device = Device::new(spec.name.clone(), spec.capacity);
-                TierState::new(spec, device)
+            .enumerate()
+            .map(|(idx, (spec, device))| TierState {
+                spec,
+                device,
+                stats: Mutex::new(TierStats::default()),
+                faults: Mutex::new(FaultState::default()),
+                metrics: TierMetrics::resolve(&obs, idx),
             })
             .collect();
         Self {
             tiers,
             clock: SimClock::new(),
-            obs: Arc::new(Registry::new()),
+            inflight_reads: obs.gauge(names::STORAGE_INFLIGHT_READS),
+            inflight_reads_peak: obs.gauge(names::STORAGE_INFLIGHT_READS_PEAK),
+            obs,
             faults_enabled: AtomicBool::new(false),
             tracker: AccessTracker::new(),
             tracking_enabled: AtomicBool::new(false),
@@ -147,16 +214,9 @@ impl StorageHierarchy {
         for (i, spec) in specs.into_iter().enumerate() {
             let dir = root.join(format!("{i}-{}", spec.name));
             let device = Device::file_backed(spec.name.clone(), spec.capacity, dir)?;
-            tiers.push(TierState::new(spec, device));
+            tiers.push((spec, device));
         }
-        Ok(Self {
-            tiers,
-            clock: SimClock::new(),
-            obs: Arc::new(Registry::new()),
-            faults_enabled: AtomicBool::new(false),
-            tracker: AccessTracker::new(),
-            tracking_enabled: AtomicBool::new(false),
-        })
+        Ok(Self::over(tiers))
     }
 
     /// The paper's Titan testbed: DRAM tmpfs over Lustre. `tmpfs_capacity`
@@ -299,19 +359,19 @@ impl StorageHierarchy {
         let extra = SimDuration(plan.added_latency_s.max(0.0));
         if plan.is_down_at(op_index) {
             self.clock.advance(extra);
-            self.obs.counter(&names::tier_faults(idx)).inc();
+            tier.metrics.faults.inc();
             return Err(StorageError::TierDown { tier: idx });
         }
         if plan.draws(op, key, attempt) {
             self.clock.advance(extra);
-            self.obs.counter(&names::tier_faults(idx)).inc();
+            tier.metrics.faults.inc();
             return Err(StorageError::Transient {
                 tier: idx,
                 key: key.to_string(),
             });
         }
         if op == FaultOp::GetError && plan.draws(FaultOp::Corrupt, key, attempt) {
-            self.obs.counter(&names::tier_faults(idx)).inc();
+            tier.metrics.faults.inc();
             return Ok((extra, Some(plan.hash(FaultOp::Corrupt, key, attempt))));
         }
         Ok((extra, None))
@@ -342,19 +402,11 @@ impl StorageHierarchy {
             stats.writes += 1;
             stats.write_time += dt;
         }
-        self.obs.counter(&names::tier_bytes_written(idx)).add(sz);
-        self.obs.counter(&names::tier_writes(idx)).inc();
-        self.obs
-            .timer(&names::tier_write_timer(idx))
-            .record(0.0, dt.seconds());
         // Per-op latency distributions, one per clock: the measured
         // device op and the modelled transfer.
-        self.obs
-            .histogram(&names::tier_write_latency_wall(idx))
-            .observe_secs(wall.elapsed().as_secs_f64());
-        self.obs
-            .histogram(&names::tier_write_latency_sim(idx))
-            .observe_secs(dt.seconds());
+        tier.metrics
+            .write
+            .record(sz, wall.elapsed().as_secs_f64(), dt);
         Ok(dt)
     }
 
@@ -459,14 +511,11 @@ impl StorageHierarchy {
         range: Option<(u64, u64)>,
         track: bool,
     ) -> Result<(Bytes, usize, SimDuration), StorageError> {
-        let inflight = self.obs.gauge(names::STORAGE_INFLIGHT_READS);
-        inflight.add(1);
-        self.obs
-            .gauge(names::STORAGE_INFLIGHT_READS_PEAK)
-            .set_max(inflight.get());
+        self.inflight_reads.add(1);
+        self.inflight_reads_peak.set_max(self.inflight_reads.get());
         let wall = Instant::now();
         let located = self.locate_and_get(key, range);
-        inflight.sub(1);
+        self.inflight_reads.sub(1);
         let (data, idx, extra, corrupt) = located?;
         let tier = &self.tiers[idx];
         let data = match corrupt {
@@ -481,19 +530,9 @@ impl StorageHierarchy {
             stats.reads += 1;
             stats.read_time += dt;
         }
-        self.obs
-            .counter(&names::tier_bytes_read(idx))
-            .add(data.len() as u64);
-        self.obs.counter(&names::tier_reads(idx)).inc();
-        self.obs
-            .timer(&names::tier_read_timer(idx))
-            .record(0.0, dt.seconds());
-        self.obs
-            .histogram(&names::tier_read_latency_wall(idx))
-            .observe_secs(wall.elapsed().as_secs_f64());
-        self.obs
-            .histogram(&names::tier_read_latency_sim(idx))
-            .observe_secs(dt.seconds());
+        tier.metrics
+            .read
+            .record(data.len() as u64, wall.elapsed().as_secs_f64(), dt);
         if track && self.tracking_enabled.load(Ordering::Relaxed) {
             self.tracker.touch(key);
         }

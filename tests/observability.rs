@@ -45,7 +45,7 @@ fn restore_and_snapshot() -> (MetricsSnapshot, Vec<f64>, canopus_data::Dataset) 
     let (canopus, ds) = written_canopus();
     let reader = canopus.open("obs.bp").expect("open");
     let out = reader.read_level(ds.var, 0).expect("restore to L0");
-    (canopus.metrics().snapshot(), out.data, ds)
+    (canopus.metrics().snapshot(), out.into_data(), ds)
 }
 
 /// Stored bytes of the coordinates section of each level's geometry

@@ -151,7 +151,7 @@ fn two_variables_share_one_file() {
     let rb = canopus.open("multi2.bp").expect("open b");
     let a = ra.read_level("a", 0).expect("a");
     let b = rb.read_level("b", 0).expect("b");
-    for (x, y) in a.data.iter().zip(&b.data) {
+    for (x, y) in a.data.iter().zip(b.data.iter()) {
         assert!((y - 2.0 * x).abs() < 1e-3);
     }
 }

@@ -98,7 +98,7 @@ proptest! {
         let mut prog = reader.progressive("v").unwrap();
         loop {
             let direct = reader.read_level("v", prog.level()).unwrap();
-            prop_assert_eq!(direct.data, prog.data().to_vec());
+            prop_assert_eq!(direct.data.as_slice(), prog.data());
             if prog.at_full_accuracy() {
                 break;
             }

@@ -295,7 +295,7 @@ fn every_chunk_count_restores_every_level_for_every_codec() {
                 let max_err = a
                     .data
                     .iter()
-                    .zip(&want.data)
+                    .zip(want.data.iter())
                     .map(|(x, y)| (x - y).abs())
                     .fold(0.0f64, f64::max);
                 assert!(max_err <= bound, "{what}: err {max_err} > {bound}");
