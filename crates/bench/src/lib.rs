@@ -12,7 +12,6 @@
 //! | [`fig6`] | Fig. 6a storage-to-compute trend; Fig. 6b write-time fractions |
 //! | [`blobs`] | Fig. 7 blob gallery; Fig. 8a–d blob metrics vs decimation ratio |
 //! | [`endtoend`] | Figs. 9/10/11: analysis-pipeline and full-restoration times |
-//! | [`codecbench`] | batched codec kernel throughput vs scalar oracles (`BENCH_codec.json`) |
 //! | [`readbench`] | restore-engine perf trajectory (`BENCH_read.json`) |
 //! | [`servebench`] | multi-tenant serving throughput + tail latency (`BENCH_serve.json`) |
 //! | [`faultbench`] | fault-injected recovery costs (`BENCH_faults.json`) |
@@ -25,7 +24,6 @@
 
 pub mod ablation;
 pub mod blobs;
-pub mod codecbench;
 pub mod endtoend;
 pub mod extensions;
 pub mod faultbench;

@@ -5,11 +5,11 @@
 //! hot `write_bits`/`read_bits` paths branch-light (at most one word
 //! boundary crossing per call).
 //!
-//! The batched bit-plane kernels pre-size the word buffer with
-//! [`BitWriter::reserve_bits`] and then emit whole planes through
-//! [`BitWriter::write_plane`] / consume them through
-//! [`BitReader::read_plane`], so the per-call grow check and the per-bit
-//! loops disappear from the hot paths entirely.
+//! The lane-major block coder ([`crate::lanes`]) pre-sizes the word
+//! buffer with [`BitWriter::reserve_bits`] once per block and then emits
+//! its fields through [`BitWriter::write_reserved`], so the per-call grow
+//! check disappears from the encode hot path. (Its decoder keeps a cursor
+//! of its own over the same LSB-first layout.)
 
 use crate::error::CodecError;
 
@@ -35,7 +35,7 @@ impl BitWriter {
     }
 
     /// Pre-size the backing buffer so the next `n` bits can be written
-    /// through [`Self::write_plane`] without any grow checks.
+    /// through [`Self::write_reserved`] without any grow checks.
     #[inline]
     pub fn reserve_bits(&mut self, n: usize) {
         let total_words = (self.len + n).div_ceil(64);
@@ -68,22 +68,20 @@ impl BitWriter {
         if end_word >= self.words.len() {
             self.words.resize(end_word + 1, 0);
         }
-        self.write_plane(value, n);
+        self.write_reserved(value, n);
     }
 
     /// [`Self::write_bits`] without the grow check: the caller must have
-    /// pre-sized the buffer via [`Self::reserve_bits`]. This is the
-    /// batched bit-plane emit path — one call per plane instead of one
-    /// per coefficient bit.
+    /// pre-sized the buffer via [`Self::reserve_bits`].
     #[inline]
-    pub fn write_plane(&mut self, value: u64, n: u32) {
+    pub fn write_reserved(&mut self, value: u64, n: u32) {
         debug_assert!(n <= 64);
         if n == 0 {
             return;
         }
         debug_assert!(
             (self.len + n as usize).div_ceil(64) <= self.words.len(),
-            "write_plane requires reserve_bits"
+            "write_reserved requires reserve_bits"
         );
         let value = if n == 64 {
             value
@@ -189,13 +187,6 @@ impl<'a> BitReader<'a> {
             self.pos += take as usize;
         }
         Ok(value)
-    }
-
-    /// Alias of [`Self::read_bits`] marking the batched bit-plane consume
-    /// path (one call per plane instead of one per coefficient bit).
-    #[inline]
-    pub fn read_plane(&mut self, n: u32) -> Result<u64, CodecError> {
-        self.read_bits(n)
     }
 
     /// Peek at the next `n` bits (LSB first) without advancing. Bits past
@@ -324,8 +315,8 @@ mod tests {
     }
 
     #[test]
-    fn reserve_then_plane_writes_match_write_bits() {
-        // The pre-sized plane path must produce byte-identical streams to
+    fn reserved_writes_match_write_bits() {
+        // The pre-sized path must produce byte-identical streams to
         // the growing write_bits path, including interleaved write_bit
         // calls after an over-reservation.
         let mut x: u64 = 99;
@@ -341,26 +332,26 @@ mod tests {
         for &(v, n) in &ops {
             plain.write_bits(v, n);
         }
-        let mut planed = BitWriter::new();
-        planed.reserve_bits(ops.iter().map(|&(_, n)| n as usize).sum());
+        let mut reserved = BitWriter::new();
+        reserved.reserve_bits(ops.iter().map(|&(_, n)| n as usize).sum());
         for &(v, n) in &ops {
-            planed.write_plane(v, n);
+            reserved.write_reserved(v, n);
         }
-        assert_eq!(plain.into_bytes(), planed.into_bytes());
+        assert_eq!(plain.into_bytes(), reserved.into_bytes());
     }
 
     #[test]
     fn over_reserved_words_do_not_leak_into_output() {
         let mut w = BitWriter::new();
         w.reserve_bits(4096);
-        w.write_plane(0b101, 3);
+        w.write_reserved(0b101, 3);
         w.write_bit(true);
         w.write_bits(0xFFFF, 16);
         assert_eq!(w.len_bits(), 20);
         let bytes = w.into_bytes();
         assert_eq!(bytes.len(), 3);
         let mut r = BitReader::new(&bytes);
-        assert_eq!(r.read_plane(3).unwrap(), 0b101);
+        assert_eq!(r.read_bits(3).unwrap(), 0b101);
         assert!(r.read_bit().unwrap());
         assert_eq!(r.read_bits(16).unwrap(), 0xFFFF);
     }
@@ -396,7 +387,7 @@ mod tests {
         let bytes = w.into_bytes();
         let mut r = BitReader::new(&bytes);
         for (v, n) in expect {
-            assert_eq!(r.read_plane(n).unwrap(), v);
+            assert_eq!(r.read_bits(n).unwrap(), v);
         }
     }
 

@@ -7,12 +7,14 @@
 //! None of those C libraries are assumed here — this crate reimplements the
 //! relevant algorithm families in pure Rust:
 //!
-//! * [`zfp_like`] — a fixed-accuracy block-transform bit-plane codec in the
-//!   ZFP family: per-block common exponent, reversible integer wavelet
-//!   (Haar S-transform) decorrelation, zigzag mapping, and embedded
-//!   bit-plane coding with group testing. Like ZFP, it rewards smooth
-//!   input with shorter streams — the property the paper's Fig. 5
-//!   ("Canopus as a pre-conditioner") depends on.
+//! * [`zfp_like`] — a fixed-accuracy block-transform codec in the ZFP
+//!   family: per-block common exponent, ZFP's integer lifting transform,
+//!   negabinary mapping, truncation at the tolerance's bit plane, and the
+//!   surviving coefficient bits stored lane-major (a length per
+//!   coefficient, then its bits) so a block decodes without a per-bit
+//!   loop. Like ZFP, it rewards smooth input with shorter streams — the
+//!   property the paper's Fig. 5 ("Canopus as a pre-conditioner") depends
+//!   on.
 //! * [`zfp2d`] — the 2-D (4×4 block) variant for raster data, with
 //!   row+column lifting and total-sequency coefficient ordering;
 //! * [`sz_like`] — an error-bounded prediction + quantization codec in the
@@ -30,9 +32,9 @@
 pub mod bitstream;
 pub mod error;
 pub mod fpc;
+pub(crate) mod lanes;
 pub mod observed;
 pub mod parallel;
-pub(crate) mod planes;
 pub mod stats;
 pub mod sz_like;
 pub mod zfp2d;

@@ -106,11 +106,14 @@ impl<C: Codec> Codec for Chunked<C> {
         for i in 0..num_chunks {
             let len = u64::from_le_bytes(bytes[18 + i * 8..26 + i * 8].try_into().expect("8 bytes"))
                 as usize;
-            if cursor + len > bytes.len() {
-                return Err(fail("payload truncated"));
-            }
+            // `len` is the stream's word: added unchecked, a length near
+            // `u64::MAX` wraps past this test and panics at the slice.
+            let end = cursor
+                .checked_add(len)
+                .filter(|&end| end <= bytes.len())
+                .ok_or_else(|| fail("payload truncated"))?;
             spans.push((cursor, len));
-            cursor += len;
+            cursor = end;
         }
 
         // Each chunk decodes straight into its disjoint span of `out`:
@@ -211,6 +214,27 @@ mod tests {
         let mut bad = bytes.clone();
         bad[0] = 0;
         assert!(codec.decompress(&bad, 500).is_err(), "bad magic");
+
+        // A crafted length table. Chunk lengths start at byte 18.
+        let corrupt = |bad: &[u8], n: usize, what: &str| {
+            let err = codec.decompress(bad, n).expect_err(what);
+            assert!(matches!(err, CodecError::Corrupt(_)), "{what}: {err}");
+        };
+        let two = codec.compress(&data[..128]).unwrap();
+        let mut bad = two.clone();
+        bad[18..26].fill(0xFF);
+        corrupt(&bad, 128, "a chunk length of u64::MAX wraps the cursor");
+        let mut bad = two.clone();
+        bad[26..34].copy_from_slice(&(u64::MAX - 40).to_le_bytes());
+        corrupt(&bad, 128, "a second length that wraps the running sum");
+        let mut bad = two.clone();
+        let len0 = u64::from_le_bytes(two[18..26].try_into().unwrap());
+        bad[18..26].copy_from_slice(&(len0 + 1).to_le_bytes());
+        corrupt(&bad, 128, "lengths that sum past the payload");
+        let mut bad = two.clone();
+        bad[10..18].copy_from_slice(&3u64.to_le_bytes());
+        corrupt(&bad, 128, "a chunk count that disagrees with n");
+        corrupt(&two, 129, "an n that disagrees with the chunk count");
     }
 
     #[test]

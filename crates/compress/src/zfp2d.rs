@@ -5,24 +5,24 @@
 //! This codec extends the 1-D machinery of [`crate::zfp_like`] to 2-D
 //! exactly as ZFP does: the 4-point lifting transform is applied along
 //! rows then columns of each 4×4 block, coefficients are reordered by
-//! total sequency (low-frequency first) so smooth blocks become
-//! significant late, and the same negabinary + group-tested bit-plane
-//! coder emits the planes down to the tolerance cutoff.
+//! total sequency (low-frequency first), mapped to negabinary and cut at
+//! the tolerance's plane; the sixteen truncated coefficients are then
+//! stored lane-major by the same coder ([`crate::lanes`], stream version
+//! 2; the group-tested bit planes of version 1 are a retired format).
 //!
 //! Guarantee: `max |x - x'| <= tolerance`, with the same raw-block escape
 //! as the 1-D codec for extreme dynamic range.
 
 use crate::bitstream::{BitReader, BitWriter};
 use crate::error::CodecError;
-use crate::planes;
+use crate::lanes::{self, BlockClass, DecodedClass, LaneReader, STREAM_VERSION};
 use crate::zfp_like::{
     cutoff_plane, exponent, int2uint, scale_factors, transform_fwd, transform_inv,
-    transform_representable, uint2int, BlockClass, DecodedClass, EXP_BIAS, RUN_BLOCKS, SCALE_BITS,
+    transform_representable, uint2int, RUN_BLOCKS, SCALE_BITS,
 };
 use crate::Codec;
 
 const STREAM_MAGIC: u8 = 0xC5;
-const STREAM_VERSION: u8 = 1;
 const BLOCK: usize = 16;
 
 /// Total-sequency order of a 4×4 block's coefficients: `(row_freq +
@@ -122,8 +122,7 @@ fn transform2d_inv(b: &mut [i64; BLOCK]) {
 }
 
 /// Classify + fixed-point + 2-D transform + sequency-reorder a run of
-/// gathered blocks into `u`, then serialize each with bulk plane writes.
-/// Bit-identical to [`oracle::compress`]'s per-bit coder.
+/// gathered blocks into `u`, then serialize each lane-major.
 fn encode_run(
     w: &mut BitWriter,
     vals: &[[f64; BLOCK]],
@@ -162,72 +161,26 @@ fn encode_run(
             *uk = int2uint(ints[pos]);
         }
 
-        let all = ub.iter().fold(0u64, |a, &x| a | x);
-        let cutoff = cutoff_plane(tolerance, emax);
-        if all >> cutoff == 0 {
-            class[bi] = BlockClass::AllZero;
-            continue;
-        }
-        let msb = 63 - all.leading_zeros();
-        class[bi] = BlockClass::Coded { emax, cutoff, msb };
+        class[bi] = BlockClass::of_coefficients(ub, emax, cutoff_plane(tolerance, emax));
     }
 
     for (bi, block) in vals.iter().enumerate() {
-        match class[bi] {
-            BlockClass::AllZero => w.write_bit(true),
-            BlockClass::RawEscape => {
-                w.write_bit(false);
-                w.write_bit(true);
-                w.reserve_bits(BLOCK * 64);
-                for &x in block {
-                    w.write_plane(x.to_bits(), 64);
-                }
-            }
-            BlockClass::Coded { emax, cutoff, msb } => {
-                w.write_bit(false);
-                w.write_bit(false);
-                w.write_bits((emax + EXP_BIAS) as u64, 12);
-                w.write_bits(msb as u64, 6);
-                planes::encode_planes::<BLOCK>(w, &u[bi], cutoff, msb);
-            }
-        }
+        lanes::encode_lanes(w, class[bi], block, &u[bi]);
     }
     Ok(())
 }
 
-/// Parse a run of blocks with bulk plane reads. The reconstruction
-/// (inverse reorder + transform + scale) happens in [`reconstruct_block`]
-/// per block so the caller can scatter straight into the output raster.
+/// Parse a run of blocks. The reconstruction (inverse reorder +
+/// transform + scale) happens in [`reconstruct_block`] per block so the
+/// caller can scatter straight into the output raster.
 fn parse_run(
-    r: &mut BitReader<'_>,
+    r: &mut LaneReader<'_>,
     nb: usize,
-    tolerance: f64,
     u: &mut [[u64; BLOCK]; RUN_BLOCKS],
     class: &mut [DecodedClass; RUN_BLOCKS],
 ) -> Result<(), CodecError> {
-    for (bi, ub) in u.iter_mut().enumerate().take(nb) {
-        if r.read_bit()? {
-            class[bi] = DecodedClass::Zero;
-            continue;
-        }
-        if r.read_bit()? {
-            for slot in ub.iter_mut() {
-                *slot = r.read_bits(64)?;
-            }
-            class[bi] = DecodedClass::Raw;
-            continue;
-        }
-        let emax = r.read_bits(12)? as i32 - EXP_BIAS;
-        let msb = r.read_bits(6)? as u32;
-        let cutoff = cutoff_plane(tolerance, emax);
-        if msb < cutoff {
-            return Err(CodecError::Corrupt(format!(
-                "msb plane {msb} below cutoff {cutoff}"
-            )));
-        }
-        *ub = [0; BLOCK];
-        planes::decode_planes::<BLOCK>(r, ub, cutoff, msb)?;
-        class[bi] = DecodedClass::Coded { emax };
+    for (ub, cls) in u.iter_mut().zip(class.iter_mut()).take(nb) {
+        *cls = r.decode_lanes(ub)?;
     }
     Ok(())
 }
@@ -314,9 +267,7 @@ impl Codec for ZfpLike2d {
         if r.read_bits(8)? as u8 != STREAM_MAGIC {
             return Err(CodecError::Corrupt("bad zfp-like-2d magic".into()));
         }
-        if r.read_bits(8)? as u8 != STREAM_VERSION {
-            return Err(CodecError::Corrupt("bad zfp-like-2d version".into()));
-        }
+        lanes::check_stream_version("zfp-like-2d", r.read_bits(8)? as u8)?;
         let tolerance = f64::from_bits(r.read_bits(64)?);
         if !(tolerance.is_finite() && tolerance > 0.0) {
             return Err(CodecError::Corrupt("bad tolerance in stream".into()));
@@ -335,6 +286,7 @@ impl Codec for ZfpLike2d {
             )));
         }
 
+        let mut r = LaneReader::new(bytes, r.position(), tolerance);
         let mut coords = [(0usize, 0usize); RUN_BLOCKS];
         let mut u = [[0u64; BLOCK]; RUN_BLOCKS];
         let mut class = [DecodedClass::Zero; RUN_BLOCKS];
@@ -346,7 +298,7 @@ impl Codec for ZfpLike2d {
                 coords[nb] = (bx, by);
                 nb += 1;
                 if nb == RUN_BLOCKS {
-                    parse_run(&mut r, nb, tolerance, &mut u, &mut class)?;
+                    parse_run(&mut r, nb, &mut u, &mut class)?;
                     for bi in 0..nb {
                         let block = reconstruct_block(&u[bi], class[bi]);
                         self.scatter(out, &block, coords[bi].0, coords[bi].1);
@@ -358,7 +310,7 @@ impl Codec for ZfpLike2d {
             by += 4;
         }
         if nb > 0 {
-            parse_run(&mut r, nb, tolerance, &mut u, &mut class)?;
+            parse_run(&mut r, nb, &mut u, &mut class)?;
             for bi in 0..nb {
                 let block = reconstruct_block(&u[bi], class[bi]);
                 self.scatter(out, &block, coords[bi].0, coords[bi].1);
@@ -373,234 +325,6 @@ impl Codec for ZfpLike2d {
 
     fn error_bound(&self) -> f64 {
         self.tolerance
-    }
-}
-
-/// The original scalar per-bit kernels, kept verbatim as the correctness
-/// oracle for the batched paths (see [`crate::zfp_like::oracle`]).
-#[doc(hidden)]
-pub mod oracle {
-    use super::*;
-    use crate::zfp_like::GUARD_BITS;
-
-    // Verbatim pre-batching helpers (libm forms), as in
-    // `zfp_like::oracle`: the oracle times exactly the scalar kernel the
-    // batched path replaced. Mathematically equal to the parent-module
-    // bit-inspection versions for every tolerance the codec accepts.
-    fn ldexp(x: f64, k: i32) -> f64 {
-        let half = k.clamp(-1000, 1000);
-        let rest = k - half;
-        let y = x * f64::powi(2.0, half);
-        if rest == 0 {
-            y
-        } else {
-            y * f64::powi(2.0, rest.clamp(-1000, 1000))
-        }
-    }
-
-    fn int_tolerance(tolerance: f64, emax: i32) -> f64 {
-        ldexp(tolerance, SCALE_BITS - emax)
-    }
-
-    fn cutoff_plane(tolerance: f64, emax: i32) -> u32 {
-        let int_tol = int_tolerance(tolerance, emax);
-        debug_assert!(int_tol >= f64::powi(2.0, GUARD_BITS));
-        let p = int_tol.log2().floor() as i32 - GUARD_BITS;
-        p.clamp(0, 62) as u32
-    }
-
-    pub fn compress(
-        data: &[f64],
-        width: usize,
-        height: usize,
-        tolerance: f64,
-    ) -> Result<Vec<u8>, CodecError> {
-        let codec = ZfpLike2d::new(width, height, tolerance);
-        if data.len() != width * height {
-            return Err(CodecError::BadConfig(format!(
-                "data has {} samples for a {width}x{height} grid",
-                data.len(),
-            )));
-        }
-        let mut w = BitWriter::new();
-        w.write_bits(STREAM_MAGIC as u64, 8);
-        w.write_bits(STREAM_VERSION as u64, 8);
-        w.write_bits(tolerance.to_bits(), 64);
-        w.write_bits(width as u64, 32);
-        w.write_bits(height as u64, 32);
-
-        let mut by = 0;
-        while by < height {
-            let mut bx = 0;
-            while bx < width {
-                encode_block(&mut w, codec.gather(data, bx, by), tolerance)?;
-                bx += 4;
-            }
-            by += 4;
-        }
-        Ok(w.into_bytes())
-    }
-
-    pub fn decompress(bytes: &[u8], width: usize, height: usize) -> Result<Vec<f64>, CodecError> {
-        let codec = ZfpLike2d::new(width, height, f64::MIN_POSITIVE);
-        let mut r = BitReader::new(bytes);
-        if r.read_bits(8)? as u8 != STREAM_MAGIC {
-            return Err(CodecError::Corrupt("bad zfp-like-2d magic".into()));
-        }
-        if r.read_bits(8)? as u8 != STREAM_VERSION {
-            return Err(CodecError::Corrupt("bad zfp-like-2d version".into()));
-        }
-        let tolerance = f64::from_bits(r.read_bits(64)?);
-        if !(tolerance.is_finite() && tolerance > 0.0) {
-            return Err(CodecError::Corrupt("bad tolerance in stream".into()));
-        }
-        let sw = r.read_bits(32)? as usize;
-        let sh = r.read_bits(32)? as usize;
-        if sw != width || sh != height {
-            return Err(CodecError::Corrupt(format!(
-                "stream is {sw}x{sh}, expected {width}x{height}"
-            )));
-        }
-
-        let mut out = vec![0.0f64; width * height];
-        let mut by = 0;
-        while by < height {
-            let mut bx = 0;
-            while bx < width {
-                let block = decode_block(&mut r, tolerance)?;
-                codec.scatter(&mut out, &block, bx, by);
-                bx += 4;
-            }
-            by += 4;
-        }
-        Ok(out)
-    }
-
-    fn encode_block(
-        w: &mut BitWriter,
-        block: [f64; BLOCK],
-        tolerance: f64,
-    ) -> Result<(), CodecError> {
-        for &x in &block {
-            if !x.is_finite() {
-                return Err(CodecError::Unsupported(format!(
-                    "zfp-like-2d cannot encode non-finite value {x}"
-                )));
-            }
-        }
-        let amax = block.iter().fold(0.0f64, |m, &x| m.max(x.abs()));
-        if amax <= tolerance {
-            w.write_bit(true);
-            return Ok(());
-        }
-        let emax = exponent(amax);
-        if !transform_representable(tolerance, emax) {
-            w.write_bit(false);
-            w.write_bit(true);
-            for &x in &block {
-                w.write_bits(x.to_bits(), 64);
-            }
-            return Ok(());
-        }
-
-        let scale = SCALE_BITS - emax;
-        let mut ints = [0i64; BLOCK];
-        for (i, &x) in block.iter().enumerate() {
-            ints[i] = ldexp(x, scale).round() as i64;
-        }
-        transform2d_fwd(&mut ints);
-
-        let mut u = [0u64; BLOCK];
-        for (i, &pos) in SEQUENCY.iter().enumerate() {
-            u[i] = int2uint(ints[pos]);
-        }
-
-        let all = u.iter().fold(0u64, |a, &x| a | x);
-        let cutoff = cutoff_plane(tolerance, emax);
-        if all >> cutoff == 0 {
-            w.write_bit(true);
-            return Ok(());
-        }
-        let msb = 63 - all.leading_zeros();
-
-        w.write_bit(false);
-        w.write_bit(false);
-        w.write_bits((emax + EXP_BIAS) as u64, 12);
-        w.write_bits(msb as u64, 6);
-
-        let mut sig = [false; BLOCK];
-        for p in (cutoff..=msb).rev() {
-            for k in 0..BLOCK {
-                if sig[k] {
-                    w.write_bit((u[k] >> p) & 1 == 1);
-                }
-            }
-            let any = (0..BLOCK).any(|k| !sig[k] && (u[k] >> p) & 1 == 1);
-            w.write_bit(any);
-            if any {
-                for k in 0..BLOCK {
-                    if !sig[k] {
-                        let bit = (u[k] >> p) & 1 == 1;
-                        w.write_bit(bit);
-                        if bit {
-                            sig[k] = true;
-                        }
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    fn decode_block(r: &mut BitReader<'_>, tolerance: f64) -> Result<[f64; BLOCK], CodecError> {
-        if r.read_bit()? {
-            return Ok([0.0; BLOCK]);
-        }
-        if r.read_bit()? {
-            let mut out = [0.0f64; BLOCK];
-            for o in &mut out {
-                *o = f64::from_bits(r.read_bits(64)?);
-            }
-            return Ok(out);
-        }
-        let emax = r.read_bits(12)? as i32 - EXP_BIAS;
-        let msb = r.read_bits(6)? as u32;
-        let cutoff = cutoff_plane(tolerance, emax);
-        if msb < cutoff {
-            return Err(CodecError::Corrupt(format!(
-                "msb plane {msb} below cutoff {cutoff}"
-            )));
-        }
-
-        let mut u = [0u64; BLOCK];
-        let mut sig = [false; BLOCK];
-        for p in (cutoff..=msb).rev() {
-            for k in 0..BLOCK {
-                if sig[k] && r.read_bit()? {
-                    u[k] |= 1u64 << p;
-                }
-            }
-            if r.read_bit()? {
-                for k in 0..BLOCK {
-                    if !sig[k] && r.read_bit()? {
-                        u[k] |= 1u64 << p;
-                        sig[k] = true;
-                    }
-                }
-            }
-        }
-
-        let mut ints = [0i64; BLOCK];
-        for (i, &pos) in SEQUENCY.iter().enumerate() {
-            ints[pos] = uint2int(u[i]);
-        }
-        transform2d_inv(&mut ints);
-        let scale = emax - SCALE_BITS;
-        let mut out = [0.0f64; BLOCK];
-        for (o, &i) in out.iter_mut().zip(&ints) {
-            *o = ldexp(i as f64, scale);
-        }
-        Ok(out)
     }
 }
 
@@ -735,36 +459,6 @@ mod tests {
         let other = ZfpLike2d::new(4, 16, 1e-6);
         let good = codec.compress(&data).unwrap();
         assert!(other.decompress(&good, 64).is_err());
-    }
-
-    #[test]
-    fn batched_stream_matches_scalar_oracle() {
-        for &(w, h) in &[(4usize, 4usize), (17, 13), (5, 1), (1, 9), (64, 48)] {
-            let mut state = (w * 31 + h) as u64 | 1;
-            let mut data = image(w, h, |_, _| {
-                state ^= state << 13;
-                state ^= state >> 7;
-                state ^= state << 17;
-                (state >> 11) as f64 / (1u64 << 53) as f64 * 100.0 - 50.0
-            });
-            if w * h > 8 {
-                // Force raw-escape and all-zero blocks into the mix.
-                data[0] = 0.0;
-                data[w * h / 2] = 1e300;
-                data[w * h / 2 + 1] = 1e-300;
-            }
-            for &tol in &[1e-2, 1e-8] {
-                let codec = ZfpLike2d::new(w, h, tol);
-                let batched = codec.compress(&data).unwrap();
-                let scalar = oracle::compress(&data, w, h, tol).unwrap();
-                assert_eq!(batched, scalar, "encode diverged: {w}x{h} tol {tol}");
-                assert_eq!(
-                    codec.decompress(&batched, w * h).unwrap(),
-                    oracle::decompress(&batched, w, h).unwrap(),
-                    "decode diverged: {w}x{h} tol {tol}"
-                );
-            }
-        }
     }
 
     #[test]

@@ -3,9 +3,8 @@
 //! ZFP (Lindstrom 2014) compresses floating-point arrays by splitting them
 //! into small blocks and, per block: aligning all values to a common
 //! exponent as fixed-point integers, applying a reversible decorrelating
-//! integer transform, reordering coefficients, and emitting bit planes from
-//! most to least significant with *group testing* so that planes in which
-//! no coefficient is yet significant cost a single bit.
+//! integer transform, mapping coefficients to negabinary, and keeping
+//! only the bit planes above a cutoff derived from the tolerance.
 //!
 //! This implementation keeps that architecture for 1-D streams (Canopus
 //! feeds vertex-ordered mesh data, which is 1-D):
@@ -15,20 +14,30 @@
 //!   linear and quadratic trends within a block) as the decorrelator;
 //! * negabinary signed→unsigned mapping so small magnitudes have short bit
 //!   representations and truncation error stays bounded;
-//! * embedded bit-plane coding with group testing, truncated at a cutoff
-//!   plane derived from the absolute `tolerance`.
+//! * fixed-accuracy truncation at a cutoff plane derived from the absolute
+//!   `tolerance`.
+//!
+//! Where it departs from ZFP is how the truncated coefficients
+//! `q_k = u_k >> cutoff` are written. ZFP emits them plane by plane with
+//! group testing, which makes the stream embedded (cut it anywhere) and
+//! makes decoding a chain of data-dependent single-bit steps. Nothing in
+//! Canopus cuts a block short, so blocks are stored *lane-major* instead:
+//! each coefficient's bit length, then each coefficient's bits — see
+//! [`crate::lanes`] for the layout. That is stream version 2; version 1
+//! (group-tested planes) is refused as a retired format.
 //!
 //! The essential behavioural property is preserved: **the smoother the
 //! input, the smaller the stream**, because smooth blocks have tiny
-//! high-pass coefficients that stay insignificant for most planes. That is
-//! precisely the property the paper's Fig. 5 exploits when it claims
-//! Canopus' deltas act as a pre-conditioner for ZFP.
+//! high-pass coefficients, which cost their (short) bit length and
+//! nothing more. That is precisely the property the paper's Fig. 5
+//! exploits when it claims Canopus' deltas act as a pre-conditioner for
+//! ZFP.
 //!
 //! The guarantee is `max_i |x_i - x'_i| <= tolerance`.
 
 use crate::bitstream::{BitReader, BitWriter};
 use crate::error::CodecError;
-use crate::planes;
+use crate::lanes::{self, BlockClass, DecodedClass, LaneReader, STREAM_VERSION};
 use crate::Codec;
 
 /// Values per block (matches ZFP's 4^d with d = 1).
@@ -43,7 +52,6 @@ pub(crate) const GUARD_BITS: i32 = 4;
 /// Bias applied to the per-block exponent when serialized (12 bits).
 pub(crate) const EXP_BIAS: i32 = 1100;
 const STREAM_MAGIC: u8 = 0xC2;
-const STREAM_VERSION: u8 = 1;
 
 /// The ZFP-like fixed-accuracy codec. See the module docs.
 #[derive(Debug, Clone, Copy)]
@@ -200,10 +208,12 @@ pub(crate) fn transform_representable(tolerance: f64, emax: i32) -> bool {
 /// Lowest bit plane kept, given the block exponent. Planes below carry
 /// less than the tolerance (with guard bits for rounding and transform
 /// error growth). Encoder and decoder must agree, so this is the single
-/// source of truth. Only valid when [`transform_representable`] holds.
+/// source of truth: the encoder calls it per block (where
+/// [`transform_representable`] holds), the decoder uses its closed form,
+/// [`LaneReader::cutoff`], pinned equal for every exponent a stream can
+/// name.
 pub(crate) fn cutoff_plane(tolerance: f64, emax: i32) -> u32 {
     let int_tol = int_tolerance(tolerance, emax);
-    debug_assert!(int_tol >= f64::powi(2.0, GUARD_BITS));
     // floor(log2(x)) for positive x is `exponent(x) - 1` (frexp puts the
     // mantissa in [0.5, 1)) — pure bit inspection where `log2().floor()`
     // was a libm call per block on the decode hot path. `exponent`'s
@@ -246,31 +256,8 @@ pub(crate) fn scale_factors(k: i32) -> (f64, f64) {
     (a, b)
 }
 
-/// Per-block outcome of the classify/transform encode stage.
-#[derive(Clone, Copy)]
-pub(crate) enum BlockClass {
-    /// Reconstructs as zeros: magnitude within tolerance, or nothing
-    /// survives the cutoff plane.
-    AllZero,
-    /// Dynamic range too wide for fixed-point at this tolerance; the
-    /// block is stored verbatim (bit-exact).
-    RawEscape,
-    /// Group-tested bit-plane payload.
-    Coded { emax: i32, cutoff: u32, msb: u32 },
-}
-
-/// Per-block outcome of the parse decode stage. For `Raw`, the scratch
-/// coefficients hold the verbatim f64 bits.
-#[derive(Clone, Copy)]
-pub(crate) enum DecodedClass {
-    Zero,
-    Raw,
-    Coded { emax: i32 },
-}
-
 /// Classify + fixed-point + forward-transform a run of blocks into `u`,
-/// then serialize every block with bulk plane writes. Bit-identical to
-/// [`oracle::compress`]'s per-bit coder.
+/// then serialize every block lane-major.
 fn encode_run(
     w: &mut BitWriter,
     vals: &[[f64; BLOCK]],
@@ -306,87 +293,33 @@ fn encode_run(
         for (uk, &c) in u[bi].iter_mut().zip(&coeffs) {
             *uk = int2uint(c);
         }
-        let all = u[bi].iter().fold(0, |a, &b| a | b);
-        let cutoff = cutoff_plane(tolerance, emax);
-        if all >> cutoff == 0 {
-            // Everything the tolerance allows us to keep is zero.
-            class[bi] = BlockClass::AllZero;
-            continue;
-        }
-        let msb = 63 - all.leading_zeros();
-        debug_assert!(msb >= cutoff);
-        class[bi] = BlockClass::Coded { emax, cutoff, msb };
+        class[bi] = BlockClass::of_coefficients(&u[bi], emax, cutoff_plane(tolerance, emax));
     }
 
     for (bi, block) in vals.iter().enumerate() {
-        match class[bi] {
-            BlockClass::AllZero => w.write_bit(true),
-            BlockClass::RawEscape => {
-                w.write_bit(false);
-                w.write_bit(true);
-                w.reserve_bits(BLOCK * 64);
-                for &x in block {
-                    w.write_plane(x.to_bits(), 64);
-                }
-            }
-            BlockClass::Coded { emax, cutoff, msb } => {
-                w.write_bit(false);
-                w.write_bit(false); // not a raw escape block
-                w.write_bits((emax + EXP_BIAS) as u64, 12);
-                w.write_bits(msb as u64, 6);
-                planes::encode_planes::<BLOCK>(w, &u[bi], cutoff, msb);
-            }
-        }
+        lanes::encode_lanes(w, class[bi], block, &u[bi]);
     }
     Ok(())
 }
 
-/// Decode the body of a stream (header already consumed) straight into
-/// `out`, staging runs of blocks: parse with bulk plane reads, then
+/// Decode the body of a stream (`start_bit` is just past its header)
+/// straight into `out`, staging runs of blocks: parse the lanes, then
 /// inverse-transform + scale with per-block hoisted factors.
 fn decode_stream_into(
-    r: &mut BitReader<'_>,
+    bytes: &[u8],
+    start_bit: usize,
     tolerance: f64,
     out: &mut [f64],
 ) -> Result<(), CodecError> {
     let n = out.len();
+    let mut r = LaneReader::new(bytes, start_bit, tolerance);
     let mut u = [[0u64; BLOCK]; RUN_BLOCKS];
     let mut class = [DecodedClass::Zero; RUN_BLOCKS];
     let mut done = 0usize;
     while done < n {
         let nb = (n - done).div_ceil(BLOCK).min(RUN_BLOCKS);
-        for (bi, ub) in u.iter_mut().enumerate().take(nb) {
-            // One peek covers the whole worst-case header (class bits +
-            // emax + msb): a valid coded header always has 20 real bits,
-            // and a truncated one fails the `skip_bits` exactly where the
-            // old field-by-field reads would have errored.
-            let hdr = r.peek_bits(2 + 12 + 6);
-            if hdr & 1 == 1 {
-                r.skip_bits(1)?;
-                class[bi] = DecodedClass::Zero;
-                continue;
-            }
-            if hdr & 2 == 2 {
-                r.skip_bits(2)?;
-                // Raw escape block: keep the verbatim bits in scratch.
-                for slot in ub.iter_mut() {
-                    *slot = r.read_bits(64)?;
-                }
-                class[bi] = DecodedClass::Raw;
-                continue;
-            }
-            let emax = ((hdr >> 2) & 0xFFF) as i32 - EXP_BIAS;
-            let msb = ((hdr >> 14) & 0x3F) as u32;
-            r.skip_bits(2 + 12 + 6)?;
-            let cutoff = cutoff_plane(tolerance, emax);
-            if msb < cutoff {
-                return Err(CodecError::Corrupt(format!(
-                    "msb plane {msb} below cutoff {cutoff}"
-                )));
-            }
-            *ub = [0; BLOCK];
-            planes::decode_planes::<BLOCK>(r, ub, cutoff, msb)?;
-            class[bi] = DecodedClass::Coded { emax };
+        for (ub, cls) in u.iter_mut().zip(class.iter_mut()).take(nb) {
+            *cls = r.decode_lanes(ub)?;
         }
 
         for (bi, ub) in u.iter().enumerate().take(nb) {
@@ -425,11 +358,7 @@ fn read_stream_header(r: &mut BitReader<'_>) -> Result<f64, CodecError> {
     if magic != STREAM_MAGIC {
         return Err(CodecError::Corrupt("bad zfp-like magic".into()));
     }
-    if version != STREAM_VERSION {
-        return Err(CodecError::Corrupt(format!(
-            "unsupported zfp-like version {version}"
-        )));
-    }
+    lanes::check_stream_version("zfp-like", version)?;
     let tolerance = f64::from_bits(r.read_bits(64)?);
     if !(tolerance.is_finite() && tolerance > 0.0) {
         return Err(CodecError::Corrupt("bad tolerance in stream".into()));
@@ -480,7 +409,7 @@ impl Codec for ZfpLike {
     fn decompress_into(&self, bytes: &[u8], out: &mut [f64]) -> Result<(), CodecError> {
         let mut r = BitReader::new(bytes);
         let tolerance = read_stream_header(&mut r)?;
-        decode_stream_into(&mut r, tolerance, out)
+        decode_stream_into(bytes, r.position(), tolerance, out)
     }
 
     fn is_lossless(&self) -> bool {
@@ -489,202 +418,6 @@ impl Codec for ZfpLike {
 
     fn error_bound(&self) -> f64 {
         self.tolerance
-    }
-}
-
-/// The original scalar per-bit kernels, kept verbatim as the correctness
-/// oracle for the batched paths. Streams must be byte-identical in both
-/// directions; the proptests and `bench_codec` compare against these.
-/// Not part of the public API.
-#[doc(hidden)]
-pub mod oracle {
-    use super::*;
-
-    // The oracle keeps the pre-batching helper implementations verbatim
-    // (libm `log2` / `powi` forms) so it times — and byte-checks —
-    // exactly the scalar kernel the batched path replaced. These shadow
-    // the bit-inspection versions in the parent module; the two forms
-    // are mathematically equal for every tolerance the codec accepts.
-    fn ldexp(x: f64, k: i32) -> f64 {
-        let half = k.clamp(-1000, 1000);
-        let rest = k - half;
-        let y = x * f64::powi(2.0, half);
-        if rest == 0 {
-            y
-        } else {
-            y * f64::powi(2.0, rest.clamp(-1000, 1000))
-        }
-    }
-
-    fn int_tolerance(tolerance: f64, emax: i32) -> f64 {
-        ldexp(tolerance, SCALE_BITS - emax)
-    }
-
-    fn cutoff_plane(tolerance: f64, emax: i32) -> u32 {
-        let int_tol = int_tolerance(tolerance, emax);
-        debug_assert!(int_tol >= f64::powi(2.0, GUARD_BITS));
-        let p = int_tol.log2().floor() as i32 - GUARD_BITS;
-        p.clamp(0, 62) as u32
-    }
-
-    pub fn compress(data: &[f64], tolerance: f64) -> Result<Vec<u8>, CodecError> {
-        let mut w = BitWriter::new();
-        w.write_bits(STREAM_MAGIC as u64, 8);
-        w.write_bits(STREAM_VERSION as u64, 8);
-        w.write_bits(tolerance.to_bits(), 64);
-
-        let mut i = 0;
-        while i < data.len() {
-            let mut block = [0.0f64; BLOCK];
-            let take = (data.len() - i).min(BLOCK);
-            block[..take].copy_from_slice(&data[i..i + take]);
-            for k in take..BLOCK {
-                block[k] = block[take - 1];
-            }
-            encode_block(&mut w, block, tolerance)?;
-            i += BLOCK;
-        }
-        Ok(w.into_bytes())
-    }
-
-    pub fn decompress(bytes: &[u8], n: usize) -> Result<Vec<f64>, CodecError> {
-        let mut r = BitReader::new(bytes);
-        let tolerance = read_stream_header(&mut r)?;
-        let mut out = Vec::with_capacity(n);
-        while out.len() < n {
-            let block = decode_block(&mut r, tolerance)?;
-            let take = (n - out.len()).min(BLOCK);
-            out.extend_from_slice(&block[..take]);
-        }
-        Ok(out)
-    }
-
-    fn encode_block(w: &mut BitWriter, block: [f64; 4], tolerance: f64) -> Result<(), CodecError> {
-        for &x in &block {
-            if !x.is_finite() {
-                return Err(CodecError::Unsupported(format!(
-                    "zfp-like cannot encode non-finite value {x}"
-                )));
-            }
-        }
-        let amax = block.iter().fold(0.0f64, |m, &x| m.max(x.abs()));
-        if amax <= tolerance {
-            w.write_bit(true);
-            return Ok(());
-        }
-        let emax = exponent(amax);
-        if !transform_representable(tolerance, emax) {
-            w.write_bit(false);
-            w.write_bit(true);
-            for &x in &block {
-                w.write_bits(x.to_bits(), 64);
-            }
-            return Ok(());
-        }
-
-        let scale = SCALE_BITS - emax;
-        let mut ints = [0i64; 4];
-        for (i, &x) in block.iter().enumerate() {
-            ints[i] = ldexp(x, scale).round() as i64;
-        }
-
-        let coeffs = transform_fwd(ints);
-        let u: [u64; 4] = [
-            int2uint(coeffs[0]),
-            int2uint(coeffs[1]),
-            int2uint(coeffs[2]),
-            int2uint(coeffs[3]),
-        ];
-
-        let all = u[0] | u[1] | u[2] | u[3];
-        let cutoff = cutoff_plane(tolerance, emax);
-        if all >> cutoff == 0 {
-            w.write_bit(true);
-            return Ok(());
-        }
-        let msb = 63 - all.leading_zeros();
-        debug_assert!(msb >= cutoff);
-
-        w.write_bit(false);
-        w.write_bit(false);
-        w.write_bits((emax + EXP_BIAS) as u64, 12);
-        w.write_bits(msb as u64, 6);
-
-        let mut sig = [false; BLOCK];
-        for p in (cutoff..=msb).rev() {
-            for k in 0..BLOCK {
-                if sig[k] {
-                    w.write_bit((u[k] >> p) & 1 == 1);
-                }
-            }
-            let any = (0..BLOCK).any(|k| !sig[k] && (u[k] >> p) & 1 == 1);
-            w.write_bit(any);
-            if any {
-                for k in 0..BLOCK {
-                    if !sig[k] {
-                        let bit = (u[k] >> p) & 1 == 1;
-                        w.write_bit(bit);
-                        if bit {
-                            sig[k] = true;
-                        }
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    fn decode_block(r: &mut BitReader<'_>, tolerance: f64) -> Result<[f64; 4], CodecError> {
-        if r.read_bit()? {
-            return Ok([0.0; 4]);
-        }
-        if r.read_bit()? {
-            let mut out = [0.0f64; 4];
-            for o in &mut out {
-                *o = f64::from_bits(r.read_bits(64)?);
-            }
-            return Ok(out);
-        }
-        let emax = r.read_bits(12)? as i32 - EXP_BIAS;
-        let msb = r.read_bits(6)? as u32;
-        let cutoff = cutoff_plane(tolerance, emax);
-        if msb < cutoff {
-            return Err(CodecError::Corrupt(format!(
-                "msb plane {msb} below cutoff {cutoff}"
-            )));
-        }
-
-        let mut u = [0u64; 4];
-        let mut sig = [false; BLOCK];
-        for p in (cutoff..=msb).rev() {
-            for k in 0..BLOCK {
-                if sig[k] && r.read_bit()? {
-                    u[k] |= 1u64 << p;
-                }
-            }
-            if r.read_bit()? {
-                for k in 0..BLOCK {
-                    if !sig[k] && r.read_bit()? {
-                        u[k] |= 1u64 << p;
-                        sig[k] = true;
-                    }
-                }
-            }
-        }
-
-        let coeffs = [
-            uint2int(u[0]),
-            uint2int(u[1]),
-            uint2int(u[2]),
-            uint2int(u[3]),
-        ];
-        let ints = transform_inv(coeffs);
-        let scale = emax - SCALE_BITS;
-        let mut out = [0.0f64; 4];
-        for (o, &i) in out.iter_mut().zip(&ints) {
-            *o = ldexp(i as f64, scale);
-        }
-        Ok(out)
     }
 }
 
@@ -933,30 +666,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_stream_matches_scalar_oracle() {
-        for &tol in &[1e-2, 1e-6, 1e-12] {
-            for n in [0usize, 1, 3, 4, 5, 63, 255, 256, 257, 1023] {
-                let mut data = noise(n, 10.0, n as u64 + 1);
-                if n > 8 {
-                    // Force raw-escape and all-zero blocks into the mix.
-                    data[n / 2] = 1e300;
-                    data[n / 2 + 1] = 1e-300;
-                    data[0] = 0.0;
-                }
-                let codec = ZfpLike::with_tolerance(tol);
-                let batched = codec.compress(&data).unwrap();
-                let scalar = oracle::compress(&data, tol).unwrap();
-                assert_eq!(batched, scalar, "encode diverged: tol {tol} n {n}");
-                assert_eq!(
-                    codec.decompress(&batched, n).unwrap(),
-                    oracle::decompress(&batched, n).unwrap(),
-                    "decode diverged: tol {tol} n {n}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn decompress_into_matches_decompress() {
         let data = noise(301, 3.0, 17);
         let codec = ZfpLike::with_tolerance(1e-7);
@@ -972,8 +681,8 @@ mod tests {
         let data = vec![123.456; 4096];
         let codec = ZfpLike::with_tolerance(1e-9);
         let bytes = codec.compress(&data).unwrap();
-        // Constant block: one LL coefficient significant, everything else
-        // group-tested away.
+        // Constant block: one LL coefficient to store, every other lane a
+        // zero length.
         assert!(
             bytes.len() < 4096 * 4,
             "constant data should compress >2x, got {} bytes",

@@ -1,0 +1,296 @@
+//! Hostile input for the lane-major decoders (`ZfpLike`, `ZfpLike2d`).
+//!
+//! Bytes from a tier are checksum-verified before they reach a codec,
+//! but a decoder must not rely on that: a stream cut at any byte, with a
+//! few bits flipped, or made of junk has to come back as `Err` or as
+//! well-formed output — never a panic, a hang, or memory sized by what
+//! the stream says (a counting allocator bounds every hostile decode to
+//! an error message's worth of heap). Crafted block headers hit each
+//! check the decoder makes, on the unchecked path (spare bytes behind
+//! the block) and on the padded one; and the two paths must agree on
+//! every valid stream.
+
+use canopus_compress::bitstream::BitWriter;
+use canopus_compress::{Codec, CodecError, ZfpLike, ZfpLike2d};
+use proptest::prelude::*;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+struct CountingAlloc;
+
+thread_local! {
+    static ALLOC_BYTES: Cell<usize> = const { Cell::new(0) };
+}
+
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOC_BYTES.with(|c| c.set(c.get() + layout.size()));
+        // SAFETY: forwarded unchanged to the system allocator.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System.alloc` with this layout.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// An error's message is all a hostile decode may allocate.
+const HOSTILE_ALLOC_LIMIT: usize = 512;
+
+/// Decode `bytes` into `n` values: `Ok` must fill the caller's buffer
+/// and nothing else; either way the heap stays untouched but for the
+/// error's text.
+fn decode_bounded(codec: &dyn Codec, bytes: &[u8], n: usize) -> Result<Vec<f64>, CodecError> {
+    let mut out = vec![f64::NAN; n];
+    let before = ALLOC_BYTES.with(Cell::get);
+    let result = codec.decompress_into(bytes, &mut out);
+    let grew = ALLOC_BYTES.with(Cell::get) - before;
+    assert!(
+        grew <= HOSTILE_ALLOC_LIMIT,
+        "decode allocated {grew} B for a {} B stream",
+        bytes.len()
+    );
+    result.map(|()| out)
+}
+
+fn arb_values() -> impl Strategy<Value = Vec<f64>> {
+    proptest::collection::vec(
+        prop_oneof![-1e3f64..1e3, -1e-3f64..1e-3, -1e300f64..1e300, Just(0.0f64),],
+        0..400,
+    )
+}
+
+fn arb_flips() -> impl Strategy<Value = Vec<usize>> {
+    proptest::collection::vec(0usize..1 << 20, 0..5)
+}
+
+fn flip(bytes: &mut [u8], flips: &[usize]) {
+    for &f in flips {
+        if !bytes.is_empty() {
+            let bit = f % (bytes.len() * 8);
+            bytes[bit / 8] ^= 1 << (bit % 8);
+        }
+    }
+}
+
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// The checks shared by both decoders' hostile-stream properties.
+fn check_hostile(
+    codec: &dyn Codec,
+    stream: &[u8],
+    n: usize,
+    cut: usize,
+    flips: &[usize],
+) -> Result<(), TestCaseError> {
+    // As written: both paths decode it to the same values.
+    let plain = decode_bounded(codec, stream, n).expect("a stream decodes");
+    let mut spare = stream.to_vec();
+    spare.resize(stream.len() + 64, 0);
+    let padded = decode_bounded(codec, &spare, n).expect("trailing bytes are ignored");
+    prop_assert_eq!(bits(&plain), bits(&padded));
+
+    // Cut at any byte, then 0-4 bit flips: an error or `n` values.
+    let mut hostile = stream[..cut.min(stream.len())].to_vec();
+    flip(&mut hostile, flips);
+    if let Ok(values) = decode_bounded(codec, &hostile, n) {
+        prop_assert_eq!(values.len(), n);
+        // Whatever decodes without spare bytes decodes the same with
+        // them: the unchecked path reads the bits the padded one read.
+        hostile.resize(hostile.len() + 64, 0);
+        let again = decode_bounded(codec, &hostile, n).expect("spare bytes cannot hurt");
+        prop_assert_eq!(bits(&values), bits(&again));
+    }
+    Ok(())
+}
+
+proptest! {
+    #[test]
+    fn zfp_like_survives_cuts_and_bit_flips(
+        data in arb_values(),
+        tol_exp in -9i32..0,
+        cut in 0usize..4096,
+        flips in arb_flips(),
+    ) {
+        let codec = ZfpLike::with_tolerance(10f64.powi(tol_exp));
+        let stream = codec.compress(&data).unwrap();
+        check_hostile(&codec, &stream, data.len(), cut, &flips)?;
+    }
+
+    #[test]
+    fn zfp2d_survives_cuts_and_bit_flips(
+        data in proptest::collection::vec(prop_oneof![-1e3f64..1e3, Just(0.0f64)], 391..392),
+        width in 1usize..24,
+        tol_exp in -9i32..0,
+        cut in 0usize..4096,
+        flips in arb_flips(),
+    ) {
+        let height = 391 / width;
+        let data = &data[..width * height];
+        let codec = ZfpLike2d::new(width, height, 10f64.powi(tol_exp));
+        let stream = codec.compress(data).unwrap();
+        check_hostile(&codec, &stream, data.len(), cut, &flips)?;
+    }
+
+    /// Junk behind a valid stream header: the block parser sees random
+    /// class bits, exponents, widths and lengths.
+    #[test]
+    fn junk_blocks_error_or_decode(
+        junk in proptest::collection::vec(any::<u8>(), 0..600),
+        n in 0usize..500,
+        tol_exp in -12i32..3,
+    ) {
+        let tol = 10f64.powi(tol_exp);
+        let mut one_d = ZfpLike::with_tolerance(tol).compress(&[]).unwrap();
+        one_d.extend_from_slice(&junk);
+        let _ = decode_bounded(&ZfpLike::with_tolerance(1.0), &one_d, n);
+
+        let (w, h) = (n % 23 + 1, n / 23 + 1);
+        let codec = ZfpLike2d::new(w, h, tol);
+        // The 18 header bytes of any stream of this shape.
+        let mut two_d = codec.compress(&vec![0.0; w * h]).unwrap()[..18].to_vec();
+        two_d.extend_from_slice(&junk);
+        let _ = decode_bounded(&codec, &two_d, w * h);
+
+        // And junk from the first byte on.
+        let _ = decode_bounded(&codec, &junk, w * h);
+        let _ = decode_bounded(&ZfpLike::with_tolerance(1.0), &junk, n);
+    }
+}
+
+/// Start a stream by hand: `dims` selects the 2-D header.
+fn stream_header(version: u8, tolerance: f64, dims: Option<(usize, usize)>) -> BitWriter {
+    let mut w = BitWriter::new();
+    w.write_bits(if dims.is_some() { 0xC5 } else { 0xC2 }, 8);
+    w.write_bits(version as u64, 8);
+    w.write_bits(tolerance.to_bits(), 64);
+    if let Some((width, height)) = dims {
+        w.write_bits(width as u64, 32);
+        w.write_bits(height as u64, 32);
+    }
+    w
+}
+
+/// Decode a hand-made stream whose header was started with `dims`: four
+/// values through `ZfpLike`, or a 4x4 grid through `ZfpLike2d`.
+fn decode_crafted(dims: Option<(usize, usize)>, bytes: &[u8]) -> Result<Vec<f64>, CodecError> {
+    match dims {
+        None => decode_bounded(&ZfpLike::with_tolerance(1.0), bytes, 4),
+        Some(_) => decode_bounded(&ZfpLike2d::new(4, 4, 1.0), bytes, 16),
+    }
+}
+
+/// A coded block's header: class bits `00`, the biased exponent, `nmax`.
+fn coded_header(w: &mut BitWriter, emax: i32, nmax: u64) {
+    w.write_bits(0b00, 2);
+    w.write_bits((emax + 1100) as u64, 12);
+    w.write_bits(nmax, 6);
+}
+
+/// Decode one crafted block as the first of a 1-D stream (4 lanes) and
+/// of a 4x4 2-D stream (16 lanes), as written and with spare zero bytes
+/// behind it (which put the block on the unchecked path): all four must
+/// be `Corrupt`.
+fn assert_block_is_corrupt(what: &str, tolerance: f64, block: impl Fn(&mut BitWriter, usize)) {
+    for dims in [None, Some((4usize, 4usize))] {
+        let lanes = if dims.is_some() { 16 } else { 4 };
+        let mut w = stream_header(2, tolerance, dims);
+        block(&mut w, lanes);
+        let exact = w.into_bytes();
+        let mut spare = exact.clone();
+        spare.resize(exact.len() + 256, 0);
+        for bytes in [&exact, &spare] {
+            let result = decode_crafted(dims, bytes);
+            assert!(
+                matches!(result, Err(CodecError::Corrupt(_))),
+                "{what}, {lanes} lanes, {} B: {result:?}",
+                bytes.len()
+            );
+        }
+    }
+}
+
+#[test]
+fn crafted_block_headers_are_corrupt() {
+    // A coded block of width zero (the encoder writes that as the
+    // one-bit zero class).
+    assert_block_is_corrupt("nmax = 0", 1e-6, |w, lanes| {
+        coded_header(w, 0, 0);
+        w.write_bits(0, lanes as u32);
+    });
+    // Tolerance 1 and a tiny block exponent put the cutoff at plane 62:
+    // three more planes do not fit a 64-bit coefficient.
+    assert_block_is_corrupt("nmax + cutoff > 64", 1.0, |w, lanes| {
+        coded_header(w, -1000, 3);
+        w.write_bits(0, 2 * lanes as u32);
+    });
+    // Width 5 stores lengths in three bits; 7 is not a length it has.
+    assert_block_is_corrupt("length above nmax", 1e-6, |w, lanes| {
+        coded_header(w, 0, 5);
+        for k in 0..lanes {
+            w.write_bits(if k == lanes - 1 { 7 } else { 1 }, 3);
+        }
+    });
+}
+
+#[test]
+fn a_lane_running_past_the_buffer_is_corrupt() {
+    // Every lane claims the block's full 40 bits; the stream ends with
+    // the length field. (Spare bytes would make this a valid block, so
+    // only the padded path can see it.)
+    for dims in [None, Some((4usize, 4usize))] {
+        let lanes = if dims.is_some() { 16 } else { 4 };
+        let mut w = stream_header(2, 1e-6, dims);
+        coded_header(&mut w, 0, 40);
+        w.write_bits(0, 4 * lanes);
+        let bytes = w.into_bytes();
+        let result = decode_crafted(dims, &bytes);
+        assert!(matches!(result, Err(CodecError::Corrupt(_))), "{result:?}");
+    }
+}
+
+#[test]
+fn stream_header_checks_hold_for_both_codecs() {
+    let decode = |w: BitWriter, dims: Option<(usize, usize)>| {
+        let mut bytes = w.into_bytes();
+        bytes.resize(bytes.len() + 64, 0xFF); // all-zero blocks
+        decode_crafted(dims, &bytes)
+    };
+    for dims in [None, Some((4, 4))] {
+        // The well-formed header decodes (to the zero blocks behind it).
+        assert_eq!(
+            decode(stream_header(2, 1e-3, dims), dims).unwrap(),
+            vec![0.0; if dims.is_some() { 16 } else { 4 }]
+        );
+        // Retired and unknown versions.
+        for version in [0, 1, 3, 255] {
+            let err = decode(stream_header(version, 1e-3, dims), dims).unwrap_err();
+            assert!(matches!(err, CodecError::Corrupt(_)), "{err}");
+            assert_eq!(version == 1, err.to_string().contains("retired"), "{err}");
+        }
+        // A tolerance no encoder accepts.
+        for tolerance in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let err = decode(stream_header(2, tolerance, dims), dims).unwrap_err();
+            assert!(err.to_string().contains("tolerance"), "{err}");
+        }
+        // A header cut short, byte by byte.
+        let whole = stream_header(2, 1e-3, dims).into_bytes();
+        for cut in 0..whole.len() {
+            assert!(
+                decode_crafted(dims, &whole[..cut]).is_err(),
+                "header cut at {cut}"
+            );
+        }
+    }
+    // The wrong codec's magic.
+    assert!(decode(stream_header(2, 1e-3, None), Some((4, 4))).is_err());
+    assert!(decode(stream_header(2, 1e-3, Some((4, 4))), None).is_err());
+    // 2-D only: the stream's grid must be the codec's.
+    assert!(decode(stream_header(2, 1e-3, Some((4, 5))), Some((4, 4))).is_err());
+}
