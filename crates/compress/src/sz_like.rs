@@ -47,6 +47,16 @@ impl SzLike {
     }
 }
 
+/// The next `len` bytes of `bytes` from `*pos` on, advancing it; `None`
+/// if the stream does not hold that many. `len` may be a length the
+/// stream declares: the sum is checked, so that one near `usize::MAX`
+/// cannot wrap past the bound.
+fn take<'a>(bytes: &'a [u8], pos: &mut usize, len: usize) -> Option<&'a [u8]> {
+    let s = bytes.get(*pos..pos.checked_add(len)?)?;
+    *pos += len;
+    Some(s)
+}
+
 impl Codec for SzLike {
     fn name(&self) -> &'static str {
         "sz-like"
@@ -112,13 +122,9 @@ impl Codec for SzLike {
 
     fn decompress_into(&self, bytes: &[u8], out: &mut [f64]) -> Result<(), CodecError> {
         let mut pos = 0usize;
-        let take = |pos: &mut usize, len: usize| -> Result<&[u8], CodecError> {
-            if *pos + len > bytes.len() {
-                return Err(CodecError::Corrupt("sz-like stream truncated".into()));
-            }
-            let s = &bytes[*pos..*pos + len];
-            *pos += len;
-            Ok(s)
+        let take = |pos: &mut usize, len: usize| {
+            take(bytes, pos, len)
+                .ok_or_else(|| CodecError::Corrupt("sz-like stream truncated".into()))
         };
 
         let magic = take(&mut pos, 1)?[0];
@@ -149,8 +155,9 @@ impl Codec for SzLike {
             )));
         }
         let lit_bytes = take(&mut pos, lit_count * 8)?;
-        let payload_len =
-            u64::from_le_bytes(take(&mut pos, 8)?.try_into().expect("8 bytes")) as usize;
+        let payload_len = u64::from_le_bytes(take(&mut pos, 8)?.try_into().expect("8 bytes"));
+        let payload_len = usize::try_from(payload_len)
+            .map_err(|_| CodecError::Corrupt("sz-like stream truncated".into()))?;
         let payload = take(&mut pos, payload_len)?;
 
         let mut reader = BitReader::new(payload);
@@ -250,13 +257,14 @@ impl Huffman {
         for &(_, len) in &lengths {
             count_per_len[len as usize] += 1;
         }
-        // Kraft-consistent canonical first codes.
+        // Kraft-consistent canonical first codes. A complete table with
+        // 64-bit codes ends on 2^64 exactly: the sum wraps, unused.
         let mut first_code = [0u64; 65];
         let mut code = 0u64;
         for len in 1..=64usize {
             code <<= 1;
             first_code[len] = code;
-            code += count_per_len[len] as u64;
+            code = code.wrapping_add(count_per_len[len] as u64);
         }
         let mut first_index = [0usize; 65];
         let mut idx = 0usize;
@@ -280,7 +288,7 @@ impl Huffman {
             let mut next = first_code;
             for &(sym, len) in &lengths {
                 let code = next[len as usize];
-                next[len as usize] += 1;
+                next[len as usize] = code.wrapping_add(1);
                 // Reverse so the LSB-first writer puts the MSB on the wire
                 // first, matching canonical prefix order.
                 let rev = code.reverse_bits() >> (64 - len as u32);
@@ -297,7 +305,7 @@ impl Huffman {
             let mut next = first_code;
             for &(sym, len) in &lengths {
                 let code = next[len as usize];
-                next[len as usize] += 1;
+                next[len as usize] = code.wrapping_add(1);
                 if (len as u32) <= LOOKUP_BITS {
                     let shift = LOOKUP_BITS - len as u32;
                     let base = (code << shift) as usize;
@@ -359,7 +367,7 @@ impl Huffman {
             let cnt = self.count_per_len[len];
             if cnt > 0 {
                 let first = self.first_code[len];
-                if code >= first && code < first + cnt as u64 {
+                if code >= first && code - first < cnt as u64 {
                     let idx = self.first_index[len] + (code - first) as usize;
                     return Ok(self.sorted_symbols[idx]);
                 }
@@ -377,23 +385,20 @@ impl Huffman {
     }
 
     fn deserialize_table(bytes: &[u8], pos: &mut usize) -> Result<Self, CodecError> {
-        if *pos + 4 > bytes.len() {
-            return Err(CodecError::Corrupt("huffman table truncated".into()));
-        }
-        let count = u32::from_le_bytes(bytes[*pos..*pos + 4].try_into().expect("4 bytes")) as usize;
-        *pos += 4;
-        if *pos + count * 5 > bytes.len() {
-            return Err(CodecError::Corrupt("huffman table truncated".into()));
-        }
+        let truncated = || CodecError::Corrupt("huffman table truncated".into());
+        let mut take = |len: usize| take(bytes, pos, len).ok_or_else(truncated);
+        let count = u32::from_le_bytes(take(4)?.try_into().expect("4 bytes")) as usize;
+        // Five bytes an entry: nothing is allocated for a count the
+        // stream is too short to back.
+        let table = take(count.checked_mul(5).ok_or_else(truncated)?)?;
         let mut lengths = Vec::with_capacity(count);
-        for _ in 0..count {
-            let sym = u32::from_le_bytes(bytes[*pos..*pos + 4].try_into().expect("4 bytes"));
-            let len = bytes[*pos + 4];
+        for entry in table.chunks_exact(5) {
+            let sym = u32::from_le_bytes(entry[..4].try_into().expect("4 bytes"));
+            let len = entry[4];
             if len == 0 || len > 64 {
                 return Err(CodecError::Corrupt(format!("bad code length {len}")));
             }
             lengths.push((sym, len));
-            *pos += 5;
         }
         // Kraft check so corrupt tables cannot send the decoder spinning.
         let kraft: f64 = lengths
@@ -591,6 +596,94 @@ mod tests {
         assert!(codec.decompress(&bytes, 100).is_err());
         let bytes2 = codec.compress(&data).unwrap();
         assert!(codec.decompress(&bytes2[..10], 100).is_err());
+    }
+
+    /// Where the literals' `u32` count and the payload's `u64` length
+    /// sit in a stream.
+    fn lengths_at(bytes: &[u8]) -> (usize, usize) {
+        let table = u32::from_le_bytes(bytes[10..14].try_into().unwrap()) as usize;
+        let literals_at = 14 + table * 5;
+        let literals =
+            u32::from_le_bytes(bytes[literals_at..literals_at + 4].try_into().unwrap()) as usize;
+        (literals_at, literals_at + 4 + literals * 8)
+    }
+
+    #[test]
+    fn crafted_lengths_are_corrupt_not_a_panic() {
+        let codec = SzLike::with_error_bound(1e-6);
+        let data = noise(500, 1.0, 9);
+        let good = codec.compress(&data).unwrap();
+        let (literals_at, at) = lengths_at(&good);
+        let payload = good.len() - at - 8;
+        assert_eq!(
+            u64::from_le_bytes(good[at..at + 8].try_into().unwrap()),
+            payload as u64
+        );
+        let with_len = |len: u64| {
+            let mut bytes = good.clone();
+            bytes[at..at + 8].copy_from_slice(&len.to_le_bytes());
+            codec.decompress(&bytes, data.len())
+        };
+        assert!(with_len(payload as u64).is_ok());
+        // `u64::MAX`, a sum that wraps to just inside the stream, one
+        // byte past the payload.
+        for len in [
+            u64::MAX,
+            u64::MAX - (at as u64 + 8) + 1,
+            u64::MAX - (at as u64 + 8),
+            1 << 63,
+            payload as u64 + 1,
+        ] {
+            let err = with_len(len).unwrap_err();
+            assert!(matches!(err, CodecError::Corrupt(_)), "{len}: {err}");
+        }
+        // A shorter payload runs out of codes.
+        assert!(with_len(payload as u64 / 2).is_err());
+
+        // The table's and the literals' counts, likewise.
+        for count in [u32::MAX, u32::MAX / 5 + 1, 1 << 31, good.len() as u32] {
+            let mut bytes = good.clone();
+            bytes[10..14].copy_from_slice(&count.to_le_bytes());
+            assert!(codec.decompress(&bytes, data.len()).is_err(), "{count}");
+            let mut bytes = good.clone();
+            bytes[literals_at..literals_at + 4].copy_from_slice(&count.to_le_bytes());
+            assert!(codec.decompress(&bytes, data.len()).is_err(), "{count}");
+        }
+    }
+
+    #[test]
+    fn huffman_tables_with_64_bit_codes_neither_wrap_nor_spin() {
+        // Complete: lengths 1, 2, ..., 63, 64, 64 — the canonical code
+        // after the last symbol is 2^64.
+        let mut lengths: Vec<(u32, u8)> = (1..=64u8).map(|len| (len as u32, len)).collect();
+        lengths.push((65, 64));
+        let h = Huffman::from_lengths(lengths, true);
+        let symbols = [1u32, 64, 65, 2, 65, 64, 63];
+        let mut w = BitWriter::new();
+        for &s in &symbols {
+            h.encode(s, &mut w);
+        }
+        let bytes = w.into_bytes();
+        let mut r = BitReader::new(&bytes);
+        for &s in &symbols {
+            assert_eq!(h.decode(&mut r).unwrap(), s);
+        }
+
+        // One symbol of length 64 (Kraft holds trivially): all-zero
+        // codes decode, anything else is invalid, and either way a
+        // decode consumes its 64 bits or the rest of the stream.
+        let lone = Huffman::from_lengths(vec![(9, 64)], false);
+        let zeros = [0u8; 16];
+        let mut r = BitReader::new(&zeros);
+        assert_eq!(lone.decode(&mut r).unwrap(), 9);
+        assert_eq!(lone.decode(&mut r).unwrap(), 9);
+        assert!(lone.decode(&mut r).is_err(), "stream exhausted");
+        let mut r = BitReader::new(&[0xFF; 16]);
+        assert!(lone.decode(&mut r).is_err());
+
+        // An empty table decodes nothing.
+        let empty = Huffman::from_lengths(Vec::new(), false);
+        assert!(empty.decode(&mut BitReader::new(&zeros)).is_err());
     }
 
     #[test]

@@ -1,17 +1,21 @@
-//! Hostile input for the lane-major decoders (`ZfpLike`, `ZfpLike2d`).
+//! Hostile input for every decoder: the lane-major ones (`ZfpLike`,
+//! `ZfpLike2d`), `SzLike` and `Fpc`.
 //!
 //! Bytes from a tier are checksum-verified before they reach a codec,
 //! but a decoder must not rely on that: a stream cut at any byte, with a
 //! few bits flipped, or made of junk has to come back as `Err` or as
 //! well-formed output — never a panic, a hang, or memory sized by what
-//! the stream says (a counting allocator bounds every hostile decode to
-//! an error message's worth of heap). Crafted block headers hit each
-//! check the decoder makes, on the unchecked path (spare bytes behind
-//! the block) and on the padded one; and the two paths must agree on
-//! every valid stream.
+//! the stream says. A counting allocator bounds every hostile decode: to
+//! an error message's worth of heap where the decoder needs none of its
+//! own, and for `SzLike` to its fixed lookup table plus a small multiple
+//! of the stream's size (its Huffman table is stored in the stream at
+//! five bytes an entry). Crafted block headers hit each check the
+//! lane-major decoders make, on the unchecked path (spare bytes behind
+//! the block) and on the padded one, and the two paths must agree on
+//! every valid stream; crafted Huffman tables and lengths hit `SzLike`'s.
 
 use canopus_compress::bitstream::BitWriter;
-use canopus_compress::{Codec, CodecError, ZfpLike, ZfpLike2d};
+use canopus_compress::{Codec, CodecError, Fpc, SzLike, ZfpLike, ZfpLike2d};
 use proptest::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -45,16 +49,52 @@ const HOSTILE_ALLOC_LIMIT: usize = 512;
 /// and nothing else; either way the heap stays untouched but for the
 /// error's text.
 fn decode_bounded(codec: &dyn Codec, bytes: &[u8], n: usize) -> Result<Vec<f64>, CodecError> {
+    decode_within(codec, bytes, n, HOSTILE_ALLOC_LIMIT)
+}
+
+/// [`decode_bounded`] for a decoder with tables of its own: everything
+/// it allocates on the way, freed or not, stays within `limit` bytes.
+fn decode_within(
+    codec: &dyn Codec,
+    bytes: &[u8],
+    n: usize,
+    limit: usize,
+) -> Result<Vec<f64>, CodecError> {
     let mut out = vec![f64::NAN; n];
     let before = ALLOC_BYTES.with(Cell::get);
     let result = codec.decompress_into(bytes, &mut out);
     let grew = ALLOC_BYTES.with(Cell::get) - before;
     assert!(
-        grew <= HOSTILE_ALLOC_LIMIT,
+        grew <= limit,
         "decode allocated {grew} B for a {} B stream",
         bytes.len()
     );
     result.map(|()| out)
+}
+
+/// What an `SzLike` decode may allocate for a stream of `len` bytes: the
+/// 2^11-entry prefix lookup (16 KiB) and the error's text, plus — per
+/// five-byte table entry the stream really holds — the parsed entry and
+/// its place in the canonical order.
+fn sz_limit(len: usize) -> usize {
+    (17 << 10) + 4 * len
+}
+
+fn sz_bounded(bytes: &[u8], n: usize) -> Result<Vec<f64>, CodecError> {
+    decode_within(
+        &SzLike::with_error_bound(1.0),
+        bytes,
+        n,
+        sz_limit(bytes.len()),
+    )
+}
+
+/// `Fpc` decodes through two predictor tables its thread allocates once
+/// (1 MiB, whatever the stream says) and nothing else: after one decode
+/// to warm them up, the error-message limit applies.
+fn fpc_bounded(bytes: &[u8], n: usize) -> Result<Vec<f64>, CodecError> {
+    let _ = Fpc::new().decompress_into(&[], &mut []);
+    decode_bounded(&Fpc::new(), bytes, n)
 }
 
 fn arb_values() -> impl Strategy<Value = Vec<f64>> {
@@ -161,6 +201,185 @@ proptest! {
         // And junk from the first byte on.
         let _ = decode_bounded(&codec, &junk, w * h);
         let _ = decode_bounded(&ZfpLike::with_tolerance(1.0), &junk, n);
+    }
+}
+
+/// The checks shared by the `SzLike` and `Fpc` properties: the stream as
+/// written decodes within `bounded`'s limit to `expect`; cut at any byte
+/// and bit-flipped it is an error or `n` values.
+fn check_cut_and_flipped(
+    bounded: fn(&[u8], usize) -> Result<Vec<f64>, CodecError>,
+    stream: &[u8],
+    expect: &[f64],
+    tolerance: f64,
+    cut: usize,
+    flips: &[usize],
+) -> Result<(), TestCaseError> {
+    let n = expect.len();
+    let plain = bounded(stream, n).expect("a stream decodes");
+    for (a, b) in plain.iter().zip(expect) {
+        prop_assert!(a.to_bits() == b.to_bits() || (a - b).abs() <= tolerance);
+    }
+    let mut hostile = stream[..cut.min(stream.len())].to_vec();
+    flip(&mut hostile, flips);
+    if let Ok(values) = bounded(&hostile, n) {
+        prop_assert_eq!(values.len(), n);
+    }
+    // The asked length is the caller's, not the stream's.
+    for other in [0, n / 2, n + 1, 4 * n + 7] {
+        if let Ok(values) = bounded(stream, other) {
+            prop_assert_eq!(values.len(), other);
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #[test]
+    fn sz_like_survives_cuts_and_bit_flips(
+        data in arb_values(),
+        bound_exp in -9i32..0,
+        cut in 0usize..4096,
+        flips in arb_flips(),
+    ) {
+        let bound = 10f64.powi(bound_exp);
+        let stream = SzLike::with_error_bound(bound).compress(&data).unwrap();
+        check_cut_and_flipped(sz_bounded, &stream, &data, bound, cut, &flips)?;
+    }
+
+    #[test]
+    fn fpc_survives_cuts_and_bit_flips(
+        data in arb_values(),
+        cut in 0usize..4096,
+        flips in arb_flips(),
+    ) {
+        let stream = Fpc::new().compress(&data).unwrap();
+        check_cut_and_flipped(fpc_bounded, &stream, &data, 0.0, cut, &flips)?;
+    }
+
+    /// Junk behind a valid header, and from the first byte on: `SzLike`
+    /// reads a table count, entries, a literal count and a payload
+    /// length out of it, `Fpc` a header-block length and nibbles.
+    #[test]
+    fn junk_behind_sz_and_fpc_headers_errors_or_decodes(
+        junk in proptest::collection::vec(any::<u8>(), 0..600),
+        n in 0usize..500,
+    ) {
+        let mut sz = vec![0xC3, 1];
+        sz.extend_from_slice(&1e-3f64.to_le_bytes());
+        sz.extend_from_slice(&junk);
+        let _ = sz_bounded(&sz, n);
+        let _ = sz_bounded(&junk, n);
+
+        let mut fpc = vec![0xC4, 1];
+        fpc.extend_from_slice(&(n.div_ceil(2) as u64).to_le_bytes());
+        fpc.extend_from_slice(&junk);
+        if let Ok(values) = fpc_bounded(&fpc, n) {
+            prop_assert_eq!(values.len(), n);
+        }
+        let _ = fpc_bounded(&junk, n);
+    }
+}
+
+/// An `SzLike` stream by hand: error bound 1, the Huffman `table` as
+/// `(symbol, length)` entries, no literals, then `payload` under the
+/// length `payload_len` claims for it.
+fn sz_stream(table: &[(u32, u8)], payload_len: u64, payload: &[u8]) -> Vec<u8> {
+    let mut bytes = vec![0xC3, 1];
+    bytes.extend_from_slice(&1f64.to_le_bytes());
+    bytes.extend_from_slice(&(table.len() as u32).to_le_bytes());
+    for &(symbol, len) in table {
+        bytes.extend_from_slice(&symbol.to_le_bytes());
+        bytes.push(len);
+    }
+    bytes.extend_from_slice(&0u32.to_le_bytes());
+    bytes.extend_from_slice(&payload_len.to_le_bytes());
+    bytes.extend_from_slice(payload);
+    bytes
+}
+
+#[test]
+fn crafted_huffman_tables_neither_hang_nor_panic() {
+    let corrupt = |bytes: &[u8], n: usize, what: &str| {
+        let result = sz_bounded(bytes, n);
+        assert!(
+            matches!(result, Err(CodecError::Corrupt(_))),
+            "{what}: {result:?}"
+        );
+    };
+    // Code 32768 is "the previous value again". One symbol of length 64:
+    // each value costs 64 zero bits, and the payload runs out — after
+    // at most a bit per bit of it — instead of spinning.
+    let lone = [(32768, 64)];
+    let decoded = sz_bounded(&sz_stream(&lone, 16, &[0; 16]), 2).expect("two 64-bit codes");
+    assert_eq!(decoded, [0.0, 0.0]);
+    corrupt(&sz_stream(&lone, 16, &[0; 16]), 3, "payload exhausted");
+    corrupt(&sz_stream(&lone, 16, &[0xFF; 16]), 2, "no such code");
+    // A complete table whose canonical codes end on 2^64.
+    let mut deep: Vec<(u32, u8)> = (1..=64u8).map(|len| (32768, len)).collect();
+    deep.push((32768, 64));
+    let zeros = sz_bounded(&sz_stream(&deep, 4, &[0; 4]), 32).expect("32 one-bit codes");
+    assert_eq!(zeros, [0.0; 32]);
+    let ones = sz_bounded(&sz_stream(&deep, 16, &[0xFF; 16]), 2).expect("two all-ones codes");
+    assert_eq!(ones, [0.0; 2]);
+    // Tables that fail Kraft, have a zero or a 65-bit length, or are
+    // empty although values are asked for.
+    corrupt(
+        &sz_stream(&[(1, 1), (2, 1), (3, 1)], 8, &[0; 8]),
+        4,
+        "Kraft",
+    );
+    corrupt(&sz_stream(&[(1, 0)], 8, &[0; 8]), 4, "zero length");
+    corrupt(&sz_stream(&[(1, 65)], 8, &[0; 8]), 4, "65-bit length");
+    corrupt(&sz_stream(&[], 8, &[0; 8]), 4, "empty table");
+    assert_eq!(
+        sz_bounded(&sz_stream(&[], 0, &[]), 0).expect("nothing to decode"),
+        Vec::<f64>::new()
+    );
+    // A payload length that is `u64::MAX`, wraps the cursor to just
+    // inside the stream, or runs one byte past the payload.
+    let at = sz_stream(&lone, 0, &[]).len();
+    for len in [u64::MAX, u64::MAX - at as u64 + 1, 1 << 63, 17] {
+        corrupt(&sz_stream(&lone, len, &[0; 16]), 2, "payload length");
+    }
+    // A table count the stream cannot back allocates nothing for it.
+    let mut lying = sz_stream(&lone, 16, &[0; 16]);
+    for count in [u32::MAX, u32::MAX / 5 + 1, 1 << 20] {
+        lying[10..14].copy_from_slice(&count.to_le_bytes());
+        corrupt(&lying, 2, "table count");
+    }
+}
+
+#[test]
+fn fpc_header_checks_hold() {
+    let values = [1.5, -2.25, 1e300, 0.0, f64::INFINITY];
+    let good = Fpc::new().compress(&values).unwrap();
+    assert_eq!(
+        bits(&fpc_bounded(&good, values.len()).unwrap()),
+        bits(&values)
+    );
+    // Cut anywhere, the stream is an error, never a short read.
+    for cut in 0..good.len() {
+        assert!(
+            fpc_bounded(&good[..cut], values.len()).is_err(),
+            "cut at {cut}"
+        );
+    }
+    // The header-block length must be the asked length's, whatever it
+    // claims: `u64::MAX` and friends are refused before any slicing.
+    for len in [u64::MAX, u64::MAX - 9, 1 << 63, 0, 2, 4] {
+        let mut bytes = good.clone();
+        bytes[2..10].copy_from_slice(&len.to_le_bytes());
+        let result = fpc_bounded(&bytes, values.len());
+        assert!(
+            matches!(result, Err(CodecError::Corrupt(_))),
+            "{len}: {result:?}"
+        );
+    }
+    for (at, what) in [(0, "magic"), (1, "version")] {
+        let mut bytes = good.clone();
+        bytes[at] ^= 0x10;
+        assert!(fpc_bounded(&bytes, values.len()).is_err(), "{what}");
     }
 }
 

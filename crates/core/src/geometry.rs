@@ -13,7 +13,8 @@
 //! mapping and never a coordinate, so a walk fetches the topology of the
 //! levels it passes through and the whole object only where a mesh is
 //! handed out. [`LevelGeometry`] is what the reader's caches share per
-//! level: the two halves, each filled at most once.
+//! level: the two halves, each filled at most once, by whoever holds the
+//! [`Fill`] that claimed it.
 
 use crate::error::CanopusError;
 use bytes::Bytes;
@@ -21,11 +22,10 @@ use canopus_adios::store::BlockWrite;
 use canopus_adios::{checksum64, BlockMeta, ChunkEntry, GeometrySection};
 use canopus_mesh::geometry::Point2;
 use canopus_mesh::io::{POINT_BYTES, TRI_BYTES};
-use canopus_mesh::{Connectivity, TriMesh};
-use canopus_refactor::mapping::{mapping_from_bytes, mapping_to_bytes};
+use canopus_mesh::{Connectivity, TriMesh, VertexId};
+use canopus_refactor::mapping::{mapping_from_bytes, mapping_to_bytes, reserve_mapping};
 use canopus_storage::ProductKind;
-use parking_lot::{Mutex, MutexGuard};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 
 /// Assemble a level's geometry block: both sections packed, and the
 /// index that lets a reader fetch and verify either alone. The entries'
@@ -111,18 +111,39 @@ pub(crate) struct Topology {
 /// [`ReadOutcome`](crate::read::ReadOutcome) reads the entry's own point
 /// and triangle arrays.
 ///
-/// The halves are filled lazily and at most once each, under
-/// [`Self::filling`]: concurrent readers that miss on the same level
-/// wait for the one that fetches it.
+/// The halves are filled lazily and at most once each. A reader that
+/// misses [`claim`](Self::claim)s what it needs and is missing, and
+/// whoever holds the [`Fill`] fetches and parses it; concurrent readers
+/// that miss on the same half wait for that one load, each half's
+/// waiters released the moment it is published.
 #[derive(Debug)]
 pub(crate) struct LevelGeometry {
-    /// Counts and parse limit, from the manifest alone.
+    /// Counts, parse limit and stored section lengths (coordinates,
+    /// topology), from the manifest alone.
     vertices: usize,
     triangles: u64,
     raw_bytes: u64,
-    fill: Mutex<()>,
+    stored: [u64; 2],
+    /// Which halves a [`Fill`] out there is loading.
+    claimed: Mutex<Claimed>,
+    /// Signalled whenever a claim on a half ends.
+    released: Condvar,
     points: OnceLock<Arc<Vec<Point2>>>,
     topology: OnceLock<Topology>,
+}
+
+#[derive(Debug, Default)]
+struct Claimed {
+    topology: bool,
+    points: bool,
+}
+
+/// The arrays a level parses into, allocated ahead of the parse.
+#[derive(Debug, Default)]
+struct Reserved {
+    points: Vec<Point2>,
+    triangles: Vec<[VertexId; 3]>,
+    mapping: Vec<u32>,
 }
 
 fn malformed(block: &BlockMeta, why: impl std::fmt::Display) -> CanopusError {
@@ -142,14 +163,17 @@ pub(crate) fn section_of(
 impl LevelGeometry {
     /// An empty entry for the level `block` describes.
     pub fn of(block: &BlockMeta) -> Result<Self, CanopusError> {
-        let vertices = section_of(block, GeometrySection::Coordinates)?.elements;
-        let triangles = section_of(block, GeometrySection::Topology)?.elements;
+        let coordinates = section_of(block, GeometrySection::Coordinates)?;
+        let topology = section_of(block, GeometrySection::Topology)?;
+        let vertices = coordinates.elements;
         Ok(Self {
             vertices: usize::try_from(vertices)
                 .map_err(|_| malformed(block, format!("{vertices} vertices")))?,
-            triangles,
+            triangles: topology.elements,
             raw_bytes: block.raw_bytes,
-            fill: Mutex::new(()),
+            stored: [coordinates.len, topology.len],
+            claimed: Mutex::default(),
+            released: Condvar::new(),
             points: OnceLock::new(),
             topology: OnceLock::new(),
         })
@@ -191,19 +215,195 @@ impl LevelGeometry {
         self.topology()?.connectivity.mesh_over(points)
     }
 
-    /// The lock a filler holds from deciding what is missing until it
-    /// has [`absorb`](Self::absorb)ed it, tier fetch included.
-    pub fn filling(&self) -> MutexGuard<'_, ()> {
-        self.fill.lock()
+    /// The claims, once no [`Fill`] is loading a half `need` asks for.
+    fn settled(&self, need: Need) -> MutexGuard<'_, Claimed> {
+        // A claim is two flags, valid whatever a panicking holder of the
+        // lock was doing.
+        let mut claimed = self.claimed.lock().unwrap_or_else(|e| e.into_inner());
+        while claimed.topology || (need == Need::Whole && claimed.points) {
+            claimed = self
+                .released
+                .wait(claimed)
+                .unwrap_or_else(|e| e.into_inner());
+        }
+        claimed
+    }
+
+    /// Wait for whoever is loading a half `need` asks for to publish it
+    /// or give up; whether the entry then holds what `need` asks for.
+    pub fn wait(&self, need: Need) -> bool {
+        drop(self.settled(need));
+        self.holds(need)
+    }
+
+    /// Claim the halves `need` asks for and the entry lacks, after
+    /// waiting for any of them that is being loaded: `None` when nothing
+    /// is left to load. The [`Fill`] is the obligation to load what it
+    /// claims — concurrent claimants wait for it — and may move to
+    /// another thread to do so.
+    pub fn claim(self: &Arc<Self>, need: Need) -> Option<Fill> {
+        if self.holds(need) {
+            return None;
+        }
+        let mut claimed = self.settled(need);
+        let topology = self.topology.get().is_none();
+        let points = need == Need::Whole && self.points.get().is_none();
+        if !(topology || points) {
+            return None;
+        }
+        *claimed = Claimed {
+            topology,
+            points: points || claimed.points,
+        };
+        Some(Fill {
+            entry: Arc::clone(self),
+            topology,
+            points,
+            reserved: Reserved::default(),
+        })
+    }
+
+    /// End the claim on one or both halves and wake their waiters.
+    fn release(&self, topology: bool, points: bool) {
+        let mut claimed = self.claimed.lock().unwrap_or_else(|e| e.into_inner());
+        claimed.topology &= !topology;
+        claimed.points &= !points;
+        drop(claimed);
+        self.released.notify_all();
+    }
+
+    fn parse_coordinates(&self, bytes: &[u8], into: Vec<Point2>) -> Result<Vec<Point2>, String> {
+        let (points, triangles) = canopus_mesh::io::points_from_binary(bytes, self.raw_bytes, into)
+            .map_err(|e| e.to_string())?;
+        if (points.len(), triangles) != (self.vertices, self.triangles) {
+            return Err(format!(
+                "header counts {} vertices and {triangles} triangles, the manifest {} and {}",
+                points.len(),
+                self.vertices,
+                self.triangles
+            ));
+        }
+        Ok(points)
+    }
+
+    /// What `raw_bytes` leaves for the triangles and the mapping once
+    /// the manifest's vertices have taken their share.
+    fn topology_limit(&self) -> Option<u64> {
+        (self.vertices as u64)
+            .checked_mul(POINT_BYTES as u64)
+            .and_then(|points| self.raw_bytes.checked_sub(points))
+    }
+
+    fn parse_topology(
+        &self,
+        bytes: &[u8],
+        triangles: Vec<[VertexId; 3]>,
+        mapping: Vec<u32>,
+    ) -> Result<Topology, String> {
+        let limit = self
+            .topology_limit()
+            .ok_or("the manifest's vertex count exceeds the block's parsed size")?;
+        let (connectivity, rest) = canopus_mesh::io::connectivity_from_binary(
+            bytes,
+            self.vertices,
+            self.triangles,
+            limit,
+            triangles,
+        )
+        .map_err(|e| e.to_string())?;
+        let left = limit - connectivity.triangles().len() as u64 * TRI_BYTES as u64;
+        let mapping = mapping_from_bytes(rest, left, mapping)?;
+        if !mapping.is_empty() && mapping.len() != self.vertices {
+            return Err(format!(
+                "mapping of {} entries for {} vertices",
+                mapping.len(),
+                self.vertices
+            ));
+        }
+        let mapping_end = mapping.iter().max().map_or(0, |&t| t as usize + 1);
+        Ok(Topology {
+            connectivity,
+            mapping,
+            mapping_end,
+        })
+    }
+}
+
+/// The claim on the halves of a [`LevelGeometry`] its holder is to load
+/// ([`LevelGeometry::claim`]). Each half's claim ends when
+/// [`absorb`](Self::absorb) publishes it, and whatever is left when the
+/// `Fill` is dropped — the fetch failed, the bytes did not parse — so a
+/// waiter never outlasts the load it waited for.
+#[derive(Debug)]
+pub(crate) struct Fill {
+    entry: Arc<LevelGeometry>,
+    topology: bool,
+    points: bool,
+    reserved: Reserved,
+}
+
+impl Fill {
+    /// What to fetch: the one section that is claimed, or `None` for the
+    /// whole object.
+    pub fn section(&self) -> Option<GeometrySection> {
+        match (self.points, self.topology) {
+            (true, true) => None,
+            (true, false) => Some(GeometrySection::Coordinates),
+            (false, _) => Some(GeometrySection::Topology),
+        }
+    }
+
+    /// Whether this is the load that publishes the entry's topology.
+    pub fn claims_topology(&self) -> bool {
+        self.topology
+    }
+
+    /// Allocate the arrays the claimed halves parse into, here and now —
+    /// for a `Fill` about to move to a thread whose allocations would
+    /// land in an arena of its own. Their sizes come from the manifest,
+    /// so each is held to what the section parsers would refuse (the
+    /// block's `raw_bytes` once parsed; eight stored bytes a vertex,
+    /// three per 128 triangles, one per 128 mapping entries): counts
+    /// that do not fit reserve nothing, and the parse fails on them as
+    /// it would have.
+    pub fn reserve(&mut self) {
+        let entry = &self.entry;
+        let [coordinates, topology] = entry.stored;
+        let reserved = || {
+            let limit = entry.topology_limit()?;
+            let triangle_bytes = entry.triangles.checked_mul(TRI_BYTES as u64)?;
+            let left = limit.checked_sub(triangle_bytes)?;
+            let (mut points, mut triangles, mut mapping) = Default::default();
+            if self.points {
+                let vertices = entry.vertices as u64;
+                points = canopus_mesh::io::reserve_points(vertices, coordinates, entry.raw_bytes)?;
+            }
+            if self.topology {
+                triangles = canopus_mesh::io::reserve_triangles(entry.triangles, topology, limit)?;
+                // What is left of `raw_bytes` is the mapping: none for
+                // the coarsest level, an entry per vertex otherwise.
+                let entries = (left / 4).min(entry.vertices as u64);
+                mapping = reserve_mapping(entries, topology, left)?;
+            }
+            Some(Reserved {
+                points,
+                triangles,
+                mapping,
+            })
+        };
+        self.reserved = reserved().unwrap_or_default();
     }
 
     /// Parse what was fetched of `block` — the whole payload, or one
-    /// section — into whichever halves are still missing. The bytes came
-    /// off a tier: each section parser checks every count against the
-    /// bytes it has and against `raw_bytes`, consumes its range exactly,
-    /// and the header must agree with the manifest's counts.
+    /// section — into the halves this `Fill` claims, topology first, and
+    /// publish each the moment it is parsed: a walk waiting to restore
+    /// the level goes on while its coordinates are still unpacking. The
+    /// bytes came off a tier: each section parser checks every count
+    /// against the bytes it has and against `raw_bytes`, consumes its
+    /// range exactly, and the header must agree with the manifest's
+    /// counts.
     pub fn absorb(
-        &self,
+        &mut self,
         block: &BlockMeta,
         fetched: Option<GeometrySection>,
         bytes: &[u8],
@@ -220,58 +420,37 @@ impl LevelGeometry {
                 (Some(c), Some(t))
             }
         };
-        if let (Some(bytes), None) = (coordinates, self.points.get()) {
-            let points = self
-                .parse_coordinates(bytes)
+        let entry = &self.entry;
+        let reserved = &mut self.reserved;
+        if let (Some(bytes), true) = (topology, self.topology) {
+            let (triangles, mapping) = (
+                std::mem::take(&mut reserved.triangles),
+                std::mem::take(&mut reserved.mapping),
+            );
+            let topology = entry
+                .parse_topology(bytes, triangles, mapping)
                 .map_err(|why| malformed(block, why))?;
-            let _ = self.points.set(Arc::new(points));
+            let _ = entry.topology.set(topology);
+            self.topology = false;
+            entry.release(true, false);
         }
-        if let (Some(bytes), None) = (topology, self.topology.get()) {
-            let topology = self
-                .parse_topology(bytes)
+        if let (Some(bytes), true) = (coordinates, self.points) {
+            let points = entry
+                .parse_coordinates(bytes, std::mem::take(&mut reserved.points))
                 .map_err(|why| malformed(block, why))?;
-            let _ = self.topology.set(topology);
+            let _ = entry.points.set(Arc::new(points));
+            self.points = false;
+            entry.release(false, true);
         }
         Ok(())
     }
+}
 
-    fn parse_coordinates(&self, bytes: &[u8]) -> Result<Vec<Point2>, String> {
-        let (points, triangles) = canopus_mesh::io::points_from_binary(bytes, self.raw_bytes)
-            .map_err(|e| e.to_string())?;
-        if (points.len(), triangles) != (self.vertices, self.triangles) {
-            return Err(format!(
-                "header counts {} vertices and {triangles} triangles, the manifest {} and {}",
-                points.len(),
-                self.vertices,
-                self.triangles
-            ));
+impl Drop for Fill {
+    fn drop(&mut self) {
+        if self.topology || self.points {
+            self.entry.release(self.topology, self.points);
         }
-        Ok(points)
-    }
-
-    fn parse_topology(&self, bytes: &[u8]) -> Result<Topology, String> {
-        let limit = (self.vertices as u64)
-            .checked_mul(POINT_BYTES as u64)
-            .and_then(|points| self.raw_bytes.checked_sub(points))
-            .ok_or("the manifest's vertex count exceeds the block's parsed size")?;
-        let (connectivity, rest) =
-            canopus_mesh::io::connectivity_from_binary(bytes, self.vertices, self.triangles, limit)
-                .map_err(|e| e.to_string())?;
-        let left = limit - connectivity.triangles().len() as u64 * TRI_BYTES as u64;
-        let mapping = mapping_from_bytes(rest, left)?;
-        if !mapping.is_empty() && mapping.len() != self.vertices {
-            return Err(format!(
-                "mapping of {} entries for {} vertices",
-                mapping.len(),
-                self.vertices
-            ));
-        }
-        let mapping_end = mapping.iter().max().map_or(0, |&t| t as usize + 1);
-        Ok(Topology {
-            connectivity,
-            mapping,
-            mapping_end,
-        })
     }
 }
 
@@ -315,6 +494,23 @@ pub(crate) mod tests {
         LevelGeometry::of(&sample(nx, ny).3).unwrap()
     }
 
+    fn entry(meta: &BlockMeta) -> Arc<LevelGeometry> {
+        Arc::new(LevelGeometry::of(meta).unwrap())
+    }
+
+    /// Parse what was fetched into whichever halves are still missing.
+    fn load(
+        entry: &Arc<LevelGeometry>,
+        meta: &BlockMeta,
+        fetched: Option<GeometrySection>,
+        bytes: &[u8],
+    ) -> Result<(), CanopusError> {
+        match entry.claim(Need::Whole) {
+            Some(mut fill) => fill.absorb(meta, fetched, bytes),
+            None => Ok(()),
+        }
+    }
+
     fn range(e: &ChunkEntry) -> std::ops::Range<usize> {
         e.offset as usize..(e.offset + e.len) as usize
     }
@@ -332,18 +528,17 @@ pub(crate) mod tests {
             assert_eq!(e.checksum, checksum64(&write.data[range(e)]));
         }
 
-        let whole = LevelGeometry::of(&meta).unwrap();
+        let whole = entry(&meta);
         assert!(!whole.holds(Need::Topology) && whole.mesh().is_none());
-        whole.absorb(&meta, None, &write.data).unwrap();
-        assert!(whole.holds(Need::Whole));
+        load(&whole, &meta, None, &write.data).unwrap();
+        assert!(whole.holds(Need::Whole) && whole.claim(Need::Whole).is_none());
         assert_eq!(whole.mesh().as_ref(), Some(&mesh));
 
         for order in [[&t, &c], [&c, &t]] {
-            let g = LevelGeometry::of(&meta).unwrap();
+            let g = entry(&meta);
             for (step, e) in order.into_iter().enumerate() {
                 let section = GeometrySection::ALL[e.chunk as usize];
-                g.absorb(&meta, Some(section), &write.data[range(e)])
-                    .unwrap();
+                load(&g, &meta, Some(section), &write.data[range(e)]).unwrap();
                 assert_eq!(g.holds(Need::Whole), step == 1);
                 assert_eq!(g.holds(Need::Topology), g.topology().is_some());
             }
@@ -372,7 +567,7 @@ pub(crate) mod tests {
         let (_, _, write, meta) = sample(4, 4);
         let [c, t] = GeometrySection::ALL.map(|s| section_of(&meta, s).unwrap().clone());
         let load = |meta: &BlockMeta, section, bytes: &[u8]| {
-            LevelGeometry::of(meta)?.absorb(meta, section, bytes)
+            load(&Arc::new(LevelGeometry::of(meta)?), meta, section, bytes)
         };
         let (coordinates, topology) = (&write.data[range(&c)], &write.data[range(&t)]);
         assert!(load(&meta, Some(GeometrySection::Coordinates), coordinates).is_ok());
@@ -420,6 +615,178 @@ pub(crate) mod tests {
         assert!(LevelGeometry::of(&bare).is_err());
     }
 
+    #[test]
+    fn a_topology_waiter_goes_on_before_the_coordinates_are_set() {
+        use std::sync::mpsc::channel;
+        let (mesh, _, write, meta) = sample(6, 5);
+        let [c, t] = GeometrySection::ALL.map(|s| section_of(&meta, s).unwrap().clone());
+        let g = entry(&meta);
+        let mut fill = g.claim(Need::Whole).expect("nothing is loaded");
+        assert_eq!(fill.section(), None, "the whole object, in one fetch");
+        assert!(fill.claims_topology());
+
+        // The filler parses the halves with a gate between them, which
+        // only the released waiter opens: were the waiter held until the
+        // coordinates are set, neither thread would ever finish.
+        let (topology_set, proceed) = channel::<()>();
+        let (open_gate, gate) = channel::<()>();
+        std::thread::scope(|s| {
+            let g = &g;
+            let waiter = s.spawn(move || {
+                proceed.recv().expect("the filler reached the gate");
+                assert!(g.wait(Need::Topology), "released by the topology half");
+                assert!(g.claim(Need::Topology).is_none());
+                assert!(g.topology().is_some() && g.points().is_none());
+                assert!(!g.holds(Need::Whole) && g.mesh().is_none());
+                open_gate.send(()).expect("the filler waits at the gate");
+                // A waiter for the whole entry is held until the rest is
+                // there, and then finds nothing left to claim.
+                assert!(g.wait(Need::Whole));
+                assert!(g.claim(Need::Whole).is_none());
+            });
+            fill.absorb(
+                &meta,
+                Some(GeometrySection::Topology),
+                &write.data[range(&t)],
+            )
+            .unwrap();
+            topology_set.send(()).unwrap();
+            gate.recv().expect("the waiter got past the topology");
+            fill.absorb(
+                &meta,
+                Some(GeometrySection::Coordinates),
+                &write.data[range(&c)],
+            )
+            .unwrap();
+            waiter.join().unwrap();
+        });
+        assert_eq!(g.mesh(), Some(mesh));
+
+        // The whole payload in one `absorb` takes the same two steps,
+        // topology first: a parse that fails on the coordinates leaves
+        // the topology published and the coordinates claimable again.
+        let g = entry(&meta);
+        let mut damaged = write.data.to_vec();
+        damaged[0] ^= 0xFF;
+        let mut fill = g.claim(Need::Whole).unwrap();
+        assert!(fill.absorb(&meta, None, &damaged).is_err());
+        drop(fill);
+        assert!(g.wait(Need::Topology) && !g.wait(Need::Whole));
+        let mut again = g
+            .claim(Need::Whole)
+            .expect("the coordinates are still missing");
+        assert_eq!(again.section(), Some(GeometrySection::Coordinates));
+        again
+            .absorb(&meta, again.section(), &write.data[range(&c)])
+            .unwrap();
+        assert!(g.holds(Need::Whole));
+    }
+
+    #[test]
+    fn a_failed_load_releases_its_waiters_to_claim_for_themselves() {
+        let (_, _, write, meta) = sample(4, 3);
+        let g = entry(&meta);
+        let fill = g.claim(Need::Topology).expect("nothing is loaded");
+        assert_eq!(fill.section(), Some(GeometrySection::Topology));
+        std::thread::scope(|s| {
+            let (claiming, about_to_claim) = std::sync::mpsc::channel::<()>();
+            let (g, meta, write) = (&g, &meta, &write);
+            let second = s.spawn(move || {
+                claiming.send(()).unwrap();
+                // Blocks while the first claim stands; that load gives
+                // up (its fetch failed), and this one takes over.
+                let mut fill = g.claim(Need::Whole).expect("still nothing loaded");
+                assert_eq!(fill.section(), None);
+                fill.absorb(meta, None, &write.data).unwrap();
+            });
+            about_to_claim.recv().unwrap();
+            assert!(!g.holds(Need::Topology));
+            drop(fill);
+            second.join().unwrap();
+        });
+        assert!(g.holds(Need::Whole));
+    }
+
+    #[test]
+    fn arrays_are_reserved_from_the_manifest_within_the_parsers_limits() {
+        let (mesh, mapping, write, meta) = sample(9, 7);
+        let (nv, nf) = (mesh.num_vertices(), mesh.num_triangles());
+        let capacities = |fill: &Fill| {
+            let r = &fill.reserved;
+            [
+                r.points.capacity(),
+                r.triangles.capacity(),
+                r.mapping.capacity(),
+            ]
+        };
+        let reserved = |meta: &BlockMeta, need| {
+            let mut fill = entry(meta).claim(need).expect("nothing is loaded");
+            fill.reserve();
+            capacities(&fill)
+        };
+
+        // An honest manifest: the three arrays, exactly; the topology
+        // alone leaves the points out.
+        assert_eq!(mapping.len(), nv);
+        assert_eq!(reserved(&meta, Need::Whole), [nv, nf, nv]);
+        assert_eq!(reserved(&meta, Need::Topology), [0, nf, nv]);
+
+        // The parse fills those allocations and no others.
+        let g = entry(&meta);
+        let mut fill = g.claim(Need::Whole).unwrap();
+        fill.reserve();
+        let at = (
+            fill.reserved.points.as_ptr(),
+            fill.reserved.triangles.as_ptr(),
+            fill.reserved.mapping.as_ptr(),
+        );
+        fill.absorb(&meta, None, &write.data).unwrap();
+        let topology = g.topology().unwrap();
+        assert!(std::ptr::eq(g.points().unwrap().as_ptr(), at.0));
+        assert!(std::ptr::eq(
+            topology.connectivity.triangles().as_ptr(),
+            at.1
+        ));
+        assert!(std::ptr::eq(topology.mapping.as_ptr(), at.2));
+
+        // Counts beyond `raw_bytes` or beyond what the stored sections
+        // can hold — each a manifest the parsers refuse — reserve
+        // nothing at all.
+        type Edit = fn(&mut BlockMeta);
+        let edits: [(&str, Edit); 8] = [
+            ("more vertices than raw_bytes", |b| {
+                b.chunks[0].elements = b.raw_bytes / POINT_BYTES as u64 + 1
+            }),
+            ("absurd vertices", |b| b.chunks[0].elements = u64::MAX / 8),
+            ("more triangles than raw_bytes", |b| {
+                b.chunks[1].elements += b.chunks[0].elements
+            }),
+            ("absurd triangles", |b| b.chunks[1].elements = u64::MAX / 8),
+            ("small raw_bytes", |b| b.raw_bytes /= 2),
+            ("vertices beyond the coordinates section", |b| {
+                b.raw_bytes = u64::MAX / 2;
+                b.chunks[0].elements = b.chunks[0].len / 8;
+            }),
+            ("triangles beyond the topology section", |b| {
+                b.raw_bytes = u64::MAX / 2;
+                b.chunks[1].elements = (b.chunks[1].len / 3 + 1) * 128;
+            }),
+            ("a mapping beyond the topology section", |b| {
+                b.raw_bytes += 4 * 129 * b.chunks[1].len;
+                b.chunks[0].elements = 129 * b.chunks[1].len;
+                b.chunks[0].len = u64::MAX / 2;
+            }),
+        ];
+        for (what, edit) in edits {
+            let mut lying = meta.clone();
+            edit(&mut lying);
+            assert_eq!(reserved(&lying, Need::Whole), [0; 3], "{what}");
+        }
+        // A coarsest level has no mapping, and `raw_bytes` says so.
+        let base = level_meta_block("v", 3, &mesh, &[]);
+        assert_eq!(reserved(&placed(&base), Need::Whole), [nv, nf, 0]);
+    }
+
     proptest::proptest! {
         /// The section parsers read bytes that came off a tier: a
         /// truncated or bit-flipped payload is an error or a well-formed
@@ -436,8 +803,8 @@ pub(crate) mod tests {
             junk in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..96),
         ) {
             let (mesh, mapping, write, meta) = sample(nx, ny);
-            let clean = LevelGeometry::of(&meta).unwrap();
-            clean.absorb(&meta, None, &write.data).unwrap();
+            let clean = entry(&meta);
+            load(&clean, &meta, None, &write.data).unwrap();
             proptest::prop_assert_eq!(clean.mesh(), Some(mesh));
             proptest::prop_assert_eq!(&clean.topology().unwrap().mapping, &mapping);
 
@@ -464,8 +831,8 @@ pub(crate) mod tests {
                 (Some(GeometrySection::Topology), &junk[..]),
             ];
             for (section, bytes) in attempts {
-                let g = LevelGeometry::of(&meta).unwrap();
-                if g.absorb(&meta, section, bytes).is_err() {
+                let g = entry(&meta);
+                if load(&g, &meta, section, bytes).is_err() {
                     continue;
                 }
                 let points = g.points().map_or(0, <[Point2]>::len);

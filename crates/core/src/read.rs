@@ -27,7 +27,7 @@
 use crate::cache::{CachedLevel, LevelCache, Probe};
 use crate::config::RetryPolicy;
 use crate::error::CanopusError;
-use crate::geometry::{section_of, LevelGeometry, Need};
+use crate::geometry::{section_of, Fill, LevelGeometry, Need};
 use crate::write::spatial_chunks;
 use bytes::Bytes;
 use canopus_adios::{BlockMeta, BpFile, ChunkEntry, GeometrySection};
@@ -40,7 +40,9 @@ use crossbeam::channel;
 use parking_lot::Mutex;
 use rayon::prelude::*;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::thread::{Scope, ScopedJoinHandle};
 use std::time::Instant;
 
 /// The paper's per-phase timing: I/O (simulated), decompression and
@@ -275,11 +277,22 @@ type MetaCache = Mutex<HashMap<(String, u32), Arc<LevelGeometry>>>;
 ///
 /// 1. `meta_cache` — lookup/insert of a level's (possibly still empty)
 ///    geometry entry; released before anything is fetched;
-/// 2. one entry's fill lock ([`LevelGeometry::filling`]) — held by the
-///    reader that fetches a missing half of *that* level, across the
-///    tier read and the parse, so that concurrent misses on one level
-///    wait for a single fetch instead of each repeating it. Never two
-///    entries' at once, and nothing above it is taken while it is held;
+/// 2. a claim on one entry's halves ([`LevelGeometry::claim`], held as a
+///    [`Fill`]) — not a lock a thread sits in but a flag per half
+///    (topology, coordinates) under the entry's own small mutex, which
+///    is a leaf: held for a few loads and stores, never across I/O. The
+///    `Fill` is what is held across the tier read and the parse, by
+///    whichever thread does the loading, so that concurrent misses on
+///    one half wait (on the entry's condition variable) for a single
+///    fetch instead of each repeating it; the topology half's claim
+///    ends the moment it is published, before the coordinates unpack.
+///    A calling thread holds at most one `Fill` at a time and waits for
+///    no other claim while it does. A walk's loader thread
+///    ([`Self::load_geometry_off_thread`]) holds the `Fill` of the
+///    walk's target level, takes nothing else and waits for nobody, so
+///    it always finishes: that is why the walk's calling thread may
+///    claim — or wait for — the entries of the levels it passes while
+///    its loader's claim stands, and waits for the loader itself last;
 /// 3. `LevelCache::inner` — one [`Probe`]/insert per read (a leaf lock:
 ///    never held across I/O, decode or registry calls);
 /// 4. registry instrument maps inside [`Registry`] — leaf locks of the
@@ -287,8 +300,8 @@ type MetaCache = Mutex<HashMap<(String, u32), Arc<LevelGeometry>>>;
 ///    bump pre-resolved atomic handles (`cache_hits` / `cache_misses`).
 ///
 /// Storage locks (`Device`'s `RwLock`, per-tier stats) sit strictly
-/// below all of these: of the reader-level locks only a fill lock is
-/// ever held while calling into a tier.
+/// below all of these: of the reader-level locks none is held while
+/// calling into a tier — only a claim is.
 pub struct CanopusReader {
     file: BpFile,
     estimator: Estimator,
@@ -305,6 +318,9 @@ pub struct CanopusReader {
     /// or contend on the registry's name map.
     cache_hits: Arc<canopus_obs::Counter>,
     cache_misses: Arc<canopus_obs::Counter>,
+    /// Pre-resolved [`names::READ_GEOMETRY_PARSE`]: recorded from the
+    /// loader thread, which is to allocate nothing of its own.
+    geometry_parse: Arc<canopus_obs::StageTimer>,
     /// Recycled decode output buffers: after warmup the pipelined
     /// engine's decode workers allocate no output `Vec`s at all.
     decode_pool: BufferPool,
@@ -384,6 +400,7 @@ impl CanopusReader {
         let cache_hits = obs.counter(names::READ_CACHE_HITS);
         let cache_misses = obs.counter(names::READ_CACHE_MISSES);
         let decode_pool = BufferPool::new(&obs);
+        let geometry_parse = obs.timer(names::READ_GEOMETRY_PARSE);
         Self {
             file,
             estimator,
@@ -394,6 +411,7 @@ impl CanopusReader {
             obs,
             cache_hits,
             cache_misses,
+            geometry_parse,
             decode_pool,
         }
     }
@@ -560,10 +578,16 @@ impl CanopusReader {
     /// also land in the [`names::READ_RETRY_BACKOFF_HIST`] histogram
     /// either way. Returns the payload, its simulated I/O seconds and
     /// the wall seconds of the attempt that succeeded.
+    ///
+    /// A fetch nobody may be waiting for any more — a loader's, once its
+    /// walk has ended — takes the walk's `stop` flag: once it is set, a
+    /// fault is returned as it is instead of being retried, a backoff
+    /// under way included.
     fn fetch_with_retry(
         &self,
         block: &BlockMeta,
         range: Option<&ChunkEntry>,
+        stop: Option<&AtomicBool>,
         ctx: SpanContext,
     ) -> Result<(Bytes, f64, f64), CanopusError> {
         let max_attempts = self.retry.max_attempts.max(1);
@@ -612,11 +636,20 @@ impl CanopusReader {
                         attempt,
                         ("cause", FieldValue::from(e.to_string())),
                     );
-                    if attempt >= max_attempts {
+                    // The flag guards no data: it only ends this loop.
+                    let stopped = || stop.is_some_and(|stop| stop.load(Ordering::Relaxed));
+                    if attempt >= max_attempts || stopped() {
+                        return Err(e);
+                    }
+                    let backoff = self.retry.backoff_s(&block.key, attempt);
+                    if backoff > 0.0 {
+                        std::thread::sleep(std::time::Duration::from_secs_f64(backoff));
+                    }
+                    // Nobody may be left to retry for.
+                    if stopped() {
                         return Err(e);
                     }
                     self.obs.counter(names::READ_RETRIES).inc();
-                    let backoff = self.retry.backoff_s(&block.key, attempt);
                     self.obs
                         .histogram(names::READ_RETRY_BACKOFF_HIST)
                         .observe_secs(backoff);
@@ -625,9 +658,6 @@ impl CanopusReader {
                         attempt,
                         ("backoff_s", FieldValue::from(backoff)),
                     );
-                    if backoff > 0.0 {
-                        std::thread::sleep(std::time::Duration::from_secs_f64(backoff));
-                    }
                 }
             }
         }
@@ -642,7 +672,7 @@ impl CanopusReader {
         parent: SpanContext,
     ) -> Result<(Bytes, f64), CanopusError> {
         let span = stage_child!(self.obs, parent, "read.block", key = block.key.as_str());
-        let (bytes, io, _) = self.fetch_with_retry(block, None, span.context())?;
+        let (bytes, io, _) = self.fetch_with_retry(block, None, None, span.context())?;
         self.obs.counter(names::READ_BLOCKS).inc();
         Ok((bytes, io))
     }
@@ -657,7 +687,7 @@ impl CanopusReader {
         parent: SpanContext,
     ) -> Result<(Bytes, f64), CanopusError> {
         let span = stage_child!(self.obs, parent, "read.chunk", key = block.key.as_str());
-        let (bytes, io, wall) = self.fetch_with_retry(block, Some(entry), span.context())?;
+        let (bytes, io, wall) = self.fetch_with_retry(block, Some(entry), None, span.context())?;
         self.obs
             .histogram(names::READ_CHUNK_FETCH_HIST)
             .observe_secs(wall);
@@ -672,6 +702,7 @@ impl CanopusReader {
         &self,
         block: &BlockMeta,
         section: Option<GeometrySection>,
+        stop: Option<&AtomicBool>,
         parent: SpanContext,
     ) -> Result<(Bytes, f64), CanopusError> {
         let entry = section.map(|s| section_of(block, s)).transpose()?;
@@ -686,7 +717,7 @@ impl CanopusReader {
                 section = s.name()
             ),
         };
-        let (bytes, io, _) = self.fetch_with_retry(block, entry, span.context())?;
+        let (bytes, io, _) = self.fetch_with_retry(block, entry, stop, span.context())?;
         self.obs.counter(names::READ_BLOCKS).inc();
         self.obs
             .counter(names::READ_GEOMETRY_BYTES)
@@ -700,6 +731,31 @@ impl CanopusReader {
             .counter(names::READ_COORDINATE_BYTES)
             .add(coordinates);
         Ok((bytes, io))
+    }
+
+    /// `level`'s geometry block in the manifest and its — possibly still
+    /// empty — entry in the geometry cache.
+    fn geometry_entry(
+        &self,
+        var: &str,
+        level: u32,
+    ) -> Result<(&BlockMeta, Arc<LevelGeometry>), CanopusError> {
+        let block = self
+            .file
+            .inq_var(var)?
+            .metadata_for(level)
+            .ok_or_else(|| CanopusError::Invalid(format!("no metadata for level {level}")))?;
+        let mut cache = self.meta_cache.lock();
+        let key = (var.to_string(), level);
+        let entry = match cache.get(&key) {
+            Some(entry) => Arc::clone(entry),
+            None => {
+                let fresh = Arc::new(LevelGeometry::of(block)?);
+                cache.insert(key, Arc::clone(&fresh));
+                fresh
+            }
+        };
+        Ok((block, entry))
     }
 
     /// The geometry entry of `level`, holding at least what `need` asks
@@ -716,43 +772,80 @@ impl CanopusReader {
         need: Need,
         parent: SpanContext,
     ) -> Result<(Arc<LevelGeometry>, f64), CanopusError> {
-        let block = self
-            .file
-            .inq_var(var)?
-            .metadata_for(level)
-            .ok_or_else(|| CanopusError::Invalid(format!("no metadata for level {level}")))?;
-        let entry = {
-            let mut cache = self.meta_cache.lock();
-            let key = (var.to_string(), level);
-            match cache.get(&key) {
-                Some(entry) => Arc::clone(entry),
-                None => {
-                    let fresh = Arc::new(LevelGeometry::of(block)?);
-                    cache.insert(key, Arc::clone(&fresh));
-                    fresh
-                }
-            }
-        };
-        if entry.holds(need) {
-            return Ok((entry, 0.0));
-        }
-        let io = {
-            let _filling = entry.filling();
-            let section = match (
-                need == Need::Whole && entry.points().is_none(),
-                entry.topology().is_none(),
-            ) {
-                // Filled while this thread waited for the lock.
-                (false, false) => return Ok((Arc::clone(&entry), 0.0)),
-                (true, true) => None,
-                (true, false) => Some(GeometrySection::Coordinates),
-                (false, true) => Some(GeometrySection::Topology),
-            };
-            let (bytes, io) = self.read_geometry_observed(block, section, parent)?;
-            entry.absorb(block, section, &bytes)?;
-            io
+        let (block, entry) = self.geometry_entry(var, level)?;
+        let io = match entry.claim(need) {
+            // Loaded already, or while this thread waited to claim it.
+            None => 0.0,
+            Some(fill) => self.fill_geometry(block, level, fill, None, parent)?,
         };
         Ok((entry, io))
+    }
+
+    /// Load what `fill` claims of `level`'s geometry: one verified fetch
+    /// ([`Self::read_geometry_observed`]), then the parse, which
+    /// publishes the topology before it unpacks the coordinates. Both
+    /// sit in a `geometry` span under `parent`; the parse alone is timed
+    /// under [`names::READ_GEOMETRY_PARSE`]. Returns the simulated I/O
+    /// seconds.
+    fn fill_geometry(
+        &self,
+        block: &BlockMeta,
+        level: u32,
+        mut fill: Fill,
+        stop: Option<&AtomicBool>,
+        parent: SpanContext,
+    ) -> Result<f64, CanopusError> {
+        let section = fill.section();
+        let bytes = match section {
+            None => block.stored_bytes,
+            Some(s) => section_of(block, s)?.len,
+        };
+        let span = stage_child!(
+            self.obs,
+            parent,
+            "geometry",
+            level = level,
+            section = section.map_or("whole", |s| s.name()),
+            bytes = bytes
+        );
+        let (bytes, io) = self.read_geometry_observed(block, section, stop, span.context())?;
+        let t = Instant::now();
+        fill.absorb(block, section, &bytes)?;
+        self.geometry_parse.record_wall(t.elapsed().as_secs_f64());
+        Ok(io)
+    }
+
+    /// Start loading `level`'s geometry, whole, on a thread of `scope`
+    /// — the one way geometry is loaded off the calling thread. What the
+    /// entry lacks is claimed here, so from this moment every other
+    /// claimant (this thread included) waits for the loader instead of
+    /// fetching, and the arrays it parses into are allocated here
+    /// ([`Fill::reserve`]): a fresh thread's allocations land in an
+    /// arena of its own, on pages no earlier restore has touched.
+    /// `None` when the entry already holds everything.
+    fn load_geometry_off_thread<'scope, 'env>(
+        &'env self,
+        scope: &'scope Scope<'scope, 'env>,
+        var: &str,
+        level: u32,
+        parent: SpanContext,
+    ) -> Result<Option<GeometryLoad<'scope>>, CanopusError> {
+        let (block, entry) = self.geometry_entry(var, level)?;
+        let Some(mut fill) = entry.claim(Need::Whole) else {
+            return Ok(None);
+        };
+        fill.reserve();
+        let publishes_topology = fill.claims_topology();
+        let stop = Arc::new(AtomicBool::new(false));
+        let stopped = Arc::clone(&stop);
+        let thread =
+            scope.spawn(move || self.fill_geometry(block, level, fill, Some(&stopped), parent));
+        Ok(Some(GeometryLoad {
+            entry,
+            publishes_topology,
+            stop,
+            thread: Some(thread),
+        }))
     }
 
     /// The shared observability registry (anchored on the hierarchy).
@@ -971,33 +1064,19 @@ impl CanopusReader {
             .clone();
         // The base's geometry costs about what its field does (each is
         // a fetch, a checksum and a decode), so a cold read loads it on
-        // a second thread meanwhile, as the pipelined walk does for the
-        // finer levels.
-        let cold = !self
-            .meta_cache
-            .lock()
-            .get(&(var.to_string(), base_level))
-            .is_some_and(|entry| entry.holds(Need::Whole));
-        let load = move || self.geometry(var, base_level, Need::Whole, parent);
-        let (field, geometry) = std::thread::scope(|s| {
-            let loader = cold.then(|| s.spawn(load));
-            let field = self
-                .read_block_observed(&block, parent)
-                .and_then(|(bytes, io)| {
-                    let t = Instant::now();
-                    let data = self.decode_block_values(&block, &bytes, parent)?;
-                    Ok((data, io, t.elapsed().as_secs_f64()))
-                });
-            let geometry = match loader {
-                Some(loader) => loader
-                    .join()
-                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic)),
-                None => load(),
-            };
-            (field, geometry)
-        });
-        let (data, io, decompress) = field?;
-        let (geometry, meta_io) = geometry?;
+        // a second thread meanwhile, as the pipelined walk does for its
+        // target level. A field that fails drops the loader unjoined,
+        // which tells it to stop retrying.
+        let (data, io, decompress, meta_io) = std::thread::scope(|s| {
+            let mut loader = self.load_geometry_off_thread(s, var, base_level, parent)?;
+            let (bytes, io) = self.read_block_observed(&block, parent)?;
+            let t = Instant::now();
+            let data = self.decode_block_values(&block, &bytes, parent)?;
+            let decompress = t.elapsed().as_secs_f64();
+            let meta_io = loader.as_mut().map_or(Ok(0.0), GeometryLoad::join)?;
+            Ok::<_, CanopusError>((data, io, decompress, meta_io))
+        })?;
+        let (_, geometry) = self.geometry_entry(var, base_level)?;
         timing.io_secs += io + meta_io;
         timing.decompress_secs += decompress;
         timing.elapsed_secs = wall.elapsed().as_secs_f64();
@@ -1644,15 +1723,27 @@ impl CanopusReader {
     ///    in whatever order they arrive;
     /// 3. **Restore** — the calling thread takes the levels coarse to
     ///    fine: it loads what the level's restore consumes of its
-    ///    geometry (fetch, verify, parse — most of the bytes a cold walk
-    ///    moves; see [`Self::geometry_need`]) while the workers decode,
-    ///    scatters that level's decoded blocks, and applies it the moment
-    ///    its last block lands: level `l` restores while the geometry and
-    ///    the deltas of level `l - 1` are still in flight. The level is
-    ///    restored where its delta was decoded, and the buffer of the
-    ///    level before it goes back to the decode pool.
+    ///    geometry (fetch, verify, parse; see [`Self::geometry_need`])
+    ///    while the workers decode, scatters that level's decoded blocks,
+    ///    and applies it the moment its last block lands: level `l`
+    ///    restores while the geometry and the deltas of level `l - 1` are
+    ///    still in flight. The level is restored where its delta was
+    ///    decoded, and the buffer of the level before it goes back to the
+    ///    decode pool.
     ///
-    /// The plan comes from the manifest alone, so stages 1 and 2 start
+    /// Beside them one **loader** thread
+    /// ([`Self::load_geometry_off_thread`]) loads the target level's
+    /// geometry whole from the start of the walk — the largest object a
+    /// cold walk moves, and one that depends on nothing the walk
+    /// computes — into arrays this thread allocated. Stage 3 restores
+    /// the target as soon as the loader has published its topology and
+    /// waits for the coordinates only once the walk is done. The
+    /// loader's result is the target level's geometry result: stage 3
+    /// never fetches what the loader set out to, and a walk that ends
+    /// short of the target, or in an error, tells the loader to stop at
+    /// its next fault.
+    ///
+    /// The plan comes from the manifest alone, so all of them start
     /// before any geometry has moved. Phase sums in the returned
     /// [`PhaseTiming`] keep their serial meaning, so the overlap won
     /// shows up as `total() - elapsed_secs` and is exported under
@@ -1719,6 +1810,9 @@ impl CanopusReader {
 
         type WalkResult = Result<(Walk, Option<CanopusError>), CanopusError>;
         let walked = std::thread::scope(|s| -> WalkResult {
+            // The longest job of a cold walk starts first.
+            let mut loader = self.load_geometry_off_thread(s, var, target_level, ctx)?;
+
             // Stage 1: prefetch. Owns `fetch_tx`; dropping it on exit is
             // what lets the decode pool drain out and shut down.
             s.spawn(move || {
@@ -1792,8 +1886,15 @@ impl CanopusReader {
             'walk: for level_idx in 0..levels.len() {
                 let finer = levels[level_idx].finer;
                 let chunks = levels[level_idx].chunks;
-                let need = self.geometry_need(chunks, finer == target_level);
-                let (geometry, meta_io) = match self.geometry(var, finer, need, ctx) {
+                let at_target = finer == target_level;
+                let loaded = match loader.as_mut().filter(|_| at_target) {
+                    // Restoring the level needs less than handing it out.
+                    Some(loader) => loader
+                        .wait_for(self.geometry_need(chunks, false))
+                        .map(|io| (Arc::clone(&loader.entry), io)),
+                    None => self.geometry(var, finer, self.geometry_need(chunks, at_target), ctx),
+                };
+                let (geometry, meta_io) = match loaded {
                     Ok(loaded) => loaded,
                     Err(e) if e.is_availability_fault() => {
                         fault = Some(e);
@@ -1858,6 +1959,11 @@ impl CanopusReader {
                 return Err(CanopusError::Invalid(
                     "restore pipeline terminated early".to_string(),
                 ));
+            }
+            // The target is restored; handing it out takes the rest of
+            // what the loader set out to load.
+            if let Some(loader) = loader.as_mut().filter(|_| walk.cur.level == target_level) {
+                timing.io_secs += loader.join()?;
             }
             Ok((walk, fault))
         });
@@ -1996,6 +2102,55 @@ fn place_shard_values(
         )));
     }
     Ok(values)
+}
+
+/// A level's geometry being loaded, whole, off the calling thread
+/// ([`CanopusReader::load_geometry_off_thread`]). Its result *is* the
+/// level's geometry result: while it runs every other claimant of the
+/// entry waits for it, and nobody repeats a fetch it gave up on. Dropped
+/// unjoined — its walk ended short of the level, or failed — it tells
+/// the thread to return its next fault instead of retrying; the scope
+/// joins it.
+struct GeometryLoad<'scope> {
+    entry: Arc<LevelGeometry>,
+    /// Whether the entry's topology is the loader's to publish (else it
+    /// was held already, and only the coordinates are being fetched).
+    publishes_topology: bool,
+    stop: Arc<AtomicBool>,
+    thread: Option<ScopedJoinHandle<'scope, Result<f64, CanopusError>>>,
+}
+
+impl GeometryLoad<'_> {
+    /// Wait until the entry holds what `need` asks for, or the load has
+    /// failed. A walk that needs the topology alone goes on the moment
+    /// the loader publishes it. If the loader fetches only coordinates,
+    /// there is nothing to go ahead with that could not still fault, so
+    /// the load is joined: a fault then ends the walk before this level
+    /// is restored, as the calling thread's own fetch would have.
+    /// Returns the load's simulated I/O seconds if this joined it.
+    fn wait_for(&mut self, need: Need) -> Result<f64, CanopusError> {
+        if need == Need::Topology && self.publishes_topology && self.entry.wait(need) {
+            return Ok(0.0);
+        }
+        self.join()
+    }
+
+    /// The load's result: its simulated I/O seconds, once.
+    fn join(&mut self) -> Result<f64, CanopusError> {
+        match self.thread.take() {
+            Some(thread) => thread
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic)),
+            None => Ok(0.0),
+        }
+    }
+}
+
+impl Drop for GeometryLoad<'_> {
+    fn drop(&mut self) {
+        // The flag guards no data: it only ends the loader's retries.
+        self.stop.store(true, Ordering::Relaxed);
+    }
 }
 
 /// One unit of pipeline work: fetch + decode one stored block.

@@ -35,7 +35,7 @@ use canopus_obs::export::prometheus_text;
 use canopus_obs::json::Value;
 use canopus_obs::{names, HistogramStat, Registry, RollingWindow, WindowConfig};
 use std::collections::BTreeMap;
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -299,21 +299,67 @@ impl Drop for TelemetryServer {
 // request handling
 // ---------------------------------------------------------------------
 
-/// Read one request, write one response, close.
-fn serve_connection(stream: TcpStream, state: &State) -> io::Result<()> {
-    stream.set_read_timeout(Some(Duration::from_secs(2)))?;
-    stream.set_write_timeout(Some(Duration::from_secs(2)))?;
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut request_line = String::new();
-    reader.read_line(&mut request_line)?;
-    // Drain (but ignore) headers so well-behaved clients aren't reset
-    // mid-send; stop at the blank line or a sanity bound.
-    for _ in 0..100 {
-        let mut line = String::new();
-        if reader.read_line(&mut line)? == 0 || line == "\r\n" || line == "\n" {
-            break;
+/// The most a request head — request line, headers, blank line — may
+/// occupy, and the longest a client may take to send it. Both bound what
+/// one connection can cost the single accept thread.
+const MAX_HEAD_BYTES: u64 = 8 << 10;
+const HEAD_DEADLINE: Duration = Duration::from_secs(2);
+
+/// Read a request head off `stream`: up to the blank line (or the
+/// client's half-close), within [`MAX_HEAD_BYTES`] and by `deadline`
+/// whatever the pace of the bytes — each read's timeout is what is left
+/// of the one deadline. Past either limit the answer is the status line
+/// to refuse the request with.
+fn read_head(stream: &TcpStream, deadline: Instant) -> io::Result<Result<Vec<u8>, &'static str>> {
+    let mut head = Vec::with_capacity(512);
+    let mut limited = stream.take(MAX_HEAD_BYTES);
+    let mut chunk = [0u8; 512];
+    loop {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Ok(Err("408 Request Timeout"));
+        }
+        stream.set_read_timeout(Some(left))?;
+        let n = match limited.read(&mut chunk) {
+            Ok(n) => n,
+            Err(e) if matches!(e.kind(), io::ErrorKind::Interrupted) => continue,
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                ) =>
+            {
+                return Ok(Err("408 Request Timeout"));
+            }
+            Err(e) => return Err(e),
+        };
+        if n == 0 {
+            // The cap, or a client that sent what it had and shut down.
+            return Ok(match limited.limit() {
+                0 => Err("431 Request Header Fields Too Large"),
+                _ => Ok(head),
+            });
+        }
+        // The blank line may straddle two reads.
+        let seen = head.len().saturating_sub(3);
+        head.extend_from_slice(&chunk[..n]);
+        let tail = &head[seen..];
+        if tail.windows(2).any(|w| w == b"\n\n") || tail.windows(4).any(|w| w == b"\r\n\r\n") {
+            return Ok(Ok(head));
         }
     }
+}
+
+/// Read one request, write one response, close.
+fn serve_connection(mut stream: TcpStream, state: &State) -> io::Result<()> {
+    stream.set_write_timeout(Some(Duration::from_secs(2)))?;
+    // Headers are read (so well-behaved clients aren't reset mid-send)
+    // and ignored.
+    let head = read_head(&stream, Instant::now() + HEAD_DEADLINE)?;
+    let head = head.as_ref().map(|head| String::from_utf8_lossy(head));
+    let request_line = head
+        .as_ref()
+        .map_or("", |head| head.lines().next().unwrap_or(""));
 
     let mut parts = request_line.split_whitespace();
     let method = parts.next().unwrap_or("");
@@ -321,15 +367,24 @@ fn serve_connection(stream: TcpStream, state: &State) -> io::Result<()> {
     // Scrapers sometimes append query strings; route on the path alone.
     let route = path.split('?').next().unwrap_or(path);
 
-    let (status, content_type, body) = if method != "GET" {
+    let error = |why: &str| {
+        Value::Obj(BTreeMap::from([(
+            "error".to_string(),
+            Value::Str(why.to_string()),
+        )]))
+        .to_pretty()
+    };
+    let (status, content_type, body) = if let Err(&refused) = head {
+        (
+            refused,
+            "application/json",
+            error("request head beyond 8 KiB or 2 s"),
+        )
+    } else if method != "GET" {
         (
             "405 Method Not Allowed",
             "application/json",
-            Value::Obj(BTreeMap::from([(
-                "error".to_string(),
-                Value::Str("only GET is supported".to_string()),
-            )]))
-            .to_pretty(),
+            error("only GET is supported"),
         )
     } else {
         state.scrapes.inc();
@@ -364,7 +419,6 @@ fn serve_connection(stream: TcpStream, state: &State) -> io::Result<()> {
         }
     };
 
-    let mut stream = reader.into_inner();
     write!(
         stream,
         "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
@@ -615,7 +669,7 @@ pub fn http_get(addr: SocketAddr, path: &str, timeout: Duration) -> io::Result<(
         line.clear();
     }
     let mut body = String::new();
-    io::Read::read_to_string(&mut reader, &mut body)?;
+    reader.read_to_string(&mut body)?;
     Ok((status, body))
 }
 
@@ -676,6 +730,102 @@ mod tests {
         let (status, _) = http_get(addr, "/nope", t).unwrap();
         assert_eq!(status, 404);
         assert_eq!(server.scrapes(), 6, "every GET counted, including the 404");
+    }
+
+    /// A connected pair: the server's end and the client's.
+    fn socket_pair() -> (TcpStream, TcpStream) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        (listener.accept().unwrap().0, client)
+    }
+
+    #[test]
+    fn a_head_ends_at_its_blank_line_however_it_arrives() {
+        let soon = || Instant::now() + Duration::from_secs(5);
+        for (sent, what) in [
+            (
+                &[&b"GET /x HTTP/1.1\r\nHost: a\r\n\r\nbody"[..]][..],
+                "one write",
+            ),
+            (
+                &[b"GET /x HTTP/1.1\r\nHost: a\r", b"\n\r", b"\n"],
+                "straddled",
+            ),
+            (&[b"GET /x HTTP/1.1\n", b"\n"], "bare newlines"),
+        ] {
+            let (server, mut client) = socket_pair();
+            for part in sent {
+                client.write_all(part).unwrap();
+                client.flush().unwrap();
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            let head = read_head(&server, soon()).unwrap().expect(what);
+            assert!(head.starts_with(b"GET /x HTTP/1.1"), "{what}");
+        }
+        // A client that sends a bare request line and half-closes.
+        let (server, mut client) = socket_pair();
+        client.write_all(b"GET /healthz").unwrap();
+        client.shutdown(std::net::Shutdown::Write).unwrap();
+        assert_eq!(
+            read_head(&server, soon()).unwrap(),
+            Ok(b"GET /healthz".to_vec())
+        );
+    }
+
+    #[test]
+    fn a_head_is_refused_past_the_byte_cap_and_past_the_one_deadline() {
+        // More than the cap without a blank line: refused after reading
+        // the cap, not the megabyte.
+        let (server, mut client) = socket_pair();
+        let writer = std::thread::spawn(move || {
+            // The server stops reading; the write may fail.
+            let _ = client.write_all(&vec![b'a'; 1 << 20]);
+            client
+        });
+        let refused = read_head(&server, Instant::now() + Duration::from_secs(5)).unwrap();
+        assert_eq!(refused, Err("431 Request Header Fields Too Large"));
+        drop(server);
+        writer.join().unwrap();
+
+        // Bytes that keep coming, each well inside a per-read timeout:
+        // the deadline is one for the whole head. The dripper is told
+        // when to stop, so the test does not race it.
+        let (server, mut client) = socket_pair();
+        let (stop, stopped) = std::sync::mpsc::channel::<()>();
+        let dripper = std::thread::spawn(move || {
+            while stopped.recv_timeout(Duration::from_millis(5)).is_err() {
+                if client.write_all(b"a").is_err() {
+                    break;
+                }
+            }
+        });
+        let begun = Instant::now();
+        let refused = read_head(&server, begun + Duration::from_millis(100)).unwrap();
+        assert_eq!(refused, Err("408 Request Timeout"));
+        assert!(begun.elapsed() >= Duration::from_millis(100));
+        assert!(begun.elapsed() < Duration::from_secs(2));
+        stop.send(()).unwrap();
+        dripper.join().unwrap();
+    }
+
+    #[test]
+    fn an_oversized_request_gets_its_431_and_the_next_scrape_its_answer() {
+        let server = start(bare_sources());
+        let mut client = TcpStream::connect(server.addr()).unwrap();
+        client
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        // Exactly the cap, so the server's close finds nothing unread
+        // and the refusal is not lost to a reset.
+        client
+            .write_all(&vec![b'a'; MAX_HEAD_BYTES as usize])
+            .unwrap();
+        let mut answer = String::new();
+        client.read_to_string(&mut answer).unwrap();
+        assert!(answer.starts_with("HTTP/1.1 431 "), "{answer}");
+        let (status, _) = http_get(server.addr(), "/healthz", Duration::from_secs(5)).unwrap();
+        assert_eq!(status, 200);
+        assert_eq!(server.scrapes(), 1, "a refused head is not a scrape");
     }
 
     #[test]

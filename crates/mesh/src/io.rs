@@ -209,6 +209,43 @@ fn within(n: u64, each: usize, limit: u64) -> Option<u64> {
     n.checked_mul(each as u64).filter(|&bytes| bytes <= limit)
 }
 
+/// `nv` as a length, if that many vertices fit `max_decoded_bytes` once
+/// parsed and — a vertex has eight raw bytes, whatever the rest packs
+/// to — the `stored` bytes of their blocks.
+fn points_fit(nv: u64, stored: u64, max_decoded_bytes: u64) -> Option<usize> {
+    within(nv, POINT_BYTES, max_decoded_bytes)
+        .and(within(nv, 8, stored))
+        .and(usize::try_from(nv).ok())
+}
+
+/// `nf` as a length, if that many triangles fit `max_decoded_bytes` once
+/// parsed and — a block of triangles has three width bytes — the
+/// `stored` bytes of their blocks.
+fn triangles_fit(nf: u64, stored: u64, max_decoded_bytes: u64) -> Option<usize> {
+    within(nf, TRI_BYTES, max_decoded_bytes)
+        .and(within(nf.div_ceil(BLOCK as u64), 3, stored))
+        .and(usize::try_from(nf).ok())
+}
+
+/// Room for the `nv` vertices of a coordinates section `section_len`
+/// bytes long, under the limits [`points_from_binary`] will hold the
+/// section to; `None` if it would refuse them. For a caller that wants
+/// the array allocated before — and on another thread than — the parse.
+pub fn reserve_points(nv: u64, section_len: u64, max_decoded_bytes: u64) -> Option<Vec<Point2>> {
+    let stored = section_len.saturating_sub(BINARY_HEADER as u64);
+    points_fit(nv, stored, max_decoded_bytes).map(Vec::with_capacity)
+}
+
+/// Room for `nf` triangles stored in at most `stored` bytes, under the
+/// limits [`connectivity_from_binary`] will hold them to.
+pub fn reserve_triangles(
+    nf: u64,
+    stored: u64,
+    max_decoded_bytes: u64,
+) -> Option<Vec<[VertexId; 3]>> {
+    triangles_fit(nf, stored, max_decoded_bytes).map(Vec::with_capacity)
+}
+
 /// The header: the vertex and triangle counts it declares.
 fn read_header(r: &mut Reader) -> Result<(u64, u64), MeshIoError> {
     match r.raw(BINARY_MAGIC.len()) {
@@ -221,25 +258,26 @@ fn read_header(r: &mut Reader) -> Result<(u64, u64), MeshIoError> {
     Ok((r.u64().map_err(fail)?, r.u64().map_err(fail)?))
 }
 
-/// `nv` vertices' blocks. Nothing is allocated unless the points fit
-/// `max_decoded_bytes` and — a vertex has eight raw bytes, whatever the
-/// rest packs to — the bytes that are left.
+/// `nv` vertices' blocks, into `points` (emptied first; its allocation is
+/// kept when it is large enough). Nothing is allocated unless the points
+/// fit `max_decoded_bytes` and the bytes that are left ([`points_fit`]).
 fn read_points(
     r: &mut Reader,
     nv: u64,
     max_decoded_bytes: u64,
+    mut points: Vec<Point2>,
 ) -> Result<Vec<Point2>, MeshIoError> {
-    let fits = within(nv, POINT_BYTES, max_decoded_bytes).and(within(nv, 8, r.remaining() as u64));
-    let (Some(_), Ok(nv)) = (fits, usize::try_from(nv)) else {
+    let Some(nv) = points_fit(nv, r.remaining() as u64, max_decoded_bytes) else {
         return Err(fail(format!(
             "{nv} vertices declared, which {} bytes and a limit of \
              {max_decoded_bytes} decoded do not hold",
             r.remaining()
         )));
     };
+    points.clear();
+    points.reserve_exact(nv);
     // Each block is decoded into local arrays and then appended whole.
     let mut values = [[0u32; BLOCK]; 2];
-    let mut points: Vec<Point2> = Vec::with_capacity(nv);
     let mut decoded = [Point2::default(); BLOCK];
     let (mut xs, mut ys) = ([0], [0]);
     while points.len() < nv {
@@ -261,21 +299,18 @@ fn read_points(
     Ok(points)
 }
 
-/// `nf` triangles' blocks over `nv` vertices. Nothing is allocated
-/// unless the triangles fit `max_decoded_bytes` and — a block of
-/// triangles has three width bytes — the bytes that are left.
+/// `nf` triangles' blocks over `nv` vertices, into `tris` (emptied
+/// first; its allocation is kept when it is large enough). Nothing is
+/// allocated unless the triangles fit `max_decoded_bytes` and the bytes
+/// that are left ([`triangles_fit`]).
 fn read_triangles(
     r: &mut Reader,
     nv: usize,
     nf: u64,
     max_decoded_bytes: u64,
+    mut tris: Vec<[VertexId; 3]>,
 ) -> Result<Connectivity, MeshIoError> {
-    let fits = within(nf, TRI_BYTES, max_decoded_bytes).and(within(
-        nf.div_ceil(BLOCK as u64),
-        3,
-        r.remaining() as u64,
-    ));
-    let (Some(_), Ok(nf)) = (fits, usize::try_from(nf)) else {
+    let Some(nf) = triangles_fit(nf, r.remaining() as u64, max_decoded_bytes) else {
         return Err(fail(format!(
             "{nf} triangles declared, which {} bytes and a limit of \
              {max_decoded_bytes} decoded do not hold",
@@ -285,8 +320,9 @@ fn read_triangles(
     // The largest index stands for the per-index range check: it is in
     // range exactly when every index is.
     let mut largest: VertexId = 0;
+    tris.clear();
+    tris.reserve_exact(nf);
     let mut values = [[0u32; BLOCK]; 3];
-    let mut tris: Vec<[VertexId; 3]> = Vec::with_capacity(nf);
     let mut decoded = [[0; 3]; BLOCK];
     let mut corners = [[0; 2]; 3];
     while tris.len() < nf {
@@ -329,9 +365,9 @@ fn expect_end(r: &Reader, of: &str) -> Result<(), MeshIoError> {
 pub fn from_binary(bytes: &[u8], max_decoded_bytes: u64) -> Result<TriMesh, MeshIoError> {
     let mut r = Reader::new(bytes);
     let (nv, nf) = read_header(&mut r)?;
-    let points = read_points(&mut r, nv, max_decoded_bytes)?;
+    let points = read_points(&mut r, nv, max_decoded_bytes, Vec::new())?;
     let left = max_decoded_bytes - (points.len() * POINT_BYTES) as u64;
-    let connectivity = read_triangles(&mut r, points.len(), nf, left)?;
+    let connectivity = read_triangles(&mut r, points.len(), nf, left, Vec::new())?;
     expect_end(&r, "triangle")?;
     Ok(connectivity
         .mesh_over(Arc::new(points))
@@ -341,30 +377,37 @@ pub fn from_binary(bytes: &[u8], max_decoded_bytes: u64) -> Result<TriMesh, Mesh
 /// Parse the part of a packed mesh before its triangle blocks (see
 /// [`to_binary_sections`]) on its own: the vertex positions, and the
 /// triangle count the header declares. Checked like [`from_binary`];
-/// `bytes` must end with the last vertex block.
+/// `bytes` must end with the last vertex block. The positions are
+/// parsed into `points` — `Vec::new()`, or an array the caller reserved
+/// ([`reserve_points`]) — which is emptied first and dropped on an error.
 pub fn points_from_binary(
     bytes: &[u8],
     max_decoded_bytes: u64,
+    points: Vec<Point2>,
 ) -> Result<(Vec<Point2>, u64), MeshIoError> {
     let mut r = Reader::new(bytes);
     let (nv, nf) = read_header(&mut r)?;
-    let points = read_points(&mut r, nv, max_decoded_bytes)?;
+    let points = read_points(&mut r, nv, max_decoded_bytes, points)?;
     expect_end(&r, "vertex")?;
     Ok((points, nf))
 }
 
 /// Parse the triangle blocks of a packed mesh on their own. They do not
 /// repeat the header, so the caller says how many vertices and triangles
-/// the mesh has; every corner is checked against the former. Returns
-/// what follows the last triangle block along with the triangles.
+/// the mesh has; every corner is checked against the former. The
+/// triangles are parsed into `tris` — `Vec::new()`, or an array the
+/// caller reserved ([`reserve_triangles`]). Returns what follows the
+/// last triangle block along with the triangles.
 pub fn connectivity_from_binary(
     bytes: &[u8],
     num_vertices: usize,
     num_triangles: u64,
     max_decoded_bytes: u64,
+    tris: Vec<[VertexId; 3]>,
 ) -> Result<(Connectivity, &[u8]), MeshIoError> {
     let mut r = Reader::new(bytes);
-    let connectivity = read_triangles(&mut r, num_vertices, num_triangles, max_decoded_bytes)?;
+    let connectivity =
+        read_triangles(&mut r, num_vertices, num_triangles, max_decoded_bytes, tris)?;
     Ok((connectivity, r.rest()))
 }
 
@@ -412,41 +455,91 @@ mod tests {
         assert_eq!(bytes, to_binary(&m));
         let (nv, nf) = (m.num_vertices(), m.num_triangles() as u64);
         let (coordinates, triangles) = bytes.split_at(at);
+        let points = |bytes, limit| points_from_binary(bytes, limit, Vec::new());
+        let connectivity =
+            |bytes, nv, nf, limit| connectivity_from_binary(bytes, nv, nf, limit, Vec::new());
 
-        let (points, declared) =
-            points_from_binary(coordinates, (nv * POINT_BYTES) as u64).unwrap();
-        assert_eq!((points.as_slice(), declared), (m.points(), nf));
+        let (parsed, declared) = points(coordinates, (nv * POINT_BYTES) as u64).unwrap();
+        assert_eq!((parsed.as_slice(), declared), (m.points(), nf));
         let limit = nf * TRI_BYTES as u64;
-        let (connectivity, rest) = connectivity_from_binary(triangles, nv, nf, limit).unwrap();
+        let (parsed_triangles, rest) = connectivity(triangles, nv, nf, limit).unwrap();
         assert!(rest.is_empty());
-        assert_eq!(connectivity.num_vertices(), nv);
-        let points = Arc::new(points);
-        let over = connectivity.mesh_over(Arc::clone(&points)).unwrap();
+        assert_eq!(parsed_triangles.num_vertices(), nv);
+        let parsed = Arc::new(parsed);
+        let over = parsed_triangles.mesh_over(Arc::clone(&parsed)).unwrap();
         assert_eq!(over, m);
         // Assembled, not copied: the mesh reads the parsed arrays.
-        assert!(std::ptr::eq(over.points(), points.as_slice()));
-        assert!(std::ptr::eq(over.triangles(), connectivity.triangles()));
-        assert_eq!(connectivity.mesh_over(Arc::new(points[1..].to_vec())), None);
+        assert!(std::ptr::eq(over.points(), parsed.as_slice()));
+        assert!(std::ptr::eq(over.triangles(), parsed_triangles.triangles()));
+        assert_eq!(
+            parsed_triangles.mesh_over(Arc::new(parsed[1..].to_vec())),
+            None
+        );
 
         // What follows the triangles is the caller's; what follows the
         // vertices is an error, as is a section cut short or mistaken
         // for the other, and a limit one byte short.
         let mut longer = triangles.to_vec();
         longer.extend_from_slice(b"next");
-        let (again, rest) = connectivity_from_binary(&longer, nv, nf, limit).unwrap();
-        assert_eq!((again, rest), (connectivity, &b"next"[..]));
-        assert!(points_from_binary(&bytes[..at + 1], NO_LIMIT).is_err());
-        assert!(points_from_binary(&bytes[..at - 1], NO_LIMIT).is_err());
-        assert!(points_from_binary(triangles, NO_LIMIT).is_err());
-        assert!(points_from_binary(coordinates, (nv * POINT_BYTES) as u64 - 1).is_err());
-        assert!(
-            connectivity_from_binary(&triangles[..triangles.len() - 1], nv, nf, limit).is_err()
-        );
-        assert!(connectivity_from_binary(triangles, nv, nf, limit - 1).is_err());
-        assert!(connectivity_from_binary(triangles, nv, u64::MAX, NO_LIMIT).is_err());
+        let (again, rest) = connectivity(&longer, nv, nf, limit).unwrap();
+        assert_eq!((again, rest), (parsed_triangles, &b"next"[..]));
+        assert!(points(&bytes[..at + 1], NO_LIMIT).is_err());
+        assert!(points(&bytes[..at - 1], NO_LIMIT).is_err());
+        assert!(points(triangles, NO_LIMIT).is_err());
+        assert!(points(coordinates, (nv * POINT_BYTES) as u64 - 1).is_err());
+        assert!(connectivity(&triangles[..triangles.len() - 1], nv, nf, limit).is_err());
+        assert!(connectivity(triangles, nv, nf, limit - 1).is_err());
+        assert!(connectivity(triangles, nv, u64::MAX, NO_LIMIT).is_err());
         // Corners are checked against the caller's vertex count.
-        let why = connectivity_from_binary(triangles, nv - 1, nf, limit).unwrap_err();
+        let why = connectivity(triangles, nv - 1, nf, limit).unwrap_err();
         assert!(why.to_string().contains("beyond"), "{why}");
+    }
+
+    #[test]
+    fn sections_parse_into_arrays_reserved_within_the_parsers_limits() {
+        let m = sample();
+        let (bytes, at) = to_binary_sections(&m);
+        let (coordinates, triangles) = bytes.split_at(at);
+        let (nv, nf) = (m.num_vertices() as u64, m.num_triangles() as u64);
+        let (c, t) = (coordinates.len() as u64, triangles.len() as u64);
+        let (point_bytes, tri_bytes) = (nv * POINT_BYTES as u64, nf * TRI_BYTES as u64);
+
+        // The parse fills the caller's allocation, whatever it held.
+        let mut reserved = reserve_points(nv, c, point_bytes).expect("the section's own counts");
+        assert!(reserved.capacity() >= nv as usize);
+        reserved.push(Point2::new(9.0, 9.0));
+        let at_first = reserved.as_ptr();
+        let (parsed, _) = points_from_binary(coordinates, point_bytes, reserved).unwrap();
+        assert_eq!(parsed.as_slice(), m.points());
+        assert!(std::ptr::eq(parsed.as_ptr(), at_first));
+
+        let mut reserved = reserve_triangles(nf, t, tri_bytes).expect("the section's own counts");
+        reserved.push([7; 3]);
+        let at_first = reserved.as_ptr();
+        let (parsed, _) =
+            connectivity_from_binary(triangles, nv as usize, nf, tri_bytes, reserved).unwrap();
+        assert_eq!(parsed.triangles(), m.triangles());
+        assert!(std::ptr::eq(parsed.triangles().as_ptr(), at_first));
+
+        // Nothing is reserved for counts the parsers would refuse: past
+        // the decoded limit, past what the stored bytes can hold (eight
+        // raw bytes a vertex after the header, three width bytes per 128
+        // triangles), or past what a length can be.
+        assert!(reserve_points(nv, c, point_bytes - 1).is_none());
+        assert!(reserve_points(nv, BINARY_HEADER as u64 + 8 * nv - 1, NO_LIMIT).is_none());
+        assert!(reserve_points(nv, BINARY_HEADER as u64 + 8 * nv, NO_LIMIT).is_some());
+        assert!(
+            reserve_points(1, 8, NO_LIMIT).is_none(),
+            "no room for a header"
+        );
+        assert!(reserve_triangles(nf, t, tri_bytes - 1).is_none());
+        let blocks = nf.div_ceil(BLOCK as u64);
+        assert!(reserve_triangles(nf, 3 * blocks - 1, NO_LIMIT).is_none());
+        assert!(reserve_triangles(nf, 3 * blocks, NO_LIMIT).is_some());
+        for absurd in [u64::MAX, u64::MAX / 16 + 1, 1 << 40] {
+            assert!(reserve_points(absurd, c, NO_LIMIT).is_none(), "{absurd}");
+            assert!(reserve_triangles(absurd, t, NO_LIMIT).is_none(), "{absurd}");
+        }
     }
 
     #[test]

@@ -123,9 +123,9 @@ proptest! {
 
         let (bytes, at) = canopus_mesh::io::to_binary_sections(&m);
         let limit = canopus_mesh::io::decoded_bytes(&m);
-        let (points, nf) = canopus_mesh::io::points_from_binary(&bytes[..at], limit).unwrap();
+        let (points, nf) = canopus_mesh::io::points_from_binary(&bytes[..at], limit, Vec::new()).unwrap();
         let (connectivity, rest) = canopus_mesh::io::connectivity_from_binary(
-            &bytes[at..], points.len(), nf, limit).unwrap();
+            &bytes[at..], points.len(), nf, limit, Vec::new()).unwrap();
         prop_assert!(rest.is_empty());
         let points = Arc::new(points);
         let first = connectivity.mesh_over(Arc::clone(&points)).unwrap();

@@ -39,6 +39,10 @@ pub const WRITE_PIPELINED: &str = "canopus.write.pipelined_writes";
 pub const READ_IO: &str = "canopus.read.io";
 pub const READ_DECOMPRESS: &str = "canopus.read.decompress";
 pub const READ_RESTORE: &str = "canopus.read.restore";
+/// Timer: unpacking a fetched geometry object or section into a level's
+/// point, triangle and mapping arrays — on a cold walk mostly the loader
+/// thread's time, so it is not one of the three phases above.
+pub const READ_GEOMETRY_PARSE: &str = "canopus.read.geometry_parse";
 pub const READ_BYTES_IO: &str = "canopus.read.bytes_io";
 /// The part of `bytes_io` that was level geometry (`Metadata` blocks).
 pub const READ_GEOMETRY_BYTES: &str = "canopus.read.geometry_bytes";

@@ -54,29 +54,49 @@ pub fn mapping_to_bytes(mapping: &[u32]) -> Vec<u8> {
     out
 }
 
-/// Parse a mapping serialized by [`mapping_to_bytes`] — bytes that came
-/// off a tier. Packed data can declare far more than its own size, so
-/// the declared length must fit `max_decoded_bytes` (four per entry)
-/// before anything is allocated; every block is checked against the
-/// bytes that are left, and the last must end where `bytes` does.
-pub fn mapping_from_bytes(bytes: &[u8], max_decoded_bytes: u64) -> Result<Mapping, String> {
-    let mut r = Reader::new(bytes);
-    let declared = r.u64()?;
-    // A block costs at least its width byte.
-    let n = usize::try_from(declared).ok().filter(|_| {
+/// `declared` as a length, if a mapping of that many entries fits
+/// `max_decoded_bytes` (four per entry) once parsed and — a block costs
+/// at least its width byte — the `stored` bytes of its blocks.
+fn entries_fit(declared: u64, stored: u64, max_decoded_bytes: u64) -> Option<usize> {
+    usize::try_from(declared).ok().filter(|_| {
         declared
             .checked_mul(4)
             .is_some_and(|d| d <= max_decoded_bytes)
-            && declared.div_ceil(BLOCK as u64) <= r.remaining() as u64
-    });
-    let Some(n) = n else {
+            && declared.div_ceil(BLOCK as u64) <= stored
+    })
+}
+
+/// Room for a mapping of `entries` stored in at most `stored` bytes,
+/// under the limits [`mapping_from_bytes`] will hold it to; `None` if it
+/// would refuse that many. For a caller that wants the array allocated
+/// before — and on another thread than — the parse.
+pub fn reserve_mapping(entries: u64, stored: u64, max_decoded_bytes: u64) -> Option<Mapping> {
+    entries_fit(entries, stored.saturating_sub(8), max_decoded_bytes).map(Vec::with_capacity)
+}
+
+/// Parse a mapping serialized by [`mapping_to_bytes`] — bytes that came
+/// off a tier — into `mapping`: `Vec::new()`, or an array the caller
+/// reserved ([`reserve_mapping`]), which is emptied first. Packed data
+/// can declare far more than its own size, so the declared length must
+/// fit `max_decoded_bytes` (four per entry) before anything is
+/// allocated; every block is checked against the bytes that are left,
+/// and the last must end where `bytes` does.
+pub fn mapping_from_bytes(
+    bytes: &[u8],
+    max_decoded_bytes: u64,
+    mut mapping: Mapping,
+) -> Result<Mapping, String> {
+    let mut r = Reader::new(bytes);
+    let declared = r.u64()?;
+    let Some(n) = entries_fit(declared, r.remaining() as u64, max_decoded_bytes) else {
         return Err(format!(
             "mapping declares {declared} entries, which {} bytes and a limit \
              of {max_decoded_bytes} decoded do not hold",
             bytes.len()
         ));
     };
-    let mut mapping = Vec::with_capacity(n);
+    mapping.clear();
+    mapping.reserve_exact(n);
     let mut entries = [0u32; BLOCK];
     let mut previous = [0];
     while mapping.len() < n {
@@ -152,19 +172,20 @@ mod tests {
 
     #[test]
     fn serialization_roundtrip() {
+        let parse = |bytes: &[u8], limit| mapping_from_bytes(bytes, limit, Vec::new());
         let m: Mapping = vec![0, 7, 42, u32::MAX, 0, u32::MAX - 1, 1 << 31];
         let bytes = mapping_to_bytes(&m);
-        assert_eq!(mapping_from_bytes(&bytes, 4 * 7).unwrap(), m);
-        assert!(mapping_from_bytes(&bytes, 4 * 7 - 1).is_err(), "limit");
-        assert!(mapping_from_bytes(&bytes[..bytes.len() - 1], 64).is_err());
-        assert!(mapping_from_bytes(&bytes[..5], 64).is_err());
-        assert!(mapping_from_bytes(&[], 64).is_err(), "no length");
+        assert_eq!(parse(&bytes, 4 * 7).unwrap(), m);
+        assert!(parse(&bytes, 4 * 7 - 1).is_err(), "limit");
+        assert!(parse(&bytes[..bytes.len() - 1], 64).is_err());
+        assert!(parse(&bytes[..5], 64).is_err());
+        assert!(parse(&[], 64).is_err(), "no length");
         let mut longer = bytes.clone();
         longer.push(0);
-        assert!(mapping_from_bytes(&longer, 64).is_err(), "trailing byte");
+        assert!(parse(&longer, 64).is_err(), "trailing byte");
         let empty = mapping_to_bytes(&[]);
         assert_eq!(empty.len(), 8);
-        assert_eq!(mapping_from_bytes(&empty, 0).unwrap(), Vec::<u32>::new());
+        assert_eq!(parse(&empty, 0).unwrap(), Vec::<u32>::new());
 
         // Several blocks, the last one partial.
         let (fine, coarse) = fine_and_coarse();
@@ -172,10 +193,26 @@ mod tests {
         assert!(real.len() > BLOCK && !real.len().is_multiple_of(BLOCK));
         let bytes = mapping_to_bytes(&real);
         assert!(bytes.len() < real.len() * 4, "{} B", bytes.len());
-        assert_eq!(
-            mapping_from_bytes(&bytes, 4 * real.len() as u64).unwrap(),
-            real
-        );
+        assert_eq!(parse(&bytes, 4 * real.len() as u64).unwrap(), real);
+
+        // Into an array the caller reserved, whatever it held: the
+        // parse fills that allocation. Nothing is reserved for a length
+        // the parser would refuse.
+        let (n, stored) = (real.len() as u64, bytes.len() as u64);
+        let mut reserved = reserve_mapping(n, stored, 4 * n).expect("the mapping's own length");
+        assert!(reserved.capacity() >= real.len());
+        reserved.push(9);
+        let at_first = reserved.as_ptr();
+        let parsed = mapping_from_bytes(&bytes, 4 * n, reserved).unwrap();
+        assert_eq!(parsed, real);
+        assert!(std::ptr::eq(parsed.as_ptr(), at_first));
+        assert!(reserve_mapping(n, stored, 4 * n - 1).is_none(), "limit");
+        let blocks = n.div_ceil(BLOCK as u64);
+        assert!(reserve_mapping(n, 8 + blocks - 1, u64::MAX).is_none());
+        assert!(reserve_mapping(n, 8 + blocks, u64::MAX).is_some());
+        for absurd in [u64::MAX, u64::MAX / 4 + 1, 1 << 40] {
+            assert!(reserve_mapping(absurd, stored, u64::MAX).is_none());
+        }
     }
 
     #[test]
@@ -186,14 +223,17 @@ mod tests {
         let mut flat = (128u64 * 1024).to_le_bytes().to_vec();
         flat.resize(8 + 1024, 0);
         assert_eq!(
-            mapping_from_bytes(&flat, 512 << 10).unwrap(),
+            mapping_from_bytes(&flat, 512 << 10, Vec::new()).unwrap(),
             vec![0; 128 * 1024]
         );
-        assert!(mapping_from_bytes(&flat, (512 << 10) - 1).is_err());
+        assert!(mapping_from_bytes(&flat, (512 << 10) - 1, Vec::new()).is_err());
         for n in [u64::MAX, u64::MAX / 4 + 1, 1 << 40, 128 * 1024 + 1] {
             let mut lying = flat.clone();
             lying[..8].copy_from_slice(&n.to_le_bytes());
-            assert!(mapping_from_bytes(&lying, u64::MAX).is_err(), "{n}");
+            assert!(
+                mapping_from_bytes(&lying, u64::MAX, Vec::new()).is_err(),
+                "{n}"
+            );
         }
     }
 

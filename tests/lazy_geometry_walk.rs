@@ -1,10 +1,13 @@
 //! The pipelined walk plans from the manifest alone and loads each
-//! level's geometry lazily, on the restore thread, while the decode pool
-//! is already running. That reordering must not be observable: the
-//! engines return the same bits for every chunk count, and a fault on
-//! a level's *metadata* block — the block the reordering moved — is
-//! retried within the budget and degrades the walk past it, exactly as
-//! a fault on a delta does.
+//! level's geometry lazily — the levels it passes on the restore thread,
+//! the level it hands out on a loader thread of its own — while the
+//! decode pool is already running. That reordering must not be
+//! observable: the engines return the same bits for every chunk count
+//! and issue the same tier reads, and a fault on a level's *metadata*
+//! block — the block the reordering moved — is retried within the budget
+//! and degrades the walk past it, exactly as a fault on a delta does and
+//! with the serial engine's counters. The loader changes who does the
+//! work, not what is done.
 //!
 //! Lazy goes one step further: a level's geometry object is two
 //! separately verified sections, and a walk fetches only what it
@@ -21,10 +24,10 @@
 use bytes::Bytes;
 use canopus::config::RelativeCodec;
 use canopus::read::{CanopusReader, ReadOutcome};
-use canopus::{Canopus, CanopusConfig, FaultPlan};
+use canopus::{Canopus, CanopusConfig, FaultPlan, RetryPolicy};
 use canopus_adios::GeometrySection;
 use canopus_data::{xgc1_dataset_sized, Dataset};
-use canopus_obs::names;
+use canopus_obs::{names, Event, FieldValue, RingBufferSink};
 use canopus_refactor::levels::RefactorConfig;
 use canopus_refactor::{Estimator, LevelHierarchy};
 use canopus_storage::{FaultOp, ProductKind, StorageHierarchy, TierSpec};
@@ -53,6 +56,16 @@ fn written_with(
     estimator: Estimator,
     codec: RelativeCodec,
 ) -> Canopus {
+    written_in(ds, LEVELS, delta_chunks, estimator, codec)
+}
+
+fn written_in(
+    ds: &Dataset,
+    num_levels: u32,
+    delta_chunks: u32,
+    estimator: Estimator,
+    codec: RelativeCodec,
+) -> Canopus {
     let tiers = (0..=SPARE)
         .map(|i| TierSpec::new(format!("t{i}"), 1 << 26, 1e8, 1e8, 1e-4))
         .collect();
@@ -60,7 +73,7 @@ fn written_with(
         Arc::new(StorageHierarchy::new(tiers)),
         CanopusConfig {
             refactor: RefactorConfig {
-                num_levels: LEVELS,
+                num_levels,
                 estimator,
                 ..Default::default()
             },
@@ -186,6 +199,7 @@ fn metadata_faults_within_the_budget_are_retried_at_every_level() {
                 for reader in both_engines(&canopus) {
                     let m = canopus.metrics();
                     let retries = m.counter(names::READ_RETRIES).get();
+                    let faults = m.counter(names::READ_FAULTS_INJECTED).get();
                     let mismatches = m.counter(names::READ_CHECKSUM_FAILURES).get();
                     // Arming restarts the tier's attempt counters.
                     canopus
@@ -200,6 +214,11 @@ fn metadata_faults_within_the_budget_are_retried_at_every_level() {
                         m.counter(names::READ_RETRIES).get() - retries,
                         2,
                         "{what}: one retry per fault"
+                    );
+                    assert_eq!(
+                        m.counter(names::READ_FAULTS_INJECTED).get() - faults,
+                        2,
+                        "{what}: each fault seen once, by whichever thread fetched"
                     );
                     let caught = m.counter(names::READ_CHECKSUM_FAILURES).get() - mismatches;
                     assert_eq!(
@@ -232,8 +251,19 @@ fn metadata_faults_past_the_budget_degrade_to_the_next_coarser_level() {
             let clean = clean_levels(&ds, &canopus);
             isolate_metadata(&ds, &canopus, level);
             for plan in persistent {
+                let mut counted = Vec::new();
                 for reader in both_engines(&canopus) {
-                    let degraded = canopus.metrics().counter(names::READ_DEGRADED_RESTORES);
+                    let m = canopus.metrics();
+                    let fault_counters = || {
+                        [
+                            names::READ_RETRIES,
+                            names::READ_FAULTS_INJECTED,
+                            names::READ_CHECKSUM_FAILURES,
+                        ]
+                        .map(|name| m.counter(name).get())
+                    };
+                    let counters = fault_counters();
+                    let degraded = m.counter(names::READ_DEGRADED_RESTORES);
                     let before = degraded.get();
                     canopus
                         .hierarchy()
@@ -254,7 +284,14 @@ fn metadata_faults_past_the_budget_degrade_to_the_next_coarser_level() {
                         "{what}"
                     );
                     assert_eq!(degraded.get() - before, 1, "{what}");
+                    let after = fault_counters();
+                    counted.push([0, 1, 2].map(|i| after[i] - counters[i]));
                 }
+                // Whichever thread met the fault, it was retried to the
+                // same budget and nobody fetched the block again.
+                let budget = u64::from(RetryPolicy::new().max_attempts);
+                assert_eq!(counted[0][1], budget, "k={chunks} level {level}");
+                assert_eq!(counted[0], counted[1], "k={chunks} level {level} {plan:?}");
             }
         }
     }
@@ -326,6 +363,13 @@ impl Stored {
     fn passed_coordinates(&self) -> u64 {
         (1..LEVELS - 1).map(|l| self.coordinates(l)).sum()
     }
+}
+
+/// Reads every tier has served so far.
+fn tier_reads(canopus: &Canopus) -> u64 {
+    (0..=SPARE)
+        .map(|t| canopus.hierarchy().tier_stats(t).expect("tier").reads)
+        .sum()
 }
 
 /// Bytes every tier has served so far.
@@ -639,5 +683,245 @@ fn concurrent_cold_readers_fetch_each_geometry_section_once() {
             READERS as u64 * stored.field + one_walk,
             "depth {depth}: each walk reads the field, one of them the geometry"
         );
+
+        // Two targets at once: a walk to level 0 passes through level 1
+        // — whose topology it claims for itself, or waits for — while
+        // the loader of a walk to level 1 holds that level whole. Every
+        // walk finishes, and level 1 is still loaded once: whole, or as
+        // its two sections.
+        let reader = canopus
+            .open(FILE)
+            .expect("open")
+            .with_level_cache(0)
+            .with_pipeline_depth(depth);
+        let geometry = m.counter(names::READ_GEOMETRY_BYTES).get();
+        let start = Barrier::new(READERS);
+        std::thread::scope(|s| {
+            let walkers: Vec<_> = (0..READERS as u32)
+                .map(|i| {
+                    let (reader, start, clean, ds) = (&reader, &start, &clean, &ds);
+                    s.spawn(move || {
+                        start.wait();
+                        let target = i % 2;
+                        let out = reader.read_level(ds.var, target).expect("concurrent walk");
+                        assert_same(&out, &clean[target as usize], "two targets");
+                    })
+                })
+                .collect();
+            for walker in walkers {
+                walker.join().expect("walker");
+            }
+        });
+        assert_eq!(
+            m.counter(names::READ_GEOMETRY_BYTES).get() - geometry,
+            one_walk + stored.coordinates(1),
+            "depth {depth}: two targets"
+        );
     }
+}
+
+fn text(e: &Event, key: &str) -> Option<String> {
+    match e.field(key)? {
+        FieldValue::Str(s) => Some(s.clone()),
+        _ => None,
+    }
+}
+
+fn uint(e: &Event, key: &str) -> Option<u64> {
+    match e.field(key)? {
+        FieldValue::Uint(u) => Some(*u),
+        _ => None,
+    }
+}
+
+/// A block fetch as its `read.block` span names it: the key and the
+/// section, `None` being the whole object.
+type Fetch = (String, Option<String>);
+
+/// Run `read` with tracing armed: its outcome, its span events, and the
+/// block fetches among them, sorted. Every tier read the hierarchy
+/// counted meanwhile is one of those fetches.
+fn traced<T>(canopus: &Canopus, read: impl FnOnce() -> T) -> (T, Vec<Event>, Vec<Fetch>) {
+    let m = canopus.metrics();
+    m.set_sink(Arc::new(RingBufferSink::with_capacity(4096)));
+    let before = tier_reads(canopus);
+    let out = read();
+    let events = m.snapshot().events;
+    let mut fetches: Vec<_> = events
+        .iter()
+        .filter(|e| e.name == "read.block")
+        .map(|e| {
+            (
+                text(e, "key").expect("a fetch names its key"),
+                text(e, "section"),
+            )
+        })
+        .collect();
+    fetches.sort();
+    assert_eq!(
+        tier_reads(canopus) - before,
+        fetches.len() as u64,
+        "{fetches:?}"
+    );
+    (out, events, fetches)
+}
+
+#[test]
+fn fifty_cold_pipelined_walks_issue_exactly_the_serial_walks_tier_reads() {
+    // Five levels, as the benchmark writes them.
+    const FIVE: u32 = 5;
+    let ds = dataset();
+    let canopus = written_in(&ds, FIVE, 1, Estimator::Mean, RelativeCodec::Fpc);
+    let cold_walk = |depth: u32| {
+        // A fresh reader: the open is one read, of the manifest.
+        let before = tier_reads(&canopus);
+        let reader = canopus
+            .open(FILE)
+            .expect("open")
+            .with_level_cache(0)
+            .with_pipeline_depth(depth);
+        assert_eq!(tier_reads(&canopus) - before, 1);
+        traced(&canopus, || {
+            reader.read_level(ds.var, 0).expect("cold walk")
+        })
+    };
+
+    let (clean, _, serial) = cold_walk(0);
+    // Base field and geometry, then per step the delta and the level's
+    // geometry: with the open, the benchmark's eleven reads.
+    assert_eq!(serial.len() as u32, 2 * FIVE);
+    let geometry = |level: u32| -> Vec<Option<String>> {
+        let object = format!("/m{level}");
+        let of_level = serial.iter().filter(|(key, _)| key.ends_with(&object));
+        of_level.map(|(_, section)| section.clone()).collect()
+    };
+    assert_eq!(geometry(0), [None], "level 0's object, whole and once");
+    assert_eq!(geometry(FIVE - 1), [None], "the base's too");
+    for passed in 1..FIVE - 1 {
+        assert_eq!(geometry(passed), [Some("topology".to_string())]);
+    }
+
+    for walk in 0..50 {
+        let (out, events, pipelined) = cold_walk(4);
+        assert_eq!(pipelined, serial, "walk {walk}");
+        assert_same(&out, &clean, &format!("walk {walk}"));
+        // The target's geometry is loaded beside the walk, not on its
+        // thread; what the walk passes is loaded on it.
+        let lane = |name: &str, level: u64| {
+            let span = events
+                .iter()
+                .find(|e| e.name == name && uint(e, "level") == Some(level))
+                .unwrap_or_else(|| panic!("walk {walk}: no {name} span of level {level}"));
+            uint(span, "tid").expect("spans carry their thread's lane")
+        };
+        let caller = lane("read", 0);
+        assert_ne!(lane("geometry", 0), caller, "walk {walk}");
+        for passed in 1..u64::from(FIVE) - 1 {
+            assert_eq!(lane("geometry", passed), caller, "walk {walk}");
+        }
+    }
+}
+
+#[test]
+fn a_walk_to_a_level_whose_geometry_is_loaded_starts_no_loader() {
+    let ds = dataset();
+    let canopus = written(&ds, 1);
+    let clean = clean_levels(&ds, &canopus);
+    let reader = canopus.open(FILE).expect("open").with_level_cache(0);
+    let loads = |events: &[Event]| -> Vec<(u64, String)> {
+        let of = |e: &Event| (uint(e, "level").unwrap(), text(e, "section").unwrap());
+        let mut loads: Vec<_> = events
+            .iter()
+            .filter(|e| e.name == "geometry")
+            .map(of)
+            .collect();
+        loads.sort();
+        loads
+    };
+    let whole = |level: u64| (level, "whole".to_string());
+    let topology = |level: u64| (level, "topology".to_string());
+
+    let (out, events, _) = traced(&canopus, || reader.read_level(ds.var, 0).expect("cold"));
+    assert_same(&out, &clean[0], "cold");
+    assert_eq!(
+        loads(&events),
+        [whole(0), topology(1), topology(2), whole(3)]
+    );
+    // Every entry on the way holds what a second walk consumes: no
+    // geometry moves, and nothing is spawned to move it.
+    let (out, events, fetches) = traced(&canopus, || reader.read_level(ds.var, 0).expect("warm"));
+    assert_same(&out, &clean[0], "warm");
+    assert_eq!(loads(&events), []);
+    assert_eq!(fetches.len() as u32, LEVELS, "the base and the deltas");
+    // A passed level handed out later lacks its coordinates alone, and
+    // the loader fetches just those.
+    let (out, events, _) = traced(&canopus, || reader.read_level(ds.var, 1).expect("level 1"));
+    assert_same(&out, &clean[1], "level 1");
+    assert_eq!(loads(&events), [(1, "coordinates".to_string())]);
+}
+
+#[test]
+fn a_fault_on_a_coarser_delta_stops_the_loader_before_its_next_attempt() {
+    let ds = dataset();
+    let canopus = written(&ds, 1);
+    let clean = clean_levels(&ds, &canopus);
+    // The first delta of the walk and the target's geometry, both on
+    // the spare tier, which is down for good.
+    let level0 = isolate_metadata(&ds, &canopus, 0);
+    let delta = {
+        let reader = canopus.open(FILE).expect("open");
+        let var = reader.file().inq_var(ds.var).expect("variable");
+        var.delta_shards_to(LEVELS - 2)[0].key.clone()
+    };
+    canopus
+        .hierarchy()
+        .migrate(&delta, SPARE)
+        .expect("spare tier");
+    // Two attempts each, a long backoff between them, and a jitter that
+    // has the delta's second attempt — the one that ends the walk — fall
+    // well before the loader wakes for its own.
+    let retry = (0..)
+        .map(|jitter_seed| RetryPolicy {
+            max_attempts: 2,
+            base_backoff_s: 0.4,
+            max_backoff_s: 0.4,
+            jitter_seed,
+        })
+        .find(|p| p.backoff_s(&level0, 1) - p.backoff_s(&delta, 1) > 0.15)
+        .expect("one seed in a few fits");
+    let m = canopus.metrics();
+    let counters =
+        || [names::READ_FAULTS_INJECTED, names::READ_RETRIES].map(|name| m.counter(name).get());
+    let mut counted = Vec::new();
+    for reader in both_engines(&canopus) {
+        let reader = reader.with_retry(retry);
+        let before = counters();
+        canopus
+            .hierarchy()
+            .set_fault_plan(
+                SPARE,
+                FaultPlan {
+                    down: Some((0, u64::MAX)),
+                    ..FaultPlan::none()
+                },
+            )
+            .expect("spare tier");
+        let out = reader.read_level(ds.var, 0).expect("degrades");
+        assert!(out.degraded);
+        assert_same(
+            &ReadOutcome {
+                degraded: false,
+                ..out
+            },
+            &clean[LEVELS as usize - 1],
+            "nothing past the base could be restored",
+        );
+        let after = counters();
+        counted.push([after[0] - before[0], after[1] - before[1]]);
+    }
+    let [serial, pipelined] = [counted[0], counted[1]];
+    assert_eq!(serial, [2, 1], "the delta: a fault, a retry, a fault");
+    // The loader met its first fault while the delta was being retried;
+    // told to stop, it never made its second attempt.
+    assert_eq!(pipelined, [3, 1]);
 }

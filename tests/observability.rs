@@ -11,9 +11,10 @@ use canopus::config::RelativeCodec;
 use canopus::{Canopus, CanopusConfig, MetricsSnapshot};
 use canopus_adios::GeometrySection;
 use canopus_data::xgc1_dataset_sized;
-use canopus_obs::{names, RingBufferSink};
+use canopus_obs::{names, Event, FieldValue, RingBufferSink};
 use canopus_refactor::levels::RefactorConfig;
 use canopus_storage::StorageHierarchy;
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 const LEVELS: u32 = 3;
@@ -453,4 +454,121 @@ fn disabled_sink_records_no_events_but_all_metrics() {
         snap.counter(names::READ_BLOCKS) > 0,
         "metrics flow regardless"
     );
+}
+
+fn uint(e: &Event, key: &str) -> Option<u64> {
+    match e.field(key)? {
+        FieldValue::Uint(u) => Some(*u),
+        _ => None,
+    }
+}
+
+fn text<'a>(e: &'a Event, key: &str) -> Option<&'a str> {
+    match e.field(key)? {
+        FieldValue::Str(s) => Some(s),
+        _ => None,
+    }
+}
+
+/// The walk's largest stage has a name: each level's geometry load is a
+/// `geometry` span under the read's root — level, section and stored
+/// bytes on it, its verified fetch beneath it — and the parse a timer of
+/// its own. Both engines draw the same tree, whichever thread did the
+/// loading.
+#[test]
+fn geometry_loads_are_spans_under_the_root_and_a_parse_timer_in_both_engines() {
+    for depth in [0, CanopusConfig::default().pipeline_depth.max(1)] {
+        let (canopus, ds) = written_canopus();
+        let reader = canopus
+            .open("obs.bp")
+            .expect("open")
+            .with_pipeline_depth(depth);
+        canopus
+            .metrics()
+            .set_sink(Arc::new(RingBufferSink::with_capacity(1024)));
+        let parsed = canopus.metrics().snapshot();
+        let parsed = parsed.timer(names::READ_GEOMETRY_PARSE);
+        reader.read_level(ds.var, 0).expect("cold restore");
+        let snap = canopus.metrics().snapshot();
+        let what = format!("depth {depth}");
+
+        let id = |e: &Event| uint(e, "span_id").expect("a span");
+        let named =
+            |name: &str| -> Vec<&Event> { snap.events.iter().filter(|e| e.name == name).collect() };
+        let [root] = named("read")[..] else {
+            panic!("{what}: one read call, one root");
+        };
+        assert_eq!(uint(root, "parent_id"), None, "{what}");
+
+        // One load per level: the target and the base whole, the level
+        // passed in between its topology alone.
+        let var = reader.file().inq_var(ds.var).expect("variable");
+        let mut loaded = BTreeSet::new();
+        let mut in_spans = 0.0;
+        for load in named("geometry") {
+            assert_eq!(uint(load, "parent_id"), Some(id(root)), "{what}");
+            let level = uint(load, "level").expect("level") as u32;
+            let block = var.metadata_for(level).expect("geometry block");
+            let (section, stored) = match level {
+                1 => {
+                    let topology = block.section(GeometrySection::Topology).expect("index");
+                    ("topology", topology.len)
+                }
+                _ => ("whole", block.stored_bytes),
+            };
+            assert_eq!(text(load, "section"), Some(section), "{what} L{level}");
+            assert_eq!(uint(load, "bytes"), Some(stored), "{what} L{level}");
+            assert!(loaded.insert(level), "{what}: level {level} loaded twice");
+            // Its one child is the fetch of that object.
+            let children: Vec<&Event> = snap
+                .events
+                .iter()
+                .filter(|e| uint(e, "parent_id") == Some(id(load)))
+                .collect();
+            let [fetch] = children[..] else {
+                panic!("{what} L{level}: {children:?}");
+            };
+            assert_eq!(fetch.name, "read.block", "{what} L{level}");
+            assert_eq!(text(fetch, "key"), Some(block.key.as_str()), "{what}");
+            match load.field("wall_secs") {
+                Some(FieldValue::Float(secs)) => in_spans += secs,
+                other => panic!("{what}: a span records its duration, not {other:?}"),
+            }
+        }
+        assert_eq!(loaded, (0..LEVELS).collect(), "{what}");
+
+        // Nothing else of the walk moved: every other span hangs off
+        // the root directly.
+        let loads: BTreeSet<u64> = named("geometry").into_iter().map(id).collect();
+        let edges: BTreeSet<(&str, &str)> = snap
+            .events
+            .iter()
+            .filter_map(|e| {
+                let parent = uint(e, "parent_id")?;
+                let under = if parent == id(root) {
+                    "read"
+                } else if loads.contains(&parent) {
+                    "geometry"
+                } else {
+                    "elsewhere"
+                };
+                Some((e.name.as_str(), under))
+            })
+            .collect();
+        let expected = [
+            ("decode", "read"),
+            ("geometry", "read"),
+            ("read.block", "geometry"),
+            ("read.block", "read"),
+            ("restore", "read"),
+        ];
+        assert_eq!(edges, BTreeSet::from(expected), "{what}");
+
+        // The parse of each load is timed, inside its span.
+        let timer = snap.timer(names::READ_GEOMETRY_PARSE);
+        assert_eq!(timer.count - parsed.count, u64::from(LEVELS), "{what}");
+        let parse_secs = timer.wall_secs - parsed.wall_secs;
+        assert!(parse_secs > 0.0 && parse_secs <= in_spans, "{what}");
+        assert_eq!(timer.sim_secs, 0.0, "{what}: a parse moves no bytes");
+    }
 }

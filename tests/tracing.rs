@@ -65,6 +65,17 @@ fn uint(e: &Event, key: &str) -> Option<u64> {
     }
 }
 
+/// Whether a `read.block` span's `key` names a level's geometry object
+/// (`…/m{level}`) rather than a base or delta block.
+fn is_geometry_key(key: &FieldValue) -> bool {
+    let FieldValue::Str(key) = key else {
+        return false;
+    };
+    let name = key.rsplit('/').next().unwrap_or_default();
+    name.strip_prefix('m')
+        .is_some_and(|level| level.parse::<u32>().is_ok())
+}
+
 /// `span_id → name` for every span event in the stream.
 fn span_names(events: &[Event]) -> BTreeMap<u64, String> {
     events
@@ -105,19 +116,31 @@ fn pipelined_decode_spans_all_parent_to_one_read_root() {
     assert_eq!(roots[0].name, "read");
     let root_id = uint(roots[0], "span_id").unwrap();
 
-    // Every fetch, decode (decode-pool threads included) and restore of
-    // the walk hangs directly off that root — this is what lets the
-    // exporter reassemble the tree even though the workers emit from
-    // their own thread lanes.
-    for name in ["read.block", "decode", "restore"] {
+    // Every field fetch, decode (decode-pool threads included), geometry
+    // load (the loader thread's included) and restore of the walk hangs
+    // directly off that root — this is what lets the exporter reassemble
+    // the tree even though the workers emit from their own thread lanes.
+    // A geometry object's fetch hangs off its load.
+    let loads: BTreeSet<u64> = events
+        .iter()
+        .filter(|e| e.name == "geometry")
+        .filter_map(|e| uint(e, "span_id"))
+        .collect();
+    assert_eq!(loads.len(), LEVELS as usize, "one load per level");
+    for name in ["read.block", "decode", "restore", "geometry"] {
         let children: Vec<&Event> = events.iter().filter(|e| e.name == name).collect();
         assert!(!children.is_empty(), "walk must emit {name} spans");
         for c in &children {
-            assert_eq!(
-                uint(c, "parent_id"),
-                Some(root_id),
-                "{name} span must parent to the read root"
-            );
+            let parent = uint(c, "parent_id").expect("only the read is a root");
+            let of_geometry = name == "read.block" && c.field("key").is_some_and(is_geometry_key);
+            if of_geometry {
+                assert!(
+                    loads.contains(&parent),
+                    "a geometry fetch belongs to a load"
+                );
+            } else {
+                assert_eq!(parent, root_id, "{name} span must parent to the read root");
+            }
             assert!(uint(c, "tid").is_some(), "{name} carries a thread lane");
         }
     }
@@ -178,13 +201,16 @@ fn serial_and_pipelined_walks_tell_the_same_causal_story() {
         serial, pipelined,
         "both engines must produce the same span-tree shape"
     );
-    // And that shared shape is the documented one: a flat two-level tree
-    // under a single read root.
+    // And that shared shape is the documented one: a flat tree under a
+    // single read root, a geometry object's fetch one step further down,
+    // under its load.
     for edge in [
         ("read", "<root>"),
         ("read.block", "read"),
         ("decode", "read"),
         ("restore", "read"),
+        ("geometry", "read"),
+        ("read.block", "geometry"),
     ] {
         assert!(
             serial.contains(&(edge.0.to_string(), edge.1.to_string())),
