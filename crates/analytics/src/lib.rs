@@ -21,14 +21,11 @@
 //! * [`render`] — PGM/PPM writers with a colormap and blob-circle
 //!   overlays, regenerating the paper's Figs. 4 and 7 imagery;
 //! * [`errors`] — Laney-style reduction-error metrics (max/mean/RMSE,
-//!   PSNR, relative-error histogram) for judging accuracy levels;
-//! * [`isolines`] — marching-triangles isoline extraction, a second
-//!   descriptive-analytics lens on decimated levels.
+//!   PSNR, relative-error histogram) for judging accuracy levels.
 
 pub mod blob;
 pub mod components;
 pub mod errors;
-pub mod isolines;
 pub mod metrics;
 pub mod raster;
 pub mod render;

@@ -3,7 +3,6 @@
 use canopus_analytics::blob::{BlobDetector, BlobParams};
 use canopus_analytics::components::label_components;
 use canopus_analytics::errors::compare;
-use canopus_analytics::isolines;
 use canopus_analytics::raster::{GrayImage, Raster};
 use canopus_mesh::generators::{jitter_interior, rectangle_mesh};
 use canopus_mesh::geometry::{Aabb, Point2};
@@ -105,40 +104,5 @@ proptest! {
         prop_assert!((r.max_abs - eps).abs() < 1e-9);
         prop_assert!((r.rmse - eps).abs() < 1e-9);
         prop_assert!(r.psnr_db < f64::INFINITY);
-    }
-
-    /// Isoline segments always have endpoints inside the mesh bounds, and
-    /// extraction is total for any level.
-    #[test]
-    fn isolines_within_bounds(seed in 0u64..300, level in -3.0f64..3.0) {
-        let bb = Aabb::from_points([Point2::new(0.0, 0.0), Point2::new(1.0, 1.0)]);
-        let mesh = jitter_interior(&rectangle_mesh(10, 10, bb), 0.2, seed);
-        let data: Vec<f64> = mesh
-            .points()
-            .iter()
-            .map(|p| (p.x * 5.0).sin() + (p.y * 3.0).cos())
-            .collect();
-        let bounds = mesh.aabb().inflate(1e-9);
-        for s in isolines::extract(&mesh, &data, level) {
-            prop_assert!(bounds.contains(s.a), "{:?}", s.a);
-            prop_assert!(bounds.contains(s.b), "{:?}", s.b);
-        }
-    }
-
-    /// Chaining uses every segment exactly once.
-    #[test]
-    fn chaining_conserves_segments(seed in 0u64..200) {
-        let bb = Aabb::from_points([Point2::new(-1.0, -1.0), Point2::new(1.0, 1.0)]);
-        let mesh = rectangle_mesh(20, 20, bb);
-        let _ = seed;
-        let data: Vec<f64> = mesh
-            .points()
-            .iter()
-            .map(|p| (p.x * p.x + p.y * p.y).sqrt())
-            .collect();
-        let segments = isolines::extract(&mesh, &data, 0.7);
-        let lines = isolines::chain(&segments);
-        let used: usize = lines.iter().map(|l| l.len() - 1).sum();
-        prop_assert_eq!(used, segments.len());
     }
 }

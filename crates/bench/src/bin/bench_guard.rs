@@ -1,7 +1,7 @@
 //! `bench_guard` — perf-trajectory regression gate over `BENCH_*.json`.
 //!
 //! ```text
-//! bench_guard --baseline BENCH_read.json --candidate BENCH_read.new.json
+//! bench_guard --baseline BENCH_serve.json --candidate BENCH_serve.new.json
 //!             [--tolerance 0.25]
 //! ```
 //!

@@ -14,11 +14,8 @@
 //! snapshot of its run, so the printed numbers can be cross-checked
 //! against the shared metrics layer.
 //!
-//! `--pipeline-depth <n>` and `--no-cache` tune the restore engine for
-//! the end-to-end figures: depth `0` selects the serial read path, and
-//! `--no-cache` disables the decoded-level cache.
-//! `--write-pipeline-depth <n>` tunes the level-streaming write engine
-//! the same way; `--serial-write` is shorthand for depth `0`.
+//! `--no-cache` disables the decoded-level cache for the end-to-end
+//! figures.
 //!
 //! `--fault-seed <s>`, `--fault-get-p <p>`, `--fault-corrupt-p <p>` and
 //! `--fault-latency <secs>` arm the deterministic fault injector on every
@@ -45,23 +42,8 @@ fn main() {
         trace: trace_path.is_some(),
         ..EngineOpts::default()
     };
-    if let Some(depth) = take_flag_value(&mut args, "--pipeline-depth") {
-        opts.pipeline_depth = depth.parse().unwrap_or_else(|_| {
-            eprintln!("--pipeline-depth needs an unsigned integer, got {depth:?}");
-            std::process::exit(2);
-        });
-    }
     if take_flag(&mut args, "--no-cache") {
         opts.level_cache = 0;
-    }
-    if let Some(depth) = take_flag_value(&mut args, "--write-pipeline-depth") {
-        opts.write_pipeline_depth = depth.parse().unwrap_or_else(|_| {
-            eprintln!("--write-pipeline-depth needs an unsigned integer, got {depth:?}");
-            std::process::exit(2);
-        });
-    }
-    if take_flag(&mut args, "--serial-write") {
-        opts.write_pipeline_depth = 0;
     }
     if let Some(v) = take_flag_value(&mut args, "--fault-seed") {
         opts.fault.seed = parse_or_die(&v, "--fault-seed");
@@ -121,7 +103,7 @@ fn main() {
         }
         other => {
             eprintln!("unknown experiment {other:?}");
-            eprintln!("usage: repro [fig4|fig5|fig6a|fig6b|fig7|fig8|fig9|fig10|fig11|smoothness|ablations|extensions|all] [--metrics out.json] [--pipeline-depth n] [--no-cache] [--write-pipeline-depth n] [--serial-write] [--fault-seed s] [--fault-get-p p] [--fault-corrupt-p p] [--fault-latency secs] [--retry-attempts n]");
+            eprintln!("usage: repro [fig4|fig5|fig6a|fig6b|fig7|fig8|fig9|fig10|fig11|smoothness|ablations|extensions|all] [--metrics out.json] [--no-cache] [--fault-seed s] [--fault-get-p p] [--fault-corrupt-p p] [--fault-latency secs] [--retry-attempts n]");
             std::process::exit(2);
         }
     }

@@ -31,17 +31,13 @@ use canopus_refactor::levels::RefactorConfig;
 /// stages layered on top register under their own prefix.
 pub const DETECT_TIMER: &str = "analytics.blob_detect";
 
-/// Restore-engine knobs for an end-to-end run, overriding the
-/// [`CanopusConfig`] defaults (the `repro` CLI exposes them as
-/// `--pipeline-depth` / `--no-cache`).
+/// Engine knobs for an end-to-end run, overriding the [`CanopusConfig`]
+/// defaults (the `repro` CLI exposes them as `--no-cache` and the
+/// `--fault-*` / `--retry-attempts` flags).
 #[derive(Debug, Clone, Copy)]
 pub struct EngineOpts {
-    /// Prefetch depth of the pipelined restore engine; `0` = serial.
-    pub pipeline_depth: u32,
     /// Decoded-level cache capacity; `0` disables it.
     pub level_cache: u32,
-    /// Depth of the level-streaming write engine; `0` = serial writes.
-    pub write_pipeline_depth: u32,
     /// Deterministic fault schedule armed on every tier
     /// (`FaultPlan::none()` keeps the zero-overhead fast path); the
     /// measured times then include the retry/recovery work.
@@ -59,9 +55,7 @@ impl Default for EngineOpts {
     fn default() -> Self {
         let c = CanopusConfig::default();
         Self {
-            pipeline_depth: c.pipeline_depth,
             level_cache: c.level_cache,
-            write_pipeline_depth: c.write_pipeline_depth,
             fault: c.fault,
             retry: c.retry,
             trace: false,
@@ -167,9 +161,7 @@ pub fn end_to_end_with(
         let canopus = Canopus::new(
             hierarchy,
             CanopusConfig {
-                pipeline_depth: opts.pipeline_depth,
                 level_cache: opts.level_cache,
-                write_pipeline_depth: opts.write_pipeline_depth,
                 fault: opts.fault,
                 retry: opts.retry,
                 ..Default::default()
@@ -210,9 +202,7 @@ pub fn end_to_end_with(
                     num_levels: k + 1,
                     ..Default::default()
                 },
-                pipeline_depth: opts.pipeline_depth,
                 level_cache: opts.level_cache,
-                write_pipeline_depth: opts.write_pipeline_depth,
                 fault: opts.fault,
                 retry: opts.retry,
                 ..Default::default()
@@ -336,14 +326,12 @@ mod tests {
 
     #[test]
     fn rows_report_measured_wall_clock() {
-        // Both engines must fill the measured `elapsed` fields alongside
-        // the (simulated-I/O) phase sums.
+        // With the cache on or off, rows fill the measured `elapsed`
+        // fields alongside the (simulated-I/O) phase sums.
         let ds = xgc1_dataset_sized(12, 60, 4);
         for opts in [
             EngineOpts {
-                pipeline_depth: 0,
                 level_cache: 0,
-                write_pipeline_depth: 0,
                 ..EngineOpts::default()
             },
             EngineOpts::default(),

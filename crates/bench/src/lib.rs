@@ -12,7 +12,6 @@
 //! | [`fig6`] | Fig. 6a storage-to-compute trend; Fig. 6b write-time fractions |
 //! | [`blobs`] | Fig. 7 blob gallery; Fig. 8a–d blob metrics vs decimation ratio |
 //! | [`endtoend`] | Figs. 9/10/11: analysis-pipeline and full-restoration times |
-//! | [`readbench`] | restore-engine perf trajectory (`BENCH_read.json`) |
 //! | [`servebench`] | multi-tenant serving throughput + tail latency (`BENCH_serve.json`) |
 //! | [`faultbench`] | fault-injected recovery costs (`BENCH_faults.json`) |
 //! | [`tierbench`] | adaptive vs static tier placement under a shifting zipfian workload (`BENCH_tier.json`) |
@@ -30,9 +29,7 @@ pub mod faultbench;
 pub mod fig5;
 pub mod fig6;
 pub mod histsum;
-pub mod readbench;
 pub mod servebench;
 pub mod setup;
 pub mod table;
 pub mod tierbench;
-pub mod writebench;

@@ -18,28 +18,24 @@ commands:
       synthesize one of the paper's datasets to files
   write <store> <file.bp> <var> --mesh m.off --data d.f64
         [--levels N] [--chunks C] [--codec zfp|sz|fpc|raw]
-        [--rel-tol T] [--write-pipeline-depth N] [--serial-write]
-        [--decimation-parts P]
-      refactor + compress + place a variable into the store;
-      --serial-write (= --write-pipeline-depth 0) selects the serial
-      barrier engine instead of the level-streaming pipeline;
+        [--rel-tol T] [--decimation-parts P]
+      refactor + compress + place a variable into the store (N >= 1);
       --chunks C (default 1) stores each delta as C spatial chunks in
       indexed shard objects; with C > 1 the chunks follow the Morton
       order and `region` fetches only the intersecting ones via ranged
       reads
   info <store> <file.bp>
       show the file's variables, blocks, codecs and tier placement
-  read <store> <file.bp> <var> [--level L] [--pipeline-depth N] [--no-cache]
+  read <store> <file.bp> <var> [--level L] [--no-cache]
        [--retry-attempts N] [--fault-seed S] [--fault-get-p P]
        [--fault-corrupt-p P] [--fault-latency SECS] [--fault-down A:B]
        --out d.f64
       restore a level (default 0 = full accuracy) to a raw f64 file;
-      --pipeline-depth 0 selects the serial restore path and --no-cache
-      disables the decoded-level cache. The --fault-* flags arm the
-      deterministic fault injector on every tier (seeded error/corruption
-      probabilities, added latency, a hard-down op window A:B — see
-      docs/reliability.md); --retry-attempts bounds the per-block retry
-      budget that rides out those faults
+      --no-cache disables the decoded-level cache. The --fault-* flags
+      arm the deterministic fault injector on every tier (seeded
+      error/corruption probabilities, added latency, a hard-down op
+      window A:B — see docs/reliability.md); --retry-attempts bounds the
+      per-block retry budget that rides out those faults
   render <store> <file.bp> <var> [--level L] --out img.ppm [--size W]
       rasterize a restored level to a PPM image
   explore <store> <file.bp> <var> [--rms-threshold T]
@@ -72,8 +68,8 @@ commands:
       port; --addr-file writes the bound address to a file and
       --linger-secs keeps the endpoint up after the workload so
       external scrapers can pull
-  metrics <store> <file.bp> <var> [--level L] [--pipeline-depth N]
-          [--no-cache] [--fault-* ...] [--retry-attempts N]
+  metrics <store> <file.bp> <var> [--level L] [--no-cache]
+          [--fault-* ...] [--retry-attempts N]
           [--out metrics.json] [--prom]
           [--watch SECS [--watch-iters N]]
       restore a level with the observability sink enabled and dump the
@@ -85,8 +81,8 @@ commands:
       *interval* counters/quantiles (snapshot diff against the previous
       poll, so rates and windowed tails instead of cumulative totals);
       --watch-iters bounds the loop (default: run until interrupted)
-  trace <store> <file.bp> <var> [--level L] [--pipeline-depth N]
-        [--no-cache] [--fault-* ...] [--retry-attempts N]
+  trace <store> <file.bp> <var> [--level L] [--no-cache]
+        [--fault-* ...] [--retry-attempts N]
         [--out trace.json]
       restore a level with causal tracing armed and export the span
       tree as Chrome trace_event JSON (open in chrome://tracing or
@@ -151,14 +147,13 @@ fn canopus_for(store_dir: &str, config: CanopusConfig) -> Result<Canopus, String
     Ok(Canopus::new(hierarchy, config))
 }
 
-/// Default config with the restore-engine knobs (`--pipeline-depth`,
-/// `--no-cache`), the fault-injection plan (`--fault-*`) and the retry
-/// budget (`--retry-attempts`) applied. Commands taking these must list
+/// Default config with the decoded-level cache switch (`--no-cache`),
+/// the fault-injection plan (`--fault-*`) and the retry budget
+/// (`--retry-attempts`) applied. Commands taking these must list
 /// `no-cache` in their `Args::parse` flag set.
 fn engine_config(a: &Args) -> Result<CanopusConfig, String> {
     let defaults = CanopusConfig::default();
     Ok(CanopusConfig {
-        pipeline_depth: a.opt_parse("pipeline-depth", defaults.pipeline_depth)?,
         level_cache: if a.flag("no-cache") {
             0
         } else {
@@ -255,7 +250,7 @@ fn cmd_demo_data(argv: &[String]) -> Result<(), String> {
 }
 
 fn cmd_write(argv: &[String]) -> Result<(), String> {
-    let a = Args::parse(argv, &["serial-write"])?;
+    let a = Args::parse(argv, &[])?;
     let store_dir = a.pos(0, "store directory")?;
     let file = a.pos(1, "file name")?;
     let var = a.pos(2, "variable name")?;
@@ -264,13 +259,10 @@ fn cmd_write(argv: &[String]) -> Result<(), String> {
     let levels: u32 = a.opt_parse("levels", 3u32)?;
     let chunks: u32 = a.opt_parse("chunks", 1u32)?;
     let rel_tol: f64 = a.opt_parse("rel-tol", 1e-4f64)?;
-    let write_defaults = CanopusConfig::default();
-    let write_pipeline_depth = if a.flag("serial-write") {
-        0
-    } else {
-        a.opt_parse("write-pipeline-depth", write_defaults.write_pipeline_depth)?
-    };
-    let decimation_parts: u32 = a.opt_parse("decimation-parts", write_defaults.decimation_parts)?;
+    let decimation_parts: u32 = a.opt_parse(
+        "decimation-parts",
+        CanopusConfig::default().decimation_parts,
+    )?;
     let codec = match a.opt("codec").unwrap_or("zfp") {
         "zfp" => RelativeCodec::ZfpLike {
             rel_tolerance: rel_tol,
@@ -292,7 +284,6 @@ fn cmd_write(argv: &[String]) -> Result<(), String> {
             },
             codec,
             delta_chunks: chunks,
-            write_pipeline_depth,
             decimation_parts,
             ..Default::default()
         },
@@ -1207,15 +1198,13 @@ mod tests {
         // Default engine: cache enabled, so the cold read records misses.
         assert!(snap.counter(canopus_obs::names::READ_CACHE_MISSES) > 0);
 
-        // --no-cache + serial path: no cache traffic, no pipelined walks.
+        // --no-cache: no cache traffic, and still one walk.
         run(&s(&[
             "metrics",
             store,
             "p.bp",
             "pressure",
             "--no-cache",
-            "--pipeline-depth",
-            "0",
             "--out",
             json,
         ]))
@@ -1224,7 +1213,7 @@ mod tests {
         let snap = canopus::MetricsSnapshot::from_json_str(&text).unwrap();
         assert_eq!(snap.counter(canopus_obs::names::READ_CACHE_MISSES), 0);
         assert_eq!(snap.counter(canopus_obs::names::READ_CACHE_HITS), 0);
-        assert_eq!(snap.counter(canopus_obs::names::READ_PIPELINED_RESTORES), 0);
+        assert_eq!(snap.counter(canopus_obs::names::READ_PIPELINED_RESTORES), 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1631,6 +1620,58 @@ mod tests {
         ]))
         .unwrap();
         run(&s(&["info", store, "g.bp"])).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn write_rejects_zero_levels_and_lying_meshes_without_storing() {
+        let dir = tmpdir("reject");
+        let store = dir.join("store");
+        let mesh = dir.join("m.off");
+        let hostile = dir.join("hostile.off");
+        let data = dir.join("d.f64");
+        let files = |root: &Path| -> usize {
+            fn walk(p: &Path) -> usize {
+                std::fs::read_dir(p)
+                    .unwrap()
+                    .map(|e| e.unwrap().path())
+                    .map(|p| if p.is_dir() { walk(&p) } else { 1 })
+                    .sum()
+            }
+            walk(root)
+        };
+        std::fs::write(&hostile, "OFF\n1000000000000000 0 0\n0 0 0\n").unwrap();
+        let (store_dir, store, mesh, hostile, data) = (
+            store.clone(),
+            store.to_str().unwrap(),
+            mesh.to_str().unwrap(),
+            hostile.to_str().unwrap(),
+            data.to_str().unwrap(),
+        );
+        run(&s(&["init", store])).unwrap();
+        run(&s(&[
+            "demo-data",
+            "cfd",
+            "--mesh",
+            mesh,
+            "--data",
+            data,
+            "--small",
+        ]))
+        .unwrap();
+        let before = files(&store_dir);
+        let err = run(&s(&[
+            "write", store, "z.bp", "p", "--mesh", mesh, "--data", data, "--levels", "0",
+        ]))
+        .unwrap_err();
+        assert!(err.contains("num_levels must be at least 1"), "{err}");
+        let err = run(&s(&[
+            "write", store, "h.bp", "p", "--mesh", hostile, "--data", data,
+        ]))
+        .unwrap_err();
+        assert!(err.contains("parsing"), "{err}");
+        assert_eq!(files(&store_dir), before, "nothing stored");
+        assert!(run(&s(&["info", store, "z.bp"])).is_err());
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

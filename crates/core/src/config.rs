@@ -31,24 +31,11 @@ pub struct CanopusConfig {
     /// smaller subsets of high accuracy data", §III-E/§IV-D), turning
     /// region I/O from O(level) into O(region).
     pub delta_chunks: u32,
-    /// Bounded prefetch depth of the pipelined restore engine: how many
-    /// fetched-but-undecoded blocks may sit between the tier-read stage
-    /// and the parallel decode stage. `0` selects the strictly serial
-    /// read → decode → restore path.
-    pub pipeline_depth: u32,
     /// Capacity (in entries) of the decoded-level LRU cache each reader
     /// keeps, keyed by `(var, level)`. A repeat read of a cached level
     /// performs zero tier I/O and zero decompression. `0` disables the
     /// cache.
     pub level_cache: u32,
-    /// Bounded depth of the level-streaming write engine: how many
-    /// decimated level jobs may sit between the decimation stage and the
-    /// mapping/delta/compression worker pool (also the bound on each
-    /// tier's write-behind queue). `0` selects the strictly serial
-    /// refactor → compress → place path — the equivalence oracle the
-    /// pipelined engine is tested against; both produce byte-identical
-    /// tier contents and manifests.
-    pub write_pipeline_depth: u32,
     /// Partition count of the decimation kernel. `1` runs the serial
     /// edge-collapse kernel; `> 1` decimates that many Morton (Z-order)
     /// regions concurrently with shared boundary vertices frozen and a
@@ -173,9 +160,7 @@ impl Default for CanopusConfig {
             },
             policy: PlacementPolicy::RankSpread,
             delta_chunks: 1,
-            pipeline_depth: 4,
             level_cache: 8,
-            write_pipeline_depth: 4,
             decimation_parts: 1,
             retry: RetryPolicy::new(),
             fault: FaultPlan::none(),
@@ -224,12 +209,7 @@ mod tests {
         assert_eq!(c.refactor.num_levels, 3);
         assert!(matches!(c.codec, RelativeCodec::ZfpLike { .. }));
         assert_eq!(c.delta_chunks, 1, "one chunk per delta by default");
-        assert!(c.pipeline_depth > 0, "pipelined restore by default");
         assert!(c.level_cache > 0, "decoded-level cache on by default");
-        assert!(
-            c.write_pipeline_depth > 0,
-            "level-streaming write by default"
-        );
         assert_eq!(c.decimation_parts, 1, "serial decimation kernel by default");
         assert!(c.fault.is_none(), "no fault injection by default");
         assert!(c.retry.max_attempts > 1, "read retries on by default");

@@ -1,22 +1,20 @@
 //! The read-side pipeline: retrieve → decompress → restore (paper Fig. 1,
 //! right half), with the Fig. 9–11 phase timing breakdown.
 //!
-//! Two restore engines share one accounting surface:
+//! A level walk runs on one pipelined engine: a bounded prefetch stage
+//! (tier reads issued ahead of need through a crossbeam channel), a
+//! parallel decode pool, and a restore stage that loads each level's
+//! geometry while the pool decodes and applies a level the moment its
+//! last block lands instead of waiting for a full-walk barrier. Single
+//! steps ([`CanopusReader::refine_once`],
+//! [`CanopusReader::refine_region`]) fetch, decode and apply on the
+//! calling thread.
 //!
-//! * the **serial** path (`pipeline_depth == 0`) fetches, decodes and
-//!   applies each block in strict sequence — the reference
-//!   implementation the equivalence tests pin the pipelined path to;
-//! * the **pipelined** path runs a bounded prefetch stage (tier reads
-//!   issued ahead of need through a crossbeam channel), a parallel
-//!   decode pool, and a restore stage that loads each level's geometry
-//!   while the pool decodes and applies a level the moment its last
-//!   block lands instead of waiting for a full-walk barrier.
-//!
-//! Both paths feed the same decoded-level LRU cache, so campaign
+//! Every restored level feeds one decoded-level LRU cache, so campaign
 //! analytics that revisit a `(var, level)` pair skip tier I/O and
 //! decompression entirely.
 //!
-//! Both engines are also fault-tolerant: every block fetch retries
+//! Reads are also fault-tolerant: every block fetch retries
 //! fault-class failures (transient tier errors, down tiers, manifest
 //! checksum mismatches) with capped exponential backoff under a
 //! configurable [`RetryPolicy`]; when a delta stays unreachable past the
@@ -308,8 +306,6 @@ pub struct CanopusReader {
     meta_cache: MetaCache,
     /// Decoded-level LRU; disabled (capacity 0) unless configured.
     level_cache: LevelCache,
-    /// Prefetch depth of the pipelined engine; 0 selects the serial one.
-    pipeline_depth: u32,
     /// Retry budget for fault-class block-read failures.
     retry: RetryPolicy,
     obs: Arc<Registry>,
@@ -321,8 +317,8 @@ pub struct CanopusReader {
     /// Pre-resolved [`names::READ_GEOMETRY_PARSE`]: recorded from the
     /// loader thread, which is to allocate nothing of its own.
     geometry_parse: Arc<canopus_obs::StageTimer>,
-    /// Recycled decode output buffers: after warmup the pipelined
-    /// engine's decode workers allocate no output `Vec`s at all.
+    /// Recycled decode output buffers: after warmup a walk's decode
+    /// workers allocate no output `Vec`s at all.
     decode_pool: BufferPool,
 }
 
@@ -352,9 +348,13 @@ struct BufferPool {
 }
 
 /// Retired buffers kept around per reader. Bounds pool memory at
-/// `DECODE_POOL_CAP * largest block` while comfortably covering the
-/// deepest pipelines (depth + one per decode worker).
+/// `DECODE_POOL_CAP * largest block` while comfortably covering a
+/// walk's blocks in flight ([`PREFETCH_DEPTH`] + one per decode worker).
 const DECODE_POOL_CAP: usize = 32;
+
+/// How many fetched-but-undecoded blocks a walk's prefetch stage may
+/// hold ahead of the decode pool.
+const PREFETCH_DEPTH: usize = 4;
 
 impl BufferPool {
     fn new(obs: &Registry) -> Self {
@@ -406,7 +406,6 @@ impl CanopusReader {
             estimator,
             meta_cache: Mutex::new(HashMap::new()),
             level_cache: LevelCache::new(0),
-            pipeline_depth: 0,
             retry: RetryPolicy::new(),
             obs,
             cache_hits,
@@ -414,14 +413,6 @@ impl CanopusReader {
             geometry_parse,
             decode_pool,
         }
-    }
-
-    /// Select the pipelined restore engine with `depth` tier reads in
-    /// flight ahead of the decoder; 0 selects the serial reference
-    /// engine.
-    pub fn with_pipeline_depth(mut self, depth: u32) -> Self {
-        self.pipeline_depth = depth;
-        self
     }
 
     /// Retain up to `capacity` decoded `(var, level)` fields in an LRU
@@ -449,11 +440,6 @@ impl CanopusReader {
     pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
         self.retry = retry;
         self
-    }
-
-    /// The configured prefetch depth (0 = serial engine).
-    pub fn pipeline_depth(&self) -> u32 {
-        self.pipeline_depth
     }
 
     /// The configured retry budget.
@@ -880,8 +866,8 @@ impl CanopusReader {
     /// *inside* the chunk framing so per-chunk metrics still land under
     /// the real codec's name.
     ///
-    /// Decodes run inside a `decode` span under `parent` (so the
-    /// pipelined engine's worker-thread decodes still attach to their
+    /// Decodes run inside a `decode` span under `parent` (so a walk's
+    /// worker-thread decodes still attach to their
     /// restore root), and per-stream decode wall time feeds the
     /// [`names::READ_DECODE_HIST`] histogram.
     fn decode_payload(
@@ -901,8 +887,8 @@ impl CanopusReader {
     /// Allocation-free core of [`Self::decode_payload`]: decodes straight
     /// into `out` (whose length is the element count) through a
     /// statically dispatched [`AnyCodec`] — no per-block codec box, no
-    /// output `Vec`. The pipelined engine feeds recycled arena buffers
-    /// here.
+    /// output `Vec`. The walk's decode workers feed recycled arena
+    /// buffers here.
     fn decode_payload_into(
         &self,
         key: &str,
@@ -1245,53 +1231,38 @@ impl CanopusReader {
 
     /// [`Self::refine_once`] with the block fetch / decode spans of the
     /// step attached under `parent` — the progressive reader passes its
-    /// enclosing span so its trees stay connected like a walk's.
+    /// enclosing span so its trees stay connected like a walk's. The
+    /// step fetches and decodes the delta, loads the finer level's
+    /// geometry whole (its mesh is handed out) and restores.
+    ///
+    /// The cache holds canonical level-exact fields only. Refining a
+    /// mixed-accuracy field (from a partial region pass, `level_exact`
+    /// unset) must neither answer from the cache — the hit would
+    /// silently replace the caller's field with the canonical one — nor
+    /// store its contaminated result as the canonical level.
     pub(crate) fn refine_once_ctx(
         &self,
         var: &str,
         current: &ReadOutcome,
         parent: SpanContext,
     ) -> Result<(ReadOutcome, f64), CanopusError> {
-        let coarse = Coarse::of_outcome(current);
-        let (finer, rms) = self.refine_step(var, &coarse, current.level_exact, true, parent)?;
-        let mut outcome = self.outcome(var, finer, parent)?;
-        outcome.level_exact = current.level_exact;
-        Ok((outcome, rms))
-    }
-
-    /// One refinement step below `coarse`: fetch and decode the delta,
-    /// load what the step consumes of the finer level's geometry — its
-    /// coordinates too when the level is `handed_out` — and restore.
-    ///
-    /// The cache holds canonical level-exact fields only. Refining a
-    /// mixed-accuracy field (from a partial region pass, `exact` unset)
-    /// must neither answer from the cache — the hit would silently
-    /// replace the caller's field with the canonical one — nor store its
-    /// contaminated result as the canonical level.
-    fn refine_step(
-        &self,
-        var: &str,
-        coarse: &Coarse<'_>,
-        exact: bool,
-        handed_out: bool,
-        parent: SpanContext,
-    ) -> Result<(Restored, f64), CanopusError> {
-        if coarse.level == 0 {
+        if current.level == 0 {
             return Err(CanopusError::Invalid(
                 "already at full accuracy".to_string(),
             ));
         }
-        let finer = coarse.level - 1;
+        let finer = current.level - 1;
+        let exact = current.level_exact;
         if exact {
             if let Some(hit) = self.cache_lookup(var, finer) {
-                return Ok((Restored::from_cached(finer, &hit), hit.delta_rms));
+                let outcome = self.outcome(var, Restored::from_cached(finer, &hit), parent)?;
+                return Ok((outcome, hit.delta_rms));
             }
         }
         let wall = Instant::now();
 
         let (shards, chunks) = self.delta_shards(var, finer)?;
-        let need = self.geometry_need(chunks, handed_out);
-        let (geometry, meta_io) = self.geometry(var, finer, need, parent)?;
+        let (geometry, meta_io) = self.geometry(var, finer, Need::Whole, parent)?;
         let assignment = Self::assignment(&geometry, chunks);
         let (delta, mut timing) = self.read_delta_values(
             &shards,
@@ -1301,7 +1272,8 @@ impl CanopusReader {
         )?;
         timing.io_secs += meta_io;
 
-        let (data, delta_rms, restore) = self.apply_delta(var, finer, &geometry, delta, coarse)?;
+        let coarse = Coarse::of_outcome(current);
+        let (data, delta_rms, restore) = self.apply_delta(var, finer, &geometry, delta, &coarse)?;
         timing.restore_secs += restore;
         self.obs.timer(names::READ_RESTORE).record_wall(restore);
         self.obs.counter(names::READ_REFINEMENTS).inc();
@@ -1316,7 +1288,9 @@ impl CanopusReader {
             data,
             timing,
         };
-        Ok((restored, delta_rms))
+        let mut outcome = self.outcome(var, restored, parent)?;
+        outcome.level_exact = exact;
+        Ok((outcome, delta_rms))
     }
 
     /// Focused data retrieval (paper §III-E / §IV-D): refine one level,
@@ -1529,8 +1503,8 @@ impl CanopusReader {
     ///
     /// Consults the decoded-level cache first: an exact hit answers with
     /// zero I/O, and otherwise the walk starts from the nearest cached
-    /// coarser level (or the base). The walk runs on the pipelined
-    /// engine unless `pipeline_depth` is 0.
+    /// coarser level (or the base), on the pipelined engine
+    /// ([`Self::restore_walk_pipelined`]).
     pub fn read_level(&self, var: &str, target_level: u32) -> Result<ReadOutcome, CanopusError> {
         let n = self.num_levels();
         if target_level >= n {
@@ -1573,35 +1547,7 @@ impl CanopusReader {
         if start.level == target_level {
             return self.outcome(var, start, ctx);
         }
-        if self.pipeline_depth == 0 {
-            self.restore_walk_serial(var, start, target_level, ctx)
-        } else {
-            self.restore_walk_pipelined(var, start, target_level, ctx)
-        }
-    }
-
-    /// `read_level` forced onto the serial engine and always starting
-    /// from the base — the baseline the pipelined engine is benchmarked
-    /// and equivalence-tested against. The per-step level cache still
-    /// applies when enabled.
-    pub fn read_level_serial(
-        &self,
-        var: &str,
-        target_level: u32,
-    ) -> Result<ReadOutcome, CanopusError> {
-        let n = self.num_levels();
-        if target_level >= n {
-            return Err(CanopusError::Invalid(format!(
-                "level {target_level} out of range (N = {n})"
-            )));
-        }
-        let root = stage!(self.obs, "read", var = var, level = target_level);
-        let ctx = root.context();
-        let start = self.base_restored(var, ctx)?;
-        if start.level == target_level {
-            return self.outcome(var, start, ctx);
-        }
-        self.restore_walk_serial(var, start, target_level, ctx)
+        self.restore_walk_pipelined(var, start, target_level, ctx)
     }
 
     /// Mark `outcome` as the degraded answer to a request for
@@ -1672,51 +1618,11 @@ impl CanopusReader {
         }
     }
 
-    /// The serial reference engine: fetch → decode → restore each level
-    /// in strict sequence. A level left unreachable by fault-class
-    /// failures (after [`Self::fetch_with_retry`]'s retries) degrades
-    /// the walk: the finest restored level is returned with
-    /// [`ReadOutcome::degraded`] set rather than an error.
-    fn restore_walk_serial(
-        &self,
-        var: &str,
-        start: Restored,
-        target_level: u32,
-        ctx: SpanContext,
-    ) -> Result<ReadOutcome, CanopusError> {
-        let mut walk = Walk::new(start);
-        while walk.cur.level > target_level {
-            let finer = walk.cur.level - 1;
-            // Same per-level "restore" child the pipelined walk emits, so
-            // both engines produce one span-tree shape (the serial span
-            // covers fetch + decode + apply, the pipelined one only the
-            // apply — the fetch/decode time lives in sibling spans).
-            let span = stage_child!(self.obs, ctx, "restore", var = var, level = finer);
-            let refined = walk.cur.as_coarse().and_then(|coarse| {
-                self.refine_step(var, &coarse, true, finer == target_level, ctx)
-            });
-            drop(span);
-            match refined {
-                Ok((mut next, _)) => {
-                    next.timing += walk.cur.timing;
-                    if let Some(retired) = walk.advance(next) {
-                        self.decode_pool.put(retired);
-                    }
-                }
-                Err(e) if e.is_availability_fault() => {
-                    return self.finish_walk(var, walk, target_level, Some(e), ctx);
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        self.finish_walk(var, walk, target_level, None, ctx)
-    }
-
-    /// The pipelined restore engine. Three stages run concurrently,
-    /// connected by bounded channels:
+    /// The restore engine. Three stages run concurrently, connected by
+    /// bounded channels:
     ///
     /// 1. **Prefetch** — one producer thread walks the restore plan in
-    ///    fetch order, issuing tier reads up to `pipeline_depth` blocks
+    ///    fetch order, issuing tier reads up to [`PREFETCH_DEPTH`] blocks
     ///    ahead of the decoder ([`names::READ_PREFETCH_DEPTH`] tracks
     ///    the queue, its `_PEAK` twin the high-water mark);
     /// 2. **Decode** — a worker pool decompresses payloads in parallel,
@@ -1745,7 +1651,7 @@ impl CanopusReader {
     ///
     /// The plan comes from the manifest alone, so all of them start
     /// before any geometry has moved. Phase sums in the returned
-    /// [`PhaseTiming`] keep their serial meaning, so the overlap won
+    /// [`PhaseTiming`] keep their per-stage meaning, so the overlap won
     /// shows up as `total() - elapsed_secs` and is exported under
     /// [`names::READ_OVERLAP`]. Every restored level enters the
     /// decoded-level cache.
@@ -1786,7 +1692,6 @@ impl CanopusReader {
         }
         let total_jobs = jobs.len();
 
-        let depth = self.pipeline_depth.max(1) as usize;
         // Stage 3 is the critical path (geometry parse, scatter and
         // restore all run on this thread), so it keeps a core to itself
         // and the decode pool gets the others; a worker on every core
@@ -1798,7 +1703,7 @@ impl CanopusReader {
             .max(1)
             .min(total_jobs);
 
-        let (fetch_tx, fetch_rx) = channel::bounded::<Fetched>(depth);
+        let (fetch_tx, fetch_rx) = channel::bounded::<Fetched>(PREFETCH_DEPTH);
         // Sized so decode-pool sends can never block: an early return on
         // the restore side then cannot deadlock the workers.
         let (done_tx, done_rx) = channel::bounded::<Decoded>(total_jobs + workers + 1);
@@ -2059,7 +1964,7 @@ impl CanopusReader {
 /// buffer left over. `assignment` is the level's chunk → vertex-id
 /// table ([`spatial_chunks`]); `None` is the identity assignment of a
 /// one-chunk level, whose values *are* the delta: adopted, not copied.
-/// Shared by the serial and pipelined restore engines.
+/// Shared by the level walk and by [`CanopusReader::refine_once`].
 fn place_shard_values(
     block: &BlockMeta,
     values: Vec<f64>,
@@ -2221,6 +2126,22 @@ mod tests {
         (c, mesh, data)
     }
 
+    /// `level` of `v` in `t.bp` restored one step at a time on the
+    /// calling thread: the base, then a whole-domain `refine_region`
+    /// per level, with no cache — the walk's reference.
+    fn stepwise(c: &Canopus, level: u32) -> ReadOutcome {
+        let reader = c.open("t.bp").unwrap().with_level_cache(0);
+        let everywhere = Aabb::from_points([
+            Point2::new(f64::MIN, f64::MIN),
+            Point2::new(f64::MAX, f64::MAX),
+        ]);
+        let mut out = reader.read_base("v").unwrap();
+        while out.level > level {
+            out = reader.refine_region("v", &out, everywhere).unwrap().0;
+        }
+        out
+    }
+
     #[test]
     fn full_restore_respects_codec_bound() {
         let rel = 1e-6;
@@ -2316,14 +2237,10 @@ mod tests {
             rel_tolerance: 1e-6,
         });
         c.write("t.bp", "v", &mesh, &data).unwrap();
-        let expect = c.open("t.bp").unwrap().read_level_serial("v", 0).unwrap();
+        let expect = stepwise(&c, 0);
         // No level cache: the repeat read must run the decode pool again
         // instead of being answered from memory.
-        let reader = c
-            .open("t.bp")
-            .unwrap()
-            .with_pipeline_depth(4)
-            .with_level_cache(0);
+        let reader = c.open("t.bp").unwrap().with_level_cache(0);
         let takes = || {
             let snap = reader.obs.snapshot();
             (
@@ -2354,7 +2271,7 @@ mod tests {
             assert_eq!(
                 out.data.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
                 expect.data.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                "arena-backed pipelined decode must match the serial engine"
+                "arena-backed pipelined decode must match a stepwise restore"
             );
         }
     }
@@ -2368,102 +2285,102 @@ mod tests {
         let base = h.num_levels() - 1;
         let bits = |d: &[f64]| d.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         let open = || c.open("t.bp").unwrap().with_level_cache(0);
-        for (engine, depth) in [("serial", 0), ("pipelined", 4)] {
-            // A cold `read_base` loads the geometry on its second
-            // thread, the repeat takes it from the geometry cache.
-            let reader = open().with_pipeline_depth(depth);
-            for pass in ["cold", "warm"] {
-                let out = reader.read_base("v").unwrap();
-                assert_eq!(
-                    out.mesh, h.levels[base as usize].mesh,
-                    "{engine} {pass} base"
-                );
-                assert_eq!(
-                    bits(&out.data),
-                    bits(&h.base().data),
-                    "{engine} {pass} base"
-                );
-            }
-            for level in 0..=base {
-                // Each walk on a reader of its own: every level's
-                // geometry comes off the tier.
-                let reader = open().with_pipeline_depth(depth);
-                let out = reader.read_level("v", level).unwrap();
-                assert_eq!(out.mesh, h.levels[level as usize].mesh, "{engine} L{level}");
-                // Lossless deltas: the restored bits are the in-memory
-                // chain's exactly when every mapping on the way is.
-                assert_eq!(
-                    bits(&out.data),
-                    bits(&h.restore_to(level)),
-                    "{engine} L{level}"
-                );
-                let (geometry, _) = reader
-                    .geometry("v", level, Need::Whole, SpanContext::none())
-                    .unwrap();
-                assert_eq!(geometry.mesh().unwrap(), h.levels[level as usize].mesh);
-                let mapping = h.mappings.get(level as usize).cloned().unwrap_or_default();
-                let stored = &geometry.topology().unwrap().mapping;
-                assert_eq!(stored, &mapping, "{engine} L{level} mapping");
-            }
-
-            // A walk only passes through the levels between the base
-            // and its target, and loads no coordinates there; a later
-            // read that hands such a level out — off the level cache, or
-            // by walking again — completes the same shared entry, once.
-            let reader = c.open("t.bp").unwrap().with_pipeline_depth(depth);
-            reader.read_level("v", 0).unwrap();
-            let passed = 1;
-            let entry = |need| {
-                let cached = reader
-                    .meta_cache
-                    .lock()
-                    .get(&("v".to_string(), passed))
-                    .cloned();
-                cached.is_some_and(|g| g.holds(need))
-            };
-            assert!(entry(Need::Topology) && !entry(Need::Whole), "{engine}");
-            let coordinates = || reader.obs.counter(names::READ_COORDINATE_BYTES).get();
-            let (before, io) = (
-                coordinates(),
-                reader.obs.counter(names::READ_BYTES_IO).get(),
-            );
-            let hit = reader.read_level("v", passed).unwrap();
-            assert_eq!(hit.mesh, h.levels[passed as usize].mesh, "{engine} hit");
-            assert_eq!(bits(&hit.data), bits(&h.restore_to(passed)), "{engine} hit");
-            let section = reader
-                .file
-                .inq_var("v")
-                .unwrap()
-                .metadata_for(passed)
-                .and_then(|b| b.section(GeometrySection::Coordinates))
-                .unwrap()
-                .len;
-            assert_eq!(coordinates() - before, section, "{engine}: one section");
-            assert_eq!(
-                reader.obs.counter(names::READ_BYTES_IO).get() - io,
-                section,
-                "{engine}: and nothing else"
-            );
-            assert!(entry(Need::Whole), "{engine}");
-            let again = reader.read_level("v", passed).unwrap();
-            assert_eq!(again.mesh, hit.mesh, "{engine} again");
-            assert_eq!(coordinates() - before, section, "{engine}: fetched once");
-
-            // The hit and the repeat are the cache's own arrays, so a
-            // caller that wants to write takes a copy — and what it
-            // writes there is not what the next hit is served.
-            assert!(Arc::ptr_eq(&again.data, &hit.data), "{engine}");
-            assert!(std::ptr::eq(again.mesh.points(), hit.mesh.points()));
-            let mut scribbled = again.into_data();
-            scribbled.fill(f64::NAN);
-            let later = reader.read_level("v", passed).unwrap();
-            assert!(Arc::ptr_eq(&later.data, &hit.data), "{engine}");
-            assert_eq!(
-                bits(&later.data),
-                bits(&h.restore_to(passed)),
-                "{engine} after a caller's writes"
-            );
+        // A cold `read_base` loads the geometry on its second thread,
+        // the repeat takes it from the geometry cache.
+        let reader = open();
+        for pass in ["cold", "warm"] {
+            let out = reader.read_base("v").unwrap();
+            assert_eq!(out.mesh, h.levels[base as usize].mesh, "{pass} base");
+            assert_eq!(bits(&out.data), bits(&h.base().data), "{pass} base");
         }
+        for level in 0..=base {
+            // Each walk on a reader of its own: every level's geometry
+            // comes off the tier.
+            let reader = open();
+            let out = reader.read_level("v", level).unwrap();
+            assert_eq!(out.mesh, h.levels[level as usize].mesh, "L{level}");
+            // Lossless deltas: the restored bits are the in-memory
+            // chain's exactly when every mapping on the way is.
+            assert_eq!(bits(&out.data), bits(&h.restore_to(level)), "L{level}");
+            let (geometry, _) = reader
+                .geometry("v", level, Need::Whole, SpanContext::none())
+                .unwrap();
+            assert_eq!(geometry.mesh().unwrap(), h.levels[level as usize].mesh);
+            let mapping = h.mappings.get(level as usize).cloned().unwrap_or_default();
+            let stored = &geometry.topology().unwrap().mapping;
+            assert_eq!(stored, &mapping, "L{level} mapping");
+        }
+        // One step at a time, on the calling thread: `refine_once` and a
+        // whole-domain `refine_region` hand out the same levels.
+        let reader = open();
+        let mut once = reader.read_base("v").unwrap();
+        while once.level > 0 {
+            once = reader.refine_once("v", &once).unwrap().0;
+            let region = stepwise(&c, once.level);
+            for (how, out) in [("refine_once", &once), ("refine_region", &region)] {
+                let level = out.level as usize;
+                assert_eq!(out.mesh, h.levels[level].mesh, "{how} L{level}");
+                assert_eq!(bits(&out.data), bits(&h.restore_to(out.level)), "{how}");
+            }
+        }
+
+        // A walk only passes through the levels between the base and its
+        // target, and loads no coordinates there; a later read that hands
+        // such a level out — off the level cache, or by walking again —
+        // completes the same shared entry, once.
+        let reader = c.open("t.bp").unwrap();
+        reader.read_level("v", 0).unwrap();
+        let passed = 1;
+        let entry = |need| {
+            let cached = reader
+                .meta_cache
+                .lock()
+                .get(&("v".to_string(), passed))
+                .cloned();
+            cached.is_some_and(|g| g.holds(need))
+        };
+        assert!(entry(Need::Topology) && !entry(Need::Whole));
+        let coordinates = || reader.obs.counter(names::READ_COORDINATE_BYTES).get();
+        let (before, io) = (
+            coordinates(),
+            reader.obs.counter(names::READ_BYTES_IO).get(),
+        );
+        let hit = reader.read_level("v", passed).unwrap();
+        assert_eq!(hit.mesh, h.levels[passed as usize].mesh, "hit");
+        assert_eq!(bits(&hit.data), bits(&h.restore_to(passed)), "hit");
+        let section = reader
+            .file
+            .inq_var("v")
+            .unwrap()
+            .metadata_for(passed)
+            .and_then(|b| b.section(GeometrySection::Coordinates))
+            .unwrap()
+            .len;
+        assert_eq!(coordinates() - before, section, "one section");
+        assert_eq!(
+            reader.obs.counter(names::READ_BYTES_IO).get() - io,
+            section,
+            "and nothing else"
+        );
+        assert!(entry(Need::Whole));
+        let again = reader.read_level("v", passed).unwrap();
+        assert_eq!(again.mesh, hit.mesh, "again");
+        assert_eq!(coordinates() - before, section, "fetched once");
+
+        // The hit and the repeat are the cache's own arrays, so a caller
+        // that wants to write takes a copy — and what it writes there is
+        // not what the next hit is served.
+        assert!(Arc::ptr_eq(&again.data, &hit.data));
+        assert!(std::ptr::eq(again.mesh.points(), hit.mesh.points()));
+        let mut scribbled = again.into_data();
+        scribbled.fill(f64::NAN);
+        let later = reader.read_level("v", passed).unwrap();
+        assert!(Arc::ptr_eq(&later.data, &hit.data));
+        assert_eq!(
+            bits(&later.data),
+            bits(&h.restore_to(passed)),
+            "after a caller's writes"
+        );
     }
 
     #[test]
@@ -2523,13 +2440,8 @@ mod tests {
     #[test]
     fn mixed_accuracy_region_results_never_enter_the_cache() {
         let (c, mesh, _) = chunked_setup();
-        // Ground truth from a cache-less serial reader.
-        let reference = c
-            .open("t.bp")
-            .unwrap()
-            .with_level_cache(0)
-            .read_level_serial("v", 0)
-            .unwrap();
+        // Ground truth from a cache-less stepwise restore.
+        let reference = stepwise(&c, 0);
 
         let reader = c.open("t.bp").unwrap(); // cache on by default
         let base = reader.read_base("v").unwrap();
@@ -2588,7 +2500,7 @@ mod tests {
     fn cache_accounting_is_symmetric() {
         let (c, mesh, data) = setup(RelativeCodec::Raw);
         c.write("t.bp", "v", &mesh, &data).unwrap();
-        let reader = c.open("t.bp").unwrap(); // cache on, pipelined engine
+        let reader = c.open("t.bp").unwrap(); // cache on
         let counts = || {
             (
                 reader.metrics().counter(names::READ_CACHE_HITS).get(),
@@ -2614,38 +2526,25 @@ mod tests {
     fn transient_faults_retry_to_byte_identical_results() {
         let (c, mesh, data) = setup(RelativeCodec::Raw);
         c.write("t.bp", "v", &mesh, &data).unwrap();
-        let clean = c
-            .open("t.bp")
-            .unwrap()
-            .with_level_cache(0)
-            .read_level("v", 0)
-            .unwrap();
-        assert!(!clean.degraded);
+        let clean = stepwise(&c, 0);
 
         // Open before arming: arming faults also exposes the manifest
         // read (which has no retry loop) to injection.
-        let serial = c
-            .open("t.bp")
-            .unwrap()
-            .with_level_cache(0)
-            .with_pipeline_depth(0);
-        let pipelined = c.open("t.bp").unwrap().with_level_cache(0);
+        let reader = c.open("t.bp").unwrap().with_level_cache(0);
         c.hierarchy().set_fault_plan_all(FaultPlan {
             seed: 7,
             get_error_p: 0.25,
             ..FaultPlan::none()
         });
 
-        for reader in [&serial, &pipelined] {
-            let out = reader.read_level("v", 0).unwrap();
-            assert!(!out.degraded, "transients within budget never degrade");
-            assert_eq!(out.level, 0);
-            assert_eq!(out.achieved_level, 0);
-            assert_eq!(
-                out.data, clean.data,
-                "restored bytes identical to the fault-free run"
-            );
-        }
+        let out = reader.read_level("v", 0).unwrap();
+        assert!(!out.degraded, "transients within budget never degrade");
+        assert_eq!(out.level, 0);
+        assert_eq!(out.achieved_level, 0);
+        assert_eq!(
+            out.data, clean.data,
+            "restored bytes identical to the fault-free run"
+        );
         let m = c.metrics();
         assert!(
             m.counter(names::READ_RETRIES).get() > 0,
@@ -2660,21 +2559,8 @@ mod tests {
         let (c, mesh, data) = setup(RelativeCodec::Raw);
         c.write("t.bp", "v", &mesh, &data).unwrap();
         let base_level = 2;
-        let clean: Vec<_> = (0..=base_level)
-            .map(|l| {
-                c.open("t.bp")
-                    .unwrap()
-                    .with_level_cache(0)
-                    .read_level("v", l)
-                    .unwrap()
-            })
-            .collect();
-        let serial = c
-            .open("t.bp")
-            .unwrap()
-            .with_level_cache(0)
-            .with_pipeline_depth(0);
-        let pipelined = c.open("t.bp").unwrap().with_level_cache(0);
+        let clean: Vec<_> = (0..=base_level).map(|l| stepwise(&c, l)).collect();
+        let reader = c.open("t.bp").unwrap().with_level_cache(0);
         // The slow tier — holding the fine deltas — goes hard down for
         // good; retries cannot cure it.
         c.hierarchy()
@@ -2688,19 +2574,17 @@ mod tests {
             )
             .unwrap();
 
-        for reader in [&serial, &pipelined] {
-            let out = reader.read_level("v", 0).unwrap();
-            assert!(out.degraded, "unreachable levels degrade, never error");
-            assert!(out.level > 0, "the full-accuracy level was unreachable");
-            assert_eq!(out.achieved_level, out.level);
-            assert!(out.level_exact, "the achieved level itself is exact");
-            assert_eq!(
-                out.data, clean[out.level as usize].data,
-                "degraded result is byte-identical to a clean read of the \
-                 achieved level"
-            );
-        }
-        assert!(c.metrics().counter(names::READ_DEGRADED_RESTORES).get() >= 2);
+        let out = reader.read_level("v", 0).unwrap();
+        assert!(out.degraded, "unreachable levels degrade, never error");
+        assert!(out.level > 0, "the full-accuracy level was unreachable");
+        assert_eq!(out.achieved_level, out.level);
+        assert!(out.level_exact, "the achieved level itself is exact");
+        assert_eq!(
+            out.data, clean[out.level as usize].data,
+            "degraded result is byte-identical to a clean read of the \
+             achieved level"
+        );
+        assert_eq!(c.metrics().counter(names::READ_DEGRADED_RESTORES).get(), 1);
     }
 
     #[test]

@@ -102,6 +102,10 @@ pub(crate) fn chunk_ranges(n: usize, chunks: u32) -> Vec<std::ops::Range<usize>>
     (0..c).map(|i| (i * n / c)..((i + 1) * n / c)).collect()
 }
 
+/// How many decimated level jobs may wait for the write pool, and how
+/// many blocks each tier's write-behind queue holds.
+const WRITE_DEPTH: usize = 4;
+
 /// How many spatial chunks pack into one shard object. Few shards per
 /// tier keep the object count (and placement decisions) small; the
 /// chunk index makes each shard range-addressable.
@@ -206,15 +210,12 @@ impl Canopus {
         self.store.hierarchy().metrics()
     }
 
-    /// Refactor, compress and place one variable (paper Fig. 1 left).
+    /// Refactor, compress and place one variable (paper Fig. 1 left)
+    /// on the level-streaming engine ([`Self::write_pipelined`]).
     ///
     /// Products are written base-first then deltas coarse→fine, so the
     /// placement policy maps them fastest-tier-first exactly as §III-D
-    /// prescribes. Dispatches on
-    /// [`CanopusConfig::write_pipeline_depth`]: `0` runs the strictly
-    /// serial refactor → compress → place path (the equivalence oracle);
-    /// any other depth runs the level-streaming pipeline. Both engines
-    /// produce byte-identical tier contents and manifests.
+    /// prescribes.
     pub fn write(
         &self,
         file: &str,
@@ -229,18 +230,18 @@ impl Canopus {
                 mesh.num_vertices()
             )));
         }
-        if self.config.write_pipeline_depth == 0 {
-            self.write_serial(file, var, mesh, data)
-        } else {
-            self.write_pipelined(file, var, mesh, data)
+        if self.config.refactor.num_levels == 0 {
+            return Err(CanopusError::Invalid(
+                "refactor.num_levels must be at least 1".to_string(),
+            ));
         }
+        self.write_pipelined(file, var, mesh, data)
     }
 
-    /// Decimation kernel dispatch shared by both write engines (so
-    /// their products stay bit-identical): the serial edge-collapse
-    /// kernel, or the Morton-partitioned parallel kernel when
-    /// `decimation_parts` exceeds one. The parallel kernel's output
-    /// depends only on the partition count, never on thread scheduling.
+    /// The decimation kernel: the serial edge-collapse kernel, or the
+    /// Morton-partitioned parallel kernel when `decimation_parts`
+    /// exceeds one. The parallel kernel's output depends only on the
+    /// partition count, never on thread scheduling.
     fn decimate_level(&self, mesh: &TriMesh, data: &[f64]) -> DecimationResult {
         let ratio = self.config.refactor.per_level_ratio;
         let parts = self.config.decimation_parts;
@@ -270,75 +271,8 @@ impl Canopus {
         }
     }
 
-    /// The serial write engine, the byte-identity reference for the
-    /// streaming one: decimate the whole chain, run each level's job
-    /// ([`run_write_job`], the same one the pipeline's workers run) in
-    /// placement order on this thread, then place every block in one
-    /// [`BpStore::write`].
-    fn write_serial(
-        &self,
-        file: &str,
-        var: &str,
-        mesh: &TriMesh,
-        data: &[f64],
-    ) -> Result<WriteReport, CanopusError> {
-        let n = self.config.refactor.num_levels;
-        let obs = Arc::clone(self.metrics());
-        let span = stage!(obs, "write", file = file, var = var, levels = n);
-        let t_total = Instant::now();
-        let ctx = self.job_ctx(var, data, span.context());
-
-        let mut meshes: Vec<Arc<TriMesh>> = vec![Arc::new(mesh.clone())];
-        let mut level_data: Vec<Arc<Vec<f64>>> = vec![Arc::new(data.to_vec())];
-        let t0 = Instant::now();
-        for l in 0..n.saturating_sub(1) as usize {
-            let r = self.decimate_level(&meshes[l], &level_data[l]);
-            meshes.push(Arc::new(r.mesh));
-            level_data.push(Arc::new(r.data));
-        }
-        let decimation_secs = t0.elapsed().as_secs_f64();
-        obs.timer(names::WRITE_DECIMATE)
-            .record_wall(decimation_secs);
-
-        // Base first, then deltas coarse→fine: the placement order.
-        let base = n.saturating_sub(1) as usize;
-        let jobs = std::iter::once(WriteJob::base(&meshes, &level_data)).chain(
-            (0..base)
-                .rev()
-                .map(|l| WriteJob::delta(l, &meshes, &level_data)),
-        );
-        let mut blocks: Vec<BlockWrite> = Vec::new();
-        let (mut delta_secs, mut compress_secs) = (0.0, 0.0);
-        for job in jobs {
-            let (level_blocks, delta_wall, compress_wall) = run_write_job(&job, &ctx)?;
-            blocks.extend(level_blocks);
-            delta_secs += delta_wall;
-            compress_secs += compress_wall;
-        }
-        obs.timer(names::WRITE_DELTA).record_wall(delta_secs);
-        obs.timer(names::WRITE_COMPRESS).record_wall(compress_secs);
-
-        let t3 = Instant::now();
-        let (plan, io_time) = self.store.write(file, n, blocks)?;
-        obs.timer(names::WRITE_IO)
-            .record(t3.elapsed().as_secs_f64(), io_time.seconds());
-        let vertex_counts: Vec<usize> = meshes.iter().map(|m| m.num_vertices()).collect();
-        let products = self.products_from_plan(&plan, &vertex_counts);
-
-        let report = WriteReport {
-            decimation_secs,
-            delta_secs,
-            compress_secs,
-            io_time,
-            products,
-            num_levels: n,
-        };
-        self.record_write_totals(&obs, &report, data.len(), t_total.elapsed().as_secs_f64());
-        Ok(report)
-    }
-
     /// The level-streaming write engine — the write-side counterpart of
-    /// the pipelined restore engine in [`crate::read`]. Three stages run
+    /// the restore engine in [`crate::read`]. Three stages run
     /// concurrently, connected by bounded channels:
     ///
     /// 1. **Decimate** — this thread walks the level chain (inherently
@@ -349,18 +283,18 @@ impl Canopus {
     /// 2. **Refactor + compress** — a worker pool builds each level's
     ///    mapping, delta and compressed shard blocks, in whatever order
     ///    jobs arrive;
-    /// 3. **Place** — this thread emits finished blocks in the serial
-    ///    engine's exact order (base first, then deltas coarse→fine)
-    ///    into a streaming store write; per-tier write-behind queues
+    /// 3. **Place** — this thread emits finished blocks in placement
+    ///    order (base first, then deltas coarse→fine) into a streaming
+    ///    store write; per-tier write-behind queues
     ///    overlap the device writes with compression still in flight,
     ///    and the commit barrier drains every queue before the manifest
     ///    is published.
     ///
-    /// Placement decisions reserve their bytes as they are made, so tier
-    /// choices — and therefore all stored bytes and the manifest — match
-    /// the serial engine exactly. Phase seconds keep their serial
-    /// meaning (sums of per-stage work); the overlap won is exported
-    /// under [`names::WRITE_OVERLAP`].
+    /// Placement decisions reserve their bytes as they are made, in
+    /// placement order, so tier choices — and therefore all stored bytes
+    /// and the manifest — do not depend on which job finished first.
+    /// Phase seconds are sums of per-stage work; the overlap won is
+    /// exported under [`names::WRITE_OVERLAP`].
     fn write_pipelined(
         &self,
         file: &str,
@@ -376,7 +310,6 @@ impl Canopus {
 
         let ctx = self.job_ctx(var, data, root_ctx);
 
-        let depth = self.config.write_pipeline_depth.max(1) as usize;
         let total_jobs = n as usize; // n - 1 delta jobs + the base job
         let workers = std::thread::available_parallelism()
             .map(|c| c.get())
@@ -386,7 +319,7 @@ impl Canopus {
 
         // Jobs travel with their submit instant so worker pickup can
         // record the queue-wait distribution.
-        let (job_tx, job_rx) = channel::bounded::<(WriteJob, Instant)>(depth);
+        let (job_tx, job_rx) = channel::bounded::<(WriteJob, Instant)>(WRITE_DEPTH);
         // Sized so worker sends can never block: an early error return
         // on the emitting side then cannot deadlock the pool, which
         // simply drains the job queue and exits.
@@ -459,7 +392,7 @@ impl Canopus {
                 // order as levels complete — base first, then deltas
                 // coarse→fine.
                 let mut slots: Vec<Option<LevelBlocks>> = (0..total_jobs).map(|_| None).collect();
-                let mut stream = self.store.begin_write(file, n, depth);
+                let mut stream = self.store.begin_write(file, n, WRITE_DEPTH);
                 let order =
                     std::iter::once(total_jobs - 1).chain((0..total_jobs.saturating_sub(1)).rev());
                 for slot in order {
@@ -499,7 +432,6 @@ impl Canopus {
         let overlap =
             (decimation_secs + delta_secs + compress_secs + store_secs - elapsed).max(0.0);
         obs.timer(names::WRITE_OVERLAP).record_wall(overlap);
-        obs.counter(names::WRITE_PIPELINED).inc();
 
         let products = self.products_from_plan(&plan, &vertex_counts);
         let report = WriteReport {
@@ -559,8 +491,8 @@ impl Canopus {
             .collect()
     }
 
-    /// End-of-write bookkeeping shared by every engine: the total-phase
-    /// timer plus the write counters.
+    /// End-of-write bookkeeping shared by every kind of write: the
+    /// total-phase timer plus the write counters.
     fn record_write_totals(
         &self,
         obs: &Registry,
@@ -670,13 +602,12 @@ impl Canopus {
     }
 
     /// Open a previously written file for (progressive) reading. The
-    /// reader inherits the configured restore engine (`pipeline_depth`)
-    /// and decoded-level cache capacity (`level_cache`).
+    /// reader inherits the configured decoded-level cache capacity
+    /// (`level_cache`) and retry budget (`retry`).
     pub fn open(&self, file: &str) -> Result<crate::read::CanopusReader, CanopusError> {
         let bp: BpFile = self.store.open(file)?;
         Ok(
             crate::read::CanopusReader::new(bp, self.config.refactor.estimator)
-                .with_pipeline_depth(self.config.pipeline_depth)
                 .with_level_cache(self.config.level_cache)
                 .with_retry(self.config.retry),
         )
@@ -688,8 +619,7 @@ impl Canopus {
 /// (de)compress across cores. The observed codec sits inside the
 /// framing, keeping per-chunk metrics under the payload codec's name;
 /// the flag bit in the returned codec id tells the reader which framing
-/// to expect. Both write engines funnel through here, which is one of
-/// the reasons their bytes are identical.
+/// to expect.
 fn compress_stream(
     values: &[f64],
     codec_kind: CodecKind,
@@ -794,7 +724,7 @@ fn build_shard_blocks(
 
 /// Per-level output of one write job: the level's blocks in placement
 /// order, plus the wall seconds its mapping+delta and compression stages
-/// took (phase sums keep their serial meaning).
+/// took.
 type LevelBlocks = (Vec<BlockWrite>, f64, f64);
 
 /// Everything a write job needs to build one level's blocks.
@@ -806,15 +736,13 @@ struct WriteJobCtx {
     estimator: Estimator,
     obs: Arc<Registry>,
     /// The enclosing `write` span — `write.level` spans (on worker
-    /// threads, in the pipelined engine) attach here so a write emits
-    /// one connected tree.
+    /// threads) attach here so a write emits one connected tree.
     parent: SpanContext,
 }
 
-/// One level's unit of work for either write engine. Level meshes and
-/// data are shared via `Arc` because the pipelined engine's decimation
-/// stage keeps growing the level chain while earlier levels are still
-/// compressing.
+/// One level's unit of work for the write pool. Level meshes and data
+/// are shared via `Arc` because the decimation stage keeps growing the
+/// level chain while earlier levels are still compressing.
 enum WriteJob {
     /// Mapping + delta + compression between `finer` and `finer + 1`.
     Delta {
@@ -874,10 +802,7 @@ impl WriteJob {
 }
 
 /// Build one level's blocks: the base stream and its geometry, or a
-/// delta's mapping, values, shard blocks and geometry. Both write
-/// engines run every level through here — same streams, same codec
-/// framing, same metadata payloads — so the bytes they emit are
-/// identical.
+/// delta's mapping, values, shard blocks and geometry.
 fn run_write_job(job: &WriteJob, ctx: &WriteJobCtx) -> Result<LevelBlocks, CanopusError> {
     let _span = stage_child!(
         ctx.obs,
@@ -1068,6 +993,29 @@ mod tests {
     }
 
     #[test]
+    fn zero_levels_are_rejected_before_anything_is_stored() {
+        let h = Arc::new(StorageHierarchy::new(vec![TierSpec::new(
+            "fast",
+            1 << 26,
+            1e9,
+            1e9,
+            1e-6,
+        )]));
+        let mut config = CanopusConfig::default();
+        config.refactor.num_levels = 0;
+        let c = Canopus::new(Arc::clone(&h), config);
+        let (mesh, data) = small_mesh();
+        let err = c.write("z.bp", "v", &mesh, &data).unwrap_err();
+        assert!(matches!(err, CanopusError::Invalid(_)), "{err}");
+        assert!(err.to_string().contains("num_levels"), "{err}");
+        assert!(
+            h.tier_device(0).unwrap().keys().is_empty(),
+            "nothing stored"
+        );
+        assert_eq!(c.metrics().counter(names::WRITES).get(), 0);
+    }
+
+    #[test]
     fn mismatched_data_is_rejected() {
         let c = canopus();
         let (mesh, _) = small_mesh();
@@ -1194,7 +1142,7 @@ mod tests {
         }
     }
 
-    fn sharded_canopus(write_pipeline_depth: u32) -> Canopus {
+    fn sharded_canopus() -> Canopus {
         let h = Arc::new(StorageHierarchy::new(vec![
             TierSpec::new("fast", 1 << 20, 1e9, 1e9, 1e-6),
             TierSpec::new("slow", 1 << 26, 1e7, 1e7, 1e-3),
@@ -1203,7 +1151,6 @@ mod tests {
             h,
             CanopusConfig {
                 delta_chunks: 4,
-                write_pipeline_depth,
                 ..Default::default()
             },
         )
@@ -1232,7 +1179,7 @@ mod tests {
 
     #[test]
     fn sharded_write_produces_indexed_shards() {
-        let c = sharded_canopus(0);
+        let c = sharded_canopus();
         let (mesh, data) = small_mesh();
         let r = c.write("sh.bp", "v", &mesh, &data).unwrap();
         // 4 chunks fit one shard: one shard per delta level.
@@ -1274,14 +1221,14 @@ mod tests {
     }
 
     #[test]
-    fn sharded_engines_are_byte_identical() {
+    fn sharded_writes_are_byte_identical_run_to_run() {
         let (mesh, data) = small_mesh();
-        let serial = sharded_canopus(0);
-        let piped = sharded_canopus(4);
-        serial.write("e.bp", "v", &mesh, &data).unwrap();
-        piped.write("e.bp", "v", &mesh, &data).unwrap();
-        let a = serial.store().open("e.bp").unwrap();
-        let b = piped.store().open("e.bp").unwrap();
+        let first = sharded_canopus();
+        let second = sharded_canopus();
+        first.write("e.bp", "v", &mesh, &data).unwrap();
+        second.write("e.bp", "v", &mesh, &data).unwrap();
+        let a = first.store().open("e.bp").unwrap();
+        let b = second.store().open("e.bp").unwrap();
         assert_eq!(a.meta(), b.meta(), "manifests identical");
         for (va, vb) in a.meta().vars.iter().zip(&b.meta().vars) {
             for (ba, bb) in va.blocks.iter().zip(&vb.blocks) {

@@ -1,6 +1,8 @@
 //! Property-based tests for the core pipeline's newer surfaces: delta
 //! chunking, region refinement, and metadata query pushdown.
 
+mod support;
+
 use canopus::config::RelativeCodec;
 use canopus::{Canopus, CanopusConfig};
 use canopus_mesh::generators::{jitter_interior, rectangle_mesh};
@@ -120,43 +122,34 @@ proptest! {
         }
     }
 
-    /// The pipelined restore engine returns exactly what the serial walk
-    /// returns, for any mesh, chunking and prefetch depth.
+    /// The level walk returns exactly what a stepwise restore returns,
+    /// for any mesh, chunking and target level.
     #[test]
-    fn pipelined_engine_matches_serial_walk(
+    fn walk_matches_the_stepwise_reference(
         nx in 5usize..12,
         ny in 5usize..12,
         seed in 0u64..200,
         chunks in 1u32..16,
-        depth in 1u32..8,
         level in 0u32..3,
     ) {
         let (canopus, _, _) = build(nx, ny, seed, chunks, 4.0);
-        let serial = canopus
-            .open("p.bp")
-            .unwrap()
-            .with_pipeline_depth(0)
-            .with_level_cache(0);
-        let piped = canopus
-            .open("p.bp")
-            .unwrap()
-            .with_pipeline_depth(depth)
-            .with_level_cache(0);
-        let a = serial.read_level("v", level).unwrap();
-        let b = piped.read_level("v", level).unwrap();
+        let a = support::stepwise_restore(&canopus, "p.bp", "v", level);
+        let walker = canopus.open("p.bp").unwrap().with_level_cache(0);
+        let b = walker.read_level("v", level).unwrap();
         prop_assert_eq!(a.data, b.data);
         prop_assert_eq!(a.level, b.level);
-        prop_assert_eq!(a.mesh.num_vertices(), b.mesh.num_vertices());
+        prop_assert_eq!(a.mesh, b.mesh);
     }
 
     /// One layout, any chunk count: files with 1, 4 and 16 chunks per
-    /// delta restore every level through both read engines —
-    /// bit-identically to the lossless reference under `Raw`/`Fpc`, and
-    /// within the codec bound under `ZfpLike`/`SzLike`, whose streams
-    /// depend on how the values are split. A region refinement plans
-    /// the file's whole chunk population.
+    /// delta restore every level — bit-identically to the one-chunk
+    /// reference under `Raw`/`Fpc`, and within the codec bound under
+    /// `ZfpLike`/`SzLike`, whose streams depend on how the values are
+    /// split — and the walk gives the stepwise restore's bits on every
+    /// file. A region refinement plans the file's whole chunk
+    /// population.
     #[test]
-    fn every_chunk_count_restores_every_level_through_both_engines(
+    fn every_chunk_count_restores_every_level(
         nx in 5usize..12,
         ny in 5usize..12,
         seed in 0u64..200,
@@ -172,7 +165,6 @@ proptest! {
             _ => (RelativeCodec::SzLike { rel_error_bound: 1e-4 }, 1e-4),
         };
         let (reference, _, data) = build(nx, ny, seed, 1, 3.0);
-        let reference = reference.open("p.bp").unwrap().with_level_cache(0);
         let range = canopus_mesh::FieldStats::of(&data).range();
         // The base and each delta add at most one codec bound.
         let bound = 3.0 * rel * range;
@@ -182,29 +174,25 @@ proptest! {
         ]);
         for chunks in [1u32, 4, 16] {
             let (canopus, _, _) = build_layout(nx, ny, seed, chunks, 3.0, codec);
-            for depth in [0u32, 4] {
-                let reader = canopus
-                    .open("p.bp")
-                    .unwrap()
-                    .with_pipeline_depth(depth)
-                    .with_level_cache(0);
-                for level in 0..3u32 {
-                    let want = reference.read_level_serial("v", level).unwrap();
-                    let got = reader.read_level("v", level).unwrap();
-                    prop_assert_eq!(got.level, level);
-                    prop_assert_eq!(got.data.len(), want.data.len());
-                    let max_err = got
-                        .data
-                        .iter()
-                        .zip(want.data.iter())
-                        .map(|(x, y)| (x - y).abs())
-                        .fold(0.0f64, f64::max);
-                    prop_assert!(
-                        max_err <= bound,
-                        "k={} depth={} level={}: err {} > {}",
-                        chunks, depth, level, max_err, bound
-                    );
-                }
+            let reader = canopus.open("p.bp").unwrap().with_level_cache(0);
+            for level in 0..3u32 {
+                let want = support::stepwise_restore(&reference, "p.bp", "v", level);
+                let got = reader.read_level("v", level).unwrap();
+                let stepwise = support::stepwise_restore(&canopus, "p.bp", "v", level);
+                prop_assert_eq!(got.level, level);
+                prop_assert_eq!(&got.data, &stepwise.data, "k={} level={}", chunks, level);
+                prop_assert_eq!(got.data.len(), want.data.len());
+                let max_err = got
+                    .data
+                    .iter()
+                    .zip(want.data.iter())
+                    .map(|(x, y)| (x - y).abs())
+                    .fold(0.0f64, f64::max);
+                prop_assert!(
+                    max_err <= bound,
+                    "k={} level={}: err {} > {}",
+                    chunks, level, max_err, bound
+                );
             }
             let reader = canopus.open("p.bp").unwrap();
             let base = reader.read_base("v").unwrap();

@@ -60,8 +60,15 @@ pub fn write_off<W: Write>(mesh: &TriMesh, mut w: W) -> io::Result<()> {
     Ok(())
 }
 
+/// Entries [`read_off`] reserves up front, whatever the counts line
+/// declares: the arrays grow with the lines actually parsed beyond it.
+const OFF_RESERVE: usize = 4096;
+
 /// Parse a mesh from OFF text (z coordinates are dropped; only triangular
-/// faces are accepted).
+/// faces are accepted). The counts line is not believed: room for at
+/// most [`OFF_RESERVE`] vertices and faces is reserved before the lines
+/// that back them are read, and a count the file does not back is an
+/// error.
 pub fn read_off<R: Read>(r: R) -> Result<TriMesh, MeshIoError> {
     let reader = BufReader::new(r);
     let mut lines = reader
@@ -90,7 +97,7 @@ pub fn read_off<R: Read>(r: R) -> Result<TriMesh, MeshIoError> {
     let nv: usize = parse_tok(it.next(), "vertex count")?;
     let nf: usize = parse_tok(it.next(), "face count")?;
 
-    let mut points = Vec::with_capacity(nv);
+    let mut points = Vec::with_capacity(nv.min(OFF_RESERVE));
     for i in 0..nv {
         let line = lines
             .next()
@@ -100,7 +107,7 @@ pub fn read_off<R: Read>(r: R) -> Result<TriMesh, MeshIoError> {
         let y: f64 = parse_tok(it.next(), "y")?;
         points.push(Point2::new(x, y));
     }
-    let mut tris = Vec::with_capacity(nf);
+    let mut tris = Vec::with_capacity(nf.min(OFF_RESERVE));
     for i in 0..nf {
         let line = lines
             .next()

@@ -30,10 +30,8 @@ pub const WRITE_STAGE_DEPTH_PEAK: &str = "canopus.write.stage_depth_peak";
 /// Timer: per-stage overlap reclaimed by the write pipeline — the amount
 /// by which the sum of compute-phase times (decimate + delta + compress)
 /// exceeds the measured wall clock of a pipelined write, clamped at
-/// zero. Recorded once per pipelined `write`.
+/// zero. Recorded once per refactored `write`.
 pub const WRITE_OVERLAP: &str = "canopus.write.overlap_secs";
-/// Counter: writes that went through the level-streaming engine.
-pub const WRITE_PIPELINED: &str = "canopus.write.pipelined_writes";
 
 // ---- core read path --------------------------------------------------
 pub const READ_IO: &str = "canopus.read.io";

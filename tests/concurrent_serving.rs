@@ -1,11 +1,14 @@
 //! Concurrent-serving equivalence: the shared service — many client
 //! threads over one engine, a bounded queue, a worker pool and the
 //! shared decoded-level cache — must be observationally identical to a
-//! serial reader answering the same requests one at a time. Concurrency
+//! stepwise oracle answering the same requests one at a time on the
+//! calling thread (`support::stepwise_restore` for levels). Concurrency
 //! changes *when* work happens and *which* cache entry answers, never
 //! *what* a request returns. A reserved quick lane additionally pins
 //! the scheduling contract: a `QuickLook` admitted while deep restores
 //! are running completes without waiting for them.
+
+mod support;
 
 use canopus::config::RelativeCodec;
 use canopus::read::CanopusReader;
@@ -40,13 +43,9 @@ fn engine(ds: &Dataset, workers: u32) -> Canopus {
     canopus
 }
 
-/// The reference engine: pre-pipeline serial walk, no cache.
-fn serial_reader(canopus: &Canopus) -> CanopusReader {
-    canopus
-        .open(FILE)
-        .expect("open")
-        .with_pipeline_depth(0)
-        .with_level_cache(0)
+/// The oracle's reader: no cache.
+fn uncached_reader(canopus: &Canopus) -> CanopusReader {
+    canopus.open(FILE).expect("open").with_level_cache(0)
 }
 
 /// One of four quadrant windows of the dataset's bounding box.
@@ -96,10 +95,10 @@ fn mixed_requests(ds: &Dataset) -> Vec<ServeRequest> {
     requests
 }
 
-/// What the serial oracle answers for `request`, on a fresh reader so
+/// What the stepwise oracle answers for `request`, on a fresh reader so
 /// no cache state leaks between oracle calls.
 fn oracle(canopus: &Canopus, request: &ServeRequest) -> ServeOracle {
-    let reader = serial_reader(canopus);
+    let reader = uncached_reader(canopus);
     match request {
         ServeRequest::Base { var, .. } => {
             let out = reader.read_base(var).expect("oracle base");
@@ -111,7 +110,7 @@ fn oracle(canopus: &Canopus, request: &ServeRequest) -> ServeOracle {
             }
         }
         ServeRequest::Level { var, level, .. } => {
-            let out = reader.read_level(var, *level).expect("oracle level");
+            let out = support::stepwise_restore(canopus, FILE, var, *level);
             ServeOracle {
                 bits: out.data.iter().map(|v| v.to_bits()).collect(),
                 achieved_level: out.achieved_level,
@@ -167,11 +166,11 @@ fn assert_matches_oracle(expected: &ServeOracle, got: &ServeResponse, what: &str
 }
 
 /// N client threads hammering the service with a mixed workload must
-/// each get byte-identical answers to the serial oracle — for every
+/// each get byte-identical answers to the stepwise oracle — for every
 /// request kind, on a lossless codec, while the shared decoded-level
 /// cache is live and contended.
 #[test]
-fn concurrent_mixed_workload_is_byte_identical_to_serial_oracle() {
+fn concurrent_mixed_workload_is_byte_identical_to_stepwise_oracle() {
     let ds = xgc1_dataset_sized(16, 80, 5);
     let canopus = Arc::new(engine(&ds, 4));
     let requests = mixed_requests(&ds);

@@ -2,12 +2,13 @@
 //! level's geometry lazily — the levels it passes on the restore thread,
 //! the level it hands out on a loader thread of its own — while the
 //! decode pool is already running. That reordering must not be
-//! observable: the engines return the same bits for every chunk count
-//! and issue the same tier reads, and a fault on a level's *metadata*
-//! block — the block the reordering moved — is retried within the budget
-//! and degrades the walk past it, exactly as a fault on a delta does and
-//! with the serial engine's counters. The loader changes who does the
-//! work, not what is done.
+//! observable: the walk returns the bits of the stepwise reference
+//! (`support::stepwise_restore`) for every chunk count and issues one
+//! tier read per object the manifest says it needs, and a fault on a
+//! level's *metadata* block — the block the reordering moved — is
+//! retried within the budget and degrades the walk past it, exactly as a
+//! fault on a delta does, with the counters the fault schedule fixes.
+//! The loader changes who does the work, not what is done.
 //!
 //! Lazy goes one step further: a level's geometry object is two
 //! separately verified sections, and a walk fetches only what it
@@ -20,6 +21,8 @@
 //!
 //! Faults are aimed at one block by moving it alone onto a spare tier
 //! that no placement rank reaches and arming only that tier.
+
+mod support;
 
 use bytes::Bytes;
 use canopus::config::RelativeCodec;
@@ -88,12 +91,10 @@ fn written_in(
     canopus
 }
 
-/// Serial then pipelined, both without the level cache so every read
-/// walks. Opened before any fault is armed: the manifest read has no
-/// retry loop.
-fn both_engines(canopus: &Canopus) -> [CanopusReader; 2] {
-    let open = || canopus.open(FILE).expect("open").with_level_cache(0);
-    [open().with_pipeline_depth(0), open()]
+/// A reader without the level cache, so every read walks. Opened before
+/// any fault is armed: the manifest read has no retry loop.
+fn walker(canopus: &Canopus) -> CanopusReader {
+    canopus.open(FILE).expect("open").with_level_cache(0)
 }
 
 fn bits(data: &[f64]) -> Vec<u64> {
@@ -108,11 +109,10 @@ fn assert_same(a: &ReadOutcome, b: &ReadOutcome, what: &str) {
     assert_eq!(a.level_exact, b.level_exact, "{what}: level_exact");
 }
 
-/// Every level through the serial engine, fault-free: the ground truth.
+/// Every level restored step by step, fault-free: the ground truth.
 fn clean_levels(ds: &Dataset, canopus: &Canopus) -> Vec<ReadOutcome> {
-    let reader = canopus.open(FILE).expect("open").with_level_cache(0);
     (0..LEVELS)
-        .map(|l| reader.read_level_serial(ds.var, l).expect("clean read"))
+        .map(|l| support::stepwise_restore(canopus, FILE, ds.var, l))
         .collect()
 }
 
@@ -156,14 +156,13 @@ fn fires_twice_then_stops(op: FaultOp, key: &str) -> FaultPlan {
 }
 
 #[test]
-fn engines_agree_bit_for_bit_at_every_level_of_every_layout() {
+fn walks_match_the_stepwise_reference_at_every_level_of_every_layout() {
     let ds = dataset();
     for chunks in CHUNK_COUNTS {
         let canopus = written(&ds, chunks);
         let clean = clean_levels(&ds, &canopus);
         for level in 0..LEVELS {
-            let [_, pipelined] = both_engines(&canopus);
-            let out = pipelined.read_level(ds.var, level).expect("pipelined");
+            let out = walker(&canopus).read_level(ds.var, level).expect("walk");
             assert_same(
                 &out,
                 &clean[level as usize],
@@ -196,37 +195,36 @@ fn metadata_faults_within_the_budget_are_retried_at_every_level() {
             let key = isolate_metadata(&ds, &canopus, level);
             for op in [FaultOp::GetError, FaultOp::Corrupt] {
                 let plan = fires_twice_then_stops(op, &key);
-                for reader in both_engines(&canopus) {
-                    let m = canopus.metrics();
-                    let retries = m.counter(names::READ_RETRIES).get();
-                    let faults = m.counter(names::READ_FAULTS_INJECTED).get();
-                    let mismatches = m.counter(names::READ_CHECKSUM_FAILURES).get();
-                    // Arming restarts the tier's attempt counters.
-                    canopus
-                        .hierarchy()
-                        .set_fault_plan(SPARE, plan)
-                        .expect("spare tier");
-                    let out = reader.read_level(ds.var, 0).expect("read");
-                    let what = format!("k={chunks} level {level} {op:?}");
-                    assert_same(&out, &clean[0], &what);
-                    assert!(!out.degraded, "{what}: two faults fit a budget of four");
-                    assert_eq!(
-                        m.counter(names::READ_RETRIES).get() - retries,
-                        2,
-                        "{what}: one retry per fault"
-                    );
-                    assert_eq!(
-                        m.counter(names::READ_FAULTS_INJECTED).get() - faults,
-                        2,
-                        "{what}: each fault seen once, by whichever thread fetched"
-                    );
-                    let caught = m.counter(names::READ_CHECKSUM_FAILURES).get() - mismatches;
-                    assert_eq!(
-                        caught,
-                        if op == FaultOp::Corrupt { 2 } else { 0 },
-                        "{what}: the checksum caught each corrupted transfer"
-                    );
-                }
+                let reader = walker(&canopus);
+                let m = canopus.metrics();
+                let retries = m.counter(names::READ_RETRIES).get();
+                let faults = m.counter(names::READ_FAULTS_INJECTED).get();
+                let mismatches = m.counter(names::READ_CHECKSUM_FAILURES).get();
+                // Arming restarts the tier's attempt counters.
+                canopus
+                    .hierarchy()
+                    .set_fault_plan(SPARE, plan)
+                    .expect("spare tier");
+                let out = reader.read_level(ds.var, 0).expect("read");
+                let what = format!("k={chunks} level {level} {op:?}");
+                assert_same(&out, &clean[0], &what);
+                assert!(!out.degraded, "{what}: two faults fit a budget of four");
+                assert_eq!(
+                    m.counter(names::READ_RETRIES).get() - retries,
+                    2,
+                    "{what}: one retry per fault"
+                );
+                assert_eq!(
+                    m.counter(names::READ_FAULTS_INJECTED).get() - faults,
+                    2,
+                    "{what}: each fault seen once, by whichever thread fetched"
+                );
+                let caught = m.counter(names::READ_CHECKSUM_FAILURES).get() - mismatches;
+                assert_eq!(
+                    caught,
+                    if op == FaultOp::Corrupt { 2 } else { 0 },
+                    "{what}: the checksum caught each corrupted transfer"
+                );
             }
         }
     }
@@ -251,47 +249,49 @@ fn metadata_faults_past_the_budget_degrade_to_the_next_coarser_level() {
             let clean = clean_levels(&ds, &canopus);
             isolate_metadata(&ds, &canopus, level);
             for plan in persistent {
-                let mut counted = Vec::new();
-                for reader in both_engines(&canopus) {
-                    let m = canopus.metrics();
-                    let fault_counters = || {
-                        [
-                            names::READ_RETRIES,
-                            names::READ_FAULTS_INJECTED,
-                            names::READ_CHECKSUM_FAILURES,
-                        ]
-                        .map(|name| m.counter(name).get())
-                    };
-                    let counters = fault_counters();
-                    let degraded = m.counter(names::READ_DEGRADED_RESTORES);
-                    let before = degraded.get();
-                    canopus
-                        .hierarchy()
-                        .set_fault_plan(SPARE, plan)
-                        .expect("spare tier");
-                    let out = reader
-                        .read_level(ds.var, 0)
-                        .expect("an unreachable level is not an error");
-                    let what = format!("k={chunks} level {level} {plan:?}");
-                    assert!(out.degraded, "{what}");
-                    assert_eq!(out.level, level + 1, "{what}: the next-coarser level");
-                    assert_eq!(out.achieved_level, out.level, "{what}");
-                    assert!(out.level_exact, "{what}: what is served is exact");
-                    assert_eq!(out.mesh, clean[out.level as usize].mesh, "{what}");
-                    assert_eq!(
-                        bits(&out.data),
-                        bits(&clean[out.level as usize].data),
-                        "{what}"
-                    );
-                    assert_eq!(degraded.get() - before, 1, "{what}");
-                    let after = fault_counters();
-                    counted.push([0, 1, 2].map(|i| after[i] - counters[i]));
-                }
-                // Whichever thread met the fault, it was retried to the
-                // same budget and nobody fetched the block again.
+                let reader = walker(&canopus);
+                let m = canopus.metrics();
+                let fault_counters = || {
+                    [
+                        names::READ_RETRIES,
+                        names::READ_FAULTS_INJECTED,
+                        names::READ_CHECKSUM_FAILURES,
+                    ]
+                    .map(|name| m.counter(name).get())
+                };
+                let counters = fault_counters();
+                let degraded = m.counter(names::READ_DEGRADED_RESTORES);
+                let before = degraded.get();
+                canopus
+                    .hierarchy()
+                    .set_fault_plan(SPARE, plan)
+                    .expect("spare tier");
+                let out = reader
+                    .read_level(ds.var, 0)
+                    .expect("an unreachable level is not an error");
+                let what = format!("k={chunks} level {level} {plan:?}");
+                assert!(out.degraded, "{what}");
+                assert_eq!(out.level, level + 1, "{what}: the next-coarser level");
+                assert_eq!(out.achieved_level, out.level, "{what}");
+                assert!(out.level_exact, "{what}: what is served is exact");
+                assert_eq!(out.mesh, clean[out.level as usize].mesh, "{what}");
+                assert_eq!(
+                    bits(&out.data),
+                    bits(&clean[out.level as usize].data),
+                    "{what}"
+                );
+                assert_eq!(degraded.get() - before, 1, "{what}");
+                let after = fault_counters();
+                // Whichever thread met the fault, every attempt of the
+                // budget failed, each but the last was retried, and
+                // nobody fetched the block again.
                 let budget = u64::from(RetryPolicy::new().max_attempts);
-                assert_eq!(counted[0][1], budget, "k={chunks} level {level}");
-                assert_eq!(counted[0], counted[1], "k={chunks} level {level} {plan:?}");
+                let mismatches = if plan.corrupt_p > 0.0 { budget } else { 0 };
+                assert_eq!(
+                    [0, 1, 2].map(|i| after[i] - counters[i]),
+                    [budget - 1, budget, mismatches],
+                    "{what}: retries, faults, checksum failures"
+                );
             }
         }
     }
@@ -302,22 +302,21 @@ fn unreachable_base_geometry_is_still_an_error() {
     let ds = dataset();
     let canopus = written(&ds, 1);
     isolate_metadata(&ds, &canopus, LEVELS - 1);
-    for reader in both_engines(&canopus) {
-        canopus
-            .hierarchy()
-            .set_fault_plan(
-                SPARE,
-                FaultPlan {
-                    down: Some((0, u64::MAX)),
-                    ..FaultPlan::none()
-                },
-            )
-            .expect("spare tier");
-        assert!(
-            reader.read_level(ds.var, 0).is_err(),
-            "there is no coarser level to degrade to"
-        );
-    }
+    let reader = walker(&canopus);
+    canopus
+        .hierarchy()
+        .set_fault_plan(
+            SPARE,
+            FaultPlan {
+                down: Some((0, u64::MAX)),
+                ..FaultPlan::none()
+            },
+        )
+        .expect("spare tier");
+    assert!(
+        reader.read_level(ds.var, 0).is_err(),
+        "there is no coarser level to degrade to"
+    );
 }
 
 /// Stored sizes of what a read can fetch, from the manifest: the field
@@ -400,38 +399,34 @@ fn a_cold_walk_fetches_the_topology_it_passes_and_the_meshes_it_hands_out() {
             0
         };
         assert!(stored.passed_coordinates() > 0);
-        for (engine, reader) in ["serial", "pipelined"]
-            .into_iter()
-            .zip(both_engines(&canopus))
-        {
-            let what = format!("k={chunks} {engine}");
-            let m = canopus.metrics();
-            let (tier, geometry, coordinates) = (
-                tier_bytes_read(&canopus),
-                m.counter(names::READ_GEOMETRY_BYTES).get(),
-                m.counter(names::READ_COORDINATE_BYTES).get(),
-            );
-            let out = reader.read_level(ds.var, 0).expect("cold walk");
-            assert_eq!(
-                tier_bytes_read(&canopus) - tier,
-                stored.field + stored.geometry() - skipped,
-                "{what}: base + deltas + topology of every level + coordinates of level 0 and the base"
-            );
-            assert_eq!(
-                m.counter(names::READ_GEOMETRY_BYTES).get() - geometry,
-                stored.geometry() - skipped,
-                "{what}"
-            );
-            let all: u64 = (0..LEVELS).map(|l| stored.coordinates(l)).sum();
-            assert_eq!(
-                m.counter(names::READ_COORDINATE_BYTES).get() - coordinates,
-                all - skipped,
-                "{what}"
-            );
-            assert!(!out.degraded, "{what}");
-            assert_eq!(out.mesh, h.levels[0].mesh, "{what}");
-            assert_eq!(bits(&out.data), bits(&h.restore_to(0)), "{what}");
-        }
+        let reader = walker(&canopus);
+        let what = format!("k={chunks}");
+        let m = canopus.metrics();
+        let (tier, geometry, coordinates) = (
+            tier_bytes_read(&canopus),
+            m.counter(names::READ_GEOMETRY_BYTES).get(),
+            m.counter(names::READ_COORDINATE_BYTES).get(),
+        );
+        let out = reader.read_level(ds.var, 0).expect("cold walk");
+        assert_eq!(
+            tier_bytes_read(&canopus) - tier,
+            stored.field + stored.geometry() - skipped,
+            "{what}: base + deltas + topology of every level + coordinates of level 0 and the base"
+        );
+        assert_eq!(
+            m.counter(names::READ_GEOMETRY_BYTES).get() - geometry,
+            stored.geometry() - skipped,
+            "{what}"
+        );
+        let all: u64 = (0..LEVELS).map(|l| stored.coordinates(l)).sum();
+        assert_eq!(
+            m.counter(names::READ_COORDINATE_BYTES).get() - coordinates,
+            all - skipped,
+            "{what}"
+        );
+        assert!(!out.degraded, "{what}");
+        assert_eq!(out.mesh, h.levels[0].mesh, "{what}");
+        assert_eq!(bits(&out.data), bits(&h.restore_to(0)), "{what}");
     }
 }
 
@@ -452,26 +447,22 @@ fn the_barycentric_estimator_fetches_every_section() {
         });
     // Base and each delta add at most the codec's error.
     let bound = LEVELS as f64 * tolerance * (hi - lo);
-    for (engine, reader) in ["serial", "pipelined"]
-        .into_iter()
-        .zip(both_engines(&canopus))
-    {
-        let tier = tier_bytes_read(&canopus);
-        let out = reader.read_level(ds.var, 0).expect("cold walk");
-        assert_eq!(
-            tier_bytes_read(&canopus) - tier,
-            stored.field + stored.geometry(),
-            "{engine}: the weights are the vertices' positions"
-        );
-        assert_eq!(out.mesh, ds.mesh, "{engine}");
-        let err = out
-            .data
-            .iter()
-            .zip(&ds.data)
-            .map(|(a, b)| (a - b).abs())
-            .fold(0.0, f64::max);
-        assert!(err <= bound, "{engine}: error {err} beyond {bound}");
-    }
+    let reader = walker(&canopus);
+    let tier = tier_bytes_read(&canopus);
+    let out = reader.read_level(ds.var, 0).expect("cold walk");
+    assert_eq!(
+        tier_bytes_read(&canopus) - tier,
+        stored.field + stored.geometry(),
+        "the weights are the vertices' positions"
+    );
+    assert_eq!(out.mesh, ds.mesh);
+    let err = out
+        .data
+        .iter()
+        .zip(&ds.data)
+        .map(|(a, b)| (a - b).abs())
+        .fold(0.0, f64::max);
+    assert!(err <= bound, "error {err} beyond {bound}");
 }
 
 #[test]
@@ -481,50 +472,32 @@ fn a_passed_level_gets_its_coordinates_once_when_it_is_handed_out() {
     let stored = Stored::of(&ds, &canopus);
     let h = in_memory(&ds, &canopus);
     let passed = 2;
-    for depth in [0, 4] {
-        // Level cache on: the hand-out is a cache hit, and the
-        // coordinates section is all that moves.
-        let reader = canopus.open(FILE).expect("open").with_pipeline_depth(depth);
-        reader.read_level(ds.var, 0).expect("cold walk");
-        let tier = tier_bytes_read(&canopus);
-        for pass in ["first", "again"] {
-            let hit = reader.read_level(ds.var, passed).expect("cached level");
-            assert_eq!(hit.mesh, h.levels[passed as usize].mesh, "{depth} {pass}");
-            assert_eq!(
-                bits(&hit.data),
-                bits(&h.restore_to(passed)),
-                "{depth} {pass}"
-            );
-            assert_eq!(
-                tier_bytes_read(&canopus) - tier,
-                stored.coordinates(passed),
-                "depth {depth} {pass}: one section, once"
-            );
-        }
-
-        // Level cache off: the read walks again, and of the geometry
-        // only the target's coordinates are missing.
-        let reader = canopus
-            .open(FILE)
-            .expect("open")
-            .with_level_cache(0)
-            .with_pipeline_depth(depth);
-        reader.read_level(ds.var, 0).expect("cold walk");
-        let geometry = canopus.metrics().counter(names::READ_GEOMETRY_BYTES);
-        let before = geometry.get();
-        let out = reader.read_level(ds.var, passed).expect("second walk");
-        assert_eq!(out.mesh, h.levels[passed as usize].mesh, "depth {depth}");
+    // Level cache on: the hand-out is a cache hit, and the coordinates
+    // section is all that moves.
+    let reader = canopus.open(FILE).expect("open");
+    reader.read_level(ds.var, 0).expect("cold walk");
+    let tier = tier_bytes_read(&canopus);
+    for pass in ["first", "again"] {
+        let hit = reader.read_level(ds.var, passed).expect("cached level");
+        assert_eq!(hit.mesh, h.levels[passed as usize].mesh, "{pass}");
+        assert_eq!(bits(&hit.data), bits(&h.restore_to(passed)), "{pass}");
         assert_eq!(
-            bits(&out.data),
-            bits(&h.restore_to(passed)),
-            "depth {depth}"
-        );
-        assert_eq!(
-            geometry.get() - before,
+            tier_bytes_read(&canopus) - tier,
             stored.coordinates(passed),
-            "depth {depth}"
+            "{pass}: one section, once"
         );
     }
+
+    // Level cache off: the read walks again, and of the geometry only
+    // the target's coordinates are missing.
+    let reader = walker(&canopus);
+    reader.read_level(ds.var, 0).expect("cold walk");
+    let geometry = canopus.metrics().counter(names::READ_GEOMETRY_BYTES);
+    let before = geometry.get();
+    let out = reader.read_level(ds.var, passed).expect("second walk");
+    assert_eq!(out.mesh, h.levels[passed as usize].mesh);
+    assert_eq!(bits(&out.data), bits(&h.restore_to(passed)));
+    assert_eq!(geometry.get() - before, stored.coordinates(passed));
 }
 
 /// Flip one byte of `level`'s stored coordinates section, in place.
@@ -555,27 +528,29 @@ fn damaged_coordinates_of_a_passed_level_fail_only_reads_that_need_them() {
     let damaged = 2;
     corrupt_coordinates(&ds, &canopus, damaged);
     let m = canopus.metrics();
-    for reader in both_engines(&canopus) {
-        // A walk through the level verifies and uses its topology only.
-        let mismatches = m.counter(names::READ_CHECKSUM_FAILURES).get();
-        let out = reader.read_level(ds.var, 0).expect("walk past the damage");
-        assert_same(&out, &clean[0], "walk to level 0");
-        assert_eq!(m.counter(names::READ_CHECKSUM_FAILURES).get(), mismatches);
+    let reader = walker(&canopus);
+    // A walk through the level verifies and uses its topology only.
+    let mismatches = m.counter(names::READ_CHECKSUM_FAILURES).get();
+    let out = reader.read_level(ds.var, 0).expect("walk past the damage");
+    assert_same(&out, &clean[0], "walk to level 0");
+    assert_eq!(m.counter(names::READ_CHECKSUM_FAILURES).get(), mismatches);
 
-        // A walk *to* the level reads its object whole: the checksum
-        // catches it on every attempt, and the walk degrades.
-        let out = reader.read_level(ds.var, damaged).expect("degrades");
-        assert!(out.degraded);
-        assert_same(
-            &ReadOutcome {
-                degraded: false,
-                ..out
-            },
-            &clean[damaged as usize + 1],
-            "degraded to the next coarser level",
-        );
-        assert!(m.counter(names::READ_CHECKSUM_FAILURES).get() > mismatches);
-    }
+    // A walk *to* the level reads its object whole: the checksum catches
+    // it on every attempt of the budget, and the walk degrades.
+    let out = reader.read_level(ds.var, damaged).expect("degrades");
+    assert!(out.degraded);
+    assert_same(
+        &ReadOutcome {
+            degraded: false,
+            ..out
+        },
+        &clean[damaged as usize + 1],
+        "degraded to the next coarser level",
+    );
+    assert_eq!(
+        m.counter(names::READ_CHECKSUM_FAILURES).get() - mismatches,
+        u64::from(RetryPolicy::new().max_attempts)
+    );
     // A level-cache hit on the level has nothing coarser to offer.
     let reader = canopus.open(FILE).expect("open");
     reader.read_level(ds.var, 0).expect("walk past the damage");
@@ -610,28 +585,27 @@ fn a_walk_stopped_on_a_passed_level_hands_out_its_whole_mesh() {
         .hierarchy()
         .migrate(&key, SPARE)
         .expect("spare tier");
-    for reader in both_engines(&canopus) {
-        canopus
-            .hierarchy()
-            .set_fault_plan(
-                SPARE,
-                FaultPlan {
-                    down: Some((0, u64::MAX)),
-                    ..FaultPlan::none()
-                },
-            )
-            .expect("spare tier");
-        let out = reader.read_level(ds.var, 0).expect("degrades");
-        assert!(out.degraded);
-        assert_same(
-            &ReadOutcome {
-                degraded: false,
-                ..out
+    let reader = walker(&canopus);
+    canopus
+        .hierarchy()
+        .set_fault_plan(
+            SPARE,
+            FaultPlan {
+                down: Some((0, u64::MAX)),
+                ..FaultPlan::none()
             },
-            &clean[1],
-            "stopped on level 1",
-        );
-    }
+        )
+        .expect("spare tier");
+    let out = reader.read_level(ds.var, 0).expect("degrades");
+    assert!(out.degraded);
+    assert_same(
+        &ReadOutcome {
+            degraded: false,
+            ..out
+        },
+        &clean[1],
+        "stopped on level 1",
+    );
 }
 
 #[test]
@@ -643,81 +617,71 @@ fn concurrent_cold_readers_fetch_each_geometry_section_once() {
     let one_walk = stored.geometry() - stored.passed_coordinates();
 
     const READERS: usize = 8;
-    for depth in [0, 4] {
-        // No level cache: every thread walks from the base to level 0.
-        let reader = canopus
-            .open(FILE)
-            .expect("open")
-            .with_level_cache(0)
-            .with_pipeline_depth(depth);
-        let m = canopus.metrics();
-        let (tier, geometry) = (
-            tier_bytes_read(&canopus),
-            m.counter(names::READ_GEOMETRY_BYTES).get(),
-        );
-        let start = Barrier::new(READERS);
-        let outcomes: Vec<ReadOutcome> = std::thread::scope(|s| {
-            let walkers: Vec<_> = (0..READERS)
-                .map(|_| {
-                    s.spawn(|| {
-                        start.wait();
-                        reader.read_level(ds.var, 0).expect("concurrent walk")
-                    })
+    // No level cache: every thread walks from the base to level 0.
+    let reader = walker(&canopus);
+    let m = canopus.metrics();
+    let (tier, geometry) = (
+        tier_bytes_read(&canopus),
+        m.counter(names::READ_GEOMETRY_BYTES).get(),
+    );
+    let start = Barrier::new(READERS);
+    let outcomes: Vec<ReadOutcome> = std::thread::scope(|s| {
+        let walkers: Vec<_> = (0..READERS)
+            .map(|_| {
+                s.spawn(|| {
+                    start.wait();
+                    reader.read_level(ds.var, 0).expect("concurrent walk")
                 })
-                .collect();
-            walkers
-                .into_iter()
-                .map(|w| w.join().expect("walker"))
-                .collect()
-        });
-        for out in &outcomes {
-            assert_same(out, &clean[0], "concurrent walk");
-        }
-        assert_eq!(
-            m.counter(names::READ_GEOMETRY_BYTES).get() - geometry,
-            one_walk,
-            "depth {depth}: {READERS} walks share one load of each section"
-        );
-        assert_eq!(
-            tier_bytes_read(&canopus) - tier,
-            READERS as u64 * stored.field + one_walk,
-            "depth {depth}: each walk reads the field, one of them the geometry"
-        );
-
-        // Two targets at once: a walk to level 0 passes through level 1
-        // — whose topology it claims for itself, or waits for — while
-        // the loader of a walk to level 1 holds that level whole. Every
-        // walk finishes, and level 1 is still loaded once: whole, or as
-        // its two sections.
-        let reader = canopus
-            .open(FILE)
-            .expect("open")
-            .with_level_cache(0)
-            .with_pipeline_depth(depth);
-        let geometry = m.counter(names::READ_GEOMETRY_BYTES).get();
-        let start = Barrier::new(READERS);
-        std::thread::scope(|s| {
-            let walkers: Vec<_> = (0..READERS as u32)
-                .map(|i| {
-                    let (reader, start, clean, ds) = (&reader, &start, &clean, &ds);
-                    s.spawn(move || {
-                        start.wait();
-                        let target = i % 2;
-                        let out = reader.read_level(ds.var, target).expect("concurrent walk");
-                        assert_same(&out, &clean[target as usize], "two targets");
-                    })
-                })
-                .collect();
-            for walker in walkers {
-                walker.join().expect("walker");
-            }
-        });
-        assert_eq!(
-            m.counter(names::READ_GEOMETRY_BYTES).get() - geometry,
-            one_walk + stored.coordinates(1),
-            "depth {depth}: two targets"
-        );
+            })
+            .collect();
+        walkers
+            .into_iter()
+            .map(|w| w.join().expect("walker"))
+            .collect()
+    });
+    for out in &outcomes {
+        assert_same(out, &clean[0], "concurrent walk");
     }
+    assert_eq!(
+        m.counter(names::READ_GEOMETRY_BYTES).get() - geometry,
+        one_walk,
+        "{READERS} walks share one load of each section"
+    );
+    assert_eq!(
+        tier_bytes_read(&canopus) - tier,
+        READERS as u64 * stored.field + one_walk,
+        "each walk reads the field, one of them the geometry"
+    );
+
+    // Two targets at once: a walk to level 0 passes through level 1
+    // — whose topology it claims for itself, or waits for — while
+    // the loader of a walk to level 1 holds that level whole. Every
+    // walk finishes, and level 1 is still loaded once: whole, or as
+    // its two sections.
+    let reader = walker(&canopus);
+    let geometry = m.counter(names::READ_GEOMETRY_BYTES).get();
+    let start = Barrier::new(READERS);
+    std::thread::scope(|s| {
+        let walkers: Vec<_> = (0..READERS as u32)
+            .map(|i| {
+                let (reader, start, clean, ds) = (&reader, &start, &clean, &ds);
+                s.spawn(move || {
+                    start.wait();
+                    let target = i % 2;
+                    let out = reader.read_level(ds.var, target).expect("concurrent walk");
+                    assert_same(&out, &clean[target as usize], "two targets");
+                })
+            })
+            .collect();
+        for walker in walkers {
+            walker.join().expect("walker");
+        }
+    });
+    assert_eq!(
+        m.counter(names::READ_GEOMETRY_BYTES).get() - geometry,
+        one_walk + stored.coordinates(1),
+        "two targets"
+    );
 }
 
 fn text(e: &Event, key: &str) -> Option<String> {
@@ -767,43 +731,47 @@ fn traced<T>(canopus: &Canopus, read: impl FnOnce() -> T) -> (T, Vec<Event>, Vec
 }
 
 #[test]
-fn fifty_cold_pipelined_walks_issue_exactly_the_serial_walks_tier_reads() {
+fn fifty_cold_walks_issue_exactly_the_tier_reads_the_manifest_plans() {
     // Five levels, as the benchmark writes them.
     const FIVE: u32 = 5;
     let ds = dataset();
     let canopus = written_in(&ds, FIVE, 1, Estimator::Mean, RelativeCodec::Fpc);
-    let cold_walk = |depth: u32| {
+    let clean = support::stepwise_restore(&canopus, FILE, ds.var, 0);
+    // Base field and geometry, then per step the delta and the level's
+    // geometry: with the open, the benchmark's eleven reads. Every field
+    // block and the geometry of level 0 and the base move whole; of the
+    // levels in between only the topology moves.
+    let mut planned: Vec<Fetch> = walker(&canopus)
+        .file()
+        .inq_var(ds.var)
+        .expect("variable")
+        .blocks
+        .iter()
+        .map(|b| {
+            let section = match b.kind {
+                ProductKind::Metadata { level } if level > 0 && level < FIVE - 1 => {
+                    Some("topology".to_string())
+                }
+                _ => None,
+            };
+            (b.key.clone(), section)
+        })
+        .collect();
+    planned.sort();
+    assert_eq!(planned.len() as u32, 2 * FIVE);
+    let cold_walk = || {
         // A fresh reader: the open is one read, of the manifest.
         let before = tier_reads(&canopus);
-        let reader = canopus
-            .open(FILE)
-            .expect("open")
-            .with_level_cache(0)
-            .with_pipeline_depth(depth);
+        let reader = walker(&canopus);
         assert_eq!(tier_reads(&canopus) - before, 1);
         traced(&canopus, || {
             reader.read_level(ds.var, 0).expect("cold walk")
         })
     };
 
-    let (clean, _, serial) = cold_walk(0);
-    // Base field and geometry, then per step the delta and the level's
-    // geometry: with the open, the benchmark's eleven reads.
-    assert_eq!(serial.len() as u32, 2 * FIVE);
-    let geometry = |level: u32| -> Vec<Option<String>> {
-        let object = format!("/m{level}");
-        let of_level = serial.iter().filter(|(key, _)| key.ends_with(&object));
-        of_level.map(|(_, section)| section.clone()).collect()
-    };
-    assert_eq!(geometry(0), [None], "level 0's object, whole and once");
-    assert_eq!(geometry(FIVE - 1), [None], "the base's too");
-    for passed in 1..FIVE - 1 {
-        assert_eq!(geometry(passed), [Some("topology".to_string())]);
-    }
-
     for walk in 0..50 {
-        let (out, events, pipelined) = cold_walk(4);
-        assert_eq!(pipelined, serial, "walk {walk}");
+        let (out, events, fetched) = cold_walk();
+        assert_eq!(fetched, planned, "walk {walk}");
         assert_same(&out, &clean, &format!("walk {walk}"));
         // The target's geometry is loaded beside the walk, not on its
         // thread; what the walk passes is loaded on it.
@@ -892,36 +860,31 @@ fn a_fault_on_a_coarser_delta_stops_the_loader_before_its_next_attempt() {
     let m = canopus.metrics();
     let counters =
         || [names::READ_FAULTS_INJECTED, names::READ_RETRIES].map(|name| m.counter(name).get());
-    let mut counted = Vec::new();
-    for reader in both_engines(&canopus) {
-        let reader = reader.with_retry(retry);
-        let before = counters();
-        canopus
-            .hierarchy()
-            .set_fault_plan(
-                SPARE,
-                FaultPlan {
-                    down: Some((0, u64::MAX)),
-                    ..FaultPlan::none()
-                },
-            )
-            .expect("spare tier");
-        let out = reader.read_level(ds.var, 0).expect("degrades");
-        assert!(out.degraded);
-        assert_same(
-            &ReadOutcome {
-                degraded: false,
-                ..out
+    let reader = walker(&canopus).with_retry(retry);
+    let before = counters();
+    canopus
+        .hierarchy()
+        .set_fault_plan(
+            SPARE,
+            FaultPlan {
+                down: Some((0, u64::MAX)),
+                ..FaultPlan::none()
             },
-            &clean[LEVELS as usize - 1],
-            "nothing past the base could be restored",
-        );
-        let after = counters();
-        counted.push([after[0] - before[0], after[1] - before[1]]);
-    }
-    let [serial, pipelined] = [counted[0], counted[1]];
-    assert_eq!(serial, [2, 1], "the delta: a fault, a retry, a fault");
-    // The loader met its first fault while the delta was being retried;
-    // told to stop, it never made its second attempt.
-    assert_eq!(pipelined, [3, 1]);
+        )
+        .expect("spare tier");
+    let out = reader.read_level(ds.var, 0).expect("degrades");
+    assert!(out.degraded);
+    assert_same(
+        &ReadOutcome {
+            degraded: false,
+            ..out
+        },
+        &clean[LEVELS as usize - 1],
+        "nothing past the base could be restored",
+    );
+    let after = counters();
+    // The delta: a fault, a retry, a fault. The loader met its first
+    // fault while the delta was being retried; told to stop, it never
+    // made its second attempt.
+    assert_eq!([after[0] - before[0], after[1] - before[1]], [3, 1]);
 }

@@ -288,15 +288,15 @@ fn write_pipeline_metrics_land_in_snapshot() {
     let (canopus, _) = written_canopus(); // default engine: pipelined
     let snap = canopus.metrics().snapshot();
 
-    // One pipelined write ran; the stage-depth gauges saw it.
-    assert_eq!(snap.counter(names::WRITE_PIPELINED), 1);
+    // One write ran; the stage-depth gauges saw it.
+    assert_eq!(snap.counter(names::WRITES), 1);
     assert!(snap.gauge(names::WRITE_STAGE_DEPTH_PEAK) >= 1);
     assert_eq!(
         snap.gauge(names::WRITE_STAGE_DEPTH),
         0,
         "job queue drains back to empty"
     );
-    // Overlap is recorded once per pipelined write (possibly zero wall).
+    // Overlap is recorded once per write (possibly zero wall).
     assert_eq!(snap.timer(names::WRITE_OVERLAP).count, 1);
     // The write-behind queues drained before the commit barrier returned;
     // their high-water marks were recorded while blocks were in flight.
@@ -310,13 +310,13 @@ fn write_pipeline_metrics_land_in_snapshot() {
         peak_seen = peak_seen.max(snap.gauge(&names::writeback_occupancy_peak(tier)));
     }
     assert!(peak_seen >= 1, "some tier queue held at least one block");
-    // Phase timers fire under the pipelined engine exactly as serially.
+    // The phase timers fire.
     assert!(snap.timer(names::WRITE_IO).sim_secs > 0.0);
     assert_eq!(snap.timer(names::WRITE_TOTAL).count, 1);
 
     // All of it survives the JSON round-trip the CLI depends on.
     let back = MetricsSnapshot::from_json_str(&snap.to_json_string()).expect("parse");
-    assert_eq!(back.counter(names::WRITE_PIPELINED), 1);
+    assert_eq!(back.counter(names::WRITES), 1);
     assert_eq!(
         back.gauge(names::WRITE_STAGE_DEPTH_PEAK),
         snap.gauge(names::WRITE_STAGE_DEPTH_PEAK)
@@ -329,36 +329,6 @@ fn write_pipeline_metrics_land_in_snapshot() {
         let name = names::writeback_occupancy_peak(tier);
         assert_eq!(back.gauge(&name), snap.gauge(&name), "{name}");
     }
-}
-
-/// The serial oracle engine records the same totals but none of the
-/// pipeline-only metrics.
-#[test]
-fn serial_write_records_no_pipeline_metrics() {
-    let ds = xgc1_dataset_sized(20, 20, 7);
-    let raw = (ds.data.len() * 8) as u64;
-    let canopus = Canopus::new(
-        Arc::new(StorageHierarchy::titan_two_tier(raw / 4, raw * 64)),
-        CanopusConfig {
-            refactor: RefactorConfig {
-                num_levels: LEVELS,
-                ..Default::default()
-            },
-            codec: RelativeCodec::Fpc,
-            write_pipeline_depth: 0,
-            ..Default::default()
-        },
-    );
-    canopus
-        .write("obs.bp", ds.var, &ds.mesh, &ds.data)
-        .expect("serial write");
-    let snap = canopus.metrics().snapshot();
-    assert_eq!(snap.counter(names::WRITE_PIPELINED), 0);
-    assert_eq!(snap.timer(names::WRITE_OVERLAP).count, 0);
-    assert_eq!(snap.gauge(names::WRITE_STAGE_DEPTH_PEAK), 0);
-    // The totals still flow.
-    assert_eq!(snap.counter(names::WRITES), 1);
-    assert!(snap.timer(names::WRITE_IO).sim_secs > 0.0);
 }
 
 /// The fault-tolerance layer publishes its counters — retries, observed
@@ -473,102 +443,96 @@ fn text<'a>(e: &'a Event, key: &str) -> Option<&'a str> {
 /// The walk's largest stage has a name: each level's geometry load is a
 /// `geometry` span under the read's root — level, section and stored
 /// bytes on it, its verified fetch beneath it — and the parse a timer of
-/// its own. Both engines draw the same tree, whichever thread did the
-/// loading.
+/// its own — whichever thread did the loading.
 #[test]
-fn geometry_loads_are_spans_under_the_root_and_a_parse_timer_in_both_engines() {
-    for depth in [0, CanopusConfig::default().pipeline_depth.max(1)] {
-        let (canopus, ds) = written_canopus();
-        let reader = canopus
-            .open("obs.bp")
-            .expect("open")
-            .with_pipeline_depth(depth);
-        canopus
-            .metrics()
-            .set_sink(Arc::new(RingBufferSink::with_capacity(1024)));
-        let parsed = canopus.metrics().snapshot();
-        let parsed = parsed.timer(names::READ_GEOMETRY_PARSE);
-        reader.read_level(ds.var, 0).expect("cold restore");
-        let snap = canopus.metrics().snapshot();
-        let what = format!("depth {depth}");
+fn geometry_loads_are_spans_under_the_root_and_a_parse_timer() {
+    let (canopus, ds) = written_canopus();
+    let reader = canopus.open("obs.bp").expect("open");
+    canopus
+        .metrics()
+        .set_sink(Arc::new(RingBufferSink::with_capacity(1024)));
+    let parsed = canopus.metrics().snapshot();
+    let parsed = parsed.timer(names::READ_GEOMETRY_PARSE);
+    reader.read_level(ds.var, 0).expect("cold restore");
+    let snap = canopus.metrics().snapshot();
+    let what = "cold walk";
 
-        let id = |e: &Event| uint(e, "span_id").expect("a span");
-        let named =
-            |name: &str| -> Vec<&Event> { snap.events.iter().filter(|e| e.name == name).collect() };
-        let [root] = named("read")[..] else {
-            panic!("{what}: one read call, one root");
-        };
-        assert_eq!(uint(root, "parent_id"), None, "{what}");
+    let id = |e: &Event| uint(e, "span_id").expect("a span");
+    let named =
+        |name: &str| -> Vec<&Event> { snap.events.iter().filter(|e| e.name == name).collect() };
+    let [root] = named("read")[..] else {
+        panic!("{what}: one read call, one root");
+    };
+    assert_eq!(uint(root, "parent_id"), None, "{what}");
 
-        // One load per level: the target and the base whole, the level
-        // passed in between its topology alone.
-        let var = reader.file().inq_var(ds.var).expect("variable");
-        let mut loaded = BTreeSet::new();
-        let mut in_spans = 0.0;
-        for load in named("geometry") {
-            assert_eq!(uint(load, "parent_id"), Some(id(root)), "{what}");
-            let level = uint(load, "level").expect("level") as u32;
-            let block = var.metadata_for(level).expect("geometry block");
-            let (section, stored) = match level {
-                1 => {
-                    let topology = block.section(GeometrySection::Topology).expect("index");
-                    ("topology", topology.len)
-                }
-                _ => ("whole", block.stored_bytes),
-            };
-            assert_eq!(text(load, "section"), Some(section), "{what} L{level}");
-            assert_eq!(uint(load, "bytes"), Some(stored), "{what} L{level}");
-            assert!(loaded.insert(level), "{what}: level {level} loaded twice");
-            // Its one child is the fetch of that object.
-            let children: Vec<&Event> = snap
-                .events
-                .iter()
-                .filter(|e| uint(e, "parent_id") == Some(id(load)))
-                .collect();
-            let [fetch] = children[..] else {
-                panic!("{what} L{level}: {children:?}");
-            };
-            assert_eq!(fetch.name, "read.block", "{what} L{level}");
-            assert_eq!(text(fetch, "key"), Some(block.key.as_str()), "{what}");
-            match load.field("wall_secs") {
-                Some(FieldValue::Float(secs)) => in_spans += secs,
-                other => panic!("{what}: a span records its duration, not {other:?}"),
+    // One load per level: the target and the base whole, the level
+    // passed in between its topology alone.
+    let var = reader.file().inq_var(ds.var).expect("variable");
+    let mut loaded = BTreeSet::new();
+    let mut in_spans = 0.0;
+    for load in named("geometry") {
+        assert_eq!(uint(load, "parent_id"), Some(id(root)), "{what}");
+        let level = uint(load, "level").expect("level") as u32;
+        let block = var.metadata_for(level).expect("geometry block");
+        let (section, stored) = match level {
+            1 => {
+                let topology = block.section(GeometrySection::Topology).expect("index");
+                ("topology", topology.len)
             }
-        }
-        assert_eq!(loaded, (0..LEVELS).collect(), "{what}");
-
-        // Nothing else of the walk moved: every other span hangs off
-        // the root directly.
-        let loads: BTreeSet<u64> = named("geometry").into_iter().map(id).collect();
-        let edges: BTreeSet<(&str, &str)> = snap
+            _ => ("whole", block.stored_bytes),
+        };
+        assert_eq!(text(load, "section"), Some(section), "{what} L{level}");
+        assert_eq!(uint(load, "bytes"), Some(stored), "{what} L{level}");
+        assert!(loaded.insert(level), "{what}: level {level} loaded twice");
+        // Its one child is the fetch of that object.
+        let children: Vec<&Event> = snap
             .events
             .iter()
-            .filter_map(|e| {
-                let parent = uint(e, "parent_id")?;
-                let under = if parent == id(root) {
-                    "read"
-                } else if loads.contains(&parent) {
-                    "geometry"
-                } else {
-                    "elsewhere"
-                };
-                Some((e.name.as_str(), under))
-            })
+            .filter(|e| uint(e, "parent_id") == Some(id(load)))
             .collect();
-        let expected = [
-            ("decode", "read"),
-            ("geometry", "read"),
-            ("read.block", "geometry"),
-            ("read.block", "read"),
-            ("restore", "read"),
-        ];
-        assert_eq!(edges, BTreeSet::from(expected), "{what}");
-
-        // The parse of each load is timed, inside its span.
-        let timer = snap.timer(names::READ_GEOMETRY_PARSE);
-        assert_eq!(timer.count - parsed.count, u64::from(LEVELS), "{what}");
-        let parse_secs = timer.wall_secs - parsed.wall_secs;
-        assert!(parse_secs > 0.0 && parse_secs <= in_spans, "{what}");
-        assert_eq!(timer.sim_secs, 0.0, "{what}: a parse moves no bytes");
+        let [fetch] = children[..] else {
+            panic!("{what} L{level}: {children:?}");
+        };
+        assert_eq!(fetch.name, "read.block", "{what} L{level}");
+        assert_eq!(text(fetch, "key"), Some(block.key.as_str()), "{what}");
+        match load.field("wall_secs") {
+            Some(FieldValue::Float(secs)) => in_spans += secs,
+            other => panic!("{what}: a span records its duration, not {other:?}"),
+        }
     }
+    assert_eq!(loaded, (0..LEVELS).collect(), "{what}");
+
+    // Nothing else of the walk moved: every other span hangs off
+    // the root directly.
+    let loads: BTreeSet<u64> = named("geometry").into_iter().map(id).collect();
+    let edges: BTreeSet<(&str, &str)> = snap
+        .events
+        .iter()
+        .filter_map(|e| {
+            let parent = uint(e, "parent_id")?;
+            let under = if parent == id(root) {
+                "read"
+            } else if loads.contains(&parent) {
+                "geometry"
+            } else {
+                "elsewhere"
+            };
+            Some((e.name.as_str(), under))
+        })
+        .collect();
+    let expected = [
+        ("decode", "read"),
+        ("geometry", "read"),
+        ("read.block", "geometry"),
+        ("read.block", "read"),
+        ("restore", "read"),
+    ];
+    assert_eq!(edges, BTreeSet::from(expected), "{what}");
+
+    // The parse of each load is timed, inside its span.
+    let timer = snap.timer(names::READ_GEOMETRY_PARSE);
+    assert_eq!(timer.count - parsed.count, u64::from(LEVELS), "{what}");
+    let parse_secs = timer.wall_secs - parsed.wall_secs;
+    assert!(parse_secs > 0.0 && parse_secs <= in_spans, "{what}");
+    assert_eq!(timer.sim_secs, 0.0, "{what}: a parse moves no bytes");
 }

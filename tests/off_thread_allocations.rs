@@ -106,10 +106,6 @@ fn a_cold_walks_arrays_are_allocated_by_its_caller() {
     canopus
         .write("big.bp", ds.var, &ds.mesh, &ds.data)
         .expect("write");
-    assert!(
-        CanopusConfig::default().pipeline_depth > 0,
-        "the pipelined engine"
-    );
 
     // What level 0's three arrays occupy once parsed, from the manifest.
     let parsed = |reader: &canopus::CanopusReader| {

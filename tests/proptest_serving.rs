@@ -1,8 +1,10 @@
 //! Property-based concurrency tests for the serving layer: whatever
 //! random mix of requests, worker-pool size and cache configuration,
-//! concurrent service answers must match a serial oracle — and dropping
+//! concurrent service answers must match a stepwise oracle — and dropping
 //! a service with requests still queued must neither deadlock nor lose
 //! an in-flight response.
+
+mod support;
 
 use canopus::config::RelativeCodec;
 use canopus::{Canopus, CanopusConfig, CanopusService, ServeRequest};
@@ -89,9 +91,9 @@ proptest! {
 
     /// Random interleavings of concurrent readers — any request vector,
     /// worker count and cache setting — return byte-identical data to
-    /// the serial oracle for every single request.
+    /// the stepwise oracle for every single request.
     #[test]
-    fn concurrent_answers_match_serial_oracle(
+    fn concurrent_answers_match_stepwise_oracle(
         specs in arb_requests(),
         workers in 1u32..5,
         cache in any::<bool>(),
@@ -110,19 +112,16 @@ proptest! {
             .map(|&(k, l, q)| request_from(k, l, q, &bb))
             .collect();
 
-        // Serial oracle: a fresh pre-pipeline, cache-less reader per request.
+        // Stepwise oracle: a fresh cache-less reader per request, levels
+        // restored one `refine_region` step at a time.
         let expected: Vec<Vec<u64>> = requests
             .iter()
             .map(|r| {
-                let reader = canopus
-                    .open(FILE)
-                    .expect("open")
-                    .with_pipeline_depth(0)
-                    .with_level_cache(0);
+                let reader = canopus.open(FILE).expect("open").with_level_cache(0);
                 let out = match r {
                     ServeRequest::Base { var, .. } => reader.read_base(var).expect("oracle"),
                     ServeRequest::Level { var, level, .. } => {
-                        reader.read_level(var, *level).expect("oracle")
+                        support::stepwise_restore(&canopus, FILE, var, *level)
                     }
                     ServeRequest::Region { var, region, .. } => {
                         let base = reader.read_base(var).expect("oracle base");
@@ -168,7 +167,7 @@ proptest! {
             prop_assert_eq!(
                 &expected[i],
                 &bits,
-                "request {} diverged from the serial oracle",
+                "request {} diverged from the stepwise oracle",
                 i
             );
         }

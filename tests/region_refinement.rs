@@ -3,6 +3,8 @@
 //! indexed shards of spatial chunks, regions refined by fetching only
 //! the intersecting chunks with ranged reads.
 
+mod support;
+
 use bytes::Bytes;
 use canopus::config::RelativeCodec;
 use canopus::{Canopus, CanopusConfig};
@@ -259,7 +261,8 @@ fn every_chunk_count_restores_every_level_for_every_codec() {
     // k-chunk file restores every level to the bits of the one-chunk
     // default; under the lossy ones, whose streams depend on how the
     // values are split, to within the codec bound (the base and each
-    // delta add at most one). Through both read engines.
+    // delta add at most one). The walk restores the bits of the stepwise
+    // reference on the same file.
     let bits = |data: &[f64]| data.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
     for (codec, rel) in [
         (RelativeCodec::Raw, 0.0),
@@ -278,20 +281,19 @@ fn every_chunk_count_restores_every_level_for_every_codec() {
         ),
     ] {
         let (ds, exact) = setup(1);
-        let exact = exact.open("roi.bp").unwrap().with_level_cache(0);
         let range = canopus_mesh::FieldStats::of(&ds.data).range();
         let bound = 3.0 * rel * range;
         for chunks in [1, 4, 16] {
             let (_, canopus) = setup_with(chunks, codec);
             let open = || canopus.open("roi.bp").unwrap().with_level_cache(0);
-            let (serial, pipelined) = (open().with_pipeline_depth(0), open());
+            let walker = open();
             for level in 0..3 {
-                let want = exact.read_level_serial(ds.var, level).unwrap();
-                let a = serial.read_level(ds.var, level).unwrap();
-                let b = pipelined.read_level(ds.var, level).unwrap();
+                let want = support::stepwise_restore(&exact, "roi.bp", ds.var, level);
+                let a = walker.read_level(ds.var, level).unwrap();
+                let b = support::stepwise_restore(&canopus, "roi.bp", ds.var, level);
                 let what = format!("{codec:?} k={chunks} level {level}");
                 assert_eq!(a.mesh, want.mesh, "{what}");
-                assert_eq!(bits(&a.data), bits(&b.data), "{what}: engines differ");
+                assert_eq!(bits(&a.data), bits(&b.data), "{what}: walk differs");
                 let max_err = a
                     .data
                     .iter()

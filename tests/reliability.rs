@@ -5,8 +5,8 @@
 //! answering while the storage hierarchy misbehaves):
 //!
 //! * **equivalence** — under transient-only faults that stay within the
-//!   retry budget, restored bytes are identical to the fault-free run,
-//!   through both restore engines;
+//!   retry budget, restored bytes are identical to the fault-free run
+//!   (the stepwise reference of `support::stepwise_restore`);
 //! * **degradation** — when a tier stays down past the budget, a level
 //!   walk returns the finest restorable level with
 //!   [`ReadOutcome::degraded`](canopus::ReadOutcome) set — level-only
@@ -17,6 +17,8 @@
 //! Every fault schedule is seeded and keyed off the (op, key, attempt)
 //! triple, so these tests are exactly reproducible — no sleeps, no
 //! timing dependence, no flakes.
+
+mod support;
 
 use canopus::config::RelativeCodec;
 use canopus::read::CanopusReader;
@@ -57,42 +59,52 @@ fn written() -> (canopus_data::Dataset, Canopus) {
 
 /// Readers are opened *before* faults are armed: the manifest read has
 /// no retry loop, and arming afterwards scopes injection to block I/O.
-fn both_engines(canopus: &Canopus) -> [CanopusReader; 2] {
-    let serial = canopus
-        .open("rel.bp")
-        .expect("open")
-        .with_level_cache(0)
-        .with_pipeline_depth(0);
-    let pipelined = canopus.open("rel.bp").expect("open").with_level_cache(0);
-    [serial, pipelined]
+fn reader(canopus: &Canopus) -> CanopusReader {
+    canopus.open("rel.bp").expect("open").with_level_cache(0)
+}
+
+/// Every level restored step by step before any fault is armed.
+fn clean_levels(ds: &canopus_data::Dataset, canopus: &Canopus) -> Vec<canopus::ReadOutcome> {
+    (0..LEVELS)
+        .map(|l| support::stepwise_restore(canopus, "rel.bp", ds.var, l))
+        .collect()
+}
+
+/// The layout the tier-down tests rely on, read off the manifest: the
+/// base and its geometry on tier 0, every delta shard on tier 1 — so a
+/// walk with tier 1 down reaches no level finer than the base.
+fn assert_deltas_alone_on_tier_1(canopus: &Canopus) {
+    let file = canopus.store().open("rel.bp").expect("open");
+    for block in file.meta().vars.iter().flat_map(|v| &v.blocks) {
+        let tier = canopus.hierarchy().find(&block.key).expect("placed");
+        let want = match block.kind {
+            canopus_storage::ProductKind::DeltaShard { .. } => 1,
+            _ if block.kind.rank(LEVELS) == 0 => 0,
+            _ => continue,
+        };
+        assert_eq!(tier, want, "{}", block.key);
+    }
 }
 
 #[test]
 fn transient_faults_restore_byte_identical_to_fault_free_run() {
     let (ds, canopus) = written();
-    let clean = canopus
-        .open("rel.bp")
-        .expect("open")
-        .with_level_cache(0)
-        .read_level(ds.var, 0)
-        .expect("fault-free restore");
-    let engines = both_engines(&canopus);
+    let clean = support::stepwise_restore(&canopus, "rel.bp", ds.var, 0);
+    let reader = reader(&canopus);
     canopus.hierarchy().set_fault_plan_all(FaultPlan {
         seed: 9,
         get_error_p: 0.35,
         ..FaultPlan::none()
     });
 
-    for reader in &engines {
-        let out = reader.read_level(ds.var, 0).expect("rides out transients");
-        assert!(!out.degraded, "transients within budget never degrade");
-        assert_eq!(out.level, 0);
-        assert_eq!(
-            out.data, clean.data,
-            "equivalence guarantee: restored bytes identical to the \
-             fault-free run"
-        );
-    }
+    let out = reader.read_level(ds.var, 0).expect("rides out transients");
+    assert!(!out.degraded, "transients within budget never degrade");
+    assert_eq!(out.level, 0);
+    assert_eq!(
+        out.data, clean.data,
+        "equivalence guarantee: restored bytes identical to the \
+         fault-free run"
+    );
     assert!(
         canopus.metrics().counter(names::READ_RETRIES).get() > 0,
         "the guarantee must have been exercised, not vacuous"
@@ -102,13 +114,8 @@ fn transient_faults_restore_byte_identical_to_fault_free_run() {
 #[test]
 fn short_outage_is_cured_by_the_retry_budget() {
     let (ds, canopus) = written();
-    let clean = canopus
-        .open("rel.bp")
-        .expect("open")
-        .with_level_cache(0)
-        .read_level(ds.var, 0)
-        .expect("fault-free restore");
-    let reader = canopus.open("rel.bp").expect("open").with_level_cache(0);
+    let clean = support::stepwise_restore(&canopus, "rel.bp", ds.var, 0);
+    let reader = reader(&canopus);
     // Tier 1 rejects its first two operations, then recovers — retries
     // advance the per-tier op index past the window.
     canopus
@@ -132,18 +139,10 @@ fn short_outage_is_cured_by_the_retry_budget() {
 #[test]
 fn hard_down_tier_degrades_to_best_reachable_level_and_never_errors() {
     let (ds, canopus) = written();
+    assert_deltas_alone_on_tier_1(&canopus);
     // Clean per-level ground truth before any faults.
-    let clean: Vec<_> = (0..LEVELS)
-        .map(|l| {
-            canopus
-                .open("rel.bp")
-                .expect("open")
-                .with_level_cache(0)
-                .read_level(ds.var, l)
-                .expect("clean read")
-        })
-        .collect();
-    let engines = both_engines(&canopus);
+    let clean = clean_levels(&ds, &canopus);
+    let reader = reader(&canopus);
     // The delta tier goes down for good: no retry budget cures this.
     canopus
         .hierarchy()
@@ -157,37 +156,28 @@ fn hard_down_tier_degrades_to_best_reachable_level_and_never_errors() {
         )
         .expect("tier 1 exists");
 
-    for reader in &engines {
-        for target in 0..LEVELS {
-            let out = reader
-                .read_level(ds.var, target)
-                .expect("level-only unavailability is never an error");
-            assert!(
-                out.level >= target,
-                "never finer than asked (got {}, asked {target})",
-                out.level
-            );
-            assert_eq!(out.achieved_level, out.level);
-            if out.level > target {
-                assert!(out.degraded, "shortfall must be flagged");
-            } else {
-                assert!(!out.degraded);
-            }
-            assert!(out.level_exact, "whatever level is served is exact");
-            assert_eq!(
-                out.data, clean[out.level as usize].data,
-                "degraded answer is byte-identical to a clean read of the \
-                 achieved level"
-            );
-        }
+    for target in 0..LEVELS {
+        let out = reader
+            .read_level(ds.var, target)
+            .expect("level-only unavailability is never an error");
+        // Every delta is on the down tier: the base is the best reachable.
+        assert_eq!(out.level, LEVELS - 1, "asked {target}");
+        assert_eq!(out.achieved_level, out.level);
+        assert_eq!(out.degraded, out.level > target, "shortfall is flagged");
+        assert!(out.level_exact, "whatever level is served is exact");
+        assert_eq!(
+            out.data, clean[out.level as usize].data,
+            "degraded answer is byte-identical to a clean read of the \
+             achieved level"
+        );
     }
-    assert!(
+    assert_eq!(
         canopus
             .metrics()
             .counter(names::READ_DEGRADED_RESTORES)
-            .get()
-            >= 2,
-        "both engines degraded at least once"
+            .get(),
+        u64::from(LEVELS - 1),
+        "every target finer than the base degraded, once"
     );
 }
 
@@ -196,25 +186,15 @@ fn warmed_metadata_moves_the_fault_to_the_fetch_stage_and_still_degrades() {
     // With cold metadata a down tier is caught while *planning* the walk
     // (the level-geometry read fails, truncating the plan). Warming the
     // metadata first makes planning succeed, so the fault surfaces for
-    // the first time in the pipelined engine's prefetch stage — a
+    // the first time in the walk's prefetch stage — a
     // different shutdown path, which once deadlocked the decode pool's
     // done-channel drain. This pins: the walk terminates and degrades
     // exactly as in the planning-fault case.
     let (ds, canopus) = written();
-    let clean: Vec<_> = (0..LEVELS)
-        .map(|l| {
-            canopus
-                .open("rel.bp")
-                .expect("open")
-                .with_level_cache(0)
-                .read_level(ds.var, l)
-                .expect("clean read")
-        })
-        .collect();
-    let engines = both_engines(&canopus);
-    for reader in &engines {
-        reader.warm_metadata(ds.var).expect("warm before arming");
-    }
+    assert_deltas_alone_on_tier_1(&canopus);
+    let clean = clean_levels(&ds, &canopus);
+    let reader = reader(&canopus);
+    reader.warm_metadata(ds.var).expect("warm before arming");
     canopus
         .hierarchy()
         .set_fault_plan(
@@ -227,39 +207,32 @@ fn warmed_metadata_moves_the_fault_to_the_fetch_stage_and_still_degrades() {
         )
         .expect("tier 1 exists");
 
-    for reader in &engines {
-        let out = reader
-            .read_level(ds.var, 0)
-            .expect("fetch-stage unavailability is never an error");
-        assert!(out.degraded, "the walk stopped short of L0");
-        assert!(out.level > 0 && out.level < LEVELS);
-        assert_eq!(out.achieved_level, out.level);
-        assert!(out.level_exact);
-        assert_eq!(
-            out.data, clean[out.level as usize].data,
-            "fetch-stage degradation serves the same exact coarser level"
-        );
-    }
-    assert!(
+    let out = reader
+        .read_level(ds.var, 0)
+        .expect("fetch-stage unavailability is never an error");
+    assert!(out.degraded, "the walk stopped short of L0");
+    assert_eq!(out.level, LEVELS - 1, "no delta was reachable");
+    assert_eq!(out.achieved_level, out.level);
+    assert!(out.level_exact);
+    assert_eq!(
+        out.data, clean[out.level as usize].data,
+        "fetch-stage degradation serves the same exact coarser level"
+    );
+    assert_eq!(
         canopus
             .metrics()
             .counter(names::READ_DEGRADED_RESTORES)
-            .get()
-            >= 2,
-        "both engines degraded"
+            .get(),
+        1,
+        "the one walk degraded"
     );
 }
 
 #[test]
 fn in_flight_corruption_is_caught_by_checksums_and_cured_by_refetch() {
     let (ds, canopus) = written();
-    let clean = canopus
-        .open("rel.bp")
-        .expect("open")
-        .with_level_cache(0)
-        .read_level(ds.var, 0)
-        .expect("fault-free restore");
-    let engines = both_engines(&canopus);
+    let clean = support::stepwise_restore(&canopus, "rel.bp", ds.var, 0);
+    let reader = reader(&canopus);
     // ~30% of gets deliver a bit-flipped payload; the stored object is
     // intact, so a retry fetches clean bytes.
     canopus.hierarchy().set_fault_plan_all(FaultPlan {
@@ -268,14 +241,12 @@ fn in_flight_corruption_is_caught_by_checksums_and_cured_by_refetch() {
         ..FaultPlan::none()
     });
 
-    for reader in &engines {
-        let out = reader.read_level(ds.var, 0).expect("corruption is cured");
-        assert!(!out.degraded);
-        assert_eq!(
-            out.data, clean.data,
-            "checksum-verified refetch restores the exact bytes"
-        );
-    }
+    let out = reader.read_level(ds.var, 0).expect("corruption is cured");
+    assert!(!out.degraded);
+    assert_eq!(
+        out.data, clean.data,
+        "checksum-verified refetch restores the exact bytes"
+    );
     let m = canopus.metrics();
     assert!(
         m.counter(names::READ_CHECKSUM_FAILURES).get() > 0,
@@ -316,16 +287,15 @@ fn zeroed_manifest_checksums_fail_reads() {
 
     let m = canopus.metrics();
     let mismatches = m.counter(names::READ_CHECKSUM_FAILURES).get();
-    for reader in both_engines(&canopus) {
-        let out = reader.read_level(ds.var, 0).expect("degrades");
-        assert!(out.degraded, "no delta or geometry block verifies");
-        assert_eq!(out.level, LEVELS - 1);
-        assert_eq!(out.data, base.data);
-        let err = reader
-            .refine_region(ds.var, &out, ds.mesh.aabb())
-            .expect_err("a region step has nothing coarser to fall back to");
-        assert!(err.is_checksum_mismatch(), "{err}");
-    }
+    let walker = canopus.open("rel.bp").expect("open").with_level_cache(0);
+    let out = walker.read_level(ds.var, 0).expect("degrades");
+    assert!(out.degraded, "no delta or geometry block verifies");
+    assert_eq!(out.level, LEVELS - 1);
+    assert_eq!(out.data, base.data);
+    let err = walker
+        .refine_region(ds.var, &out, ds.mesh.aabb())
+        .expect_err("a region step has nothing coarser to fall back to");
+    assert!(err.is_checksum_mismatch(), "{err}");
     assert!(m.counter(names::READ_CHECKSUM_FAILURES).get() > mismatches);
 }
 

@@ -5,6 +5,8 @@
 //! cannot change what the next caller is served, and an outcome outlives
 //! the cache entry, the reader and the engine it came from.
 
+mod support;
+
 use canopus::config::RelativeCodec;
 use canopus::read::ReadOutcome;
 use canopus::{Canopus, CanopusConfig, CanopusService, ServeRequest};
@@ -80,16 +82,11 @@ fn engine(ds: &Dataset, level_cache: u32, delta_chunks: u32) -> Canopus {
     canopus
 }
 
-/// Level 0 as the serial engine restores it with no cache: the bits
+/// Level 0 as a stepwise restore hands it out with no cache: the bits
 /// every other path must hand out (the writer's, up to the rounding of
 /// `(x - estimate) + estimate`).
 fn level0_oracle(canopus: &Canopus, ds: &Dataset) -> Vec<u64> {
-    let reader = canopus
-        .open(FILE)
-        .unwrap()
-        .with_pipeline_depth(0)
-        .with_level_cache(0);
-    bits(&reader.read_level(ds.var, 0).unwrap().data)
+    bits(&support::stepwise_restore(canopus, FILE, ds.var, 0).data)
 }
 
 fn bits(data: &[f64]) -> Vec<u64> {

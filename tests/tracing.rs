@@ -1,11 +1,11 @@
 //! Span causality: the flat event stream a [`RingBufferSink`] captures
 //! must reassemble into one connected span *tree* per read call — the
 //! property the Chrome-trace exporter and the `canopus trace`
-//! subcommand rely on. The pipelined engine hands work to prefetch and
-//! decode-pool threads, so these tests pin down that cross-thread spans
-//! still parent to the calling read's root, that retry/fault events
-//! nest under the block fetch that observed them, and that the serial
-//! engine tells the same causal story as the pipelined one.
+//! subcommand rely on. The walk hands work to prefetch, decode-pool and
+//! geometry-loader threads, so these tests pin down that cross-thread
+//! spans still parent to the calling read's root, that retry/fault
+//! events nest under the block fetch that observed them, and that the
+//! tree has exactly the documented shape.
 
 use canopus::config::RelativeCodec;
 use canopus::{Canopus, CanopusConfig, FaultPlan};
@@ -18,10 +18,8 @@ use std::sync::Arc;
 
 const LEVELS: u32 = 3;
 
-/// The observability fixture (see `tests/observability.rs`), with the
-/// restore engine selectable: `pipeline_depth = 0` is the serial walk,
-/// anything larger the pipelined one.
-fn written_canopus(pipeline_depth: u32) -> (Canopus, canopus_data::Dataset) {
+/// The observability fixture (see `tests/observability.rs`).
+fn written_canopus() -> (Canopus, canopus_data::Dataset) {
     let ds = xgc1_dataset_sized(20, 20, 7);
     let raw = (ds.data.len() * 8) as u64;
     let hierarchy = Arc::new(StorageHierarchy::titan_two_tier(raw / 4, raw * 64));
@@ -33,7 +31,6 @@ fn written_canopus(pipeline_depth: u32) -> (Canopus, canopus_data::Dataset) {
                 ..Default::default()
             },
             codec: RelativeCodec::Fpc,
-            pipeline_depth,
             ..Default::default()
         },
     );
@@ -46,8 +43,8 @@ fn written_canopus(pipeline_depth: u32) -> (Canopus, canopus_data::Dataset) {
 /// Run one instrumented `read_level(var, 0)` and return the captured
 /// events (the write happens before the sink is armed, so the stream
 /// holds exactly one read call's tree).
-fn traced_read(pipeline_depth: u32) -> Vec<Event> {
-    let (canopus, ds) = written_canopus(pipeline_depth);
+fn traced_read() -> Vec<Event> {
+    let (canopus, ds) = written_canopus();
     canopus
         .metrics()
         .set_sink(Arc::new(RingBufferSink::with_capacity(4096)));
@@ -105,7 +102,7 @@ fn edge_set(events: &[Event]) -> BTreeSet<(String, String)> {
 
 #[test]
 fn pipelined_decode_spans_all_parent_to_one_read_root() {
-    let events = traced_read(CanopusConfig::default().pipeline_depth.max(2));
+    let events = traced_read();
 
     // Exactly one root: the read call itself.
     let roots: Vec<&Event> = events
@@ -151,7 +148,7 @@ fn pipelined_decode_spans_all_parent_to_one_read_root() {
 
 #[test]
 fn retry_and_fault_events_nest_under_their_block_spans() {
-    let (canopus, ds) = written_canopus(CanopusConfig::default().pipeline_depth);
+    let (canopus, ds) = written_canopus();
     canopus
         .metrics()
         .set_sink(Arc::new(RingBufferSink::with_capacity(4096)));
@@ -193,30 +190,26 @@ fn retry_and_fault_events_nest_under_their_block_spans() {
     }
 }
 
+/// The documented shape of a walk's span tree, as `(name, parent)`
+/// edges: a flat tree under a single read root, a geometry object's
+/// fetch one step further down, under its load.
+const WALK_EDGES: [(&str, &str); 6] = [
+    ("read", "<root>"),
+    ("read.block", "read"),
+    ("decode", "read"),
+    ("restore", "read"),
+    ("geometry", "read"),
+    ("read.block", "geometry"),
+];
+
 #[test]
-fn serial_and_pipelined_walks_tell_the_same_causal_story() {
-    let serial = edge_set(&traced_read(0));
-    let pipelined = edge_set(&traced_read(CanopusConfig::default().pipeline_depth.max(2)));
-    assert_eq!(
-        serial, pipelined,
-        "both engines must produce the same span-tree shape"
-    );
-    // And that shared shape is the documented one: a flat tree under a
-    // single read root, a geometry object's fetch one step further down,
-    // under its load.
-    for edge in [
-        ("read", "<root>"),
-        ("read.block", "read"),
-        ("decode", "read"),
-        ("restore", "read"),
-        ("geometry", "read"),
-        ("read.block", "geometry"),
-    ] {
-        assert!(
-            serial.contains(&(edge.0.to_string(), edge.1.to_string())),
-            "missing edge {edge:?}"
-        );
-    }
+fn a_walk_tells_the_documented_causal_story() {
+    let edges = edge_set(&traced_read());
+    let documented: BTreeSet<(String, String)> = WALK_EDGES
+        .iter()
+        .map(|&(child, parent)| (child.to_string(), parent.to_string()))
+        .collect();
+    assert_eq!(edges, documented, "the walk's span-tree shape");
 }
 
 #[test]
@@ -224,32 +217,30 @@ fn a_section_fetch_names_its_section_on_the_block_span() {
     // Base -> level 0 over three levels passes through level 1 alone:
     // its geometry object is the one fetched in part, and the span says
     // which part. Whole-object fetches carry no section.
-    for depth in [0, CanopusConfig::default().pipeline_depth.max(2)] {
-        let events = traced_read(depth);
-        let fetches: Vec<(String, Option<String>)> = events
+    let events = traced_read();
+    let fetches: Vec<(String, Option<String>)> = events
+        .iter()
+        .filter(|e| e.name == "read.block")
+        .map(|e| {
+            let text = |key| match e.field(key) {
+                Some(FieldValue::Str(s)) => Some(s.clone()),
+                _ => None,
+            };
+            (
+                text("key").expect("every fetch names its key"),
+                text("section"),
+            )
+        })
+        .collect();
+    let geometry = |level: u32| format!("/m{level}");
+    for (key, section) in &fetches {
+        let expect = key.ends_with(&geometry(1)).then(|| "topology".to_string());
+        assert_eq!(section, &expect, "{key}");
+    }
+    for level in 0..LEVELS {
+        let fetched = fetches
             .iter()
-            .filter(|e| e.name == "read.block")
-            .map(|e| {
-                let text = |key| match e.field(key) {
-                    Some(FieldValue::Str(s)) => Some(s.clone()),
-                    _ => None,
-                };
-                (
-                    text("key").expect("every fetch names its key"),
-                    text("section"),
-                )
-            })
-            .collect();
-        let geometry = |level: u32| format!("/m{level}");
-        for (key, section) in &fetches {
-            let expect = key.ends_with(&geometry(1)).then(|| "topology".to_string());
-            assert_eq!(section, &expect, "depth {depth}: {key}");
-        }
-        for level in 0..LEVELS {
-            let fetched = fetches
-                .iter()
-                .filter(|(k, _)| k.ends_with(&geometry(level)));
-            assert_eq!(fetched.count(), 1, "depth {depth}: level {level} geometry");
-        }
+            .filter(|(k, _)| k.ends_with(&geometry(level)));
+        assert_eq!(fetched.count(), 1, "level {level} geometry");
     }
 }
