@@ -50,8 +50,10 @@ commands:
         [--adaptive-tier] [--adaptive-tier-hits K]
         [--adaptive-tier-interval-ms MS]
         [--listen ADDR] [--addr-file PATH] [--linger-secs S]
-      start the shared serving layer (bounded queue + worker pool with a
-      reserved QuickLook lane) and drive it with a seeded closed-loop
+      start the shared serving layer (bounded queue + worker pool: by
+      default one accuracy worker per core plus a reserved QuickLook
+      lane; --workers W is W threads in total, the lane among them once
+      W >= 2) and drive it with a seeded closed-loop
       workload: N clients each issue R requests mixing QuickLook base
       reads, FullAccuracy level restores and region refines; prints
       throughput, per-class queue-wait / latency tails and deadline

@@ -1,0 +1,71 @@
+//! The `canopus` binary refuses a data file it cannot store: a raw
+//! `.f64` file is any multiple of 8 bytes, so a NaN or an infinity
+//! parses, and the write must fail with a message and a non-zero exit
+//! status before anything reaches the store.
+
+use std::path::{Path, PathBuf};
+use std::process::{Command, Output};
+
+fn canopus(args: &[&Path]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_canopus"))
+        .args(args)
+        .output()
+        .expect("run the canopus binary")
+}
+
+fn tmpdir(tag: &str) -> PathBuf {
+    let d = std::env::temp_dir().join(format!("canopus_cli_{tag}_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&d);
+    std::fs::create_dir_all(&d).unwrap();
+    d
+}
+
+fn files_under(p: &Path) -> usize {
+    std::fs::read_dir(p)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .map(|p| if p.is_dir() { files_under(&p) } else { 1 })
+        .sum()
+}
+
+#[test]
+fn write_of_a_data_file_holding_a_nan_exits_non_zero_with_the_message() {
+    let dir = tmpdir("nan");
+    let (store, mesh, data) = (dir.join("store"), dir.join("m.off"), dir.join("d.f64"));
+    let p = Path::new;
+    assert!(canopus(&[p("init"), &store]).status.success());
+    let made = canopus(&[
+        p("demo-data"),
+        p("xgc1"),
+        p("--mesh"),
+        &mesh,
+        p("--data"),
+        &data,
+        p("--small"),
+    ]);
+    assert!(made.status.success());
+
+    let mut bytes = std::fs::read(&data).unwrap();
+    bytes[8 * 42..8 * 43].copy_from_slice(&f64::NAN.to_le_bytes());
+    std::fs::write(&data, bytes).unwrap();
+    let before = files_under(&store);
+
+    let out = canopus(&[
+        p("write"),
+        &store,
+        p("x.bp"),
+        p("dpot"),
+        p("--mesh"),
+        &mesh,
+        p("--data"),
+        &data,
+        // Lossless: the codec itself would store the NaN.
+        p("--codec"),
+        p("fpc"),
+    ]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("value 42 is NaN"), "{stderr}");
+    assert_eq!(files_under(&store), before, "nothing stored");
+    let _ = std::fs::remove_dir_all(&dir);
+}

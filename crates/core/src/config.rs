@@ -54,11 +54,11 @@ pub struct CanopusConfig {
     pub fault: FaultPlan,
     /// Worker threads of the shared serving layer
     /// ([`CanopusService`](crate::serve::CanopusService)). `0` — the
-    /// default — sizes the pool to the host's available parallelism,
-    /// never below 2 so a dedicated quick-look lane always exists. With
-    /// 2+ workers, worker 0 serves only `QuickLook` requests, which is
-    /// what guarantees a cheap base read is never stuck behind a
-    /// running full restore.
+    /// default — is one accuracy worker per available core plus a
+    /// dedicated quick-look lane (`available_parallelism() + 1`
+    /// threads); `N > 0` is N threads in total. With 2+ workers, worker
+    /// 0 serves only `QuickLook` requests, which is what guarantees a
+    /// cheap base read is never stuck behind a running full restore.
     pub serve_workers: u32,
     /// Bound on the serving layer's admission queue. `submit` blocks
     /// until a slot frees up (closed-loop backpressure), so a burst of

@@ -26,9 +26,23 @@
 //! deadline comes first — so deep restores are starvation-free.
 //! Additionally, when the pool has 2+ workers, **worker 0 serves only
 //! `QuickLook` requests**: even with every other worker pinned inside a
-//! running full restore, a quick look is picked up immediately. That
-//! reserved lane is what makes "cheap reads are never stuck behind a
-//! full restore" a structural guarantee instead of a probabilistic one.
+//! running full restore, a quick look is picked up without waiting for
+//! any of them to finish. That reserved lane is what makes "cheap reads
+//! are never stuck behind a full restore" a structural guarantee
+//! instead of a probabilistic one.
+//!
+//! ## Pool shape
+//!
+//! The default pool is one accuracy worker per core *plus* the reserved
+//! lane: `available_parallelism() + 1` threads. Accuracy work therefore
+//! gets every core, and the lane is one thread more than there are
+//! cores. Nothing in the walk or in `refine_region` yields to it: a
+//! quick look that arrives while every core runs accuracy work never
+//! waits for a request, but it does wait until the OS scheduler gives
+//! the lane a core. What that costs the quick class is measured in
+//! `docs/performance.md` §9, not assumed away.
+//! An explicit `CanopusConfig::serve_workers = N` is N threads in total,
+//! the lane among them once N ≥ 2.
 //!
 //! ## Backpressure, shutdown, drain
 //!
@@ -366,7 +380,19 @@ fn execute(
     }
 }
 
+/// Takes one off a pool gauge when dropped, so a worker that leaves —
+/// drained at shutdown or unwinding from a panic — leaves the gauges
+/// `/healthz` reads telling the truth.
+struct Release<'a>(&'a Gauge);
+
+impl Drop for Release<'_> {
+    fn drop(&mut self) {
+        self.0.sub(1);
+    }
+}
+
 fn worker_loop(shared: &Shared, quick_only: bool) {
+    let _alive = Release(&shared.m.workers_alive);
     loop {
         let job = {
             let mut sched = shared.sched.lock().unwrap();
@@ -375,7 +401,6 @@ fn worker_loop(shared: &Shared, quick_only: bool) {
                     break job;
                 }
                 if sched.shutdown {
-                    shared.m.workers_alive.sub(1);
                     return;
                 }
                 sched = shared.work.wait(sched).unwrap();
@@ -390,12 +415,13 @@ fn worker_loop(shared: &Shared, quick_only: bool) {
         class.queue_wait.observe_secs(queue_wait_s);
 
         shared.m.inflight.add(1);
+        let inflight = Release(&shared.m.inflight);
         shared.m.inflight_peak.set_max(shared.m.inflight.get());
         let started = Instant::now();
         let result = execute(shared, &job.request);
         let finished = Instant::now();
         let service_s = finished.duration_since(started).as_secs_f64();
-        shared.m.inflight.sub(1);
+        drop(inflight);
 
         let result = match result {
             Ok((outcome, region_stats)) => {
@@ -502,17 +528,15 @@ pub struct CanopusService {
 
 impl CanopusService {
     /// Start the worker pool sized by the engine's configuration
-    /// (`serve_workers`: 0 = available parallelism, never below 2;
+    /// (`serve_workers`: 0 = one accuracy worker per available core plus
+    /// the reserved quick-look lane, N = N threads in total;
     /// `serve_queue`: admission bound, at least 1).
     pub fn start(canopus: Arc<Canopus>) -> Self {
         let config = *canopus.config();
         let workers = if config.serve_workers > 0 {
             config.serve_workers as usize
         } else {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(2)
-                .max(2)
+            std::thread::available_parallelism().map_or(1, |n| n.get()) + 1
         };
         let queue_cap = config.serve_queue.max(1) as usize;
         let epoch = Instant::now();
@@ -536,7 +560,8 @@ impl CanopusService {
             .map(|i| {
                 let shared = Arc::clone(&shared);
                 // Worker 0 is the reserved QuickLook lane once the pool
-                // has a second worker to take FullAccuracy jobs.
+                // has a second worker to take FullAccuracy jobs (the
+                // default pool has one per core).
                 let quick_only = workers >= 2 && i == 0;
                 std::thread::Builder::new()
                     .name(format!("canopus-serve-{i}"))
@@ -677,7 +702,9 @@ impl CanopusService {
         shared.m.queue_depth.add(1);
         shared.m.queue_depth_peak.set_max(depth);
         // notify_all, not notify_one: a single wake could land on the
-        // reserved quick worker while the new job is FullAccuracy.
+        // reserved quick worker while the new job is FullAccuracy. A
+        // targeted wake-up (a condvar per lane, notify_one each) measured
+        // slower end to end (docs/performance.md §9).
         shared.work.notify_all();
         Ok(Ticket { rx })
     }
@@ -971,6 +998,42 @@ mod tests {
             0,
             "drained shutdown retires every worker"
         );
+    }
+
+    #[test]
+    fn a_worker_that_panics_gives_back_its_gauges() {
+        let service = CanopusService::start(engine(2, 4));
+        // Poison the reader map: the next request's `execute` panics on
+        // its lock, inside the accuracy worker's loop.
+        let poisoned = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _map = service.shared.readers.lock().unwrap();
+                panic!("poisoning the reader map");
+            })
+            .join()
+        });
+        assert!(poisoned.is_err());
+        let ticket = service
+            .submit(ServeRequest::Level {
+                file: "s.bp".into(),
+                var: "dpot".into(),
+                level: 0,
+            })
+            .unwrap();
+        assert!(matches!(ticket.wait(), Err(CanopusError::ServiceStopped)));
+        // The ticket resolves as the job drops, before the worker's
+        // last guard does.
+        let m = &service.shared.m;
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while m.workers_alive.get() != 1 {
+            assert!(
+                Instant::now() < deadline,
+                "the dead worker is still counted"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(m.inflight.get(), 0, "its request is no longer in flight");
+        assert_eq!(m.completed.get() + m.failed.get(), 0);
     }
 
     #[test]

@@ -4,9 +4,13 @@
 //! The build environment cannot pull hyper/axum, and a scrape endpoint
 //! needs almost nothing from HTTP anyway: parse a `GET` request line,
 //! write one `Connection: close` response. [`TelemetryServer`] does
-//! exactly that from a single accept thread, plus a sampler thread that
-//! feeds a [`RollingWindow`] so windowed SLO numbers are available the
-//! moment a scraper asks.
+//! exactly that: an accept thread hands each connection through a
+//! bounded channel to a small fixed pool of handler threads, so one
+//! client that drips its request head holds one handler, not the
+//! endpoint. When every handler is busy and the channel is full, the
+//! accept thread answers `503` at once and never waits on the client.
+//! A sampler thread feeds a [`RollingWindow`] so windowed SLO numbers
+//! are available the moment a scraper asks.
 //!
 //! ## Routes
 //!
@@ -34,10 +38,11 @@ use crate::tiering::TierMigrator;
 use canopus_obs::export::prometheus_text;
 use canopus_obs::json::Value;
 use canopus_obs::{names, HistogramStat, Registry, RollingWindow, WindowConfig};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::io::{self, BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, TrySendError};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -155,13 +160,20 @@ impl State {
     }
 }
 
-/// The running endpoint: one accept thread, one sampler thread. Stops
-/// (and joins both) on [`stop`](TelemetryServer::stop) or drop.
+/// Handler threads, and connections that may wait for one; past both,
+/// a connection is refused with `503`.
+const HANDLERS: usize = 4;
+const QUEUED: usize = 4;
+
+/// The running endpoint: an accept thread, [`HANDLERS`] handler threads
+/// and a sampler thread. Stops (and joins them all) on
+/// [`stop`](TelemetryServer::stop) or drop.
 pub struct TelemetryServer {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
     sampler_stop: Arc<(Mutex<bool>, Condvar)>,
     accept: Option<JoinHandle<()>>,
+    handlers: Vec<JoinHandle<()>>,
     sampler: Option<JoinHandle<()>>,
     state: Arc<State>,
 }
@@ -187,22 +199,55 @@ impl TelemetryServer {
         });
         state.sample();
 
+        // Each connection travels with its accept instant: the head
+        // deadline runs from there, so time spent queued counts too.
+        let (conn_tx, conn_rx) = mpsc::sync_channel::<(TcpStream, Instant)>(QUEUED);
+        let conn_rx = Arc::new(Mutex::new(conn_rx));
+        let handlers = (0..HANDLERS)
+            .map(|i| {
+                let state = Arc::clone(&state);
+                let conn_rx = Arc::clone(&conn_rx);
+                std::thread::Builder::new()
+                    .name(format!("canopus-telemetry-{i}"))
+                    .spawn(move || loop {
+                        // The receiver's lock is held only while waiting
+                        // for the next connection (a `let` drops it at
+                        // the semicolon); the accept thread dropping the
+                        // sender ends the loop.
+                        let next = conn_rx
+                            .lock()
+                            .expect("no handler panics while it waits")
+                            .recv();
+                        let Ok((stream, accepted)) = next else { return };
+                        // One slow or broken scraper must not take the
+                        // endpoint down; errors only drop the connection.
+                        let _ = serve_connection(stream, accepted + HEAD_DEADLINE, &state);
+                    })
+                    .expect("spawn telemetry handler thread")
+            })
+            .collect();
+
         let stop = Arc::new(AtomicBool::new(false));
         let accept = {
-            let state = Arc::clone(&state);
             let stop = Arc::clone(&stop);
             std::thread::Builder::new()
                 .name("canopus-telemetry".into())
                 .spawn(move || {
+                    let mut refused = VecDeque::with_capacity(QUEUED);
                     for conn in listener.incoming() {
                         if stop.load(Ordering::Relaxed) {
                             return;
                         }
-                        if let Ok(stream) = conn {
-                            // One slow or broken scraper must not take
-                            // the endpoint down; errors only drop the
-                            // connection.
-                            let _ = serve_connection(stream, &state);
+                        let Ok(stream) = conn else { continue };
+                        if let Err(TrySendError::Full((stream, _))) =
+                            conn_tx.try_send((stream, Instant::now()))
+                        {
+                            if refused.len() == QUEUED {
+                                if let Some(oldest) = refused.pop_front() {
+                                    close_refused(oldest);
+                                }
+                            }
+                            refused.push_back(refuse_busy(stream));
                         }
                     }
                 })
@@ -236,6 +281,7 @@ impl TelemetryServer {
             stop,
             sampler_stop,
             accept: Some(accept),
+            handlers,
             sampler: Some(sampler),
             state,
         })
@@ -267,7 +313,9 @@ impl TelemetryServer {
         self.state.scrapes.get()
     }
 
-    /// Stop accepting, stop sampling, and join both threads. Idempotent.
+    /// Stop accepting, stop sampling, and join every thread. Idempotent.
+    /// A handler finishes the connection it holds first, which the head
+    /// deadline bounds.
     pub fn stop(&mut self) {
         if self.stop.swap(true, Ordering::Relaxed) {
             return;
@@ -281,6 +329,11 @@ impl TelemetryServer {
         // ourselves wakes it so it can observe the stop flag.
         let _ = TcpStream::connect_timeout(&self.addr, Duration::from_secs(1));
         if let Some(h) = self.accept.take() {
+            let _ = h.join();
+        }
+        // The accept thread has dropped the sender: each handler drains
+        // what is queued and returns.
+        for h in self.handlers.drain(..) {
             let _ = h.join();
         }
         if let Some(h) = self.sampler.take() {
@@ -300,10 +353,34 @@ impl Drop for TelemetryServer {
 // ---------------------------------------------------------------------
 
 /// The most a request head — request line, headers, blank line — may
-/// occupy, and the longest a client may take to send it. Both bound what
-/// one connection can cost the single accept thread.
+/// occupy, and the longest a client may take, from its accept, to send
+/// it. Both bound what one connection can cost a handler thread.
 const MAX_HEAD_BYTES: u64 = 8 << 10;
 const HEAD_DEADLINE: Duration = Duration::from_secs(2);
+
+/// Answer a connection no handler has room for, on the accept thread:
+/// the socket is non-blocking, so a client that reads nothing cannot
+/// stall the accept loop. The refusal fits an empty send buffer.
+///
+/// The socket is half-closed, not closed: the accept thread keeps the
+/// last [`QUEUED`] refused ones open. A request that arrives after the
+/// refusal then lands on an open socket; on a closed one it would draw
+/// a reset, which can overtake the 503 or fail the client's next write.
+fn refuse_busy(mut stream: TcpStream) -> TcpStream {
+    let _ = stream.set_nonblocking(true);
+    let _ = stream.write_all(
+        b"HTTP/1.1 503 Service Unavailable\r\nContent-Length: 0\r\nRetry-After: 1\r\nConnection: close\r\n\r\n",
+    );
+    let _ = stream.shutdown(Shutdown::Write);
+    stream
+}
+
+/// Close a refused connection once newer ones have pushed it out. Its
+/// request is read first (what has arrived, never waiting): a socket
+/// closed with unread bytes sends a reset.
+fn close_refused(stream: TcpStream) {
+    let _ = io::copy(&mut (&stream).take(MAX_HEAD_BYTES), &mut io::sink());
+}
 
 /// Read a request head off `stream`: up to the blank line (or the
 /// client's half-close), within [`MAX_HEAD_BYTES`] and by `deadline`
@@ -350,12 +427,12 @@ fn read_head(stream: &TcpStream, deadline: Instant) -> io::Result<Result<Vec<u8>
     }
 }
 
-/// Read one request, write one response, close.
-fn serve_connection(mut stream: TcpStream, state: &State) -> io::Result<()> {
+/// Read one request (its head by `deadline`), write one response, close.
+fn serve_connection(mut stream: TcpStream, deadline: Instant, state: &State) -> io::Result<()> {
     stream.set_write_timeout(Some(Duration::from_secs(2)))?;
     // Headers are read (so well-behaved clients aren't reset mid-send)
     // and ignored.
-    let head = read_head(&stream, Instant::now() + HEAD_DEADLINE)?;
+    let head = read_head(&stream, deadline)?;
     let head = head.as_ref().map(|head| String::from_utf8_lossy(head));
     let request_line = head
         .as_ref()
@@ -826,6 +903,98 @@ mod tests {
         let (status, _) = http_get(server.addr(), "/healthz", Duration::from_secs(5)).unwrap();
         assert_eq!(status, 200);
         assert_eq!(server.scrapes(), 1, "a refused head is not a scrape");
+    }
+
+    #[test]
+    fn a_dripping_client_holds_one_handler_not_the_endpoint() {
+        let mut server = start(bare_sources());
+        // A head that is never finished: its handler waits out the 2 s
+        // deadline while the other handlers serve.
+        let mut dripper = TcpStream::connect(server.addr()).unwrap();
+        dripper.write_all(b"GET /heal").unwrap();
+        let begun = Instant::now();
+        let (status, _) = http_get(server.addr(), "/healthz", Duration::from_secs(5)).unwrap();
+        assert_eq!(status, 200);
+        assert!(
+            begun.elapsed() < Duration::from_millis(100),
+            "/healthz took {:?} behind a dripping client",
+            begun.elapsed()
+        );
+        // Stop joins every thread, the dripper's handler once its
+        // deadline has passed.
+        let begun = Instant::now();
+        server.stop();
+        assert!(begun.elapsed() < HEAD_DEADLINE + Duration::from_secs(1));
+        assert!(http_get(server.addr(), "/healthz", Duration::from_millis(300)).is_err());
+        drop(dripper);
+    }
+
+    #[test]
+    fn a_full_pool_answers_503_at_once() {
+        let server = start(bare_sources());
+        // Silent clients: the pool holds at most one per handler and one
+        // per queue slot, so of one more than that at least one is
+        // refused, whichever order the handlers take them in.
+        let clients: Vec<TcpStream> = (0..=HANDLERS + QUEUED)
+            .map(|_| {
+                let client = TcpStream::connect(server.addr()).unwrap();
+                client.set_nonblocking(true).unwrap();
+                client
+            })
+            .collect();
+        let begun = Instant::now();
+        let mut answers = vec![Vec::new(); clients.len()];
+        while !answers.iter().any(|a| a.starts_with(b"HTTP/1.1 503 ")) {
+            // A held client hears nothing before its 2 s deadline.
+            assert!(
+                begun.elapsed() < Duration::from_secs(1),
+                "no connection refused: {answers:?}"
+            );
+            for (mut client, answer) in clients.iter().zip(&mut answers) {
+                let mut buf = [0u8; 256];
+                if let Ok(n) = client.read(&mut buf) {
+                    answer.extend_from_slice(&buf[..n]);
+                }
+            }
+            std::thread::yield_now();
+        }
+        // A scraper sends its request before it reads: refused, it still
+        // reads the whole 503 to the end, not a reset. (Should a handler
+        // have freed a queue slot late, the scraper waits there, to be
+        // served once a silent client's deadline passes; the next one is
+        // refused.)
+        let (mut refused, mut queued) = (None, 0);
+        while refused.is_none() && queued <= HANDLERS {
+            match http_get(server.addr(), "/healthz", Duration::from_millis(300)) {
+                Ok(answer) => refused = Some(answer),
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                    ) =>
+                {
+                    queued += 1
+                }
+                Err(e) => panic!("a refused scraper read {e}"),
+            }
+        }
+        assert_eq!(refused, Some((503, String::new())));
+        // Closed clients free their handlers and the endpoint serves
+        // again (once the handlers have drained the queue).
+        drop(clients);
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while !matches!(
+            http_get(server.addr(), "/healthz", Duration::from_secs(5)),
+            Ok((200, _))
+        ) {
+            assert!(Instant::now() < deadline, "the pool never freed up");
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        assert_eq!(
+            server.scrapes(),
+            1 + queued as u64,
+            "a refusal is not a scrape"
+        );
     }
 
     #[test]

@@ -21,6 +21,44 @@ use std::borrow::Cow;
 use std::sync::Arc;
 use std::time::Instant;
 
+/// The value range `max - min` every level job's codec resolves against,
+/// after refusing what cannot be stored: a value or a vertex coordinate
+/// that is not finite, or a range that overflows. The lossy codecs
+/// resolve their tolerance from that range, the lossless ones and the
+/// deltas would spread a NaN to its neighbours, and decimation orders
+/// collapses by coordinates.
+fn storable_range(mesh: &TriMesh, data: &[f64]) -> Result<f64, CanopusError> {
+    let (mut min, mut max) = (f64::INFINITY, f64::NEG_INFINITY);
+    for (i, &v) in data.iter().enumerate() {
+        if !v.is_finite() {
+            return Err(CanopusError::Invalid(format!(
+                "value {i} is {v}; only finite values can be stored"
+            )));
+        }
+        min = min.min(v);
+        max = max.max(v);
+    }
+    if let Some(i) = mesh
+        .points()
+        .iter()
+        .position(|p| !(p.x.is_finite() && p.y.is_finite()))
+    {
+        let p = mesh.points()[i];
+        return Err(CanopusError::Invalid(format!(
+            "vertex {i} is at ({}, {}); only finite coordinates can be stored",
+            p.x, p.y
+        )));
+    }
+    // With no values `max - min` is -inf, which clamps to 0.
+    let range = (max - min).max(0.0);
+    if !range.is_finite() {
+        return Err(CanopusError::Invalid(format!(
+            "the value range {min} .. {max} overflows an f64"
+        )));
+    }
+    Ok(range)
+}
+
 /// Report for one product (one stored block).
 #[derive(Debug, Clone)]
 pub struct ProductReport {
@@ -235,7 +273,8 @@ impl Canopus {
                 "refactor.num_levels must be at least 1".to_string(),
             ));
         }
-        self.write_pipelined(file, var, mesh, data)
+        let range = storable_range(mesh, data)?;
+        self.write_pipelined(file, var, mesh, data, range)
     }
 
     /// The decimation kernel: the serial edge-collapse kernel, or the
@@ -253,9 +292,9 @@ impl Canopus {
     }
 
     /// What every level job of one `write` shares: the codec resolved
-    /// against the variable's value range, and the layout knob.
-    fn job_ctx(&self, var: &str, data: &[f64], parent: SpanContext) -> WriteJobCtx {
-        let codec_kind = self.config.codec.resolve(FieldStats::of(data).range());
+    /// against the variable's value `range`, and the layout knob.
+    fn job_ctx(&self, var: &str, range: f64, parent: SpanContext) -> WriteJobCtx {
+        let codec_kind = self.config.codec.resolve(range);
         WriteJobCtx {
             var: var.to_string(),
             codec_kind,
@@ -294,13 +333,15 @@ impl Canopus {
     /// placement order, so tier choices — and therefore all stored bytes
     /// and the manifest — do not depend on which job finished first.
     /// Phase seconds are sums of per-stage work; the overlap won is
-    /// exported under [`names::WRITE_OVERLAP`].
+    /// exported under [`names::WRITE_OVERLAP`]. `range` is the value
+    /// range [`storable_range`] checked.
     fn write_pipelined(
         &self,
         file: &str,
         var: &str,
         mesh: &TriMesh,
         data: &[f64],
+        range: f64,
     ) -> Result<WriteReport, CanopusError> {
         let n = self.config.refactor.num_levels;
         let obs = Arc::clone(self.metrics());
@@ -308,7 +349,7 @@ impl Canopus {
         let root_ctx = span.context();
         let t_total = Instant::now();
 
-        let ctx = self.job_ctx(var, data, root_ctx);
+        let ctx = self.job_ctx(var, range, root_ctx);
 
         let total_jobs = n as usize; // n - 1 delta jobs + the base job
         let workers = std::thread::available_parallelism()
@@ -892,6 +933,7 @@ fn parse_kind_from_key(key: &str) -> Option<ProductKind> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::RelativeCodec;
     use canopus_mesh::generators::{jitter_interior, rectangle_mesh};
     use canopus_mesh::geometry::{Aabb, Point2};
     use canopus_storage::TierSpec;
@@ -1013,6 +1055,64 @@ mod tests {
             "nothing stored"
         );
         assert_eq!(c.metrics().counter(names::WRITES).get(), 0);
+    }
+
+    #[test]
+    fn inputs_that_cannot_be_stored_are_rejected_for_every_codec() {
+        let ds = canopus_data::xgc1_dataset_sized(10, 40, 3);
+        let with_value = |i: usize, v: f64| {
+            let mut data = ds.data.clone();
+            data[i] = v;
+            (ds.mesh.clone(), data)
+        };
+        let mut points = ds.mesh.points().to_vec();
+        points[5] = Point2::new(f64::NAN, f64::NAN);
+        let nan_vertex = (
+            TriMesh::new(points, ds.mesh.triangles().to_vec()),
+            ds.data.clone(),
+        );
+        let mut overflowing = ds.data.clone();
+        overflowing[3] = -1e308;
+        overflowing[9] = 1e308;
+        let cases = [
+            ("+inf value", with_value(7, f64::INFINITY), "value 7"),
+            ("-inf value", with_value(7, f64::NEG_INFINITY), "value 7"),
+            ("NaN value", with_value(11, f64::NAN), "value 11"),
+            ("overflowing range", (ds.mesh.clone(), overflowing), "range"),
+            ("NaN coordinate", nan_vertex, "vertex 5"),
+        ];
+        let codecs = [
+            RelativeCodec::ZfpLike {
+                rel_tolerance: 1e-4,
+            },
+            RelativeCodec::SzLike {
+                rel_error_bound: 1e-4,
+            },
+            RelativeCodec::Fpc,
+            RelativeCodec::Raw,
+        ];
+        for codec in codecs {
+            for (what, (mesh, data), names_it) in &cases {
+                let h = Arc::new(StorageHierarchy::titan_two_tier(1 << 24, 1 << 28));
+                let c = Canopus::new(
+                    Arc::clone(&h),
+                    CanopusConfig {
+                        codec,
+                        ..CanopusConfig::default()
+                    },
+                );
+                assert_eq!(c.config().refactor.num_levels, 3);
+                let err = c.write("bad.bp", "v", mesh, data).unwrap_err();
+                assert!(matches!(err, CanopusError::Invalid(_)), "{what}: {err}");
+                assert!(err.to_string().contains(names_it), "{what}: {err}");
+                for tier in 0..h.num_tiers() {
+                    assert!(
+                        h.tier_device(tier).unwrap().keys().is_empty(),
+                        "{what} under {codec:?}: nothing stored"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -6,19 +6,26 @@
 //! changes *when* work happens and *which* cache entry answers, never
 //! *what* a request returns. A reserved quick lane additionally pins
 //! the scheduling contract: a `QuickLook` admitted while deep restores
-//! are running completes without waiting for them.
+//! are running completes without waiting for them. The default pool's
+//! shape — one accuracy worker per core beside that lane — is pinned by
+//! holding restores in flight and counting how many run at once.
 
 mod support;
 
 use canopus::config::RelativeCodec;
 use canopus::read::CanopusReader;
-use canopus::{Canopus, CanopusConfig, CanopusService, Priority, ServeRequest, ServeResponse};
+use canopus::telemetry::http_get;
+use canopus::{
+    Canopus, CanopusConfig, CanopusService, FaultPlan, Priority, RetryPolicy, ServeRequest,
+    ServeResponse, TelemetryConfig, TelemetryServer,
+};
 use canopus_data::{xgc1_dataset_sized, Dataset};
 use canopus_mesh::geometry::{Aabb, Point2};
-use canopus_obs::names;
+use canopus_obs::{json, names};
 use canopus_refactor::levels::RefactorConfig;
-use canopus_storage::StorageHierarchy;
+use canopus_storage::{StorageHierarchy, TierSpec};
 use std::sync::Arc;
+use std::time::Duration;
 
 const FILE: &str = "serve.bp";
 const LEVELS: u32 = 4;
@@ -309,6 +316,184 @@ fn quick_look_admitted_during_full_restores_does_not_wait_for_them() {
     assert!(
         completed_full < 6,
         "quick look waited for the full-restore backlog ({completed_full}/6 already done)"
+    );
+
+    for t in fulls {
+        let r = t.wait().expect("full restore");
+        assert_eq!(r.priority, Priority::FullAccuracy);
+        assert_eq!(r.outcome.achieved_level, 0);
+    }
+}
+
+fn cores() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+/// `files` copies of a small variable, each file's finest delta alone
+/// on a spare tier whose first `files` operations fail, and one
+/// full-accuracy request per file. A restore's first fetch of that
+/// delta meets the outage and sleeps out a retry backoff of 0.5–1 s
+/// before its next attempt succeeds, so every restore a worker has
+/// picked up is still running half a second later on any host.
+fn held_restores(files: usize) -> (Arc<Canopus>, Vec<ServeRequest>) {
+    let ds = xgc1_dataset_sized(8, 40, 3);
+    let spare = 3;
+    let tiers = (0..=spare)
+        .map(|i| TierSpec::new(format!("t{i}"), 1 << 26, 1e8, 1e8, 1e-4))
+        .collect();
+    let canopus = Canopus::new(
+        Arc::new(StorageHierarchy::new(tiers)),
+        CanopusConfig {
+            refactor: RefactorConfig {
+                num_levels: 3,
+                ..Default::default()
+            },
+            codec: RelativeCodec::Raw,
+            retry: RetryPolicy {
+                base_backoff_s: 1.0,
+                max_backoff_s: 1.0,
+                ..RetryPolicy::new()
+            },
+            ..Default::default()
+        },
+    );
+    let requests = (0..files)
+        .map(|i| {
+            let file = format!("held{i}.bp");
+            canopus
+                .write(&file, ds.var, &ds.mesh, &ds.data)
+                .expect("write");
+            let reader = canopus.open(&file).expect("open");
+            let var = reader.file().inq_var(ds.var).expect("variable");
+            let finest = var.delta_shards_to(0)[0].key.clone();
+            canopus
+                .hierarchy()
+                .migrate(&finest, spare)
+                .expect("spare tier");
+            ServeRequest::Level {
+                file,
+                var: ds.var.to_string(),
+                level: 0,
+            }
+        })
+        .collect();
+    canopus
+        .hierarchy()
+        .set_fault_plan(
+            spare,
+            FaultPlan {
+                down: Some((0, files as u64)),
+                ..FaultPlan::none()
+            },
+        )
+        .expect("spare tier");
+    (Arc::new(canopus), requests)
+}
+
+/// The default pool is one accuracy worker per core plus the reserved
+/// lane, and `/healthz` expects exactly that many.
+#[test]
+fn default_pool_is_a_worker_per_core_beside_the_quick_lane() {
+    let ds = xgc1_dataset_sized(8, 40, 3);
+    let service = CanopusService::start(Arc::new(engine(&ds, 0)));
+    assert_eq!(service.workers(), cores() + 1);
+    let server = TelemetryServer::start(
+        "127.0.0.1:0",
+        service.telemetry_sources(),
+        TelemetryConfig::default(),
+    )
+    .expect("telemetry endpoint");
+    let (status, body) =
+        http_get(server.addr(), "/healthz", Duration::from_secs(5)).expect("/healthz");
+    assert_eq!(status, 200, "{body}");
+    let health = json::parse(&body).expect("json");
+    for field in ["workers_expected", "workers_alive"] {
+        assert_eq!(
+            health.get(field).and_then(json::Value::as_i64),
+            Some(cores() as i64 + 1),
+            "{field}: {body}"
+        );
+    }
+}
+
+/// As many accuracy requests as there are cores, admitted at once, all
+/// run together: every one is dequeued before any completes.
+#[test]
+fn one_accuracy_request_per_core_runs_at_once_in_the_default_pool() {
+    let (canopus, requests) = held_restores(cores());
+    let service = CanopusService::start(Arc::clone(&canopus));
+    let obs = Arc::clone(service.metrics());
+    let dequeued = obs.counter(&names::serve_dequeued("full"));
+    let completed = obs.counter(&names::serve_completed("full"));
+    let tickets: Vec<_> = requests
+        .into_iter()
+        .map(|r| service.submit(r).expect("submit"))
+        .collect();
+    // `dequeued` is read before `completed`: a zero read second was
+    // zero when the first was read, so at that instant `running`
+    // requests were in flight together.
+    loop {
+        let running = dequeued.get();
+        let done = completed.get();
+        assert_eq!(
+            done,
+            0,
+            "a restore finished while only {running} of {} had started",
+            cores()
+        );
+        if running == cores() as u64 {
+            break;
+        }
+        std::thread::yield_now();
+    }
+    for t in tickets {
+        let r = t.wait().expect("restore");
+        assert_eq!(r.outcome.achieved_level, 0);
+        assert!(
+            !r.outcome.degraded,
+            "one outage per restore fits the budget"
+        );
+    }
+}
+
+/// The reserved lane in the default pool: with every accuracy worker
+/// inside a held restore and a backlog queued behind them, a quick look
+/// completes before any of the restores does.
+#[test]
+fn quick_look_admitted_while_every_accuracy_worker_restores_does_not_wait() {
+    let (canopus, requests) = held_restores(cores());
+    let service = CanopusService::start(Arc::clone(&canopus));
+    assert_eq!(service.workers(), cores() + 1);
+    let quick = match &requests[0] {
+        ServeRequest::Level { file, var, .. } => ServeRequest::Base {
+            file: file.clone(),
+            var: var.clone(),
+        },
+        _ => unreachable!("held restores are level requests"),
+    };
+    let fulls: Vec<_> = requests
+        .iter()
+        .chain(&requests)
+        .map(|r| service.submit(r.clone()).expect("submit full"))
+        .collect();
+
+    // Wait until every accuracy worker has picked up a held restore.
+    let obs = Arc::clone(service.metrics());
+    let dequeued_full = obs.counter(&names::serve_dequeued("full"));
+    while dequeued_full.get() < cores() as u64 {
+        std::thread::yield_now();
+    }
+
+    let quick = service
+        .submit(quick)
+        .expect("submit quick")
+        .wait()
+        .expect("quick look");
+    assert_eq!(quick.priority, Priority::QuickLook);
+    let completed_full = obs.counter(&names::serve_completed("full")).get();
+    assert_eq!(
+        completed_full, 0,
+        "quick look waited for an accuracy worker ({completed_full} restores already done)"
     );
 
     for t in fulls {

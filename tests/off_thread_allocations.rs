@@ -9,9 +9,9 @@
 //!   its own, on pages no earlier restore has touched: measured, that
 //!   doubled `peak_rss_mib`) — so beside the caller a walk allocates
 //!   next to nothing, on any of its threads;
-//! * the telemetry endpoint's single **accept** thread reads a request
-//!   head through a byte cap, so a client that sends a megabyte without
-//!   a newline costs it the cap, not the megabyte.
+//! * a telemetry endpoint's **handler** thread reads a request head
+//!   through a byte cap, so a client that sends a megabyte without a
+//!   newline costs it the cap, not the megabyte.
 //!
 //! A global allocator attributes every allocation to "the test's own
 //! thread" (tagged through a thread-local) or "elsewhere". The two tests
@@ -136,8 +136,8 @@ fn a_cold_walks_arrays_are_allocated_by_its_caller() {
 #[test]
 fn a_megabyte_without_a_newline_costs_the_endpoint_its_cap() {
     let _turn = LEDGER.lock().unwrap_or_else(|e| e.into_inner());
-    // No sampler pass during the test: the accept thread is the only
-    // one of the endpoint's that runs.
+    // No sampler pass during the test: the accept thread and a handler
+    // are the only ones of the endpoint's that run.
     let config = TelemetryConfig {
         sample_interval: Duration::from_secs(3600),
         ..TelemetryConfig::default()
@@ -167,7 +167,7 @@ fn a_megabyte_without_a_newline_costs_the_endpoint_its_cap() {
     );
     assert!(
         elsewhere < ELSEWHERE_LIMIT,
-        "the accept thread allocated {elsewhere} B for one request head"
+        "the endpoint allocated {elsewhere} B for one request head"
     );
     // And it is there for the next client.
     let (status, body) = http_get(server.addr(), "/healthz", t).expect("next connection");
