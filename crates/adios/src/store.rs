@@ -44,6 +44,33 @@ pub struct BlockWrite {
     pub chunks: Vec<ChunkEntry>,
 }
 
+/// Add block `b`'s manifest entry, stored under `key`, to its variable's
+/// entry in `vars` (appended on the variable's first block), so blocks
+/// stay in the order they were written.
+fn record_block(vars: &mut Vec<VarMeta>, key: String, b: &BlockWrite) {
+    let bm = BlockMeta {
+        key,
+        kind: b.kind,
+        elements: b.elements,
+        codec_id: b.codec_id,
+        codec_param: b.codec_param,
+        raw_bytes: b.raw_bytes,
+        stored_bytes: b.data.len() as u64,
+        min: b.min,
+        max: b.max,
+        checksum: checksum64(&b.data),
+        chunks: b.chunks.clone(),
+    };
+    match vars.iter_mut().find(|v| v.name == b.var) {
+        Some(v) => v.blocks.push(bm),
+        None => {
+            let mut v = VarMeta::new(b.var.clone());
+            v.blocks.push(bm);
+            vars.push(v);
+        }
+    }
+}
+
 /// The ADIOS-like store over a storage hierarchy.
 #[derive(Clone)]
 pub struct BpStore {
@@ -99,27 +126,7 @@ impl BpStore {
                 kind: b.kind,
                 data: b.data.clone(),
             });
-            let bm = BlockMeta {
-                key,
-                kind: b.kind,
-                elements: b.elements,
-                codec_id: b.codec_id,
-                codec_param: b.codec_param,
-                raw_bytes: b.raw_bytes,
-                stored_bytes: b.data.len() as u64,
-                min: b.min,
-                max: b.max,
-                checksum: checksum64(&b.data),
-                chunks: b.chunks.clone(),
-            };
-            match vars.iter_mut().find(|v| v.name == b.var) {
-                Some(v) => v.blocks.push(bm),
-                None => {
-                    let mut v = VarMeta::new(b.var.clone());
-                    v.blocks.push(bm);
-                    vars.push(v);
-                }
-            }
+            record_block(&mut vars, key, b);
         }
 
         let plan = self.policy.place(&self.hierarchy, &products, num_levels)?;
@@ -224,27 +231,7 @@ impl StreamingWrite {
         let tier = self.writeback.reserve_with(len as u64, |pending| {
             policy.choose_tier(hierarchy, b.kind, len, self.num_levels, &key, pending)
         })?;
-        let bm = BlockMeta {
-            key: key.clone(),
-            kind: b.kind,
-            elements: b.elements,
-            codec_id: b.codec_id,
-            codec_param: b.codec_param,
-            raw_bytes: b.raw_bytes,
-            stored_bytes: len as u64,
-            min: b.min,
-            max: b.max,
-            checksum: checksum64(&b.data),
-            chunks: b.chunks,
-        };
-        match self.vars.iter_mut().find(|v| v.name == b.var) {
-            Some(v) => v.blocks.push(bm),
-            None => {
-                let mut v = VarMeta::new(b.var.clone());
-                v.blocks.push(bm);
-                self.vars.push(v);
-            }
-        }
+        record_block(&mut self.vars, key.clone(), &b);
         self.writeback.enqueue(tier, key.clone(), b.data)?;
         self.assignments.push((key, tier));
         Ok(())

@@ -6,7 +6,6 @@ use canopus_data::xgc1_dataset_sized;
 use canopus_mesh::FieldStats;
 use canopus_refactor::decimate::decimate;
 use canopus_refactor::mapping::build_mapping;
-use canopus_refactor::parallel::decimate_parallel;
 use canopus_refactor::{compute_delta, Estimator};
 use criterion::{criterion_group, criterion_main, Criterion};
 
@@ -50,12 +49,6 @@ fn bench_ablations(c: &mut Criterion) {
     for (name, codec) in &codecs {
         group.bench_function(format!("compress_delta_{name}"), |b| {
             b.iter(|| codec.compress(std::hint::black_box(&delta)).unwrap())
-        });
-    }
-
-    for parts in [1usize, 4, 8] {
-        group.bench_function(format!("decimate_parallel_{parts}"), |b| {
-            b.iter(|| decimate_parallel(std::hint::black_box(&ds.mesh), &ds.data, 2.0, parts))
         });
     }
     group.finish();

@@ -18,7 +18,7 @@ commands:
       synthesize one of the paper's datasets to files
   write <store> <file.bp> <var> --mesh m.off --data d.f64
         [--levels N] [--chunks C] [--codec zfp|sz|fpc|raw]
-        [--rel-tol T] [--decimation-parts P]
+        [--rel-tol T]
       refactor + compress + place a variable into the store (N >= 1);
       --chunks C (default 1) stores each delta as C spatial chunks in
       indexed shard objects; with C > 1 the chunks follow the Morton
@@ -261,10 +261,6 @@ fn cmd_write(argv: &[String]) -> Result<(), String> {
     let levels: u32 = a.opt_parse("levels", 3u32)?;
     let chunks: u32 = a.opt_parse("chunks", 1u32)?;
     let rel_tol: f64 = a.opt_parse("rel-tol", 1e-4f64)?;
-    let decimation_parts: u32 = a.opt_parse(
-        "decimation-parts",
-        CanopusConfig::default().decimation_parts,
-    )?;
     let codec = match a.opt("codec").unwrap_or("zfp") {
         "zfp" => RelativeCodec::ZfpLike {
             rel_tolerance: rel_tol,
@@ -286,7 +282,6 @@ fn cmd_write(argv: &[String]) -> Result<(), String> {
             },
             codec,
             delta_chunks: chunks,
-            decimation_parts,
             ..Default::default()
         },
     )?;

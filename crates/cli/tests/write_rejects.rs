@@ -1,7 +1,8 @@
-//! The `canopus` binary refuses a data file it cannot store: a raw
-//! `.f64` file is any multiple of 8 bytes, so a NaN or an infinity
-//! parses, and the write must fail with a message and a non-zero exit
-//! status before anything reaches the store.
+//! The `canopus` binary refuses a write it cannot store: a raw `.f64`
+//! file is any multiple of 8 bytes, so a NaN or an infinity parses, and a
+//! relative tolerance of 0 is a bound no lossy codec can be built with.
+//! The write must fail with a message and a non-zero exit status before
+//! anything reaches the store.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -28,9 +29,10 @@ fn files_under(p: &Path) -> usize {
         .sum()
 }
 
-#[test]
-fn write_of_a_data_file_holding_a_nan_exits_non_zero_with_the_message() {
-    let dir = tmpdir("nan");
+/// An initialised store and the small XGC1 demo files under a fresh
+/// directory: `(dir, store, mesh, data)`.
+fn demo_store(tag: &str) -> (PathBuf, PathBuf, PathBuf, PathBuf) {
+    let dir = tmpdir(tag);
     let (store, mesh, data) = (dir.join("store"), dir.join("m.off"), dir.join("d.f64"));
     let p = Path::new;
     assert!(canopus(&[p("init"), &store]).status.success());
@@ -44,7 +46,13 @@ fn write_of_a_data_file_holding_a_nan_exits_non_zero_with_the_message() {
         p("--small"),
     ]);
     assert!(made.status.success());
+    (dir, store, mesh, data)
+}
 
+#[test]
+fn write_of_a_data_file_holding_a_nan_exits_non_zero_with_the_message() {
+    let (dir, store, mesh, data) = demo_store("nan");
+    let p = Path::new;
     let mut bytes = std::fs::read(&data).unwrap();
     bytes[8 * 42..8 * 43].copy_from_slice(&f64::NAN.to_le_bytes());
     std::fs::write(&data, bytes).unwrap();
@@ -66,6 +74,30 @@ fn write_of_a_data_file_holding_a_nan_exits_non_zero_with_the_message() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(1), "{stderr}");
     assert!(stderr.contains("value 42 is NaN"), "{stderr}");
+    assert_eq!(files_under(&store), before, "nothing stored");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn write_with_a_zero_tolerance_exits_non_zero_with_the_message() {
+    let (dir, store, mesh, data) = demo_store("zero_tol");
+    let p = Path::new;
+    let before = files_under(&store);
+    let out = canopus(&[
+        p("write"),
+        &store,
+        p("x.bp"),
+        p("dpot"),
+        p("--mesh"),
+        &mesh,
+        p("--data"),
+        &data,
+        p("--rel-tol"),
+        p("0"),
+    ]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("finite positive bound"), "{stderr}");
     assert_eq!(files_under(&store), before, "nothing stored");
     let _ = std::fs::remove_dir_all(&dir);
 }

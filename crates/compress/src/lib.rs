@@ -15,8 +15,6 @@
 //!   loop. Like ZFP, it rewards smooth input with shorter streams — the
 //!   property the paper's Fig. 5 ("Canopus as a pre-conditioner") depends
 //!   on.
-//! * [`zfp2d`] — the 2-D (4×4 block) variant for raster data, with
-//!   row+column lifting and total-sequency coefficient ordering;
 //! * [`sz_like`] — an error-bounded prediction + quantization codec in the
 //!   SZ family: curve-fitting predictors, quantization-code table,
 //!   canonical Huffman coding, verbatim literals for unpredictable points.
@@ -37,7 +35,6 @@ pub mod observed;
 pub mod parallel;
 pub mod stats;
 pub mod sz_like;
-pub mod zfp2d;
 pub mod zfp_like;
 
 pub use error::CodecError;
@@ -46,7 +43,6 @@ pub use observed::ObservedCodec;
 pub use parallel::Chunked;
 pub use stats::CompressionStats;
 pub use sz_like::SzLike;
-pub use zfp2d::ZfpLike2d;
 pub use zfp_like::ZfpLike;
 
 /// A floating-point (de)compressor.

@@ -1,5 +1,5 @@
-//! Hostile input for every decoder: the lane-major ones (`ZfpLike`,
-//! `ZfpLike2d`), `SzLike` and `Fpc`.
+//! Hostile input for every decoder: the lane-major `ZfpLike`, `SzLike`
+//! and `Fpc`.
 //!
 //! Bytes from a tier are checksum-verified before they reach a codec,
 //! but a decoder must not rely on that: a stream cut at any byte, with a
@@ -10,12 +10,12 @@
 //! own, and for `SzLike` to its fixed lookup table plus a small multiple
 //! of the stream's size (its Huffman table is stored in the stream at
 //! five bytes an entry). Crafted block headers hit each check the
-//! lane-major decoders make, on the unchecked path (spare bytes behind
+//! lane-major decoder makes, on the unchecked path (spare bytes behind
 //! the block) and on the padded one, and the two paths must agree on
 //! every valid stream; crafted Huffman tables and lengths hit `SzLike`'s.
 
 use canopus_compress::bitstream::BitWriter;
-use canopus_compress::{Codec, CodecError, Fpc, SzLike, ZfpLike, ZfpLike2d};
+use canopus_compress::{Codec, CodecError, Fpc, SzLike, ZfpLike};
 use proptest::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -163,21 +163,6 @@ proptest! {
         check_hostile(&codec, &stream, data.len(), cut, &flips)?;
     }
 
-    #[test]
-    fn zfp2d_survives_cuts_and_bit_flips(
-        data in proptest::collection::vec(prop_oneof![-1e3f64..1e3, Just(0.0f64)], 391..392),
-        width in 1usize..24,
-        tol_exp in -9i32..0,
-        cut in 0usize..4096,
-        flips in arb_flips(),
-    ) {
-        let height = 391 / width;
-        let data = &data[..width * height];
-        let codec = ZfpLike2d::new(width, height, 10f64.powi(tol_exp));
-        let stream = codec.compress(data).unwrap();
-        check_hostile(&codec, &stream, data.len(), cut, &flips)?;
-    }
-
     /// Junk behind a valid stream header: the block parser sees random
     /// class bits, exponents, widths and lengths.
     #[test]
@@ -187,19 +172,11 @@ proptest! {
         tol_exp in -12i32..3,
     ) {
         let tol = 10f64.powi(tol_exp);
-        let mut one_d = ZfpLike::with_tolerance(tol).compress(&[]).unwrap();
-        one_d.extend_from_slice(&junk);
-        let _ = decode_bounded(&ZfpLike::with_tolerance(1.0), &one_d, n);
-
-        let (w, h) = (n % 23 + 1, n / 23 + 1);
-        let codec = ZfpLike2d::new(w, h, tol);
-        // The 18 header bytes of any stream of this shape.
-        let mut two_d = codec.compress(&vec![0.0; w * h]).unwrap()[..18].to_vec();
-        two_d.extend_from_slice(&junk);
-        let _ = decode_bounded(&codec, &two_d, w * h);
+        let mut stream = ZfpLike::with_tolerance(tol).compress(&[]).unwrap();
+        stream.extend_from_slice(&junk);
+        let _ = decode_bounded(&ZfpLike::with_tolerance(1.0), &stream, n);
 
         // And junk from the first byte on.
-        let _ = decode_bounded(&codec, &junk, w * h);
         let _ = decode_bounded(&ZfpLike::with_tolerance(1.0), &junk, n);
     }
 }
@@ -383,26 +360,18 @@ fn fpc_header_checks_hold() {
     }
 }
 
-/// Start a stream by hand: `dims` selects the 2-D header.
-fn stream_header(version: u8, tolerance: f64, dims: Option<(usize, usize)>) -> BitWriter {
+/// Start a stream by hand.
+fn stream_header(version: u8, tolerance: f64) -> BitWriter {
     let mut w = BitWriter::new();
-    w.write_bits(if dims.is_some() { 0xC5 } else { 0xC2 }, 8);
+    w.write_bits(0xC2, 8);
     w.write_bits(version as u64, 8);
     w.write_bits(tolerance.to_bits(), 64);
-    if let Some((width, height)) = dims {
-        w.write_bits(width as u64, 32);
-        w.write_bits(height as u64, 32);
-    }
     w
 }
 
-/// Decode a hand-made stream whose header was started with `dims`: four
-/// values through `ZfpLike`, or a 4x4 grid through `ZfpLike2d`.
-fn decode_crafted(dims: Option<(usize, usize)>, bytes: &[u8]) -> Result<Vec<f64>, CodecError> {
-    match dims {
-        None => decode_bounded(&ZfpLike::with_tolerance(1.0), bytes, 4),
-        Some(_) => decode_bounded(&ZfpLike2d::new(4, 4, 1.0), bytes, 16),
-    }
+/// Decode a hand-made stream as four values through `ZfpLike`.
+fn decode_crafted(bytes: &[u8]) -> Result<Vec<f64>, CodecError> {
+    decode_bounded(&ZfpLike::with_tolerance(1.0), bytes, 4)
 }
 
 /// A coded block's header: class bits `00`, the biased exponent, `nmax`.
@@ -412,26 +381,25 @@ fn coded_header(w: &mut BitWriter, emax: i32, nmax: u64) {
     w.write_bits(nmax, 6);
 }
 
-/// Decode one crafted block as the first of a 1-D stream (4 lanes) and
-/// of a 4x4 2-D stream (16 lanes), as written and with spare zero bytes
-/// behind it (which put the block on the unchecked path): all four must
-/// be `Corrupt`.
+/// The lanes of a `ZfpLike` block.
+const LANES: usize = 4;
+
+/// Decode one crafted block as the first of a stream, as written and
+/// with spare zero bytes behind it (which put the block on the unchecked
+/// path): both must be `Corrupt`.
 fn assert_block_is_corrupt(what: &str, tolerance: f64, block: impl Fn(&mut BitWriter, usize)) {
-    for dims in [None, Some((4usize, 4usize))] {
-        let lanes = if dims.is_some() { 16 } else { 4 };
-        let mut w = stream_header(2, tolerance, dims);
-        block(&mut w, lanes);
-        let exact = w.into_bytes();
-        let mut spare = exact.clone();
-        spare.resize(exact.len() + 256, 0);
-        for bytes in [&exact, &spare] {
-            let result = decode_crafted(dims, bytes);
-            assert!(
-                matches!(result, Err(CodecError::Corrupt(_))),
-                "{what}, {lanes} lanes, {} B: {result:?}",
-                bytes.len()
-            );
-        }
+    let mut w = stream_header(2, tolerance);
+    block(&mut w, LANES);
+    let exact = w.into_bytes();
+    let mut spare = exact.clone();
+    spare.resize(exact.len() + 256, 0);
+    for bytes in [&exact, &spare] {
+        let result = decode_crafted(bytes);
+        assert!(
+            matches!(result, Err(CodecError::Corrupt(_))),
+            "{what}, {} B: {result:?}",
+            bytes.len()
+        );
     }
 }
 
@@ -463,53 +431,45 @@ fn a_lane_running_past_the_buffer_is_corrupt() {
     // Every lane claims the block's full 40 bits; the stream ends with
     // the length field. (Spare bytes would make this a valid block, so
     // only the padded path can see it.)
-    for dims in [None, Some((4usize, 4usize))] {
-        let lanes = if dims.is_some() { 16 } else { 4 };
-        let mut w = stream_header(2, 1e-6, dims);
-        coded_header(&mut w, 0, 40);
-        w.write_bits(0, 4 * lanes);
-        let bytes = w.into_bytes();
-        let result = decode_crafted(dims, &bytes);
-        assert!(matches!(result, Err(CodecError::Corrupt(_))), "{result:?}");
-    }
+    let mut w = stream_header(2, 1e-6);
+    coded_header(&mut w, 0, 40);
+    w.write_bits(0, 4 * LANES as u32);
+    let bytes = w.into_bytes();
+    let result = decode_crafted(&bytes);
+    assert!(matches!(result, Err(CodecError::Corrupt(_))), "{result:?}");
 }
 
 #[test]
-fn stream_header_checks_hold_for_both_codecs() {
-    let decode = |w: BitWriter, dims: Option<(usize, usize)>| {
+fn stream_header_checks_hold() {
+    let decode = |w: BitWriter| {
         let mut bytes = w.into_bytes();
         bytes.resize(bytes.len() + 64, 0xFF); // all-zero blocks
-        decode_crafted(dims, &bytes)
+        decode_crafted(&bytes)
     };
-    for dims in [None, Some((4, 4))] {
-        // The well-formed header decodes (to the zero blocks behind it).
-        assert_eq!(
-            decode(stream_header(2, 1e-3, dims), dims).unwrap(),
-            vec![0.0; if dims.is_some() { 16 } else { 4 }]
-        );
-        // Retired and unknown versions.
-        for version in [0, 1, 3, 255] {
-            let err = decode(stream_header(version, 1e-3, dims), dims).unwrap_err();
-            assert!(matches!(err, CodecError::Corrupt(_)), "{err}");
-            assert_eq!(version == 1, err.to_string().contains("retired"), "{err}");
-        }
-        // A tolerance no encoder accepts.
-        for tolerance in [0.0, -1.0, f64::NAN, f64::INFINITY] {
-            let err = decode(stream_header(2, tolerance, dims), dims).unwrap_err();
-            assert!(err.to_string().contains("tolerance"), "{err}");
-        }
-        // A header cut short, byte by byte.
-        let whole = stream_header(2, 1e-3, dims).into_bytes();
-        for cut in 0..whole.len() {
-            assert!(
-                decode_crafted(dims, &whole[..cut]).is_err(),
-                "header cut at {cut}"
-            );
-        }
+    // The well-formed header decodes (to the zero blocks behind it).
+    assert_eq!(decode(stream_header(2, 1e-3)).unwrap(), vec![0.0; LANES]);
+    // Retired and unknown versions.
+    for version in [0, 1, 3, 255] {
+        let err = decode(stream_header(version, 1e-3)).unwrap_err();
+        assert!(matches!(err, CodecError::Corrupt(_)), "{err}");
+        assert_eq!(version == 1, err.to_string().contains("retired"), "{err}");
     }
-    // The wrong codec's magic.
-    assert!(decode(stream_header(2, 1e-3, None), Some((4, 4))).is_err());
-    assert!(decode(stream_header(2, 1e-3, Some((4, 4))), None).is_err());
-    // 2-D only: the stream's grid must be the codec's.
-    assert!(decode(stream_header(2, 1e-3, Some((4, 5))), Some((4, 4))).is_err());
+    // A tolerance no encoder accepts.
+    for tolerance in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+        let err = decode(stream_header(2, tolerance)).unwrap_err();
+        assert!(err.to_string().contains("tolerance"), "{err}");
+    }
+    // A header cut short, byte by byte.
+    let whole = stream_header(2, 1e-3).into_bytes();
+    for cut in 0..whole.len() {
+        assert!(
+            decode_crafted(&whole[..cut]).is_err(),
+            "header cut at {cut}"
+        );
+    }
+    // Another codec's magic.
+    let mut other = stream_header(2, 1e-3).into_bytes();
+    other[0] = 0xC5;
+    other.resize(other.len() + 64, 0xFF);
+    assert!(decode_crafted(&other).is_err());
 }

@@ -5,7 +5,7 @@
 //! lifting transform, the negabinary map, the cutoff plane and the
 //! reconstruction are the version-1 arithmetic. So for any input and
 //! tolerance, `decompress(compress(x))` must equal — bit for bit — what
-//! the scalar group-tested bit-plane coders of version 1 (kept verbatim
+//! the scalar group-tested bit-plane coder of version 1 (kept verbatim
 //! in `support`) return for the same input: across tolerances, zero
 //! blocks, raw escapes, partial final blocks and 1e±300 magnitudes. The
 //! streams differ, and the new one must not be the longer; a version-1
@@ -14,7 +14,7 @@
 
 mod support;
 
-use canopus_compress::{Codec, CodecKind, ZfpLike, ZfpLike2d};
+use canopus_compress::{Codec, CodecKind, ZfpLike};
 use proptest::prelude::*;
 
 /// Finite doubles spanning physics magnitudes plus extremes, with
@@ -30,24 +30,6 @@ fn arb_wild() -> impl Strategy<Value = Vec<f64>> {
         ],
         0..300,
     )
-}
-
-/// A 2-D grid: dimensions plus exactly `width * height` values
-/// (oversampled then truncated, since the vendored proptest has no
-/// `prop_flat_map`).
-fn arb_grid() -> impl Strategy<Value = (usize, usize, Vec<f64>)> {
-    (
-        1usize..18,
-        1usize..14,
-        proptest::collection::vec(
-            prop_oneof![-1e6f64..1e6, -1e300f64..1e300, Just(0.0f64)],
-            (17 * 13)..(17 * 13 + 1),
-        ),
-    )
-        .prop_map(|(w, h, mut data)| {
-            data.truncate(w * h);
-            (w, h, data)
-        })
 }
 
 fn bits(v: &[f64]) -> Vec<u64> {
@@ -68,7 +50,7 @@ fn noise(n: usize, scale: f64, seed: u64) -> Vec<f64> {
 }
 
 proptest! {
-    /// 1-D: both coders restore the same values, and `decompress_into`
+    /// Both coders restore the same values, and `decompress_into`
     /// is `decompress`.
     #[test]
     fn restored_values_match_the_reference(data in arb_wild(), tol_exp in -12i32..0) {
@@ -77,22 +59,6 @@ proptest! {
         let stream = codec.compress(&data).unwrap();
         let reference = support::zfp_like::compress(&data, tol).unwrap();
         let want = support::zfp_like::decompress(&reference, data.len()).unwrap();
-        let got = codec.decompress(&stream, data.len()).unwrap();
-        prop_assert_eq!(bits(&want), bits(&got));
-        let mut into = vec![f64::NAN; data.len()];
-        codec.decompress_into(&stream, &mut into).unwrap();
-        prop_assert_eq!(bits(&got), bits(&into));
-    }
-
-    /// 2-D: the same over the 16-lane blocks, including edge-replicated
-    /// partial blocks on ragged grids.
-    #[test]
-    fn restored_values_match_the_reference_2d((w, h, data) in arb_grid(), tol_exp in -12i32..0) {
-        let tol = 10f64.powi(tol_exp);
-        let codec = ZfpLike2d::new(w, h, tol);
-        let stream = codec.compress(&data).unwrap();
-        let reference = support::zfp2d::compress(&data, w, h, tol).unwrap();
-        let want = support::zfp2d::decompress(&reference, w, h).unwrap();
         let got = codec.decompress(&stream, data.len()).unwrap();
         prop_assert_eq!(bits(&want), bits(&got));
         let mut into = vec![f64::NAN; data.len()];
@@ -153,27 +119,6 @@ fn restored_values_match_the_reference_at_staging_boundaries() {
             );
         }
     }
-    for &(w, h) in &[(4usize, 4usize), (17, 13), (5, 1), (1, 9), (64, 48)] {
-        let mut data = noise(w * h, 50.0, (w * 31 + h) as u64);
-        if w * h > 8 {
-            data[0] = 0.0;
-            data[w * h / 2] = 1e300;
-            data[w * h / 2 + 1] = 1e-300;
-        }
-        for &tol in &[1e-2, 1e-8] {
-            let codec = ZfpLike2d::new(w, h, tol);
-            let reference = support::zfp2d::compress(&data, w, h, tol).unwrap();
-            assert_eq!(
-                bits(
-                    &codec
-                        .decompress(&codec.compress(&data).unwrap(), w * h)
-                        .unwrap()
-                ),
-                bits(&support::zfp2d::decompress(&reference, w, h).unwrap()),
-                "{w}x{h} tol {tol}"
-            );
-        }
-    }
 }
 
 /// Never larger: over a smooth, a noisy and a delta-like (near-zero
@@ -223,52 +168,4 @@ fn version_1_streams_are_refused_as_retired() {
         .decompress(&old, data.len())
         .unwrap_err();
     assert!(err.to_string().contains("retired"), "{err}");
-    let old = support::zfp2d::compress(&data, 8, 8, 1e-6).unwrap();
-    let err = ZfpLike2d::new(8, 8, 1e-6)
-        .decompress(&old, data.len())
-        .unwrap_err();
-    assert!(err.to_string().contains("retired"), "{err}");
-}
-
-/// Prints the `ZfpLike2d` table of `docs/performance.md` §11: version-1
-/// against lane-major bytes on 384x384 rasters. Reported, not gated —
-/// the 2-D codec is on no product path.
-#[test]
-#[ignore = "prints a table; run with --ignored --nocapture"]
-fn report_2d_stream_sizes() {
-    let (w, h) = (384usize, 384usize);
-    let image = |f: &dyn Fn(f64, f64) -> f64| -> Vec<f64> {
-        (0..w * h)
-            .map(|i| f((i % w) as f64, (i / w) as f64))
-            .collect()
-    };
-    let smooth = image(&|x, y| (x * 0.02).sin() * (y * 0.017).cos() * 40.0);
-    let blobs = image(&|x, y| {
-        [
-            (90.0, 100.0, 18.0, 30.0),
-            (250.0, 80.0, 9.0, 40.0),
-            (200.0, 280.0, 25.0, 20.0),
-            (60.0, 300.0, 6.0, 35.0),
-        ]
-        .iter()
-        .map(|&(cx, cy, r, a): &(f64, f64, f64, f64)| {
-            a * (-((x - cx).powi(2) + (y - cy).powi(2)) / (2.0 * r * r)).exp()
-        })
-        .sum()
-    });
-    let noisy = noise(w * h, 40.0, 3);
-    for (name, raster) in [("smooth", &smooth), ("blobs", &blobs), ("noise", &noisy)] {
-        let (lo, hi) = raster
-            .iter()
-            .fold((f64::MAX, f64::MIN), |(lo, hi), &v| (lo.min(v), hi.max(v)));
-        for rel in [1e-2, 1e-4, 1e-6] {
-            let tol = rel * (hi - lo);
-            let new = ZfpLike2d::new(w, h, tol).compress(raster).unwrap().len();
-            let old = support::zfp2d::compress(raster, w, h, tol).unwrap().len();
-            println!(
-                "{name} {rel:e}: {old} -> {new} ({:+.1}%)",
-                (new as f64 / old as f64 - 1.0) * 100.0
-            );
-        }
-    }
 }

@@ -1,11 +1,11 @@
-//! The version-1 reference coders: the scalar, per-bit group-tested
-//! bit-plane kernels the ZFP-family codecs shipped before blocks became
+//! The version-1 reference coder: the scalar, per-bit group-tested
+//! bit-plane kernel the ZFP-like codec shipped before blocks became
 //! lane-major (stream version 2), moved here verbatim from
-//! `zfp_like::oracle` / `zfp2d::oracle` together with the helpers they
-//! called, so the reference shares no code with the crate but its public
-//! bit stream. The new coder changes only how the truncated coefficients
-//! are serialized: everything these decoders reconstruct, it must
-//! reconstruct bit for bit, in streams that are no longer.
+//! `zfp_like::oracle` together with the helpers it called, so the
+//! reference shares no code with the crate but its public bit stream. The
+//! new coder changes only how the truncated coefficients are serialized:
+//! everything this decoder reconstructs, it must reconstruct bit for bit,
+//! in streams that are no longer.
 #![allow(dead_code)]
 
 use canopus_compress::bitstream::{BitReader, BitWriter};
@@ -357,301 +357,6 @@ pub mod zfp_like {
         let ints = transform_inv(coeffs);
         let scale = emax - SCALE_BITS;
         let mut out = [0.0f64; 4];
-        for (o, &i) in out.iter_mut().zip(&ints) {
-            *o = ldexp(i as f64, scale);
-        }
-        Ok(out)
-    }
-}
-
-/// The 2-D version-1 coder (`zfp2d::oracle` at its last release).
-pub mod zfp2d {
-    use super::*;
-
-    const STREAM_MAGIC: u8 = 0xC5;
-    const BLOCK: usize = 16;
-
-    /// Total-sequency order of a 4×4 block's coefficients: `(row_freq +
-    /// col_freq)` ascending, matching ZFP's PERM table for d = 2. Index i of
-    /// this array gives the position in the 4×4 block (row-major).
-    const SEQUENCY: [usize; 16] = [0, 1, 4, 5, 2, 8, 6, 9, 3, 12, 10, 7, 13, 11, 14, 15];
-
-    /// Gather one 4×4 block starting at `(bx, by)` with edge replication.
-    fn gather(data: &[f64], width: usize, height: usize, bx: usize, by: usize) -> [f64; BLOCK] {
-        let mut out = [0.0; BLOCK];
-        for r in 0..4 {
-            for c in 0..4 {
-                let x = (bx + c).min(width - 1);
-                let y = (by + r).min(height - 1);
-                out[r * 4 + c] = data[y * width + x];
-            }
-        }
-        out
-    }
-
-    /// Scatter a decoded block back, skipping replicated padding.
-    fn scatter(
-        out: &mut [f64],
-        width: usize,
-        height: usize,
-        block: &[f64; BLOCK],
-        bx: usize,
-        by: usize,
-    ) {
-        for r in 0..4 {
-            for c in 0..4 {
-                let x = bx + c;
-                let y = by + r;
-                if x < width && y < height {
-                    out[y * width + x] = block[r * 4 + c];
-                }
-            }
-        }
-    }
-
-    /// Forward 2-D transform: lift rows, then columns.
-    fn transform2d_fwd(b: &mut [i64; BLOCK]) {
-        for r in 0..4 {
-            let row = [b[r * 4], b[r * 4 + 1], b[r * 4 + 2], b[r * 4 + 3]];
-            let t = transform_fwd(row);
-            b[r * 4..r * 4 + 4].copy_from_slice(&t);
-        }
-        for c in 0..4 {
-            let col = [b[c], b[4 + c], b[8 + c], b[12 + c]];
-            let t = transform_fwd(col);
-            for r in 0..4 {
-                b[r * 4 + c] = t[r];
-            }
-        }
-    }
-
-    /// Inverse of [`transform2d_fwd`]: columns, then rows.
-    fn transform2d_inv(b: &mut [i64; BLOCK]) {
-        for c in 0..4 {
-            let col = [b[c], b[4 + c], b[8 + c], b[12 + c]];
-            let t = transform_inv(col);
-            for r in 0..4 {
-                b[r * 4 + c] = t[r];
-            }
-        }
-        for r in 0..4 {
-            let row = [b[r * 4], b[r * 4 + 1], b[r * 4 + 2], b[r * 4 + 3]];
-            let t = transform_inv(row);
-            b[r * 4..r * 4 + 4].copy_from_slice(&t);
-        }
-    }
-
-    // Verbatim earliest helpers (libm forms), as in `zfp_like` above.
-    // Mathematically equal to the parent-module bit-inspection versions
-    // for every tolerance the codec accepts.
-    fn ldexp(x: f64, k: i32) -> f64 {
-        let half = k.clamp(-1000, 1000);
-        let rest = k - half;
-        let y = x * f64::powi(2.0, half);
-        if rest == 0 {
-            y
-        } else {
-            y * f64::powi(2.0, rest.clamp(-1000, 1000))
-        }
-    }
-
-    fn int_tolerance(tolerance: f64, emax: i32) -> f64 {
-        ldexp(tolerance, SCALE_BITS - emax)
-    }
-
-    fn cutoff_plane(tolerance: f64, emax: i32) -> u32 {
-        let int_tol = int_tolerance(tolerance, emax);
-        debug_assert!(int_tol >= f64::powi(2.0, GUARD_BITS));
-        let p = int_tol.log2().floor() as i32 - GUARD_BITS;
-        p.clamp(0, 62) as u32
-    }
-
-    pub fn compress(
-        data: &[f64],
-        width: usize,
-        height: usize,
-        tolerance: f64,
-    ) -> Result<Vec<u8>, CodecError> {
-        if data.len() != width * height {
-            return Err(CodecError::BadConfig(format!(
-                "data has {} samples for a {width}x{height} grid",
-                data.len(),
-            )));
-        }
-        let mut w = BitWriter::new();
-        w.write_bits(STREAM_MAGIC as u64, 8);
-        w.write_bits(STREAM_VERSION as u64, 8);
-        w.write_bits(tolerance.to_bits(), 64);
-        w.write_bits(width as u64, 32);
-        w.write_bits(height as u64, 32);
-
-        let mut by = 0;
-        while by < height {
-            let mut bx = 0;
-            while bx < width {
-                encode_block(&mut w, gather(data, width, height, bx, by), tolerance)?;
-                bx += 4;
-            }
-            by += 4;
-        }
-        Ok(w.into_bytes())
-    }
-
-    pub fn decompress(bytes: &[u8], width: usize, height: usize) -> Result<Vec<f64>, CodecError> {
-        let mut r = BitReader::new(bytes);
-        if r.read_bits(8)? as u8 != STREAM_MAGIC {
-            return Err(CodecError::Corrupt("bad zfp-like-2d magic".into()));
-        }
-        if r.read_bits(8)? as u8 != STREAM_VERSION {
-            return Err(CodecError::Corrupt("bad zfp-like-2d version".into()));
-        }
-        let tolerance = f64::from_bits(r.read_bits(64)?);
-        if !(tolerance.is_finite() && tolerance > 0.0) {
-            return Err(CodecError::Corrupt("bad tolerance in stream".into()));
-        }
-        let sw = r.read_bits(32)? as usize;
-        let sh = r.read_bits(32)? as usize;
-        if sw != width || sh != height {
-            return Err(CodecError::Corrupt(format!(
-                "stream is {sw}x{sh}, expected {width}x{height}"
-            )));
-        }
-
-        let mut out = vec![0.0f64; width * height];
-        let mut by = 0;
-        while by < height {
-            let mut bx = 0;
-            while bx < width {
-                let block = decode_block(&mut r, tolerance)?;
-                scatter(&mut out, width, height, &block, bx, by);
-                bx += 4;
-            }
-            by += 4;
-        }
-        Ok(out)
-    }
-
-    fn encode_block(
-        w: &mut BitWriter,
-        block: [f64; BLOCK],
-        tolerance: f64,
-    ) -> Result<(), CodecError> {
-        for &x in &block {
-            if !x.is_finite() {
-                return Err(CodecError::Unsupported(format!(
-                    "zfp-like-2d cannot encode non-finite value {x}"
-                )));
-            }
-        }
-        let amax = block.iter().fold(0.0f64, |m, &x| m.max(x.abs()));
-        if amax <= tolerance {
-            w.write_bit(true);
-            return Ok(());
-        }
-        let emax = exponent(amax);
-        if !transform_representable(tolerance, emax) {
-            w.write_bit(false);
-            w.write_bit(true);
-            for &x in &block {
-                w.write_bits(x.to_bits(), 64);
-            }
-            return Ok(());
-        }
-
-        let scale = SCALE_BITS - emax;
-        let mut ints = [0i64; BLOCK];
-        for (i, &x) in block.iter().enumerate() {
-            ints[i] = ldexp(x, scale).round() as i64;
-        }
-        transform2d_fwd(&mut ints);
-
-        let mut u = [0u64; BLOCK];
-        for (i, &pos) in SEQUENCY.iter().enumerate() {
-            u[i] = int2uint(ints[pos]);
-        }
-
-        let all = u.iter().fold(0u64, |a, &x| a | x);
-        let cutoff = cutoff_plane(tolerance, emax);
-        if all >> cutoff == 0 {
-            w.write_bit(true);
-            return Ok(());
-        }
-        let msb = 63 - all.leading_zeros();
-
-        w.write_bit(false);
-        w.write_bit(false);
-        w.write_bits((emax + EXP_BIAS) as u64, 12);
-        w.write_bits(msb as u64, 6);
-
-        let mut sig = [false; BLOCK];
-        for p in (cutoff..=msb).rev() {
-            for k in 0..BLOCK {
-                if sig[k] {
-                    w.write_bit((u[k] >> p) & 1 == 1);
-                }
-            }
-            let any = (0..BLOCK).any(|k| !sig[k] && (u[k] >> p) & 1 == 1);
-            w.write_bit(any);
-            if any {
-                for k in 0..BLOCK {
-                    if !sig[k] {
-                        let bit = (u[k] >> p) & 1 == 1;
-                        w.write_bit(bit);
-                        if bit {
-                            sig[k] = true;
-                        }
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    fn decode_block(r: &mut BitReader<'_>, tolerance: f64) -> Result<[f64; BLOCK], CodecError> {
-        if r.read_bit()? {
-            return Ok([0.0; BLOCK]);
-        }
-        if r.read_bit()? {
-            let mut out = [0.0f64; BLOCK];
-            for o in &mut out {
-                *o = f64::from_bits(r.read_bits(64)?);
-            }
-            return Ok(out);
-        }
-        let emax = r.read_bits(12)? as i32 - EXP_BIAS;
-        let msb = r.read_bits(6)? as u32;
-        let cutoff = cutoff_plane(tolerance, emax);
-        if msb < cutoff {
-            return Err(CodecError::Corrupt(format!(
-                "msb plane {msb} below cutoff {cutoff}"
-            )));
-        }
-
-        let mut u = [0u64; BLOCK];
-        let mut sig = [false; BLOCK];
-        for p in (cutoff..=msb).rev() {
-            for k in 0..BLOCK {
-                if sig[k] && r.read_bit()? {
-                    u[k] |= 1u64 << p;
-                }
-            }
-            if r.read_bit()? {
-                for k in 0..BLOCK {
-                    if !sig[k] && r.read_bit()? {
-                        u[k] |= 1u64 << p;
-                        sig[k] = true;
-                    }
-                }
-            }
-        }
-
-        let mut ints = [0i64; BLOCK];
-        for (i, &pos) in SEQUENCY.iter().enumerate() {
-            ints[pos] = uint2int(u[i]);
-        }
-        transform2d_inv(&mut ints);
-        let scale = emax - SCALE_BITS;
-        let mut out = [0.0f64; BLOCK];
         for (o, &i) in out.iter_mut().zip(&ints) {
             *o = ldexp(i as f64, scale);
         }

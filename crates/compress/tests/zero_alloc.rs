@@ -6,7 +6,7 @@
 //! must perform zero heap allocations — the property that lets the read
 //! pipeline's decode arenas run without touching the allocator.
 
-use canopus_compress::{Codec, Fpc, RawCodec, ZfpLike, ZfpLike2d};
+use canopus_compress::{Codec, Fpc, RawCodec, ZfpLike};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -66,12 +66,6 @@ fn assert_steady_state_zero_alloc(name: &str, codec: &dyn Codec, data: &[f64]) {
 fn zfp_like_decode_is_allocation_free() {
     let codec = ZfpLike::with_tolerance(1e-6);
     assert_steady_state_zero_alloc("zfp-like", &codec, &field(4097));
-}
-
-#[test]
-fn zfp2d_decode_is_allocation_free() {
-    let codec = ZfpLike2d::new(33, 21, 1e-6);
-    assert_steady_state_zero_alloc("zfp2d", &codec, &field(33 * 21));
 }
 
 #[test]

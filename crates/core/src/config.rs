@@ -36,12 +36,6 @@ pub struct CanopusConfig {
     /// performs zero tier I/O and zero decompression. `0` disables the
     /// cache.
     pub level_cache: u32,
-    /// Partition count of the decimation kernel. `1` runs the serial
-    /// edge-collapse kernel; `> 1` decimates that many Morton (Z-order)
-    /// regions concurrently with shared boundary vertices frozen and a
-    /// deterministic stitch, so the output depends only on this count —
-    /// never on how many threads happened to run.
-    pub decimation_parts: u32,
     /// Retry budget for transient tier faults on the read path: capped
     /// exponential backoff with deterministic jitter. Under
     /// transient-only faults a restore that stays within this budget is
@@ -161,7 +155,6 @@ impl Default for CanopusConfig {
             policy: PlacementPolicy::RankSpread,
             delta_chunks: 1,
             level_cache: 8,
-            decimation_parts: 1,
             retry: RetryPolicy::new(),
             fault: FaultPlan::none(),
             serve_workers: 0,
@@ -210,7 +203,6 @@ mod tests {
         assert!(matches!(c.codec, RelativeCodec::ZfpLike { .. }));
         assert_eq!(c.delta_chunks, 1, "one chunk per delta by default");
         assert!(c.level_cache > 0, "decoded-level cache on by default");
-        assert_eq!(c.decimation_parts, 1, "serial decimation kernel by default");
         assert!(c.fault.is_none(), "no fault injection by default");
         assert!(c.retry.max_attempts > 1, "read retries on by default");
         assert_eq!(c.serve_workers, 0, "serve pool auto-sized by default");

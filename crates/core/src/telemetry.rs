@@ -264,13 +264,15 @@ impl TelemetryServer {
                 .spawn(move || {
                     let (lock, cv) = &*flag;
                     let mut stopped = lock.lock().unwrap();
-                    loop {
+                    // Checked before every wait: a stop that lands before
+                    // this thread first takes the lock has already
+                    // notified, and waiting would sleep a whole interval.
+                    while !*stopped {
                         let (guard, _) = cv.wait_timeout(stopped, interval).unwrap();
                         stopped = guard;
-                        if *stopped {
-                            return;
+                        if !*stopped {
+                            state.sample();
                         }
-                        state.sample();
                     }
                 })
                 .expect("spawn telemetry sampler thread")

@@ -1,7 +1,7 @@
 //! The write-side pipeline: refactor → compress → place (paper Fig. 1,
 //! left half), with the §IV-C phase timing breakdown.
 
-use crate::config::CanopusConfig;
+use crate::config::{CanopusConfig, RelativeCodec};
 use crate::error::CanopusError;
 use crate::geometry::level_meta_block;
 use bytes::Bytes;
@@ -13,7 +13,7 @@ use canopus_mesh::{FieldStats, TriMesh};
 use canopus_obs::{names, stage, stage_child, Registry, SpanContext};
 use canopus_refactor::decimate::decimate;
 use canopus_refactor::mapping::build_mapping;
-use canopus_refactor::{compute_delta, decimate_parallel_morton, DecimationResult, Estimator};
+use canopus_refactor::{compute_delta, Estimator};
 use canopus_storage::{PlacementPlan, ProductKind, SimDuration, StorageHierarchy};
 use crossbeam::channel;
 use rayon::prelude::*;
@@ -57,6 +57,24 @@ fn storable_range(mesh: &TriMesh, data: &[f64]) -> Result<f64, CanopusError> {
         )));
     }
     Ok(range)
+}
+
+/// The codec every level job of one `write` builds: `codec` resolved
+/// against the value `range`, refused unless a lossy bound comes out
+/// finite and positive — zero, negative or NaN, or a product with the
+/// range that overflows, is a bound no codec can be built with.
+fn storable_codec(codec: RelativeCodec, range: f64) -> Result<CodecKind, CanopusError> {
+    match codec.resolve(range) {
+        CodecKind::ZfpLike { tolerance: bound } | CodecKind::SzLike { error_bound: bound }
+            if !(bound.is_finite() && bound > 0.0) =>
+        {
+            Err(CanopusError::Invalid(format!(
+                "{codec:?} resolves to an error bound of {bound} over the value range \
+                 {range}; a lossy codec needs a finite positive bound"
+            )))
+        }
+        kind => Ok(kind),
+    }
 }
 
 /// Report for one product (one stored block).
@@ -274,27 +292,13 @@ impl Canopus {
             ));
         }
         let range = storable_range(mesh, data)?;
-        self.write_pipelined(file, var, mesh, data, range)
+        let codec_kind = storable_codec(self.config.codec, range)?;
+        self.write_pipelined(file, var, mesh, data, codec_kind)
     }
 
-    /// The decimation kernel: the serial edge-collapse kernel, or the
-    /// Morton-partitioned parallel kernel when `decimation_parts`
-    /// exceeds one. The parallel kernel's output depends only on the
-    /// partition count, never on thread scheduling.
-    fn decimate_level(&self, mesh: &TriMesh, data: &[f64]) -> DecimationResult {
-        let ratio = self.config.refactor.per_level_ratio;
-        let parts = self.config.decimation_parts;
-        if parts > 1 {
-            decimate_parallel_morton(mesh, data, ratio, parts as usize)
-        } else {
-            decimate(mesh, data, ratio)
-        }
-    }
-
-    /// What every level job of one `write` shares: the codec resolved
-    /// against the variable's value `range`, and the layout knob.
-    fn job_ctx(&self, var: &str, range: f64, parent: SpanContext) -> WriteJobCtx {
-        let codec_kind = self.config.codec.resolve(range);
+    /// What every level job of one `write` shares: the codec, and the
+    /// layout knob.
+    fn job_ctx(&self, var: &str, codec_kind: CodecKind, parent: SpanContext) -> WriteJobCtx {
         WriteJobCtx {
             var: var.to_string(),
             codec_kind,
@@ -333,23 +337,29 @@ impl Canopus {
     /// placement order, so tier choices — and therefore all stored bytes
     /// and the manifest — do not depend on which job finished first.
     /// Phase seconds are sums of per-stage work; the overlap won is
-    /// exported under [`names::WRITE_OVERLAP`]. `range` is the value
-    /// range [`storable_range`] checked.
+    /// exported under [`names::WRITE_OVERLAP`]. `codec_kind` is the
+    /// codec [`storable_codec`] resolved.
+    ///
+    /// A level that decimation leaves without a triangle is refused
+    /// before its job is submitted and before anything is stored. A job
+    /// that panics is not an error: once every worker has died the job
+    /// queue disconnects, and the panic surfaces when the scope joins.
     fn write_pipelined(
         &self,
         file: &str,
         var: &str,
         mesh: &TriMesh,
         data: &[f64],
-        range: f64,
+        codec_kind: CodecKind,
     ) -> Result<WriteReport, CanopusError> {
         let n = self.config.refactor.num_levels;
+        let ratio = self.config.refactor.per_level_ratio;
         let obs = Arc::clone(self.metrics());
         let span = stage!(obs, "write", file = file, var = var, levels = n);
         let root_ctx = span.context();
         let t_total = Instant::now();
 
-        let ctx = self.job_ctx(var, range, root_ctx);
+        let ctx = self.job_ctx(var, codec_kind, root_ctx);
 
         let total_jobs = n as usize; // n - 1 delta jobs + the base job
         let workers = std::thread::available_parallelism()
@@ -383,7 +393,9 @@ impl Canopus {
                 // multi-consumer, so each worker holds its own clone of
                 // the shared queue; workers exit when the decimation
                 // stage is done and the queue is drained (recv
-                // disconnects).
+                // disconnects). Only the workers hold it: if they all
+                // die, a submit fails instead of waiting for a free
+                // slot forever.
                 for _ in 0..workers {
                     let job_rx = job_rx.clone();
                     let done_tx = done_tx.clone();
@@ -399,6 +411,7 @@ impl Canopus {
                         }
                     });
                 }
+                drop(job_rx);
                 drop(done_tx);
 
                 // Stage 1: decimate the level chain on this thread,
@@ -416,8 +429,17 @@ impl Canopus {
                     };
                     for l in 0..n.saturating_sub(1) as usize {
                         let t = Instant::now();
-                        let r = self.decimate_level(&meshes[l], &level_data[l]);
+                        let r = decimate(&meshes[l], &level_data[l], ratio);
                         decimation_secs += t.elapsed().as_secs_f64();
+                        if r.mesh.num_triangles() == 0 {
+                            return Err(CanopusError::Invalid(format!(
+                                "decimation left level {} with {} vertices and no triangle; \
+                                 this mesh holds at most {} levels",
+                                l + 1,
+                                r.mesh.num_vertices(),
+                                l + 1
+                            )));
+                        }
                         meshes.push(Arc::new(r.mesh));
                         level_data.push(Arc::new(r.data));
                         submit(WriteJob::delta(l, &meshes, &level_data))?;
@@ -553,29 +575,6 @@ impl Canopus {
             .add(stored - report.stored_data_bytes());
         obs.counter(names::WRITE_PRODUCTS)
             .add(report.products.len() as u64);
-    }
-
-    /// Refactor and place many planes of one variable in parallel — the
-    /// XGC1 structure the paper leans on: "the decimation is done locally
-    /// without requiring communication with other processors, and
-    /// therefore is embarrassingly parallel." Each plane becomes its own
-    /// BP file `{file_prefix}.p{plane:04}.bp`; refactoring and
-    /// compression run concurrently under rayon, while placement
-    /// serializes inside the (thread-safe) hierarchy exactly as parallel
-    /// writers contending for storage targets do.
-    pub fn write_planes(
-        &self,
-        file_prefix: &str,
-        var: &str,
-        planes: &[(TriMesh, Vec<f64>)],
-    ) -> Result<Vec<WriteReport>, CanopusError> {
-        planes
-            .par_iter()
-            .enumerate()
-            .map(|(i, (mesh, data))| {
-                self.write(&format!("{file_prefix}.p{i:04}.bp"), var, mesh, data)
-            })
-            .collect()
     }
 
     /// Write a variable *without* refactoring (the paper's "None"
@@ -938,16 +937,14 @@ mod tests {
     use canopus_mesh::geometry::{Aabb, Point2};
     use canopus_storage::TierSpec;
 
+    /// An `n x n` jittered grid over the unit square.
+    fn grid(n: usize, seed: u64) -> TriMesh {
+        let square = Aabb::from_points([Point2::new(0.0, 0.0), Point2::new(1.0, 1.0)]);
+        jitter_interior(&rectangle_mesh(n, n, square), 0.2, seed)
+    }
+
     fn small_mesh() -> (TriMesh, Vec<f64>) {
-        let mesh = jitter_interior(
-            &rectangle_mesh(
-                12,
-                12,
-                Aabb::from_points([Point2::new(0.0, 0.0), Point2::new(1.0, 1.0)]),
-            ),
-            0.2,
-            3,
-        );
+        let mesh = grid(12, 3);
         let data: Vec<f64> = mesh
             .points()
             .iter()
@@ -1074,13 +1071,16 @@ mod tests {
         let mut overflowing = ds.data.clone();
         overflowing[3] = -1e308;
         overflowing[9] = 1e308;
-        let cases = [
-            ("+inf value", with_value(7, f64::INFINITY), "value 7"),
-            ("-inf value", with_value(7, f64::NEG_INFINITY), "value 7"),
-            ("NaN value", with_value(11, f64::NAN), "value 11"),
-            ("overflowing range", (ds.mesh.clone(), overflowing), "range"),
-            ("NaN coordinate", nan_vertex, "vertex 5"),
-        ];
+        let overflowing = (ds.mesh.clone(), overflowing);
+        let storable = (ds.mesh.clone(), ds.data.clone());
+        let config = |codec: RelativeCodec, num_levels: u32| CanopusConfig {
+            codec,
+            refactor: canopus_refactor::RefactorConfig {
+                num_levels,
+                ..Default::default()
+            },
+            ..CanopusConfig::default()
+        };
         let codecs = [
             RelativeCodec::ZfpLike {
                 rel_tolerance: 1e-4,
@@ -1091,28 +1091,75 @@ mod tests {
             RelativeCodec::Fpc,
             RelativeCodec::Raw,
         ];
+        let mut rows = Vec::new();
         for codec in codecs {
-            for (what, (mesh, data), names_it) in &cases {
-                let h = Arc::new(StorageHierarchy::titan_two_tier(1 << 24, 1 << 28));
-                let c = Canopus::new(
-                    Arc::clone(&h),
-                    CanopusConfig {
-                        codec,
-                        ..CanopusConfig::default()
-                    },
-                );
-                assert_eq!(c.config().refactor.num_levels, 3);
-                let err = c.write("bad.bp", "v", mesh, data).unwrap_err();
-                assert!(matches!(err, CanopusError::Invalid(_)), "{what}: {err}");
-                assert!(err.to_string().contains(names_it), "{what}: {err}");
-                for tier in 0..h.num_tiers() {
-                    assert!(
-                        h.tier_device(tier).unwrap().keys().is_empty(),
-                        "{what} under {codec:?}: nothing stored"
-                    );
-                }
+            let bad_inputs = [
+                ("+inf value", 3, with_value(7, f64::INFINITY), "value 7"),
+                ("-inf value", 3, with_value(7, f64::NEG_INFINITY), "value 7"),
+                ("NaN value", 3, with_value(11, f64::NAN), "value 11"),
+                ("overflowing range", 3, overflowing.clone(), "range"),
+                ("NaN coordinate", 3, nan_vertex.clone(), "vertex 5"),
+                // 400 vertices run out of triangles long before 20 levels.
+                ("20 levels", 20, storable.clone(), "no triangle"),
+            ];
+            for (what, levels, input, names_it) in bad_inputs {
+                rows.push((what, config(codec, levels), input, names_it));
             }
         }
+        // A lossy bound must resolve to a finite positive one; 1e308
+        // overflows once it is multiplied by the value range.
+        for rel in [0.0, -1.0, f64::NAN, 1e308] {
+            for codec in [
+                RelativeCodec::ZfpLike { rel_tolerance: rel },
+                RelativeCodec::SzLike {
+                    rel_error_bound: rel,
+                },
+            ] {
+                rows.push(("tolerance", config(codec, 3), storable.clone(), "bound"));
+            }
+        }
+        for (what, config, (mesh, data), names_it) in &rows {
+            let h = Arc::new(StorageHierarchy::titan_two_tier(1 << 24, 1 << 28));
+            let c = Canopus::new(Arc::clone(&h), *config);
+            let codec = config.codec;
+            let err = c.write("bad.bp", "v", mesh, data).unwrap_err();
+            assert!(matches!(err, CanopusError::Invalid(_)), "{what}: {err}");
+            assert!(err.to_string().contains(names_it), "{what}: {err}");
+            for tier in 0..h.num_tiers() {
+                assert!(
+                    h.tier_device(tier).unwrap().keys().is_empty(),
+                    "{what} under {codec:?}: nothing stored"
+                );
+            }
+            assert_eq!(c.metrics().counter(names::WRITES).get(), 0);
+        }
+    }
+
+    #[test]
+    fn a_job_that_panics_surfaces_as_a_panic_not_a_hang() {
+        // Every job builds a codec with tolerance 0, which panics, so each
+        // worker dies on its first job. Ten levels are more jobs than the
+        // workers of a machine with up to four cores and the queue take.
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let mut config = CanopusConfig::default();
+            config.refactor.num_levels = 10;
+            let c = Canopus::new(
+                Arc::new(StorageHierarchy::titan_two_tier(1 << 24, 1 << 28)),
+                config,
+            );
+            let mesh = grid(96, 5);
+            let data: Vec<f64> = mesh.points().iter().map(|p| p.x - p.y).collect();
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let kind = CodecKind::ZfpLike { tolerance: 0.0 };
+                c.write_pipelined("p.bp", "v", &mesh, &data, kind)
+            }));
+            let _ = tx.send(outcome.is_err());
+        });
+        let panicked = rx
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("the write hung instead of surfacing its job's panic");
+        assert!(panicked, "a panicking job must surface as a panic");
     }
 
     #[test]
@@ -1123,35 +1170,6 @@ mod tests {
             c.write("t.bp", "v", &mesh, &[1.0, 2.0]),
             Err(CanopusError::Invalid(_))
         ));
-    }
-
-    #[test]
-    fn parallel_plane_writes_land_independently() {
-        let c = canopus();
-        let planes: Vec<(TriMesh, Vec<f64>)> = (0..4)
-            .map(|i| {
-                let (mesh, mut data) = small_mesh();
-                for v in &mut data {
-                    *v += i as f64;
-                }
-                (mesh, data)
-            })
-            .collect();
-        let reports = c.write_planes("xgc", "dpot", &planes).unwrap();
-        assert_eq!(reports.len(), 4);
-        for (i, _) in planes.iter().enumerate() {
-            let reader = c.open(&format!("xgc.p{i:04}.bp")).unwrap();
-            let out = reader.read_level("dpot", 0).unwrap();
-            let expect = &planes[i].1;
-            let err = out
-                .data
-                .iter()
-                .zip(expect)
-                .map(|(a, b)| (a - b).abs())
-                .fold(0.0f64, f64::max);
-            let range = 2.0 + i as f64;
-            assert!(err <= 3.0 * 1e-6 * range * 2.0, "plane {i}: err {err}");
-        }
     }
 
     #[test]

@@ -21,8 +21,6 @@
 //!   statistics the paper uses to argue deltas compress better.
 //! * [`io`] — a small text + binary mesh serialization, used by examples and
 //!   the benchmark harness; the binary form is bit-packed ([`pack`]).
-//! * [`partition`] — spatial strip partitioning used to parallelize
-//!   refactoring across "planes"/domains the way XGC1 does.
 //!
 //! The mesh is deliberately 2-D: every dataset evaluated in the paper
 //! (XGC1 `dpot` planes, GenASiS slices, the CFD surface kernel) is a planar
@@ -36,7 +34,6 @@ pub mod io;
 pub mod locate;
 pub mod mesh;
 pub mod pack;
-pub mod partition;
 pub mod quality;
 
 pub use adjacency::Adjacency;

@@ -34,10 +34,6 @@ pub struct DecimationResult {
     pub collapses: usize,
     /// Number of candidate edges rejected by the guards.
     pub rejected: usize,
-    /// For each output vertex: `Some(original id)` if it is a surviving
-    /// input vertex, `None` if it was created by a collapse. Partition-
-    /// parallel decimation uses this to stitch shared vertices.
-    pub original_index: Vec<Option<u32>>,
 }
 
 struct Working {
@@ -55,9 +51,6 @@ struct Working {
     data_weight: f64,
     /// `1 / field_range`, precomputed for the priority formula.
     inv_range: f64,
-    /// Vertices that must survive (partition-shared vertices in the
-    /// parallel decimation). Empty = none frozen.
-    frozen: Vec<bool>,
     /// Each vertex's place in the input order: its own index for an
     /// input vertex, the smaller of its parents' places for a collapse
     /// product. The parents die with the collapse, so the places of the
@@ -96,7 +89,6 @@ impl Working {
             queue: EdgeQueue::with_capacity(mesh.num_triangles() * 3 / 2),
             data_weight,
             inv_range,
-            frozen: Vec::new(),
             slot: (0..nv as u32).collect(),
         };
         for &(u, v) in &mesh.edges() {
@@ -148,12 +140,6 @@ impl Working {
     /// Attempt to collapse edge `(u, v)`. Returns whether it happened.
     fn try_collapse(&mut self, u: u32, v: u32) -> bool {
         debug_assert!(self.alive_v[u as usize] && self.alive_v[v as usize]);
-        if !self.frozen.is_empty()
-            && (self.frozen.get(u as usize).copied().unwrap_or(false)
-                || self.frozen.get(v as usize).copied().unwrap_or(false))
-        {
-            return false;
-        }
         let tris_uv = self.edge_triangles(u, v);
         // A manifold interior edge has 2 incident triangles, a boundary
         // edge 1. Anything else is already broken.
@@ -272,8 +258,7 @@ impl Working {
     /// The step's result: alive vertices and triangles compacted into a
     /// fresh `TriMesh` + data, vertices in the order of their
     /// [`slot`](Self::slot)s (one bucket per input vertex, no sort) and
-    /// triangles in input order. A vertex's original index is `None` if a
-    /// collapse created it (its working index is >= the input count).
+    /// triangles in input order.
     fn finish(
         self,
         original_count: usize,
@@ -288,13 +273,11 @@ impl Working {
         let mut remap = vec![u32::MAX; self.points.len()];
         let mut points = Vec::with_capacity(self.alive_count);
         let mut data = Vec::with_capacity(self.alive_count);
-        let mut original_index = Vec::with_capacity(self.alive_count);
         for i in occupant.into_iter().filter(|&i| i != u32::MAX) {
             let i = i as usize;
             remap[i] = points.len() as u32;
             points.push(self.points[i]);
             data.push(self.data[i]);
-            original_index.push((i < original_count).then_some(i as u32));
         }
         debug_assert_eq!(points.len(), self.alive_count);
         let mut tris = Vec::new();
@@ -313,7 +296,6 @@ impl Working {
             data,
             collapses,
             rejected,
-            original_index,
         }
     }
 }
@@ -330,27 +312,6 @@ pub fn decimate(mesh: &TriMesh, data: &[f64], ratio: f64) -> DecimationResult {
     let target = ((n0 as f64 / ratio).ceil() as usize).max(3);
 
     let mut w = Working::new(mesh, data, 0.0);
-    let counts = w.collapse_until(target);
-    w.finish(n0, counts)
-}
-
-/// Decimate while *freezing* the flagged vertices (they survive
-/// unconditionally and no incident edge collapses). This is the building
-/// block of partition-parallel decimation: partition-shared vertices stay
-/// fixed so the partition results stitch back into one valid mesh.
-pub fn decimate_frozen(
-    mesh: &TriMesh,
-    data: &[f64],
-    ratio: f64,
-    frozen: &[bool],
-) -> DecimationResult {
-    assert!(ratio >= 1.0, "decimation ratio must be >= 1");
-    assert_eq!(frozen.len(), mesh.num_vertices(), "one flag per vertex");
-    let n0 = mesh.num_vertices();
-    let target = ((n0 as f64 / ratio).ceil() as usize).max(3);
-
-    let mut w = Working::new(mesh, data, 0.0);
-    w.frozen = frozen.to_vec();
     let counts = w.collapse_until(target);
     w.finish(n0, counts)
 }
@@ -633,6 +594,8 @@ mod tests {
         let n0 = m.num_vertices();
         let mut w = Working::new(&m, &data, 0.0);
         let counts = w.collapse_until(n0.div_ceil(2));
+        // Input ids of the vertices no collapse touched, ascending.
+        let survivors: Vec<u32> = (0..n0 as u32).filter(|&i| w.alive_v[i as usize]).collect();
         let alive =
             |flags: &[bool]| -> Vec<usize> { (0..flags.len()).filter(|&i| flags[i]).collect() };
         let bits = |p: Point2, value: f64| [p.x.to_bits(), p.y.to_bits(), value.to_bits()];
@@ -668,25 +631,25 @@ mod tests {
         assert_eq!(new_vertices, old_vertices);
         assert_eq!(new_tris, old_tris);
 
-        // Survivors are still named, in input order; products fall
-        // between them, where the smaller of their parents stood.
-        let survivors: Vec<u32> = r.original_index.iter().flatten().copied().collect();
-        assert!(survivors.is_sorted());
+        // Survivors keep input order; products fall between them, where
+        // the smaller of their parents stood. An output vertex is a
+        // survivor when it carries an input vertex's point and value.
+        let input: std::collections::HashMap<[u64; 3], u32> = (0..n0 as u32)
+            .map(|i| (bits(m.point(i), data[i as usize]), i))
+            .collect();
+        let origin: Vec<Option<u32>> = (0..r.mesh.num_vertices() as u32)
+            .map(|v| input.get(&vertex(v)).copied())
+            .collect();
+        let named: Vec<u32> = origin.iter().flatten().copied().collect();
+        assert_eq!(named, survivors, "every survivor, in input order");
         assert!(
             survivors.len() < r.mesh.num_vertices(),
             "some vertices are products"
         );
         assert!(
-            r.original_index.iter().rposition(Option::is_none)
-                > r.original_index.iter().position(Option::is_some),
+            origin.iter().rposition(Option::is_none) > origin.iter().position(Option::is_some),
             "products are no longer appended after the survivors"
         );
-        for (out, o) in r.original_index.iter().enumerate() {
-            if let Some(o) = *o {
-                assert_eq!(r.mesh.point(out as u32), m.point(o));
-                assert_eq!(r.data[out], data[o as usize]);
-            }
-        }
     }
 
     #[test]

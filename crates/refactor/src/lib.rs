@@ -15,7 +15,9 @@
 //! Modules:
 //! * [`pqueue`] — the edge priority queue (shortest first, lazy deletion);
 //! * [`decimate`] — edge-collapse decimation with link-condition and
-//!   orientation guards so every level stays a manifold triangulation;
+//!   orientation guards so every level stays a manifold triangulation.
+//!   One serial kernel: the paper's decimation is parallel across
+//!   processes and planes (independent writes), never inside one mesh;
 //! * [`mapping`] — fine-vertex → coarse-triangle mapping (stored into BP
 //!   metadata at refactor time, exactly as §III-E2 prescribes);
 //! * [`estimate`] — the `Estimate(·)` function (paper default: equal
@@ -34,7 +36,6 @@ pub mod delta;
 pub mod estimate;
 pub mod levels;
 pub mod mapping;
-pub mod parallel;
 pub mod pqueue;
 
 pub use decimate::{decimate, DecimationResult};
@@ -42,4 +43,3 @@ pub use delta::{compute_delta, restore_in_place, restore_level};
 pub use estimate::{Estimator, Weights};
 pub use levels::{LevelHierarchy, RefactorConfig};
 pub use mapping::build_mapping;
-pub use parallel::{decimate_parallel, decimate_parallel_morton};
