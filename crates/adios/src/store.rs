@@ -98,7 +98,7 @@ impl BpStore {
     }
 
     /// Shared handle to the hierarchy (for long-lived workers that
-    /// outlive a borrow, e.g. the adaptive tier maintainer).
+    /// outlive a borrow, e.g. the telemetry plane's sim clock).
     pub fn hierarchy_arc(&self) -> Arc<StorageHierarchy> {
         Arc::clone(&self.hierarchy)
     }

@@ -14,7 +14,6 @@
 //! | [`endtoend`] | Figs. 9/10/11: analysis-pipeline and full-restoration times |
 //! | [`servebench`] | multi-tenant serving throughput + tail latency (`BENCH_serve.json`) |
 //! | [`faultbench`] | fault-injected recovery costs (`BENCH_faults.json`) |
-//! | [`tierbench`] | adaptive vs static tier placement under a shifting zipfian workload (`BENCH_tier.json`) |
 //! | [`histsum`] | per-report histogram summaries + the `bench_guard` regression check |
 //! | [`ablation`] | smoothness validation, estimator/codec/priority/refactorer/mapping ablations |
 //! | [`extensions`] | focused-retrieval region sweep, campaign query pushdown |
@@ -32,4 +31,3 @@ pub mod histsum;
 pub mod servebench;
 pub mod setup;
 pub mod table;
-pub mod tierbench;

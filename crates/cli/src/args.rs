@@ -1,5 +1,6 @@
 //! Tiny hand-rolled argument parser: positionals plus `--key value` /
-//! `--flag` options. No external dependency needed for seven subcommands.
+//! `--flag` options. No external dependency needed for a dozen
+//! subcommands.
 
 use std::collections::HashMap;
 
@@ -9,28 +10,55 @@ pub struct Args {
     pub positional: Vec<String>,
     options: HashMap<String, String>,
     flags: Vec<String>,
+    /// Every name the command declared, flags and options alike.
+    declared: Vec<String>,
 }
 
 impl Args {
-    /// Parse `argv`; `flag_names` lists options that take no value.
-    pub fn parse(argv: &[String], flag_names: &[&str]) -> Result<Self, String> {
-        let mut out = Args::default();
-        let mut it = argv.iter().peekable();
+    /// Parse `argv` against the command's declared names: `flag_names`
+    /// take no value, `option_names` take the next word. Any other
+    /// `--name` is refused, so a misspelt or retired option fails by
+    /// name instead of silently swallowing the word after it.
+    pub fn parse(
+        argv: &[String],
+        flag_names: &[&str],
+        option_names: &[&str],
+    ) -> Result<Self, String> {
+        let mut out = Args {
+            declared: flag_names
+                .iter()
+                .chain(option_names)
+                .map(|n| n.to_string())
+                .collect(),
+            ..Args::default()
+        };
+        let mut it = argv.iter();
         while let Some(arg) = it.next() {
             if let Some(name) = arg.strip_prefix("--") {
                 if flag_names.contains(&name) {
                     out.flags.push(name.to_string());
-                } else {
+                } else if option_names.contains(&name) {
                     let value = it
                         .next()
                         .ok_or_else(|| format!("option --{name} needs a value"))?;
                     out.options.insert(name.to_string(), value.clone());
+                } else {
+                    return Err(format!("unknown option --{name}"));
                 }
             } else {
                 out.positional.push(arg.clone());
             }
         }
         Ok(out)
+    }
+
+    /// Reading a name the command never declared is a bug in the
+    /// command: the parser would have refused it on the command line.
+    fn check_declared(&self, name: &str) {
+        debug_assert!(
+            self.declared.iter().any(|d| d == name),
+            "--{name} read but not declared"
+        );
     }
 
     pub fn pos(&self, i: usize, what: &str) -> Result<&str, String> {
@@ -41,6 +69,7 @@ impl Args {
     }
 
     pub fn opt(&self, name: &str) -> Option<&str> {
+        self.check_declared(name);
         self.options.get(name).map(String::as_str)
     }
 
@@ -59,6 +88,7 @@ impl Args {
     }
 
     pub fn flag(&self, name: &str) -> bool {
+        self.check_declared(name);
         self.flags.iter().any(|f| f == name)
     }
 }
@@ -75,7 +105,8 @@ mod tests {
     fn parses_positionals_and_options() {
         let a = Args::parse(
             &argv(&["store", "f.bp", "--levels", "4", "--small", "var"]),
-            &["small"],
+            &["small", "big"],
+            &["levels"],
         )
         .unwrap();
         assert_eq!(a.pos(0, "store").unwrap(), "store");
@@ -88,21 +119,34 @@ mod tests {
 
     #[test]
     fn missing_value_is_an_error() {
-        assert!(Args::parse(&argv(&["--levels"]), &[]).is_err());
+        assert!(Args::parse(&argv(&["--levels"]), &[], &["levels"]).is_err());
+    }
+
+    #[test]
+    fn undeclared_option_is_refused_by_name() {
+        let err = Args::parse(&argv(&["--level", "5", "x"]), &[], &["levels"]).unwrap_err();
+        assert_eq!(err, "unknown option --level");
+        let err = Args::parse(
+            &argv(&["--no-such-flag", "--workers", "2"]),
+            &[],
+            &["workers"],
+        )
+        .unwrap_err();
+        assert_eq!(err, "unknown option --no-such-flag");
     }
 
     #[test]
     fn opt_parse_defaults_and_validates() {
-        let a = Args::parse(&argv(&["--n", "7"]), &[]).unwrap();
+        let a = Args::parse(&argv(&["--n", "7"]), &[], &["n", "m"]).unwrap();
         assert_eq!(a.opt_parse("n", 1u32).unwrap(), 7);
         assert_eq!(a.opt_parse("m", 3u32).unwrap(), 3);
-        let bad = Args::parse(&argv(&["--n", "x"]), &[]).unwrap();
+        let bad = Args::parse(&argv(&["--n", "x"]), &[], &["n"]).unwrap();
         assert!(bad.opt_parse::<u32>("n", 1).is_err());
     }
 
     #[test]
     fn req_reports_missing() {
-        let a = Args::parse(&argv(&[]), &[]).unwrap();
+        let a = Args::parse(&argv(&[]), &[], &["mesh"]).unwrap();
         assert!(a.req("mesh").is_err());
         assert!(a.pos(0, "store").is_err());
     }

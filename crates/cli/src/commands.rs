@@ -47,8 +47,6 @@ commands:
       counters show planned vs fetched vs skipped)
   serve <store> <file.bp> <var> [--workers W] [--queue Q] [--clients N]
         [--requests R] [--seed S] [--quick-pct P] [--region-pct P]
-        [--adaptive-tier] [--adaptive-tier-hits K]
-        [--adaptive-tier-interval-ms MS]
         [--listen ADDR] [--addr-file PATH] [--linger-secs S]
       start the shared serving layer (bounded queue + worker pool: by
       default one accuracy worker per core plus a reserved QuickLook
@@ -58,18 +56,12 @@ commands:
       reads, FullAccuracy level restores and region refines; prints
       throughput, per-class queue-wait / latency tails and deadline
       attainment.
-      --adaptive-tier arms workload-adaptive tiering: reads feed a
-      per-key heat model and a background maintainer promotes hot
-      objects up / demotes cold ones under capacity pressure
-      (promotion after K hot hits, one maintenance tick every MS ms);
-      every decision lands in an audit ring, summarized at shutdown.
       --listen starts the live telemetry plane: an embedded HTTP
       endpoint serving /metrics (Prometheus text), /metrics.json,
-      /healthz, /slo (rolling-window deadline attainment) and
-      /decisions (the tiering audit ring). Port 0 picks an ephemeral
-      port; --addr-file writes the bound address to a file and
-      --linger-secs keeps the endpoint up after the workload so
-      external scrapers can pull
+      /healthz and /slo (rolling-window deadline attainment). Port 0
+      picks an ephemeral port; --addr-file writes the bound address to
+      a file and --linger-secs keeps the endpoint up after the workload
+      so external scrapers can pull
   metrics <store> <file.bp> <var> [--level L] [--no-cache]
           [--fault-* ...] [--retry-attempts N]
           [--out metrics.json] [--prom]
@@ -152,7 +144,8 @@ fn canopus_for(store_dir: &str, config: CanopusConfig) -> Result<Canopus, String
 /// Default config with the decoded-level cache switch (`--no-cache`),
 /// the fault-injection plan (`--fault-*`) and the retry budget
 /// (`--retry-attempts`) applied. Commands taking these must list
-/// `no-cache` in their `Args::parse` flag set.
+/// `no-cache` in their `Args::parse` flag set and parse their options
+/// from [`engine_options`].
 fn engine_config(a: &Args) -> Result<CanopusConfig, String> {
     let defaults = CanopusConfig::default();
     Ok(CanopusConfig {
@@ -168,6 +161,21 @@ fn engine_config(a: &Args) -> Result<CanopusConfig, String> {
         },
         ..defaults
     })
+}
+
+/// The value-taking options [`engine_config`] reads, after a command's
+/// own `extra` ones.
+fn engine_options<'a>(extra: &[&'a str]) -> Vec<&'a str> {
+    let engine = [
+        "retry-attempts",
+        "fault-seed",
+        "fault-get-p",
+        "fault-put-p",
+        "fault-corrupt-p",
+        "fault-latency",
+        "fault-down",
+    ];
+    extra.iter().copied().chain(engine).collect()
 }
 
 /// The `--fault-*` flags assembled into a [`FaultPlan`] armed on every
@@ -205,7 +213,7 @@ fn fault_plan(a: &Args) -> Result<FaultPlan, String> {
 }
 
 fn cmd_init(argv: &[String]) -> Result<(), String> {
-    let a = Args::parse(argv, &[])?;
+    let a = Args::parse(argv, &[], &["tmpfs-bytes", "lustre-bytes"])?;
     let dir = a.pos(0, "store directory")?;
     let defaults = StoreConfig::default();
     let cfg = StoreConfig {
@@ -221,7 +229,7 @@ fn cmd_init(argv: &[String]) -> Result<(), String> {
 }
 
 fn cmd_demo_data(argv: &[String]) -> Result<(), String> {
-    let a = Args::parse(argv, &["small"])?;
+    let a = Args::parse(argv, &["small"], &["mesh", "data", "seed"])?;
     let which = a.pos(0, "dataset name (xgc1|genasis|cfd)")?;
     let mesh_path = a.req("mesh")?;
     let data_path = a.req("data")?;
@@ -252,7 +260,11 @@ fn cmd_demo_data(argv: &[String]) -> Result<(), String> {
 }
 
 fn cmd_write(argv: &[String]) -> Result<(), String> {
-    let a = Args::parse(argv, &[])?;
+    let a = Args::parse(
+        argv,
+        &[],
+        &["mesh", "data", "levels", "chunks", "rel-tol", "codec"],
+    )?;
     let store_dir = a.pos(0, "store directory")?;
     let file = a.pos(1, "file name")?;
     let var = a.pos(2, "variable name")?;
@@ -302,7 +314,7 @@ fn cmd_write(argv: &[String]) -> Result<(), String> {
 }
 
 fn cmd_info(argv: &[String]) -> Result<(), String> {
-    let a = Args::parse(argv, &[])?;
+    let a = Args::parse(argv, &[], &[])?;
     let store_dir = a.pos(0, "store directory")?;
     let file = a.pos(1, "file name")?;
     let canopus = canopus_for(store_dir, CanopusConfig::default())?;
@@ -339,7 +351,7 @@ fn cmd_info(argv: &[String]) -> Result<(), String> {
 }
 
 fn cmd_read(argv: &[String]) -> Result<(), String> {
-    let a = Args::parse(argv, &["no-cache"])?;
+    let a = Args::parse(argv, &["no-cache"], &engine_options(&["level", "out"]))?;
     let store_dir = a.pos(0, "store directory")?;
     let file = a.pos(1, "file name")?;
     let var = a.pos(2, "variable name")?;
@@ -371,7 +383,7 @@ fn cmd_read(argv: &[String]) -> Result<(), String> {
 }
 
 fn cmd_render(argv: &[String]) -> Result<(), String> {
-    let a = Args::parse(argv, &[])?;
+    let a = Args::parse(argv, &[], &["level", "size", "out"])?;
     let store_dir = a.pos(0, "store directory")?;
     let file = a.pos(1, "file name")?;
     let var = a.pos(2, "variable name")?;
@@ -404,7 +416,7 @@ fn cmd_render(argv: &[String]) -> Result<(), String> {
 }
 
 fn cmd_explore(argv: &[String]) -> Result<(), String> {
-    let a = Args::parse(argv, &[])?;
+    let a = Args::parse(argv, &[], &["rms-threshold"])?;
     let store_dir = a.pos(0, "store directory")?;
     let file = a.pos(1, "file name")?;
     let var = a.pos(2, "variable name")?;
@@ -447,7 +459,7 @@ fn cmd_explore(argv: &[String]) -> Result<(), String> {
 
 fn cmd_region(argv: &[String]) -> Result<(), String> {
     use canopus_mesh::geometry::{Aabb, Point2};
-    let a = Args::parse(argv, &["prom"])?;
+    let a = Args::parse(argv, &["prom"], &["x0", "y0", "x1", "y1", "out", "metrics"])?;
     let store_dir = a.pos(0, "store directory")?;
     let file = a.pos(1, "file name")?;
     let var = a.pos(2, "variable name")?;
@@ -504,7 +516,22 @@ fn cmd_serve(argv: &[String]) -> Result<(), String> {
     use canopus_mesh::geometry::{Aabb, Point2};
     use canopus_obs::names;
 
-    let a = Args::parse(argv, &["adaptive-tier"])?;
+    let a = Args::parse(
+        argv,
+        &[],
+        &[
+            "workers",
+            "queue",
+            "clients",
+            "requests",
+            "seed",
+            "quick-pct",
+            "region-pct",
+            "listen",
+            "addr-file",
+            "linger-secs",
+        ],
+    )?;
     let store_dir = a.pos(0, "store directory")?;
     let file = a.pos(1, "file name")?;
     let var = a.pos(2, "variable name")?;
@@ -519,20 +546,12 @@ fn cmd_serve(argv: &[String]) -> Result<(), String> {
     if quick_pct + region_pct > 100 {
         return Err("--quick-pct + --region-pct must not exceed 100".into());
     }
-    let adaptive = a.flag("adaptive-tier");
-    let tiering = canopus::TieringPolicy {
-        promote_hits: a.opt_parse("adaptive-tier-hits", defaults.tiering.promote_hits)?,
-        interval_ms: a.opt_parse("adaptive-tier-interval-ms", defaults.tiering.interval_ms)?,
-        ..defaults.tiering
-    };
 
     let canopus = canopus_for(
         store_dir,
         CanopusConfig {
             serve_workers: workers,
             serve_queue: queue,
-            adaptive_tiering: adaptive,
-            tiering,
             ..defaults
         },
     )?;
@@ -557,7 +576,7 @@ fn cmd_serve(argv: &[String]) -> Result<(), String> {
             )
             .map_err(|e| format!("binding telemetry endpoint {addr}: {e}"))?;
             println!(
-                "telemetry endpoint on {} (/metrics /metrics.json /healthz /slo /decisions)",
+                "telemetry endpoint on {} (/metrics /metrics.json /healthz /slo)",
                 server.base_url()
             );
             if let Some(path) = a.opt("addr-file") {
@@ -669,15 +688,6 @@ fn cmd_serve(argv: &[String]) -> Result<(), String> {
             hits + misses,
         );
     }
-    if adaptive {
-        println!(
-            "  tiering ticks={} promotions={} demotions={} tracked-keys={}",
-            obs.counter(names::TIER_MAINTAIN_TICKS).get(),
-            obs.counter(names::TIER_PROMOTIONS).get(),
-            obs.counter(names::TIER_DEMOTIONS).get(),
-            obs.gauge(names::TIER_TRACKED_KEYS).get(),
-        );
-    }
 
     // Keep the endpoint up for external scrapers before tearing down.
     if let Some(server) = &telemetry {
@@ -692,39 +702,16 @@ fn cmd_serve(argv: &[String]) -> Result<(), String> {
         println!("telemetry: {} scrapes answered", server.scrapes());
     }
 
-    // Shutdown summary of the tiering audit ring: every promote /
-    // demote / swap / skip the maintainer decided, with its reason.
-    if let Some(migrator) = service.tier_migrator() {
-        let ring = migrator.decision_ring();
-        let decisions = ring.snapshot();
-        let count = |k: canopus::TierActionKind| decisions.iter().filter(|d| d.action == k).count();
-        println!(
-            "  decisions recorded={} retained={} evicted={}: {} promote, {} demote, {} swap-demote, {} skip",
-            ring.recorded(),
-            decisions.len(),
-            ring.evicted(),
-            count(canopus::TierActionKind::Promote),
-            count(canopus::TierActionKind::Demote),
-            count(canopus::TierActionKind::SwapDemote),
-            count(canopus::TierActionKind::Skip),
-        );
-        let tail = decisions.len().saturating_sub(5);
-        for d in &decisions[tail..] {
-            println!(
-                "    tick {:>3} {:<11} {:<28} {}",
-                d.tick,
-                d.action.as_str(),
-                d.key,
-                d.reason
-            );
-        }
-    }
     drop(telemetry);
     Ok(())
 }
 
 fn cmd_metrics(argv: &[String]) -> Result<(), String> {
-    let a = Args::parse(argv, &["no-cache", "prom"])?;
+    let a = Args::parse(
+        argv,
+        &["no-cache", "prom"],
+        &engine_options(&["level", "out", "watch", "watch-iters"]),
+    )?;
     let store_dir = a.pos(0, "store directory")?;
     let file = a.pos(1, "file name")?;
     let var = a.pos(2, "variable name")?;
@@ -836,7 +823,7 @@ fn watch_metrics(
 const TRACE_SINK_CAPACITY: usize = 65536;
 
 fn cmd_trace(argv: &[String]) -> Result<(), String> {
-    let a = Args::parse(argv, &["no-cache"])?;
+    let a = Args::parse(argv, &["no-cache"], &engine_options(&["level", "out"]))?;
     let store_dir = a.pos(0, "store directory")?;
     let file = a.pos(1, "file name")?;
     let var = a.pos(2, "variable name")?;
@@ -885,7 +872,7 @@ fn warn_on_dropped_events(snap: &canopus::MetricsSnapshot) {
 }
 
 fn cmd_tiers(argv: &[String]) -> Result<(), String> {
-    let a = Args::parse(argv, &[])?;
+    let a = Args::parse(argv, &[], &[])?;
     let store_dir = a.pos(0, "store directory")?;
     let (hierarchy, _) = store::open(Path::new(store_dir))?;
     for t in 0..hierarchy.num_tiers() {
@@ -1441,25 +1428,19 @@ mod tests {
             "7",
         ]))
         .unwrap();
-        // Adaptive tiering knobs arm the background maintainer.
-        run(&s(&[
+        // An option the command does not declare is refused by name,
+        // not taken as a value-carrying option.
+        let err = run(&s(&[
             "serve",
             store,
             "x.bp",
             "dpot",
+            "--no-such-flag",
             "--workers",
             "2",
-            "--clients",
-            "2",
-            "--requests",
-            "4",
-            "--adaptive-tier",
-            "--adaptive-tier-hits",
-            "2",
-            "--adaptive-tier-interval-ms",
-            "1",
         ]))
-        .unwrap();
+        .unwrap_err();
+        assert!(err.contains("--no-such-flag"), "{err}");
         // An impossible mix errors cleanly.
         assert!(run(&s(&[
             "serve",
@@ -1517,9 +1498,6 @@ mod tests {
             "2",
             "--requests",
             "4",
-            "--adaptive-tier",
-            "--adaptive-tier-interval-ms",
-            "1",
             "--listen",
             "127.0.0.1:0",
             "--addr-file",
@@ -1561,15 +1539,6 @@ mod tests {
         let (status, body) = canopus::telemetry::http_get(addr, "/metrics", t).unwrap();
         assert_eq!(status, 200);
         assert!(body.contains("canopus_serve_requests"));
-        let (status, body) = canopus::telemetry::http_get(addr, "/decisions", t).unwrap();
-        assert_eq!(status, 200);
-        let doc = canopus_obs::json::parse(&body).unwrap();
-        assert_eq!(
-            doc.get("available")
-                .and_then(canopus_obs::json::Value::as_bool),
-            Some(true),
-            "adaptive-tier serve exposes its audit ring"
-        );
         let (status, body) = canopus::telemetry::http_get(addr, "/slo", t).unwrap();
         assert_eq!(status, 200);
         assert!(body.contains("attainment_ppm"));

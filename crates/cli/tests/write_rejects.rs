@@ -2,7 +2,8 @@
 //! file is any multiple of 8 bytes, so a NaN or an infinity parses, and a
 //! relative tolerance of 0 is a bound no lossy codec can be built with.
 //! The write must fail with a message and a non-zero exit status before
-//! anything reaches the store.
+//! anything reaches the store. So must any subcommand given an option
+//! it does not declare.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -98,6 +99,72 @@ fn write_with_a_zero_tolerance_exits_non_zero_with_the_message() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(1), "{stderr}");
     assert!(stderr.contains("finite positive bound"), "{stderr}");
+    assert_eq!(files_under(&store), before, "nothing stored");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// An option the subcommand does not declare is refused by name before
+/// anything runs. `--level` is `read`'s option, not `write`'s (which
+/// takes `--levels`); taken as an unknown value-carrying option it used
+/// to swallow its value and write with the defaults.
+#[test]
+fn write_with_an_undeclared_option_exits_non_zero_naming_it() {
+    let (dir, store, mesh, data) = demo_store("undeclared_write");
+    let p = Path::new;
+    let before = files_under(&store);
+    let out = canopus(&[
+        p("write"),
+        &store,
+        p("x.bp"),
+        p("dpot"),
+        p("--mesh"),
+        &mesh,
+        p("--data"),
+        &data,
+        p("--level"),
+        p("5"),
+    ]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("unknown option --level"), "{stderr}");
+    assert_eq!(files_under(&store), before, "nothing stored");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `serve` has no tiering flag: adaptive tiering is gone, and the word
+/// after a retired flag must not be eaten as its value.
+#[test]
+fn serve_with_the_retired_tiering_flag_exits_non_zero_naming_it() {
+    let (dir, store, mesh, data) = demo_store("undeclared_serve");
+    let p = Path::new;
+    let wrote = canopus(&[
+        p("write"),
+        &store,
+        p("x.bp"),
+        p("dpot"),
+        p("--mesh"),
+        &mesh,
+        p("--data"),
+        &data,
+    ]);
+    assert!(wrote.status.success());
+    let before = files_under(&store);
+    let out = canopus(&[
+        p("serve"),
+        &store,
+        p("x.bp"),
+        p("dpot"),
+        p("--adaptive-tier"),
+        p("--workers"),
+        p("2"),
+    ]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("unknown option --adaptive-tier"),
+        "{stderr}"
+    );
+    assert!(out.stdout.is_empty(), "nothing served");
     assert_eq!(files_under(&store), before, "nothing stored");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,6 +1,5 @@
 //! Canopus pipeline configuration.
 
-use crate::tiering::TieringPolicy;
 use canopus_compress::CodecKind;
 use canopus_refactor::levels::RefactorConfig;
 use canopus_storage::placement::PlacementPolicy;
@@ -58,15 +57,6 @@ pub struct CanopusConfig {
     /// until a slot frees up (closed-loop backpressure), so a burst of
     /// clients cannot queue unbounded work. `0` is treated as `1`.
     pub serve_queue: u32,
-    /// Close the paper's §IV-B loop: track per-key read heat and let a
-    /// [`TierMigrator`](crate::tiering::TierMigrator) re-place objects
-    /// across tiers from the observed workload (promote hot keys up,
-    /// demote cold ones under capacity pressure). `false` — the default
-    /// — keeps placement frozen at write time and skips all tracking.
-    pub adaptive_tiering: bool,
-    /// Watermarks / hysteresis / cadence of the adaptive tiering policy
-    /// (ignored unless `adaptive_tiering` is set).
-    pub tiering: TieringPolicy,
 }
 
 /// Retry budget for fault-class read failures (transient tier errors,
@@ -159,8 +149,6 @@ impl Default for CanopusConfig {
             fault: FaultPlan::none(),
             serve_workers: 0,
             serve_queue: 64,
-            adaptive_tiering: false,
-            tiering: TieringPolicy::new(),
         }
     }
 }
@@ -207,8 +195,6 @@ mod tests {
         assert!(c.retry.max_attempts > 1, "read retries on by default");
         assert_eq!(c.serve_workers, 0, "serve pool auto-sized by default");
         assert!(c.serve_queue > 0, "bounded admission queue by default");
-        assert!(!c.adaptive_tiering, "adaptive tiering opt-in, default off");
-        assert_eq!(c.tiering, TieringPolicy::default());
     }
 
     #[test]

@@ -53,7 +53,6 @@ pub mod progressive;
 pub mod read;
 pub mod serve;
 pub mod telemetry;
-pub mod tiering;
 pub mod write;
 
 pub use campaign::Campaign;
@@ -65,7 +64,4 @@ pub use progressive::ProgressiveReader;
 pub use read::{CanopusReader, PhaseTiming, ReadOutcome, RegionStats};
 pub use serve::{CanopusService, Priority, ServeOptions, ServeRequest, ServeResponse, Ticket};
 pub use telemetry::{TelemetryConfig, TelemetryServer, TelemetrySources};
-pub use tiering::{
-    DecisionRing, MaintainReport, TierActionKind, TierDecision, TierMigrator, TieringPolicy,
-};
 pub use write::{Canopus, ProductReport, WriteReport};

@@ -96,9 +96,10 @@ pub struct RegionStats {
     /// Chunks applied at level accuracy (those intersecting the region,
     /// whether fetched from a tier or answered by the chunk cache).
     pub chunks_read: usize,
-    /// Of [`chunks_read`](Self::chunks_read), chunks answered by the
-    /// decoded-chunk cache — no tier fetch, no decode. Always 0 for a
-    /// one-chunk level, which the chunk cache does not admit.
+    /// Of [`chunks_read`](Self::chunks_read), chunks answered from the
+    /// reader's caches — no tier fetch, no decode: by the decoded-chunk
+    /// cache for a level in several chunks, and for a one-chunk level by
+    /// the decoded-level cache holding the refined level whole.
     pub chunks_cached: usize,
     /// Compressed bytes transferred for the fetched chunks.
     pub bytes_read: u64,
@@ -1313,7 +1314,11 @@ impl CanopusReader {
     /// A level written as one chunk (`delta_chunks: 1`, the default) has
     /// nothing to prune: the step is a full refinement
     /// (`chunks_read == chunks_total == 1`) and, like any step that
-    /// fetched every chunk, level-exact when `current` is.
+    /// fetched every chunk, level-exact when `current` is. Such a step
+    /// from a level-exact `current` is answered by the decoded-level
+    /// cache when it holds the refined level, as [`Self::refine_once`]
+    /// is (`chunks_cached == 1`, no bytes read). Region results are
+    /// never stored there.
     pub fn refine_region(
         &self,
         var: &str,
@@ -1328,6 +1333,30 @@ impl CanopusReader {
         let finer = current.level - 1;
         let root = stage!(self.obs, "refine_region", var = var, level = finer);
         let ctx = root.context();
+        // A one-chunk level has nothing to prune: a step whose region
+        // touches the chunk, from a level-exact field, is a full
+        // refinement, which a held level answers as in `refine_once`.
+        let (shards, total) = self.delta_shards(var, finer)?;
+        let full_step = total == 1
+            && current.level_exact
+            && shards
+                .iter()
+                .flat_map(|b| &b.chunks)
+                .any(|e| chunk_bbox(e).intersects(&region));
+        if full_step {
+            if let Some(hit) = self.cache_lookup(var, finer) {
+                let stats = RegionStats {
+                    chunks_total: 1,
+                    chunks_read: 1,
+                    chunks_cached: 1,
+                    bytes_read: 0,
+                    exact_vertices: hit.geometry.num_vertices(),
+                };
+                self.count_chunk_plan(&stats);
+                let outcome = self.outcome(var, Restored::from_cached(finer, &hit), ctx)?;
+                return Ok((outcome, stats));
+            }
+        }
         let wall = Instant::now();
         let mut timing = PhaseTiming::default();
 
@@ -1336,7 +1365,6 @@ impl CanopusReader {
         timing.io_secs += meta_io;
         let n = geometry.num_vertices();
 
-        let (shards, total) = self.delta_shards(var, finer)?;
         let mut stats = RegionStats {
             chunks_total: total,
             ..RegionStats::default()
@@ -1355,11 +1383,7 @@ impl CanopusReader {
         let mut plan: Vec<(&BlockMeta, &ChunkEntry)> = Vec::new();
         for &b in &shards {
             for e in &b.chunks {
-                let bbox = Aabb::from_points([
-                    Point2::new(e.bbox[0], e.bbox[1]),
-                    Point2::new(e.bbox[2], e.bbox[3]),
-                ]);
-                if !bbox.intersects(&region) {
+                if !chunk_bbox(e).intersects(&region) {
                     continue;
                 }
                 let hit = assignment
@@ -1449,17 +1473,7 @@ impl CanopusReader {
             }
         };
         stats.exact_vertices = exact.iter().filter(|&&e| e).count();
-        // Chunk-planning accounting: planned = the level's chunk
-        // population, fetched = chunks that moved bytes
-        // (cache-served chunks count as skipped I/O).
-        let fetched = (stats.chunks_read - stats.chunks_cached) as u64;
-        self.obs
-            .counter(names::READ_CHUNKS_PLANNED)
-            .add(stats.chunks_total as u64);
-        self.obs.counter(names::READ_CHUNKS_FETCHED).add(fetched);
-        self.obs
-            .counter(names::READ_CHUNKS_SKIPPED)
-            .add(stats.chunks_total as u64 - fetched);
+        self.count_chunk_plan(&stats);
 
         let coarse = Coarse::of_outcome(current);
         let (data, _, restore) = self.apply_delta(var, finer, &geometry, delta, &coarse)?;
@@ -1495,6 +1509,20 @@ impl CanopusReader {
         // mesh, or a one-chunk level) on top of an already-exact field.
         outcome.level_exact = current.level_exact && stats.chunks_read == stats.chunks_total;
         Ok((outcome, stats))
+    }
+
+    /// Chunk-planning accounting of one region step: planned = the
+    /// level's chunk population, fetched = chunks that moved bytes
+    /// (cache-served chunks count as skipped I/O).
+    fn count_chunk_plan(&self, stats: &RegionStats) {
+        let fetched = (stats.chunks_read - stats.chunks_cached) as u64;
+        self.obs
+            .counter(names::READ_CHUNKS_PLANNED)
+            .add(stats.chunks_total as u64);
+        self.obs.counter(names::READ_CHUNKS_FETCHED).add(fetched);
+        self.obs
+            .counter(names::READ_CHUNKS_SKIPPED)
+            .add(stats.chunks_total as u64 - fetched);
     }
 
     /// Restore straight to `target_level` (0 = full accuracy),
@@ -1956,6 +1984,14 @@ impl CanopusReader {
     ) -> Result<crate::progressive::ProgressiveReader<'_>, CanopusError> {
         crate::progressive::ProgressiveReader::start(self, var)
     }
+}
+
+/// The bounding box a chunk index entry records for its vertices.
+fn chunk_bbox(e: &ChunkEntry) -> Aabb {
+    Aabb::from_points([
+        Point2::new(e.bbox[0], e.bbox[1]),
+        Point2::new(e.bbox[2], e.bbox[3]),
+    ])
 }
 
 /// Put one shard's decoded values — its chunks' values concatenated in

@@ -65,7 +65,6 @@
 
 use crate::error::CanopusError;
 use crate::read::{CanopusReader, ReadOutcome, RegionStats};
-use crate::tiering::TierMigrator;
 use crate::write::Canopus;
 use canopus_mesh::Aabb;
 use canopus_obs::{names, Counter, Gauge, Histogram, Registry};
@@ -466,63 +465,13 @@ fn worker_loop(shared: &Shared, quick_only: bool) {
     }
 }
 
-/// The background adaptive-tiering thread: one [`TierMigrator`] ticked
-/// every `TieringPolicy::interval_ms` until the service drops. The stop
-/// flag lives under its own mutex + condvar so shutdown interrupts a
-/// sleeping maintainer immediately instead of waiting out the interval.
-struct Maintainer {
-    handle: JoinHandle<()>,
-    stop: Arc<(Mutex<bool>, Condvar)>,
-}
-
-impl Maintainer {
-    fn spawn(
-        migrator: Arc<TierMigrator>,
-        interval: Duration,
-        last_maintain_ms: Arc<Gauge>,
-        epoch: Instant,
-    ) -> Self {
-        let stop = Arc::new((Mutex::new(false), Condvar::new()));
-        let flag = Arc::clone(&stop);
-        let handle = std::thread::Builder::new()
-            .name("canopus-tier-maintain".into())
-            .spawn(move || {
-                let (lock, cv) = &*flag;
-                let mut stopped = lock.lock().unwrap();
-                loop {
-                    let (guard, _) = cv.wait_timeout(stopped, interval).unwrap();
-                    stopped = guard;
-                    if *stopped {
-                        return;
-                    }
-                    // Tick without holding the stop lock: a maintain
-                    // pass does tier I/O and must not delay shutdown's
-                    // flag flip (it only delays the join).
-                    drop(stopped);
-                    migrator.maintain();
-                    // Freshness beacon for `/healthz`: when this stops
-                    // advancing, the maintainer is wedged or dead.
-                    last_maintain_ms.set(epoch.elapsed().as_millis() as i64);
-                    stopped = lock.lock().unwrap();
-                }
-            })
-            .expect("spawn tier maintainer");
-        Self { handle, stop }
-    }
-}
-
 /// The shared serving layer: a bounded admission queue and a worker
 /// pool over one [`Canopus`] engine. See the module docs for the
 /// scheduling and shutdown semantics.
 pub struct CanopusService {
     shared: Arc<Shared>,
     workers: Vec<JoinHandle<()>>,
-    maintainer: Option<Maintainer>,
-    /// The maintainer's migrator, kept so the telemetry plane can read
-    /// the decision audit ring while the service runs.
-    migrator: Option<Arc<TierMigrator>>,
-    /// Service start time — the origin of `/healthz` uptime and the
-    /// last-maintain beacon.
+    /// Service start time — the origin of `/healthz` uptime.
     epoch: Instant,
 }
 
@@ -569,25 +518,9 @@ impl CanopusService {
                     .expect("spawn serve worker")
             })
             .collect();
-        let mut migrator = None;
-        let maintainer = config.adaptive_tiering.then(|| {
-            let m = Arc::new(TierMigrator::new(
-                shared.canopus.hierarchy_arc(),
-                config.tiering,
-            ));
-            migrator = Some(Arc::clone(&m));
-            let interval = Duration::from_millis(config.tiering.interval_ms.max(1));
-            let beacon = shared
-                .canopus
-                .metrics()
-                .gauge(names::SERVE_LAST_MAINTAIN_MILLIS);
-            Maintainer::spawn(m, interval, beacon, epoch)
-        });
         Self {
             shared,
             workers: handles,
-            maintainer,
-            migrator,
             epoch,
         }
     }
@@ -604,41 +537,20 @@ impl CanopusService {
         self.shared.m.live.load(Ordering::Relaxed)
     }
 
-    /// The background migrator (present iff
-    /// `CanopusConfig::adaptive_tiering`), for the decision audit ring.
-    pub fn tier_migrator(&self) -> Option<&Arc<TierMigrator>> {
-        self.migrator.as_ref()
-    }
-
     /// Wall time since the service started.
     pub fn uptime(&self) -> Duration {
         self.epoch.elapsed()
     }
 
     /// Everything the telemetry endpoint needs to observe this service:
-    /// the shared registry, the deterministic sim clock, the migrator's
-    /// audit ring, and the pool shape for `/healthz`.
+    /// the shared registry, the deterministic sim clock, and the pool
+    /// shape for `/healthz`.
     pub fn telemetry_sources(&self) -> crate::telemetry::TelemetrySources {
         let hierarchy = self.shared.canopus.hierarchy_arc();
-        let mut sources =
-            crate::telemetry::TelemetrySources::new(Arc::clone(self.shared.canopus.metrics()))
-                .with_sim_clock(move || hierarchy.clock().now().seconds())
-                .with_epoch(self.epoch)
-                .with_service_shape(
-                    self.workers.len(),
-                    self.shared.queue_cap,
-                    self.maintainer.is_some(),
-                );
-        if let Some(m) = &self.migrator {
-            sources = sources.with_migrator(Arc::clone(m));
-        }
-        sources
-    }
-
-    /// Whether a background tier maintainer is running
-    /// (`CanopusConfig::adaptive_tiering`).
-    pub fn maintains_tiers(&self) -> bool {
-        self.maintainer.is_some()
+        crate::telemetry::TelemetrySources::new(Arc::clone(self.shared.canopus.metrics()))
+            .with_sim_clock(move || hierarchy.clock().now().seconds())
+            .with_epoch(self.epoch)
+            .with_service_shape(self.workers.len(), self.shared.queue_cap)
     }
 
     /// Number of worker threads (including the reserved quick lane).
@@ -722,14 +634,6 @@ impl Drop for CanopusService {
         self.shared.space.notify_all();
         for handle in self.workers.drain(..) {
             let _ = handle.join();
-        }
-        if let Some(maintainer) = self.maintainer.take() {
-            {
-                let (lock, cv) = &*maintainer.stop;
-                *lock.lock().unwrap() = true;
-                cv.notify_all();
-            }
-            let _ = maintainer.handle.join();
         }
     }
 }
@@ -851,54 +755,6 @@ mod tests {
         assert!(ok.is_ok());
         let snap = service.metrics().snapshot();
         assert_eq!(snap.counter(names::SERVE_FAILED), 1);
-    }
-
-    #[test]
-    fn adaptive_service_runs_the_maintainer_and_still_serves() {
-        let ds = xgc1_dataset_sized(8, 40, 3);
-        let raw = (ds.data.len() * 8) as u64;
-        let canopus = Canopus::new(
-            Arc::new(StorageHierarchy::titan_two_tier(raw / 4, raw * 64)),
-            CanopusConfig {
-                refactor: RefactorConfig {
-                    num_levels: 3,
-                    ..Default::default()
-                },
-                codec: RelativeCodec::Raw,
-                serve_workers: 2,
-                adaptive_tiering: true,
-                tiering: crate::tiering::TieringPolicy {
-                    interval_ms: 1,
-                    ..Default::default()
-                },
-                ..Default::default()
-            },
-        );
-        canopus.write("s.bp", ds.var, &ds.mesh, &ds.data).unwrap();
-        let canopus = Arc::new(canopus);
-        let metrics = Arc::clone(canopus.metrics());
-        {
-            let service = CanopusService::start(Arc::clone(&canopus));
-            assert!(service.maintains_tiers());
-            let resp = service
-                .submit(ServeRequest::Base {
-                    file: "s.bp".into(),
-                    var: "dpot".into(),
-                })
-                .unwrap()
-                .wait()
-                .unwrap();
-            assert!(!resp.outcome.data.is_empty());
-            // Give the 1 ms maintainer time to tick at least once.
-            std::thread::sleep(Duration::from_millis(50));
-        } // drop stops the maintainer promptly (no interval-long hang)
-        let snap = metrics.snapshot();
-        assert!(
-            snap.counter(names::TIER_MAINTAIN_TICKS) >= 1,
-            "background maintainer ticked"
-        );
-        let disabled = CanopusService::start(engine(2, 4));
-        assert!(!disabled.maintains_tiers(), "default config: no maintainer");
     }
 
     #[test]

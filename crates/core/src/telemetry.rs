@@ -18,23 +18,21 @@
 //! |-----------------|---------------------------------------------------|
 //! | `/metrics`      | Prometheus text exposition (cumulative registry)  |
 //! | `/metrics.json` | full [`MetricsSnapshot`] JSON round-trip document |
-//! | `/healthz`      | queue depth, worker liveness, maintainer age      |
+//! | `/healthz`      | queue depth, worker liveness, uptime              |
 //! | `/slo`          | per-class deadline attainment, cumulative+window  |
-//! | `/decisions`    | the tier migrator's decision audit ring           |
 //! | `/`             | plain-text route index                            |
 //!
 //! ## Cost model
 //!
 //! The server never touches the serve hot path: every route reads the
-//! shared [`Registry`] via `snapshot()` (a read-locked copy) or the
-//! migrator's audit ring (its own mutex). The only in-service work the
+//! shared [`Registry`] via `snapshot()` (a read-locked copy). The only
+//! in-service work the
 //! live plane adds is gated inside `serve.rs` behind one relaxed atomic
 //! load — see `disabled_live_plane_still_counts_deadlines_but_no_gauges`.
 //!
 //! [`MetricsSnapshot`]: canopus_obs::MetricsSnapshot
 
 use crate::serve::Priority;
-use crate::tiering::TierMigrator;
 use canopus_obs::export::prometheus_text;
 use canopus_obs::json::Value;
 use canopus_obs::{names, HistogramStat, Registry, RollingWindow, WindowConfig};
@@ -56,14 +54,11 @@ pub struct TelemetrySources {
     registry: Arc<Registry>,
     /// Reads the deterministic sim clock, when the caller has one.
     sim_now: Option<Arc<dyn Fn() -> f64 + Send + Sync>>,
-    /// The adaptive-tiering policy engine, for `/decisions`.
-    migrator: Option<Arc<TierMigrator>>,
-    /// Origin of `/healthz` uptime and the last-maintain beacon.
+    /// Origin of `/healthz` uptime.
     epoch: Instant,
     /// Expected worker count (`None` when not serving a worker pool).
     workers: Option<usize>,
     queue_capacity: Option<usize>,
-    maintains_tiers: bool,
 }
 
 impl TelemetrySources {
@@ -71,11 +66,9 @@ impl TelemetrySources {
         Self {
             registry,
             sim_now: None,
-            migrator: None,
             epoch: Instant::now(),
             workers: None,
             queue_capacity: None,
-            maintains_tiers: false,
         }
     }
 
@@ -83,12 +76,6 @@ impl TelemetrySources {
     /// expressed against simulated seconds too).
     pub fn with_sim_clock(mut self, f: impl Fn() -> f64 + Send + Sync + 'static) -> Self {
         self.sim_now = Some(Arc::new(f));
-        self
-    }
-
-    /// Attach the tier migrator whose audit ring `/decisions` serves.
-    pub fn with_migrator(mut self, migrator: Arc<TierMigrator>) -> Self {
-        self.migrator = Some(migrator);
         self
     }
 
@@ -100,15 +87,9 @@ impl TelemetrySources {
 
     /// Declare the serving pool's shape so `/healthz` can compare the
     /// live `workers_alive` gauge against expectation.
-    pub fn with_service_shape(
-        mut self,
-        workers: usize,
-        queue_capacity: usize,
-        maintains_tiers: bool,
-    ) -> Self {
+    pub fn with_service_shape(mut self, workers: usize, queue_capacity: usize) -> Self {
         self.workers = Some(workers);
         self.queue_capacity = Some(queue_capacity);
-        self.maintains_tiers = maintains_tiers;
         self
     }
 
@@ -482,7 +463,6 @@ fn serve_connection(mut stream: TcpStream, deadline: Instant, state: &State) -> 
             ),
             "/healthz" => ("200 OK", "application/json", healthz(state).to_pretty()),
             "/slo" => ("200 OK", "application/json", slo(state).to_pretty()),
-            "/decisions" => ("200 OK", "application/json", decisions(state).to_pretty()),
             _ => (
                 "404 Not Found",
                 "application/json",
@@ -506,13 +486,7 @@ fn serve_connection(mut stream: TcpStream, deadline: Instant, state: &State) -> 
     stream.flush()
 }
 
-const ROUTES: &[&str] = &[
-    "/metrics",
-    "/metrics.json",
-    "/healthz",
-    "/slo",
-    "/decisions",
-];
+const ROUTES: &[&str] = &["/metrics", "/metrics.json", "/healthz", "/slo"];
 
 fn index_text() -> String {
     let mut s = String::from("canopus telemetry endpoint\n\nroutes:\n");
@@ -537,19 +511,11 @@ fn obj(entries: Vec<(&str, Value)>) -> Value {
     )
 }
 
-/// `/healthz`: is the service alive, keeping up, and maintaining tiers?
+/// `/healthz`: is the service alive and keeping up?
 fn healthz(state: &State) -> Value {
     let snap = state.sources.registry.snapshot();
     let uptime_ms = state.sources.epoch.elapsed().as_millis() as i64;
     let alive = snap.gauge(names::SERVE_WORKERS_ALIVE);
-    // The maintainer stamps ms-since-epoch after every tick; its age is
-    // the staleness signal. 0 means it has not completed a tick yet.
-    let last_maintain = snap.gauge(names::SERVE_LAST_MAINTAIN_MILLIS);
-    let maintain_age = if state.sources.maintains_tiers && last_maintain > 0 {
-        Value::Int((uptime_ms - last_maintain).max(0) as i128)
-    } else {
-        Value::Null
-    };
     let status = match state.sources.workers {
         // A pool was declared but every worker has exited: degraded.
         Some(w) if w > 0 && alive <= 0 => "degraded",
@@ -583,11 +549,6 @@ fn healthz(state: &State) -> Value {
                 .map(|w| Value::Int(w as i128))
                 .unwrap_or(Value::Null),
         ),
-        (
-            "tier_maintainer",
-            Value::Bool(state.sources.maintains_tiers),
-        ),
-        ("last_maintain_age_ms", maintain_age),
     ])
 }
 
@@ -691,30 +652,6 @@ fn slo(state: &State) -> Value {
     ])
 }
 
-/// `/decisions`: the tier migrator's audit ring (or an explicit
-/// "not running" document when the service has no migrator).
-fn decisions(state: &State) -> Value {
-    match &state.sources.migrator {
-        Some(m) => {
-            let mut doc = match m.decision_ring().to_json() {
-                Value::Obj(obj) => obj,
-                other => BTreeMap::from([("decisions".to_string(), other)]),
-            };
-            doc.insert("available".to_string(), Value::Bool(true));
-            doc.insert("ticks".to_string(), Value::Int(m.ticks() as i128));
-            Value::Obj(doc)
-        }
-        None => obj(vec![
-            ("available", Value::Bool(false)),
-            ("decisions", Value::Arr(Vec::new())),
-            ("capacity", Value::Int(0)),
-            ("recorded", Value::Int(0)),
-            ("evicted", Value::Int(0)),
-            ("ticks", Value::Int(0)),
-        ]),
-    }
-}
-
 // ---------------------------------------------------------------------
 // a tiny scrape client (tests + `canopus serve` shutdown summary)
 // ---------------------------------------------------------------------
@@ -801,14 +738,9 @@ mod tests {
         let doc = json::parse(&body).unwrap();
         assert!(doc.get("cumulative").and_then(|c| c.get("quick")).is_some());
 
-        let (status, body) = http_get(addr, "/decisions", t).unwrap();
-        assert_eq!(status, 200);
-        let doc = json::parse(&body).unwrap();
-        assert_eq!(doc.get("available").and_then(Value::as_bool), Some(false));
-
         let (status, _) = http_get(addr, "/nope", t).unwrap();
         assert_eq!(status, 404);
-        assert_eq!(server.scrapes(), 6, "every GET counted, including the 404");
+        assert_eq!(server.scrapes(), 5, "every GET counted, including the 404");
     }
 
     /// A connected pair: the server's end and the client's.

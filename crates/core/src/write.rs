@@ -233,11 +233,6 @@ impl Canopus {
         if !config.fault.is_none() {
             hierarchy.set_fault_plan_all(config.fault);
         }
-        // Adaptive tiering needs per-key heat from day one: arm the
-        // tracker before any reads so the policy never sees a cold map.
-        if config.adaptive_tiering {
-            hierarchy.enable_access_tracking();
-        }
         Self {
             store: BpStore::with_policy(hierarchy, config.policy),
             config,

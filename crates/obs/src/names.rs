@@ -173,9 +173,6 @@ pub const SERVE_WORKERS_ALIVE: &str = "canopus.serve.workers_alive";
 /// Counter: HTTP scrape requests the telemetry endpoint answered (any
 /// route, including 404s).
 pub const TELEMETRY_SCRAPES: &str = "canopus.telemetry.scrapes";
-/// Gauge: milliseconds since service start at which the background tier
-/// maintainer last completed a tick (`/healthz` staleness).
-pub const SERVE_LAST_MAINTAIN_MILLIS: &str = "canopus.serve.last_maintain.millis";
 
 // ---- latency histograms ----------------------------------------------
 // Histogram names live in their own instrument map; the `.wall`/`.sim`
@@ -239,39 +236,6 @@ pub const STORAGE_INFLIGHT_READS: &str = "storage.read.inflight";
 /// Gauge: high-water mark of concurrently served reads — evidence that
 /// the restore pipeline actually overlaps tier fetches.
 pub const STORAGE_INFLIGHT_READS_PEAK: &str = "storage.read.inflight_peak";
-pub const MIGRATIONS: &str = "storage.migration.migrations";
-pub const EVICTIONS: &str = "storage.migration.evictions";
-pub const PROMOTIONS: &str = "storage.migration.promotions";
-pub const MIGRATION_BYTES: &str = "storage.migration.bytes_moved";
-/// Counter: migrations whose destination readback did not match the
-/// source bytes (the copy was rolled back and the source kept).
-pub const MIGRATION_VERIFY_FAILURES: &str = "storage.migration.verify_failures";
-/// Counter: make-room passes that stopped short of the requested bytes
-/// (each also emits a [`MIGRATE_PARTIAL_EVENT`]).
-pub const MIGRATION_PARTIALS: &str = "storage.migration.partials";
-/// Event: a demotion pass freed fewer bytes than asked — fields carry
-/// the tier, requested vs freed bytes, and the blocking victim.
-pub const MIGRATE_PARTIAL_EVENT: &str = "storage.migrate.partial";
-
-// ---- adaptive tiering (policy engine over the migration primitives) --
-/// Counter: objects the tier migrator moved to a faster tier.
-pub const TIER_PROMOTIONS: &str = "canopus.tier.promotions";
-/// Counter: objects the tier migrator demoted to a slower tier
-/// (capacity pressure or displacement by a hotter object).
-pub const TIER_DEMOTIONS: &str = "canopus.tier.demotions";
-/// Counter: `maintain()` ticks executed.
-pub const TIER_MAINTAIN_TICKS: &str = "canopus.tier.maintain_ticks";
-/// Counter: planned moves skipped (cooldown, faulted migration, or no
-/// tier with room).
-pub const TIER_MOVE_SKIPS: &str = "canopus.tier.move_skips";
-/// Gauge: total EWMA heat over all tracked keys after the last tick
-/// (rounded; the workload's "temperature").
-pub const TIER_HEAT: &str = "canopus.tier.heat";
-/// Gauge: keys with recorded accesses after the last tick.
-pub const TIER_TRACKED_KEYS: &str = "canopus.tier.tracked_keys";
-/// Counter: structured decisions recorded into the tier migrator's
-/// audit ring (every promote / demote / swap displacement / skip).
-pub const TIER_DECISIONS: &str = "canopus.tier.decisions";
 
 pub fn tier_bytes_read(tier: usize) -> String {
     format!("storage.tier.{tier}.bytes_read")

@@ -248,7 +248,7 @@ impl Device {
         }
     }
 
-    /// Delete an object, returning its bytes (for eviction/migration).
+    /// Delete an object, returning its bytes.
     pub fn remove(&self, key: &str) -> Result<Bytes, StorageError> {
         let data = self.get(key)?;
         let mut inner = self.inner.write();

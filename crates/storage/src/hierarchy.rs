@@ -22,7 +22,6 @@ use crate::clock::{SimClock, SimDuration};
 use crate::device::Device;
 use crate::error::StorageError;
 use crate::fault::{corrupt_payload, FaultOp, FaultPlan};
-use crate::migration::AccessTracker;
 use crate::tier::TierSpec;
 use bytes::Bytes;
 use canopus_obs::{names, Counter, Gauge, Histogram, Registry, StageTimer};
@@ -147,12 +146,6 @@ pub struct StorageHierarchy {
     /// Fast path: false ⇒ no tier has an active [`FaultPlan`], and the
     /// read/write paths skip fault bookkeeping entirely.
     faults_enabled: AtomicBool,
-    /// Per-key recency/heat bookkeeping fed by the read path when
-    /// [`enable_access_tracking`](Self::enable_access_tracking) has been
-    /// called (adaptive tiering). Off by default: plain reads skip the
-    /// tracker's lock entirely.
-    tracker: AccessTracker,
-    tracking_enabled: AtomicBool,
 }
 
 impl StorageHierarchy {
@@ -195,8 +188,6 @@ impl StorageHierarchy {
             inflight_reads_peak: obs.gauge(names::STORAGE_INFLIGHT_READS_PEAK),
             obs,
             faults_enabled: AtomicBool::new(false),
-            tracker: AccessTracker::new(),
-            tracking_enabled: AtomicBool::new(false),
         }
     }
 
@@ -278,25 +269,6 @@ impl StorageHierarchy {
     /// layered on top of it.
     pub fn metrics(&self) -> &Arc<Registry> {
         &self.obs
-    }
-
-    /// Turn on per-key access tracking: every successful `read` /
-    /// `read_range` records recency and EWMA heat in
-    /// [`access_tracker`](Self::access_tracker). Idempotent; there is no
-    /// way back — the adaptive tiering policy depends on the feed.
-    pub fn enable_access_tracking(&self) {
-        self.tracking_enabled.store(true, Ordering::Relaxed);
-    }
-
-    /// Whether the read path currently feeds the access tracker.
-    pub fn access_tracking_enabled(&self) -> bool {
-        self.tracking_enabled.load(Ordering::Relaxed)
-    }
-
-    /// The hierarchy's recency/heat tracker (empty until
-    /// [`enable_access_tracking`](Self::enable_access_tracking)).
-    pub fn access_tracker(&self) -> &AccessTracker {
-        &self.tracker
     }
 
     /// Attach (or clear, with [`FaultPlan::none`]) a fault schedule on
@@ -411,6 +383,8 @@ impl StorageHierarchy {
     }
 
     /// Locate an object, searching fastest-first. Returns its tier index.
+    /// Nothing moves an object after it is written, so the answer holds
+    /// until the object is removed.
     pub fn find(&self, key: &str) -> Result<usize, StorageError> {
         self.tiers
             .iter()
@@ -427,17 +401,7 @@ impl StorageHierarchy {
     /// in [`names::STORAGE_INFLIGHT_READS_PEAK`]) — a peak above 1 is
     /// direct evidence that a read pipeline overlapped tier fetches.
     pub fn read(&self, key: &str) -> Result<(Bytes, usize, SimDuration), StorageError> {
-        self.read_inner(key, None, true)
-    }
-
-    /// The read `migrate` uses for its accounted source fetch: identical
-    /// to [`read`](Self::read) except the access tracker is not touched —
-    /// migration traffic must not heat the keys it moves.
-    pub(crate) fn read_for_migration(
-        &self,
-        key: &str,
-    ) -> Result<(Bytes, usize, SimDuration), StorageError> {
-        self.read_inner(key, None, false)
+        self.read_inner(key, None)
     }
 
     /// Read `len` bytes of an object starting at `offset` (fastest tier
@@ -445,71 +409,45 @@ impl StorageHierarchy {
     /// requested range. This is the transport primitive behind region
     /// refinement: one chunk of a shard object moves without pulling the
     /// whole shard. Fault injection draws on the same per-key sequence
-    /// as [`read`](Self::read), and a concurrent migration is tolerated
-    /// the same way.
+    /// as [`read`](Self::read).
     pub fn read_range(
         &self,
         key: &str,
         offset: u64,
         len: u64,
     ) -> Result<(Bytes, usize, SimDuration), StorageError> {
-        self.read_inner(key, Some((offset, len)), true)
+        self.read_inner(key, Some((offset, len)))
     }
 
     /// Locate `key` and fetch its bytes — all of them, or the
-    /// `(offset, len)` range — tolerating a concurrent migration:
-    /// between `find` and the device `get` the copy-verify-then-remove
-    /// window may shift the object to another tier, turning the device
-    /// read into a spurious `NotFound` while the object very much
-    /// exists — so re-find and retry a bounded number of times,
-    /// yielding between attempts so the in-flight migration can finish
-    /// its window. `find` itself can also race a demotion: it scans
-    /// fastest-first, so if the whole put-then-remove lands between its
-    /// probe of the destination tier and its probe of the source tier,
-    /// the scan misses a key that was resident throughout — which is
-    /// why a `NotFound` from `find` retries like one from the device
-    /// `get`, and is only surfaced once the race persists past the
-    /// bound (a truly absent key just pays a few yields).
+    /// `(offset, len)` range: one `find`, one device get. An object
+    /// stays on the tier placement gave it until it is removed, so a
+    /// get that misses after a hit means the object is gone.
     fn locate_and_get(
         &self,
         key: &str,
         range: Option<(u64, u64)>,
     ) -> Result<(Bytes, usize, SimDuration, Option<u64>), StorageError> {
-        for attempt in 0..12 {
-            if attempt > 0 {
-                std::thread::yield_now();
-            }
-            let idx = match self.find(key) {
-                Ok(idx) => idx,
-                Err(StorageError::NotFound(_)) => continue,
-                Err(e) => return Err(e),
-            };
-            let (extra, corrupt) = if self.faults_enabled.load(Ordering::Relaxed) {
-                self.inject(idx, FaultOp::GetError, key)?
-            } else {
-                (SimDuration::ZERO, None)
-            };
-            let device = &self.tiers[idx].device;
-            let got = match range {
-                None => device.get(key),
-                Some((offset, len)) => device.get_range(key, offset, len),
-            };
-            match got {
-                Ok(data) => return Ok((data, idx, extra, corrupt)),
-                Err(StorageError::NotFound(_)) => continue,
-                Err(e) => return Err(e),
-            }
-        }
-        Err(StorageError::NotFound(key.to_string()))
+        let idx = self.find(key)?;
+        let (extra, corrupt) = if self.faults_enabled.load(Ordering::Relaxed) {
+            self.inject(idx, FaultOp::GetError, key)?
+        } else {
+            (SimDuration::ZERO, None)
+        };
+        let device = &self.tiers[idx].device;
+        let data = match range {
+            None => device.get(key),
+            Some((offset, len)) => device.get_range(key, offset, len),
+        }?;
+        Ok((data, idx, extra, corrupt))
     }
 
-    /// Every accounted read — whole or ranged, tracked or not — runs
-    /// through here: one locate, one accounting tail.
+    /// Every accounted read — whole or ranged — runs through here: one
+    /// locate, one accounting tail.
     fn read_inner(
         &self,
         key: &str,
         range: Option<(u64, u64)>,
-        track: bool,
     ) -> Result<(Bytes, usize, SimDuration), StorageError> {
         self.inflight_reads.add(1);
         self.inflight_reads_peak.set_max(self.inflight_reads.get());
@@ -533,20 +471,13 @@ impl StorageHierarchy {
         tier.metrics
             .read
             .record(data.len() as u64, wall.elapsed().as_secs_f64(), dt);
-        if track && self.tracking_enabled.load(Ordering::Relaxed) {
-            self.tracker.touch(key);
-        }
         Ok((data, idx, dt))
     }
 
     /// Remove an object from whichever tier holds it.
     pub fn remove(&self, key: &str) -> Result<Bytes, StorageError> {
         let idx = self.find(key)?;
-        let removed = self.tiers[idx].device.remove(key)?;
-        if self.tracking_enabled.load(Ordering::Relaxed) {
-            self.tracker.forget(key);
-        }
-        Ok(removed)
+        self.tiers[idx].device.remove(key)
     }
 
     /// Wipe all tiers and reset clock, stats, and metrics (between
@@ -564,7 +495,6 @@ impl StorageHierarchy {
         }
         self.clock.reset();
         self.obs.reset();
-        self.tracker.reset();
     }
 }
 

@@ -32,7 +32,6 @@ pub mod device;
 pub mod error;
 pub mod fault;
 pub mod hierarchy;
-pub mod migration;
 pub mod placement;
 pub mod tier;
 pub mod writeback;
@@ -42,7 +41,6 @@ pub use device::Device;
 pub use error::StorageError;
 pub use fault::{FaultOp, FaultPlan};
 pub use hierarchy::{StorageHierarchy, TierStats};
-pub use migration::{AccessTracker, HeatEntry, RoomOutcome, DEFAULT_HEAT_DECAY};
 pub use placement::{PlacementPlan, Product, ProductKind};
 pub use tier::TierSpec;
 pub use writeback::WriteBehind;

@@ -1,9 +1,9 @@
 //! Property-based tests for the storage substrate: capacity, placement
-//! and migration invariants under arbitrary workloads.
+//! and accounting invariants under arbitrary workloads.
 
 use bytes::Bytes;
 use canopus_storage::placement::PlacementPolicy;
-use canopus_storage::{AccessTracker, Device, Product, ProductKind, StorageHierarchy, TierSpec};
+use canopus_storage::{Device, Product, ProductKind, StorageHierarchy, TierSpec};
 use proptest::prelude::*;
 
 fn hierarchy(caps: &[u64]) -> StorageHierarchy {
@@ -75,62 +75,6 @@ proptest! {
             total += rt.seconds();
         }
         prop_assert!((h.clock().now().seconds() - total).abs() < 1e-6);
-    }
-
-    /// Migration conserves data: after arbitrary migrations, every object
-    /// is still present exactly once with its original payload.
-    #[test]
-    fn migration_conserves_objects(
-        moves in proptest::collection::vec((0usize..6, 0usize..3), 0..12),
-    ) {
-        let h = hierarchy(&[4096, 4096, 4096]);
-        for i in 0..6 {
-            h.write_to_tier(i % 3, &format!("o{i}"), Bytes::from(vec![i as u8; 64 + i]))
-                .unwrap();
-        }
-        for (obj, dest) in moves {
-            let key = format!("o{obj}");
-            let _ = h.migrate(&key, dest); // may fail on capacity; fine
-        }
-        for i in 0..6 {
-            let key = format!("o{i}");
-            let (data, tier, _) = h.read(&key).unwrap();
-            prop_assert_eq!(data, Bytes::from(vec![i as u8; 64 + i]));
-            // Present on exactly one tier.
-            let mut found = 0;
-            for t in 0..h.num_tiers() {
-                if h.tier_device(t).unwrap().contains(&key) {
-                    found += 1;
-                    prop_assert_eq!(t, tier);
-                }
-            }
-            prop_assert_eq!(found, 1);
-        }
-    }
-
-    /// make_room never leaves the tier over capacity and never loses an
-    /// object.
-    #[test]
-    fn make_room_preserves_everything(
-        sizes in proptest::collection::vec(16u64..256, 1..8),
-        want in 16u64..1024,
-    ) {
-        let h = hierarchy(&[1024, 1 << 16]);
-        let tracker = AccessTracker::new();
-        let mut stored = Vec::new();
-        for (i, &sz) in sizes.iter().enumerate() {
-            let key = format!("s{i}");
-            if h.write_to_tier(0, &key, Bytes::from(vec![i as u8; sz as usize])).is_ok() {
-                stored.push((key, sz));
-            }
-        }
-        let _ = h.make_room(0, want, &tracker);
-        let dev0 = h.tier_device(0).unwrap();
-        prop_assert!(dev0.used() <= dev0.capacity());
-        for (key, sz) in stored {
-            let (data, _, _) = h.read(&key).unwrap();
-            prop_assert_eq!(data.len() as u64, sz);
-        }
     }
 
     /// Accounting invariant, both backends: after an arbitrary sequence

@@ -220,14 +220,20 @@ fn concurrent_mixed_workload_is_byte_identical_to_stepwise_oracle() {
 /// Cache-hit accounting stays symmetric under contention: with the
 /// cache enabled, every base/level read probes exactly once, so
 /// `hits + misses` equals the number of probing calls no matter how
-/// the worker pool interleaves them. (Region refinement never probes —
-/// only its embedded base read does.)
+/// the worker pool interleaves them. A region request probes twice: its
+/// embedded base read, then the refined level — every window here
+/// touches the one chunk a level is stored in, so each step is a full
+/// refinement the level cache may answer.
 #[test]
 fn cache_accounting_is_symmetric_under_contention() {
     let ds = xgc1_dataset_sized(12, 60, 9);
     let canopus = Arc::new(engine(&ds, 4));
     let requests = mixed_requests(&ds);
-    let probing_calls = requests.len() as u64; // one probe per request
+    let regions = requests
+        .iter()
+        .filter(|r| matches!(r, ServeRequest::Region { .. }))
+        .count();
+    let probing_calls = (requests.len() + regions) as u64;
     let clients = 4u64;
 
     let service = CanopusService::start(Arc::clone(&canopus));
@@ -366,10 +372,7 @@ fn held_restores(files: usize) -> (Arc<Canopus>, Vec<ServeRequest>) {
             let reader = canopus.open(&file).expect("open");
             let var = reader.file().inq_var(ds.var).expect("variable");
             let finest = var.delta_shards_to(0)[0].key.clone();
-            canopus
-                .hierarchy()
-                .migrate(&finest, spare)
-                .expect("spare tier");
+            support::move_to_tier(canopus.hierarchy(), &finest, spare);
             ServeRequest::Level {
                 file,
                 var: ds.var.to_string(),

@@ -127,10 +127,7 @@ fn isolate_metadata(ds: &Dataset, canopus: &Canopus, level: u32) -> String {
         .expect("every level has a metadata block")
         .key
         .clone();
-    canopus
-        .hierarchy()
-        .migrate(&key, SPARE)
-        .expect("the spare tier has room");
+    support::move_to_tier(canopus.hierarchy(), &key, SPARE);
     assert_eq!(canopus.hierarchy().find(&key).expect("still stored"), SPARE);
     key
 }
@@ -581,10 +578,7 @@ fn a_walk_stopped_on_a_passed_level_hands_out_its_whole_mesh() {
         .delta_shards_to(0)[0]
         .key
         .clone();
-    canopus
-        .hierarchy()
-        .migrate(&key, SPARE)
-        .expect("spare tier");
+    support::move_to_tier(canopus.hierarchy(), &key, SPARE);
     let reader = walker(&canopus);
     canopus
         .hierarchy()
@@ -841,10 +835,7 @@ fn a_fault_on_a_coarser_delta_stops_the_loader_before_its_next_attempt() {
         let var = reader.file().inq_var(ds.var).expect("variable");
         var.delta_shards_to(LEVELS - 2)[0].key.clone()
     };
-    canopus
-        .hierarchy()
-        .migrate(&delta, SPARE)
-        .expect("spare tier");
+    support::move_to_tier(canopus.hierarchy(), &delta, SPARE);
     // Two attempts each, a long backoff between them, and a jitter that
     // has the delta's second attempt — the one that ends the walk — fall
     // well before the loader wakes for its own.

@@ -1,30 +1,28 @@
 //! Live telemetry plane, end to end: a real `CanopusService` behind the
 //! embedded scrape endpoint. These tests pin the route surface on an
-//! ephemeral port (`/metrics`, `/metrics.json`, `/healthz`, `/slo`,
-//! `/decisions`), the exactness of the SLO accounting under forced
-//! deadlines, the zero-overhead contract when the plane is disabled
-//! (mirroring `tests/observability.rs`'s disabled-sink pattern), the
-//! rolling window's bracketing of served work, and the determinism of
-//! the tiering decision audit exposed over HTTP.
+//! ephemeral port (`/metrics`, `/metrics.json`, `/healthz`, `/slo`),
+//! the exactness of the SLO accounting under forced deadlines, the
+//! zero-overhead contract when the plane is disabled (mirroring
+//! `tests/observability.rs`'s disabled-sink pattern), and the rolling
+//! window's bracketing of served work.
 
-use bytes::Bytes;
 use canopus::config::RelativeCodec;
 use canopus::telemetry::http_get;
 use canopus::{
     Canopus, CanopusConfig, CanopusService, Priority, ServeOptions, ServeRequest, TelemetryConfig,
-    TelemetryServer, TierMigrator, TieringPolicy,
+    TelemetryServer,
 };
 use canopus_data::{xgc1_dataset_sized, Dataset};
-use canopus_obs::{json, names, Registry, RollingWindow, WindowConfig};
+use canopus_obs::{json, names, RollingWindow, WindowConfig};
 use canopus_refactor::levels::RefactorConfig;
-use canopus_storage::{StorageHierarchy, TierSpec};
+use canopus_storage::StorageHierarchy;
 use std::sync::Arc;
 use std::time::Duration;
 
 const FILE: &str = "telemetry.bp";
 const TIMEOUT: Duration = Duration::from_secs(5);
 
-fn engine(ds: &Dataset, adaptive: bool) -> Canopus {
+fn engine(ds: &Dataset) -> Canopus {
     let raw = (ds.data.len() * 8) as u64;
     let canopus = Canopus::new(
         Arc::new(StorageHierarchy::titan_two_tier(raw / 4, raw * 64)),
@@ -35,11 +33,6 @@ fn engine(ds: &Dataset, adaptive: bool) -> Canopus {
             },
             codec: RelativeCodec::Raw,
             serve_workers: 2,
-            adaptive_tiering: adaptive,
-            tiering: TieringPolicy {
-                interval_ms: 1,
-                ..TieringPolicy::new()
-            },
             ..Default::default()
         },
     );
@@ -66,13 +59,12 @@ fn get_json(server: &TelemetryServer, path: &str) -> json::Value {
     json::parse(&body).unwrap_or_else(|e| panic!("{path} must be JSON ({e:?}): {body}"))
 }
 
-/// Every route answers on an ephemeral port while a real service with
-/// an adaptive-tier maintainer runs behind it, and the payloads agree
-/// with the service's own counters.
+/// Every route answers on an ephemeral port while a real service runs
+/// behind it, and the payloads agree with the service's own counters.
 #[test]
 fn endpoint_serves_full_route_surface_against_live_service() {
     let ds = xgc1_dataset_sized(16, 80, 5);
-    let canopus = Arc::new(engine(&ds, true));
+    let canopus = Arc::new(engine(&ds));
     let service = CanopusService::start(Arc::clone(&canopus));
     service.enable_live_telemetry();
     let mut server = TelemetryServer::start(
@@ -109,10 +101,6 @@ fn endpoint_serves_full_route_surface_against_live_service() {
     assert_eq!(
         health.get("workers_expected").and_then(json::Value::as_i64),
         Some(2)
-    );
-    assert_eq!(
-        health.get("tier_maintainer").and_then(json::Value::as_bool),
-        Some(true)
     );
     assert_eq!(
         health.get("queue_depth").and_then(json::Value::as_i64),
@@ -162,47 +150,12 @@ fn endpoint_serves_full_route_surface_against_live_service() {
         assert!((0..=1_000_000).contains(&ppm), "{class}: ppm {ppm}");
     }
 
-    // `/decisions`: the audit ring is exposed and internally consistent
-    // with the migrator the service actually runs.
-    let dec = get_json(&server, "/decisions");
-    assert_eq!(
-        dec.get("available").and_then(json::Value::as_bool),
-        Some(true)
-    );
-    let ring = service
-        .tier_migrator()
-        .expect("adaptive on")
-        .decision_ring();
-    let listed = dec.get("decisions").and_then(json::Value::as_arr).unwrap();
-    assert!(listed.len() <= ring.capacity(), "ring stays bounded");
-    let recorded = dec.get("recorded").and_then(json::Value::as_u64).unwrap();
-    let evicted = dec.get("evicted").and_then(json::Value::as_u64).unwrap();
-    assert!(
-        recorded >= listed.len() as u64
-            && recorded <= listed.len() as u64 + evicted + ring.len() as u64,
-        "recorded ({recorded}) must reconcile with retained + evicted"
-    );
-    for d in listed {
-        let action = d.get("action").and_then(json::Value::as_str).unwrap();
-        assert!(
-            ["promote", "demote", "swap_demote", "skip"].contains(&action),
-            "unknown action {action}"
-        );
-        assert!(
-            !d.get("reason")
-                .and_then(json::Value::as_str)
-                .unwrap()
-                .is_empty(),
-            "every decision carries a reason"
-        );
-    }
-
     // Unknown routes 404 with the route list; the scrape counter saw
-    // every GET above (6 so far including this one).
+    // every GET above (5 so far including this one).
     let (status, body) = get(&server, "/nope");
     assert_eq!(status, 404);
     assert!(body.contains("/metrics"), "{body}");
-    assert_eq!(server.scrapes(), 6);
+    assert_eq!(server.scrapes(), 5);
 
     // After stop, the port no longer answers.
     let addr = server.addr();
@@ -217,7 +170,7 @@ fn endpoint_serves_full_route_surface_against_live_service() {
 #[test]
 fn slo_accounting_is_exact_under_forced_deadlines() {
     let ds = xgc1_dataset_sized(12, 60, 9);
-    let canopus = Arc::new(engine(&ds, false));
+    let canopus = Arc::new(engine(&ds));
     let service = CanopusService::start(Arc::clone(&canopus));
     service.enable_live_telemetry();
 
@@ -254,7 +207,7 @@ fn slo_accounting_is_exact_under_forced_deadlines() {
 #[test]
 fn disabled_live_plane_never_touches_derived_gauges() {
     let ds = xgc1_dataset_sized(12, 60, 9);
-    let canopus = Arc::new(engine(&ds, false));
+    let canopus = Arc::new(engine(&ds));
     let service = CanopusService::start(Arc::clone(&canopus));
     assert!(!service.live_telemetry_enabled());
 
@@ -283,7 +236,7 @@ fn disabled_live_plane_never_touches_derived_gauges() {
 #[test]
 fn rolling_window_brackets_exactly_the_work_between_samples() {
     let ds = xgc1_dataset_sized(12, 60, 9);
-    let canopus = Arc::new(engine(&ds, false));
+    let canopus = Arc::new(engine(&ds));
     let service = CanopusService::start(Arc::clone(&canopus));
 
     // Pre-window noise the delta must not see.
@@ -323,74 +276,4 @@ fn rolling_window_brackets_exactly_the_work_between_samples() {
     let lat = d.histogram(&names::serve_latency_hist("quick"));
     assert_eq!(lat.count, in_window, "histogram delta sees only the window");
     assert!(d.wall_secs >= 0.0 && d.sim_secs >= 0.0);
-}
-
-/// The `/decisions` route over a hand-driven migrator is fully
-/// deterministic: skewed reads promote the hot set, and the audit ring
-/// the endpoint serves explains every action — promotions with their
-/// destination tier, and each entry with a non-empty reason.
-#[test]
-fn decision_audit_endpoint_explains_a_deterministic_promotion() {
-    let h = Arc::new(StorageHierarchy::new(vec![
-        TierSpec::new("fast", 500, 1e9, 1e9, 1e-6),
-        TierSpec::new("slow", 1 << 20, 1e7, 1e7, 1e-3),
-    ]));
-    let keys: Vec<String> = (0..8).map(|i| format!("obj/{i}")).collect();
-    for (i, k) in keys.iter().enumerate() {
-        h.write_to_tier(1, k, Bytes::from(vec![(i * 37 + 11) as u8; 100]))
-            .expect("seed write");
-    }
-    let migrator = Arc::new(TierMigrator::new(
-        Arc::clone(&h),
-        TieringPolicy {
-            cooldown_ticks: 2,
-            ..TieringPolicy::new()
-        },
-    ));
-    for _ in 0..4 {
-        for k in &keys[..4] {
-            h.read(k).expect("hot read");
-        }
-    }
-    let report = migrator.maintain();
-    assert!(report.promotions > 0, "hot keys must promote: {report:?}");
-
-    let sources = canopus::TelemetrySources::new(Arc::new(Registry::new()))
-        .with_migrator(Arc::clone(&migrator));
-    let server = TelemetryServer::start("127.0.0.1:0", sources, TelemetryConfig::default())
-        .expect("bind telemetry endpoint");
-
-    let dec = get_json(&server, "/decisions");
-    assert_eq!(
-        dec.get("available").and_then(json::Value::as_bool),
-        Some(true)
-    );
-    assert_eq!(
-        dec.get("ticks").and_then(json::Value::as_u64),
-        Some(migrator.ticks())
-    );
-    let listed = dec.get("decisions").and_then(json::Value::as_arr).unwrap();
-    let promoted: Vec<_> = listed
-        .iter()
-        .filter(|d| d.get("action").and_then(json::Value::as_str) == Some("promote"))
-        .collect();
-    assert_eq!(
-        promoted.len() as u32,
-        report.promotions,
-        "every performed promotion is audited"
-    );
-    for d in promoted {
-        assert_eq!(d.get("to_tier").and_then(json::Value::as_i64), Some(0));
-        assert!(!d
-            .get("reason")
-            .and_then(json::Value::as_str)
-            .unwrap()
-            .is_empty());
-    }
-    assert_eq!(
-        dec.get("recorded").and_then(json::Value::as_u64),
-        Some(listed.len() as u64),
-        "nothing evicted yet: recorded equals retained"
-    );
-    assert_eq!(dec.get("evicted").and_then(json::Value::as_u64), Some(0));
 }

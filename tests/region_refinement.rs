@@ -149,21 +149,48 @@ fn unchunked_file_degrades_to_full_refinement() {
     assert_eq!(stats.exact_vertices, roi.data.len());
     assert!(roi.level_exact, "every chunk fetched on an exact field");
     // (A second reader: a full refinement enters the level cache.)
-    let (full, _) = canopus
-        .open("roi.bp")
-        .unwrap()
-        .refine_once(ds.var, &base)
-        .unwrap();
+    let warm = canopus.open("roi.bp").unwrap();
+    let (full, _) = warm.refine_once(ds.var, &base).unwrap();
     assert_eq!(roi.data, full.data);
 
+    // On that reader the region step is a full refinement the level
+    // cache answers: the same bits, no tier fetch, one cache hit, and
+    // the one chunk planned and skipped.
+    let m = canopus.metrics();
+    let counters = || {
+        [
+            names::READ_CHUNKS_PLANNED,
+            names::READ_CHUNKS_FETCHED,
+            names::READ_CHUNKS_SKIPPED,
+            names::READ_CACHE_HITS,
+            names::READ_BYTES_IO,
+        ]
+        .map(|n| m.counter(n).get())
+    };
+    let before = counters();
+    let (hit, hit_stats) = warm.refine_region(ds.var, &base, quadrant()).unwrap();
+    let moved: Vec<u64> = counters().iter().zip(before).map(|(a, b)| a - b).collect();
+    assert_eq!(hit.data, roi.data);
+    assert!(hit.level_exact);
+    assert_eq!(hit_stats.chunks_total, 1);
+    assert_eq!(hit_stats.chunks_read, 1);
+    assert_eq!(hit_stats.chunks_cached, 1, "answered by the level cache");
+    assert_eq!(hit_stats.bytes_read, 0);
+    assert_eq!(hit_stats.exact_vertices, roi.data.len());
+    assert_eq!(
+        moved,
+        [1, 0, 1, 1, 0],
+        "planned, fetched, skipped, hits, bytes"
+    );
+
     // The one chunk is the whole level's delta; it does not enter the
-    // decoded-chunk cache, so a repeat fetches again and the level
-    // cache keeps what it held.
+    // decoded-chunk cache, and a region step stores nothing in the
+    // level cache, so a repeat on the first reader fetches again and
+    // the level cache keeps what it held.
     let (again, repeat) = reader.refine_region(ds.var, &base, quadrant()).unwrap();
     assert_eq!(again.data, roi.data);
-    assert_eq!(repeat.chunks_cached, 0, "a one-chunk level is never cached");
+    assert_eq!(repeat.chunks_cached, 0, "nothing was stored");
     assert_eq!(repeat.bytes_read, shard_bytes);
-    let m = canopus.metrics();
     let (hits, io) = (
         m.counter(names::READ_CACHE_HITS).get(),
         m.counter(names::READ_BYTES_IO).get(),

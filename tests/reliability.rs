@@ -324,65 +324,3 @@ fn fault_injection_is_deterministic_across_runs() {
     };
     assert_eq!(run(), run(), "seeded schedules must replay exactly");
 }
-
-#[test]
-fn armed_destination_faults_never_lose_a_migrating_key() {
-    // The PR 9 data-loss bugfix, end to end: with put faults armed on
-    // the destination tier, repeated migration attempts may fail but
-    // the object must survive — readable and byte-exact — after every
-    // attempt, and must never end up duplicated across tiers.
-    use bytes::Bytes;
-
-    let h = StorageHierarchy::new(vec![
-        TierSpec::new("fast", 1 << 20, 1e9, 1e9, 1e-6),
-        TierSpec::new("slow", 1 << 26, 1e7, 1e7, 1e-3),
-    ]);
-    let keys: Vec<String> = (0..8).map(|i| format!("mig/{i}")).collect();
-    let payloads: Vec<Bytes> = (0..8)
-        .map(|i| Bytes::from(vec![(i * 31 + 7) as u8; 1024 + i * 100]))
-        .collect();
-    for (k, p) in keys.iter().zip(&payloads) {
-        h.write_to_tier(1, k, p.clone()).expect("seed write");
-    }
-    // Every put on the fast (destination) tier faults half the time,
-    // seeded — the schedule replays identically across runs.
-    h.set_fault_plan(
-        0,
-        FaultPlan {
-            seed: 77,
-            put_error_p: 0.5,
-            ..FaultPlan::none()
-        },
-    )
-    .expect("tier 0 exists");
-
-    let mut failures = 0u32;
-    for round in 0..6 {
-        for (i, k) in keys.iter().enumerate() {
-            let target = if round % 2 == 0 { 0 } else { 1 };
-            if h.migrate(k, target).is_err() {
-                failures += 1;
-            }
-            // Invariant after every attempt, success or failure: the
-            // key lives in exactly one place with its exact bytes.
-            let tier = h.find(k).expect("key must never be lost");
-            let on_fast = h.tier_device(0).expect("t0").contains(k);
-            let on_slow = h.tier_device(1).expect("t1").contains(k);
-            assert!(
-                on_fast ^ on_slow,
-                "{k} must live on exactly one tier (fast={on_fast}, slow={on_slow})"
-            );
-            let data = h.tier_device(tier).expect("tier").get(k).expect("get");
-            assert_eq!(data, payloads[i], "{k} bytes survive round {round}");
-        }
-    }
-    assert!(failures > 0, "the armed schedule must actually fire");
-    // Disarm: every key can still reach the fast tier and stays exact.
-    h.set_fault_plan(0, FaultPlan::none()).expect("tier 0");
-    for (i, k) in keys.iter().enumerate() {
-        h.migrate(k, 0).expect("clean migrate");
-        assert_eq!(h.find(k).expect("found"), 0);
-        let (data, _, _) = h.read(k).expect("read");
-        assert_eq!(data, payloads[i]);
-    }
-}

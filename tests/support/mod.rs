@@ -2,11 +2,13 @@
 //! scheduling code with the walk — no prefetch thread, decode pool,
 //! geometry loader or decoded-level cache — only the public single-step
 //! API: the base, then one whole-domain `refine_region` per level, each
-//! fetched, decoded and applied on the calling thread.
+//! fetched, decoded and applied on the calling thread. Also the fault
+//! tests' way to give one object a tier of its own.
 #![allow(dead_code)]
 
 use canopus::{Canopus, ReadOutcome};
 use canopus_mesh::geometry::{Aabb, Point2};
+use canopus_storage::StorageHierarchy;
 
 /// A window no chunk's bounding box can miss: `refine_region` over it
 /// fetches every chunk and refines the whole level.
@@ -29,4 +31,18 @@ pub fn stepwise_restore(canopus: &Canopus, file: &str, var: &str, level: u32) ->
             .0;
     }
     out
+}
+
+/// Put the object `key` alone on tier `to`, so a fault plan armed there
+/// hits it and nothing else. Placement never moves an object, so this
+/// goes below the read path: one device get, put and remove, with no
+/// tier I/O accounted and no fault plan consulted.
+pub fn move_to_tier(hierarchy: &StorageHierarchy, key: &str, to: usize) {
+    let from = hierarchy.find(key).expect("the object is stored");
+    let device = |tier| hierarchy.tier_device(tier).expect("the tier exists");
+    let bytes = device(from).get(key).expect("the object is stored");
+    device(to)
+        .put(key, bytes)
+        .expect("the destination tier has room");
+    device(from).remove(key).expect("the source copy goes");
 }

@@ -1,13 +1,10 @@
-//! Integration tests for the in-transit transport and the
-//! migration/eviction machinery working together with the full pipeline.
+//! Integration tests for the in-transit transport working together with
+//! the full pipeline.
 
 use bytes::Bytes;
-use canopus::config::RelativeCodec;
-use canopus::{Canopus, CanopusConfig};
 use canopus_adios::store::BlockWrite;
 use canopus_adios::{BpStore, Transport, TransportWriter};
-use canopus_data::cfd_dataset_sized;
-use canopus_storage::{AccessTracker, ProductKind, StorageHierarchy, TierSpec};
+use canopus_storage::{ProductKind, StorageHierarchy, TierSpec};
 use std::sync::Arc;
 
 fn hierarchy() -> Arc<StorageHierarchy> {
@@ -54,102 +51,6 @@ fn staged_timesteps_drain_and_read_back() {
         let (bytes, _, _) = f.read_base("u").expect("read");
         assert!(bytes.iter().all(|&b| b == step));
     }
-}
-
-/// When the fast tier fills over a campaign, evicting cold bases makes
-/// room for hot ones — and everything stays readable afterward.
-#[test]
-fn eviction_keeps_campaign_readable_under_tier_pressure() {
-    let h = hierarchy();
-    let ds = cfd_dataset_sized(16, 12, 9);
-    let canopus = Canopus::new(
-        Arc::clone(&h),
-        CanopusConfig {
-            codec: RelativeCodec::Raw,
-            ..Default::default()
-        },
-    );
-
-    // Write timesteps until the fast tier is under real pressure.
-    let mut written = Vec::new();
-    for step in 0..6 {
-        let file = format!("t{step}.bp");
-        canopus
-            .write(&file, "p", &ds.mesh, &ds.data)
-            .expect("write never fails outright — placement bypasses");
-        written.push(file);
-    }
-
-    // The fast tier holds some early bases; demote everything cold.
-    let tracker = AccessTracker::new();
-    let fast = h.tier_device(0).expect("tier 0");
-    let before_keys = fast.keys();
-    if !before_keys.is_empty() {
-        // Touch the newest object so it survives, evict for a big request.
-        tracker.touch(before_keys.last().expect("non-empty"));
-        let want = fast.capacity(); // force maximal demotion
-        let _ = h.make_room(0, want.min(fast.capacity()), &tracker);
-    }
-
-    // Every timestep still restores exactly.
-    for file in &written {
-        let reader = canopus.open(file).expect("open");
-        let out = reader.read_level("p", 0).expect("read");
-        let max_err = out
-            .data
-            .iter()
-            .zip(&ds.data)
-            .map(|(a, b)| (a - b).abs())
-            .fold(0.0f64, f64::max);
-        assert!(max_err < 1e-12, "{file}: err {max_err}");
-    }
-}
-
-/// Promotion pulls a hot base up; subsequent reads get fast-tier latency.
-#[test]
-fn promotion_accelerates_hot_reads() {
-    let h = hierarchy();
-    let ds = cfd_dataset_sized(16, 12, 9);
-    let canopus = Canopus::new(
-        Arc::clone(&h),
-        CanopusConfig {
-            codec: RelativeCodec::Raw,
-            ..Default::default()
-        },
-    );
-    canopus
-        .write("hot.bp", "p", &ds.mesh, &ds.data)
-        .expect("write");
-
-    // Force the base down to the slow tier first.
-    let base_key = "hot.bp/p/L2";
-    let from = h.find(base_key).expect("placed");
-    if from < 2 {
-        h.migrate(base_key, 2).expect("demote");
-    }
-    let (_, tier_before, t_slow) = h.read(base_key).expect("read slow");
-    assert_eq!(tier_before, 2);
-
-    // Promote and re-read.
-    let tracker = AccessTracker::new();
-    tracker.touch(base_key);
-    let new_tier = h.promote(base_key, &tracker, true).expect("promote");
-    assert!(new_tier < 2, "promotion should move the base up");
-    let (_, tier_after, t_fast) = h.read(base_key).expect("read fast");
-    assert_eq!(tier_after, new_tier);
-    assert!(
-        t_fast.seconds() < t_slow.seconds() / 5.0,
-        "fast read {} should be far under slow read {}",
-        t_fast.seconds(),
-        t_slow.seconds()
-    );
-
-    // And the data still decodes through the full reader.
-    let reader = canopus.open("hot.bp").expect("open");
-    assert_eq!(
-        reader.read_level("p", 0).expect("read").data.len(),
-        ds.data.len()
-    );
 }
 
 /// Direct vs staged transports produce byte-identical stores.
