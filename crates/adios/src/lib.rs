@@ -13,19 +13,19 @@
 //!   (base / delta / mapping metadata), element count, codec identity and
 //!   parameters, min/max, and sizes; with a compact self-describing binary
 //!   serialization.
-//! * [`store`] — [`store::BpStore`], which writes product sets through the
-//!   placement policy onto a [`StorageHierarchy`](canopus_storage::StorageHierarchy)
-//!   and opens them again; and [`store::BpFile`] with `inq_var`-style
-//!   queries and per-block reads that report which tier served them and at
-//!   what simulated cost.
-
-//! * [`transport`] — the in-situ (direct) and in-transit (staged)
-//!   transport modes of §III-A; switching is a runtime option.
+//! * [`store`] — [`store::BpStore`], whose streaming write
+//!   ([`store::BpStore::begin_write`]) places each block by the one
+//!   placement rule onto a [`StorageHierarchy`](canopus_storage::StorageHierarchy)
+//!   while earlier blocks still land in the background, and publishes
+//!   the manifest only once every block has landed; and [`store::BpFile`]
+//!   with `inq_var`-style queries and per-block reads that report which
+//!   tier served them and at what simulated cost. That streaming write is
+//!   the in-transit transport of §III-A: a bounded number of blocks in
+//!   flight, drained by background workers, with a barrier before the
+//!   manifest is published. A write that fails removes what it stored.
 
 pub mod meta;
 pub mod store;
-pub mod transport;
 
 pub use meta::{checksum64, AdiosError, BlockMeta, ChunkEntry, FileMeta, GeometrySection, VarMeta};
-pub use store::{BpFile, BpStore};
-pub use transport::{Transport, TransportWriter};
+pub use store::{BpFile, BpStore, StoredBlock};

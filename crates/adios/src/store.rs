@@ -1,11 +1,9 @@
-//! The BP store: writing product sets through the placement policy and
-//! reading them back with `inq_var`-style queries.
+//! The BP store: writing a file through the streaming write and reading
+//! it back with `inq_var`-style queries.
 
 use crate::meta::{checksum64, AdiosError, BlockMeta, ChunkEntry, FileMeta, VarMeta};
 use bytes::Bytes;
-use canopus_storage::{
-    PlacementPlan, Product, ProductKind, SimDuration, StorageHierarchy, WriteBehind,
-};
+use canopus_storage::{choose_tier, ProductKind, SimDuration, StorageHierarchy, WriteBehind};
 use std::sync::Arc;
 
 /// Key of the global metadata object for a file.
@@ -26,8 +24,8 @@ pub fn block_key(file: &str, var: &str, kind: ProductKind) -> String {
     }
 }
 
-/// One block handed to [`BpStore::write`]: payload plus everything the
-/// metadata needs to describe it.
+/// One block handed to [`StreamingWrite::push`]: payload plus everything
+/// the metadata needs to describe it.
 #[derive(Debug, Clone)]
 pub struct BlockWrite {
     pub var: String,
@@ -71,26 +69,27 @@ fn record_block(vars: &mut Vec<VarMeta>, key: String, b: &BlockWrite) {
     }
 }
 
+/// One block a committed write stored: where it went and its size
+/// before and after encoding.
+#[derive(Debug, Clone, PartialEq)]
+pub struct StoredBlock {
+    pub key: String,
+    pub kind: ProductKind,
+    /// Tier index the block landed on.
+    pub tier: usize,
+    pub raw_bytes: u64,
+    pub stored_bytes: u64,
+}
+
 /// The ADIOS-like store over a storage hierarchy.
 #[derive(Clone)]
 pub struct BpStore {
     hierarchy: Arc<StorageHierarchy>,
-    policy: canopus_storage::placement::PlacementPolicy,
 }
 
 impl BpStore {
     pub fn new(hierarchy: Arc<StorageHierarchy>) -> Self {
-        Self {
-            hierarchy,
-            policy: Default::default(),
-        }
-    }
-
-    pub fn with_policy(
-        hierarchy: Arc<StorageHierarchy>,
-        policy: canopus_storage::placement::PlacementPolicy,
-    ) -> Self {
-        Self { hierarchy, policy }
+        Self { hierarchy }
     }
 
     pub fn hierarchy(&self) -> &StorageHierarchy {
@@ -101,46 +100,6 @@ impl BpStore {
     /// outlive a borrow, e.g. the telemetry plane's sim clock).
     pub fn hierarchy_arc(&self) -> Arc<StorageHierarchy> {
         Arc::clone(&self.hierarchy)
-    }
-
-    /// Write a file: place every block per the policy (blocks must come
-    /// ordered base-first, deltas coarse→fine — the writer in
-    /// `canopus` core produces that order), then store the global
-    /// metadata on the fastest tier with room.
-    ///
-    /// Returns the placement plan (which tier got which block) and the
-    /// total simulated write time including metadata.
-    pub fn write(
-        &self,
-        file: &str,
-        num_levels: u32,
-        blocks: Vec<BlockWrite>,
-    ) -> Result<(PlacementPlan, SimDuration), AdiosError> {
-        // Assemble products + metadata in block order.
-        let mut products = Vec::with_capacity(blocks.len());
-        let mut vars: Vec<VarMeta> = Vec::new();
-        for b in &blocks {
-            let key = block_key(file, &b.var, b.kind);
-            products.push(Product {
-                key: key.clone(),
-                kind: b.kind,
-                data: b.data.clone(),
-            });
-            record_block(&mut vars, key, b);
-        }
-
-        let plan = self.policy.place(&self.hierarchy, &products, num_levels)?;
-
-        let meta = FileMeta {
-            name: file.to_string(),
-            num_levels,
-            vars,
-            attrs: vec![("writer".into(), "canopus".into())],
-        };
-        let meta_time = self.write_file_meta(file, &meta)?;
-
-        let total = plan.write_time + meta_time;
-        Ok((plan, total))
     }
 
     /// Publish a file's global metadata object on the fastest tier that
@@ -160,8 +119,9 @@ impl BpStore {
         ))
     }
 
-    /// Start a streaming write: blocks are pushed one at a time (same
-    /// order contract as [`BpStore::write`]), each placement decided
+    /// Start a write — the only way a file reaches the tiers. Blocks are
+    /// pushed one at a time (base first, deltas coarse→fine: the order
+    /// the placement rule ranks them in), each placement decided
     /// immediately against reserved-capacity accounting and the device
     /// write handed to a per-tier write-behind queue bounded at
     /// `queue_depth` blocks. [`StreamingWrite::commit`] is the barrier
@@ -174,7 +134,8 @@ impl BpStore {
             file: file.to_string(),
             num_levels,
             vars: Vec::new(),
-            assignments: Vec::new(),
+            stored: Vec::new(),
+            committed: false,
         }
     }
 
@@ -209,61 +170,66 @@ impl BpStore {
 /// An in-flight streaming write created by [`BpStore::begin_write`]:
 /// accepts blocks in placement order, overlaps their tier writes with
 /// whatever the caller does next, and publishes the manifest only at the
-/// commit barrier.
+/// commit barrier. Dropped without a successful commit — an error, a
+/// panic, a failed commit — it removes every block it landed, from the
+/// tier it landed on.
 pub struct StreamingWrite {
     store: BpStore,
     file: String,
     num_levels: u32,
     writeback: WriteBehind,
     vars: Vec<VarMeta>,
-    assignments: Vec<(String, usize)>,
+    stored: Vec<StoredBlock>,
+    committed: bool,
 }
 
 impl StreamingWrite {
     /// Decide the block's tier (reserving its bytes so later decisions
-    /// see the serial path's capacity state), queue the device write,
-    /// and record the block's metadata in push order.
+    /// see the capacity state of placing one block at a time), queue the
+    /// device write, and record the block's metadata in push order.
     pub fn push(&mut self, b: BlockWrite) -> Result<(), AdiosError> {
         let key = block_key(&self.file, &b.var, b.kind);
         let len = b.data.len();
-        let policy = &self.store.policy;
         let hierarchy = &self.store.hierarchy;
         let tier = self.writeback.reserve_with(len as u64, |pending| {
-            policy.choose_tier(hierarchy, b.kind, len, self.num_levels, &key, pending)
+            choose_tier(hierarchy, b.kind, len, self.num_levels, &key, pending)
         })?;
         record_block(&mut self.vars, key.clone(), &b);
-        self.writeback.enqueue(tier, key.clone(), b.data)?;
-        self.assignments.push((key, tier));
+        self.stored.push(StoredBlock {
+            key: key.clone(),
+            kind: b.kind,
+            tier,
+            raw_bytes: b.raw_bytes,
+            stored_bytes: len as u64,
+        });
+        self.writeback.enqueue(tier, key, b.data)?;
         Ok(())
     }
 
     /// The commit barrier: wait for every tier's write-behind queue to
-    /// drain (the "fsync"), then publish the manifest. Returns the same
-    /// `(plan, total simulated time)` as [`BpStore::write`] — write time
-    /// is a sum over blocks, so it is independent of landing order.
-    pub fn commit(self) -> Result<(PlacementPlan, SimDuration), AdiosError> {
-        let StreamingWrite {
-            store,
-            file,
-            num_levels,
-            writeback,
-            vars,
-            assignments,
-        } = self;
-        let write_time = writeback.finish()?;
+    /// drain (the "fsync"), then publish the manifest. Returns every
+    /// block stored, in push order, and the total simulated write time,
+    /// manifest included — a sum over blocks, so independent of landing
+    /// order.
+    pub fn commit(mut self) -> Result<(Vec<StoredBlock>, SimDuration), AdiosError> {
+        let write_time = self.writeback.finish()?;
         let meta = FileMeta {
-            name: file.clone(),
-            num_levels,
-            vars,
+            name: self.file.clone(),
+            num_levels: self.num_levels,
+            vars: std::mem::take(&mut self.vars),
             attrs: vec![("writer".into(), "canopus".into())],
         };
-        let meta_time = store.write_file_meta(&file, &meta)?;
-        let plan = PlacementPlan {
-            assignments,
-            write_time,
-        };
-        let total = write_time + meta_time;
-        Ok((plan, total))
+        let meta_time = self.store.write_file_meta(&self.file, &meta)?;
+        self.committed = true;
+        Ok((std::mem::take(&mut self.stored), write_time + meta_time))
+    }
+}
+
+impl Drop for StreamingWrite {
+    fn drop(&mut self) {
+        if !self.committed {
+            self.writeback.undo();
+        }
     }
 }
 
@@ -334,17 +300,6 @@ impl BpFile {
         Ok((bytes, tier, dt))
     }
 
-    /// Convenience: read the base block of a variable.
-    pub fn read_base(&self, var: &str) -> Result<(Bytes, BlockMeta, SimDuration), AdiosError> {
-        let v = self.inq_var(var)?;
-        let block = v
-            .base()
-            .ok_or_else(|| AdiosError::NotFound(format!("base block of {var}")))?
-            .clone();
-        let (bytes, _, dt) = self.read_block(&block)?;
-        Ok((bytes, block, dt))
-    }
-
     /// Plan the data blocks a restore walk needs, in fetch order: for
     /// each refinement step `finer = from_level - 1` down to `to_level`,
     /// the shard objects of the delta refining into `finer`, in shard
@@ -380,7 +335,7 @@ impl BpFile {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use canopus_storage::TierSpec;
+    use canopus_storage::{StorageError, TierSpec};
 
     fn store() -> BpStore {
         let h = StorageHierarchy::new(vec![
@@ -440,6 +395,53 @@ mod tests {
         }
     }
 
+    /// Stream `blocks` into `file` as a 3-level file and commit.
+    fn write(s: &BpStore, file: &str, blocks: Vec<BlockWrite>) -> (Vec<StoredBlock>, SimDuration) {
+        let mut sw = s.begin_write(file, 3, 2);
+        for b in blocks {
+            sw.push(b).unwrap();
+        }
+        sw.commit().unwrap()
+    }
+
+    /// The streaming write's oracle: place one block at a time — the
+    /// placement rule with nothing pending, then the device write — and
+    /// publish the manifest. Returns each key's tier and the total time.
+    fn write_one_at_a_time(
+        s: &BpStore,
+        file: &str,
+        blocks: Vec<BlockWrite>,
+    ) -> (Vec<(String, usize)>, SimDuration) {
+        let h = s.hierarchy();
+        let (mut tiers, mut vars, mut time) = (Vec::new(), Vec::new(), SimDuration::ZERO);
+        for b in blocks {
+            let key = block_key(file, &b.var, b.kind);
+            let tier = choose_tier(h, b.kind, b.data.len(), 3, &key, &|_| 0).unwrap();
+            time += h.write_to_tier(tier, &key, b.data.clone()).unwrap();
+            record_block(&mut vars, key.clone(), &b);
+            tiers.push((key, tier));
+        }
+        let meta = FileMeta {
+            name: file.to_string(),
+            num_levels: 3,
+            vars,
+            attrs: vec![("writer".into(), "canopus".into())],
+        };
+        time += s.write_file_meta(file, &meta).unwrap();
+        (tiers, time)
+    }
+
+    fn tiers_of(stored: &[StoredBlock]) -> Vec<(String, usize)> {
+        stored.iter().map(|b| (b.key.clone(), b.tier)).collect()
+    }
+
+    /// The base block of `dpot`, read and verified.
+    fn read_base(f: &BpFile) -> (Bytes, BlockMeta, SimDuration) {
+        let block = f.inq_var("dpot").unwrap().base().unwrap().clone();
+        let (bytes, _, dt) = f.read_block(&block).unwrap();
+        (bytes, block, dt)
+    }
+
     /// The one shard of the delta refining into `finer`.
     fn delta_block(f: &BpFile, finer: u32) -> BlockMeta {
         f.inq_var("dpot").unwrap().delta_shards_to(finer)[0].clone()
@@ -448,8 +450,8 @@ mod tests {
     #[test]
     fn write_open_read_roundtrip() {
         let s = store();
-        let (plan, t) = s.write("f.bp", 3, sample_blocks()).unwrap();
-        assert_eq!(plan.assignments.len(), 3);
+        let (stored, t) = write(&s, "f.bp", sample_blocks());
+        assert_eq!(stored.len(), 3);
         assert!(t.seconds() > 0.0);
 
         let f = s.open("f.bp").unwrap();
@@ -457,7 +459,7 @@ mod tests {
         let v = f.inq_var("dpot").unwrap();
         assert_eq!(v.blocks.len(), 3);
 
-        let (bytes, block, _) = f.read_base("dpot").unwrap();
+        let (bytes, block, _) = read_base(&f);
         assert_eq!(bytes.len(), 100);
         assert_eq!(block.elements, 12);
 
@@ -478,18 +480,23 @@ mod tests {
     #[test]
     fn base_lands_on_fast_tier_deltas_on_slow() {
         let s = store();
-        let (plan, _) = s.write("f.bp", 3, sample_blocks()).unwrap();
-        assert_eq!(plan.tier_of("f.bp/dpot/L2"), Some(0));
-        assert_eq!(plan.tier_of("f.bp/dpot/s1-2.0"), Some(1));
-        assert_eq!(plan.tier_of("f.bp/dpot/s0-1.0"), Some(1));
+        let (stored, _) = write(&s, "f.bp", sample_blocks());
+        assert_eq!(
+            tiers_of(&stored),
+            [
+                ("f.bp/dpot/L2".to_string(), 0),
+                ("f.bp/dpot/s1-2.0".to_string(), 1),
+                ("f.bp/dpot/s0-1.0".to_string(), 1),
+            ]
+        );
     }
 
     #[test]
     fn reading_base_is_faster_than_delta() {
         let s = store();
-        s.write("f.bp", 3, sample_blocks()).unwrap();
+        write(&s, "f.bp", sample_blocks());
         let f = s.open("f.bp").unwrap();
-        let (_, _, t_base) = f.read_base("dpot").unwrap();
+        let (_, _, t_base) = read_base(&f);
         let (_, _, t_delta) = f.read_block(&delta_block(&f, 1)).unwrap();
         assert!(
             t_delta.seconds() > t_base.seconds() * 5.0,
@@ -502,7 +509,7 @@ mod tests {
     #[test]
     fn restore_plan_orders_deltas_coarse_to_fine() {
         let s = store();
-        s.write("f.bp", 3, sample_blocks()).unwrap();
+        write(&s, "f.bp", sample_blocks());
         let f = s.open("f.bp").unwrap();
         let plan = f.restore_plan("dpot", 2, 0).unwrap();
         assert_eq!(plan.len(), 2);
@@ -517,16 +524,12 @@ mod tests {
     }
 
     #[test]
-    fn streaming_write_matches_serial_byte_for_byte() {
+    fn streaming_write_matches_one_block_at_a_time_byte_for_byte() {
         let a = store();
         let b = store();
-        let (plan_a, t_a) = a.write("f.bp", 3, sample_blocks()).unwrap();
-        let mut sw = b.begin_write("f.bp", 3, 2);
-        for blk in sample_blocks() {
-            sw.push(blk).unwrap();
-        }
-        let (plan_b, t_b) = sw.commit().unwrap();
-        assert_eq!(plan_a.assignments, plan_b.assignments);
+        let (tiers_a, t_a) = write_one_at_a_time(&a, "f.bp", sample_blocks());
+        let (stored_b, t_b) = write(&b, "f.bp", sample_blocks());
+        assert_eq!(tiers_a, tiers_of(&stored_b));
         assert!((t_a.seconds() - t_b.seconds()).abs() < 1e-12);
         for key in [
             "f.bp/dpot/L2",
@@ -565,6 +568,76 @@ mod tests {
         sw.push(sample_blocks().remove(0)).unwrap();
         drop(sw);
         assert!(!s.exists("f.bp"));
+        for tier in 0..2 {
+            let dev = s.hierarchy().tier_device(tier).unwrap();
+            assert!(dev.keys().is_empty() && dev.used() == 0, "tier {tier}");
+        }
+    }
+
+    #[test]
+    fn abandoned_write_removes_only_the_copy_it_landed() {
+        // A live object fills tier 0 under the base's key, so the
+        // streamed base bypasses to tier 1. Undoing the write removes the
+        // tier-1 copy; a fastest-first remove would take the live one.
+        let s = store();
+        let live = Bytes::from(vec![9u8; 9_950]);
+        s.hierarchy()
+            .write_to_tier(0, "f.bp/dpot/L2", live.clone())
+            .unwrap();
+        let mut sw = s.begin_write("f.bp", 3, 2);
+        sw.push(sample_blocks().remove(0)).unwrap();
+        assert_eq!(sw.stored[0].tier, 1);
+        drop(sw);
+        let h = s.hierarchy();
+        assert_eq!(h.tier_device(0).unwrap().get("f.bp/dpot/L2").unwrap(), live);
+        assert!(h.tier_device(1).unwrap().keys().is_empty());
+    }
+
+    #[test]
+    fn a_failed_write_reports_the_device_error_and_keeps_nothing() {
+        // A stray object already holds the first delta's key on tier 1:
+        // the write fails with the device's own refusal, wherever it
+        // surfaces (a later push, or the commit barrier), and undoes
+        // everything it landed.
+        let s = store();
+        let stray = Bytes::from_static(b"stray");
+        s.hierarchy()
+            .write_to_tier(1, "f.bp/dpot/s1-2.0", stray.clone())
+            .unwrap();
+        let mut sw = s.begin_write("f.bp", 3, 2);
+        let outcome = sample_blocks()
+            .into_iter()
+            .try_for_each(|b| sw.push(b))
+            .and_then(|()| sw.commit().map(drop));
+        match outcome {
+            Err(AdiosError::Storage(StorageError::AlreadyExists(key))) => {
+                assert_eq!(key, "f.bp/dpot/s1-2.0")
+            }
+            other => panic!("expected the device's AlreadyExists, got {other:?}"),
+        }
+        assert!(!s.exists("f.bp"));
+        let h = s.hierarchy();
+        assert!(h.tier_device(0).unwrap().keys().is_empty());
+        assert_eq!(h.tier_device(1).unwrap().keys(), ["f.bp/dpot/s1-2.0"]);
+        assert_eq!(h.read("f.bp/dpot/s1-2.0").unwrap().0, stray);
+    }
+
+    #[test]
+    fn a_failed_commit_keeps_nothing() {
+        // The manifest's key is taken: every block lands, the publish
+        // fails, and the blocks go again.
+        let s = store();
+        s.hierarchy()
+            .write_to_tier(0, &meta_key("f.bp"), Bytes::from_static(b"x"))
+            .unwrap();
+        let mut sw = s.begin_write("f.bp", 3, 2);
+        for b in sample_blocks() {
+            sw.push(b).unwrap();
+        }
+        assert!(sw.commit().is_err());
+        let h = s.hierarchy();
+        assert_eq!(h.tier_device(0).unwrap().keys(), [meta_key("f.bp")]);
+        assert!(h.tier_device(1).unwrap().keys().is_empty());
     }
 
     #[test]
@@ -572,7 +645,7 @@ mod tests {
         let s = store();
         assert!(s.open("missing.bp").is_err());
         assert!(!s.exists("missing.bp"));
-        s.write("f.bp", 3, sample_blocks()).unwrap();
+        write(&s, "f.bp", sample_blocks());
         assert!(s.exists("f.bp"));
         let f = s.open("f.bp").unwrap();
         assert!(f.inq_var("nope").is_err());
@@ -582,7 +655,7 @@ mod tests {
     #[test]
     fn delete_removes_blocks_and_meta() {
         let s = store();
-        s.write("f.bp", 3, sample_blocks()).unwrap();
+        write(&s, "f.bp", sample_blocks());
         s.delete("f.bp").unwrap();
         assert!(!s.exists("f.bp"));
         assert!(s.hierarchy().find("f.bp/dpot/L2").is_err());
@@ -591,19 +664,19 @@ mod tests {
     #[test]
     fn two_files_coexist() {
         let s = store();
-        s.write("a.bp", 3, sample_blocks()).unwrap();
-        s.write("b.bp", 3, sample_blocks()).unwrap();
+        write(&s, "a.bp", sample_blocks());
+        write(&s, "b.bp", sample_blocks());
         assert!(s.open("a.bp").is_ok());
         assert!(s.open("b.bp").is_ok());
         let f = s.open("b.bp").unwrap();
-        let (bytes, _, _) = f.read_base("dpot").unwrap();
+        let (bytes, _, _) = read_base(&f);
         assert_eq!(bytes.len(), 100);
     }
 
     #[test]
     fn checksums_recorded_and_verified() {
         let s = store();
-        s.write("f.bp", 3, sample_blocks()).unwrap();
+        write(&s, "f.bp", sample_blocks());
         let f = s.open("f.bp").unwrap();
         for b in &f.inq_var("dpot").unwrap().blocks {
             assert_ne!(b.checksum, 0, "{}: checksum recorded at placement", b.key);
@@ -623,16 +696,12 @@ mod tests {
             Err(AdiosError::ChecksumMismatch { key, .. }) => assert_eq!(key, base.key),
             other => panic!("expected checksum mismatch, got {other:?}"),
         }
-        // Both write engines record identical checksums (part of the
-        // byte-identical manifest contract).
+        // The streaming write records the checksums its one-block-at-a-
+        // time oracle does (part of the byte-identical manifest contract).
         let a = store();
         let b = store();
-        a.write("g.bp", 3, sample_blocks()).unwrap();
-        let mut sw = b.begin_write("g.bp", 3, 2);
-        for blk in sample_blocks() {
-            sw.push(blk).unwrap();
-        }
-        sw.commit().unwrap();
+        write_one_at_a_time(&a, "g.bp", sample_blocks());
+        write(&b, "g.bp", sample_blocks());
         assert_eq!(
             a.open("g.bp").unwrap().meta(),
             b.open("g.bp").unwrap().meta()
@@ -645,7 +714,7 @@ mod tests {
         // an ordinary value now: a manifest whose checksum fields were
         // zeroed must not read as if nothing had been recorded.
         let s = store();
-        s.write("f.bp", 3, sample_blocks()).unwrap();
+        write(&s, "f.bp", sample_blocks());
         let mut meta = s.open("f.bp").unwrap().meta().clone();
         for b in &mut meta.vars[0].blocks {
             b.checksum = 0;
@@ -753,7 +822,7 @@ mod tests {
         let s = store();
         let mut blocks = sample_blocks();
         blocks[1] = shard_block();
-        s.write("f.bp", 3, blocks).unwrap();
+        write(&s, "f.bp", blocks);
         let f = s.open("f.bp").unwrap();
         let shard = delta_block(&f, 1);
         assert_eq!(shard.chunks.len(), 2);
@@ -787,7 +856,7 @@ mod tests {
         // Base + two-chunk shard for level 1, one-chunk delta for level 0.
         let mut blocks = sample_blocks();
         blocks[1] = shard_block();
-        s.write("f.bp", 3, blocks).unwrap();
+        write(&s, "f.bp", blocks);
         let f = s.open("f.bp").unwrap();
         let plan = f.restore_plan("dpot", 2, 0).unwrap();
         assert_eq!(plan.len(), 2);

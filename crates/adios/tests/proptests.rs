@@ -370,7 +370,11 @@ proptest! {
                 }
             })
             .collect();
-        store.write("f.bp", sizes.len() as u32 + 1, blocks).unwrap();
+        let mut write = store.begin_write("f.bp", sizes.len() as u32 + 1, 2);
+        for b in blocks {
+            write.push(b).unwrap();
+        }
+        write.commit().unwrap();
         let f = store.open("f.bp").unwrap();
         for (i, &sz) in sizes.iter().enumerate() {
             let shard = f.inq_var("v").unwrap().delta_shards_to(i as u32)[0].clone();

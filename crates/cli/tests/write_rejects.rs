@@ -1,10 +1,12 @@
 //! The `canopus` binary refuses a write it cannot store: a raw `.f64`
-//! file is any multiple of 8 bytes, so a NaN or an infinity parses, and a
-//! relative tolerance of 0 is a bound no lossy codec can be built with.
+//! file is any multiple of 8 bytes, so a NaN or an infinity parses, a
+//! relative tolerance of 0 is a bound no lossy codec can be built with,
+//! and a file already in the store is written once.
 //! The write must fail with a message and a non-zero exit status before
 //! anything reaches the store. So must any subcommand given an option
 //! it does not declare.
 
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
@@ -28,6 +30,19 @@ fn files_under(p: &Path) -> usize {
         .map(|e| e.unwrap().path())
         .map(|p| if p.is_dir() { files_under(&p) } else { 1 })
         .sum()
+}
+
+/// Every file under `p` with its bytes.
+fn contents_under(p: &Path) -> BTreeMap<PathBuf, Vec<u8>> {
+    let mut out = BTreeMap::new();
+    for path in std::fs::read_dir(p).unwrap().map(|e| e.unwrap().path()) {
+        if path.is_dir() {
+            out.extend(contents_under(&path));
+        } else {
+            out.insert(path.clone(), std::fs::read(&path).unwrap());
+        }
+    }
+    out
 }
 
 /// An initialised store and the small XGC1 demo files under a fresh
@@ -166,5 +181,33 @@ fn serve_with_the_retired_tiering_flag_exits_non_zero_naming_it() {
     );
     assert!(out.stdout.is_empty(), "nothing served");
     assert_eq!(files_under(&store), before, "nothing stored");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A file is written once: a second `write` to it exits 1 naming the
+/// file, and every byte of the store stays as the first write left it.
+#[test]
+fn writing_a_stored_file_again_exits_non_zero_naming_it() {
+    let (dir, store, mesh, data) = demo_store("rewrite");
+    let p = Path::new;
+    let write = || {
+        canopus(&[
+            p("write"),
+            &store,
+            p("x.bp"),
+            p("dpot"),
+            p("--mesh"),
+            &mesh,
+            p("--data"),
+            &data,
+        ])
+    };
+    assert!(write().status.success());
+    let before = contents_under(&store);
+    let out = write();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("x.bp already exists"), "{stderr}");
+    assert!(contents_under(&store) == before, "the store changed");
     let _ = std::fs::remove_dir_all(&dir);
 }

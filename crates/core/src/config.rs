@@ -2,11 +2,11 @@
 
 use canopus_compress::CodecKind;
 use canopus_refactor::levels::RefactorConfig;
-use canopus_storage::placement::PlacementPolicy;
 use canopus_storage::FaultPlan;
 
 /// End-to-end configuration: how to refactor, how to compress, how to
-/// place.
+/// lay out and read back. Placement has no knob: every product goes by
+/// the paper's one rule ([`canopus_storage::choose_tier`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CanopusConfig {
     /// Levels / ratio / estimator (paper §III-B/C).
@@ -16,8 +16,6 @@ pub struct CanopusConfig {
     /// each `write` multiplies it by `max - min` of the data, so one
     /// config works across variables of different scales.
     pub codec: RelativeCodec,
-    /// Tier assignment policy (paper §III-D).
-    pub policy: PlacementPolicy,
     /// Number of spatial chunks each delta is split into — the one
     /// layout knob. Every delta is stored as shard objects with a chunk
     /// index (byte ranges, bounding boxes, per-chunk checksums) in the
@@ -142,7 +140,6 @@ impl Default for CanopusConfig {
             codec: RelativeCodec::ZfpLike {
                 rel_tolerance: 1e-6,
             },
-            policy: PlacementPolicy::RankSpread,
             delta_chunks: 1,
             level_cache: 8,
             retry: RetryPolicy::new(),

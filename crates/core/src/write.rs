@@ -5,7 +5,7 @@ use crate::config::{CanopusConfig, RelativeCodec};
 use crate::error::CanopusError;
 use crate::geometry::level_meta_block;
 use bytes::Bytes;
-use canopus_adios::store::{BlockWrite, BpStore};
+use canopus_adios::store::{BlockWrite, BpStore, StoredBlock};
 use canopus_adios::{checksum64, BpFile, ChunkEntry};
 use canopus_compress::{Chunked, Codec, CodecKind, ObservedCodec, CHUNKED_CODEC_ID_FLAG};
 use canopus_mesh::geometry::{Aabb, Point2};
@@ -14,7 +14,7 @@ use canopus_obs::{names, stage, stage_child, Registry, SpanContext};
 use canopus_refactor::decimate::decimate;
 use canopus_refactor::mapping::build_mapping;
 use canopus_refactor::{compute_delta, Estimator};
-use canopus_storage::{PlacementPlan, ProductKind, SimDuration, StorageHierarchy};
+use canopus_storage::{ProductKind, SimDuration, StorageHierarchy};
 use crossbeam::channel;
 use rayon::prelude::*;
 use std::borrow::Cow;
@@ -77,16 +77,9 @@ fn storable_codec(codec: RelativeCodec, range: f64) -> Result<CodecKind, Canopus
     }
 }
 
-/// Report for one product (one stored block).
-#[derive(Debug, Clone)]
-pub struct ProductReport {
-    pub key: String,
-    pub kind: ProductKind,
-    pub raw_bytes: u64,
-    pub stored_bytes: u64,
-    /// Tier index the product landed on.
-    pub tier: usize,
-}
+/// Report for one product: the block as the store's commit reported it
+/// (key, kind, tier, raw and stored bytes).
+pub type ProductReport = StoredBlock;
 
 /// Full write-side report: the paper's Fig. 6b time breakdown plus
 /// per-product placement and sizes.
@@ -165,7 +158,7 @@ const WRITE_DEPTH: usize = 4;
 /// How many spatial chunks pack into one shard object. Few shards per
 /// tier keep the object count (and placement decisions) small; the
 /// chunk index makes each shard range-addressable.
-pub(crate) const SHARD_CHUNKS: u32 = 8;
+const SHARD_CHUNKS: u32 = 8;
 
 /// Interleave the low 21 bits of `x` and `y` into a Morton code
 /// (bit-by-bit; this runs once per vertex per write/read of a level
@@ -234,7 +227,7 @@ impl Canopus {
             hierarchy.set_fault_plan_all(config.fault);
         }
         Self {
-            store: BpStore::with_policy(hierarchy, config.policy),
+            store: BpStore::new(hierarchy),
             config,
         }
     }
@@ -265,8 +258,9 @@ impl Canopus {
     /// on the level-streaming engine ([`Self::write_pipelined`]).
     ///
     /// Products are written base-first then deltas coarse→fine, so the
-    /// placement policy maps them fastest-tier-first exactly as §III-D
-    /// prescribes.
+    /// placement rule maps them fastest-tier-first exactly as §III-D
+    /// prescribes. A file is written once: a file whose manifest exists
+    /// is refused after the inputs are checked and before any work.
     pub fn write(
         &self,
         file: &str,
@@ -288,7 +282,19 @@ impl Canopus {
         }
         let range = storable_range(mesh, data)?;
         let codec_kind = storable_codec(self.config.codec, range)?;
+        self.refuse_existing(file)?;
         self.write_pipelined(file, var, mesh, data, codec_kind)
+    }
+
+    /// Refuse to write a file whose manifest exists: its objects are
+    /// live, and a second write would collide with them.
+    fn refuse_existing(&self, file: &str) -> Result<(), CanopusError> {
+        if self.store.exists(file) {
+            return Err(CanopusError::Invalid(format!(
+                "{file} already exists; a file is written once"
+            )));
+        }
+        Ok(())
     }
 
     /// What every level job of one `write` shares: the codec, and the
@@ -382,8 +388,8 @@ impl Canopus {
         let mut compress_secs = 0.0;
         let mut store_secs = 0.0;
 
-        let (plan, io_time, vertex_counts) = std::thread::scope(
-            |s| -> Result<(PlacementPlan, SimDuration, Vec<usize>), CanopusError> {
+        let (products, io_time) = std::thread::scope(
+            |s| -> Result<(Vec<ProductReport>, SimDuration), CanopusError> {
                 // Stage 2: the worker pool. The receiver is
                 // multi-consumer, so each worker holds its own clone of
                 // the shared queue; workers exit when the decimation
@@ -472,11 +478,10 @@ impl Canopus {
                 }
                 let t = Instant::now();
                 let commit_span = stage_child!(obs, root_ctx, "write.commit", file = file);
-                let (plan, io_time) = stream.commit()?;
+                let committed = stream.commit()?;
                 drop(commit_span);
                 store_secs += t.elapsed().as_secs_f64();
-                let vertex_counts = meshes.iter().map(|m| m.num_vertices()).collect();
-                Ok((plan, io_time, vertex_counts))
+                Ok(committed)
             },
         )?;
 
@@ -491,7 +496,6 @@ impl Canopus {
             (decimation_secs + delta_secs + compress_secs + store_secs - elapsed).max(0.0);
         obs.timer(names::WRITE_OVERLAP).record_wall(overlap);
 
-        let products = self.products_from_plan(&plan, &vertex_counts);
         let report = WriteReport {
             decimation_secs,
             delta_secs,
@@ -502,51 +506,6 @@ impl Canopus {
         };
         self.record_write_totals(&obs, &report, data.len(), elapsed);
         Ok(report)
-    }
-
-    /// Rebuild per-product reports from a placement plan: stored sizes
-    /// come from the tier devices, raw sizes from the level vertex
-    /// counts (a delta carries one value per fine-level vertex).
-    fn products_from_plan(
-        &self,
-        plan: &PlacementPlan,
-        vertex_counts: &[usize],
-    ) -> Vec<ProductReport> {
-        plan.assignments
-            .iter()
-            .map(|(key, tier)| {
-                // Looking the block back up through the open file would
-                // be circular; reconstruct from the plan + store.
-                let stored = self
-                    .store
-                    .hierarchy()
-                    .tier_device(*tier)
-                    .and_then(|d| d.size_of(key))
-                    .unwrap_or(0);
-                let kind = parse_kind_from_key(key).unwrap_or(ProductKind::Metadata { level: 0 });
-                let raw_bytes = match kind {
-                    ProductKind::Base { level } => vertex_counts[level as usize] as u64 * 8,
-                    ProductKind::DeltaShard { finer, shard, .. } => {
-                        let ranges =
-                            chunk_ranges(vertex_counts[finer as usize], self.config.delta_chunks);
-                        ranges
-                            .iter()
-                            .skip(shard as usize * SHARD_CHUNKS as usize)
-                            .take(SHARD_CHUNKS as usize)
-                            .map(|r| r.len() as u64 * 8)
-                            .sum()
-                    }
-                    ProductKind::Metadata { .. } => stored,
-                };
-                ProductReport {
-                    key: key.clone(),
-                    kind,
-                    raw_bytes,
-                    stored_bytes: stored,
-                    tier: *tier,
-                }
-            })
-            .collect()
     }
 
     /// End-of-write bookkeeping shared by every kind of write: the
@@ -573,9 +532,10 @@ impl Canopus {
     }
 
     /// Write a variable *without* refactoring (the paper's "None"
-    /// baseline): one raw full-accuracy block, placed wherever capacity
-    /// allows (on the paper's testbed that is Lustre — tmpfs is sized
-    /// proportionally and cannot hold the full data).
+    /// baseline): one raw full-accuracy block and its geometry, streamed
+    /// like every write and placed wherever capacity allows (on the
+    /// paper's testbed that is Lustre — tmpfs is sized proportionally
+    /// and cannot hold the full data). An existing file is refused.
     pub fn write_unrefactored(
         &self,
         file: &str,
@@ -583,47 +543,32 @@ impl Canopus {
         mesh: &TriMesh,
         data: &[f64],
     ) -> Result<WriteReport, CanopusError> {
+        self.refuse_existing(file)?;
         let obs = Arc::clone(self.metrics());
         let _span = stage!(obs, "write_unrefactored", file = file, var = var);
         let t_total = Instant::now();
         let codec = ObservedCodec::new(CodecKind::Raw.build(), Arc::clone(&obs));
         let bytes = codec.compress(data)?;
         let stats = FieldStats::of(data);
-        let blocks = vec![
-            BlockWrite {
-                var: var.to_string(),
-                kind: ProductKind::Base { level: 0 },
-                data: Bytes::from(bytes),
-                elements: data.len() as u64,
-                codec_id: CodecKind::Raw.id(),
-                codec_param: 0.0,
-                raw_bytes: data.len() as u64 * 8,
-                min: stats.min,
-                max: stats.max,
-                chunks: vec![],
-            },
-            level_meta_block(var, 0, mesh, &[]),
-        ];
+        let geometry = level_meta_block(var, 0, mesh, &[]);
         let t_io = Instant::now();
-        let (plan, io_time) = self.store.write(file, 1, blocks)?;
+        let mut stream = self.store.begin_write(file, 1, WRITE_DEPTH);
+        stream.push(BlockWrite {
+            var: var.to_string(),
+            kind: ProductKind::Base { level: 0 },
+            data: Bytes::from(bytes),
+            elements: data.len() as u64,
+            codec_id: CodecKind::Raw.id(),
+            codec_param: 0.0,
+            raw_bytes: data.len() as u64 * 8,
+            min: stats.min,
+            max: stats.max,
+            chunks: vec![],
+        })?;
+        stream.push(geometry)?;
+        let (products, io_time) = stream.commit()?;
         obs.timer(names::WRITE_IO)
             .record(t_io.elapsed().as_secs_f64(), io_time.seconds());
-        let products = plan
-            .assignments
-            .iter()
-            .map(|(key, tier)| ProductReport {
-                key: key.clone(),
-                kind: parse_kind_from_key(key).unwrap_or(ProductKind::Metadata { level: 0 }),
-                raw_bytes: data.len() as u64 * 8,
-                stored_bytes: self
-                    .store
-                    .hierarchy()
-                    .tier_device(*tier)
-                    .and_then(|d| d.size_of(key))
-                    .unwrap_or(0),
-                tier: *tier,
-            })
-            .collect();
         let report = WriteReport {
             decimation_secs: 0.0,
             delta_secs: 0.0,
@@ -897,33 +842,6 @@ fn run_write_job(job: &WriteJob, ctx: &WriteJobCtx) -> Result<LevelBlocks, Canop
     }
 }
 
-/// Recover the product kind from a block key (`…/L2`, `…/s1-2.0`,
-/// `…/m0`).
-fn parse_kind_from_key(key: &str) -> Option<ProductKind> {
-    let tag = key.rsplit('/').next()?;
-    if let Some(rest) = tag.strip_prefix('L') {
-        return Some(ProductKind::Base {
-            level: rest.parse().ok()?,
-        });
-    }
-    if let Some(rest) = tag.strip_prefix('s') {
-        // s{finer}-{coarser}.{shard}
-        let (a, rest) = rest.split_once('-')?;
-        let (b, c) = rest.split_once('.')?;
-        return Some(ProductKind::DeltaShard {
-            finer: a.parse().ok()?,
-            coarser: b.parse().ok()?,
-            shard: c.parse().ok()?,
-        });
-    }
-    if let Some(rest) = tag.strip_prefix('m') {
-        return Some(ProductKind::Metadata {
-            level: rest.parse().ok()?,
-        });
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1165,30 +1083,6 @@ mod tests {
             c.write("t.bp", "v", &mesh, &[1.0, 2.0]),
             Err(CanopusError::Invalid(_))
         ));
-    }
-
-    #[test]
-    fn parse_kind_roundtrip() {
-        assert_eq!(
-            parse_kind_from_key("f.bp/v/L2"),
-            Some(ProductKind::Base { level: 2 })
-        );
-        assert_eq!(
-            parse_kind_from_key("f.bp/v/m0"),
-            Some(ProductKind::Metadata { level: 0 })
-        );
-        // The retired delta spellings no longer parse.
-        assert_eq!(parse_kind_from_key("f.bp/v/d1-2"), None);
-        assert_eq!(parse_kind_from_key("f.bp/v/d1-2.7"), None);
-        assert_eq!(
-            parse_kind_from_key("f.bp/v/s0-1.3"),
-            Some(ProductKind::DeltaShard {
-                finer: 0,
-                coarser: 1,
-                shard: 3
-            })
-        );
-        assert_eq!(parse_kind_from_key("f.bp/v/x9"), None);
     }
 
     #[test]

@@ -258,7 +258,7 @@ mod tests {
         let reg = Registry::new();
         reg.set_sink(Arc::new(RingBufferSink::with_capacity(64)));
         reg.counter("canopus.read.blocks").add(3);
-        reg.gauge("adios.transport.queue_depth").set(2);
+        reg.gauge("storage.writeback.tier.0.occupancy").set(2);
         reg.timer("canopus.read.io").record(0.5, 2.0);
         reg.histogram("storage.tier.0.read_latency.sim")
             .observe_secs(0.25);
@@ -344,7 +344,7 @@ mod tests {
         assert!(text.contains("# HELP canopus_read_blocks "));
         assert!(text.contains("# TYPE canopus_read_blocks counter"));
         assert!(text.contains("canopus_read_blocks 3"));
-        assert!(text.contains("# TYPE adios_transport_queue_depth gauge"));
+        assert!(text.contains("# TYPE storage_writeback_tier_0_occupancy gauge"));
         assert!(text.contains("canopus_read_io_count 1"));
         assert!(text.contains("canopus_read_io_sim_seconds_total 2"));
         let hist = "storage_tier_0_read_latency_sim_seconds";

@@ -4,7 +4,7 @@
 //! One [`Registry`] per storage hierarchy holds three instrument kinds:
 //!
 //! - [`Counter`] — monotonic event/byte counts (`fetch_add` relaxed);
-//! - [`Gauge`] — signed up/down quantities (transport queue depth);
+//! - [`Gauge`] — signed up/down quantities (write-behind queue occupancy);
 //! - [`StageTimer`] — per-stage totals recording **both** wall-clock
 //!   seconds (real compute) and simulated seconds (the deterministic
 //!   [`SimClock`] device model in `canopus-storage`), because the
@@ -127,11 +127,11 @@ mod tests {
         let reg = Registry::new();
         reg.counter(&names::tier_bytes_read(0)).add(1234);
         reg.timer(names::READ_IO).record(0.01, 2.5);
-        reg.gauge(names::TRANSPORT_QUEUE_DEPTH).add(3);
+        reg.gauge(names::WRITE_STAGE_DEPTH).add(3);
         let snap = reg.snapshot();
         let back = MetricsSnapshot::from_json_str(&snap.to_json_string()).unwrap();
         assert_eq!(back.counter(&names::tier_bytes_read(0)), 1234);
-        assert_eq!(back.gauge(names::TRANSPORT_QUEUE_DEPTH), 3);
+        assert_eq!(back.gauge(names::WRITE_STAGE_DEPTH), 3);
         assert_eq!(back.timer(names::READ_IO).count, 1);
     }
 }

@@ -193,9 +193,6 @@ pub const WRITE_QUEUE_WAIT_HIST: &str = "canopus.write.queue_wait.wall";
 /// Histogram (wall): time a finished block waited in a tier's
 /// write-behind queue before its device put started.
 pub const WRITEBACK_QUEUE_WAIT_HIST: &str = "storage.writeback.queue_wait.wall";
-/// Histograms (wall / sim): per-op transport latency, staged + direct.
-pub const TRANSPORT_OP_WALL_HIST: &str = "adios.transport.op_latency.wall";
-pub const TRANSPORT_OP_SIM_HIST: &str = "adios.transport.op_latency.sim";
 
 /// Histogram (wall): measured device-op latency of one tier read.
 pub fn tier_read_latency_wall(tier: usize) -> String {
@@ -221,14 +218,6 @@ pub fn tier_write_latency_sim(tier: usize) -> String {
 pub const CAMPAIGN_QUERIES: &str = "canopus.campaign.queries";
 pub const CAMPAIGN_QUERY_TIMER: &str = "canopus.campaign.query";
 pub const CAMPAIGN_WRITES: &str = "canopus.campaign.writes";
-
-// ---- adios transport -------------------------------------------------
-pub const TRANSPORT_QUEUE_DEPTH: &str = "adios.transport.queue_depth";
-pub const TRANSPORT_QUEUE_PEAK: &str = "adios.transport.queue_peak";
-pub const TRANSPORT_STAGED_WRITES: &str = "adios.transport.staged_writes";
-pub const TRANSPORT_DIRECT_WRITES: &str = "adios.transport.direct_writes";
-pub const TRANSPORT_STAGED_LATENCY: &str = "adios.transport.staged_latency";
-pub const TRANSPORT_DIRECT_LATENCY: &str = "adios.transport.direct_latency";
 
 // ---- storage hierarchy ----------------------------------------------
 /// Gauge: reads currently being served by any tier (concurrent callers).

@@ -384,7 +384,8 @@ mod tests {
             .insert("storage.tier.1.bytes_written".into(), 999);
         snap.counters.insert("compress.zfp.bytes_in".into(), 800);
         snap.counters.insert("compress.zfp.bytes_out".into(), 100);
-        snap.gauges.insert("adios.transport.queue_depth".into(), -0);
+        snap.gauges
+            .insert("storage.writeback.tier.0.occupancy".into(), -0);
         snap.timers.insert(
             names::READ_IO.into(),
             TimerStat {

@@ -56,12 +56,12 @@ proptest! {
         deltas in proptest::collection::vec(1i64..1000, 2..16),
     ) {
         let reg = Registry::new();
-        let g = reg.gauge(names::TRANSPORT_QUEUE_DEPTH);
+        let g = reg.gauge(names::WRITE_STAGE_DEPTH);
         deltas.clone().into_par_iter().for_each(|d| {
             g.add(d);
             g.sub(d);
         });
-        prop_assert_eq!(reg.snapshot().gauge(names::TRANSPORT_QUEUE_DEPTH), 0);
+        prop_assert_eq!(reg.snapshot().gauge(names::WRITE_STAGE_DEPTH), 0);
     }
 
     /// What a snapshot taken while writers race does guarantee: every

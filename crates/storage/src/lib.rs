@@ -20,8 +20,12 @@
 //!   reproducible I/O timings on any host;
 //! * [`hierarchy::StorageHierarchy`] — the ordered tier stack with
 //!   fastest-first reads and per-tier accounting;
-//! * [`placement`] — the paper's placement policy (§III-D): fastest tier
-//!   first, bypass tiers with insufficient remaining capacity;
+//! * [`placement`] — the paper's one placement rule (§III-D),
+//!   [`placement::choose_tier`]: the base on the fastest tier, deltas on
+//!   slower ones, a tier without room bypassed;
+//! * [`writeback::WriteBehind`] — per-tier write-behind queues that land
+//!   the blocks a streaming write placed, and remove them again if the
+//!   write is abandoned;
 //! * [`fault::FaultPlan`] — deterministic, seedable fault injection per
 //!   tier (transient errors, payload corruption, added latency, hard
 //!   tier-down windows) so the layers above can be tested for graceful,
@@ -41,6 +45,6 @@ pub use device::Device;
 pub use error::StorageError;
 pub use fault::{FaultOp, FaultPlan};
 pub use hierarchy::{StorageHierarchy, TierStats};
-pub use placement::{PlacementPlan, Product, ProductKind};
+pub use placement::{choose_tier, ProductKind};
 pub use tier::TierSpec;
 pub use writeback::WriteBehind;

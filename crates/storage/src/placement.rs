@@ -7,8 +7,6 @@
 
 use crate::error::StorageError;
 use crate::hierarchy::StorageHierarchy;
-use crate::SimDuration;
-use bytes::Bytes;
 
 /// What a refactored product is, in Canopus terms.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -47,142 +45,58 @@ impl ProductKind {
     }
 }
 
-/// One payload to place.
-#[derive(Debug, Clone)]
-pub struct Product {
-    /// Storage key (unique within the hierarchy).
-    pub key: String,
-    pub kind: ProductKind,
-    pub data: Bytes,
-}
-
-/// The outcome of placing a product set.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PlacementPlan {
-    /// `(product key, tier index)` in placement order.
-    pub assignments: Vec<(String, usize)>,
-    /// Total simulated write time.
-    pub write_time: SimDuration,
-}
-
-impl PlacementPlan {
-    /// Tier index assigned to `key`, if any.
-    pub fn tier_of(&self, key: &str) -> Option<usize> {
-        self.assignments
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|&(_, t)| t)
-    }
-}
-
-/// Placement strategies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PlacementPolicy {
-    /// The paper's policy: product rank selects the starting tier
-    /// (base → fastest, later deltas → slower), scanning downward past
-    /// full tiers.
-    #[default]
-    RankSpread,
-    /// Greedy: every product tries the fastest tier first. Used as an
-    /// ablation baseline.
-    FastestFirst,
-}
-
-impl PlacementPolicy {
-    /// Place `products` (base first, then deltas coarse→fine) onto the
-    /// hierarchy, writing the real bytes and advancing simulated time.
-    ///
-    /// `num_levels` is the total level count `N` used to compute ranks.
-    pub fn place(
-        &self,
-        hierarchy: &StorageHierarchy,
-        products: &[Product],
-        num_levels: u32,
-    ) -> Result<PlacementPlan, StorageError> {
-        let mut assignments = Vec::with_capacity(products.len());
-        let mut write_time = SimDuration::ZERO;
-
-        for product in products {
-            let tier = self.choose_tier(
-                hierarchy,
-                product.kind,
-                product.data.len(),
-                num_levels,
-                &product.key,
-                &|_| 0,
-            )?;
-            let dt = hierarchy.write_to_tier(tier, &product.key, product.data.clone())?;
-            write_time += dt;
-            assignments.push((product.key.clone(), tier));
+/// The one placement rule: scan from the product's rank tier (base →
+/// fastest, deltas toward full accuracy → slower) toward slower tiers,
+/// bypassing any without room for `len` bytes (paper: "it will be
+/// bypassed and the next tier will be selected"). Decides only; the
+/// caller writes. `pending(tier)` is the bytes already decided for a tier
+/// but not yet landed (the write-behind ledger), so a streaming caller
+/// that reserves decided bytes sees exactly the capacity state that
+/// placing one block at a time — zero pending, then the write — would.
+pub fn choose_tier(
+    hierarchy: &StorageHierarchy,
+    kind: ProductKind,
+    len: usize,
+    num_levels: u32,
+    key: &str,
+    pending: &dyn Fn(usize) -> u64,
+) -> Result<usize, StorageError> {
+    let ntiers = hierarchy.num_tiers();
+    let start = (kind.rank(num_levels) as usize).min(ntiers - 1);
+    for tier in start..ntiers {
+        let device = hierarchy.tier_device(tier)?;
+        let free = device.available().saturating_sub(pending(tier));
+        if (free as usize) < len {
+            continue;
         }
-        Ok(PlacementPlan {
-            assignments,
-            write_time,
-        })
-    }
-
-    /// One placement decision without the write: scan from the product's
-    /// ideal tier toward slower tiers, bypassing any without room
-    /// (paper: "it will be bypassed and the next tier will be
-    /// selected"). `pending(tier)` is the bytes already decided for a
-    /// tier but not yet landed (the write-behind ledger); the serial
-    /// path passes zero, so a streaming caller that reserves decided
-    /// bytes sees exactly the capacity state the serial path would and
-    /// makes byte-identical decisions.
-    pub fn choose_tier(
-        &self,
-        hierarchy: &StorageHierarchy,
-        kind: ProductKind,
-        len: usize,
-        num_levels: u32,
-        key: &str,
-        pending: &dyn Fn(usize) -> u64,
-    ) -> Result<usize, StorageError> {
-        let ntiers = hierarchy.num_tiers();
-        let start = match self {
-            PlacementPolicy::RankSpread => (kind.rank(num_levels) as usize).min(ntiers - 1),
-            PlacementPolicy::FastestFirst => 0,
-        };
-        for tier in start..ntiers {
-            let device = hierarchy.tier_device(tier)?;
-            let free = device.available().saturating_sub(pending(tier));
-            if (free as usize) < len {
-                continue;
-            }
-            let obs = hierarchy.metrics();
-            obs.counter(&canopus_obs::names::placements_on_tier(tier))
-                .inc();
-            obs.counter(&canopus_obs::names::placement_bytes_on_tier(tier))
-                .add(len as u64);
-            if tier != start {
-                obs.counter("storage.placement.bypasses").inc();
-            }
-            return Ok(tier);
+        let obs = hierarchy.metrics();
+        obs.counter(&canopus_obs::names::placements_on_tier(tier))
+            .inc();
+        obs.counter(&canopus_obs::names::placement_bytes_on_tier(tier))
+            .add(len as u64);
+        if tier != start {
+            obs.counter("storage.placement.bypasses").inc();
         }
-        Err(StorageError::PlacementFailed(format!(
-            "no tier from {start} down has room for {key} ({len} B)"
-        )))
+        return Ok(tier);
     }
+    Err(StorageError::PlacementFailed(format!(
+        "no tier from {start} down has room for {key} ({len} B)"
+    )))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::tier::TierSpec;
+    use crate::SimDuration;
+    use bytes::Bytes;
 
-    fn product(key: &str, kind: ProductKind, size: usize) -> Product {
-        Product {
-            key: key.into(),
-            kind,
-            data: Bytes::from(vec![0u8; size]),
-        }
-    }
-
-    /// Base + two deltas for a 3-level refactoring, paper Fig. 1 shapes.
-    fn three_products() -> Vec<Product> {
-        vec![
-            product("v/L2", ProductKind::Base { level: 2 }, 25),
-            product(
+    /// Base + two deltas for a 3-level refactoring, paper Fig. 1 shapes:
+    /// `(key, kind, bytes)`.
+    fn three_products() -> [(&'static str, ProductKind, usize); 3] {
+        [
+            ("v/L2", ProductKind::Base { level: 2 }, 25),
+            (
                 "v/d1-2",
                 ProductKind::DeltaShard {
                     finer: 1,
@@ -191,7 +105,7 @@ mod tests {
                 },
                 25,
             ),
-            product(
+            (
                 "v/d0-1",
                 ProductKind::DeltaShard {
                     finer: 0,
@@ -201,6 +115,27 @@ mod tests {
                 50,
             ),
         ]
+    }
+
+    /// Place the products one at a time: decide with nothing pending,
+    /// then write. Returns each key's tier and the summed write time.
+    fn place(
+        h: &StorageHierarchy,
+        products: &[(&str, ProductKind, usize)],
+        num_levels: u32,
+    ) -> Result<(Vec<(String, usize)>, SimDuration), StorageError> {
+        let mut tiers = Vec::new();
+        let mut time = SimDuration::ZERO;
+        for &(key, kind, len) in products {
+            let tier = choose_tier(h, kind, len, num_levels, key, &|_| 0)?;
+            time += h.write_to_tier(tier, key, Bytes::from(vec![0u8; len]))?;
+            tiers.push((key.to_string(), tier));
+        }
+        Ok((tiers, time))
+    }
+
+    fn tier_of(tiers: &[(String, usize)], key: &str) -> Option<usize> {
+        tiers.iter().find(|(k, _)| k == key).map(|&(_, t)| t)
     }
 
     #[test]
@@ -259,12 +194,10 @@ mod tests {
             TierSpec::new("st1", 1000, 10.0, 10.0, 0.0),
             TierSpec::new("st0-slow", 1000, 1.0, 1.0, 0.0),
         ]);
-        let plan = PlacementPolicy::RankSpread
-            .place(&h, &three_products(), 3)
-            .unwrap();
-        assert_eq!(plan.tier_of("v/L2"), Some(0));
-        assert_eq!(plan.tier_of("v/d1-2"), Some(1));
-        assert_eq!(plan.tier_of("v/d0-1"), Some(2));
+        let (tiers, _) = place(&h, &three_products(), 3).unwrap();
+        assert_eq!(tier_of(&tiers, "v/L2"), Some(0));
+        assert_eq!(tier_of(&tiers, "v/d1-2"), Some(1));
+        assert_eq!(tier_of(&tiers, "v/d0-1"), Some(2));
     }
 
     #[test]
@@ -274,12 +207,10 @@ mod tests {
             TierSpec::new("tmpfs", 1000, 100.0, 100.0, 0.0),
             TierSpec::new("lustre", 10_000, 1.0, 1.0, 0.0),
         ]);
-        let plan = PlacementPolicy::RankSpread
-            .place(&h, &three_products(), 3)
-            .unwrap();
-        assert_eq!(plan.tier_of("v/L2"), Some(0));
-        assert_eq!(plan.tier_of("v/d1-2"), Some(1));
-        assert_eq!(plan.tier_of("v/d0-1"), Some(1));
+        let (tiers, _) = place(&h, &three_products(), 3).unwrap();
+        assert_eq!(tier_of(&tiers, "v/L2"), Some(0));
+        assert_eq!(tier_of(&tiers, "v/d1-2"), Some(1));
+        assert_eq!(tier_of(&tiers, "v/d0-1"), Some(1));
     }
 
     #[test]
@@ -289,33 +220,15 @@ mod tests {
             TierSpec::new("tiny", 10, 100.0, 100.0, 0.0),
             TierSpec::new("big", 10_000, 1.0, 1.0, 0.0),
         ]);
-        let plan = PlacementPolicy::RankSpread
-            .place(&h, &three_products(), 3)
-            .unwrap();
-        assert_eq!(plan.tier_of("v/L2"), Some(1));
+        let (tiers, _) = place(&h, &three_products(), 3).unwrap();
+        assert_eq!(tier_of(&tiers, "v/L2"), Some(1));
     }
 
     #[test]
     fn placement_fails_when_nothing_fits() {
         let h = StorageHierarchy::new(vec![TierSpec::new("tiny", 10, 1.0, 1.0, 0.0)]);
-        let err = PlacementPolicy::RankSpread
-            .place(&h, &three_products(), 3)
-            .unwrap_err();
+        let err = place(&h, &three_products(), 3).unwrap_err();
         assert!(matches!(err, StorageError::PlacementFailed(_)));
-    }
-
-    #[test]
-    fn fastest_first_piles_onto_tier_zero() {
-        let h = StorageHierarchy::new(vec![
-            TierSpec::new("fast", 1000, 100.0, 100.0, 0.0),
-            TierSpec::new("slow", 1000, 1.0, 1.0, 0.0),
-        ]);
-        let plan = PlacementPolicy::FastestFirst
-            .place(&h, &three_products(), 3)
-            .unwrap();
-        for (_, tier) in &plan.assignments {
-            assert_eq!(*tier, 0);
-        }
     }
 
     #[test]
@@ -324,34 +237,27 @@ mod tests {
             TierSpec::new("fast", 1000, 100.0, 100.0, 0.0),
             TierSpec::new("slow", 1000, 10.0, 10.0, 0.0),
         ]);
-        let plan = PlacementPolicy::RankSpread
-            .place(&h, &three_products(), 3)
-            .unwrap();
+        let (_, time) = place(&h, &three_products(), 3).unwrap();
         // 25/100 + 25/10 + 50/10 = 0.25 + 2.5 + 5.0
-        assert!((plan.write_time.seconds() - 7.75).abs() < 1e-9);
+        assert!((time.seconds() - 7.75).abs() < 1e-9);
     }
 
     #[test]
     fn choose_tier_respects_pending_reservations() {
         // Tier 0 holds 30 B free; a 25 B reservation in flight must push
-        // the next 25 B product to tier 1 — the decision the serial path
-        // would make after the reserved block landed.
+        // the next 25 B product to tier 1 — the decision placing one block
+        // at a time would make after the reserved block landed.
         let h = StorageHierarchy::new(vec![
             TierSpec::new("fast", 30, 100.0, 100.0, 0.0),
             TierSpec::new("slow", 1000, 1.0, 1.0, 0.0),
         ]);
         let base = ProductKind::Base { level: 2 };
-        let free = PlacementPolicy::RankSpread
-            .choose_tier(&h, base, 25, 3, "v/L2", &|_| 0)
-            .unwrap();
+        let free = choose_tier(&h, base, 25, 3, "v/L2", &|_| 0).unwrap();
         assert_eq!(free, 0);
-        let reserved = PlacementPolicy::RankSpread
-            .choose_tier(&h, base, 25, 3, "v/L2", &|t| if t == 0 { 25 } else { 0 })
-            .unwrap();
+        let reserved =
+            choose_tier(&h, base, 25, 3, "v/L2", &|t| if t == 0 { 25 } else { 0 }).unwrap();
         assert_eq!(reserved, 1, "pending bytes count against capacity");
-        let err = PlacementPolicy::RankSpread
-            .choose_tier(&h, base, 25, 3, "v/L2", &|_| 10_000)
-            .unwrap_err();
+        let err = choose_tier(&h, base, 25, 3, "v/L2", &|_| 10_000).unwrap_err();
         assert!(matches!(err, StorageError::PlacementFailed(_)));
     }
 
@@ -361,9 +267,7 @@ mod tests {
             TierSpec::new("fast", 1000, 100.0, 100.0, 0.0),
             TierSpec::new("slow", 1000, 10.0, 10.0, 0.0),
         ]);
-        PlacementPolicy::RankSpread
-            .place(&h, &three_products(), 3)
-            .unwrap();
+        place(&h, &three_products(), 3).unwrap();
         for key in ["v/L2", "v/d1-2", "v/d0-1"] {
             let (data, _, _) = h.read(key).unwrap();
             assert!(!data.is_empty());

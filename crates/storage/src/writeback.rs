@@ -1,19 +1,21 @@
 //! Per-tier write-behind queues for the streaming write path.
 //!
-//! The level-streaming write engine decides a block's tier as soon as the
-//! block is compressed, but hands the actual device write to a per-tier
-//! worker so placement of the next block never waits on tier bandwidth.
-//! Equivalence with the serial barrier path hinges on one invariant: a
-//! placement decision must see the *same* free capacity the serial path
-//! would, even though earlier blocks may still sit in a queue. The
-//! landing ledger provides that: bytes are reserved at decision time
-//! (atomically with the decision, under the ledger lock) and released
-//! only when the device write lands — so `available - pending` always
-//! equals `capacity - (bytes decided so far)`, exactly the serial view.
+//! The streaming write decides a block's tier as soon as the block is
+//! encoded, but hands the device write to a per-tier worker so placement
+//! of the next block never waits on tier bandwidth. The landing ledger
+//! keeps those decisions within capacity while blocks are in flight:
+//! bytes are reserved at decision time (atomically with the decision,
+//! under the ledger lock) and released only when the device write lands,
+//! so `available - pending` always equals `capacity - (bytes decided so
+//! far)`. Placing through the ledger is therefore equivalent to placing
+//! one block at a time — [`choose_tier`](crate::placement::choose_tier)
+//! with nothing pending, then the device write — and that oracle lives
+//! in the tests.
 //!
 //! The commit barrier ([`WriteBehind::finish`]) drains every queue and
 //! joins the workers — the "fsync" after which the caller may publish a
-//! manifest knowing all tiers have landed.
+//! manifest knowing all tiers have landed. [`WriteBehind::undo`] is the
+//! way back: it removes exactly what landed.
 
 use crate::clock::SimDuration;
 use crate::error::StorageError;
@@ -34,13 +36,22 @@ struct Job {
     enqueued: Instant,
 }
 
+struct Ledger {
+    /// `pending[tier]` = bytes decided for the tier but not yet landed.
+    pending: Vec<u64>,
+    /// `(tier, key)` of every block that landed, in landing order.
+    landed: Vec<(usize, String)>,
+    /// The first failed device write; its worker stopped there.
+    failed: Option<StorageError>,
+}
+
 /// One write-behind worker (plus bounded queue) per tier of a shared
 /// hierarchy, with the landing ledger the streaming placer reads.
 pub struct WriteBehind {
+    hierarchy: Arc<StorageHierarchy>,
     senders: Vec<Sender<Job>>,
     workers: Vec<JoinHandle<Result<SimDuration, StorageError>>>,
-    /// `ledger[tier]` = bytes decided for the tier but not yet landed.
-    ledger: Arc<Mutex<Vec<u64>>>,
+    ledger: Arc<Mutex<Ledger>>,
     occupancy: Vec<(Arc<Gauge>, Arc<Gauge>)>,
 }
 
@@ -49,7 +60,11 @@ impl WriteBehind {
     /// `queue_depth` blocks (backpressure for the producing pipeline).
     pub fn new(hierarchy: Arc<StorageHierarchy>, queue_depth: usize) -> Self {
         let ntiers = hierarchy.num_tiers();
-        let ledger = Arc::new(Mutex::new(vec![0u64; ntiers]));
+        let ledger = Arc::new(Mutex::new(Ledger {
+            pending: vec![0; ntiers],
+            landed: Vec::new(),
+            failed: None,
+        }));
         let obs = Arc::clone(hierarchy.metrics());
         let mut senders = Vec::with_capacity(ntiers);
         let mut workers = Vec::with_capacity(ntiers);
@@ -72,7 +87,11 @@ impl WriteBehind {
                     let written = {
                         let mut ledger = ledger.lock();
                         let r = h.write_to_tier(tier, &job.key, job.data);
-                        ledger[tier] = ledger[tier].saturating_sub(len);
+                        ledger.pending[tier] = ledger.pending[tier].saturating_sub(len);
+                        match &r {
+                            Ok(_) => ledger.landed.push((tier, job.key)),
+                            Err(e) => _ = ledger.failed.get_or_insert_with(|| e.clone()),
+                        }
                         r
                     };
                     worker_gauge.sub(1);
@@ -84,6 +103,7 @@ impl WriteBehind {
             occupancy.push((gauge, obs.gauge(&names::writeback_occupancy_peak(tier))));
         }
         Self {
+            hierarchy,
             senders,
             workers,
             ledger,
@@ -100,14 +120,16 @@ impl WriteBehind {
         decide: impl FnOnce(&dyn Fn(usize) -> u64) -> Result<usize, StorageError>,
     ) -> Result<usize, StorageError> {
         let mut ledger = self.ledger.lock();
-        let pending: Vec<u64> = ledger.clone();
+        let pending = ledger.pending.clone();
         let tier = decide(&|t| pending[t])?;
-        ledger[tier] += len;
+        ledger.pending[tier] += len;
         Ok(tier)
     }
 
     /// Queue a block for its (already reserved) tier. Blocks when the
-    /// tier's queue is full — the pipeline's backpressure.
+    /// tier's queue is full — the pipeline's backpressure. Once the
+    /// tier's worker has stopped on a failed device write, the enqueue
+    /// fails with the first failed write's own error.
     pub fn enqueue(&self, tier: usize, key: String, data: Bytes) -> Result<(), StorageError> {
         let (gauge, peak) = &self.occupancy[tier];
         gauge.add(1);
@@ -119,9 +141,11 @@ impl WriteBehind {
         };
         if self.senders[tier].send(job).is_err() {
             gauge.sub(1);
-            return Err(StorageError::PlacementFailed(format!(
-                "write-behind worker for tier {tier} terminated early"
-            )));
+            return Err(self.ledger.lock().failed.clone().unwrap_or_else(|| {
+                StorageError::PlacementFailed(format!(
+                    "write-behind worker for tier {tier} panicked"
+                ))
+            }));
         }
         Ok(())
     }
@@ -129,38 +153,43 @@ impl WriteBehind {
     /// The commit barrier: close every queue, wait for all tiers to
     /// land, and return the summed simulated write time (or the first
     /// worker error).
-    pub fn finish(mut self) -> Result<SimDuration, StorageError> {
+    pub fn finish(&mut self) -> Result<SimDuration, StorageError> {
         self.senders.clear();
         let mut io = SimDuration::ZERO;
         let mut first_err = None;
         for w in self.workers.drain(..) {
-            match w.join() {
-                Ok(Ok(dt)) => io += dt,
-                Ok(Err(e)) => first_err = first_err.or(Some(e)),
-                Err(_) => {
-                    first_err = first_err.or_else(|| {
-                        Some(StorageError::PlacementFailed(
-                            "write-behind worker panicked".into(),
-                        ))
-                    })
-                }
+            let landed = w.join().unwrap_or_else(|_| {
+                Err(StorageError::PlacementFailed(
+                    "write-behind worker panicked".into(),
+                ))
+            });
+            match landed {
+                Ok(dt) => io += dt,
+                Err(e) => _ = first_err.get_or_insert(e),
             }
         }
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(io),
+        first_err.map_or(Ok(io), Err)
+    }
+
+    /// Abandon the write: wait for the workers, then remove every block
+    /// that landed from the tier it landed on — through that tier's own
+    /// device, so an object under the same key on another tier stays.
+    pub fn undo(&mut self) {
+        let _ = self.finish();
+        let landed = std::mem::take(&mut self.ledger.lock().landed);
+        for (tier, key) in landed {
+            if let Ok(device) = self.hierarchy.tier_device(tier) {
+                let _ = device.remove(&key);
+            }
         }
     }
 }
 
 impl Drop for WriteBehind {
-    /// Abandoned streams (e.g. a compression error mid-write) still
-    /// drain and join their workers so no thread outlives the stream.
+    /// Abandoned queues still drain and join their workers so no thread
+    /// outlives them.
     fn drop(&mut self) {
-        self.senders.clear();
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
+        let _ = self.finish();
     }
 }
 
@@ -179,7 +208,7 @@ mod tests {
     #[test]
     fn queued_writes_land_and_sum_sim_time() {
         let h = hierarchy();
-        let wb = WriteBehind::new(Arc::clone(&h), 4);
+        let mut wb = WriteBehind::new(Arc::clone(&h), 4);
         wb.enqueue(0, "a".into(), Bytes::from(vec![1u8; 100]))
             .unwrap();
         wb.enqueue(1, "b".into(), Bytes::from(vec![2u8; 100]))
@@ -194,7 +223,7 @@ mod tests {
     #[test]
     fn ledger_reserves_until_landing() {
         let h = hierarchy();
-        let wb = WriteBehind::new(Arc::clone(&h), 4);
+        let mut wb = WriteBehind::new(Arc::clone(&h), 4);
         let tier = wb
             .reserve_with(900, |pending| {
                 assert_eq!(pending(0), 0);
@@ -220,7 +249,7 @@ mod tests {
     #[test]
     fn occupancy_gauges_drain_to_zero() {
         let h = hierarchy();
-        let wb = WriteBehind::new(Arc::clone(&h), 4);
+        let mut wb = WriteBehind::new(Arc::clone(&h), 4);
         for i in 0..5 {
             wb.enqueue(1, format!("k{i}"), Bytes::from(vec![0u8; 10]))
                 .unwrap();
@@ -234,11 +263,49 @@ mod tests {
     #[test]
     fn worker_error_surfaces_at_finish() {
         let h = hierarchy();
-        let wb = WriteBehind::new(Arc::clone(&h), 4);
+        let mut wb = WriteBehind::new(Arc::clone(&h), 4);
         // Oversized for tier 0's 1000 B: the device rejects it.
         wb.enqueue(0, "big".into(), Bytes::from(vec![0u8; 5000]))
             .unwrap();
         assert!(wb.finish().is_err());
+    }
+
+    #[test]
+    fn enqueue_after_a_failed_write_returns_that_writes_error() {
+        let h = hierarchy();
+        let mut wb = WriteBehind::new(Arc::clone(&h), 4);
+        wb.enqueue(0, "big".into(), Bytes::from(vec![0u8; 5000]))
+            .unwrap();
+        // The worker stops on the oversized block; the first enqueue
+        // that finds it gone reports the device's refusal.
+        let err = (0..10_000)
+            .find_map(|i| {
+                let r = wb.enqueue(0, format!("k{i}"), Bytes::from(vec![0u8; 10]));
+                std::thread::sleep(std::time::Duration::from_millis(1));
+                r.err()
+            })
+            .expect("the dead worker is noticed");
+        assert!(
+            matches!(err, StorageError::CapacityExceeded { .. }),
+            "{err:?}"
+        );
+        assert_eq!(wb.finish().unwrap_err(), err, "finish reports it too");
+    }
+
+    #[test]
+    fn undo_removes_exactly_what_landed() {
+        let h = hierarchy();
+        // A live object under the key the write will land on tier 1.
+        h.write_to_tier(0, "a", Bytes::from(vec![7u8; 10])).unwrap();
+        let mut wb = WriteBehind::new(Arc::clone(&h), 4);
+        wb.enqueue(1, "a".into(), Bytes::from(vec![1u8; 100]))
+            .unwrap();
+        wb.enqueue(1, "b".into(), Bytes::from(vec![2u8; 100]))
+            .unwrap();
+        wb.undo();
+        assert!(h.tier_device(1).unwrap().keys().is_empty());
+        assert_eq!(h.tier_device(1).unwrap().used(), 0);
+        assert_eq!(h.read("a").unwrap().0, Bytes::from(vec![7u8; 10]));
     }
 
     #[test]

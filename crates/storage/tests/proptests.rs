@@ -2,8 +2,7 @@
 //! and accounting invariants under arbitrary workloads.
 
 use bytes::Bytes;
-use canopus_storage::placement::PlacementPolicy;
-use canopus_storage::{Device, Product, ProductKind, StorageHierarchy, TierSpec};
+use canopus_storage::{choose_tier, Device, ProductKind, StorageError, StorageHierarchy, TierSpec};
 use proptest::prelude::*;
 
 fn hierarchy(caps: &[u64]) -> StorageHierarchy {
@@ -24,35 +23,43 @@ fn hierarchy(caps: &[u64]) -> StorageHierarchy {
 }
 
 proptest! {
-    /// Whatever the product sizes and tier capacities, placement either
-    /// succeeds with no tier over capacity, or fails cleanly — and on
-    /// success every product is readable bit-for-bit.
+    /// Whatever the product sizes and tier capacities, placing one
+    /// product at a time either succeeds with no tier over capacity, or
+    /// fails cleanly — and on success every product is readable
+    /// bit-for-bit.
     #[test]
     fn placement_respects_capacity(
         caps in proptest::collection::vec(64u64..4096, 1..4),
         sizes in proptest::collection::vec(1usize..2048, 1..8),
     ) {
         let h = hierarchy(&caps);
-        let products: Vec<Product> = sizes
+        let products: Vec<(String, ProductKind, Bytes)> = sizes
             .iter()
             .enumerate()
-            .map(|(i, &sz)| Product {
-                key: format!("p{i}"),
-                kind: ProductKind::DeltaShard { finer: i as u32, coarser: i as u32 + 1, shard: 0 },
-                data: Bytes::from(vec![(i & 0xFF) as u8; sz]),
-            })
+            .map(|(i, &sz)| (
+                format!("p{i}"),
+                ProductKind::DeltaShard { finer: i as u32, coarser: i as u32 + 1, shard: 0 },
+                Bytes::from(vec![(i & 0xFF) as u8; sz]),
+            ))
             .collect();
         let n = sizes.len() as u32 + 1;
-        let outcome = PlacementPolicy::RankSpread.place(&h, &products, n);
+        let outcome = products
+            .iter()
+            .map(|(key, kind, data)| {
+                let tier = choose_tier(&h, *kind, data.len(), n, key, &|_| 0)?;
+                h.write_to_tier(tier, key, data.clone())?;
+                Ok(tier)
+            })
+            .collect::<Result<Vec<usize>, StorageError>>();
         for t in 0..h.num_tiers() {
             let dev = h.tier_device(t).unwrap();
             prop_assert!(dev.used() <= dev.capacity());
         }
-        if let Ok(plan) = outcome {
-            prop_assert_eq!(plan.assignments.len(), products.len());
-            for p in &products {
-                let (data, _, _) = h.read(&p.key).unwrap();
-                prop_assert_eq!(data, p.data.clone());
+        if let Ok(tiers) = outcome {
+            prop_assert_eq!(tiers.len(), products.len());
+            for (key, _, bytes) in &products {
+                let (data, _, _) = h.read(key).unwrap();
+                prop_assert_eq!(data, bytes.clone());
             }
         }
     }

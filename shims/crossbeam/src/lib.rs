@@ -1,7 +1,7 @@
 //! Offline drop-in subset of `crossbeam`.
 //!
 //! Only the `channel::bounded` surface is provided, with the semantics
-//! the staging transport and the restore pipeline depend on: bounded
+//! the write-behind queues and the restore pipeline depend on: bounded
 //! capacity, blocking `send` when full, receiver iteration that ends
 //! when every sender is dropped, and — matching real crossbeam —
 //! multi-consumer receivers (`Receiver` is `Clone + Send + Sync`), so a

@@ -15,7 +15,7 @@ use canopus_mesh::geometry::{Aabb, Point2};
 use canopus_mesh::TriMesh;
 use canopus_refactor::levels::RefactorConfig;
 use canopus_refactor::LevelHierarchy;
-use canopus_storage::StorageHierarchy;
+use canopus_storage::{ProductKind, StorageHierarchy, TierSpec};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -361,6 +361,297 @@ fn refused_writes_end_promptly_and_leave_stored_files_untouched() {
     });
     rx.recv_timeout(std::time::Duration::from_secs(60))
         .expect("a refused write hung or panicked");
+}
+
+/// `(delta_chunks, key, kind, tier, raw bytes, stored bytes)` of every
+/// data product a 5-level `zfp` write of [`small_case`] reports, taken
+/// from the writer that rebuilt its report from the placement plan and
+/// the tier devices.
+const REPORT_GOLDEN: [(u32, &str, &str, usize, u64, u64); 19] = [
+    (1, "eq.bp/v/L4", "Base { level: 4 }", 0, 528, 216),
+    (
+        1,
+        "eq.bp/v/s3-4.0",
+        "DeltaShard { finer: 3, coarser: 4, shard: 0 }",
+        1,
+        1056,
+        410,
+    ),
+    (
+        1,
+        "eq.bp/v/s2-3.0",
+        "DeltaShard { finer: 2, coarser: 3, shard: 0 }",
+        1,
+        2104,
+        801,
+    ),
+    (
+        1,
+        "eq.bp/v/s1-2.0",
+        "DeltaShard { finer: 1, coarser: 2, shard: 0 }",
+        1,
+        4200,
+        1561,
+    ),
+    (
+        1,
+        "eq.bp/v/s0-1.0",
+        "DeltaShard { finer: 0, coarser: 1, shard: 0 }",
+        1,
+        8400,
+        3001,
+    ),
+    (4, "eq.bp/v/L4", "Base { level: 4 }", 0, 528, 216),
+    (
+        4,
+        "eq.bp/v/s3-4.0",
+        "DeltaShard { finer: 3, coarser: 4, shard: 0 }",
+        1,
+        1056,
+        451,
+    ),
+    (
+        4,
+        "eq.bp/v/s2-3.0",
+        "DeltaShard { finer: 2, coarser: 3, shard: 0 }",
+        1,
+        2104,
+        846,
+    ),
+    (
+        4,
+        "eq.bp/v/s1-2.0",
+        "DeltaShard { finer: 1, coarser: 2, shard: 0 }",
+        1,
+        4200,
+        1600,
+    ),
+    (
+        4,
+        "eq.bp/v/s0-1.0",
+        "DeltaShard { finer: 0, coarser: 1, shard: 0 }",
+        1,
+        8400,
+        3072,
+    ),
+    (16, "eq.bp/v/L4", "Base { level: 4 }", 0, 528, 216),
+    (
+        16,
+        "eq.bp/v/s3-4.0",
+        "DeltaShard { finer: 3, coarser: 4, shard: 0 }",
+        1,
+        528,
+        287,
+    ),
+    (
+        16,
+        "eq.bp/v/s3-4.1",
+        "DeltaShard { finer: 3, coarser: 4, shard: 1 }",
+        1,
+        528,
+        290,
+    ),
+    (
+        16,
+        "eq.bp/v/s2-3.0",
+        "DeltaShard { finer: 2, coarser: 3, shard: 0 }",
+        1,
+        1048,
+        486,
+    ),
+    (
+        16,
+        "eq.bp/v/s2-3.1",
+        "DeltaShard { finer: 2, coarser: 3, shard: 1 }",
+        1,
+        1056,
+        494,
+    ),
+    (
+        16,
+        "eq.bp/v/s1-2.0",
+        "DeltaShard { finer: 1, coarser: 2, shard: 0 }",
+        1,
+        2096,
+        870,
+    ),
+    (
+        16,
+        "eq.bp/v/s1-2.1",
+        "DeltaShard { finer: 1, coarser: 2, shard: 1 }",
+        1,
+        2104,
+        889,
+    ),
+    (
+        16,
+        "eq.bp/v/s0-1.0",
+        "DeltaShard { finer: 0, coarser: 1, shard: 0 }",
+        1,
+        4200,
+        1619,
+    ),
+    (
+        16,
+        "eq.bp/v/s0-1.1",
+        "DeltaShard { finer: 0, coarser: 1, shard: 1 }",
+        1,
+        4200,
+        1635,
+    ),
+];
+
+/// The write report is what the store committed: every data product's
+/// key, kind, tier, raw and stored size equal the golden, in placement
+/// order, and every product — geometry included — reports the sizes
+/// its manifest entry records.
+#[test]
+fn write_reports_match_the_golden_and_the_manifest() {
+    let (mesh, data) = small_case();
+    for chunks in [1u32, 4, 16] {
+        let raw = (data.len() * 8) as u64;
+        let canopus = Canopus::new(
+            Arc::new(StorageHierarchy::titan_two_tier(raw / 4, raw * 64)),
+            CanopusConfig {
+                refactor: RefactorConfig {
+                    num_levels: 5,
+                    ..Default::default()
+                },
+                codec: codec("zfp"),
+                delta_chunks: chunks,
+                ..Default::default()
+            },
+        );
+        let report = canopus.write("eq.bp", "v", &mesh, &data).expect("write");
+        let got: Vec<(u32, String, String, usize, u64, u64)> = report
+            .products
+            .iter()
+            .filter(|p| !matches!(p.kind, ProductKind::Metadata { .. }))
+            .map(|p| {
+                let kind = format!("{:?}", p.kind);
+                (
+                    chunks,
+                    p.key.clone(),
+                    kind,
+                    p.tier,
+                    p.raw_bytes,
+                    p.stored_bytes,
+                )
+            })
+            .collect();
+        let want: Vec<(u32, String, String, usize, u64, u64)> = REPORT_GOLDEN
+            .iter()
+            .filter(|row| row.0 == chunks)
+            .map(|&(c, key, kind, tier, raw, stored)| {
+                (c, key.to_string(), kind.to_string(), tier, raw, stored)
+            })
+            .collect();
+        assert_eq!(got, want, "{chunks} chunks");
+
+        let file = canopus.store().open("eq.bp").expect("open");
+        let blocks = &file.inq_var("v").expect("var").blocks;
+        assert_eq!(blocks.len(), report.products.len(), "{chunks} chunks");
+        for p in &report.products {
+            let b = blocks.iter().find(|b| b.key == p.key).expect("in manifest");
+            assert_eq!(
+                (b.kind, b.raw_bytes, b.stored_bytes),
+                (p.kind, p.raw_bytes, p.stored_bytes),
+                "{}",
+                p.key
+            );
+        }
+    }
+}
+
+/// A write that runs out of room removes everything it stored: the
+/// tiers are byte-identical to before it, and a smaller write then fits
+/// in the room it freed. The tiers are filled with 4-level files until
+/// a write fails; at the three smaller capacities the first one does.
+#[test]
+fn a_write_that_runs_out_of_room_leaves_the_tiers_as_they_were() {
+    let (mesh, data) = small_case();
+    let raw = (data.len() * 8) as u64;
+    let small = xgc1_dataset_sized(4, 12, 11);
+    for (cap, fit) in [(raw / 2, 0), (raw, 0), (2 * raw, 0), (16 * raw, 2)] {
+        let canopus = Canopus::new(
+            Arc::new(StorageHierarchy::new(vec![
+                TierSpec::new("fast", cap / 8, 1e9, 1e9, 1e-6),
+                TierSpec::new("slow", cap, 1e7, 1e7, 1e-3),
+            ])),
+            CanopusConfig {
+                refactor: RefactorConfig {
+                    num_levels: 4,
+                    ..Default::default()
+                },
+                codec: RelativeCodec::Fpc,
+                ..Default::default()
+            },
+        );
+        let mut files = 0;
+        let err = loop {
+            let before = tier_contents(&canopus);
+            match canopus.write(&format!("f{files}.bp"), "v", &mesh, &data) {
+                Ok(_) => files += 1,
+                Err(e) => {
+                    assert!(
+                        tier_contents(&canopus) == before,
+                        "cap {cap}: the failed write left objects behind"
+                    );
+                    break e;
+                }
+            }
+        };
+        assert_eq!(files, fit, "cap {cap}: files written before one failed");
+        assert!(err.to_string().contains("no tier"), "cap {cap}: {err}");
+        assert!(!canopus.store().exists(&format!("f{files}.bp")));
+        canopus
+            .write_unrefactored("small.bp", small.var, &small.mesh, &small.data)
+            .unwrap_or_else(|e| panic!("cap {cap}: the freed room holds a small write: {e}"));
+        for f in 0..files {
+            let out = canopus
+                .open(&format!("f{f}.bp"))
+                .expect("open")
+                .read_level("v", 0)
+                .expect("restore");
+            assert_eq!(out.data.len(), data.len());
+        }
+    }
+}
+
+/// A file is written once. A second write to a stored file — the same
+/// variable, another variable, or the unrefactored baseline — is
+/// refused naming the file, before any work, and leaves the tiers
+/// byte-identical and the stored file restoring to the same bits.
+#[test]
+fn a_rewrite_is_refused_and_leaves_the_stored_file_untouched() {
+    let (mesh, data) = small_case();
+    let canopus = written(&mesh, &data, RelativeCodec::Fpc, 4, 1);
+    let before = tier_contents(&canopus);
+    let restored = |c: &Canopus| {
+        let reader = c.open("eq.bp").expect("open").with_level_cache(0);
+        bits(&reader.read_level("v", 0).expect("restore L0").data)
+    };
+    let want = restored(&canopus);
+    // Every level job a write submits is picked up by a worker once.
+    let level_jobs = || {
+        let snapshot = canopus.metrics().snapshot();
+        snapshot
+            .histogram(canopus_obs::names::WRITE_QUEUE_WAIT_HIST)
+            .count
+    };
+    let jobs = level_jobs();
+    let attempts = [
+        canopus.write("eq.bp", "v", &mesh, &data),
+        canopus.write("eq.bp", "w", &mesh, &data),
+        canopus.write_unrefactored("eq.bp", "v", &mesh, &data),
+    ];
+    for (i, outcome) in attempts.into_iter().enumerate() {
+        let err = outcome.expect_err("a rewrite is refused");
+        assert!(err.to_string().contains("eq.bp"), "attempt {i}: {err}");
+    }
+    assert_eq!(level_jobs(), jobs, "refused before any level job");
+    assert!(tier_contents(&canopus) == before, "tiers changed");
+    assert_eq!(restored(&canopus), want);
 }
 
 fn bits(data: &[f64]) -> Vec<u64> {

@@ -33,7 +33,7 @@ const LEVELS: u32 = 3;
 
 /// A two-tier hierarchy with enough fast-tier headroom that the base
 /// products always land on tier 0 — so only *finer levels* become
-/// unreachable when tier 1 (where RankSpread sends the deltas) fails.
+/// unreachable when tier 1 (where the placement rule sends the deltas) fails.
 fn written() -> (canopus_data::Dataset, Canopus) {
     let ds = cfd_dataset_sized(20, 16, 44);
     let h = Arc::new(StorageHierarchy::new(vec![
