@@ -40,7 +40,7 @@ pub mod zfp_like;
 pub use error::CodecError;
 pub use fpc::Fpc;
 pub use observed::ObservedCodec;
-pub use parallel::Chunked;
+pub use parallel::{ChunkTable, Chunked};
 pub use stats::CompressionStats;
 pub use sz_like::SzLike;
 pub use zfp_like::ZfpLike;
@@ -151,6 +151,18 @@ impl CodecKind {
             }
             CodecKind::Fpc => AnyCodec::Fpc(Fpc::new()),
             CodecKind::Raw => AnyCodec::Raw(RawCodec),
+        }
+    }
+
+    /// The codec [`Self::id`] names, with its parameter (ignored by the
+    /// lossless ones); `None` for an id no codec has.
+    pub fn from_id(id: u8, param: f64) -> Option<Self> {
+        match id {
+            0 => Some(CodecKind::Raw),
+            1 => Some(CodecKind::ZfpLike { tolerance: param }),
+            2 => Some(CodecKind::SzLike { error_bound: param }),
+            3 => Some(CodecKind::Fpc),
+            _ => None,
         }
     }
 
@@ -318,7 +330,9 @@ mod tests {
                 via_box.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
                 via_any.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
             );
+            assert_eq!(CodecKind::from_id(kind.id(), any.error_bound()), Some(kind));
         }
+        assert_eq!(CodecKind::from_id(4, 0.0), None);
     }
 
     #[test]

@@ -1,16 +1,20 @@
-//! Parallel chunked compression.
+//! Chunked compression.
 //!
-//! The sequential codecs process one bit stream; at the paper's "1 PB per
-//! day" scale a single core cannot keep up. [`Chunked`] wraps any
-//! [`Codec`]: the input splits into fixed-element chunks, chunks compress
-//! concurrently under rayon, and a small offset table glues the pieces
-//! into one self-contained stream. Decompression parallelizes the same
-//! way. Error bounds are inherited unchanged (each chunk honors the inner
-//! codec's bound independently).
+//! [`Chunked`] wraps any [`Codec`]: the input splits into chunks of a
+//! fixed element count, chunks compress concurrently under rayon, and a
+//! small offset table glues the pieces into one self-contained stream.
+//! Decompression parallelizes the same way, and a caller that wants to
+//! do more with each chunk than decode it reads the table itself
+//! ([`ChunkTable::parse`]) and decodes chunk by chunk. The chunk size is
+//! the caller's: the Canopus writer frames at one restore tile, so a
+//! reader can decode and restore each tile in one pass. Error bounds are
+//! inherited unchanged (each chunk honors the inner codec's bound
+//! independently).
 
 use crate::error::CodecError;
 use crate::Codec;
 use rayon::prelude::*;
+use std::ops::Range;
 
 const STREAM_MAGIC: u8 = 0xC6;
 const STREAM_VERSION: u8 = 1;
@@ -78,7 +82,43 @@ impl<C: Codec> Codec for Chunked<C> {
     }
 
     fn decompress_into(&self, bytes: &[u8], out: &mut [f64]) -> Result<(), CodecError> {
-        let n = out.len();
+        let table = ChunkTable::parse(bytes, out.len())?;
+        // Each chunk decodes straight into its disjoint span of `out`:
+        // no per-chunk Vec, no copy-and-concatenate stage. `chunks_mut`
+        // yields exactly as many slices as the table has spans (checked
+        // by the parse), the last one sized to the tail.
+        let jobs: Vec<(&mut [f64], Range<usize>)> =
+            out.chunks_mut(table.chunk_elems).zip(table.spans).collect();
+        jobs.into_par_iter()
+            .map(|(dst, span)| self.inner.decompress_into(&bytes[span], dst))
+            .collect::<Result<Vec<()>, _>>()?;
+        Ok(())
+    }
+
+    fn is_lossless(&self) -> bool {
+        self.inner.is_lossless()
+    }
+
+    fn error_bound(&self) -> f64 {
+        self.inner.error_bound()
+    }
+}
+
+/// The chunk table of a [`Chunked`] stream: how many values a chunk
+/// holds, and where each chunk's bytes lie in the stream.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ChunkTable {
+    /// Values per chunk; the last chunk holds the rest.
+    pub chunk_elems: usize,
+    /// Each chunk's byte range in the stream, in chunk order.
+    pub spans: Vec<Range<usize>>,
+}
+
+impl ChunkTable {
+    /// Read the table of a stream that decodes to `n` values: refused
+    /// unless it has as many chunks as `n` values fill and every chunk's
+    /// bytes lie inside `bytes`.
+    pub fn parse(bytes: &[u8], n: usize) -> Result<Self, CodecError> {
         let fail = |m: &str| CodecError::Corrupt(format!("chunked stream: {m}"));
         if bytes.len() < 18 {
             return Err(fail("too short"));
@@ -112,28 +152,10 @@ impl<C: Codec> Codec for Chunked<C> {
                 .checked_add(len)
                 .filter(|&end| end <= bytes.len())
                 .ok_or_else(|| fail("payload truncated"))?;
-            spans.push((cursor, len));
+            spans.push(cursor..end);
             cursor = end;
         }
-
-        // Each chunk decodes straight into its disjoint span of `out`:
-        // no per-chunk Vec, no copy-and-concatenate stage. `chunks_mut`
-        // yields exactly `num_chunks` slices (validated above), the last
-        // one sized to the tail.
-        let jobs: Vec<(&mut [f64], (usize, usize))> =
-            out.chunks_mut(chunk_elems).zip(spans).collect();
-        jobs.into_par_iter()
-            .map(|(dst, (start, len))| self.inner.decompress_into(&bytes[start..start + len], dst))
-            .collect::<Result<Vec<()>, _>>()?;
-        Ok(())
-    }
-
-    fn is_lossless(&self) -> bool {
-        self.inner.is_lossless()
-    }
-
-    fn error_bound(&self) -> f64 {
-        self.inner.error_bound()
+        Ok(Self { chunk_elems, spans })
     }
 }
 
@@ -235,6 +257,26 @@ mod tests {
         bad[10..18].copy_from_slice(&3u64.to_le_bytes());
         corrupt(&bad, 128, "a chunk count that disagrees with n");
         corrupt(&two, 129, "an n that disagrees with the chunk count");
+    }
+
+    #[test]
+    fn the_chunk_table_is_the_one_decompress_reads() {
+        let data = wave(1000);
+        let codec = Chunked::new(Fpc::new(), 300);
+        let bytes = codec.compress(&data).unwrap();
+        let table = ChunkTable::parse(&bytes, data.len()).unwrap();
+        assert_eq!(table.chunk_elems, 300);
+        assert_eq!(table.spans.len(), 4);
+        assert_eq!(table.spans.last().unwrap().end, bytes.len());
+        // Chunk by chunk through the table gives the whole decode.
+        for ((i, span), want) in table.spans.iter().enumerate().zip(data.chunks(300)) {
+            let got = Fpc::new()
+                .decompress(&bytes[span.clone()], want.len())
+                .unwrap();
+            assert_eq!(got, want, "chunk {i}");
+        }
+        assert!(ChunkTable::parse(&bytes, 1201).is_err(), "a fifth chunk");
+        assert!(ChunkTable::parse(&bytes[..bytes.len() - 1], 1000).is_err());
     }
 
     #[test]

@@ -7,8 +7,10 @@
 //! geometry while the pool decodes and applies a level the moment its
 //! last block lands instead of waiting for a full-walk barrier. Single
 //! steps ([`CanopusReader::refine_once`],
-//! [`CanopusReader::refine_region`]) fetch, decode and apply on the
-//! calling thread.
+//! [`CanopusReader::refine_region`]) fetch on the calling thread; of a
+//! level stored as one spatial chunk (the default layout) they decode
+//! and restore each 64 Ki-value tile in one parallel pass
+//! (`decode_restore_tiles`).
 //!
 //! Every restored level feeds one decoded-level LRU cache, so campaign
 //! analytics that revisit a `(var, level)` pair skip tier I/O and
@@ -29,15 +31,18 @@ use crate::geometry::{section_of, Fill, LevelGeometry, Need};
 use crate::write::spatial_chunks;
 use bytes::Bytes;
 use canopus_adios::{BlockMeta, BpFile, ChunkEntry, GeometrySection};
-use canopus_compress::{Chunked, Codec, CodecKind, ObservedCodec, CHUNKED_CODEC_ID_FLAG};
+use canopus_compress::{
+    AnyCodec, ChunkTable, Chunked, Codec, CodecKind, ObservedCodec, CHUNKED_CODEC_ID_FLAG,
+};
 use canopus_mesh::geometry::Point2;
 use canopus_mesh::{Aabb, TriMesh, VertexId};
 use canopus_obs::{names, stage, stage_child, FieldValue, Registry, SpanContext};
-use canopus_refactor::{restore_in_place, Estimator};
+use canopus_refactor::{restore_in_place, restore_tile, Estimator, Weights};
 use crossbeam::channel;
 use parking_lot::Mutex;
 use rayon::prelude::*;
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::{Scope, ScopedJoinHandle};
@@ -900,28 +905,36 @@ impl CanopusReader {
         parent: SpanContext,
     ) -> Result<(), CanopusError> {
         let _span = stage_child!(self.obs, parent, "decode", key = key);
-        let chunked = codec_id & CHUNKED_CODEC_ID_FLAG != 0;
-        let kind = match codec_id & !CHUNKED_CODEC_ID_FLAG {
-            0 => CodecKind::Raw,
-            1 => CodecKind::ZfpLike {
-                tolerance: codec_param,
-            },
-            2 => CodecKind::SzLike {
-                error_bound: codec_param,
-            },
-            3 => CodecKind::Fpc,
-            id => {
-                return Err(CanopusError::Invalid(format!("unknown codec id {id}")));
-            }
-        };
-        let codec = ObservedCodec::new(kind.build_any(), Arc::clone(&self.obs));
+        let (codec, chunked) = self.payload_codec(codec_id, codec_param)?;
         let t = Instant::now();
         if chunked {
             Chunked::for_decode(codec).decompress_into(bytes, out)?;
         } else {
             codec.decompress_into(bytes, out)?;
         }
-        let decode_secs = t.elapsed().as_secs_f64();
+        self.count_decode(t.elapsed().as_secs_f64(), out.len());
+        Ok(())
+    }
+
+    /// The payload codec of a stream stored under `codec_id`, observed,
+    /// and whether the stream is chunk-framed around it.
+    fn payload_codec(
+        &self,
+        codec_id: u8,
+        codec_param: f64,
+    ) -> Result<(ObservedCodec<AnyCodec>, bool), CanopusError> {
+        let id = codec_id & !CHUNKED_CODEC_ID_FLAG;
+        let kind = CodecKind::from_id(id, codec_param)
+            .ok_or_else(|| CanopusError::Invalid(format!("unknown codec id {id}")))?;
+        Ok((
+            ObservedCodec::new(kind.build_any(), Arc::clone(&self.obs)),
+            codec_id & CHUNKED_CODEC_ID_FLAG != 0,
+        ))
+    }
+
+    /// Account one decoded stream of `values` values that took
+    /// `decode_secs` to decode.
+    fn count_decode(&self, decode_secs: f64, values: usize) {
         self.obs
             .timer(names::READ_DECOMPRESS)
             .record_wall(decode_secs);
@@ -930,8 +943,7 @@ impl CanopusReader {
             .observe_secs(decode_secs);
         self.obs
             .counter(names::READ_VALUES_DECODED)
-            .add(out.len() as u64);
-        Ok(())
+            .add(values as u64);
     }
 
     /// Decode a whole block to its values in storage order: a base
@@ -971,17 +983,7 @@ impl CanopusReader {
         }
         let mut filled = 0usize;
         for e in &block.chunks {
-            let end = (e.offset + e.len) as usize;
-            if end > bytes.len() {
-                return Err(CanopusError::Invalid(format!(
-                    "shard {} chunk {} range {}+{} exceeds payload of {} B",
-                    block.key,
-                    e.chunk,
-                    e.offset,
-                    e.len,
-                    bytes.len()
-                )));
-            }
+            let stream = chunk_stream(block, e, bytes)?;
             let elems = e.elements as usize;
             if filled + elems > out.len() {
                 return Err(CanopusError::Invalid(format!(
@@ -996,7 +998,7 @@ impl CanopusReader {
                 &block.key,
                 e.codec_id,
                 block.codec_param,
-                &bytes[e.offset as usize..end],
+                stream,
                 &mut out[filled..filled + elems],
                 parent,
             )?;
@@ -1120,62 +1122,48 @@ impl CanopusReader {
         spatial_chunks(points, chunks as u32)
     }
 
-    /// Read and decode the full delta refining into `finer`: every shard
-    /// object is fetched whole (one object read each), decoded chunk by
-    /// chunk, and its values put in vertex order through the same
-    /// deterministic assignment the writer used — which for a one-chunk
-    /// level is the identity, so the decoded buffer is the delta.
+    /// Read and decode the full delta refining into `finer`, a level
+    /// stored in several chunks: every shard object is fetched whole (one
+    /// object read each), decoded chunk by chunk, and its values put in
+    /// vertex order through the same deterministic assignment the writer
+    /// used.
     fn read_delta_values(
         &self,
         shards: &[&BlockMeta],
-        assignment: Option<&[Vec<u32>]>,
+        assignment: &[Vec<u32>],
         vertices: usize,
         parent: SpanContext,
     ) -> Result<(Vec<f64>, PhaseTiming), CanopusError> {
         let mut timing = PhaseTiming::default();
-        let mut delta = match assignment {
-            // The one chunk's decoded buffer is adopted whole.
-            None => Vec::new(),
-            Some(_) => vec![0.0; vertices],
-        };
+        let mut delta = vec![0.0; vertices];
         for block in shards {
             let (bytes, io) = self.read_block_observed(block, parent)?;
             timing.io_secs += io;
             let t = Instant::now();
             let values = self.decode_block_values(block, &bytes, parent)?;
             timing.decompress_secs += t.elapsed().as_secs_f64();
-            place_shard_values(block, values, assignment, &mut delta)?;
+            place_shard_values(block, values, Some(assignment), &mut delta)?;
         }
         Ok((delta, timing))
     }
 
-    /// Turn the decoded `delta` into level `finer` itself, where it lies
-    /// (paper Alg. 3): one pass adds each vertex's estimate from
-    /// `coarse` and sums the squared deltas. Everything the kernel
-    /// indexes by came out of stored bytes, so it is checked first.
-    /// Returns the level's data — from here on shared and read-only —
-    /// the delta's RMS (the paper's adjacent-level termination
-    /// criterion; 0 for an empty delta) and the wall seconds of the pass.
-    fn apply_delta(
+    /// What restoring level `finer` from `coarse` reads, checked: every
+    /// array the kernel indexes by came out of stored bytes, so a
+    /// mapping, a coarse field or coordinates that do not fit the two
+    /// levels are refused here rather than panicking in the kernel.
+    fn restore_step<'a>(
         &self,
         var: &str,
         finer: u32,
-        geometry: &LevelGeometry,
-        mut delta: Vec<f64>,
-        coarse: &Coarse<'_>,
-    ) -> Result<(Arc<Vec<f64>>, f64, f64), CanopusError> {
+        geometry: &'a LevelGeometry,
+        coarse: &Coarse<'a>,
+    ) -> Result<RestoreStep<'a>, CanopusError> {
         let invalid =
             |why: String| CanopusError::Invalid(format!("restoring level {finer} of {var}: {why}"));
         let n = geometry.num_vertices();
         let topology = geometry
             .topology()
             .ok_or_else(|| invalid("topology not loaded".into()))?;
-        if delta.len() != n {
-            return Err(invalid(format!(
-                "delta decoded {} values for {n} vertices",
-                delta.len()
-            )));
-        }
         if topology.mapping.len() != n || topology.mapping_end > coarse.triangles.len() {
             return Err(invalid(format!(
                 "mapping of {} entries below {} for {n} vertices over {} triangles",
@@ -1198,21 +1186,90 @@ impl CanopusReader {
         {
             return Err(invalid("coordinates not loaded".into()));
         }
+        Ok(RestoreStep {
+            triangles: coarse.triangles,
+            data: coarse.data,
+            mapping: &topology.mapping,
+            weights: self.estimator.weights(fine_points, coarse.points),
+        })
+    }
+
+    /// Turn the decoded `delta` into level `finer` itself, where it lies
+    /// (paper Alg. 3): one pass adds each vertex's estimate from
+    /// `coarse` and sums the squared deltas. Returns the level's data —
+    /// from here on shared and read-only — the delta's RMS (the paper's
+    /// adjacent-level termination criterion; 0 for an empty delta) and
+    /// the wall seconds of the pass.
+    fn apply_delta(
+        &self,
+        var: &str,
+        finer: u32,
+        geometry: &LevelGeometry,
+        mut delta: Vec<f64>,
+        coarse: &Coarse<'_>,
+    ) -> Result<(Arc<Vec<f64>>, f64, f64), CanopusError> {
+        let step = self.restore_step(var, finer, geometry, coarse)?;
+        let n = geometry.num_vertices();
+        if delta.len() != n {
+            return Err(CanopusError::Invalid(format!(
+                "restoring level {finer} of {var}: delta decoded {} values for {n} vertices",
+                delta.len()
+            )));
+        }
         let t = Instant::now();
         let squares = restore_in_place(
             &mut delta,
-            coarse.triangles,
-            coarse.data,
-            &topology.mapping,
-            self.estimator.weights(fine_points, coarse.points),
+            step.triangles,
+            step.data,
+            step.mapping,
+            step.weights,
         );
         let secs = t.elapsed().as_secs_f64();
-        let rms = if n == 0 {
-            0.0
-        } else {
-            (squares / n as f64).sqrt()
-        };
-        Ok((Arc::new(delta), rms, secs))
+        Ok((Arc::new(delta), rms(squares, n), secs))
+    }
+
+    /// Restore a level stored as one spatial chunk, `step` checked, from
+    /// the chunk's stream `bytes` (the chunk `entry` of shard `block`) in
+    /// one pass over its tiles: each task decodes one chunk of the stream
+    /// straight into its slice of the level's buffer and restores that
+    /// slice while it is still in cache ([`decode_restore_tiles`]). The
+    /// level's values and squares sum are those of decoding the stream
+    /// whole, then [`restore_in_place`].
+    ///
+    /// The stream counts as one decode ([`Self::count_decode`], one
+    /// `decode` span, which covers the pass), of the tiles' decode
+    /// seconds summed. Returns the level's data, the delta's RMS, and
+    /// the pass's decode and restore seconds, each summed over tiles.
+    fn refine_tiles(
+        &self,
+        step: &RestoreStep<'_>,
+        block: &BlockMeta,
+        entry: &ChunkEntry,
+        bytes: &[u8],
+        parent: SpanContext,
+    ) -> Result<(Arc<Vec<f64>>, f64, TilePass), CanopusError> {
+        let n = step.mapping.len();
+        if entry.elements != n as u64 {
+            return Err(CanopusError::Invalid(format!(
+                "shard {} holds {} values for {n} vertices",
+                block.key, entry.elements
+            )));
+        }
+        let _span = stage_child!(self.obs, parent, "decode", key = block.key.as_str());
+        let (codec, chunked) = self.payload_codec(entry.codec_id, block.codec_param)?;
+        let mut values = vec![0.0; n];
+        let pass = decode_restore_tiles(&codec, chunked, bytes, &mut values, |tile, first| {
+            restore_tile(
+                tile,
+                first,
+                step.triangles,
+                step.data,
+                step.mapping,
+                step.weights,
+            )
+        })?;
+        self.count_decode(pass.decode_secs, n);
+        Ok((Arc::new(values), rms(pass.squares, n), pass))
     }
 
     /// Refine an already-restored level by one step: read + decompress
@@ -1264,19 +1321,42 @@ impl CanopusReader {
 
         let (shards, chunks) = self.delta_shards(var, finer)?;
         let (geometry, meta_io) = self.geometry(var, finer, Need::Whole, parent)?;
-        let assignment = Self::assignment(&geometry, chunks);
-        let (delta, mut timing) = self.read_delta_values(
-            &shards,
-            assignment.as_deref(),
-            geometry.num_vertices(),
-            parent,
-        )?;
-        timing.io_secs += meta_io;
-
         let coarse = Coarse::of_outcome(current);
-        let (data, delta_rms, restore) = self.apply_delta(var, finer, &geometry, delta, &coarse)?;
-        timing.restore_secs += restore;
-        self.obs.timer(names::READ_RESTORE).record_wall(restore);
+        let (data, delta_rms, mut timing) = match Self::assignment(&geometry, chunks) {
+            // One chunk: its stream is the level's delta, refined tile
+            // by tile as it decodes.
+            None => {
+                let (block, entry) = shards
+                    .iter()
+                    .flat_map(|&b| b.chunks.iter().map(move |e| (b, e)))
+                    .next()
+                    .expect("a delta has a chunk");
+                let step = self.restore_step(var, finer, &geometry, &coarse)?;
+                let (bytes, io) = self.read_block_observed(block, parent)?;
+                let stream = chunk_stream(block, entry, &bytes)?;
+                let (data, delta_rms, pass) =
+                    self.refine_tiles(&step, block, entry, stream, parent)?;
+                let timing = PhaseTiming {
+                    io_secs: io,
+                    decompress_secs: pass.decode_secs,
+                    restore_secs: pass.restore_secs,
+                    elapsed_secs: 0.0,
+                };
+                (data, delta_rms, timing)
+            }
+            Some(assignment) => {
+                let (delta, mut timing) =
+                    self.read_delta_values(&shards, &assignment, geometry.num_vertices(), parent)?;
+                let (data, delta_rms, restore) =
+                    self.apply_delta(var, finer, &geometry, delta, &coarse)?;
+                timing.restore_secs += restore;
+                (data, delta_rms, timing)
+            }
+        };
+        timing.io_secs += meta_io;
+        self.obs
+            .timer(names::READ_RESTORE)
+            .record_wall(timing.restore_secs);
         self.obs.counter(names::READ_REFINEMENTS).inc();
         timing.elapsed_secs = wall.elapsed().as_secs_f64();
 
@@ -1402,44 +1482,48 @@ impl CanopusReader {
             stats.bytes_read += bytes.len() as u64;
             payloads.push((b, e, bytes));
         }
-        // Decode the fetched chunks in parallel on the worker pool.
-        let t = Instant::now();
-        let decoded: Vec<(u32, Vec<f64>)> = payloads
-            .par_iter()
-            .map(|(b, e, bytes)| {
-                let values = self.decode_payload(
-                    &b.key,
-                    e.codec_id,
-                    b.codec_param,
-                    e.elements as usize,
-                    bytes,
-                    ctx,
-                )?;
-                Ok((e.chunk, values))
-            })
-            .collect::<Result<_, CanopusError>>()?;
-        timing.decompress_secs += t.elapsed().as_secs_f64();
-
-        stats.chunks_read = decoded.len() + cached.len();
-        stats.chunks_cached = cached.len();
-        let mut exact = vec![false; n];
-        let delta = match &assignment {
-            None => match decoded.into_iter().next() {
-                // Adopt the one chunk's decoded buffer as the delta.
-                Some((_, values)) if values.len() == n => {
-                    exact.fill(true);
-                    values
-                }
-                Some((_, values)) => {
-                    return Err(CanopusError::Invalid(format!(
-                        "delta to level {finer} of {var} decoded {} values for {n} vertices",
-                        values.len()
-                    )));
+        let coarse = Coarse::of_outcome(current);
+        let (data, restore) = match &assignment {
+            None => match payloads.first() {
+                // The one chunk is the level's whole delta: refined tile
+                // by tile as it decodes, every vertex exact.
+                Some((b, e, bytes)) => {
+                    let step = self.restore_step(var, finer, &geometry, &coarse)?;
+                    let (data, _, pass) = self.refine_tiles(&step, b, e, bytes, ctx)?;
+                    timing.decompress_secs += pass.decode_secs;
+                    stats.chunks_read = 1;
+                    stats.exact_vertices = n;
+                    (data, pass.restore_secs)
                 }
                 // The region misses the mesh: the estimate alone.
-                None => vec![0.0; n],
+                None => {
+                    let (data, _, restore) =
+                        self.apply_delta(var, finer, &geometry, vec![0.0; n], &coarse)?;
+                    (data, restore)
+                }
             },
             Some(assignment) => {
+                // Decode the fetched chunks in parallel on the worker pool.
+                let t = Instant::now();
+                let decoded: Vec<(u32, Vec<f64>)> = payloads
+                    .par_iter()
+                    .map(|(b, e, bytes)| {
+                        let values = self.decode_payload(
+                            &b.key,
+                            e.codec_id,
+                            b.codec_param,
+                            e.elements as usize,
+                            bytes,
+                            ctx,
+                        )?;
+                        Ok((e.chunk, values))
+                    })
+                    .collect::<Result<_, CanopusError>>()?;
+                timing.decompress_secs += t.elapsed().as_secs_f64();
+
+                stats.chunks_read = decoded.len() + cached.len();
+                stats.chunks_cached = cached.len();
+                let mut exact = vec![false; n];
                 let mut delta = vec![0.0f64; n];
                 let mut scatter = |chunk: u32, values: &[f64]| -> Result<(), CanopusError> {
                     let ids = assignment.get(chunk as usize).ok_or_else(|| {
@@ -1469,14 +1553,12 @@ impl CanopusReader {
                 for (chunk, values) in &cached {
                     scatter(*chunk, values)?;
                 }
-                delta
+                stats.exact_vertices = exact.iter().filter(|&&e| e).count();
+                let (data, _, restore) = self.apply_delta(var, finer, &geometry, delta, &coarse)?;
+                (data, restore)
             }
         };
-        stats.exact_vertices = exact.iter().filter(|&&e| e).count();
         self.count_chunk_plan(&stats);
-
-        let coarse = Coarse::of_outcome(current);
-        let (data, _, restore) = self.apply_delta(var, finer, &geometry, delta, &coarse)?;
         timing.restore_secs += restore;
         self.obs.timer(names::READ_RESTORE).record_wall(restore);
         self.obs.counter(names::READ_REGION_REFINEMENTS).inc();
@@ -1992,6 +2074,111 @@ fn chunk_bbox(e: &ChunkEntry) -> Aabb {
         Point2::new(e.bbox[0], e.bbox[1]),
         Point2::new(e.bbox[2], e.bbox[3]),
     ])
+}
+
+/// The stream of chunk `e` inside `bytes`, the payload of shard `block`.
+fn chunk_stream<'b>(
+    block: &BlockMeta,
+    e: &ChunkEntry,
+    bytes: &'b [u8],
+) -> Result<&'b [u8], CanopusError> {
+    e.offset
+        .checked_add(e.len)
+        .filter(|&end| end <= bytes.len() as u64)
+        .map(|end| &bytes[e.offset as usize..end as usize])
+        .ok_or_else(|| {
+            CanopusError::Invalid(format!(
+                "shard {} chunk {} range {}+{} exceeds payload of {} B",
+                block.key,
+                e.chunk,
+                e.offset,
+                e.len,
+                bytes.len()
+            ))
+        })
+}
+
+/// The root mean square of `n` values whose squares sum to `squares`;
+/// 0 for none.
+fn rms(squares: f64, n: usize) -> f64 {
+    if n == 0 {
+        0.0
+    } else {
+        (squares / n as f64).sqrt()
+    }
+}
+
+/// What one restore step reads, checked against the two levels
+/// ([`CanopusReader::restore_step`]).
+struct RestoreStep<'a> {
+    /// The coarser level's triangles and values.
+    triangles: &'a [[VertexId; 3]],
+    data: &'a [f64],
+    /// The finer level's vertex → coarser-triangle mapping.
+    mapping: &'a [u32],
+    weights: Weights<'a>,
+}
+
+/// Totals of one [`decode_restore_tiles`] pass.
+#[derive(Debug, Clone, Copy)]
+struct TilePass {
+    /// The squared deltas, summed per tile, then over tiles in order.
+    squares: f64,
+    /// Decode and restore seconds, each summed over the tiles.
+    decode_secs: f64,
+    restore_secs: f64,
+}
+
+/// Decode the stream `bytes` into `out` (whose length is the stream's
+/// value count) and restore it, tile by tile. A chunk-framed stream's
+/// tile is one of its chunks, of whatever size its header records:
+/// each task decodes chunk `i` straight into its slice of `out` and
+/// hands the slice, with the index of its first value, to `restore`
+/// while the values are still in cache. An unframed stream is one tile.
+/// `restore` returns the tile's sum of squared deltas; the sums are
+/// added in tile order, as [`restore_in_place`] adds them, so a stream
+/// framed at [`canopus_refactor::TILE`] gives its bits and its sum.
+///
+/// The table is checked against `out.len()` before any chunk decodes,
+/// so a stream whose chunk count or lengths disagree with the value
+/// count is refused with an error.
+fn decode_restore_tiles<C: Codec>(
+    codec: &C,
+    chunked: bool,
+    bytes: &[u8],
+    out: &mut [f64],
+    restore: impl Fn(&mut [f64], usize) -> f64 + Sync,
+) -> Result<TilePass, CanopusError> {
+    let one_tile = |tile: &mut [f64], first: usize, stream: &[u8]| {
+        let t = Instant::now();
+        codec.decompress_into(stream, tile)?;
+        let decoded = Instant::now();
+        let squares = restore(tile, first);
+        Ok::<_, CanopusError>(TilePass {
+            squares,
+            decode_secs: (decoded - t).as_secs_f64(),
+            restore_secs: decoded.elapsed().as_secs_f64(),
+        })
+    };
+    if !chunked {
+        return one_tile(out, 0, bytes);
+    }
+    let table = ChunkTable::parse(bytes, out.len())?;
+    let tiles: Vec<(usize, &mut [f64], Range<usize>)> = out
+        .chunks_mut(table.chunk_elems)
+        .zip(table.spans)
+        .enumerate()
+        .map(|(i, (tile, span))| (i * table.chunk_elems, tile, span))
+        .collect();
+    let passes = tiles
+        .into_par_iter()
+        .map(|(first, tile, span)| one_tile(tile, first, &bytes[span]))
+        .collect::<Result<Vec<TilePass>, _>>()?;
+    Ok(TilePass {
+        squares: passes.iter().map(|p| p.squares).sum(),
+        decode_secs: passes.iter().map(|p| p.decode_secs).sum(),
+        restore_secs: passes.iter().map(|p| p.restore_secs).sum(),
+    })
 }
 
 /// Put one shard's decoded values — its chunks' values concatenated in
@@ -2632,5 +2819,186 @@ mod tests {
         let out = reader.read_level("v", 0).unwrap();
         assert_eq!(*out.data, data);
         assert_eq!(out.timing.restore_secs, 0.0);
+    }
+
+    /// The tile pass against decoding the stream whole, then
+    /// [`restore_in_place`]: synthetic levels, so that the stream length
+    /// can be exactly at the tile boundaries.
+    mod tiles {
+        use super::*;
+        use crate::write::compress_stream;
+        use canopus_obs::Registry;
+        use canopus_refactor::TILE;
+
+        struct Synthetic {
+            delta: Vec<f64>,
+            triangles: Vec<[VertexId; 3]>,
+            coarse: Vec<f64>,
+            mapping: Vec<u32>,
+            fine_points: Vec<Point2>,
+            coarse_points: Vec<Point2>,
+        }
+
+        fn synthetic(n: usize) -> Synthetic {
+            let coarse_n = 64u32;
+            let triangles = (0..96u32)
+                .map(|t| {
+                    [
+                        t % coarse_n,
+                        (t * 7 + 1) % coarse_n,
+                        (t * 13 + 5) % coarse_n,
+                    ]
+                })
+                .collect();
+            let point = |i: usize, k: f64| Point2::new((i as f64 * k).sin(), (i as f64 * k).cos());
+            Synthetic {
+                delta: (0..n)
+                    .map(|i| (i as f64 * 0.003).sin() * 2.0 + (i % 17) as f64 * 1e-3)
+                    .collect(),
+                triangles,
+                coarse: (0..coarse_n).map(|i| f64::from(i).sqrt()).collect(),
+                mapping: (0..n).map(|i| (i * 7919 % 96) as u32).collect(),
+                fine_points: (0..n).map(|i| point(i, 0.37)).collect(),
+                coarse_points: (0..coarse_n as usize).map(|i| point(i, 1.3)).collect(),
+            }
+        }
+
+        fn kinds() -> [CodecKind; 4] {
+            [
+                CodecKind::ZfpLike { tolerance: 1e-6 },
+                CodecKind::SzLike { error_bound: 1e-6 },
+                CodecKind::Fpc,
+                CodecKind::Raw,
+            ]
+        }
+
+        fn bits(v: &[f64]) -> Vec<u64> {
+            v.iter().map(|x| x.to_bits()).collect()
+        }
+
+        /// Decode whole, then restore in place: values and squares sum.
+        fn oracle(
+            s: &Synthetic,
+            kind: CodecKind,
+            chunked: bool,
+            bytes: &[u8],
+            weights: Weights<'_>,
+        ) -> (Vec<f64>, f64) {
+            let n = s.delta.len();
+            let mut values = if chunked {
+                Chunked::for_decode(kind.build()).decompress(bytes, n)
+            } else {
+                kind.build().decompress(bytes, n)
+            }
+            .unwrap();
+            let squares =
+                restore_in_place(&mut values, &s.triangles, &s.coarse, &s.mapping, weights);
+            (values, squares)
+        }
+
+        fn tiled(
+            s: &Synthetic,
+            kind: CodecKind,
+            chunked: bool,
+            bytes: &[u8],
+            weights: Weights<'_>,
+        ) -> Result<(Vec<f64>, TilePass), CanopusError> {
+            let mut values = vec![0.0; s.delta.len()];
+            let pass = decode_restore_tiles(
+                &kind.build_any(),
+                chunked,
+                bytes,
+                &mut values,
+                |tile, first| {
+                    restore_tile(tile, first, &s.triangles, &s.coarse, &s.mapping, weights)
+                },
+            )?;
+            Ok((values, pass))
+        }
+
+        #[test]
+        fn tiles_at_the_boundaries_give_the_oracles_bits_and_sum() {
+            let obs = Arc::new(Registry::new());
+            for n in [TILE - 1, TILE, TILE + 1, 3 * TILE + 5] {
+                let s = synthetic(n);
+                for kind in kinds() {
+                    let (bytes, id) = compress_stream(&s.delta, kind, &obs).unwrap();
+                    let chunked = id & CHUNKED_CODEC_ID_FLAG != 0;
+                    assert_eq!(chunked, n > TILE, "{kind:?} n={n}: framed past one tile");
+                    if chunked {
+                        let table = ChunkTable::parse(&bytes, n).unwrap();
+                        assert_eq!(table.chunk_elems, TILE);
+                        assert_eq!(table.spans.len(), n.div_ceil(TILE));
+                    }
+                    for (estimator, weights) in [
+                        ("mean", Weights::Mean),
+                        (
+                            "barycentric",
+                            Weights::Barycentric {
+                                fine: &s.fine_points,
+                                coarse: &s.coarse_points,
+                            },
+                        ),
+                    ] {
+                        let what = format!("{kind:?} n={n} {estimator}");
+                        let (want, squares) = oracle(&s, kind, chunked, &bytes, weights);
+                        let (got, pass) = tiled(&s, kind, chunked, &bytes, weights).unwrap();
+                        assert_eq!(bits(&got), bits(&want), "{what}");
+                        assert_eq!(pass.squares.to_bits(), squares.to_bits(), "{what}");
+                    }
+                }
+            }
+        }
+
+        #[test]
+        fn a_stream_framed_at_another_grain_restores_to_the_same_bits() {
+            // Files written before the grain was fixed framed a stream
+            // at `n / cores`: two chunks on two cores.
+            let s = synthetic(3 * TILE + 5);
+            let n = s.delta.len();
+            for kind in kinds() {
+                let bytes = Chunked::new(kind.build(), n.div_ceil(2))
+                    .compress(&s.delta)
+                    .unwrap();
+                let (want, squares) = oracle(&s, kind, true, &bytes, Weights::Mean);
+                let (got, pass) = tiled(&s, kind, true, &bytes, Weights::Mean).unwrap();
+                assert_eq!(bits(&got), bits(&want), "{kind:?}");
+                assert!(
+                    (pass.squares - squares).abs() <= 1e-12 * squares,
+                    "{kind:?}"
+                );
+            }
+        }
+
+        #[test]
+        fn a_chunk_table_that_disagrees_with_the_value_count_is_refused() {
+            let s = synthetic(TILE + 1);
+            let obs = Arc::new(Registry::new());
+            let kind = CodecKind::Fpc;
+            let (bytes, _) = compress_stream(&s.delta, kind, &obs).unwrap();
+            let refused = |bytes: &[u8], n: usize, what: &str| {
+                let mut values = vec![0.0; n];
+                let got =
+                    decode_restore_tiles(&kind.build_any(), true, bytes, &mut values, |_, _| 0.0);
+                assert!(got.is_err(), "{what}");
+            };
+            // Two chunks recorded; the manifest's count needs three.
+            refused(&bytes, 2 * TILE + 1, "a chunk count short of the values");
+            // The manifest's count fits one chunk.
+            refused(&bytes, TILE, "a chunk count past the values");
+            // Chunk lengths that run past the stream (they start at byte
+            // 18), or short of the values a chunk holds.
+            let mut bad = bytes.clone();
+            bad[18..26].copy_from_slice(&u64::MAX.to_le_bytes());
+            refused(&bad, TILE + 1, "a length that wraps the cursor");
+            let len0 = u64::from_le_bytes(bytes[18..26].try_into().unwrap());
+            let mut bad = bytes.clone();
+            bad[18..26].copy_from_slice(&(len0 + 1).to_le_bytes());
+            refused(&bad, TILE + 1, "lengths that sum past the stream");
+            let mut bad = bytes.clone();
+            bad[18..26].copy_from_slice(&(len0 / 2).to_le_bytes());
+            bad[26..34].copy_from_slice(&(len0 / 2).to_le_bytes());
+            refused(&bad, TILE + 1, "lengths that cut the first chunk short");
+        }
     }
 }

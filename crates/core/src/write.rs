@@ -13,7 +13,7 @@ use canopus_mesh::{FieldStats, TriMesh};
 use canopus_obs::{names, stage, stage_child, Registry, SpanContext};
 use canopus_refactor::decimate::decimate;
 use canopus_refactor::mapping::build_mapping;
-use canopus_refactor::{compute_delta, Estimator};
+use canopus_refactor::{compute_delta, Estimator, TILE};
 use canopus_storage::{ProductKind, SimDuration, StorageHierarchy};
 use crossbeam::channel;
 use rayon::prelude::*;
@@ -124,23 +124,6 @@ impl WriteReport {
                     .sum(),
             )
     }
-}
-
-/// Minimum stream length worth chunk-framing; below this the framing
-/// header and thread hand-off outweigh any decode parallelism.
-pub(crate) const CHUNK_MIN_ELEMS: usize = 4096;
-
-/// Chunk size (in elements) for compressing an `n`-value product
-/// stream, or `None` for a stream too short to frame. The grain is one
-/// chunk per core; chunks never shrink below 512 elements.
-pub(crate) fn codec_chunk_elems(n: usize) -> Option<usize> {
-    if n < CHUNK_MIN_ELEMS {
-        return None;
-    }
-    let cores = std::thread::available_parallelism()
-        .map(|c| c.get())
-        .unwrap_or(1);
-    Some(n.div_ceil(cores).max(512))
 }
 
 /// Contiguous vertex-index ranges for splitting a delta of `n` values
@@ -594,24 +577,28 @@ impl Canopus {
     }
 }
 
-/// Compress one value stream through the configured codec: chunk-framed
-/// via [`Chunked`] when the stream is large enough, so its chunks
-/// (de)compress across cores. The observed codec sits inside the
-/// framing, keeping per-chunk metrics under the payload codec's name;
-/// the flag bit in the returned codec id tells the reader which framing
-/// to expect.
-fn compress_stream(
+/// Compress one value stream through the configured codec: a stream
+/// longer than one [`TILE`] is chunk-framed via [`Chunked`] at exactly
+/// `TILE` values a chunk (the last one shorter), so its chunks
+/// (de)compress across cores and a reader restores each chunk as it
+/// decodes it; a shorter stream is stored unframed. The grain is a
+/// constant, so the stored bytes do not depend on the writer's core
+/// count. The observed codec sits inside the framing, keeping per-chunk
+/// metrics under the payload codec's name; the flag bit in the returned
+/// codec id tells the reader which framing to expect.
+pub(crate) fn compress_stream(
     values: &[f64],
     codec_kind: CodecKind,
     obs: &Arc<Registry>,
 ) -> Result<(Vec<u8>, u8), CanopusError> {
     let codec = ObservedCodec::new(codec_kind.build(), Arc::clone(obs));
-    match codec_chunk_elems(values.len()) {
-        Some(chunk_elems) => Ok((
-            Chunked::new(codec, chunk_elems).compress(values)?,
+    if values.len() > TILE {
+        Ok((
+            Chunked::new(codec, TILE).compress(values)?,
             codec_kind.id() | CHUNKED_CODEC_ID_FLAG,
-        )),
-        None => Ok((codec.compress(values)?, codec_kind.id())),
+        ))
+    } else {
+        Ok((codec.compress(values)?, codec_kind.id()))
     }
 }
 

@@ -61,15 +61,20 @@ pub fn restore_level(
     values
 }
 
-/// Values per task of [`restore_in_place`]. Fixed, so that the sum it
-/// returns does not depend on how many cores ran it.
-const RESTORE_GRAIN: usize = 1 << 16;
+/// Values in one tile, the one grain of a refinement step from codec to
+/// restore. The writer frames every codec stream longer than a tile into
+/// chunks of exactly `TILE` values, and [`restore_in_place`] runs one
+/// task per tile, so a reader can decode and restore each tile in one
+/// pass ([`restore_tile`]). Fixed, so that neither the stored bytes nor
+/// the squares sum depend on how many cores made them.
+pub const TILE: usize = 1 << 16;
 
 /// [`restore_level`] where the delta lies: `values` holds `delta^{l-(l+1)}`
 /// on entry and `L^l` on return, each value touched once. Of the coarse
 /// level it takes the triangles' corner ids and the data, and whatever
 /// `weights` carries. Returns the sum of the squared deltas (for the
-/// paper's adjacent-level RMS), accumulated in the same pass.
+/// paper's adjacent-level RMS), accumulated in the same pass: one
+/// [`restore_tile`] per [`TILE`], their sums added in tile order.
 ///
 /// # Panics
 /// Panics if `mapping` is not one entry per value, or names a triangle
@@ -83,22 +88,49 @@ pub fn restore_in_place(
 ) -> f64 {
     assert_eq!(mapping.len(), values.len());
     values
-        .par_chunks_mut(RESTORE_GRAIN)
+        .par_chunks_mut(TILE)
         .enumerate()
-        .map(|(task, values)| {
-            let first = task * RESTORE_GRAIN;
-            let mut squares = 0.0;
-            for (at, (value, &tri)) in values.iter_mut().zip(&mapping[first..]).enumerate() {
-                let delta = *value;
-                squares += delta * delta;
-                let corners = coarse_triangles[tri as usize];
-                *value = delta + weights.estimate(first + at, corners, coarse_data);
-            }
-            squares
+        .map(|(tile, values)| {
+            restore_tile(
+                values,
+                tile * TILE,
+                coarse_triangles,
+                coarse_data,
+                mapping,
+                weights,
+            )
         })
         .collect::<Vec<f64>>()
         .iter()
         .sum()
+}
+
+/// One tile of [`restore_in_place`]: `values` are the level's values
+/// from global index `first` on, delta on entry and restored on return.
+/// `mapping` is the whole level's, and `first` is also what
+/// [`Weights::Barycentric`] reads the fine point by. Returns the tile's
+/// sum of squared deltas.
+///
+/// # Panics
+/// Panics if `mapping` has no entry for some value, or names a triangle
+/// `coarse_triangles` does not have, or a corner is beyond `coarse_data`.
+pub fn restore_tile(
+    values: &mut [f64],
+    first: usize,
+    coarse_triangles: &[[VertexId; 3]],
+    coarse_data: &[f64],
+    mapping: &[u32],
+    weights: Weights<'_>,
+) -> f64 {
+    let mapping = &mapping[first..first + values.len()];
+    let mut squares = 0.0;
+    for (at, (value, &tri)) in values.iter_mut().zip(mapping).enumerate() {
+        let delta = *value;
+        squares += delta * delta;
+        let corners = coarse_triangles[tri as usize];
+        *value = delta + weights.estimate(first + at, corners, coarse_data);
+    }
+    squares
 }
 
 #[cfg(test)]
@@ -178,6 +210,31 @@ mod tests {
                 (squares - direct).abs() <= 1e-12 * direct,
                 "{squares} vs {direct}"
             );
+        }
+    }
+
+    #[test]
+    fn tiles_restored_one_by_one_give_the_bits_of_the_whole_pass() {
+        let (fine, data, coarse, cdata, mapping) = setup();
+        for estimator in [Estimator::Mean, Estimator::Barycentric] {
+            let delta = compute_delta(&fine, &data, &coarse, &cdata, &mapping, estimator);
+            let weights = estimator.weights(fine.points(), coarse.points());
+            let mut whole = delta.clone();
+            restore_in_place(&mut whole, coarse.triangles(), &cdata, &mapping, weights);
+            // Uneven pieces: each reads its fine points from `first` on.
+            let mut pieces = delta.clone();
+            for (piece, values) in pieces.chunks_mut(37).enumerate() {
+                restore_tile(
+                    values,
+                    piece * 37,
+                    coarse.triangles(),
+                    &cdata,
+                    &mapping,
+                    weights,
+                );
+            }
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&pieces), bits(&whole), "{estimator:?}");
         }
     }
 

@@ -39,7 +39,7 @@ pub mod mapping;
 pub mod pqueue;
 
 pub use decimate::{decimate, DecimationResult};
-pub use delta::{compute_delta, restore_in_place, restore_level};
+pub use delta::{compute_delta, restore_in_place, restore_level, restore_tile, TILE};
 pub use estimate::{Estimator, Weights};
 pub use levels::{LevelHierarchy, RefactorConfig};
 pub use mapping::build_mapping;

@@ -134,7 +134,9 @@ fn walks_longer_than_the_prefetch_queue_restore_identically() {
 /// pipelined engine's parallel decode stage handles multi-chunk streams.
 #[test]
 fn chunked_streams_restore_identically() {
-    let ds = xgc1_dataset_sized(64, 80, 5); // > 4096 vertices: chunk-framed
+    // 82 000 vertices: level 0's delta is longer than one tile, so framed.
+    let ds = xgc1_dataset_sized(40, 2000, 5);
+    assert!(ds.data.len() > canopus_refactor::TILE);
     let canopus = written(&ds, RelativeCodec::Fpc, 4);
     let a = reference(&canopus, &ds, 0);
     let b = pipelined_reader(&canopus)

@@ -654,6 +654,74 @@ fn a_rewrite_is_refused_and_leaves_the_stored_file_untouched() {
     assert_eq!(restored(&canopus), want);
 }
 
+/// The digest of every stored object ([`digest`]) and a `checksum64` of
+/// level 0's restored bits, for an input above the framing threshold:
+/// 82 000 vertices in three levels, so level 0's delta spans two tiles.
+fn framed_case_digests() -> (u64, u64) {
+    let ds = xgc1_dataset_sized(40, 2000, 11);
+    let canopus = written(&ds.mesh, &ds.data, codec("zfp"), 3, 1);
+    let level0 = canopus
+        .open("eq.bp")
+        .expect("open")
+        .read_level("v", 0)
+        .expect("restore");
+    let restored: Vec<u8> = level0.data.iter().flat_map(|x| x.to_le_bytes()).collect();
+    (digest(&canopus), checksum64(&restored))
+}
+
+/// [`framed_case_digests`], pinned.
+const FRAMED_CASE: (u64, u64) = (0xdd897ae2a678ced6, 0x08f511f5b5716c3b);
+
+/// The same write on one CPU stores the same bytes and restores the same
+/// bits as on however many this process has: the codec framing grain is
+/// a constant, not a share of the writer's cores. The one-CPU write runs
+/// in a child process of this test binary, started under `taskset -c 0`
+/// ([`framed_write_on_this_process_cpus`] prints what it got).
+#[test]
+fn stored_bytes_and_restored_bits_do_not_depend_on_the_core_count() {
+    let here = framed_case_digests();
+    let child = std::process::Command::new("taskset")
+        .args(["-c", "0"])
+        .arg(std::env::current_exe().expect("this test binary"))
+        .args([
+            "framed_write_on_this_process_cpus",
+            "--exact",
+            "--ignored",
+            "--nocapture",
+        ])
+        .output()
+        .expect("taskset starts the one-CPU write");
+    let stdout = String::from_utf8_lossy(&child.stdout);
+    assert!(child.status.success(), "the one-CPU write failed: {stdout}");
+    // The harness prints the test's name on the line the print lands on.
+    let line = stdout
+        .lines()
+        .find_map(|l| l.split_once("framed write: "))
+        .map(|(_, digests)| digests)
+        .unwrap_or_else(|| panic!("no digests in the child's output: {stdout}"));
+    let words: Vec<&str> = line.split_whitespace().collect();
+    let [cpus, stored, bits] = words[..] else {
+        panic!("unreadable digests: {line}")
+    };
+    assert_eq!(cpus, "1", "the child ran on one CPU");
+    let hex = |w: &str| u64::from_str_radix(w.trim_start_matches("0x"), 16).expect("hex");
+    assert_eq!(hex(stored), here.0, "stored bytes differ at one CPU");
+    assert_eq!(hex(bits), here.1, "level 0's bits differ at one CPU");
+    assert_eq!(here, FRAMED_CASE, "the pinned digests moved");
+}
+
+/// The framed write of [`framed_case_digests`] on the CPUs this process
+/// may use: prints their count and the digests for
+/// [`stored_bytes_and_restored_bits_do_not_depend_on_the_core_count`],
+/// which runs it on one.
+#[test]
+#[ignore = "run on one CPU by stored_bytes_and_restored_bits_do_not_depend_on_the_core_count"]
+fn framed_write_on_this_process_cpus() {
+    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let (stored, bits) = framed_case_digests();
+    println!("framed write: {cpus} {stored:#x} {bits:#x}");
+}
+
 fn bits(data: &[f64]) -> Vec<u64> {
     data.iter().map(|x| x.to_bits()).collect()
 }
