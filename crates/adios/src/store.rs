@@ -3,7 +3,9 @@
 
 use crate::meta::{checksum64, AdiosError, BlockMeta, ChunkEntry, FileMeta, VarMeta};
 use bytes::Bytes;
-use canopus_storage::{choose_tier, ProductKind, SimDuration, StorageHierarchy, WriteBehind};
+use canopus_storage::{
+    choose_tier, ProductKind, SimDuration, StorageError, StorageHierarchy, WriteBehind,
+};
 use std::sync::Arc;
 
 /// Key of the global metadata object for a file.
@@ -103,20 +105,21 @@ impl BpStore {
     }
 
     /// Publish a file's global metadata object on the fastest tier that
-    /// can hold it (it is tiny and every open touches it first).
+    /// can hold it (it is tiny and every open touches it first), through
+    /// the hierarchy's reservation ledger like every block.
     fn write_file_meta(&self, file: &str, meta: &FileMeta) -> Result<SimDuration, AdiosError> {
         let meta_bytes = Bytes::from(meta.to_bytes());
-        for tier in 0..self.hierarchy.num_tiers() {
-            let dev = self.hierarchy.tier_device(tier)?;
-            if (dev.available() as usize) >= meta_bytes.len() {
-                return Ok(self
-                    .hierarchy
-                    .write_to_tier(tier, &meta_key(file), meta_bytes)?);
-            }
-        }
-        Err(AdiosError::Storage(
-            canopus_storage::StorageError::PlacementFailed("no room for metadata".into()),
-        ))
+        let len = meta_bytes.len() as u64;
+        let h = &self.hierarchy;
+        let tier = h.reserve_with(len, |reserved| {
+            (0..h.num_tiers())
+                .find(|&t| {
+                    h.tier_device(t)
+                        .is_ok_and(|dev| dev.available().saturating_sub(reserved(t)) >= len)
+                })
+                .ok_or_else(|| StorageError::PlacementFailed("no room for metadata".into()))
+        })?;
+        Ok(h.land_reserved(tier, &meta_key(file), meta_bytes)?)
     }
 
     /// Start a write — the only way a file reaches the tiers. Blocks are
@@ -191,8 +194,8 @@ impl StreamingWrite {
         let key = block_key(&self.file, &b.var, b.kind);
         let len = b.data.len();
         let hierarchy = &self.store.hierarchy;
-        let tier = self.writeback.reserve_with(len as u64, |pending| {
-            choose_tier(hierarchy, b.kind, len, self.num_levels, &key, pending)
+        let tier = hierarchy.reserve_with(len as u64, |reserved| {
+            choose_tier(hierarchy, b.kind, len, self.num_levels, &key, reserved)
         })?;
         record_block(&mut self.vars, key.clone(), &b);
         self.stored.push(StoredBlock {
@@ -298,37 +301,6 @@ impl BpFile {
             });
         }
         Ok((bytes, tier, dt))
-    }
-
-    /// Plan the data blocks a restore walk needs, in fetch order: for
-    /// each refinement step `finer = from_level - 1` down to `to_level`,
-    /// the shard objects of the delta refining into `finer`, in shard
-    /// order (each carries its chunk index in [`BlockMeta::chunks`]).
-    /// This is the work-list the pipelined reader's prefetch stage walks
-    /// ahead of the decoder.
-    pub fn restore_plan(
-        &self,
-        var: &str,
-        from_level: u32,
-        to_level: u32,
-    ) -> Result<Vec<(u32, Vec<BlockMeta>)>, AdiosError> {
-        if to_level > from_level {
-            return Err(AdiosError::NotFound(format!(
-                "restore plan runs coarse to fine: {from_level} -> {to_level}"
-            )));
-        }
-        let v = self.inq_var(var)?;
-        let mut plan = Vec::with_capacity((from_level - to_level) as usize);
-        for finer in (to_level..from_level).rev() {
-            let blocks: Vec<BlockMeta> = v.delta_shards_to(finer).into_iter().cloned().collect();
-            if blocks.is_empty() {
-                return Err(AdiosError::NotFound(format!(
-                    "delta to level {finer} of {var}"
-                )));
-            }
-            plan.push((finer, blocks));
-        }
-        Ok(plan)
     }
 }
 
@@ -507,23 +479,6 @@ mod tests {
     }
 
     #[test]
-    fn restore_plan_orders_deltas_coarse_to_fine() {
-        let s = store();
-        write(&s, "f.bp", sample_blocks());
-        let f = s.open("f.bp").unwrap();
-        let plan = f.restore_plan("dpot", 2, 0).unwrap();
-        assert_eq!(plan.len(), 2);
-        assert_eq!(plan[0].0, 1);
-        assert_eq!(plan[1].0, 0);
-        assert!(plan.iter().all(|(_, blocks)| blocks.len() == 1));
-        assert_eq!(plan[0].1[0].key, "f.bp/dpot/s1-2.0");
-        // Empty walk, inverted walk, unknown delta.
-        assert!(f.restore_plan("dpot", 0, 0).unwrap().is_empty());
-        assert!(f.restore_plan("dpot", 0, 2).is_err());
-        assert!(f.restore_plan("nope", 2, 0).is_err());
-    }
-
-    #[test]
     fn streaming_write_matches_one_block_at_a_time_byte_for_byte() {
         let a = store();
         let b = store();
@@ -649,7 +604,7 @@ mod tests {
         assert!(s.exists("f.bp"));
         let f = s.open("f.bp").unwrap();
         assert!(f.inq_var("nope").is_err());
-        assert!(f.restore_plan("dpot", 8, 7).is_err());
+        assert!(f.inq_var("dpot").unwrap().delta_shards_to(7).is_empty());
     }
 
     #[test]
@@ -851,22 +806,23 @@ mod tests {
     }
 
     #[test]
-    fn restore_plan_returns_shards_with_chunk_index() {
+    fn delta_shards_keep_their_chunk_index_through_a_write() {
         let s = store();
         // Base + two-chunk shard for level 1, one-chunk delta for level 0.
         let mut blocks = sample_blocks();
         blocks[1] = shard_block();
         write(&s, "f.bp", blocks);
         let f = s.open("f.bp").unwrap();
-        let plan = f.restore_plan("dpot", 2, 0).unwrap();
-        assert_eq!(plan.len(), 2);
-        assert_eq!(plan[0].0, 1);
+        let v = f.inq_var("dpot").unwrap();
+        let to_1 = v.delta_shards_to(1);
+        assert_eq!(to_1.len(), 1);
         assert!(matches!(
-            plan[0].1[0].kind,
+            to_1[0].kind,
             ProductKind::DeltaShard { shard: 0, .. }
         ));
-        assert_eq!(plan[0].1[0].chunks.len(), 2);
-        assert_eq!(plan[1].0, 0);
-        assert_eq!(plan[1].1[0].chunks.len(), 1);
+        assert_eq!(to_1[0].key, "f.bp/dpot/s1-2.0");
+        assert_eq!(to_1[0].chunks.len(), 2);
+        assert_eq!(v.delta_shards_to(0)[0].chunks.len(), 1);
+        assert!(v.delta_shards_to(2).is_empty());
     }
 }

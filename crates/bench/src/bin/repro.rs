@@ -350,7 +350,7 @@ fn fig8(scale: Scale, seed: u64) {
 fn endtoend_table(name: &str, rows: &[endtoend::EndToEndRow], with_detect: bool) {
     // Phase columns sum simulated I/O with measured CPU work; the two
     // "wall" columns are the measured clock alone, which undercuts the
-    // sum when the pipelined engine overlaps stages.
+    // sum when a step's tiles decode and restore in parallel.
     let mut headers = vec!["ratio", "I/O", "decompress", "restore"];
     if with_detect {
         headers.push("blob detect");

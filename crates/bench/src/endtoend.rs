@@ -90,8 +90,8 @@ pub struct EndToEndRow {
     /// only the Canopus phases).
     pub detect_secs: f64,
     /// Panel (a) measured wall clock. The phase fields above are sums
-    /// (I/O simulated); when the pipelined engine overlaps stages this
-    /// measured figure undercuts the sum.
+    /// (I/O simulated, decode and restore summed over a step's parallel
+    /// tiles), so this measured figure can undercut the sum.
     pub elapsed_secs: f64,
     /// Panel (b): time to restore full accuracy from this ratio's base.
     pub full_restore_secs: f64,

@@ -1197,7 +1197,7 @@ mod tests {
         let snap = canopus::MetricsSnapshot::from_json_str(&text).unwrap();
         assert_eq!(snap.counter(canopus_obs::names::READ_CACHE_MISSES), 0);
         assert_eq!(snap.counter(canopus_obs::names::READ_CACHE_HITS), 0);
-        assert_eq!(snap.counter(canopus_obs::names::READ_PIPELINED_RESTORES), 1);
+        assert_eq!(snap.counter(canopus_obs::names::READ_WALKS), 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -1,16 +1,17 @@
-//! The read-side pipeline: retrieve → decompress → restore (paper Fig. 1,
-//! right half), with the Fig. 9–11 phase timing breakdown.
+//! The read side: retrieve → decompress → restore (paper Fig. 1, right
+//! half, and Alg. 3), with the Fig. 9–11 phase timing breakdown.
 //!
-//! A level walk runs on one pipelined engine: a bounded prefetch stage
-//! (tier reads issued ahead of need through a crossbeam channel), a
-//! parallel decode pool, and a restore stage that loads each level's
-//! geometry while the pool decodes and applies a level the moment its
-//! last block lands instead of waiting for a full-walk barrier. Single
-//! steps ([`CanopusReader::refine_once`],
-//! [`CanopusReader::refine_region`]) fetch on the calling thread; of a
-//! level stored as one spatial chunk (the default layout) they decode
-//! and restore each 64 Ki-value tile in one parallel pass
-//! (`decode_restore_tiles`).
+//! Every refinement is one step, `refine_step`: fetch the delta that
+//! refines a level into the next finer one, decode it and restore. Of a
+//! level stored as one spatial chunk (the default layout) the step
+//! decodes and restores each 64 Ki-value tile in one parallel pass
+//! (`decode_restore_tiles`), so the values are restored while still in
+//! cache and on every core. A level walk ([`CanopusReader::read_level`])
+//! is a coarse-to-fine loop over that step, with one loader thread
+//! fetching the target level's geometry meanwhile; a single step
+//! ([`CanopusReader::refine_once`]) is one iteration of it.
+//! [`CanopusReader::refine_region`] prunes the step to the chunks a
+//! region touches.
 //!
 //! Every restored level feeds one decoded-level LRU cache, so campaign
 //! analytics that revisit a `(var, level)` pair skip tier I/O and
@@ -38,7 +39,6 @@ use canopus_mesh::geometry::Point2;
 use canopus_mesh::{Aabb, TriMesh, VertexId};
 use canopus_obs::{names, stage, stage_child, FieldValue, Registry, SpanContext};
 use canopus_refactor::{restore_in_place, restore_tile, Estimator, Weights};
-use crossbeam::channel;
 use parking_lot::Mutex;
 use rayon::prelude::*;
 use std::collections::HashMap;
@@ -52,19 +52,18 @@ use std::time::Instant;
 /// restoration (measured wall time). Figs. 9a/10a/11a stack exactly these.
 ///
 /// `total()` sums the three phases — the cost model of a serial pipeline.
-/// `elapsed_secs` is the *measured wall clock* of the same operation
-/// (summed per step for multi-step walks). When the pipelined engine
-/// overlaps stages, the phase sums keep their per-stage meaning while
-/// `elapsed_secs` shrinks below the wall-clock portion of `total()` —
-/// the gap is exported as [`names::READ_OVERLAP`].
+/// `elapsed_secs` is the *measured wall clock* of the same operation.
+/// The decode and restore rows are CPU seconds summed over the tiles of
+/// a step's parallel pass, so on several cores they can exceed
+/// `elapsed_secs`.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PhaseTiming {
     pub io_secs: f64,
     pub decompress_secs: f64,
     pub restore_secs: f64,
-    /// Measured wall-clock seconds of the operation (phase sums above
-    /// can exceed this when stages overlap, and `io_secs` is simulated
-    /// device time rather than wall time).
+    /// Measured wall-clock seconds of the operation (the phase sums
+    /// above can exceed this when tiles restore in parallel, and
+    /// `io_secs` is simulated device time rather than wall time).
     pub elapsed_secs: f64,
 }
 
@@ -242,18 +241,10 @@ impl Walk {
         }
     }
 
-    /// Step to `next`; returns the field buffer of the level left
-    /// behind — unless that was the start, or the decoded-level cache
-    /// holds the buffer too.
-    fn advance(&mut self, next: Restored) -> Option<Vec<f64>> {
+    /// Step to `next`, keeping the level the walk started from.
+    fn advance(&mut self, next: Restored) {
         let left = std::mem::replace(&mut self.cur, next);
-        match self.start {
-            None => {
-                self.start = Some(left);
-                None
-            }
-            Some(_) => Arc::into_inner(left.data),
-        }
+        self.start.get_or_insert(left);
     }
 }
 
@@ -323,81 +314,6 @@ pub struct CanopusReader {
     /// Pre-resolved [`names::READ_GEOMETRY_PARSE`]: recorded from the
     /// loader thread, which is to allocate nothing of its own.
     geometry_parse: Arc<canopus_obs::StageTimer>,
-    /// Recycled decode output buffers: after warmup a walk's decode
-    /// workers allocate no output `Vec`s at all.
-    decode_pool: BufferPool,
-}
-
-/// A small free list of decode output buffers.
-///
-/// The pipelined walk `take`s one buffer per block on the calling
-/// thread before it spawns its stages (reusing a retired buffer's
-/// allocation when one is available) and the decode worker that gets
-/// the block sizes it; the restore stage `put`s buffers back once their
-/// values are scattered or — for a level's own buffer — once the walk
-/// has left the level behind and nothing else holds it: a level the
-/// decoded-level cache retains *is* its buffer, so that one is not
-/// recycled. Hits and misses land on [`names::READ_DECODE_BUF_HITS`] /
-/// [`names::READ_DECODE_BUF_MISSES`], so steady-state zero-allocation
-/// behavior is observable.
-///
-/// The allocation stays off the workers on purpose: a freshly spawned
-/// thread is handed whichever malloc arena is free, so a multi-megabyte
-/// buffer allocated there lands on never-touched pages in some walks
-/// and on warm ones in others, and first-touch faults measured 50-100
-/// ms per 8 MB on the benchmark's target. The caller's heap is the one
-/// every walk reuses.
-struct BufferPool {
-    bufs: Mutex<Vec<Vec<f64>>>,
-    hits: Arc<canopus_obs::Counter>,
-    misses: Arc<canopus_obs::Counter>,
-}
-
-/// Retired buffers kept around per reader. Bounds pool memory at
-/// `DECODE_POOL_CAP * largest block` while comfortably covering a
-/// walk's blocks in flight ([`PREFETCH_DEPTH`] + one per decode worker).
-const DECODE_POOL_CAP: usize = 32;
-
-/// How many fetched-but-undecoded blocks a walk's prefetch stage may
-/// hold ahead of the decode pool.
-const PREFETCH_DEPTH: usize = 4;
-
-impl BufferPool {
-    fn new(obs: &Registry) -> Self {
-        Self {
-            bufs: Mutex::new(Vec::new()),
-            hits: obs.counter(names::READ_DECODE_BUF_HITS),
-            misses: obs.counter(names::READ_DECODE_BUF_MISSES),
-        }
-    }
-
-    /// An empty buffer with room for `n` elements, recycled if possible.
-    fn take(&self, n: usize) -> Vec<f64> {
-        let recycled = self.bufs.lock().pop();
-        match recycled {
-            Some(mut b) => {
-                self.hits.inc();
-                b.clear();
-                b.reserve_exact(n);
-                b
-            }
-            None => {
-                self.misses.inc();
-                Vec::with_capacity(n)
-            }
-        }
-    }
-
-    /// Retire a buffer for reuse (dropped instead once the pool is full).
-    fn put(&self, b: Vec<f64>) {
-        if b.capacity() == 0 {
-            return;
-        }
-        let mut bufs = self.bufs.lock();
-        if bufs.len() < DECODE_POOL_CAP {
-            bufs.push(b);
-        }
-    }
 }
 
 impl CanopusReader {
@@ -405,7 +321,6 @@ impl CanopusReader {
         let obs = Arc::clone(file.hierarchy().metrics());
         let cache_hits = obs.counter(names::READ_CACHE_HITS);
         let cache_misses = obs.counter(names::READ_CACHE_MISSES);
-        let decode_pool = BufferPool::new(&obs);
         let geometry_parse = obs.timer(names::READ_GEOMETRY_PARSE);
         Self {
             file,
@@ -417,7 +332,6 @@ impl CanopusReader {
             cache_hits,
             cache_misses,
             geometry_parse,
-            decode_pool,
         }
     }
 
@@ -872,10 +786,8 @@ impl CanopusReader {
     /// *inside* the chunk framing so per-chunk metrics still land under
     /// the real codec's name.
     ///
-    /// Decodes run inside a `decode` span under `parent` (so a walk's
-    /// worker-thread decodes still attach to their
-    /// restore root), and per-stream decode wall time feeds the
-    /// [`names::READ_DECODE_HIST`] histogram.
+    /// Decodes run inside a `decode` span under `parent`, and per-stream
+    /// decode wall time feeds the [`names::READ_DECODE_HIST`] histogram.
     fn decode_payload(
         &self,
         key: &str,
@@ -893,8 +805,7 @@ impl CanopusReader {
     /// Allocation-free core of [`Self::decode_payload`]: decodes straight
     /// into `out` (whose length is the element count) through a
     /// statically dispatched [`AnyCodec`] — no per-block codec box, no
-    /// output `Vec`. The walk's decode workers feed recycled arena
-    /// buffers here.
+    /// output `Vec`.
     fn decode_payload_into(
         &self,
         key: &str,
@@ -948,38 +859,25 @@ impl CanopusReader {
 
     /// Decode a whole block to its values in storage order: a base
     /// block decodes as one stream; a shard block decodes chunk by chunk
-    /// (each through its own codec id) and concatenates in chunk-index
-    /// order.
+    /// (each through its own codec id) straight into its span of the
+    /// block's values, in chunk-index order.
     fn decode_block_values(
         &self,
         block: &BlockMeta,
         bytes: &Bytes,
         parent: SpanContext,
     ) -> Result<Vec<f64>, CanopusError> {
-        let mut values = vec![0.0; block.elements as usize];
-        self.decode_block_values_into(block, bytes, &mut values, parent)?;
-        Ok(values)
-    }
-
-    /// In-place [`Self::decode_block_values`]: shard chunks decode
-    /// directly into their disjoint spans of `out` (no per-chunk staging
-    /// `Vec`), and `out.len()` must equal the block's element count.
-    fn decode_block_values_into(
-        &self,
-        block: &BlockMeta,
-        bytes: &Bytes,
-        out: &mut [f64],
-        parent: SpanContext,
-    ) -> Result<(), CanopusError> {
+        let mut out = vec![0.0; block.elements as usize];
         if block.chunks.is_empty() {
-            return self.decode_payload_into(
+            self.decode_payload_into(
                 &block.key,
                 block.codec_id,
                 block.codec_param,
                 bytes,
-                out,
+                &mut out,
                 parent,
-            );
+            )?;
+            return Ok(out);
         }
         let mut filled = 0usize;
         for e in &block.chunks {
@@ -1012,7 +910,7 @@ impl CanopusReader {
                 out.len()
             )));
         }
-        Ok(())
+        Ok(out)
     }
 
     /// Read the base level: the paper's option (1), the fastest path.
@@ -1053,7 +951,7 @@ impl CanopusReader {
             .clone();
         // The base's geometry costs about what its field does (each is
         // a fetch, a checksum and a decode), so a cold read loads it on
-        // a second thread meanwhile, as the pipelined walk does for its
+        // a second thread meanwhile, as the walk does for its
         // target level. A field that fails drops the loader unjoined,
         // which tells it to stop retrying.
         let (data, io, decompress, meta_io) = std::thread::scope(|s| {
@@ -1142,7 +1040,7 @@ impl CanopusReader {
             let t = Instant::now();
             let values = self.decode_block_values(block, &bytes, parent)?;
             timing.decompress_secs += t.elapsed().as_secs_f64();
-            place_shard_values(block, values, Some(assignment), &mut delta)?;
+            place_shard_values(block, &values, assignment, &mut delta)?;
         }
         Ok((delta, timing))
     }
@@ -1272,6 +1170,66 @@ impl CanopusReader {
         Ok((Arc::new(values), rms(pass.squares, n), pass))
     }
 
+    /// One refinement step, the one every read takes: fetch the delta
+    /// refining `coarse` into the next finer level, decode it and
+    /// restore (paper Alg. 3) over that level's `geometry`, loaded to
+    /// what [`Self::geometry_need`] asks for. A level stored as one
+    /// chunk is restored tile by tile as its stream decodes
+    /// ([`Self::refine_tiles`]); of a level in several chunks every shard
+    /// is fetched and decoded, its values put in vertex order
+    /// ([`Self::read_delta_values`]), and the level restored in one pass.
+    /// Block fetches and decodes attach under `parent`.
+    ///
+    /// Returns the level's data, the delta's RMS and the step's phase
+    /// rows; the caller times the step and adds its geometry I/O.
+    fn refine_step(
+        &self,
+        var: &str,
+        shards: &[&BlockMeta],
+        geometry: &LevelGeometry,
+        coarse: &Coarse<'_>,
+        parent: SpanContext,
+    ) -> Result<(Arc<Vec<f64>>, f64, PhaseTiming), CanopusError> {
+        let finer = coarse.level - 1;
+        let chunks = shards.iter().map(|b| b.chunks.len()).sum();
+        let (data, delta_rms, timing) = match Self::assignment(geometry, chunks) {
+            // One chunk: its stream is the level's delta, refined tile
+            // by tile as it decodes.
+            None => {
+                let (block, entry) = shards
+                    .iter()
+                    .flat_map(|&b| b.chunks.iter().map(move |e| (b, e)))
+                    .next()
+                    .expect("a delta has a chunk");
+                let step = self.restore_step(var, finer, geometry, coarse)?;
+                let (bytes, io) = self.read_block_observed(block, parent)?;
+                let stream = chunk_stream(block, entry, &bytes)?;
+                let (data, delta_rms, pass) =
+                    self.refine_tiles(&step, block, entry, stream, parent)?;
+                let timing = PhaseTiming {
+                    io_secs: io,
+                    decompress_secs: pass.decode_secs,
+                    restore_secs: pass.restore_secs,
+                    elapsed_secs: 0.0,
+                };
+                (data, delta_rms, timing)
+            }
+            Some(assignment) => {
+                let (delta, mut timing) =
+                    self.read_delta_values(shards, &assignment, geometry.num_vertices(), parent)?;
+                let (data, delta_rms, restore) =
+                    self.apply_delta(var, finer, geometry, delta, coarse)?;
+                timing.restore_secs += restore;
+                (data, delta_rms, timing)
+            }
+        };
+        self.obs
+            .timer(names::READ_RESTORE)
+            .record_wall(timing.restore_secs);
+        self.obs.counter(names::READ_REFINEMENTS).inc();
+        Ok((data, delta_rms, timing))
+    }
+
     /// Refine an already-restored level by one step: read + decompress
     /// `delta^{(l-1)-l}`, read the finer mesh + mapping, and restore
     /// (paper options (2)/(3)).
@@ -1318,46 +1276,12 @@ impl CanopusReader {
             }
         }
         let wall = Instant::now();
-
-        let (shards, chunks) = self.delta_shards(var, finer)?;
+        let (shards, _) = self.delta_shards(var, finer)?;
         let (geometry, meta_io) = self.geometry(var, finer, Need::Whole, parent)?;
         let coarse = Coarse::of_outcome(current);
-        let (data, delta_rms, mut timing) = match Self::assignment(&geometry, chunks) {
-            // One chunk: its stream is the level's delta, refined tile
-            // by tile as it decodes.
-            None => {
-                let (block, entry) = shards
-                    .iter()
-                    .flat_map(|&b| b.chunks.iter().map(move |e| (b, e)))
-                    .next()
-                    .expect("a delta has a chunk");
-                let step = self.restore_step(var, finer, &geometry, &coarse)?;
-                let (bytes, io) = self.read_block_observed(block, parent)?;
-                let stream = chunk_stream(block, entry, &bytes)?;
-                let (data, delta_rms, pass) =
-                    self.refine_tiles(&step, block, entry, stream, parent)?;
-                let timing = PhaseTiming {
-                    io_secs: io,
-                    decompress_secs: pass.decode_secs,
-                    restore_secs: pass.restore_secs,
-                    elapsed_secs: 0.0,
-                };
-                (data, delta_rms, timing)
-            }
-            Some(assignment) => {
-                let (delta, mut timing) =
-                    self.read_delta_values(&shards, &assignment, geometry.num_vertices(), parent)?;
-                let (data, delta_rms, restore) =
-                    self.apply_delta(var, finer, &geometry, delta, &coarse)?;
-                timing.restore_secs += restore;
-                (data, delta_rms, timing)
-            }
-        };
+        let (data, delta_rms, mut timing) =
+            self.refine_step(var, &shards, &geometry, &coarse, parent)?;
         timing.io_secs += meta_io;
-        self.obs
-            .timer(names::READ_RESTORE)
-            .record_wall(timing.restore_secs);
-        self.obs.counter(names::READ_REFINEMENTS).inc();
         timing.elapsed_secs = wall.elapsed().as_secs_f64();
 
         if exact {
@@ -1612,9 +1536,8 @@ impl CanopusReader {
     /// measure for `target_level = 0`.
     ///
     /// Consults the decoded-level cache first: an exact hit answers with
-    /// zero I/O, and otherwise the walk starts from the nearest cached
-    /// coarser level (or the base), on the pipelined engine
-    /// ([`Self::restore_walk_pipelined`]).
+    /// zero I/O, and otherwise the walk ([`Self::restore_walk`]) starts
+    /// from the nearest cached coarser level (or the base).
     pub fn read_level(&self, var: &str, target_level: u32) -> Result<ReadOutcome, CanopusError> {
         let n = self.num_levels();
         if target_level >= n {
@@ -1623,8 +1546,9 @@ impl CanopusReader {
             )));
         }
         // The root of this call's span tree: every block fetch, decode
-        // (including decode-pool workers on other threads), restore and
-        // retry/fault event of the walk nests beneath it.
+        // (a tile pass's included), restore, geometry load (the loader
+        // thread's included) and retry/fault event of the walk nests
+        // beneath it.
         let root = stage!(self.obs, "read", var = var, level = target_level);
         let ctx = root.context();
         let base_level = n - 1;
@@ -1657,7 +1581,7 @@ impl CanopusReader {
         if start.level == target_level {
             return self.outcome(var, start, ctx);
         }
-        self.restore_walk_pipelined(var, start, target_level, ctx)
+        self.restore_walk(var, start, target_level, ctx)
     }
 
     /// Mark `outcome` as the degraded answer to a request for
@@ -1728,50 +1652,29 @@ impl CanopusReader {
         }
     }
 
-    /// The restore engine. Three stages run concurrently, connected by
-    /// bounded channels:
+    /// The level walk: from `start`, one [`Self::refine_step`] per
+    /// level, coarse to fine, on the calling thread. Before each step it
+    /// loads what the level's restore consumes of its geometry (see
+    /// [`Self::geometry_need`]); every restored level enters the
+    /// decoded-level cache.
     ///
-    /// 1. **Prefetch** — one producer thread walks the restore plan in
-    ///    fetch order, issuing tier reads up to [`PREFETCH_DEPTH`] blocks
-    ///    ahead of the decoder ([`names::READ_PREFETCH_DEPTH`] tracks
-    ///    the queue, its `_PEAK` twin the high-water mark);
-    /// 2. **Decode** — a worker pool decompresses payloads in parallel,
-    ///    in whatever order they arrive;
-    /// 3. **Restore** — the calling thread takes the levels coarse to
-    ///    fine: it loads what the level's restore consumes of its
-    ///    geometry (fetch, verify, parse; see [`Self::geometry_need`])
-    ///    while the workers decode, scatters that level's decoded blocks,
-    ///    and applies it the moment its last block lands: level `l`
-    ///    restores while the geometry and the deltas of level `l - 1` are
-    ///    still in flight. The level is restored where its delta was
-    ///    decoded, and the buffer of the level before it goes back to the
-    ///    decode pool.
-    ///
-    /// Beside them one **loader** thread
+    /// Beside it one **loader** thread
     /// ([`Self::load_geometry_off_thread`]) loads the target level's
     /// geometry whole from the start of the walk — the largest object a
     /// cold walk moves, and one that depends on nothing the walk
-    /// computes — into arrays this thread allocated. Stage 3 restores
+    /// computes — into arrays this thread allocated. The walk restores
     /// the target as soon as the loader has published its topology and
     /// waits for the coordinates only once the walk is done. The
-    /// loader's result is the target level's geometry result: stage 3
+    /// loader's result is the target level's geometry result: the walk
     /// never fetches what the loader set out to, and a walk that ends
     /// short of the target, or in an error, tells the loader to stop at
     /// its next fault.
     ///
-    /// The plan comes from the manifest alone, so all of them start
-    /// before any geometry has moved. Phase sums in the returned
-    /// [`PhaseTiming`] keep their per-stage meaning, so the overlap won
-    /// shows up as `total() - elapsed_secs` and is exported under
-    /// [`names::READ_OVERLAP`]. Every restored level enters the
-    /// decoded-level cache.
-    ///
     /// Fault-class failures that outlast the per-block retry budget —
-    /// on a delta, which stops the prefetcher, or on a level's geometry
-    /// — end the walk at the finest level already applied, returned
-    /// with [`ReadOutcome::degraded`] set (see [`Self::finish_walk`])
-    /// instead of an error.
-    fn restore_walk_pipelined(
+    /// on a delta or on a level's geometry — end the walk at the finest
+    /// level already restored, returned with [`ReadOutcome::degraded`]
+    /// set (see [`Self::finish_walk`]) instead of an error.
+    fn restore_walk(
         &self,
         var: &str,
         start: Restored,
@@ -1781,126 +1684,14 @@ impl CanopusReader {
         let wall = Instant::now();
         let mut timing = start.timing;
 
-        let plan = self.file.restore_plan(var, start.level, target_level)?;
-        let mut levels: Vec<LevelProgress> = Vec::with_capacity(plan.len());
-        let mut jobs: Vec<RestoreJob> = Vec::new();
-        for (level_idx, (finer, blocks)) in plan.into_iter().enumerate() {
-            levels.push(LevelProgress {
-                finer,
-                // A shard spans several chunks; the assignment covers
-                // the level's full chunk population, not the block
-                // count.
-                chunks: blocks.iter().map(|b| b.chunks.len()).sum(),
-                remaining: blocks.len(),
-                early: Vec::new(),
-            });
-            jobs.extend(blocks.into_iter().map(|block| RestoreJob {
-                level_idx,
-                out: Mutex::new(self.decode_pool.take(block.elements as usize)),
-                block,
-            }));
-        }
-        let total_jobs = jobs.len();
-
-        // Stage 3 is the critical path (geometry parse, scatter and
-        // restore all run on this thread), so it keeps a core to itself
-        // and the decode pool gets the others; a worker on every core
-        // leaves it to the scheduler which of them stage 3 displaces.
-        let workers = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .saturating_sub(1)
-            .max(1)
-            .min(total_jobs);
-
-        let (fetch_tx, fetch_rx) = channel::bounded::<Fetched>(PREFETCH_DEPTH);
-        // Sized so decode-pool sends can never block: an early return on
-        // the restore side then cannot deadlock the workers.
-        let (done_tx, done_rx) = channel::bounded::<Decoded>(total_jobs + workers + 1);
-        let depth_gauge = self.obs.gauge(names::READ_PREFETCH_DEPTH);
-        let peak_gauge = self.obs.gauge(names::READ_PREFETCH_DEPTH_PEAK);
-
-        let jobs = &jobs;
-        let depth_gauge = &depth_gauge;
-
         type WalkResult = Result<(Walk, Option<CanopusError>), CanopusError>;
         let walked = std::thread::scope(|s| -> WalkResult {
             // The longest job of a cold walk starts first.
             let mut loader = self.load_geometry_off_thread(s, var, target_level, ctx)?;
-
-            // Stage 1: prefetch. Owns `fetch_tx`; dropping it on exit is
-            // what lets the decode pool drain out and shut down.
-            s.spawn(move || {
-                for (idx, job) in jobs.iter().enumerate() {
-                    let fetched = self
-                        .read_block_observed(&job.block, ctx)
-                        .map(|(bytes, io)| (idx, bytes, io, Instant::now()));
-                    let stop = fetched.is_err();
-                    depth_gauge.add(1);
-                    peak_gauge.set_max(depth_gauge.get());
-                    if fetch_tx.send(fetched).is_err() {
-                        depth_gauge.sub(1);
-                        break;
-                    }
-                    if stop {
-                        break;
-                    }
-                }
-            });
-
-            // Stage 2: decode pool. The receiver is multi-consumer, so
-            // each worker holds its own clone of the shared queue;
-            // workers exit when the producer is done and the queue is
-            // drained (recv disconnects), or when stage 3 has hung up.
-            for _ in 0..workers {
-                let done_tx = done_tx.clone();
-                let fetch_rx = fetch_rx.clone();
-                let queue_wait = self.obs.histogram(names::READ_QUEUE_WAIT_HIST);
-                s.spawn(move || {
-                    while let Ok(fetched) = fetch_rx.recv() {
-                        depth_gauge.sub(1);
-                        let decoded = fetched.and_then(|(idx, bytes, io, enqueued)| {
-                            queue_wait.observe_secs(enqueued.elapsed().as_secs_f64());
-                            let t = Instant::now();
-                            let mut values = std::mem::take(&mut *jobs[idx].out.lock());
-                            values.resize(jobs[idx].block.elements as usize, 0.0);
-                            match self.decode_block_values_into(
-                                &jobs[idx].block,
-                                &bytes,
-                                &mut values,
-                                ctx,
-                            ) {
-                                Ok(()) => Ok((idx, values, io, t.elapsed().as_secs_f64())),
-                                Err(e) => {
-                                    self.decode_pool.put(values);
-                                    Err(e)
-                                }
-                            }
-                        });
-                        if done_tx.send(decoded).is_err() {
-                            break;
-                        }
-                    }
-                });
-            }
-            // The workers hold the only senders and, with the prefetcher,
-            // the only fetch-queue handles from here on. When a fault
-            // stops the prefetcher early, the workers' exit is what
-            // disconnects `done_rx` and ends the drain below; when stage
-            // 3 returns early, dropping `done_rx` with it is what stops
-            // the workers, and their exit the prefetcher.
-            drop(done_tx);
-            drop(fetch_rx);
-            let done_rx = done_rx;
-
-            // Stage 3: geometry, scatter and restore, one level at a
-            // time on this thread. A fault-class failure ends the walk at
-            // the finest level already applied.
             let mut walk = Walk::new(start);
-            let mut fault: Option<CanopusError> = None;
-            'walk: for level_idx in 0..levels.len() {
-                let finer = levels[level_idx].finer;
-                let chunks = levels[level_idx].chunks;
+            let mut fault = None;
+            for finer in (target_level..walk.cur.level).rev() {
+                let (shards, chunks) = self.delta_shards(var, finer)?;
                 let at_target = finer == target_level;
                 let loaded = match loader.as_mut().filter(|_| at_target) {
                     // Restoring the level needs less than handing it out.
@@ -1909,71 +1700,30 @@ impl CanopusReader {
                         .map(|io| (Arc::clone(&loader.entry), io)),
                     None => self.geometry(var, finer, self.geometry_need(chunks, at_target), ctx),
                 };
-                let (geometry, meta_io) = match loaded {
-                    Ok(loaded) => loaded,
+                let stepped = loaded.and_then(|(geometry, meta_io)| {
+                    let _span = stage_child!(self.obs, ctx, "restore", var = var, level = finer);
+                    let coarse = walk.cur.as_coarse()?;
+                    let (data, delta_rms, mut step) =
+                        self.refine_step(var, &shards, &geometry, &coarse, ctx)?;
+                    step.io_secs += meta_io;
+                    Ok((geometry, data, delta_rms, step))
+                });
+                let (geometry, data, delta_rms, step) = match stepped {
+                    Ok(stepped) => stepped,
                     Err(e) if e.is_availability_fault() => {
                         fault = Some(e);
                         break;
                     }
                     Err(e) => return Err(e),
                 };
-                timing.io_secs += meta_io;
-                let assignment = Self::assignment(&geometry, chunks);
-                let mut delta = match assignment {
-                    // A one-chunk level adopts its decoded buffer whole.
-                    None => Vec::new(),
-                    Some(_) => vec![0.0; geometry.num_vertices()],
-                };
-                for (idx, values) in std::mem::take(&mut levels[level_idx].early) {
-                    self.scatter_block(&jobs[idx], values, assignment.as_deref(), &mut delta)?;
-                }
-                while levels[level_idx].remaining > 0 {
-                    let (idx, values, io, decompress) = match done_rx.recv() {
-                        Ok(Ok(decoded)) => decoded,
-                        // The prefetcher has stopped; what it had already
-                        // fetched may still complete this level.
-                        Ok(Err(e)) if e.is_availability_fault() => {
-                            fault = Some(e);
-                            continue;
-                        }
-                        Ok(Err(e)) => return Err(e),
-                        // Pipeline drained without completing the level.
-                        Err(_) => break 'walk,
-                    };
-                    timing.io_secs += io;
-                    timing.decompress_secs += decompress;
-                    let owner = jobs[idx].level_idx;
-                    levels[owner].remaining -= 1;
-                    if owner == level_idx {
-                        self.scatter_block(&jobs[idx], values, assignment.as_deref(), &mut delta)?;
-                    } else {
-                        levels[owner].early.push((idx, values));
-                    }
-                }
-
-                let span = stage_child!(self.obs, ctx, "restore", var = var, level = finer);
-                let coarse = walk.cur.as_coarse()?;
-                let (data, delta_rms, restore) =
-                    self.apply_delta(var, finer, &geometry, delta, &coarse)?;
-                drop(span);
-                timing.restore_secs += restore;
-                self.obs.timer(names::READ_RESTORE).record_wall(restore);
-                self.obs.counter(names::READ_REFINEMENTS).inc();
+                timing += step;
                 self.cache_store(var, finer, &geometry, &data, delta_rms);
-                let restored = Restored {
+                walk.advance(Restored {
                     level: finer,
                     geometry,
                     data,
                     timing: PhaseTiming::default(),
-                };
-                if let Some(retired) = walk.advance(restored) {
-                    self.decode_pool.put(retired);
-                }
-            }
-            if walk.cur.level > target_level && fault.is_none() {
-                return Err(CanopusError::Invalid(
-                    "restore pipeline terminated early".to_string(),
-                ));
+                });
             }
             // The target is restored; handing it out takes the rest of
             // what the loader set out to load.
@@ -1986,25 +1736,8 @@ impl CanopusReader {
         let (mut walk, fault) = walked?;
         timing.elapsed_secs += wall.elapsed().as_secs_f64();
         walk.cur.timing = timing;
-        let overlap = (timing.total() - timing.elapsed_secs).max(0.0);
-        self.obs.timer(names::READ_OVERLAP).record_wall(overlap);
-        self.obs.counter(names::READ_PIPELINED_RESTORES).inc();
+        self.obs.counter(names::READ_WALKS).inc();
         self.finish_walk(var, walk, target_level, fault, ctx)
-    }
-
-    /// Put one decoded shard of the level being restored where it
-    /// belongs in the level's `delta` ([`place_shard_values`]), and
-    /// retire the buffer that is left over.
-    fn scatter_block(
-        &self,
-        job: &RestoreJob,
-        values: Vec<f64>,
-        assignment: Option<&[Vec<u32>]>,
-        delta: &mut Vec<f64>,
-    ) -> Result<(), CanopusError> {
-        let retired = place_shard_values(&job.block, values, assignment, delta)?;
-        self.decode_pool.put(retired);
-        Ok(())
     }
 
     /// Conservative bounds on the values of `var` restored to `level`,
@@ -2183,20 +1916,14 @@ fn decode_restore_tiles<C: Codec>(
 
 /// Put one shard's decoded values — its chunks' values concatenated in
 /// chunk-index order, as [`CanopusReader::decode_block_values`] produces
-/// them — where they belong in the level's `delta`, and return the
-/// buffer left over. `assignment` is the level's chunk → vertex-id
-/// table ([`spatial_chunks`]); `None` is the identity assignment of a
-/// one-chunk level, whose values *are* the delta: adopted, not copied.
-/// Shared by the level walk and by [`CanopusReader::refine_once`].
+/// them — where they belong in the level's `delta`. `assignment` is the
+/// level's chunk → vertex-id table ([`spatial_chunks`]).
 fn place_shard_values(
     block: &BlockMeta,
-    values: Vec<f64>,
-    assignment: Option<&[Vec<u32>]>,
-    delta: &mut Vec<f64>,
-) -> Result<Vec<f64>, CanopusError> {
-    let Some(assignment) = assignment else {
-        return Ok(std::mem::replace(delta, values));
-    };
+    values: &[f64],
+    assignment: &[Vec<u32>],
+    delta: &mut [f64],
+) -> Result<(), CanopusError> {
     let mut pos = 0usize;
     for e in &block.chunks {
         let ids = assignment.get(e.chunk as usize).ok_or_else(|| {
@@ -2229,7 +1956,7 @@ fn place_shard_values(
             values.len()
         )));
     }
-    Ok(values)
+    Ok(())
 }
 
 /// A level's geometry being loaded, whole, off the calling thread
@@ -2280,35 +2007,6 @@ impl Drop for GeometryLoad<'_> {
         self.stop.store(true, Ordering::Relaxed);
     }
 }
-
-/// One unit of pipeline work: fetch + decode one stored block.
-struct RestoreJob {
-    level_idx: usize,
-    block: BlockMeta,
-    /// The block's decode output buffer, taken from the pool by the
-    /// calling thread; the worker that decodes the block takes it out.
-    out: Mutex<Vec<f64>>,
-}
-
-/// What the restore stage knows about one level of the walk before its
-/// geometry is loaded, all of it from the manifest.
-struct LevelProgress {
-    finer: u32,
-    /// The level's chunk count, summed over its shards' indexes.
-    chunks: usize,
-    /// Blocks of this level not yet received from the decode pool.
-    remaining: usize,
-    /// Decoded blocks `(job index, values)` that arrived while a coarser
-    /// level was still being restored.
-    early: Vec<(usize, Vec<f64>)>,
-}
-
-/// Prefetch → decode message: `(job index, payload, simulated I/O secs,
-/// enqueue instant — queue-wait time feeds
-/// [`names::READ_QUEUE_WAIT_HIST`] at worker pickup)`.
-type Fetched = Result<(usize, Bytes, f64, Instant), CanopusError>;
-/// Decode → restore message: `(job index, values, io secs, decode secs)`.
-type Decoded = Result<(usize, Vec<f64>, f64, f64), CanopusError>;
 
 #[cfg(test)]
 mod tests {
@@ -2452,51 +2150,6 @@ mod tests {
             .map(|(a, b)| (a - b).abs())
             .fold(0.0f64, f64::max);
         assert!(max_err <= 3.0 * 1e-5 * range * 2.0, "err {max_err}");
-    }
-
-    #[test]
-    fn pipelined_decode_pool_recycles_buffers() {
-        let (c, mesh, data) = setup(RelativeCodec::ZfpLike {
-            rel_tolerance: 1e-6,
-        });
-        c.write("t.bp", "v", &mesh, &data).unwrap();
-        let expect = stepwise(&c, 0);
-        // No level cache: the repeat read must run the decode pool again
-        // instead of being answered from memory.
-        let reader = c.open("t.bp").unwrap().with_level_cache(0);
-        let takes = || {
-            let snap = reader.obs.snapshot();
-            (
-                snap.counter(names::READ_DECODE_BUF_HITS),
-                snap.counter(names::READ_DECODE_BUF_MISSES),
-            )
-        };
-        // One decode buffer per delta block of the three-level file.
-        let blocks = 2;
-
-        let first = reader.read_level("v", 0).unwrap();
-        // Whether the first walk's second decode found the first one's
-        // buffer already retired depends on the schedule; that every
-        // buffer is retired once the walk's threads have joined does not.
-        let (hits, misses) = takes();
-        assert_eq!(hits + misses, blocks);
-        assert!(misses > 0, "the pool starts empty");
-        assert!(!reader.decode_pool.bufs.lock().is_empty());
-
-        let again = reader.read_level("v", 0).unwrap();
-        let (hits_again, misses_again) = takes();
-        assert_eq!(hits_again + misses_again, 2 * blocks);
-        assert!(
-            hits_again > hits,
-            "the repeat walk's first decode finds a retired buffer waiting"
-        );
-        for out in [&first, &again] {
-            assert_eq!(
-                out.data.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                expect.data.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                "arena-backed pipelined decode must match a stepwise restore"
-            );
-        }
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! The reference restore the level walk is pinned to. It shares no
-//! scheduling code with the walk — no prefetch thread, decode pool,
-//! geometry loader or decoded-level cache — only the public single-step
-//! API: the base, then one whole-domain `refine_region` per level, each
-//! fetched, decoded and applied on the calling thread.
+//! loop with the walk — no geometry loader, no decoded-level cache —
+//! only the public single-step API: the base, then one whole-domain
+//! `refine_region` per level, each fetched, decoded and applied on the
+//! calling thread.
 #![allow(dead_code)]
 
 use canopus::{Canopus, ReadOutcome};

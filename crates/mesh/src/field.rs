@@ -3,12 +3,11 @@
 //! (paper §III-C2, Fig. 4).
 
 use crate::mesh::{TriMesh, VertexId};
-use serde::{Deserialize, Serialize};
 
 /// A scalar quantity `L^l` stored at every vertex of a mesh level — the
 /// paper's "data variable" (e.g. XGC1 `dpot`, GenASiS `normVec magnitude`,
 /// CFD `pressure`).
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ScalarField {
     values: Vec<f64>,
 }
@@ -122,7 +121,7 @@ impl From<Vec<f64>> for ScalarField {
 }
 
 /// Min / max / mean / variance of a value array.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FieldStats {
     pub min: f64,
     pub max: f64,

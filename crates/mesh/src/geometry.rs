@@ -7,15 +7,13 @@
 //! tolerance policy is consistent across decimation, mapping and
 //! restoration.
 
-use serde::{Deserialize, Serialize};
-
 /// Relative tolerance used by containment tests. Point location in Canopus
 /// only has to agree with itself (the mapping is computed once at refactor
 /// time and stored), so a small epsilon margin is enough.
 pub const GEOM_EPS: f64 = 1e-12;
 
 /// A point (or vector) in the plane.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Point2 {
     pub x: f64,
     pub y: f64,
@@ -194,7 +192,7 @@ pub fn segment_distance(p: Point2, a: Point2, b: Point2) -> f64 {
 }
 
 /// Axis-aligned bounding box.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Aabb {
     pub min: Point2,
     pub max: Point2,

@@ -2,7 +2,6 @@
 
 use crate::adjacency::Adjacency;
 use crate::geometry::{Aabb, Point2, Triangle};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Index of a vertex within a [`TriMesh`]. Kept at 32 bits: the largest mesh
@@ -27,7 +26,7 @@ pub type TriId = u32;
 /// contents. There is no way to mutate a mesh in place: for arrays of
 /// your own, copy them out (`mesh.points().to_vec()`) and build a new
 /// mesh with [`TriMesh::new`].
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct TriMesh {
     points: Arc<Vec<Point2>>,
     tris: Arc<Vec<[VertexId; 3]>>,

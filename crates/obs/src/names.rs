@@ -63,29 +63,13 @@ pub const READ_CHUNKS_FETCHED: &str = "canopus.read.chunks_fetched";
 /// missed the requested region (or their values were already cached).
 pub const READ_CHUNKS_SKIPPED: &str = "canopus.read.chunks_skipped";
 
-// ---- core read path: decoded-level cache + restore pipeline ----------
+// ---- core read path: decoded-level cache + level walks -------------
 pub const READ_CACHE_HITS: &str = "canopus.read.cache_hits";
 pub const READ_CACHE_MISSES: &str = "canopus.read.cache_misses";
-/// Gauge: deepest the bounded prefetch queue ever got (fetched blocks
-/// waiting for a decoder).
-pub const READ_PREFETCH_DEPTH_PEAK: &str = "canopus.read.prefetch_depth_peak";
-/// Gauge: current number of fetched-but-undecoded blocks in the queue.
-pub const READ_PREFETCH_DEPTH: &str = "canopus.read.prefetch_depth";
-/// Timer: per-stage overlap reclaimed by the pipeline — the amount by
-/// which the sum of phase times exceeds the measured wall clock of a
-/// pipelined restore (`io + decompress + restore - elapsed`, clamped at
-/// zero). Recorded once per pipelined `read_level`.
-pub const READ_OVERLAP: &str = "canopus.read.overlap_secs";
-/// Counter: restores that went through the pipelined engine.
-pub const READ_PIPELINED_RESTORES: &str = "canopus.read.pipelined_restores";
-
-// ---- core read path: decode buffer recycling --------------------------
-/// Counter: decode output buffers served from the restore pipeline's
-/// recycling pool (steady-state decodes allocate nothing).
-pub const READ_DECODE_BUF_HITS: &str = "canopus.read.decode_buf_hits";
-/// Counter: decode output buffers freshly allocated because the pool
-/// was empty (warmup, or deeper pipelining than ever before).
-pub const READ_DECODE_BUF_MISSES: &str = "canopus.read.decode_buf_misses";
+/// Counter: level walks — `read_level` calls that restored at least one
+/// level step (a cache hit on the target, or a read of the base alone,
+/// walks nowhere).
+pub const READ_WALKS: &str = "canopus.read.walks";
 
 // ---- core read path: fault recovery ----------------------------------
 /// Counter: block fetches retried after a transient fault.
@@ -180,9 +164,6 @@ pub const TELEMETRY_SCRAPES: &str = "canopus.telemetry.scrapes";
 
 /// Histogram (wall): decode time of one block / chunk-framed stream.
 pub const READ_DECODE_HIST: &str = "canopus.read.decode_block.wall";
-/// Histogram (wall): time a fetched block waited in the bounded
-/// prefetch queue before a decode worker picked it up.
-pub const READ_QUEUE_WAIT_HIST: &str = "canopus.read.queue_wait.wall";
 /// Histogram (wall): backoff slept before each fault retry.
 pub const READ_RETRY_BACKOFF_HIST: &str = "canopus.read.retry_backoff.wall";
 /// Histogram (wall): one ranged chunk fetch off a shard object.

@@ -1,8 +1,8 @@
 //! Causal spans: RAII guards that emit one structured event on drop,
 //! carrying enough identity (`span_id`, `parent_id`, start offset,
 //! thread lane) to reassemble a per-operation span *tree* from the flat
-//! event stream — including across threads, which is what the pipelined
-//! restore/write engines need.
+//! event stream — including across threads, which is what the restore
+//! walk's geometry loader and the write pipeline's workers need.
 //!
 //! The cross-thread handle is [`SpanContext`]: a tiny `Copy` value a
 //! parent span hands to worker threads so their child spans and events

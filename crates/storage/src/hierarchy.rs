@@ -17,6 +17,12 @@
 //! lookup in the registry's maps (see `canopus_obs::Registry`) — so the
 //! cross-crate order is: reader caches → scheduler/reader-map → storage
 //! leaves, with at most one held at a time.
+//!
+//! One storage lock is not a leaf: the write **reservation ledger**
+//! ([`StorageHierarchy::reserve_with`]) is held across a placement
+//! decision, which reads the devices' free space, and across a landing
+//! ([`StorageHierarchy::land_reserved`]), which writes a device. It is
+//! taken with no other lock held, and only tier leaves nest inside it.
 
 use crate::clock::{SimClock, SimDuration};
 use crate::device::Device;
@@ -146,6 +152,9 @@ pub struct StorageHierarchy {
     /// Fast path: false ⇒ no tier has an active [`FaultPlan`], and the
     /// read/write paths skip fault bookkeeping entirely.
     faults_enabled: AtomicBool,
+    /// The write reservation ledger, one for every writer:
+    /// `reserved[tier]` = bytes decided for the tier but not yet landed.
+    reserved: Mutex<Vec<u64>>,
 }
 
 impl StorageHierarchy {
@@ -170,6 +179,7 @@ impl StorageHierarchy {
     /// own and every tier's instruments resolved.
     fn over(tiers: Vec<(TierSpec, Device)>) -> Self {
         let obs = Arc::new(Registry::new());
+        let ntiers = tiers.len();
         let tiers = tiers
             .into_iter()
             .enumerate()
@@ -188,6 +198,7 @@ impl StorageHierarchy {
             inflight_reads_peak: obs.gauge(names::STORAGE_INFLIGHT_READS_PEAK),
             obs,
             faults_enabled: AtomicBool::new(false),
+            reserved: Mutex::new(vec![0; ntiers]),
         }
     }
 
@@ -380,6 +391,54 @@ impl StorageHierarchy {
             .write
             .record(sz, wall.elapsed().as_secs_f64(), dt);
         Ok(dt)
+    }
+
+    /// Decide a tier for a block of `len` bytes and reserve them there,
+    /// as one step against every other writer's decisions and landings.
+    /// `decide` is handed `reserved(tier)`: the bytes writes in flight
+    /// have decided for the tier but not landed yet. Every streaming
+    /// write into the hierarchy reserves through this one ledger, so
+    /// concurrent writes see the capacity state that placing one block
+    /// at a time would.
+    pub fn reserve_with(
+        &self,
+        len: u64,
+        decide: impl FnOnce(&dyn Fn(usize) -> u64) -> Result<usize, StorageError>,
+    ) -> Result<usize, StorageError> {
+        let mut reserved = self.reserved.lock();
+        let tier = decide(&|t| reserved.get(t).copied().unwrap_or(0))?;
+        *reserved
+            .get_mut(tier)
+            .ok_or(StorageError::NoSuchTier(tier))? += len;
+        Ok(tier)
+    }
+
+    /// Land a block whose bytes [`Self::reserve_with`] reserved on
+    /// `tier`: write it and release the reservation as one step against
+    /// every placement decision, so none counts the bytes twice or not
+    /// at all. The reservation is released whether the write succeeds
+    /// or fails.
+    pub fn land_reserved(
+        &self,
+        tier: usize,
+        key: &str,
+        data: Bytes,
+    ) -> Result<SimDuration, StorageError> {
+        let len = data.len() as u64;
+        let mut reserved = self.reserved.lock();
+        let landed = self.write_to_tier(tier, key, data);
+        if let Some(r) = reserved.get_mut(tier) {
+            *r = r.saturating_sub(len);
+        }
+        landed
+    }
+
+    /// Give back `len` bytes reserved on `tier` for a block that will
+    /// not land.
+    pub fn release_reserved(&self, tier: usize, len: u64) {
+        if let Some(r) = self.reserved.lock().get_mut(tier) {
+            *r = r.saturating_sub(len);
+        }
     }
 
     /// Locate an object, searching fastest-first. Returns its tier index.

@@ -50,7 +50,8 @@ impl ProductKind {
 /// bypassing any without room for `len` bytes (paper: "it will be
 /// bypassed and the next tier will be selected"). Decides only; the
 /// caller writes. `pending(tier)` is the bytes already decided for a tier
-/// but not yet landed (the write-behind ledger), so a streaming caller
+/// but not yet landed (the hierarchy's reservation ledger, shared by
+/// every write), so a streaming caller
 /// that reserves decided bytes sees exactly the capacity state that
 /// placing one block at a time — zero pending, then the write — would.
 pub fn choose_tier(

@@ -1,7 +1,5 @@
 //! Tier performance/capacity descriptions.
 
-use serde::{Deserialize, Serialize};
-
 /// Static description of one storage tier.
 ///
 /// Transfer cost is modeled as `latency_s + bytes / bandwidth`; the
@@ -10,7 +8,7 @@ use serde::{Deserialize, Serialize};
 /// Lustre, campaign storage). Absolute values matter less than ratios —
 /// the paper itself notes Canopus "performs the best on a system when the
 /// performance gap between tiers is pronounced".
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TierSpec {
     /// Human-readable tier name (also used in reports).
     pub name: String,

@@ -2,14 +2,16 @@
 //!
 //! The streaming write decides a block's tier as soon as the block is
 //! encoded, but hands the device write to a per-tier worker so placement
-//! of the next block never waits on tier bandwidth. The landing ledger
-//! keeps those decisions within capacity while blocks are in flight:
-//! bytes are reserved at decision time (atomically with the decision,
-//! under the ledger lock) and released only when the device write lands,
-//! so `available - pending` always equals `capacity - (bytes decided so
+//! of the next block never waits on tier bandwidth. The hierarchy's
+//! reservation ledger keeps those decisions within capacity while
+//! blocks are in flight, across every write into the hierarchy: bytes
+//! are reserved at decision time (atomically with the decision,
+//! [`StorageHierarchy::reserve_with`]) and released when the device
+//! write lands ([`StorageHierarchy::land_reserved`]) or is given up, so
+//! `available - reserved` always equals `capacity - (bytes decided so
 //! far)`. Placing through the ledger is therefore equivalent to placing
 //! one block at a time — [`choose_tier`](crate::placement::choose_tier)
-//! with nothing pending, then the device write — and that oracle lives
+//! with nothing reserved, then the device write — and that oracle lives
 //! in the tests.
 //!
 //! The commit barrier ([`WriteBehind::finish`]) drains every queue and
@@ -36,17 +38,17 @@ struct Job {
     enqueued: Instant,
 }
 
+/// What one write has landed, for [`WriteBehind::undo`].
 struct Ledger {
-    /// `pending[tier]` = bytes decided for the tier but not yet landed.
-    pending: Vec<u64>,
     /// `(tier, key)` of every block that landed, in landing order.
     landed: Vec<(usize, String)>,
-    /// The first failed device write; its worker stopped there.
+    /// The first failed device write; nothing of the write lands after
+    /// it.
     failed: Option<StorageError>,
 }
 
 /// One write-behind worker (plus bounded queue) per tier of a shared
-/// hierarchy, with the landing ledger the streaming placer reads.
+/// hierarchy, with the write's own record of what landed.
 pub struct WriteBehind {
     hierarchy: Arc<StorageHierarchy>,
     senders: Vec<Sender<Job>>,
@@ -61,7 +63,6 @@ impl WriteBehind {
     pub fn new(hierarchy: Arc<StorageHierarchy>, queue_depth: usize) -> Self {
         let ntiers = hierarchy.num_tiers();
         let ledger = Arc::new(Mutex::new(Ledger {
-            pending: vec![0; ntiers],
             landed: Vec::new(),
             failed: None,
         }));
@@ -78,26 +79,28 @@ impl WriteBehind {
             let queue_wait = obs.histogram(names::WRITEBACK_QUEUE_WAIT_HIST);
             workers.push(std::thread::spawn(move || {
                 let mut io = SimDuration::ZERO;
+                let mut failed = None;
                 while let Ok(job) = rx.recv() {
                     queue_wait.observe_secs(job.enqueued.elapsed().as_secs_f64());
-                    let len = job.data.len() as u64;
-                    // Landing is atomic w.r.t. placement decisions: the
-                    // device write and the reservation release happen
-                    // under the same lock the placer reads through.
-                    let written = {
-                        let mut ledger = ledger.lock();
-                        let r = h.write_to_tier(tier, &job.key, job.data);
-                        ledger.pending[tier] = ledger.pending[tier].saturating_sub(len);
-                        match &r {
-                            Ok(_) => ledger.landed.push((tier, job.key)),
-                            Err(e) => _ = ledger.failed.get_or_insert_with(|| e.clone()),
+                    if failed.is_some() {
+                        // A write that failed lands nothing more: the
+                        // block's reservation goes back to every writer.
+                        h.release_reserved(tier, job.data.len() as u64);
+                    } else {
+                        match h.land_reserved(tier, &job.key, job.data) {
+                            Ok(dt) => {
+                                io += dt;
+                                ledger.lock().landed.push((tier, job.key));
+                            }
+                            Err(e) => {
+                                ledger.lock().failed.get_or_insert_with(|| e.clone());
+                                failed = Some(e);
+                            }
                         }
-                        r
-                    };
+                    }
                     worker_gauge.sub(1);
-                    io += written?;
                 }
-                Ok(io)
+                failed.map_or(Ok(io), Err)
             }));
             senders.push(tx);
             occupancy.push((gauge, obs.gauge(&names::writeback_occupancy_peak(tier))));
@@ -111,26 +114,20 @@ impl WriteBehind {
         }
     }
 
-    /// Run a placement decision against a frozen view of the landing
-    /// ledger and reserve the chosen tier's bytes atomically with it.
-    /// `decide` receives `pending(tier)` — decided-but-unlanded bytes.
-    pub fn reserve_with(
-        &self,
-        len: u64,
-        decide: impl FnOnce(&dyn Fn(usize) -> u64) -> Result<usize, StorageError>,
-    ) -> Result<usize, StorageError> {
-        let mut ledger = self.ledger.lock();
-        let pending = ledger.pending.clone();
-        let tier = decide(&|t| pending[t])?;
-        ledger.pending[tier] += len;
-        Ok(tier)
-    }
-
-    /// Queue a block for its (already reserved) tier. Blocks when the
-    /// tier's queue is full — the pipeline's backpressure. Once the
-    /// tier's worker has stopped on a failed device write, the enqueue
-    /// fails with the first failed write's own error.
+    /// Queue a block for `tier`, where its bytes were reserved
+    /// ([`StorageHierarchy::reserve_with`]). Blocks when the tier's
+    /// queue is full — the pipeline's backpressure. Once a device write
+    /// of this write has failed, the enqueue fails with that write's own
+    /// error and gives the block's reservation back.
     pub fn enqueue(&self, tier: usize, key: String, data: Bytes) -> Result<(), StorageError> {
+        let len = data.len() as u64;
+        let refuse = |e: StorageError| {
+            self.hierarchy.release_reserved(tier, len);
+            Err(e)
+        };
+        if let Some(e) = self.ledger.lock().failed.clone() {
+            return refuse(e);
+        }
         let (gauge, peak) = &self.occupancy[tier];
         gauge.add(1);
         peak.set_max(gauge.get());
@@ -141,11 +138,9 @@ impl WriteBehind {
         };
         if self.senders[tier].send(job).is_err() {
             gauge.sub(1);
-            return Err(self.ledger.lock().failed.clone().unwrap_or_else(|| {
-                StorageError::PlacementFailed(format!(
-                    "write-behind worker for tier {tier} panicked"
-                ))
-            }));
+            return refuse(StorageError::PlacementFailed(format!(
+                "write-behind worker for tier {tier} panicked"
+            )));
         }
         Ok(())
     }
@@ -221,29 +216,59 @@ mod tests {
     }
 
     #[test]
-    fn ledger_reserves_until_landing() {
+    fn the_ledger_reserves_across_writes_until_landing() {
         let h = hierarchy();
-        let mut wb = WriteBehind::new(Arc::clone(&h), 4);
-        let tier = wb
-            .reserve_with(900, |pending| {
-                assert_eq!(pending(0), 0);
+        let mut first = WriteBehind::new(Arc::clone(&h), 4);
+        let mut second = WriteBehind::new(Arc::clone(&h), 4);
+        let tier = h
+            .reserve_with(900, |reserved| {
+                assert_eq!(reserved(0), 0);
                 Ok(0)
             })
             .unwrap();
         assert_eq!(tier, 0);
-        // A second decision sees the 900 reserved bytes even though
-        // nothing was enqueued yet — tier 0 appears full.
-        wb.reserve_with(200, |pending| {
-            assert_eq!(pending(0), 900);
+        // Another write's decision sees the 900 reserved bytes even
+        // though nothing was enqueued yet — tier 0 appears full.
+        h.reserve_with(200, |reserved| {
+            assert_eq!(reserved(0), 900);
             Ok(1)
         })
         .unwrap();
-        wb.enqueue(0, "a".into(), Bytes::from(vec![0u8; 900]))
+        first
+            .enqueue(0, "a".into(), Bytes::from(vec![0u8; 900]))
             .unwrap();
-        wb.enqueue(1, "b".into(), Bytes::from(vec![0u8; 200]))
+        second
+            .enqueue(1, "b".into(), Bytes::from(vec![0u8; 200]))
             .unwrap();
-        wb.finish().unwrap();
+        first.finish().unwrap();
+        second.finish().unwrap();
         assert_eq!(h.tier_device(0).unwrap().available(), 100);
+        // Landing released both reservations.
+        h.reserve_with(0, |reserved| {
+            assert_eq!((reserved(0), reserved(1)), (0, 0));
+            Ok(0)
+        })
+        .unwrap();
+    }
+
+    #[test]
+    fn a_failed_write_gives_its_reservations_back() {
+        let h = hierarchy();
+        let mut wb = WriteBehind::new(Arc::clone(&h), 4);
+        // Reserved past the device's room: the device refuses it, and
+        // the block queued behind it lands nothing.
+        for (key, len) in [("big", 5000), ("next", 10)] {
+            let tier = h.reserve_with(len, |_| Ok(0)).unwrap();
+            // Refused once the failure is seen, which releases it too.
+            let _ = wb.enqueue(tier, key.into(), Bytes::from(vec![0u8; len as usize]));
+        }
+        assert!(wb.finish().is_err());
+        assert!(h.tier_device(0).unwrap().keys().is_empty());
+        h.reserve_with(0, |reserved| {
+            assert_eq!(reserved(0), 0, "every reservation released");
+            Ok(0)
+        })
+        .unwrap();
     }
 
     #[test]

@@ -1,7 +1,6 @@
-//! The pipelined walk plans from the manifest alone and loads each
-//! level's geometry lazily — the levels it passes on the restore thread,
-//! the level it hands out on a loader thread of its own — while the
-//! decode pool is already running. That reordering must not be
+//! The walk loads each level's geometry lazily — the levels it passes
+//! on the calling thread, the level it hands out on a loader thread of
+//! its own, started before the first step. That reordering must not be
 //! observable: the walk returns the bits of the stepwise reference
 //! (`support::stepwise_restore`) for every chunk count and issues one
 //! tier read per object the manifest says it needs, and a fault on a

@@ -230,26 +230,18 @@ fn ring_buffer_sink_captures_restore_spans() {
     assert_eq!(back.events, snap.events);
 }
 
-/// The pipelined engine and the decoded-level cache publish their
-/// metrics under the shared names, and they land in `MetricsSnapshot`
-/// exactly as `canopus metrics` will report them.
+/// The level walk and the decoded-level cache publish their metrics
+/// under the shared names, and they land in `MetricsSnapshot` exactly as
+/// `canopus metrics` will report them.
 #[test]
-fn cache_and_pipeline_metrics_land_in_snapshot() {
+fn cache_and_walk_metrics_land_in_snapshot() {
     let (canopus, ds) = written_canopus();
     let reader = canopus.open("obs.bp").expect("open"); // default engine
     reader.read_level(ds.var, 0).expect("cold restore");
 
     let snap = canopus.metrics().snapshot();
-    // One pipelined walk ran; the prefetch gauges saw it.
-    assert_eq!(snap.counter(names::READ_PIPELINED_RESTORES), 1);
-    assert!(snap.gauge(names::READ_PREFETCH_DEPTH_PEAK) >= 1);
-    assert_eq!(
-        snap.gauge(names::READ_PREFETCH_DEPTH),
-        0,
-        "prefetch queue drains back to empty"
-    );
-    // Overlap is recorded per pipelined restore (possibly zero wall).
-    assert_eq!(snap.timer(names::READ_OVERLAP).count, 1);
+    // One walk ran.
+    assert_eq!(snap.counter(names::READ_WALKS), 1);
     // Cold read: every probed level missed, nothing hit yet.
     assert!(snap.counter(names::READ_CACHE_MISSES) > 0);
     assert_eq!(snap.counter(names::READ_CACHE_HITS), 0);
@@ -266,18 +258,10 @@ fn cache_and_pipeline_metrics_land_in_snapshot() {
     for name in [
         names::READ_CACHE_HITS,
         names::READ_CACHE_MISSES,
-        names::READ_PIPELINED_RESTORES,
+        names::READ_WALKS,
     ] {
         assert_eq!(back.counter(name), snap.counter(name), "{name}");
     }
-    assert_eq!(
-        back.gauge(names::READ_PREFETCH_DEPTH_PEAK),
-        snap.gauge(names::READ_PREFETCH_DEPTH_PEAK)
-    );
-    assert_eq!(
-        back.timer(names::READ_OVERLAP),
-        snap.timer(names::READ_OVERLAP)
-    );
 }
 
 /// The level-streaming write engine publishes its `write.*` metrics and

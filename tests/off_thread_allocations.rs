@@ -3,7 +3,7 @@
 //! Two places in the library do work for a caller on a thread of their
 //! own and must not size memory there by what they are handed:
 //!
-//! * the geometry **loader** of a cold pipelined walk unpacks the target
+//! * the geometry **loader** of a cold walk unpacks the target
 //!   level's 40-odd bytes per vertex into arrays the *calling* thread
 //!   allocated (a fresh thread's allocations land in a malloc arena of
 //!   its own, on pages no earlier restore has touched: measured, that
@@ -128,7 +128,7 @@ fn a_cold_walks_arrays_are_allocated_by_its_caller() {
         );
         assert!(
             elsewhere < ELSEWHERE_LIMIT,
-            "{walk}: prefetcher, decode workers and loader allocated {elsewhere} B"
+            "{walk}: tile passes and loader allocated {elsewhere} B"
         );
     }
 }

@@ -1,7 +1,8 @@
-//! Pipelined-restore equivalence: the level walk (bounded prefetch +
-//! parallel decode + eager restore) must be observationally identical to
-//! a stepwise restore — the base, then one whole-domain `refine_region`
-//! per level on the calling thread (`support::stepwise_restore`). Every
+//! Walk equivalence: the level walk (one refinement step per level, a
+//! loader thread for the target's geometry) must be observationally
+//! identical to a stepwise restore — the base, then one whole-domain
+//! `refine_region` per level on the calling thread
+//! (`support::stepwise_restore`). Every
 //! codec restores bit-for-bit the same values both ways; lossy codecs
 //! stay inside their per-level error bound; region refinement and the
 //! decoded-level cache change *when* work happens, never *what* the
@@ -44,7 +45,7 @@ fn reference(canopus: &Canopus, ds: &Dataset, level: u32) -> ReadOutcome {
 }
 
 /// A reader with the cache disabled, so every read exercises the walk's
-/// prefetch/decode/restore stages rather than a cached level.
+/// fetch/decode/restore steps rather than a cached level.
 fn pipelined_reader(canopus: &Canopus) -> CanopusReader {
     canopus.open("eq.bp").expect("open").with_level_cache(0)
 }
@@ -92,11 +93,11 @@ fn lossless_restores_are_bit_identical_to_the_stepwise_reference() {
     }
 }
 
-/// A walk over more blocks than the prefetch queue's bound (4) plus one
-/// decode worker per core, so the queue can fill and the prefetcher
-/// wait on it: the restore is unchanged.
+/// A walk over levels stored in many shard objects — `cores + 5` at
+/// level 0 — each fetched and decoded whole, then put in vertex order:
+/// the restore is unchanged.
 #[test]
-fn walks_longer_than_the_prefetch_queue_restore_identically() {
+fn walks_over_many_shards_restore_identically() {
     let ds = xgc1_dataset_sized(24, 120, 13);
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let raw = (ds.data.len() * 8) as u64;
@@ -123,15 +124,10 @@ fn walks_longer_than_the_prefetch_queue_restore_identically() {
     let walked = reader.read_level(ds.var, 0).expect("walk");
     let want = reference(&canopus, &ds, 0);
     assert_eq!(bits(&walked.data), bits(&want.data));
-    let peak = canopus
-        .metrics()
-        .gauge(names::READ_PREFETCH_DEPTH_PEAK)
-        .get();
-    assert!(peak >= 1, "the prefetcher queued ahead of the decoders");
 }
 
 /// A field large enough to cross the chunk-framing threshold, so the
-/// pipelined engine's parallel decode stage handles multi-chunk streams.
+/// walk's tile passes handle multi-chunk streams.
 #[test]
 fn chunked_streams_restore_identically() {
     // 82 000 vertices: level 0's delta is longer than one tile, so framed.

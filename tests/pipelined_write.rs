@@ -6,9 +6,13 @@
 //! writes of one input are byte-identical. The products it places must
 //! also round-trip through the restore engine.
 
+use bytes::Bytes;
 use canopus::config::RelativeCodec;
 use canopus::{Canopus, CanopusConfig, CanopusError, FaultPlan, RetryPolicy};
 use canopus_adios::checksum64;
+use canopus_adios::store::BlockWrite;
+use canopus_adios::BpStore;
+use canopus_compress::CodecKind;
 use canopus_data::xgc1_dataset_sized;
 use canopus_mesh::generators::{jitter_interior, rectangle_mesh};
 use canopus_mesh::geometry::{Aabb, Point2};
@@ -18,7 +22,7 @@ use canopus_refactor::LevelHierarchy;
 use canopus_storage::{ProductKind, StorageHierarchy, TierSpec};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 fn written(
     mesh: &TriMesh,
@@ -615,6 +619,60 @@ fn a_write_that_runs_out_of_room_leaves_the_tiers_as_they_were() {
                 .expect("restore");
             assert_eq!(out.data.len(), data.len());
         }
+    }
+}
+
+/// Writes into one hierarchy share one reservation ledger. Four writers
+/// each stream a 400 B base block at once into a 1000 B fast tier over
+/// a 1 MiB slow one: two fit the fast tier, and the others see the
+/// bytes already reserved there and spill to the slow tier — as placing
+/// one block at a time would — instead of failing when they land.
+#[test]
+fn concurrent_writes_into_one_store_spill_instead_of_failing() {
+    const WRITERS: usize = 4;
+    for round in 0..50 {
+        let hierarchy = Arc::new(StorageHierarchy::new(vec![
+            TierSpec::new("fast", 1000, 1e9, 1e9, 0.0),
+            TierSpec::new("slow", 1 << 20, 1e9, 1e9, 0.0),
+        ]));
+        let store = BpStore::new(Arc::clone(&hierarchy));
+        let block = |w: usize| Bytes::from(vec![w as u8 + 1; 400]);
+        let start = Barrier::new(WRITERS);
+        let commits: Vec<_> = std::thread::scope(|s| {
+            let writers: Vec<_> = (0..WRITERS)
+                .map(|w| {
+                    let (store, start) = (&store, &start);
+                    s.spawn(move || {
+                        let mut write = store.begin_write(&format!("w{w}.bp"), 1, 4);
+                        start.wait();
+                        write.push(BlockWrite {
+                            var: "v".into(),
+                            kind: ProductKind::Base { level: 0 },
+                            data: block(w),
+                            elements: 50,
+                            codec_id: CodecKind::Raw.id(),
+                            codec_param: 0.0,
+                            raw_bytes: 400,
+                            min: 0.0,
+                            max: 0.0,
+                            chunks: Vec::new(),
+                        })?;
+                        write.commit()
+                    })
+                })
+                .collect();
+            writers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        for (w, commit) in commits.into_iter().enumerate() {
+            commit.unwrap_or_else(|e| panic!("round {round}: write {w}: {e}"));
+            let file = store.open(&format!("w{w}.bp")).expect("open");
+            let base = file.inq_var("v").expect("var").base().expect("base");
+            let (bytes, _, _) = file.read_block(base).expect("read back");
+            assert_eq!(bytes, block(w), "round {round}: write {w}");
+        }
+        let fast = hierarchy.tier_device(0).expect("fast tier");
+        assert!(fast.used() <= fast.capacity(), "round {round}");
+        assert_eq!(fast.used() / 400, 2, "round {round}: two blocks fit");
     }
 }
 

@@ -186,10 +186,9 @@ fn warmed_metadata_moves_the_fault_to_the_fetch_stage_and_still_degrades() {
     // With cold metadata a down tier is caught while *planning* the walk
     // (the level-geometry read fails, truncating the plan). Warming the
     // metadata first makes planning succeed, so the fault surfaces for
-    // the first time in the walk's prefetch stage — a
-    // different shutdown path, which once deadlocked the decode pool's
-    // done-channel drain. This pins: the walk terminates and degrades
-    // exactly as in the planning-fault case.
+    // the first time at a delta fetch — a different path, which once
+    // deadlocked a decode pool's shutdown. This pins: the walk
+    // terminates and degrades exactly as in the planning-fault case.
     let (ds, canopus) = written();
     assert_deltas_alone_on_tier_1(&canopus);
     let clean = clean_levels(&ds, &canopus);

@@ -1,12 +1,13 @@
 //! A refinement step of a level stored as one spatial chunk decodes and
 //! restores each tile of its delta in one pass. These pin the pass to
 //! the oracle in `tests/support` (the delta decoded whole, then restored
-//! in place): `refine_once` and a whole-domain `refine_region` step give
-//! its bits, under every codec, on levels of less than one tile, of one
-//! tile and a remainder, and of several tiles; a file whose streams are
-//! framed at another grain (as files written before the grain was fixed
-//! are) refines to its bits too; and a stream whose chunk table
-//! disagrees with the manifest is refused with an error.
+//! in place): `refine_once`, a whole-domain `refine_region` step and a
+//! cold `read_level` walk give its bits, under every codec, on levels of
+//! less than one tile, of one tile and a remainder, and of several
+//! tiles; a file whose streams are framed at another grain (as files
+//! written before the grain was fixed are) refines to its bits too; and
+//! a stream whose chunk table disagrees with the manifest is refused
+//! with an error.
 //!
 //! One file is written (decimation dominates a write); the others are
 //! copies of it with every value stream recoded, so they share its
@@ -163,8 +164,9 @@ fn transcoded(kind: CodecKind, to: &str) {
 }
 
 /// Walk `file` from its base to level 0 one step at a time, each step
-/// made by `refine_once` and by a whole-domain `refine_region` and both
-/// held to the oracle's values; `refine_once`'s RMS is handed to
+/// made by `refine_once` and by a whole-domain `refine_region`, and each
+/// level restored by a cold `read_level` too, all held to the oracle's
+/// values; `refine_once`'s RMS and the one the walk cached are handed to
 /// `check_rms` with the oracle's. Returns level 0's values and each
 /// refined level's tile count, finest first.
 fn refine_against_the_oracle(
@@ -185,6 +187,15 @@ fn refine_against_the_oracle(
         assert_eq!(bits(&once.data), bits(&want), "{what}: refine_once");
         assert_eq!(bits(&region.data), bits(&want), "{what}: refine_region");
         check_rms(rms, want_rms, &what);
+        // A cold walk to the level restores it by the same step, and
+        // caches the RMS it computed: a `refine_once` the cache answers
+        // hands that back.
+        let walker = c.open(file).expect("open");
+        let walked = walker.read_level("v", once.level).expect("read_level");
+        assert_eq!(bits(&walked.data), bits(&want), "{what}: read_level");
+        let (hit, cached_rms) = walker.refine_once("v", &current).expect("cached");
+        assert!(Arc::ptr_eq(&hit.data, &walked.data), "{what}: a cache hit");
+        check_rms(cached_rms, want_rms, &format!("{what}: the walk's"));
         assert_eq!(stats.exact_vertices, want.len(), "{what}");
         assert!(once.level_exact && region.level_exact, "{what}");
         tiles.insert(0, want.len().div_ceil(TILE));
