@@ -111,7 +111,7 @@ impl BpStore {
         let meta_bytes = Bytes::from(meta.to_bytes());
         let len = meta_bytes.len() as u64;
         let h = &self.hierarchy;
-        let tier = h.reserve_with(len, |reserved| {
+        let reservation = h.reserve_with(len, |reserved| {
             (0..h.num_tiers())
                 .find(|&t| {
                     h.tier_device(t)
@@ -119,7 +119,7 @@ impl BpStore {
                 })
                 .ok_or_else(|| StorageError::PlacementFailed("no room for metadata".into()))
         })?;
-        Ok(h.land_reserved(tier, &meta_key(file), meta_bytes)?)
+        Ok(h.land_reserved(reservation, &meta_key(file), meta_bytes)?)
     }
 
     /// Start a write — the only way a file reaches the tiers. Blocks are
@@ -194,9 +194,10 @@ impl StreamingWrite {
         let key = block_key(&self.file, &b.var, b.kind);
         let len = b.data.len();
         let hierarchy = &self.store.hierarchy;
-        let tier = hierarchy.reserve_with(len as u64, |reserved| {
+        let reservation = hierarchy.reserve_with(len as u64, |reserved| {
             choose_tier(hierarchy, b.kind, len, self.num_levels, &key, reserved)
         })?;
+        let tier = reservation.tier();
         record_block(&mut self.vars, key.clone(), &b);
         self.stored.push(StoredBlock {
             key: key.clone(),
@@ -205,7 +206,7 @@ impl StreamingWrite {
             raw_bytes: b.raw_bytes,
             stored_bytes: len as u64,
         });
-        self.writeback.enqueue(tier, key, b.data)?;
+        self.writeback.enqueue(reservation, key, b.data)?;
         Ok(())
     }
 

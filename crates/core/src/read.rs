@@ -6,9 +6,12 @@
 //! level stored as one spatial chunk (the default layout) the step
 //! decodes and restores each 64 Ki-value tile in one parallel pass
 //! (`decode_restore_tiles`), so the values are restored while still in
-//! cache and on every core. A level walk ([`CanopusReader::read_level`])
-//! is a coarse-to-fine loop over that step, with one loader thread
-//! fetching the target level's geometry meanwhile; a single step
+//! cache and on every core; of a level in several chunks it decodes the
+//! chunks on a second thread while the chunk → vertex assignment is
+//! recomputed, and restores the level in one pass. A level walk
+//! ([`CanopusReader::read_level`]) is a coarse-to-fine loop over that
+//! step, with one loader thread fetching the target level's geometry
+//! meanwhile; a single step
 //! ([`CanopusReader::refine_once`]) is one iteration of it.
 //! [`CanopusReader::refine_region`] prunes the step to the chunks a
 //! region touches.
@@ -1020,29 +1023,36 @@ impl CanopusReader {
         spatial_chunks(points, chunks as u32)
     }
 
-    /// Read and decode the full delta refining into `finer`, a level
-    /// stored in several chunks: every shard object is fetched whole (one
-    /// object read each), decoded chunk by chunk, and its values put in
-    /// vertex order through the same deterministic assignment the writer
-    /// used.
-    fn read_delta_values(
+    /// Read and decode the full delta refining into a level stored in
+    /// several chunks: every shard object is fetched whole (one object
+    /// read each), and its chunks decoded, in shard and chunk order.
+    /// Returns each chunk's index and values, and the fetch and decode
+    /// rows.
+    fn read_delta_chunks(
         &self,
         shards: &[&BlockMeta],
-        assignment: &[Vec<u32>],
-        vertices: usize,
         parent: SpanContext,
-    ) -> Result<(Vec<f64>, PhaseTiming), CanopusError> {
+    ) -> Result<(DecodedChunks, PhaseTiming), CanopusError> {
         let mut timing = PhaseTiming::default();
-        let mut delta = vec![0.0; vertices];
-        for block in shards {
+        let mut chunks = Vec::new();
+        for &block in shards {
             let (bytes, io) = self.read_block_observed(block, parent)?;
             timing.io_secs += io;
             let t = Instant::now();
-            let values = self.decode_block_values(block, &bytes, parent)?;
+            for e in &block.chunks {
+                let values = self.decode_payload(
+                    &block.key,
+                    e.codec_id,
+                    block.codec_param,
+                    e.elements as usize,
+                    chunk_stream(block, e, &bytes)?,
+                    parent,
+                )?;
+                chunks.push((e.chunk, values));
+            }
             timing.decompress_secs += t.elapsed().as_secs_f64();
-            place_shard_values(block, &values, assignment, &mut delta)?;
         }
-        Ok((delta, timing))
+        Ok((chunks, timing))
     }
 
     /// What restoring level `finer` from `coarse` reads, checked: every
@@ -1172,62 +1182,91 @@ impl CanopusReader {
 
     /// One refinement step, the one every read takes: fetch the delta
     /// refining `coarse` into the next finer level, decode it and
-    /// restore (paper Alg. 3) over that level's `geometry`, loaded to
-    /// what [`Self::geometry_need`] asks for. A level stored as one
-    /// chunk is restored tile by tile as its stream decodes
-    /// ([`Self::refine_tiles`]); of a level in several chunks every shard
-    /// is fetched and decoded, its values put in vertex order
-    /// ([`Self::read_delta_values`]), and the level restored in one pass.
-    /// Block fetches and decodes attach under `parent`.
+    /// restore (paper Alg. 3) over that level's geometry, which
+    /// `geometry` loads to what [`Self::geometry_need`] asks for and
+    /// returns with its I/O seconds. A level stored as one chunk is
+    /// restored tile by tile as its stream decodes
+    /// ([`Self::refine_tiles`]). Of a level in several chunks every
+    /// shard is fetched and its chunks decoded
+    /// ([`Self::read_delta_chunks`]) on a second thread while this one
+    /// loads the geometry and recomputes the chunk → vertex assignment;
+    /// then the chunks' values are put in vertex order and the level
+    /// restored in one pass. Block fetches and decodes attach under
+    /// `parent`.
     ///
-    /// Returns the level's data, the delta's RMS and the step's phase
-    /// rows; the caller times the step and adds its geometry I/O.
+    /// Returns the level's geometry and data, the delta's RMS and the
+    /// step's phase rows, geometry I/O included; the caller times the
+    /// step.
     fn refine_step(
         &self,
         var: &str,
         shards: &[&BlockMeta],
-        geometry: &LevelGeometry,
         coarse: &Coarse<'_>,
+        geometry: impl FnOnce() -> Result<(Arc<LevelGeometry>, f64), CanopusError>,
         parent: SpanContext,
-    ) -> Result<(Arc<Vec<f64>>, f64, PhaseTiming), CanopusError> {
+    ) -> Result<Refined, CanopusError> {
         let finer = coarse.level - 1;
-        let chunks = shards.iter().map(|b| b.chunks.len()).sum();
-        let (data, delta_rms, timing) = match Self::assignment(geometry, chunks) {
+        let chunks: usize = shards.iter().map(|b| b.chunks.len()).sum();
+        let (geometry, data, delta_rms, timing) = if chunks <= 1 {
             // One chunk: its stream is the level's delta, refined tile
             // by tile as it decodes.
-            None => {
-                let (block, entry) = shards
-                    .iter()
-                    .flat_map(|&b| b.chunks.iter().map(move |e| (b, e)))
-                    .next()
-                    .expect("a delta has a chunk");
-                let step = self.restore_step(var, finer, geometry, coarse)?;
-                let (bytes, io) = self.read_block_observed(block, parent)?;
-                let stream = chunk_stream(block, entry, &bytes)?;
-                let (data, delta_rms, pass) =
-                    self.refine_tiles(&step, block, entry, stream, parent)?;
-                let timing = PhaseTiming {
-                    io_secs: io,
-                    decompress_secs: pass.decode_secs,
-                    restore_secs: pass.restore_secs,
-                    elapsed_secs: 0.0,
-                };
-                (data, delta_rms, timing)
+            let (geometry, meta_io) = geometry()?;
+            let (block, entry) = shards
+                .iter()
+                .flat_map(|&b| b.chunks.iter().map(move |e| (b, e)))
+                .next()
+                .expect("a delta has a chunk");
+            let step = self.restore_step(var, finer, &geometry, coarse)?;
+            let (bytes, io) = self.read_block_observed(block, parent)?;
+            let stream = chunk_stream(block, entry, &bytes)?;
+            let (data, delta_rms, pass) = self.refine_tiles(&step, block, entry, stream, parent)?;
+            let timing = PhaseTiming {
+                io_secs: io + meta_io,
+                decompress_secs: pass.decode_secs,
+                restore_secs: pass.restore_secs,
+                elapsed_secs: 0.0,
+            };
+            (geometry, data, delta_rms, timing)
+        } else {
+            // The delta is fetched and decoded on a thread of its own
+            // while this one loads the geometry and recomputes the
+            // chunk assignment from its coordinates, the longer job.
+            let (decoded, placed) = std::thread::scope(|s| {
+                let decode = s.spawn(|| self.read_delta_chunks(shards, parent));
+                let placed = geometry().and_then(|(geometry, meta_io)| {
+                    let assignment = Self::assignment(&geometry, chunks).ok_or_else(|| {
+                        CanopusError::Invalid(format!(
+                            "{chunks} chunks of level {finer} of {var} for {} vertices",
+                            geometry.num_vertices()
+                        ))
+                    })?;
+                    Ok((geometry, meta_io, assignment))
+                });
+                let decoded = decode
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+                (decoded, placed)
+            });
+            let (geometry, meta_io, assignment) = placed?;
+            let (decoded, mut timing) = decoded?;
+            timing.io_secs += meta_io;
+            let mut delta = vec![0.0; geometry.num_vertices()];
+            for (chunk, values) in decoded {
+                let ids = chunk_vertices(&assignment, chunk, values.len())?;
+                for (&vid, &val) in ids.iter().zip(&values) {
+                    delta[vid as usize] = val;
+                }
             }
-            Some(assignment) => {
-                let (delta, mut timing) =
-                    self.read_delta_values(shards, &assignment, geometry.num_vertices(), parent)?;
-                let (data, delta_rms, restore) =
-                    self.apply_delta(var, finer, geometry, delta, coarse)?;
-                timing.restore_secs += restore;
-                (data, delta_rms, timing)
-            }
+            let (data, delta_rms, restore) =
+                self.apply_delta(var, finer, &geometry, delta, coarse)?;
+            timing.restore_secs += restore;
+            (geometry, data, delta_rms, timing)
         };
         self.obs
             .timer(names::READ_RESTORE)
             .record_wall(timing.restore_secs);
         self.obs.counter(names::READ_REFINEMENTS).inc();
-        Ok((data, delta_rms, timing))
+        Ok((geometry, data, delta_rms, timing))
     }
 
     /// Refine an already-restored level by one step: read + decompress
@@ -1277,11 +1316,14 @@ impl CanopusReader {
         }
         let wall = Instant::now();
         let (shards, _) = self.delta_shards(var, finer)?;
-        let (geometry, meta_io) = self.geometry(var, finer, Need::Whole, parent)?;
         let coarse = Coarse::of_outcome(current);
-        let (data, delta_rms, mut timing) =
-            self.refine_step(var, &shards, &geometry, &coarse, parent)?;
-        timing.io_secs += meta_io;
+        let (geometry, data, delta_rms, mut timing) = self.refine_step(
+            var,
+            &shards,
+            &coarse,
+            || self.geometry(var, finer, Need::Whole, parent),
+            parent,
+        )?;
         timing.elapsed_secs = wall.elapsed().as_secs_f64();
 
         if exact {
@@ -1450,19 +1492,7 @@ impl CanopusReader {
                 let mut exact = vec![false; n];
                 let mut delta = vec![0.0f64; n];
                 let mut scatter = |chunk: u32, values: &[f64]| -> Result<(), CanopusError> {
-                    let ids = assignment.get(chunk as usize).ok_or_else(|| {
-                        CanopusError::Invalid(format!(
-                            "chunk {chunk} beyond the {}-chunk assignment",
-                            assignment.len()
-                        ))
-                    })?;
-                    if values.len() != ids.len() {
-                        return Err(CanopusError::Invalid(format!(
-                            "chunk {chunk} decoded {} values for {} vertices",
-                            values.len(),
-                            ids.len()
-                        )));
-                    }
+                    let ids = chunk_vertices(assignment, chunk, values.len())?;
                     for (&vid, &val) in ids.iter().zip(values) {
                         delta[vid as usize] = val;
                         exact[vid as usize] = true;
@@ -1693,20 +1723,16 @@ impl CanopusReader {
             for finer in (target_level..walk.cur.level).rev() {
                 let (shards, chunks) = self.delta_shards(var, finer)?;
                 let at_target = finer == target_level;
-                let loaded = match loader.as_mut().filter(|_| at_target) {
+                let geometry = || match loader.as_mut().filter(|_| at_target) {
                     // Restoring the level needs less than handing it out.
                     Some(loader) => loader
                         .wait_for(self.geometry_need(chunks, false))
                         .map(|io| (Arc::clone(&loader.entry), io)),
                     None => self.geometry(var, finer, self.geometry_need(chunks, at_target), ctx),
                 };
-                let stepped = loaded.and_then(|(geometry, meta_io)| {
+                let stepped = walk.cur.as_coarse().and_then(|coarse| {
                     let _span = stage_child!(self.obs, ctx, "restore", var = var, level = finer);
-                    let coarse = walk.cur.as_coarse()?;
-                    let (data, delta_rms, mut step) =
-                        self.refine_step(var, &shards, &geometry, &coarse, ctx)?;
-                    step.io_secs += meta_io;
-                    Ok((geometry, data, delta_rms, step))
+                    self.refine_step(var, &shards, &coarse, geometry, ctx)
                 });
                 let (geometry, data, delta_rms, step) = match stepped {
                     Ok(stepped) => stepped,
@@ -1852,6 +1878,13 @@ struct RestoreStep<'a> {
     weights: Weights<'a>,
 }
 
+/// A delta's decoded chunks: each chunk's index and values.
+type DecodedChunks = Vec<(u32, Vec<f64>)>;
+
+/// What one refinement step returns: the finer level's geometry and
+/// data, its delta's RMS, and the step's phase rows.
+type Refined = (Arc<LevelGeometry>, Arc<Vec<f64>>, f64, PhaseTiming);
+
 /// Totals of one [`decode_restore_tiles`] pass.
 #[derive(Debug, Clone, Copy)]
 struct TilePass {
@@ -1914,49 +1947,27 @@ fn decode_restore_tiles<C: Codec>(
     })
 }
 
-/// Put one shard's decoded values — its chunks' values concatenated in
-/// chunk-index order, as [`CanopusReader::decode_block_values`] produces
-/// them — where they belong in the level's `delta`. `assignment` is the
-/// level's chunk → vertex-id table ([`spatial_chunks`]).
-fn place_shard_values(
-    block: &BlockMeta,
-    values: &[f64],
+/// The vertex ids chunk `chunk` of a level holds, in stream order, by
+/// the level's chunk → vertex-id table ([`spatial_chunks`]), checked
+/// against the `values` its stream decoded to.
+fn chunk_vertices(
     assignment: &[Vec<u32>],
-    delta: &mut [f64],
-) -> Result<(), CanopusError> {
-    let mut pos = 0usize;
-    for e in &block.chunks {
-        let ids = assignment.get(e.chunk as usize).ok_or_else(|| {
-            CanopusError::Invalid(format!(
-                "shard {} indexes chunk {} beyond the {}-chunk assignment",
-                block.key,
-                e.chunk,
-                assignment.len()
-            ))
-        })?;
-        let end = pos + e.elements as usize;
-        if ids.len() != e.elements as usize || end > values.len() {
-            return Err(CanopusError::Invalid(format!(
-                "shard {} chunk {} carries {} values for {} vertices",
-                block.key,
-                e.chunk,
-                e.elements,
-                ids.len()
-            )));
-        }
-        for (&vid, &val) in ids.iter().zip(&values[pos..end]) {
-            delta[vid as usize] = val;
-        }
-        pos = end;
-    }
-    if pos != values.len() {
+    chunk: u32,
+    values: usize,
+) -> Result<&[u32], CanopusError> {
+    let ids = assignment.get(chunk as usize).ok_or_else(|| {
+        CanopusError::Invalid(format!(
+            "chunk {chunk} beyond the {}-chunk assignment",
+            assignment.len()
+        ))
+    })?;
+    if values != ids.len() {
         return Err(CanopusError::Invalid(format!(
-            "shard {} decoded {} values, its chunk index covers {pos}",
-            block.key,
-            values.len()
+            "chunk {chunk} decoded {values} values for {} vertices",
+            ids.len()
         )));
     }
-    Ok(())
+    Ok(ids)
 }
 
 /// A level's geometry being loaded, whole, off the calling thread

@@ -23,6 +23,14 @@
 //! decision, which reads the devices' free space, and across a landing
 //! ([`StorageHierarchy::land_reserved`]), which writes a device. It is
 //! taken with no other lock held, and only tier leaves nest inside it.
+//! The ledger is one for the whole hierarchy, so every device write of
+//! every write into it — each tier worker's landing, the manifest —
+//! and every placement decision serialize on it: one block lands at a
+//! time, store-wide. That is the price of exact placement: were the
+//! device write done outside the lock, a decision made while it runs
+//! would count the block both as reserved and as used, and a single
+//! write's placement would depend on how its landings interleave with
+//! its decisions.
 
 use crate::clock::{SimClock, SimDuration};
 use crate::device::Device;
@@ -136,6 +144,40 @@ impl FaultState {
     }
 }
 
+/// Bytes [`StorageHierarchy::reserve_with`] set aside on one tier for
+/// one block. Landing the block ([`StorageHierarchy::land_reserved`])
+/// consumes it; dropped unused — the write failed or gave up — it gives
+/// the bytes back to every writer. Only a reservation lands a block
+/// through the ledger, so every landing releases exactly the bytes its
+/// own decision reserved.
+#[derive(Debug)]
+pub struct Reservation {
+    ledger: Arc<Mutex<Vec<u64>>>,
+    tier: usize,
+    len: u64,
+}
+
+impl Reservation {
+    /// The tier the bytes are reserved on.
+    pub fn tier(&self) -> usize {
+        self.tier
+    }
+
+    /// Give the bytes back, under the ledger lock the caller holds.
+    fn release(&mut self, reserved: &mut [u64]) {
+        reserved[self.tier] -= std::mem::take(&mut self.len);
+    }
+}
+
+impl Drop for Reservation {
+    fn drop(&mut self) {
+        if self.len > 0 {
+            let ledger = Arc::clone(&self.ledger);
+            self.release(&mut ledger.lock());
+        }
+    }
+}
+
 /// An ordered stack of storage tiers (index 0 = fastest).
 ///
 /// Also the anchor of the observability layer: the hierarchy owns the
@@ -153,8 +195,9 @@ pub struct StorageHierarchy {
     /// read/write paths skip fault bookkeeping entirely.
     faults_enabled: AtomicBool,
     /// The write reservation ledger, one for every writer:
-    /// `reserved[tier]` = bytes decided for the tier but not yet landed.
-    reserved: Mutex<Vec<u64>>,
+    /// `reserved[tier]` = bytes decided for the tier but not yet landed,
+    /// the sum of the tier's live [`Reservation`]s.
+    reserved: Arc<Mutex<Vec<u64>>>,
 }
 
 impl StorageHierarchy {
@@ -198,7 +241,7 @@ impl StorageHierarchy {
             inflight_reads_peak: obs.gauge(names::STORAGE_INFLIGHT_READS_PEAK),
             obs,
             faults_enabled: AtomicBool::new(false),
-            reserved: Mutex::new(vec![0; ntiers]),
+            reserved: Arc::new(Mutex::new(vec![0; ntiers])),
         }
     }
 
@@ -399,46 +442,53 @@ impl StorageHierarchy {
     /// have decided for the tier but not landed yet. Every streaming
     /// write into the hierarchy reserves through this one ledger, so
     /// concurrent writes see the capacity state that placing one block
-    /// at a time would.
+    /// at a time would. The bytes stay reserved until the returned
+    /// [`Reservation`] lands ([`Self::land_reserved`]) or is dropped.
     pub fn reserve_with(
         &self,
         len: u64,
         decide: impl FnOnce(&dyn Fn(usize) -> u64) -> Result<usize, StorageError>,
-    ) -> Result<usize, StorageError> {
+    ) -> Result<Reservation, StorageError> {
         let mut reserved = self.reserved.lock();
         let tier = decide(&|t| reserved.get(t).copied().unwrap_or(0))?;
         *reserved
             .get_mut(tier)
             .ok_or(StorageError::NoSuchTier(tier))? += len;
-        Ok(tier)
+        Ok(Reservation {
+            ledger: Arc::clone(&self.reserved),
+            tier,
+            len,
+        })
     }
 
-    /// Land a block whose bytes [`Self::reserve_with`] reserved on
-    /// `tier`: write it and release the reservation as one step against
-    /// every placement decision, so none counts the bytes twice or not
-    /// at all. The reservation is released whether the write succeeds
-    /// or fails.
+    /// Land `data` on the tier `reservation` holds its bytes on: write
+    /// it and release the reservation as one step against every
+    /// placement decision, so none counts the bytes twice or not at
+    /// all. The reservation is released whether the write succeeds or
+    /// fails. A reservation made in another hierarchy, or for a block
+    /// of another length, is refused and released unused.
     pub fn land_reserved(
         &self,
-        tier: usize,
+        mut reservation: Reservation,
         key: &str,
         data: Bytes,
     ) -> Result<SimDuration, StorageError> {
-        let len = data.len() as u64;
+        if !Arc::ptr_eq(&reservation.ledger, &self.reserved) {
+            return Err(StorageError::PlacementFailed(format!(
+                "{key}: reserved in another hierarchy"
+            )));
+        }
+        if data.len() as u64 != reservation.len {
+            return Err(StorageError::PlacementFailed(format!(
+                "{key}: {} B block on a {} B reservation",
+                data.len(),
+                reservation.len
+            )));
+        }
         let mut reserved = self.reserved.lock();
-        let landed = self.write_to_tier(tier, key, data);
-        if let Some(r) = reserved.get_mut(tier) {
-            *r = r.saturating_sub(len);
-        }
+        let landed = self.write_to_tier(reservation.tier, key, data);
+        reservation.release(&mut reserved);
         landed
-    }
-
-    /// Give back `len` bytes reserved on `tier` for a block that will
-    /// not land.
-    pub fn release_reserved(&self, tier: usize, len: u64) {
-        if let Some(r) = self.reserved.lock().get_mut(tier) {
-            *r = r.saturating_sub(len);
-        }
     }
 
     /// Locate an object, searching fastest-first. Returns its tier index.

@@ -44,7 +44,7 @@ pub use clock::{SimClock, SimDuration};
 pub use device::Device;
 pub use error::StorageError;
 pub use fault::{FaultOp, FaultPlan};
-pub use hierarchy::{StorageHierarchy, TierStats};
+pub use hierarchy::{Reservation, StorageHierarchy, TierStats};
 pub use placement::{choose_tier, ProductKind};
 pub use tier::TierSpec;
 pub use writeback::WriteBehind;

@@ -6,8 +6,9 @@
 //! reservation ledger keeps those decisions within capacity while
 //! blocks are in flight, across every write into the hierarchy: bytes
 //! are reserved at decision time (atomically with the decision,
-//! [`StorageHierarchy::reserve_with`]) and released when the device
-//! write lands ([`StorageHierarchy::land_reserved`]) or is given up, so
+//! [`StorageHierarchy::reserve_with`]), travel with the block as its
+//! [`Reservation`], and are released when the device write lands
+//! ([`StorageHierarchy::land_reserved`]) or the block is given up, so
 //! `available - reserved` always equals `capacity - (bytes decided so
 //! far)`. Placing through the ledger is therefore equivalent to placing
 //! one block at a time — [`choose_tier`](crate::placement::choose_tier)
@@ -21,7 +22,7 @@
 
 use crate::clock::SimDuration;
 use crate::error::StorageError;
-use crate::hierarchy::StorageHierarchy;
+use crate::hierarchy::{Reservation, StorageHierarchy};
 use bytes::Bytes;
 use canopus_obs::{names, Gauge};
 use crossbeam::channel::{self, Sender};
@@ -33,6 +34,9 @@ use std::time::Instant;
 struct Job {
     key: String,
     data: Bytes,
+    /// The block's bytes on its tier; dropped with a job that does not
+    /// land, which gives them back.
+    reservation: Reservation,
     /// When the block entered the queue — worker pickup records the
     /// wait under [`names::WRITEBACK_QUEUE_WAIT_HIST`].
     enqueued: Instant,
@@ -42,8 +46,9 @@ struct Job {
 struct Ledger {
     /// `(tier, key)` of every block that landed, in landing order.
     landed: Vec<(usize, String)>,
-    /// The first failed device write; nothing of the write lands after
-    /// it.
+    /// The first failed device write. Once it is set no worker of the
+    /// write starts another landing, on any tier (one already under way
+    /// may finish; [`WriteBehind::undo`] removes it with the rest).
     failed: Option<StorageError>,
 }
 
@@ -82,12 +87,10 @@ impl WriteBehind {
                 let mut failed = None;
                 while let Ok(job) = rx.recv() {
                     queue_wait.observe_secs(job.enqueued.elapsed().as_secs_f64());
-                    if failed.is_some() {
-                        // A write that failed lands nothing more: the
-                        // block's reservation goes back to every writer.
-                        h.release_reserved(tier, job.data.len() as u64);
-                    } else {
-                        match h.land_reserved(tier, &job.key, job.data) {
+                    // A write that failed lands nothing more: dropping
+                    // the job gives its reservation back to every writer.
+                    if ledger.lock().failed.is_none() {
+                        match h.land_reserved(job.reservation, &job.key, job.data) {
                             Ok(dt) => {
                                 io += dt;
                                 ledger.lock().landed.push((tier, job.key));
@@ -114,31 +117,33 @@ impl WriteBehind {
         }
     }
 
-    /// Queue a block for `tier`, where its bytes were reserved
+    /// Queue a block for the tier `reservation` holds its bytes on
     /// ([`StorageHierarchy::reserve_with`]). Blocks when the tier's
     /// queue is full — the pipeline's backpressure. Once a device write
     /// of this write has failed, the enqueue fails with that write's own
     /// error and gives the block's reservation back.
-    pub fn enqueue(&self, tier: usize, key: String, data: Bytes) -> Result<(), StorageError> {
-        let len = data.len() as u64;
-        let refuse = |e: StorageError| {
-            self.hierarchy.release_reserved(tier, len);
-            Err(e)
-        };
+    pub fn enqueue(
+        &self,
+        reservation: Reservation,
+        key: String,
+        data: Bytes,
+    ) -> Result<(), StorageError> {
         if let Some(e) = self.ledger.lock().failed.clone() {
-            return refuse(e);
+            return Err(e);
         }
+        let tier = reservation.tier();
         let (gauge, peak) = &self.occupancy[tier];
         gauge.add(1);
         peak.set_max(gauge.get());
         let job = Job {
             key,
             data,
+            reservation,
             enqueued: Instant::now(),
         };
         if self.senders[tier].send(job).is_err() {
             gauge.sub(1);
-            return refuse(StorageError::PlacementFailed(format!(
+            return Err(StorageError::PlacementFailed(format!(
                 "write-behind worker for tier {tier} panicked"
             )));
         }
@@ -200,14 +205,44 @@ mod tests {
         ]))
     }
 
+    /// `len` bytes reserved on `tier`, whatever room it has.
+    fn reserve(h: &StorageHierarchy, tier: usize, len: usize) -> Reservation {
+        h.reserve_with(len as u64, |_| Ok(tier)).unwrap()
+    }
+
+    /// Queue `len` bytes of `fill` under `key` for `tier`, reserved.
+    fn enqueue(
+        wb: &WriteBehind,
+        h: &StorageHierarchy,
+        tier: usize,
+        key: &str,
+        len: usize,
+        fill: u8,
+    ) -> Result<(), StorageError> {
+        wb.enqueue(
+            reserve(h, tier, len),
+            key.into(),
+            Bytes::from(vec![fill; len]),
+        )
+    }
+
+    /// The bytes reserved on each tier right now.
+    fn reserved(h: &StorageHierarchy) -> Vec<u64> {
+        let mut out = Vec::new();
+        h.reserve_with(0, |reserved| {
+            out = (0..h.num_tiers()).map(reserved).collect();
+            Ok(0)
+        })
+        .unwrap();
+        out
+    }
+
     #[test]
     fn queued_writes_land_and_sum_sim_time() {
         let h = hierarchy();
         let mut wb = WriteBehind::new(Arc::clone(&h), 4);
-        wb.enqueue(0, "a".into(), Bytes::from(vec![1u8; 100]))
-            .unwrap();
-        wb.enqueue(1, "b".into(), Bytes::from(vec![2u8; 100]))
-            .unwrap();
+        enqueue(&wb, &h, 0, "a", 100, 1).unwrap();
+        enqueue(&wb, &h, 1, "b", 100, 2).unwrap();
         let io = wb.finish().unwrap();
         // 100/1000 + 0.01 + 100/10 summed regardless of landing order.
         assert!((io.seconds() - (0.1 + 10.0 + 0.01)).abs() < 1e-9);
@@ -220,35 +255,54 @@ mod tests {
         let h = hierarchy();
         let mut first = WriteBehind::new(Arc::clone(&h), 4);
         let mut second = WriteBehind::new(Arc::clone(&h), 4);
-        let tier = h
+        let a = h
             .reserve_with(900, |reserved| {
                 assert_eq!(reserved(0), 0);
                 Ok(0)
             })
             .unwrap();
-        assert_eq!(tier, 0);
+        assert_eq!(a.tier(), 0);
         // Another write's decision sees the 900 reserved bytes even
         // though nothing was enqueued yet — tier 0 appears full.
-        h.reserve_with(200, |reserved| {
-            assert_eq!(reserved(0), 900);
-            Ok(1)
-        })
-        .unwrap();
+        let b = h
+            .reserve_with(200, |reserved| {
+                assert_eq!(reserved(0), 900);
+                Ok(1)
+            })
+            .unwrap();
         first
-            .enqueue(0, "a".into(), Bytes::from(vec![0u8; 900]))
+            .enqueue(a, "a".into(), Bytes::from(vec![0u8; 900]))
             .unwrap();
         second
-            .enqueue(1, "b".into(), Bytes::from(vec![0u8; 200]))
+            .enqueue(b, "b".into(), Bytes::from(vec![0u8; 200]))
             .unwrap();
         first.finish().unwrap();
         second.finish().unwrap();
         assert_eq!(h.tier_device(0).unwrap().available(), 100);
         // Landing released both reservations.
-        h.reserve_with(0, |reserved| {
-            assert_eq!((reserved(0), reserved(1)), (0, 0));
-            Ok(0)
-        })
-        .unwrap();
+        assert_eq!(reserved(&h), [0, 0]);
+    }
+
+    #[test]
+    fn a_reservation_lands_only_its_own_block_and_drops_back() {
+        let h = hierarchy();
+        let unused = reserve(&h, 0, 300);
+        assert_eq!(reserved(&h), [300, 0]);
+        drop(unused);
+        assert_eq!(reserved(&h), [0, 0], "dropped unused, given back");
+        // A block of another length is refused, its reservation freed.
+        let err = h
+            .land_reserved(reserve(&h, 0, 300), "a", Bytes::from(vec![0u8; 200]))
+            .unwrap_err();
+        assert!(matches!(err, StorageError::PlacementFailed(_)), "{err:?}");
+        // So is a reservation of another hierarchy's ledger.
+        let other = hierarchy();
+        let err = h
+            .land_reserved(reserve(&other, 0, 10), "a", Bytes::from(vec![0u8; 10]))
+            .unwrap_err();
+        assert!(matches!(err, StorageError::PlacementFailed(_)), "{err:?}");
+        assert_eq!((reserved(&h), reserved(&other)), (vec![0, 0], vec![0, 0]));
+        assert!(h.tier_device(0).unwrap().keys().is_empty());
     }
 
     #[test]
@@ -258,17 +312,12 @@ mod tests {
         // Reserved past the device's room: the device refuses it, and
         // the block queued behind it lands nothing.
         for (key, len) in [("big", 5000), ("next", 10)] {
-            let tier = h.reserve_with(len, |_| Ok(0)).unwrap();
             // Refused once the failure is seen, which releases it too.
-            let _ = wb.enqueue(tier, key.into(), Bytes::from(vec![0u8; len as usize]));
+            let _ = enqueue(&wb, &h, 0, key, len, 0);
         }
         assert!(wb.finish().is_err());
         assert!(h.tier_device(0).unwrap().keys().is_empty());
-        h.reserve_with(0, |reserved| {
-            assert_eq!(reserved(0), 0, "every reservation released");
-            Ok(0)
-        })
-        .unwrap();
+        assert_eq!(reserved(&h), [0, 0], "every reservation released");
     }
 
     #[test]
@@ -276,8 +325,7 @@ mod tests {
         let h = hierarchy();
         let mut wb = WriteBehind::new(Arc::clone(&h), 4);
         for i in 0..5 {
-            wb.enqueue(1, format!("k{i}"), Bytes::from(vec![0u8; 10]))
-                .unwrap();
+            enqueue(&wb, &h, 1, &format!("k{i}"), 10, 0).unwrap();
         }
         wb.finish().unwrap();
         let obs = h.metrics();
@@ -290,8 +338,7 @@ mod tests {
         let h = hierarchy();
         let mut wb = WriteBehind::new(Arc::clone(&h), 4);
         // Oversized for tier 0's 1000 B: the device rejects it.
-        wb.enqueue(0, "big".into(), Bytes::from(vec![0u8; 5000]))
-            .unwrap();
+        enqueue(&wb, &h, 0, "big", 5000, 0).unwrap();
         assert!(wb.finish().is_err());
     }
 
@@ -299,13 +346,12 @@ mod tests {
     fn enqueue_after_a_failed_write_returns_that_writes_error() {
         let h = hierarchy();
         let mut wb = WriteBehind::new(Arc::clone(&h), 4);
-        wb.enqueue(0, "big".into(), Bytes::from(vec![0u8; 5000]))
-            .unwrap();
+        enqueue(&wb, &h, 0, "big", 5000, 0).unwrap();
         // The worker stops on the oversized block; the first enqueue
         // that finds it gone reports the device's refusal.
         let err = (0..10_000)
             .find_map(|i| {
-                let r = wb.enqueue(0, format!("k{i}"), Bytes::from(vec![0u8; 10]));
+                let r = enqueue(&wb, &h, 0, &format!("k{i}"), 10, 0);
                 std::thread::sleep(std::time::Duration::from_millis(1));
                 r.err()
             })
@@ -323,10 +369,8 @@ mod tests {
         // A live object under the key the write will land on tier 1.
         h.write_to_tier(0, "a", Bytes::from(vec![7u8; 10])).unwrap();
         let mut wb = WriteBehind::new(Arc::clone(&h), 4);
-        wb.enqueue(1, "a".into(), Bytes::from(vec![1u8; 100]))
-            .unwrap();
-        wb.enqueue(1, "b".into(), Bytes::from(vec![2u8; 100]))
-            .unwrap();
+        enqueue(&wb, &h, 1, "a", 100, 1).unwrap();
+        enqueue(&wb, &h, 1, "b", 100, 2).unwrap();
         wb.undo();
         assert!(h.tier_device(1).unwrap().keys().is_empty());
         assert_eq!(h.tier_device(1).unwrap().used(), 0);
@@ -337,8 +381,7 @@ mod tests {
     fn drop_without_finish_joins_workers() {
         let h = hierarchy();
         let wb = WriteBehind::new(Arc::clone(&h), 4);
-        wb.enqueue(0, "a".into(), Bytes::from(vec![0u8; 10]))
-            .unwrap();
+        enqueue(&wb, &h, 0, "a", 10, 0).unwrap();
         drop(wb);
         // The queued write still landed before the workers exited.
         assert!(h.read("a").is_ok());
