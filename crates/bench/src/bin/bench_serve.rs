@@ -70,9 +70,10 @@ fn main() {
     );
     for p in &report.per_priority {
         println!(
-            "{:>5}: {} completed, queue-wait p50 {} / p99 {}, latency p50 {} / p99 {}",
+            "{:>5}: {} completed ({} on arrival), queue-wait p50 {} / p99 {}, latency p50 {} / p99 {}",
             p.class,
             p.completed,
+            p.on_arrival,
             table::secs(p.queue_wait_p50_s),
             table::secs(p.queue_wait_p99_s),
             table::secs(p.latency_p50_s),

@@ -57,6 +57,9 @@ pub struct PrioritySample {
     /// `quick` or `full` — the metric-name segment.
     pub class: &'static str,
     pub completed: u64,
+    /// Of `completed`, requests the reader's caches answered on
+    /// arrival, without entering the admission queue.
+    pub on_arrival: u64,
     pub queue_wait_p50_s: f64,
     pub queue_wait_p99_s: f64,
     pub latency_p50_s: f64,
@@ -121,6 +124,7 @@ impl ServeBenchReport {
                 let mut o = BTreeMap::new();
                 o.insert("class".into(), Value::Str(p.class.into()));
                 o.insert("completed".into(), Value::Int(p.completed as i128));
+                o.insert("on_arrival".into(), Value::Int(p.on_arrival as i128));
                 o.insert("queue_wait_p50_s".into(), Value::Float(p.queue_wait_p50_s));
                 o.insert("queue_wait_p99_s".into(), Value::Float(p.queue_wait_p99_s));
                 o.insert("latency_p50_s".into(), Value::Float(p.latency_p50_s));
@@ -337,6 +341,7 @@ fn priority_sample(
     PrioritySample {
         class,
         completed: snap.counter(&names::serve_completed(class)),
+        on_arrival: snap.counter(&names::serve_on_arrival(class)),
         queue_wait_p50_s: wait.p50_secs(),
         queue_wait_p99_s: wait.p99_secs(),
         latency_p50_s: latency.p50_secs(),

@@ -670,6 +670,7 @@ fn cmd_serve(argv: &[String]) -> Result<(), String> {
     for priority in [Priority::QuickLook, Priority::FullAccuracy] {
         let class = priority.class();
         let count = obs.counter(&names::serve_completed(class)).get();
+        let on_arrival = obs.counter(&names::serve_on_arrival(class)).get();
         let wait = obs.histogram(&names::serve_queue_wait_hist(class)).stat();
         let lat = obs.histogram(&names::serve_latency_hist(class)).stat();
         let hits = obs.counter(&names::serve_deadline_hit(class)).get();
@@ -680,7 +681,7 @@ fn cmd_serve(argv: &[String]) -> Result<(), String> {
             hits as f64 * 100.0 / (hits + misses) as f64
         };
         println!(
-            "  {class:<5} n={count:<5} queue-wait p50/p99 {:.2}/{:.2} ms   latency p50/p99 {:.2}/{:.2} ms   deadline {hits}/{} hit ({attainment:.1}%)",
+            "  {class:<5} n={count:<5} on-arrival {on_arrival:<5} queue-wait p50/p99 {:.2}/{:.2} ms   latency p50/p99 {:.2}/{:.2} ms   deadline {hits}/{} hit ({attainment:.1}%)",
             wait.p50_secs() * 1e3,
             wait.p99_secs() * 1e3,
             lat.p50_secs() * 1e3,

@@ -118,6 +118,14 @@ pub fn serve_dequeued(class: &str) -> String {
     format!("canopus.serve.dequeued.{class}")
 }
 
+/// Counter: requests of one priority class answered on arrival: from
+/// the open reader's caches, on the submitting thread, without entering
+/// the admission queue. Once the queue has drained,
+/// `requests = dequeued + on_arrival` per class.
+pub fn serve_on_arrival(class: &str) -> String {
+    format!("canopus.serve.on_arrival.{class}")
+}
+
 /// Histogram (wall): time a request of one priority class waited in the
 /// admission queue before a worker picked it up.
 pub fn serve_queue_wait_hist(class: &str) -> String {

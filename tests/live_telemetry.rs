@@ -113,6 +113,7 @@ fn endpoint_serves_full_route_surface_against_live_service() {
     let (status, prom) = get(&server, "/metrics");
     assert_eq!(status, 200);
     assert!(prom.contains("canopus_serve_requests"), "{prom}");
+    assert!(prom.contains("canopus_serve_on_arrival_quick"), "{prom}");
     assert!(prom.contains("canopus_telemetry_scrapes"), "{prom}");
 
     // `/metrics.json`: the full snapshot, parseable.
@@ -198,6 +199,14 @@ fn slo_accounting_is_exact_under_forced_deadlines() {
     assert_eq!(snap.counter(&names::serve_completed("quick")), 12);
     // attainment = 9 / 12 = 750_000 ppm, recomputed at last completion.
     assert_eq!(snap.gauge(&names::serve_attainment_ppm("quick")), 750_000);
+    // Only the first, cold, went through a worker; the other eleven —
+    // two of the misses among them — were cache hits answered on
+    // arrival, each with one queue-wait sample of 0.
+    assert_eq!(snap.counter(&names::serve_dequeued("quick")), 1);
+    assert_eq!(snap.counter(&names::serve_on_arrival("quick")), 11);
+    assert_eq!(snap.counter(&names::serve_requests("quick")), 12);
+    let wait = snap.histogram(&names::serve_queue_wait_hist("quick"));
+    assert_eq!(wait.count, 12);
 }
 
 /// With the live plane left off (the default), deadline bookkeeping
