@@ -17,7 +17,10 @@
 //! to mutate copies first
 //! ([`ReadOutcome::into_data`](crate::read::ReadOutcome::into_data)).
 //! Only level-exact fields are cached — mixed-accuracy results from
-//! region refinement never enter.
+//! region refinement never enter. Beside levels the cache keeps two
+//! populations a region step reuses: decoded spatial chunks, and the
+//! chunk → vertex table of a level stored in several chunks (a Morton
+//! sort of every vertex, charged 4 B a vertex).
 //!
 //! Retention is bounded twice over: by entry count (the configured
 //! capacity) and by approximate resident bytes
@@ -76,20 +79,27 @@ impl CachedLevel {
     }
 }
 
-/// Cache key: a fully restored level, or one decoded spatial chunk of a
-/// sharded delta (`(var, finer level, chunk)`). Both populations share
-/// one tick sequence, entry capacity and byte budget, so hot levels and
-/// hot chunks compete for the same residency.
+/// A level's chunk → vertex-id table ([`crate::write::spatial_chunks`]).
+pub(crate) type Assignment = Arc<Vec<Vec<u32>>>;
+
+/// Cache key: a fully restored level, one decoded spatial chunk of a
+/// sharded delta (`(var, finer level, chunk)`), or the chunk → vertex
+/// table of a level stored in several chunks. All populations share one
+/// tick sequence, entry capacity and byte budget, so hot levels, hot
+/// chunks and the tables that place them compete for the same
+/// residency.
 #[derive(Clone, PartialEq, Eq, Hash)]
 enum CacheKey {
     Level(String, u32),
     Chunk(String, u32, u32),
+    Assignment(String, u32),
 }
 
 /// What a cache entry holds, matching its key's shape.
 enum CacheValue {
     Level(CachedLevel),
     Chunk(Arc<Vec<f64>>),
+    Assignment(Assignment),
 }
 
 impl CacheValue {
@@ -97,6 +107,10 @@ impl CacheValue {
         match self {
             CacheValue::Level(l) => l.approx_bytes(),
             CacheValue::Chunk(v) => v.len() * std::mem::size_of::<f64>(),
+            CacheValue::Assignment(table) => table
+                .iter()
+                .map(|ids| ids.len() * std::mem::size_of::<u32>())
+                .sum(),
         }
     }
 }
@@ -198,7 +212,7 @@ impl LevelCache {
         entry.last_used = tick;
         match &entry.value {
             CacheValue::Level(l) => Some(l.clone()),
-            CacheValue::Chunk(_) => unreachable!("level key holds a level value"),
+            _ => unreachable!("level key holds a level value"),
         }
     }
 
@@ -218,7 +232,26 @@ impl LevelCache {
         entry.last_used = tick;
         match &entry.value {
             CacheValue::Chunk(v) => Some(Arc::clone(v)),
-            CacheValue::Level(_) => unreachable!("chunk key holds a chunk value"),
+            _ => unreachable!("chunk key holds a chunk value"),
+        }
+    }
+
+    /// Look up the chunk → vertex table of `(var, level)`, refreshing its
+    /// recency. A hit saves a Morton sort of every vertex of the level.
+    pub fn get_assignment(&self, var: &str, level: u32) -> Option<Assignment> {
+        if !self.enabled() {
+            return None;
+        }
+        let mut inner = self.inner.lock();
+        inner.tick += 1;
+        let tick = inner.tick;
+        let entry = inner
+            .map
+            .get_mut(&CacheKey::Assignment(var.to_string(), level))?;
+        entry.last_used = tick;
+        match &entry.value {
+            CacheValue::Assignment(table) => Some(Arc::clone(table)),
+            _ => unreachable!("assignment key holds a table"),
         }
     }
 
@@ -244,7 +277,7 @@ impl LevelCache {
                 entry.last_used = tick;
                 let value = match &entry.value {
                     CacheValue::Level(l) => l.clone(),
-                    CacheValue::Chunk(_) => unreachable!("level key holds a level value"),
+                    _ => unreachable!("level key holds a level value"),
                 };
                 return if candidate == level {
                     Probe::Exact(value)
@@ -273,6 +306,15 @@ impl LevelCache {
         self.insert_entry(
             CacheKey::Chunk(var.to_string(), level, chunk),
             CacheValue::Chunk(values),
+        );
+    }
+
+    /// Retain the chunk → vertex table of `(var, level)` under the same
+    /// capacity and byte budget as whole levels, charged 4 B a vertex.
+    pub fn insert_assignment(&self, var: &str, level: u32, table: Assignment) {
+        self.insert_entry(
+            CacheKey::Assignment(var.to_string(), level),
+            CacheValue::Assignment(table),
         );
     }
 
@@ -465,6 +507,22 @@ mod tests {
         assert!(c.get("v", 0).is_none(), "LRU level evicted by a chunk");
         // Chunk entries never answer level probes.
         assert!(matches!(c.probe("v", 0, 3), Probe::Miss));
+    }
+
+    #[test]
+    fn assignments_are_charged_to_the_budget() {
+        let c = LevelCache::new(4);
+        let table: Assignment = Arc::new(vec![vec![0, 2], vec![1, 3, 4]]);
+        c.insert_assignment("v", 1, Arc::clone(&table));
+        assert_eq!(c.resident_bytes(), 5 * 4, "4 B a vertex");
+        assert!(Arc::ptr_eq(&c.get_assignment("v", 1).unwrap(), &table));
+        assert!(c.get_assignment("v", 0).is_none());
+        // A table answers no level probe, and is evicted like any entry.
+        assert!(matches!(c.probe("v", 1, 3), Probe::Miss));
+        c.set_max_bytes(5 * 4);
+        c.insert("v", 0, level(0.0));
+        assert!(c.get_assignment("v", 1).is_none(), "LRU table evicted");
+        assert_eq!(c.len(), 1);
     }
 
     #[test]
