@@ -13,7 +13,8 @@
 //! payloads, infinities and signed zeros.
 
 use crate::error::CodecError;
-use crate::Codec;
+use crate::{Codec, Slot};
+use std::mem::MaybeUninit;
 
 const STREAM_MAGIC: u8 = 0xC4;
 const STREAM_VERSION: u8 = 1;
@@ -139,6 +140,14 @@ impl Codec for Fpc {
         with_predictors(|preds| self.decompress_with(preds, bytes, out))
     }
 
+    fn decompress_uninit(
+        &self,
+        bytes: &[u8],
+        out: &mut [MaybeUninit<f64>],
+    ) -> Result<(), CodecError> {
+        with_predictors(|preds| self.decompress_with(preds, bytes, out))
+    }
+
     fn is_lossless(&self) -> bool {
         true
     }
@@ -191,11 +200,12 @@ impl Fpc {
         Ok(out)
     }
 
-    fn decompress_with(
+    /// The one decode loop behind both entry points.
+    fn decompress_with<T: Slot>(
         &self,
         preds: &mut Predictors,
         bytes: &[u8],
-        out: &mut [f64],
+        out: &mut [T],
     ) -> Result<(), CodecError> {
         let n = out.len();
         if bytes.len() < 10 {
@@ -241,7 +251,7 @@ impl Fpc {
             let (fcm_pred, dfcm_pred) = preds.predict();
             let pred = if selector == 0 { fcm_pred } else { dfcm_pred };
             let bits = pred ^ xor;
-            *o = f64::from_bits(bits);
+            o.put(f64::from_bits(bits));
             preds.update(bits);
         }
         Ok(())

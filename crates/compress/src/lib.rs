@@ -45,12 +45,67 @@ pub use stats::CompressionStats;
 pub use sz_like::SzLike;
 pub use zfp_like::ZfpLike;
 
+use std::mem::MaybeUninit;
+
+/// One element of a decoder's output: a value of an initialised buffer,
+/// or an element of a buffer's spare capacity. Each codec has one decode
+/// loop, generic over it, behind both [`Codec::decompress_into`] and
+/// [`Codec::decompress_uninit`].
+pub(crate) trait Slot: Send {
+    /// Store `value` here.
+    fn put(&mut self, value: f64);
+
+    /// Decode `bytes` into `out` through `codec`'s entry point for this
+    /// kind of element.
+    fn decode<C: Codec + ?Sized>(
+        codec: &C,
+        bytes: &[u8],
+        out: &mut [Self],
+    ) -> Result<(), CodecError>
+    where
+        Self: Sized;
+}
+
+impl Slot for f64 {
+    #[inline(always)]
+    fn put(&mut self, value: f64) {
+        *self = value;
+    }
+
+    fn decode<C: Codec + ?Sized>(
+        codec: &C,
+        bytes: &[u8],
+        out: &mut [f64],
+    ) -> Result<(), CodecError> {
+        codec.decompress_into(bytes, out)
+    }
+}
+
+impl Slot for MaybeUninit<f64> {
+    #[inline(always)]
+    fn put(&mut self, value: f64) {
+        self.write(value);
+    }
+
+    fn decode<C: Codec + ?Sized>(
+        codec: &C,
+        bytes: &[u8],
+        out: &mut [MaybeUninit<f64>],
+    ) -> Result<(), CodecError> {
+        codec.decompress_uninit(bytes, out)
+    }
+}
+
 /// A floating-point (de)compressor.
 ///
 /// `compress` maps a slice of doubles to an opaque byte stream;
 /// `decompress` inverts it given the original element count (Canopus always
 /// knows the count from the ADIOS metadata, as real ZFP does from the field
-/// dimensions).
+/// dimensions). A decode into a caller's buffer is
+/// [`decompress_into`](Codec::decompress_into) for an initialised one and
+/// [`decompress_uninit`](Codec::decompress_uninit) for spare capacity;
+/// every codec of this crate runs one loop behind both, and writes
+/// whole 4-value blocks (`ZfpLike`) or single values in stream order.
 pub trait Codec: Send + Sync {
     /// Short stable identifier (used in metadata and reports).
     fn name(&self) -> &'static str;
@@ -72,6 +127,17 @@ pub trait Codec: Send + Sync {
         out.copy_from_slice(&v);
         Ok(())
     }
+
+    /// [`Codec::decompress_into`] for a buffer that need not be
+    /// initialised, such as a `Vec`'s spare capacity: on `Ok` every
+    /// element of `out` holds its value, bit for bit what
+    /// [`Codec::decompress`] returns; on `Err` any element may be left
+    /// unwritten.
+    fn decompress_uninit(
+        &self,
+        bytes: &[u8],
+        out: &mut [MaybeUninit<f64>],
+    ) -> Result<(), CodecError>;
 
     /// Whether decompression reproduces input bit-exactly.
     fn is_lossless(&self) -> bool;
@@ -98,6 +164,14 @@ impl<C: Codec + ?Sized> Codec for Box<C> {
 
     fn decompress_into(&self, bytes: &[u8], out: &mut [f64]) -> Result<(), CodecError> {
         (**self).decompress_into(bytes, out)
+    }
+
+    fn decompress_uninit(
+        &self,
+        bytes: &[u8],
+        out: &mut [MaybeUninit<f64>],
+    ) -> Result<(), CodecError> {
+        (**self).decompress_uninit(bytes, out)
     }
 
     fn is_lossless(&self) -> bool {
@@ -201,17 +275,15 @@ impl Codec for RawCodec {
     }
 
     fn decompress_into(&self, bytes: &[u8], out: &mut [f64]) -> Result<(), CodecError> {
-        if bytes.len() != out.len() * 8 {
-            return Err(CodecError::Corrupt(format!(
-                "raw stream is {} bytes, expected {}",
-                bytes.len(),
-                out.len() * 8
-            )));
-        }
-        for (o, c) in out.iter_mut().zip(bytes.chunks_exact(8)) {
-            *o = f64::from_le_bytes(c.try_into().expect("chunk of 8"));
-        }
-        Ok(())
+        self.decode(bytes, out)
+    }
+
+    fn decompress_uninit(
+        &self,
+        bytes: &[u8],
+        out: &mut [MaybeUninit<f64>],
+    ) -> Result<(), CodecError> {
+        self.decode(bytes, out)
     }
 
     fn is_lossless(&self) -> bool {
@@ -220,6 +292,23 @@ impl Codec for RawCodec {
 
     fn error_bound(&self) -> f64 {
         0.0
+    }
+}
+
+impl RawCodec {
+    /// The one decode loop behind both entry points.
+    fn decode<T: Slot>(&self, bytes: &[u8], out: &mut [T]) -> Result<(), CodecError> {
+        if bytes.len() != out.len() * 8 {
+            return Err(CodecError::Corrupt(format!(
+                "raw stream is {} bytes, expected {}",
+                bytes.len(),
+                out.len() * 8
+            )));
+        }
+        for (o, c) in out.iter_mut().zip(bytes.chunks_exact(8)) {
+            o.put(f64::from_le_bytes(c.try_into().expect("chunk of 8")));
+        }
+        Ok(())
     }
 }
 
@@ -263,6 +352,14 @@ impl Codec for AnyCodec {
 
     fn decompress_into(&self, bytes: &[u8], out: &mut [f64]) -> Result<(), CodecError> {
         any_dispatch!(self, c => c.decompress_into(bytes, out))
+    }
+
+    fn decompress_uninit(
+        &self,
+        bytes: &[u8],
+        out: &mut [MaybeUninit<f64>],
+    ) -> Result<(), CodecError> {
+        any_dispatch!(self, c => c.decompress_uninit(bytes, out))
     }
 
     fn is_lossless(&self) -> bool {

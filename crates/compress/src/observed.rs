@@ -12,23 +12,45 @@
 //! avoid a per-block box allocation.
 
 use crate::{Codec, CodecError};
-use canopus_obs::{names, Registry};
+use canopus_obs::{names, Counter, Registry};
+use std::mem::MaybeUninit;
 use std::sync::Arc;
 
 /// A [`Codec`] that records its traffic in an observability registry.
+///
+/// Its counters are looked up once, in [`ObservedCodec::new`], so a
+/// (de)compression adds to them without formatting a name or taking
+/// the registry's lock.
 pub struct ObservedCodec<C: Codec = Box<dyn Codec>> {
     inner: C,
-    obs: Arc<Registry>,
+    compress_calls: Arc<Counter>,
+    compress_bytes_in: Arc<Counter>,
+    compress_bytes_out: Arc<Counter>,
+    decompress_bytes_in: Arc<Counter>,
+    decompress_values_out: Arc<Counter>,
 }
 
 impl<C: Codec> ObservedCodec<C> {
     pub fn new(inner: C, obs: Arc<Registry>) -> Self {
-        Self { inner, obs }
+        let codec = inner.name();
+        Self {
+            compress_calls: obs.counter(&names::compress_calls(codec)),
+            compress_bytes_in: obs.counter(&names::compress_bytes_in(codec)),
+            compress_bytes_out: obs.counter(&names::compress_bytes_out(codec)),
+            decompress_bytes_in: obs.counter(&names::decompress_bytes_in(codec)),
+            decompress_values_out: obs.counter(&names::decompress_values_out(codec)),
+            inner,
+        }
     }
 
     /// The wrapped codec.
     pub fn inner(&self) -> &C {
         &self.inner
+    }
+
+    fn record_decompress(&self, bytes_in: usize, values_out: usize) {
+        self.decompress_bytes_in.add(bytes_in as u64);
+        self.decompress_values_out.add(values_out as u64);
     }
 }
 
@@ -39,14 +61,9 @@ impl<C: Codec> Codec for ObservedCodec<C> {
 
     fn compress(&self, data: &[f64]) -> Result<Vec<u8>, CodecError> {
         let out = self.inner.compress(data)?;
-        let codec = self.inner.name();
-        self.obs.counter(&names::compress_calls(codec)).inc();
-        self.obs
-            .counter(&names::compress_bytes_in(codec))
-            .add((data.len() * 8) as u64);
-        self.obs
-            .counter(&names::compress_bytes_out(codec))
-            .add(out.len() as u64);
+        self.compress_calls.inc();
+        self.compress_bytes_in.add((data.len() * 8) as u64);
+        self.compress_bytes_out.add(out.len() as u64);
         Ok(out)
     }
 
@@ -62,24 +79,22 @@ impl<C: Codec> Codec for ObservedCodec<C> {
         Ok(())
     }
 
+    fn decompress_uninit(
+        &self,
+        bytes: &[u8],
+        out: &mut [MaybeUninit<f64>],
+    ) -> Result<(), CodecError> {
+        self.inner.decompress_uninit(bytes, out)?;
+        self.record_decompress(bytes.len(), out.len());
+        Ok(())
+    }
+
     fn is_lossless(&self) -> bool {
         self.inner.is_lossless()
     }
 
     fn error_bound(&self) -> f64 {
         self.inner.error_bound()
-    }
-}
-
-impl<C: Codec> ObservedCodec<C> {
-    fn record_decompress(&self, bytes_in: usize, values_out: usize) {
-        let codec = self.inner.name();
-        self.obs
-            .counter(&names::decompress_bytes_in(codec))
-            .add(bytes_in as u64);
-        self.obs
-            .counter(&names::decompress_values_out(codec))
-            .add(values_out as u64);
     }
 }
 

@@ -12,8 +12,9 @@
 //! independently).
 
 use crate::error::CodecError;
-use crate::Codec;
+use crate::{Codec, Slot};
 use rayon::prelude::*;
+use std::mem::MaybeUninit;
 use std::ops::Range;
 
 const STREAM_MAGIC: u8 = 0xC6;
@@ -82,17 +83,15 @@ impl<C: Codec> Codec for Chunked<C> {
     }
 
     fn decompress_into(&self, bytes: &[u8], out: &mut [f64]) -> Result<(), CodecError> {
-        let table = ChunkTable::parse(bytes, out.len())?;
-        // Each chunk decodes straight into its disjoint span of `out`:
-        // no per-chunk Vec, no copy-and-concatenate stage. `chunks_mut`
-        // yields exactly as many slices as the table has spans (checked
-        // by the parse), the last one sized to the tail.
-        let jobs: Vec<(&mut [f64], Range<usize>)> =
-            out.chunks_mut(table.chunk_elems).zip(table.spans).collect();
-        jobs.into_par_iter()
-            .map(|(dst, span)| self.inner.decompress_into(&bytes[span], dst))
-            .collect::<Result<Vec<()>, _>>()?;
-        Ok(())
+        self.decode(bytes, out)
+    }
+
+    fn decompress_uninit(
+        &self,
+        bytes: &[u8],
+        out: &mut [MaybeUninit<f64>],
+    ) -> Result<(), CodecError> {
+        self.decode(bytes, out)
     }
 
     fn is_lossless(&self) -> bool {
@@ -101,6 +100,23 @@ impl<C: Codec> Codec for Chunked<C> {
 
     fn error_bound(&self) -> f64 {
         self.inner.error_bound()
+    }
+}
+
+impl<C: Codec> Chunked<C> {
+    /// Both entry points: each chunk decodes straight into its disjoint
+    /// span of `out` through the inner codec's entry point for `T`. No
+    /// per-chunk Vec, no copy-and-concatenate stage. `chunks_mut`
+    /// yields exactly as many slices as the table has spans (checked by
+    /// the parse), the last one sized to the tail.
+    fn decode<T: Slot>(&self, bytes: &[u8], out: &mut [T]) -> Result<(), CodecError> {
+        let table = ChunkTable::parse(bytes, out.len())?;
+        let jobs: Vec<(&mut [T], Range<usize>)> =
+            out.chunks_mut(table.chunk_elems).zip(table.spans).collect();
+        jobs.into_par_iter()
+            .map(|(dst, span)| T::decode(&self.inner, &bytes[span], dst))
+            .collect::<Result<Vec<()>, _>>()?;
+        Ok(())
     }
 }
 

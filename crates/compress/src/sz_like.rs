@@ -15,7 +15,8 @@
 
 use crate::bitstream::{BitReader, BitWriter};
 use crate::error::CodecError;
-use crate::Codec;
+use crate::{Codec, Slot};
+use std::mem::MaybeUninit;
 
 /// Quantization radius: codes live in `[1, 2*RADIUS - 1]`, code 0 marks an
 /// unpredictable (verbatim) value.
@@ -121,6 +122,29 @@ impl Codec for SzLike {
     }
 
     fn decompress_into(&self, bytes: &[u8], out: &mut [f64]) -> Result<(), CodecError> {
+        self.decode(bytes, out)
+    }
+
+    fn decompress_uninit(
+        &self,
+        bytes: &[u8],
+        out: &mut [MaybeUninit<f64>],
+    ) -> Result<(), CodecError> {
+        self.decode(bytes, out)
+    }
+
+    fn is_lossless(&self) -> bool {
+        false
+    }
+
+    fn error_bound(&self) -> f64 {
+        self.error_bound
+    }
+}
+
+impl SzLike {
+    /// The one decode loop behind both entry points.
+    fn decode<T: Slot>(&self, bytes: &[u8], out: &mut [T]) -> Result<(), CodecError> {
         let mut pos = 0usize;
         let take = |pos: &mut usize, len: usize| {
             take(bytes, pos, len)
@@ -176,18 +200,10 @@ impl Codec for SzLike {
                 let qi = code as i64 - RADIUS;
                 prev + two_eb * qi as f64
             };
-            *o = x;
+            o.put(x);
             prev = x;
         }
         Ok(())
-    }
-
-    fn is_lossless(&self) -> bool {
-        false
-    }
-
-    fn error_bound(&self) -> f64 {
-        self.error_bound
     }
 }
 

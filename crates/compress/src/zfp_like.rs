@@ -38,7 +38,8 @@
 use crate::bitstream::{BitReader, BitWriter};
 use crate::error::CodecError;
 use crate::lanes::{self, BlockClass, DecodedClass, LaneReader, STREAM_VERSION};
-use crate::Codec;
+use crate::{Codec, Slot};
+use std::mem::MaybeUninit;
 
 /// Values per block (matches ZFP's 4^d with d = 1).
 const BLOCK: usize = 4;
@@ -302,51 +303,56 @@ fn encode_run(
     Ok(())
 }
 
+/// The values of one decoded block: the one transform-and-scale body
+/// every block of a stream goes through.
+#[inline(always)]
+fn block_values(class: DecodedClass, ub: &[u64; BLOCK]) -> [f64; BLOCK] {
+    match class {
+        DecodedClass::Zero => [0.0; BLOCK],
+        DecodedClass::Raw => ub.map(f64::from_bits),
+        DecodedClass::Coded { emax } => {
+            let ints = transform_inv(ub.map(uint2int));
+            let (fa, fb) = scale_factors(emax - SCALE_BITS);
+            ints.map(|iv| (iv as f64 * fa) * fb)
+        }
+    }
+}
+
 /// Decode the body of a stream (`start_bit` is just past its header)
-/// straight into `out`, staging runs of blocks: parse the lanes, then
-/// inverse-transform + scale with per-block hoisted factors.
-fn decode_stream_into(
+/// straight into `out`, staging runs of whole blocks: parse a run's
+/// lanes, then write each block's values ([`block_values`]) through a
+/// fixed-size `[_; 4]`. Only the stream's last block, when `out` ends
+/// inside it, is decoded into a scratch block and its leading values
+/// copied out.
+fn decode_stream_into<T: Slot>(
     bytes: &[u8],
     start_bit: usize,
     tolerance: f64,
-    out: &mut [f64],
+    out: &mut [T],
 ) -> Result<(), CodecError> {
-    let n = out.len();
     let mut r = LaneReader::new(bytes, start_bit, tolerance);
     let mut u = [[0u64; BLOCK]; RUN_BLOCKS];
     let mut class = [DecodedClass::Zero; RUN_BLOCKS];
-    let mut done = 0usize;
-    while done < n {
-        let nb = (n - done).div_ceil(BLOCK).min(RUN_BLOCKS);
+    let whole = out.len() / BLOCK * BLOCK;
+    let (blocks, tail) = out.split_at_mut(whole);
+    for run in blocks.chunks_mut(RUN_BLOCKS * BLOCK) {
+        let nb = run.len() / BLOCK;
         for (ub, cls) in u.iter_mut().zip(class.iter_mut()).take(nb) {
             *cls = r.decode_lanes(ub)?;
         }
-
-        for (bi, ub) in u.iter().enumerate().take(nb) {
-            let start = done + bi * BLOCK;
-            let take = (n - start).min(BLOCK);
-            let dst = &mut out[start..start + take];
-            match class[bi] {
-                DecodedClass::Zero => dst.fill(0.0),
-                DecodedClass::Raw => {
-                    for (o, &bits) in dst.iter_mut().zip(ub) {
-                        *o = f64::from_bits(bits);
-                    }
-                }
-                DecodedClass::Coded { emax } => {
-                    let mut coeffs = [0i64; BLOCK];
-                    for (c, &uk) in coeffs.iter_mut().zip(ub) {
-                        *c = uint2int(uk);
-                    }
-                    let ints = transform_inv(coeffs);
-                    let (fa, fb) = scale_factors(emax - SCALE_BITS);
-                    for (o, &iv) in dst.iter_mut().zip(&ints) {
-                        *o = (iv as f64 * fa) * fb;
-                    }
-                }
+        for ((dst, ub), &cls) in run.chunks_exact_mut(BLOCK).zip(&u).zip(&class) {
+            let dst: &mut [T; BLOCK] = dst.try_into().expect("a whole block");
+            for (o, v) in dst.iter_mut().zip(block_values(cls, ub)) {
+                o.put(v);
             }
         }
-        done += nb * BLOCK;
+    }
+    if !tail.is_empty() {
+        let ub = &mut u[0];
+        let values = block_values(r.decode_lanes(ub)?, ub);
+        for (o, v) in tail.iter_mut().zip(values) {
+            o.put(v);
+        }
     }
     Ok(())
 }
@@ -364,6 +370,13 @@ fn read_stream_header(r: &mut BitReader<'_>) -> Result<f64, CodecError> {
         return Err(CodecError::Corrupt("bad tolerance in stream".into()));
     }
     Ok(tolerance)
+}
+
+/// Decode a whole stream, header first, into `out`.
+fn decode<T: Slot>(bytes: &[u8], out: &mut [T]) -> Result<(), CodecError> {
+    let mut r = BitReader::new(bytes);
+    let tolerance = read_stream_header(&mut r)?;
+    decode_stream_into(bytes, r.position(), tolerance, out)
 }
 
 impl Codec for ZfpLike {
@@ -407,9 +420,15 @@ impl Codec for ZfpLike {
     }
 
     fn decompress_into(&self, bytes: &[u8], out: &mut [f64]) -> Result<(), CodecError> {
-        let mut r = BitReader::new(bytes);
-        let tolerance = read_stream_header(&mut r)?;
-        decode_stream_into(bytes, r.position(), tolerance, out)
+        decode(bytes, out)
+    }
+
+    fn decompress_uninit(
+        &self,
+        bytes: &[u8],
+        out: &mut [MaybeUninit<f64>],
+    ) -> Result<(), CodecError> {
+        decode(bytes, out)
     }
 
     fn is_lossless(&self) -> bool {

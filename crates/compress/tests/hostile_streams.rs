@@ -13,6 +13,8 @@
 //! lane-major decoder makes, on the unchecked path (spare bytes behind
 //! the block) and on the padded one, and the two paths must agree on
 //! every valid stream; crafted Huffman tables and lengths hit `SzLike`'s.
+//! Every decode runs through both entry points, `decompress_into` and
+//! `decompress_uninit` (a `Vec`'s spare capacity), which must agree.
 
 use canopus_compress::bitstream::BitWriter;
 use canopus_compress::{Codec, CodecError, Fpc, SzLike, ZfpLike};
@@ -54,21 +56,42 @@ fn decode_bounded(codec: &dyn Codec, bytes: &[u8], n: usize) -> Result<Vec<f64>,
 
 /// [`decode_bounded`] for a decoder with tables of its own: everything
 /// it allocates on the way, freed or not, stays within `limit` bytes.
+///
+/// Every stream goes through both entry points: `decompress_into` on an
+/// initialised buffer, and `decompress_uninit` on a `Vec`'s spare
+/// capacity. They must fail with the same error or decode the same bits.
 fn decode_within(
     codec: &dyn Codec,
     bytes: &[u8],
     n: usize,
     limit: usize,
 ) -> Result<Vec<f64>, CodecError> {
+    let within = |decode: &mut dyn FnMut() -> Result<(), CodecError>| {
+        let before = ALLOC_BYTES.with(Cell::get);
+        let result = decode();
+        let grew = ALLOC_BYTES.with(Cell::get) - before;
+        assert!(
+            grew <= limit,
+            "decode allocated {grew} B for a {} B stream",
+            bytes.len()
+        );
+        result
+    };
     let mut out = vec![f64::NAN; n];
-    let before = ALLOC_BYTES.with(Cell::get);
-    let result = codec.decompress_into(bytes, &mut out);
-    let grew = ALLOC_BYTES.with(Cell::get) - before;
-    assert!(
-        grew <= limit,
-        "decode allocated {grew} B for a {} B stream",
-        bytes.len()
-    );
+    let result = within(&mut || codec.decompress_into(bytes, &mut out));
+    let mut spare: Vec<f64> = Vec::with_capacity(n);
+    let uninit =
+        within(&mut || codec.decompress_uninit(bytes, &mut spare.spare_capacity_mut()[..n]));
+    match (&result, uninit) {
+        (Ok(()), Ok(())) => {
+            // SAFETY: `decompress_uninit` returned `Ok`, so it wrote all
+            // of the first `n` elements of the spare capacity.
+            unsafe { spare.set_len(n) };
+            assert_eq!(bits(&spare), bits(&out), "the two entry points");
+        }
+        (Err(a), Err(b)) => assert_eq!(a.to_string(), b.to_string(), "the two entry points"),
+        (a, b) => panic!("decompress_into gave {a:?}, decompress_uninit {b:?}"),
+    }
     result.map(|()| out)
 }
 

@@ -4,9 +4,9 @@
 //! Every refinement is one step, `refine_step`: fetch the delta that
 //! refines a level into the next finer one, decode it and restore. Of a
 //! level stored as one spatial chunk (the default layout) the step
-//! decodes and restores each 64 Ki-value tile in one parallel pass
-//! (`decode_restore_tiles`), so the values are restored while still in
-//! cache and on every core; of a level in several chunks it decodes the
+//! decodes each 64 Ki-value tile straight into the level's buffer, which
+//! is never zero-filled, then restores each tile, both on every core
+//! (`decode_restore_tiles`); of a level in several chunks it decodes the
 //! chunks on a second thread while the geometry loads and the level's
 //! chunk → vertex assignment is taken (sorted once, then kept by the
 //! decoded-level cache), and restores the level in one pass. A level walk
@@ -46,7 +46,7 @@ use canopus_refactor::{restore_in_place, restore_tile, Estimator, Weights};
 use parking_lot::Mutex;
 use rayon::prelude::*;
 use std::collections::HashMap;
-use std::ops::Range;
+use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::{Scope, ScopedJoinHandle};
@@ -1243,12 +1243,12 @@ impl CanopusReader {
     }
 
     /// Restore a level stored as one spatial chunk, `step` checked, from
-    /// the chunk's stream `bytes` (the chunk `entry` of shard `block`) in
-    /// one pass over its tiles: each task decodes one chunk of the stream
-    /// straight into its slice of the level's buffer and restores that
-    /// slice while it is still in cache ([`decode_restore_tiles`]). The
-    /// level's values and squares sum are those of decoding the stream
-    /// whole, then [`restore_in_place`].
+    /// the chunk's stream `bytes` (the chunk `entry` of shard `block`),
+    /// tile by tile ([`decode_restore_tiles`]): the level's buffer is
+    /// allocated on the calling thread and not filled; each tile of the
+    /// stream decodes straight into its part of it, then each is
+    /// restored. The level's values and squares sum are those of
+    /// decoding the stream whole, then [`restore_in_place`].
     ///
     /// The stream counts as one decode ([`Self::count_decode`], one
     /// `decode` span, which covers the pass), of the tiles' decode
@@ -1271,8 +1271,7 @@ impl CanopusReader {
         }
         let _span = stage_child!(self.obs, parent, "decode", key = block.key.as_str());
         let (codec, chunked) = self.payload_codec(entry.codec_id, block.codec_param)?;
-        let mut values = vec![0.0; n];
-        let pass = decode_restore_tiles(&codec, chunked, bytes, &mut values, |tile, first| {
+        let (values, pass) = decode_restore_tiles(&codec, chunked, bytes, n, |tile, first| {
             restore_tile(
                 tile,
                 first,
@@ -2007,56 +2006,77 @@ struct TilePass {
     restore_secs: f64,
 }
 
-/// Decode the stream `bytes` into `out` (whose length is the stream's
-/// value count) and restore it, tile by tile. A chunk-framed stream's
-/// tile is one of its chunks, of whatever size its header records:
-/// each task decodes chunk `i` straight into its slice of `out` and
-/// hands the slice, with the index of its first value, to `restore`
-/// while the values are still in cache. An unframed stream is one tile.
-/// `restore` returns the tile's sum of squared deltas; the sums are
-/// added in tile order, as [`restore_in_place`] adds them, so a stream
-/// framed at [`canopus_refactor::TILE`] gives its bits and its sum.
+/// A tile of a level's buffer, not yet written, and its stream.
+type Tile<'a> = (&'a mut [MaybeUninit<f64>], &'a [u8]);
+
+/// Decode the stream `bytes` of `n` values and restore it, tile by
+/// tile, into a buffer this function allocates and returns. A
+/// chunk-framed stream's tile is one of its chunks, of whatever size its
+/// header records; an unframed stream is one tile.
 ///
-/// The table is checked against `out.len()` before any chunk decodes,
-/// so a stream whose chunk count or lengths disagree with the value
-/// count is refused with an error.
+/// The buffer is never filled before the decode. Each task decodes one
+/// tile straight into its part of the buffer's spare capacity
+/// ([`Codec::decompress_uninit`]); once every tile has decoded, the
+/// buffer's length is set, and each task hands one tile, with the index
+/// of its first value, to `restore`. `restore` returns the tile's sum
+/// of squared deltas; the sums are added in tile order, as
+/// [`restore_in_place`] adds them, so a stream framed at
+/// [`canopus_refactor::TILE`] gives its bits and its sum. If a tile
+/// fails to decode, the buffer is dropped with its length still 0.
+///
+/// The table is checked against `n` before any chunk decodes, so a
+/// stream whose chunk count or lengths disagree with the value count is
+/// refused with an error.
 fn decode_restore_tiles<C: Codec>(
     codec: &C,
     chunked: bool,
     bytes: &[u8],
-    out: &mut [f64],
+    n: usize,
     restore: impl Fn(&mut [f64], usize) -> f64 + Sync,
-) -> Result<TilePass, CanopusError> {
-    let one_tile = |tile: &mut [f64], first: usize, stream: &[u8]| {
-        let t = Instant::now();
-        codec.decompress_into(stream, tile)?;
-        let decoded = Instant::now();
-        let squares = restore(tile, first);
-        Ok::<_, CanopusError>(TilePass {
-            squares,
-            decode_secs: (decoded - t).as_secs_f64(),
-            restore_secs: decoded.elapsed().as_secs_f64(),
-        })
+) -> Result<(Vec<f64>, TilePass), CanopusError> {
+    let mut values = Vec::with_capacity(n);
+    let spare = &mut values.spare_capacity_mut()[..n];
+    // An unframed stream is one tile: even of no values, its header is
+    // checked.
+    let (grain, tiles): (usize, Vec<Tile<'_>>) = if chunked {
+        let table = ChunkTable::parse(bytes, n)?;
+        let tiles = spare
+            .chunks_mut(table.chunk_elems)
+            .zip(table.spans)
+            .map(|(tile, span)| (tile, &bytes[span]))
+            .collect();
+        (table.chunk_elems, tiles)
+    } else {
+        (n.max(1), vec![(spare, bytes)])
     };
-    if !chunked {
-        return one_tile(out, 0, bytes);
-    }
-    let table = ChunkTable::parse(bytes, out.len())?;
-    let tiles: Vec<(usize, &mut [f64], Range<usize>)> = out
-        .chunks_mut(table.chunk_elems)
-        .zip(table.spans)
-        .enumerate()
-        .map(|(i, (tile, span))| (i * table.chunk_elems, tile, span))
-        .collect();
-    let passes = tiles
+    let decode_secs = tiles
         .into_par_iter()
-        .map(|(first, tile, span)| one_tile(tile, first, &bytes[span]))
-        .collect::<Result<Vec<TilePass>, _>>()?;
-    Ok(TilePass {
-        squares: passes.iter().map(|p| p.squares).sum(),
-        decode_secs: passes.iter().map(|p| p.decode_secs).sum(),
-        restore_secs: passes.iter().map(|p| p.restore_secs).sum(),
-    })
+        .map(|(tile, stream)| {
+            let t = Instant::now();
+            codec.decompress_uninit(stream, tile)?;
+            Ok::<_, CanopusError>(t.elapsed().as_secs_f64())
+        })
+        .collect::<Result<Vec<f64>, _>>()?;
+    // SAFETY: the tiles are `spare_capacity_mut()[..n]` split into
+    // consecutive slices, and every tile's `decompress_uninit` returned
+    // `Ok`, which writes every element of its slice: the first `n`
+    // elements are initialised, and the capacity is at least `n`.
+    unsafe { values.set_len(n) };
+    let restored = values
+        .par_chunks_mut(grain)
+        .enumerate()
+        .map(|(i, tile)| {
+            let t = Instant::now();
+            let squares = restore(tile, i * grain);
+            (squares, t.elapsed().as_secs_f64())
+        })
+        .collect::<Vec<(f64, f64)>>();
+    let pass = TilePass {
+        squares: restored.iter().map(|r| r.0).sum(),
+        decode_secs: decode_secs.iter().sum(),
+        restore_secs: restored.iter().map(|r| r.1).sum(),
+    };
+    Ok((values, pass))
 }
 
 /// The vertex ids chunk `chunk` of a level holds, in stream order, by
@@ -2716,17 +2736,15 @@ mod tests {
             bytes: &[u8],
             weights: Weights<'_>,
         ) -> Result<(Vec<f64>, TilePass), CanopusError> {
-            let mut values = vec![0.0; s.delta.len()];
-            let pass = decode_restore_tiles(
+            decode_restore_tiles(
                 &kind.build_any(),
                 chunked,
                 bytes,
-                &mut values,
+                s.delta.len(),
                 |tile, first| {
                     restore_tile(tile, first, &s.triangles, &s.coarse, &s.mapping, weights)
                 },
-            )?;
-            Ok((values, pass))
+            )
         }
 
         #[test]
@@ -2790,9 +2808,7 @@ mod tests {
             let kind = CodecKind::Fpc;
             let (bytes, _) = compress_stream(&s.delta, kind, &obs).unwrap();
             let refused = |bytes: &[u8], n: usize, what: &str| {
-                let mut values = vec![0.0; n];
-                let got =
-                    decode_restore_tiles(&kind.build_any(), true, bytes, &mut values, |_, _| 0.0);
+                let got = decode_restore_tiles(&kind.build_any(), true, bytes, n, |_, _| 0.0);
                 assert!(got.is_err(), "{what}");
             };
             // Two chunks recorded; the manifest's count needs three.

@@ -109,7 +109,12 @@ pub fn restore_in_place(
 /// from global index `first` on, delta on entry and restored on return.
 /// `mapping` is the whole level's, and `first` is also what
 /// [`Weights::Barycentric`] reads the fine point by. Returns the tile's
-/// sum of squared deltas.
+/// sum of squared deltas, accumulated in value order.
+///
+/// The estimator is chosen once per tile, not per vertex
+/// (`Weights::restore`, beside the estimators): one loop, monomorphised
+/// per estimator, runs the arithmetic [`Weights::estimate`] runs, so
+/// the values and the sum keep their bits.
 ///
 /// # Panics
 /// Panics if `mapping` has no entry for some value, or names a triangle
@@ -123,14 +128,7 @@ pub fn restore_tile(
     weights: Weights<'_>,
 ) -> f64 {
     let mapping = &mapping[first..first + values.len()];
-    let mut squares = 0.0;
-    for (at, (value, &tri)) in values.iter_mut().zip(mapping).enumerate() {
-        let delta = *value;
-        squares += delta * delta;
-        let corners = coarse_triangles[tri as usize];
-        *value = delta + weights.estimate(first + at, corners, coarse_data);
-    }
-    squares
+    weights.restore(values, first, mapping, coarse_triangles, coarse_data)
 }
 
 #[cfg(test)]

@@ -25,6 +25,11 @@ pub enum Estimator {
 /// An [`Estimator`] together with what it reads of the two levels
 /// besides the coarse triangles' corner ids and values: the mean reads
 /// nothing more, so a level can be restored without any vertex position.
+///
+/// [`Weights::estimate`] picks the estimator per call. A loop over many
+/// vertices picks it once instead: [`crate::restore_tile`] matches on
+/// the weights once per tile and runs a loop with that estimator's
+/// arithmetic inlined, the same arithmetic this method runs.
 #[derive(Debug, Clone, Copy)]
 pub enum Weights<'a> {
     Mean,
@@ -39,24 +44,87 @@ impl Weights<'_> {
     /// Predict the value at fine vertex `x` from the coarse triangle
     /// with corners `[i, j, k]`, corner data taken from `coarse_data`.
     #[inline]
-    pub fn estimate(&self, x: usize, [i, j, k]: [VertexId; 3], coarse_data: &[f64]) -> f64 {
-        let (li, lj, lk) = (
-            coarse_data[i as usize],
-            coarse_data[j as usize],
-            coarse_data[k as usize],
-        );
+    pub fn estimate(&self, x: usize, corners: [VertexId; 3], coarse_data: &[f64]) -> f64 {
         match self {
-            Weights::Mean => (li + lj + lk) / 3.0,
+            Weights::Mean => mean(corners, coarse_data),
             Weights::Barycentric { fine, coarse } => {
-                let t = Triangle::new(coarse[i as usize], coarse[j as usize], coarse[k as usize]);
-                match t.barycentric(fine[x]) {
-                    Some([wa, wb, wc]) => wa * li + wb * lj + wc * lk,
-                    // Degenerate coarse triangle: fall back to the mean.
-                    None => (li + lj + lk) / 3.0,
-                }
+                barycentric(fine, coarse, x, corners, coarse_data)
             }
         }
     }
+
+    /// The loop of [`crate::restore_tile`]: `values` are a tile's deltas
+    /// from the level's index `first` on, restored in place, and
+    /// `mapping` is the tile's own. Returns the squared deltas summed in
+    /// value order. One `match` picks the estimator, and each arm runs
+    /// [`restore_with`] with that estimator's arithmetic inlined.
+    pub(crate) fn restore(
+        &self,
+        values: &mut [f64],
+        first: usize,
+        mapping: &[u32],
+        coarse_triangles: &[[VertexId; 3]],
+        coarse_data: &[f64],
+    ) -> f64 {
+        match *self {
+            Weights::Mean => restore_with(values, mapping, coarse_triangles, |_, corners| {
+                mean(corners, coarse_data)
+            }),
+            Weights::Barycentric { fine, coarse } => {
+                restore_with(values, mapping, coarse_triangles, |at, corners| {
+                    barycentric(fine, coarse, first + at, corners, coarse_data)
+                })
+            }
+        }
+    }
+}
+
+/// The paper's estimate: the mean of the three corner values.
+#[inline]
+fn mean([i, j, k]: [VertexId; 3], coarse_data: &[f64]) -> f64 {
+    (coarse_data[i as usize] + coarse_data[j as usize] + coarse_data[k as usize]) / 3.0
+}
+
+/// The corner values weighted by fine point `x`'s barycentric
+/// coordinates in the coarse triangle; the mean where the triangle is
+/// degenerate.
+#[inline]
+fn barycentric(
+    fine: &[Point2],
+    coarse: &[Point2],
+    x: usize,
+    [i, j, k]: [VertexId; 3],
+    coarse_data: &[f64],
+) -> f64 {
+    let (li, lj, lk) = (
+        coarse_data[i as usize],
+        coarse_data[j as usize],
+        coarse_data[k as usize],
+    );
+    let t = Triangle::new(coarse[i as usize], coarse[j as usize], coarse[k as usize]);
+    match t.barycentric(fine[x]) {
+        Some([wa, wb, wc]) => wa * li + wb * lj + wc * lk,
+        // Degenerate coarse triangle: fall back to the mean.
+        None => (li + lj + lk) / 3.0,
+    }
+}
+
+/// One loop body for every estimator: `estimate` takes a value's index
+/// in the tile and its coarse triangle's corners.
+#[inline(always)]
+fn restore_with(
+    values: &mut [f64],
+    mapping: &[u32],
+    coarse_triangles: &[[VertexId; 3]],
+    estimate: impl Fn(usize, [VertexId; 3]) -> f64,
+) -> f64 {
+    let mut squares = 0.0;
+    for (at, (value, &tri)) in values.iter_mut().zip(mapping).enumerate() {
+        let delta = *value;
+        squares += delta * delta;
+        *value = delta + estimate(at, coarse_triangles[tri as usize]);
+    }
+    squares
 }
 
 impl Estimator {

@@ -5,9 +5,10 @@
 //! cold `read_level` walk give its bits, under every codec, on levels of
 //! less than one tile, of one tile and a remainder, and of several
 //! tiles; a file whose streams are framed at another grain (as files
-//! written before the grain was fixed are) refines to its bits too; and
-//! a stream whose chunk table disagrees with the manifest is refused
-//! with an error.
+//! written before the grain was fixed are) refines to its bits too; a
+//! stream whose chunk table disagrees with the manifest is refused with
+//! an error; and so is a step one of whose tiles does not decode, which
+//! leaves nothing in the cache.
 //!
 //! One file is written (decimation dominates a write); the others are
 //! copies of it with every value stream recoded, so they share its
@@ -17,10 +18,10 @@ mod support;
 
 use bytes::Bytes;
 use canopus::config::RelativeCodec;
-use canopus::{Canopus, CanopusConfig, ReadOutcome};
+use canopus::{Canopus, CanopusConfig, CanopusError, ReadOutcome};
 use canopus_adios::store::BlockWrite;
 use canopus_adios::{checksum64, BpFile, ChunkEntry};
-use canopus_compress::{Chunked, Codec, CodecKind, CHUNKED_CODEC_ID_FLAG};
+use canopus_compress::{ChunkTable, Chunked, Codec, CodecError, CodecKind, CHUNKED_CODEC_ID_FLAG};
 use canopus_data::xgc1_dataset_sized;
 use canopus_obs::names;
 use canopus_refactor::levels::RefactorConfig;
@@ -327,5 +328,50 @@ fn a_tile_pass_counts_as_one_decode_of_its_stream() {
         assert!((restore - next.timing.restore_secs).abs() < 1e-9, "{what}");
         assert!(next.timing.decompress_secs > 0.0 && restore > 0.0, "{what}");
         current = next;
+    }
+}
+
+#[test]
+fn a_step_whose_tile_does_not_decode_fails_and_caches_nothing() {
+    // Level 0's delta is the one stream of three chunks: the tiles the
+    // pass decodes into the level's unfilled buffer.
+    for k in [1, 2] {
+        // A store of its own: no other test's reads reach its registry.
+        let own = empty_store();
+        copy_recoded(&own, "fpc.bp", "bad.bp", 0.0, |stream, id, _, n| {
+            let mut bad = stream.to_vec();
+            if id & CHUNKED_CODEC_ID_FLAG != 0 {
+                let table = ChunkTable::parse(stream, n).expect("a framed stream");
+                if table.spans.len() == 3 {
+                    // Tile k's first byte is its codec's magic.
+                    bad[table.spans[k].start] ^= 0xFF;
+                }
+            }
+            (bad, id)
+        });
+        let reader = own.open("bad.bp").expect("open");
+        let l1 = reader.read_level("v", 1).expect("level 1 is intact");
+        let hits = || reader.metrics().counter(names::READ_CACHE_HITS).get();
+        // Twice: a failed step that had cached its buffer would be
+        // answered from the cache the second time.
+        for attempt in 0..2 {
+            let what = format!("tile {k}, attempt {attempt}");
+            let before = hits();
+            let err = reader.refine_once("v", &l1).expect_err(&what);
+            assert!(
+                matches!(err, CanopusError::Codec(CodecError::Corrupt(_))),
+                "{what}: {err}"
+            );
+            assert_eq!(hits(), before, "{what}: a cache hit");
+        }
+        assert!(reader.refine_region("v", &l1, whole_domain()).is_err());
+        assert!(reader.read_level("v", 0).is_err(), "tile {k}: the walk");
+
+        // The same step on the good file gives the oracle's bits.
+        let good = store().open("fpc.bp").expect("open").with_level_cache(0);
+        let l1 = good.read_level("v", 1).expect("level 1");
+        let (once, _) = good.refine_once("v", &l1).expect("the good step");
+        let (want, _) = oracle_refine(store(), "fpc.bp", "v", &l1, &once.mesh);
+        assert_eq!(bits(&once.data), bits(&want), "tile {k}: the good step");
     }
 }
