@@ -180,17 +180,19 @@ impl BlockMeta {
     }
 
     /// Check the chunk index against the block's own sizes, once, where
-    /// the manifest enters the program: every entry's byte range lies
-    /// inside the stored object, ranges ascend without overlapping, and
-    /// the entries' element counts add up to the block's. Readers slice
-    /// payloads and size buffers by these numbers.
+    /// the manifest enters the program: a base block has none (its
+    /// payload is one stream, and the writer never indexes it); a
+    /// shard's entries each lie inside the stored object, ascend without
+    /// overlapping, and their element counts add up to the block's.
+    /// Readers slice payloads and size buffers by these numbers.
     fn check_chunk_index(&self) -> Result<(), AdiosError> {
+        let corrupt = |what: &str| AdiosError::Corrupt(format!("{}: chunk index {what}", self.key));
         match self.kind {
             ProductKind::Metadata { .. } => return self.check_section_index(),
             ProductKind::Base { .. } if self.chunks.is_empty() => return Ok(()),
-            _ => {}
+            ProductKind::Base { .. } => return Err(corrupt("on a base block")),
+            ProductKind::DeltaShard { .. } => {}
         }
-        let corrupt = |what: &str| AdiosError::Corrupt(format!("{}: chunk index {what}", self.key));
         let (mut end, mut elements) = (0u64, 0u64);
         for e in &self.chunks {
             if e.offset < end {
@@ -779,19 +781,31 @@ mod tests {
     #[test]
     fn inconsistent_chunk_indexes_are_rejected() {
         type Edit = fn(&mut BlockMeta);
-        let cases: [(&str, Edit); 7] = [
-            ("range past the object", |b| b.chunks[1].len += 1),
-            ("offset + len overflows", |b| b.chunks[1].offset = u64::MAX),
-            ("overlap", |b| b.chunks[1].offset -= 1),
-            ("descending", |b| b.chunks.swap(0, 1)),
-            ("elements short", |b| b.chunks[0].elements -= 1),
-            ("elements overflow", |b| b.chunks[0].elements = u64::MAX),
-            ("shard without an index", |b| b.chunks.clear()),
+        // Block 2 is the two-chunk shard, block 0 the base.
+        let cases: [(&str, usize, Edit); 8] = [
+            ("range past the object", 2, |b| b.chunks[1].len += 1),
+            ("offset + len overflows", 2, |b| {
+                b.chunks[1].offset = u64::MAX
+            }),
+            ("overlap", 2, |b| b.chunks[1].offset -= 1),
+            ("descending", 2, |b| b.chunks.swap(0, 1)),
+            ("elements short", 2, |b| b.chunks[0].elements -= 1),
+            ("elements overflow", 2, |b| b.chunks[0].elements = u64::MAX),
+            ("shard without an index", 2, |b| b.chunks.clear()),
+            // An index that would hold for a shard: one entry over the
+            // whole object and every value.
+            ("base block with a chunk index", 0, |b| {
+                b.chunks = vec![ChunkEntry {
+                    len: b.stored_bytes,
+                    elements: b.elements,
+                    ..section(0, 0, 0, 0)
+                }]
+            }),
         ];
-        for (what, edit) in cases {
+        for (what, block, edit) in cases {
             assert!(
                 matches!(
-                    FileMeta::from_bytes(&sample_with(edit)),
+                    FileMeta::from_bytes(&sample_with_block(block, edit)),
                     Err(AdiosError::Corrupt(_))
                 ),
                 "{what}"

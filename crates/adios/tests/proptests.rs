@@ -61,8 +61,8 @@ fn arb_chunk_entry() -> impl Strategy<Value = ChunkEntry> {
 /// A block whose chunk index is consistent with it, as
 /// `FileMeta::from_bytes` demands: entries ascend without overlapping
 /// inside the stored bytes, and their element counts add up. A shard
-/// always has an index; a base may (it is checked when present); a
-/// geometry block's is its two sections, tiling the stored bytes.
+/// always has an index; a base never has one; a geometry block's is its
+/// two sections, tiling the stored bytes.
 fn arb_block() -> impl Strategy<Value = BlockMeta> {
     (
         "[a-z0-9/._-]{1,40}",
@@ -92,6 +92,9 @@ fn arb_block() -> impl Strategy<Value = BlockMeta> {
                 (max, checksum, mut chunks),
             )| {
                 let geometry = matches!(kind, ProductKind::Metadata { .. });
+                if matches!(kind, ProductKind::Base { .. }) {
+                    chunks.clear();
+                }
                 if geometry {
                     let filler = ChunkEntry {
                         chunk: 0,

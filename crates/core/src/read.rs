@@ -2,14 +2,18 @@
 //! half, and Alg. 3), with the Fig. 9–11 phase timing breakdown.
 //!
 //! Every refinement is one step, `refine_step`: fetch the delta that
-//! refines a level into the next finer one, decode it and restore. Of a
-//! level stored as one spatial chunk (the default layout) the step
-//! decodes each 64 Ki-value tile straight into the level's buffer, which
-//! is never zero-filled, then restores each tile, both on every core
-//! (`decode_restore_tiles`); of a level in several chunks it decodes the
-//! chunks on a second thread while the geometry loads and the level's
-//! chunk → vertex assignment is taken (sorted once, then kept by the
-//! decoded-level cache), and restores the level in one pass. A level walk
+//! refines a level into the next finer one, decode it and restore. Every
+//! stream the reader decodes — a base block, a delta chunk — goes
+//! through one decode (`decode_stream`): the codec's own, which decodes
+//! a stream the writer framed in 64 Ki-value tiles one tile per task on
+//! every core, straight into a buffer that is never zero-filled. Every
+//! step restores through one kernel, [`restore_in_place`], one task per
+//! tile. Of a level stored as one spatial chunk (the default layout) the
+//! decoded stream is the level's delta; of a level in several chunks the
+//! step decodes the chunks on a second thread while the geometry loads
+//! and the level's chunk → vertex assignment is taken (sorted once, then
+//! kept by the decoded-level cache), and puts their values in vertex
+//! order first. A level walk
 //! ([`CanopusReader::read_level`]) is a coarse-to-fine loop over that
 //! step, with one loader thread fetching the target level's geometry
 //! meanwhile; a single step
@@ -36,17 +40,14 @@ use crate::geometry::{section_of, Fill, LevelGeometry, Need};
 use crate::write::spatial_chunks;
 use bytes::Bytes;
 use canopus_adios::{BlockMeta, BpFile, ChunkEntry, GeometrySection};
-use canopus_compress::{
-    AnyCodec, ChunkTable, Chunked, Codec, CodecKind, ObservedCodec, CHUNKED_CODEC_ID_FLAG,
-};
+use canopus_compress::{Chunked, Codec, CodecKind, ObservedCodec, CHUNKED_CODEC_ID_FLAG};
 use canopus_mesh::geometry::Point2;
 use canopus_mesh::{Aabb, TriMesh, VertexId};
 use canopus_obs::{names, stage, stage_child, FieldValue, Registry, SpanContext};
-use canopus_refactor::{restore_in_place, restore_tile, Estimator, Weights};
+use canopus_refactor::{restore_in_place, Estimator};
 use parking_lot::Mutex;
 use rayon::prelude::*;
 use std::collections::HashMap;
-use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::{Scope, ScopedJoinHandle};
@@ -57,17 +58,17 @@ use std::time::Instant;
 ///
 /// `total()` sums the three phases — the cost model of a serial pipeline.
 /// `elapsed_secs` is the *measured wall clock* of the same operation.
-/// The decode and restore rows are CPU seconds summed over the tiles of
-/// a step's parallel pass, so on several cores they can exceed
+/// The decode and restore rows are the wall seconds of each phase, on
+/// however many cores it ran, so together they never exceed
 /// `elapsed_secs`.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PhaseTiming {
     pub io_secs: f64,
     pub decompress_secs: f64,
     pub restore_secs: f64,
-    /// Measured wall-clock seconds of the operation (the phase sums
-    /// above can exceed this when tiles restore in parallel, and
-    /// `io_secs` is simulated device time rather than wall time).
+    /// Measured wall-clock seconds of the operation (`io_secs` is
+    /// simulated device time rather than wall time, so the three phases
+    /// together can exceed this).
     pub elapsed_secs: f64,
 }
 
@@ -865,140 +866,57 @@ impl CanopusReader {
         self.file.meta().num_levels
     }
 
-    /// Codec-level decode of one stream — a base block or one chunk of a
-    /// delta shard (a shard's chunks each carry their own codec id,
-    /// since chunk framing depends on the element count). A set
-    /// [`CHUNKED_CODEC_ID_FLAG`] bit marks a chunk-framed stream (the
-    /// writer compressed it through [`Chunked`]); the flag is stripped
-    /// to recover the payload codec, and the observed codec sits
-    /// *inside* the chunk framing so per-chunk metrics still land under
-    /// the real codec's name.
+    /// Decode one stream of `elements` values out of `bytes` — a base
+    /// block, or one chunk of a delta shard — stored in `block` under
+    /// `codec_id` (a shard's chunks each carry their own, since chunk
+    /// framing depends on the element count). A set
+    /// [`CHUNKED_CODEC_ID_FLAG`] bit marks a stream the writer framed
+    /// through [`Chunked`], which decodes one chunk per task on every
+    /// core; the observed codec sits *inside* the framing, so per-chunk
+    /// metrics land under the real codec's name. The buffer is never
+    /// filled before the decode: the codec writes its spare capacity
+    /// ([`Codec::decompress_uninit`]), and if it fails the buffer is
+    /// dropped with its length still 0.
     ///
-    /// Decodes run inside a `decode` span under `parent`, and per-stream
-    /// decode wall time feeds the [`names::READ_DECODE_HIST`] histogram.
-    fn decode_payload(
-        &self,
-        key: &str,
-        codec_id: u8,
-        codec_param: f64,
-        elements: usize,
-        bytes: &[u8],
-        parent: SpanContext,
-    ) -> Result<Vec<f64>, CanopusError> {
-        let mut out = vec![0.0; elements];
-        self.decode_payload_into(key, codec_id, codec_param, bytes, &mut out, parent)?;
-        Ok(out)
-    }
-
-    /// Allocation-free core of [`Self::decode_payload`]: decodes straight
-    /// into `out` (whose length is the element count) through a
-    /// statically dispatched [`AnyCodec`] — no per-block codec box, no
-    /// output `Vec`.
-    fn decode_payload_into(
-        &self,
-        key: &str,
-        codec_id: u8,
-        codec_param: f64,
-        bytes: &[u8],
-        out: &mut [f64],
-        parent: SpanContext,
-    ) -> Result<(), CanopusError> {
-        let _span = stage_child!(self.obs, parent, "decode", key = key);
-        let (codec, chunked) = self.payload_codec(codec_id, codec_param)?;
-        let t = Instant::now();
-        if chunked {
-            Chunked::for_decode(codec).decompress_into(bytes, out)?;
-        } else {
-            codec.decompress_into(bytes, out)?;
-        }
-        self.count_decode(t.elapsed().as_secs_f64(), out.len());
-        Ok(())
-    }
-
-    /// The payload codec of a stream stored under `codec_id`, observed,
-    /// and whether the stream is chunk-framed around it.
-    fn payload_codec(
-        &self,
-        codec_id: u8,
-        codec_param: f64,
-    ) -> Result<(ObservedCodec<AnyCodec>, bool), CanopusError> {
-        let id = codec_id & !CHUNKED_CODEC_ID_FLAG;
-        let kind = CodecKind::from_id(id, codec_param)
-            .ok_or_else(|| CanopusError::Invalid(format!("unknown codec id {id}")))?;
-        Ok((
-            ObservedCodec::new(kind.build_any(), Arc::clone(&self.obs)),
-            codec_id & CHUNKED_CODEC_ID_FLAG != 0,
-        ))
-    }
-
-    /// Account one decoded stream of `values` values that took
-    /// `decode_secs` to decode.
-    fn count_decode(&self, decode_secs: f64, values: usize) {
-        self.obs
-            .timer(names::READ_DECOMPRESS)
-            .record_wall(decode_secs);
-        self.obs
-            .histogram(names::READ_DECODE_HIST)
-            .observe_secs(decode_secs);
-        self.obs
-            .counter(names::READ_VALUES_DECODED)
-            .add(values as u64);
-    }
-
-    /// Decode a whole block to its values in storage order: a base
-    /// block decodes as one stream; a shard block decodes chunk by chunk
-    /// (each through its own codec id) straight into its span of the
-    /// block's values, in chunk-index order.
-    fn decode_block_values(
+    /// The decode runs inside a `decode` span under `parent` and counts
+    /// once, however many chunks the stream has: its wall seconds under
+    /// [`names::READ_DECOMPRESS`] and [`names::READ_DECODE_HIST`], its
+    /// values under [`names::READ_VALUES_DECODED`]. Returns the values
+    /// and those seconds.
+    fn decode_stream(
         &self,
         block: &BlockMeta,
-        bytes: &Bytes,
+        codec_id: u8,
+        elements: u64,
+        bytes: &[u8],
         parent: SpanContext,
-    ) -> Result<Vec<f64>, CanopusError> {
-        let mut out = vec![0.0; block.elements as usize];
-        if block.chunks.is_empty() {
-            self.decode_payload_into(
-                &block.key,
-                block.codec_id,
-                block.codec_param,
-                bytes,
-                &mut out,
-                parent,
-            )?;
-            return Ok(out);
+    ) -> Result<(Vec<f64>, f64), CanopusError> {
+        let _span = stage_child!(self.obs, parent, "decode", key = block.key.as_str());
+        let id = codec_id & !CHUNKED_CODEC_ID_FLAG;
+        let kind = CodecKind::from_id(id, block.codec_param)
+            .ok_or_else(|| CanopusError::Invalid(format!("unknown codec id {id}")))?;
+        let codec = ObservedCodec::new(kind.build_any(), Arc::clone(&self.obs));
+        let t = Instant::now();
+        let n = elements as usize;
+        let mut values = Vec::with_capacity(n);
+        let spare = &mut values.spare_capacity_mut()[..n];
+        if codec_id & CHUNKED_CODEC_ID_FLAG != 0 {
+            Chunked::for_decode(codec).decompress_uninit(bytes, spare)?;
+        } else {
+            codec.decompress_uninit(bytes, spare)?;
         }
-        let mut filled = 0usize;
-        for e in &block.chunks {
-            let stream = chunk_stream(block, e, bytes)?;
-            let elems = e.elements as usize;
-            if filled + elems > out.len() {
-                return Err(CanopusError::Invalid(format!(
-                    "shard {} chunk elements overflow block: {} + {} > {}",
-                    block.key,
-                    filled,
-                    elems,
-                    out.len()
-                )));
-            }
-            self.decode_payload_into(
-                &block.key,
-                e.codec_id,
-                block.codec_param,
-                stream,
-                &mut out[filled..filled + elems],
-                parent,
-            )?;
-            filled += elems;
-        }
-        if filled != out.len() {
-            return Err(CanopusError::Invalid(format!(
-                "shard {} chunks cover {} of {} elements",
-                block.key,
-                filled,
-                out.len()
-            )));
-        }
-        Ok(out)
+        // SAFETY: `spare` is `spare_capacity_mut()[..n]`, so the capacity
+        // is at least `n`, and the codec returned `Ok`, which writes every
+        // element of the slice it is given: the first `n` elements are
+        // initialised.
+        unsafe { values.set_len(n) };
+        let secs = t.elapsed().as_secs_f64();
+        self.obs.timer(names::READ_DECOMPRESS).record_wall(secs);
+        self.obs
+            .histogram(names::READ_DECODE_HIST)
+            .observe_secs(secs);
+        self.obs.counter(names::READ_VALUES_DECODED).add(elements);
+        Ok((values, secs))
     }
 
     /// Read the base level: the paper's option (1), the fastest path.
@@ -1049,9 +967,8 @@ impl CanopusReader {
         let (data, io, decompress, meta_io) = std::thread::scope(|s| {
             let mut loader = self.load_geometry_off_thread(s, var, base_level, parent)?;
             let (bytes, io) = self.read_block_observed(&block, parent)?;
-            let t = Instant::now();
-            let data = self.decode_block_values(&block, &bytes, parent)?;
-            let decompress = t.elapsed().as_secs_f64();
+            let (data, decompress) =
+                self.decode_stream(&block, block.codec_id, block.elements, &bytes, parent)?;
             let meta_io = loader.as_mut().map_or(Ok(0.0), GeometryLoad::join)?;
             Ok::<_, CanopusError>((data, io, decompress, meta_io))
         })?;
@@ -1144,34 +1061,35 @@ impl CanopusReader {
         for &block in shards {
             let (bytes, io) = self.read_block_observed(block, parent)?;
             timing.io_secs += io;
-            let t = Instant::now();
             for e in &block.chunks {
-                let values = self.decode_payload(
-                    &block.key,
-                    e.codec_id,
-                    block.codec_param,
-                    e.elements as usize,
-                    chunk_stream(block, e, &bytes)?,
-                    parent,
-                )?;
+                let stream = chunk_stream(block, e, &bytes)?;
+                let (values, secs) =
+                    self.decode_stream(block, e.codec_id, e.elements, stream, parent)?;
+                timing.decompress_secs += secs;
                 chunks.push((e.chunk, values));
             }
-            timing.decompress_secs += t.elapsed().as_secs_f64();
         }
         Ok((chunks, timing))
     }
 
-    /// What restoring level `finer` from `coarse` reads, checked: every
-    /// array the kernel indexes by came out of stored bytes, so a
-    /// mapping, a coarse field or coordinates that do not fit the two
-    /// levels are refused here rather than panicking in the kernel.
-    fn restore_step<'a>(
+    /// Turn the decoded `delta` into level `finer` itself, where it lies
+    /// (paper Alg. 3): one pass ([`restore_in_place`]) adds each vertex's
+    /// estimate from `coarse` and sums the squared deltas. What the pass
+    /// reads is checked first: every array it indexes by came out of
+    /// stored bytes, so a mapping, a coarse field, coordinates or a delta
+    /// that do not fit the two levels are refused here rather than
+    /// panicking in the kernel. Returns the level's data — from here on
+    /// shared and read-only — the delta's RMS (the paper's adjacent-level
+    /// termination criterion; 0 for an empty delta) and the wall seconds
+    /// of the pass.
+    fn apply_delta(
         &self,
         var: &str,
         finer: u32,
-        geometry: &'a LevelGeometry,
-        coarse: &Coarse<'a>,
-    ) -> Result<RestoreStep<'a>, CanopusError> {
+        geometry: &LevelGeometry,
+        mut delta: Vec<f64>,
+        coarse: &Coarse<'_>,
+    ) -> Result<(Arc<Vec<f64>>, f64, f64), CanopusError> {
         let invalid =
             |why: String| CanopusError::Invalid(format!("restoring level {finer} of {var}: {why}"));
         let n = geometry.num_vertices();
@@ -1200,105 +1118,36 @@ impl CanopusReader {
         {
             return Err(invalid("coordinates not loaded".into()));
         }
-        Ok(RestoreStep {
-            triangles: coarse.triangles,
-            data: coarse.data,
-            mapping: &topology.mapping,
-            weights: self.estimator.weights(fine_points, coarse.points),
-        })
-    }
-
-    /// Turn the decoded `delta` into level `finer` itself, where it lies
-    /// (paper Alg. 3): one pass adds each vertex's estimate from
-    /// `coarse` and sums the squared deltas. Returns the level's data —
-    /// from here on shared and read-only — the delta's RMS (the paper's
-    /// adjacent-level termination criterion; 0 for an empty delta) and
-    /// the wall seconds of the pass.
-    fn apply_delta(
-        &self,
-        var: &str,
-        finer: u32,
-        geometry: &LevelGeometry,
-        mut delta: Vec<f64>,
-        coarse: &Coarse<'_>,
-    ) -> Result<(Arc<Vec<f64>>, f64, f64), CanopusError> {
-        let step = self.restore_step(var, finer, geometry, coarse)?;
-        let n = geometry.num_vertices();
         if delta.len() != n {
-            return Err(CanopusError::Invalid(format!(
-                "restoring level {finer} of {var}: delta decoded {} values for {n} vertices",
+            return Err(invalid(format!(
+                "delta decoded {} values for {n} vertices",
                 delta.len()
             )));
         }
         let t = Instant::now();
         let squares = restore_in_place(
             &mut delta,
-            step.triangles,
-            step.data,
-            step.mapping,
-            step.weights,
+            coarse.triangles,
+            coarse.data,
+            &topology.mapping,
+            self.estimator.weights(fine_points, coarse.points),
         );
         let secs = t.elapsed().as_secs_f64();
         Ok((Arc::new(delta), rms(squares, n), secs))
     }
 
-    /// Restore a level stored as one spatial chunk, `step` checked, from
-    /// the chunk's stream `bytes` (the chunk `entry` of shard `block`),
-    /// tile by tile ([`decode_restore_tiles`]): the level's buffer is
-    /// allocated on the calling thread and not filled; each tile of the
-    /// stream decodes straight into its part of it, then each is
-    /// restored. The level's values and squares sum are those of
-    /// decoding the stream whole, then [`restore_in_place`].
-    ///
-    /// The stream counts as one decode ([`Self::count_decode`], one
-    /// `decode` span, which covers the pass), of the tiles' decode
-    /// seconds summed. Returns the level's data, the delta's RMS, and
-    /// the pass's decode and restore seconds, each summed over tiles.
-    fn refine_tiles(
-        &self,
-        step: &RestoreStep<'_>,
-        block: &BlockMeta,
-        entry: &ChunkEntry,
-        bytes: &[u8],
-        parent: SpanContext,
-    ) -> Result<(Arc<Vec<f64>>, f64, TilePass), CanopusError> {
-        let n = step.mapping.len();
-        if entry.elements != n as u64 {
-            return Err(CanopusError::Invalid(format!(
-                "shard {} holds {} values for {n} vertices",
-                block.key, entry.elements
-            )));
-        }
-        let _span = stage_child!(self.obs, parent, "decode", key = block.key.as_str());
-        let (codec, chunked) = self.payload_codec(entry.codec_id, block.codec_param)?;
-        let (values, pass) = decode_restore_tiles(&codec, chunked, bytes, n, |tile, first| {
-            restore_tile(
-                tile,
-                first,
-                step.triangles,
-                step.data,
-                step.mapping,
-                step.weights,
-            )
-        })?;
-        self.count_decode(pass.decode_secs, n);
-        Ok((Arc::new(values), rms(pass.squares, n), pass))
-    }
-
     /// One refinement step, the one every read takes: fetch the delta
-    /// refining `coarse` into the next finer level, decode it and
-    /// restore (paper Alg. 3) over that level's geometry, which
+    /// refining `coarse` into the next finer level, decode it
+    /// ([`Self::decode_stream`]) and restore (paper Alg. 3,
+    /// [`Self::apply_delta`]) over that level's geometry, which
     /// `geometry` loads to what [`Self::geometry_need`] asks for and
-    /// returns with its I/O seconds. A level stored as one chunk is
-    /// restored tile by tile as its stream decodes
-    /// ([`Self::refine_tiles`]). Of a level in several chunks every
-    /// shard is fetched and its chunks decoded
-    /// ([`Self::read_delta_chunks`]) on a second thread while this one
-    /// loads the geometry and takes the chunk → vertex assignment
-    /// ([`Self::assignment`], which the decoded-level cache keeps);
-    /// then the chunks' values are put in vertex order and the level
-    /// restored in one pass. Block fetches and decodes attach under
-    /// `parent`.
+    /// returns with its I/O seconds. A level stored as one chunk decodes
+    /// to its delta. Of a level in several chunks every shard is fetched
+    /// and its chunks decoded ([`Self::read_delta_chunks`]) on a second
+    /// thread while this one loads the geometry and takes the chunk →
+    /// vertex assignment ([`Self::assignment`], which the decoded-level
+    /// cache keeps); then the chunks' values are put in vertex order
+    /// ([`scatter`]). Block fetches and decodes attach under `parent`.
     ///
     /// Returns the level's geometry and data, the delta's RMS and the
     /// step's phase rows, geometry I/O included; the caller times the
@@ -1313,26 +1162,24 @@ impl CanopusReader {
     ) -> Result<Refined, CanopusError> {
         let finer = coarse.level - 1;
         let chunks: usize = shards.iter().map(|b| b.chunks.len()).sum();
-        let (geometry, data, delta_rms, timing) = if chunks <= 1 {
-            // One chunk: its stream is the level's delta, refined tile
-            // by tile as it decodes.
+        let (geometry, delta, mut timing) = if chunks <= 1 {
+            // One chunk: its stream is the level's delta.
             let (geometry, meta_io) = geometry()?;
             let (block, entry) = shards
                 .iter()
                 .flat_map(|&b| b.chunks.iter().map(move |e| (b, e)))
                 .next()
                 .expect("a delta has a chunk");
-            let step = self.restore_step(var, finer, &geometry, coarse)?;
             let (bytes, io) = self.read_block_observed(block, parent)?;
             let stream = chunk_stream(block, entry, &bytes)?;
-            let (data, delta_rms, pass) = self.refine_tiles(&step, block, entry, stream, parent)?;
+            let (delta, decompress_secs) =
+                self.decode_stream(block, entry.codec_id, entry.elements, stream, parent)?;
             let timing = PhaseTiming {
                 io_secs: io + meta_io,
-                decompress_secs: pass.decode_secs,
-                restore_secs: pass.restore_secs,
-                elapsed_secs: 0.0,
+                decompress_secs,
+                ..PhaseTiming::default()
             };
-            (geometry, data, delta_rms, timing)
+            (geometry, delta, timing)
         } else {
             // The delta is fetched and decoded on a thread of its own
             // while this one loads the geometry and takes the chunk
@@ -1359,21 +1206,13 @@ impl CanopusReader {
             let (geometry, meta_io, assignment) = placed?;
             let (decoded, mut timing) = decoded?;
             timing.io_secs += meta_io;
-            let mut delta = vec![0.0; geometry.num_vertices()];
-            for (chunk, values) in decoded {
-                let ids = chunk_vertices(&assignment, chunk, values.len())?;
-                for (&vid, &val) in ids.iter().zip(&values) {
-                    delta[vid as usize] = val;
-                }
-            }
-            let (data, delta_rms, restore) =
-                self.apply_delta(var, finer, &geometry, delta, coarse)?;
-            timing.restore_secs += restore;
-            (geometry, data, delta_rms, timing)
+            let values = decoded.iter().map(|(chunk, v)| (*chunk, v.as_slice()));
+            let (delta, _) = scatter(&assignment, geometry.num_vertices(), values)?;
+            (geometry, delta, timing)
         };
-        self.obs
-            .timer(names::READ_RESTORE)
-            .record_wall(timing.restore_secs);
+        let (data, delta_rms, restore) = self.apply_delta(var, finer, &geometry, delta, coarse)?;
+        timing.restore_secs = restore;
+        self.obs.timer(names::READ_RESTORE).record_wall(restore);
         self.obs.counter(names::READ_REFINEMENTS).inc();
         Ok((geometry, data, delta_rms, timing))
     }
@@ -1555,70 +1394,38 @@ impl CanopusReader {
             stats.bytes_read += bytes.len() as u64;
             payloads.push((b, e, bytes));
         }
-        let coarse = Coarse::of_outcome(current);
-        let (data, restore) = match &assignment {
-            None => match payloads.first() {
-                // The one chunk is the level's whole delta: refined tile
-                // by tile as it decodes, every vertex exact.
-                Some((b, e, bytes)) => {
-                    let step = self.restore_step(var, finer, &geometry, &coarse)?;
-                    let (data, _, pass) = self.refine_tiles(&step, b, e, bytes, ctx)?;
-                    timing.decompress_secs += pass.decode_secs;
-                    stats.chunks_read = 1;
-                    stats.exact_vertices = n;
-                    (data, pass.restore_secs)
-                }
-                // The region misses the mesh: the estimate alone.
-                None => {
-                    let (data, _, restore) =
-                        self.apply_delta(var, finer, &geometry, vec![0.0; n], &coarse)?;
-                    (data, restore)
-                }
+        // Decode the fetched chunks in parallel on the worker pool.
+        let t = Instant::now();
+        let decoded: DecodedChunks = payloads
+            .par_iter()
+            .map(|(b, e, bytes)| {
+                let (values, _) = self.decode_stream(b, e.codec_id, e.elements, bytes, ctx)?;
+                Ok((e.chunk, values))
+            })
+            .collect::<Result<_, CanopusError>>()?;
+        timing.decompress_secs += t.elapsed().as_secs_f64();
+        stats.chunks_read = decoded.len() + cached.len();
+        stats.chunks_cached = cached.len();
+        let (delta, exact) = match &assignment {
+            // The one chunk is the level's whole delta, every vertex
+            // exact; a region that misses it gets the estimate alone.
+            None => match decoded.into_iter().next() {
+                Some((_, delta)) => (delta, n),
+                None => (vec![0.0; n], 0),
             },
             Some(assignment) => {
-                // Decode the fetched chunks in parallel on the worker pool.
-                let t = Instant::now();
-                let decoded: Vec<(u32, Vec<f64>)> = payloads
-                    .par_iter()
-                    .map(|(b, e, bytes)| {
-                        let values = self.decode_payload(
-                            &b.key,
-                            e.codec_id,
-                            b.codec_param,
-                            e.elements as usize,
-                            bytes,
-                            ctx,
-                        )?;
-                        Ok((e.chunk, values))
-                    })
-                    .collect::<Result<_, CanopusError>>()?;
-                timing.decompress_secs += t.elapsed().as_secs_f64();
-
-                stats.chunks_read = decoded.len() + cached.len();
-                stats.chunks_cached = cached.len();
-                let mut exact = vec![false; n];
-                let mut delta = vec![0.0f64; n];
-                let mut scatter = |chunk: u32, values: &[f64]| -> Result<(), CanopusError> {
-                    let ids = chunk_vertices(assignment, chunk, values.len())?;
-                    for (&vid, &val) in ids.iter().zip(values) {
-                        delta[vid as usize] = val;
-                        exact[vid as usize] = true;
-                    }
-                    Ok(())
-                };
+                let fetched = decoded.iter().map(|(chunk, v)| (*chunk, v.as_slice()));
+                let held = cached.iter().map(|(chunk, v)| (*chunk, v.as_slice()));
+                let placed = scatter(assignment, n, fetched.chain(held))?;
                 for (chunk, values) in decoded {
-                    let values = Arc::new(values);
-                    scatter(chunk, &values)?;
-                    self.chunk_cache_insert(var, finer, chunk, values);
+                    self.chunk_cache_insert(var, finer, chunk, Arc::new(values));
                 }
-                for (chunk, values) in &cached {
-                    scatter(*chunk, values)?;
-                }
-                stats.exact_vertices = exact.iter().filter(|&&e| e).count();
-                let (data, _, restore) = self.apply_delta(var, finer, &geometry, delta, &coarse)?;
-                (data, restore)
+                placed
             }
         };
+        stats.exact_vertices = exact;
+        let coarse = Coarse::of_outcome(current);
+        let (data, _, restore) = self.apply_delta(var, finer, &geometry, delta, &coarse)?;
         self.count_chunk_plan(&stats);
         timing.restore_secs += restore;
         self.obs.timer(names::READ_RESTORE).record_wall(restore);
@@ -1683,9 +1490,9 @@ impl CanopusReader {
             )));
         }
         // The root of this call's span tree: every block fetch, decode
-        // (a tile pass's included), restore, geometry load (the loader
-        // thread's included) and retry/fault event of the walk nests
-        // beneath it.
+        // (the chunk-decode thread's included), restore, geometry load
+        // (the loader thread's included) and retry/fault event of the
+        // walk nests beneath it.
         let root = stage!(self.obs, "read", var = var, level = target_level);
         let ctx = root.context();
         let base_level = n - 1;
@@ -1978,17 +1785,6 @@ fn rms(squares: f64, n: usize) -> f64 {
     }
 }
 
-/// What one restore step reads, checked against the two levels
-/// ([`CanopusReader::restore_step`]).
-struct RestoreStep<'a> {
-    /// The coarser level's triangles and values.
-    triangles: &'a [[VertexId; 3]],
-    data: &'a [f64],
-    /// The finer level's vertex → coarser-triangle mapping.
-    mapping: &'a [u32],
-    weights: Weights<'a>,
-}
-
 /// A delta's decoded chunks: each chunk's index and values.
 type DecodedChunks = Vec<(u32, Vec<f64>)>;
 
@@ -1996,87 +1792,25 @@ type DecodedChunks = Vec<(u32, Vec<f64>)>;
 /// data, its delta's RMS, and the step's phase rows.
 type Refined = (Arc<LevelGeometry>, Arc<Vec<f64>>, f64, PhaseTiming);
 
-/// Totals of one [`decode_restore_tiles`] pass.
-#[derive(Debug, Clone, Copy)]
-struct TilePass {
-    /// The squared deltas, summed per tile, then over tiles in order.
-    squares: f64,
-    /// Decode and restore seconds, each summed over the tiles.
-    decode_secs: f64,
-    restore_secs: f64,
-}
-
-/// A tile of a level's buffer, not yet written, and its stream.
-type Tile<'a> = (&'a mut [MaybeUninit<f64>], &'a [u8]);
-
-/// Decode the stream `bytes` of `n` values and restore it, tile by
-/// tile, into a buffer this function allocates and returns. A
-/// chunk-framed stream's tile is one of its chunks, of whatever size its
-/// header records; an unframed stream is one tile.
-///
-/// The buffer is never filled before the decode. Each task decodes one
-/// tile straight into its part of the buffer's spare capacity
-/// ([`Codec::decompress_uninit`]); once every tile has decoded, the
-/// buffer's length is set, and each task hands one tile, with the index
-/// of its first value, to `restore`. `restore` returns the tile's sum
-/// of squared deltas; the sums are added in tile order, as
-/// [`restore_in_place`] adds them, so a stream framed at
-/// [`canopus_refactor::TILE`] gives its bits and its sum. If a tile
-/// fails to decode, the buffer is dropped with its length still 0.
-///
-/// The table is checked against `n` before any chunk decodes, so a
-/// stream whose chunk count or lengths disagree with the value count is
-/// refused with an error.
-fn decode_restore_tiles<C: Codec>(
-    codec: &C,
-    chunked: bool,
-    bytes: &[u8],
+/// Put decoded chunks' values at their vertices by the level's chunk →
+/// vertex-id table ([`spatial_chunks`]). Returns the delta of a level
+/// of `n` vertices, 0 at every vertex no chunk holds, and how many
+/// vertices the chunks hold.
+fn scatter<'v>(
+    assignment: &[Vec<u32>],
     n: usize,
-    restore: impl Fn(&mut [f64], usize) -> f64 + Sync,
-) -> Result<(Vec<f64>, TilePass), CanopusError> {
-    let mut values = Vec::with_capacity(n);
-    let spare = &mut values.spare_capacity_mut()[..n];
-    // An unframed stream is one tile: even of no values, its header is
-    // checked.
-    let (grain, tiles): (usize, Vec<Tile<'_>>) = if chunked {
-        let table = ChunkTable::parse(bytes, n)?;
-        let tiles = spare
-            .chunks_mut(table.chunk_elems)
-            .zip(table.spans)
-            .map(|(tile, span)| (tile, &bytes[span]))
-            .collect();
-        (table.chunk_elems, tiles)
-    } else {
-        (n.max(1), vec![(spare, bytes)])
-    };
-    let decode_secs = tiles
-        .into_par_iter()
-        .map(|(tile, stream)| {
-            let t = Instant::now();
-            codec.decompress_uninit(stream, tile)?;
-            Ok::<_, CanopusError>(t.elapsed().as_secs_f64())
-        })
-        .collect::<Result<Vec<f64>, _>>()?;
-    // SAFETY: the tiles are `spare_capacity_mut()[..n]` split into
-    // consecutive slices, and every tile's `decompress_uninit` returned
-    // `Ok`, which writes every element of its slice: the first `n`
-    // elements are initialised, and the capacity is at least `n`.
-    unsafe { values.set_len(n) };
-    let restored = values
-        .par_chunks_mut(grain)
-        .enumerate()
-        .map(|(i, tile)| {
-            let t = Instant::now();
-            let squares = restore(tile, i * grain);
-            (squares, t.elapsed().as_secs_f64())
-        })
-        .collect::<Vec<(f64, f64)>>();
-    let pass = TilePass {
-        squares: restored.iter().map(|r| r.0).sum(),
-        decode_secs: decode_secs.iter().sum(),
-        restore_secs: restored.iter().map(|r| r.1).sum(),
-    };
-    Ok((values, pass))
+    chunks: impl Iterator<Item = (u32, &'v [f64])>,
+) -> Result<(Vec<f64>, usize), CanopusError> {
+    let mut delta = vec![0.0; n];
+    let mut exact = vec![false; n];
+    for (chunk, values) in chunks {
+        let ids = chunk_vertices(assignment, chunk, values.len())?;
+        for (&vid, &val) in ids.iter().zip(values) {
+            delta[vid as usize] = val;
+            exact[vid as usize] = true;
+        }
+    }
+    Ok((delta, exact.iter().filter(|&&e| e).count()))
 }
 
 /// The vertex ids chunk `chunk` of a level holds, in stream order, by
@@ -2652,182 +2386,5 @@ mod tests {
         let out = reader.read_level("v", 0).unwrap();
         assert_eq!(*out.data, data);
         assert_eq!(out.timing.restore_secs, 0.0);
-    }
-
-    /// The tile pass against decoding the stream whole, then
-    /// [`restore_in_place`]: synthetic levels, so that the stream length
-    /// can be exactly at the tile boundaries.
-    mod tiles {
-        use super::*;
-        use crate::write::compress_stream;
-        use canopus_obs::Registry;
-        use canopus_refactor::TILE;
-
-        struct Synthetic {
-            delta: Vec<f64>,
-            triangles: Vec<[VertexId; 3]>,
-            coarse: Vec<f64>,
-            mapping: Vec<u32>,
-            fine_points: Vec<Point2>,
-            coarse_points: Vec<Point2>,
-        }
-
-        fn synthetic(n: usize) -> Synthetic {
-            let coarse_n = 64u32;
-            let triangles = (0..96u32)
-                .map(|t| {
-                    [
-                        t % coarse_n,
-                        (t * 7 + 1) % coarse_n,
-                        (t * 13 + 5) % coarse_n,
-                    ]
-                })
-                .collect();
-            let point = |i: usize, k: f64| Point2::new((i as f64 * k).sin(), (i as f64 * k).cos());
-            Synthetic {
-                delta: (0..n)
-                    .map(|i| (i as f64 * 0.003).sin() * 2.0 + (i % 17) as f64 * 1e-3)
-                    .collect(),
-                triangles,
-                coarse: (0..coarse_n).map(|i| f64::from(i).sqrt()).collect(),
-                mapping: (0..n).map(|i| (i * 7919 % 96) as u32).collect(),
-                fine_points: (0..n).map(|i| point(i, 0.37)).collect(),
-                coarse_points: (0..coarse_n as usize).map(|i| point(i, 1.3)).collect(),
-            }
-        }
-
-        fn kinds() -> [CodecKind; 4] {
-            [
-                CodecKind::ZfpLike { tolerance: 1e-6 },
-                CodecKind::SzLike { error_bound: 1e-6 },
-                CodecKind::Fpc,
-                CodecKind::Raw,
-            ]
-        }
-
-        fn bits(v: &[f64]) -> Vec<u64> {
-            v.iter().map(|x| x.to_bits()).collect()
-        }
-
-        /// Decode whole, then restore in place: values and squares sum.
-        fn oracle(
-            s: &Synthetic,
-            kind: CodecKind,
-            chunked: bool,
-            bytes: &[u8],
-            weights: Weights<'_>,
-        ) -> (Vec<f64>, f64) {
-            let n = s.delta.len();
-            let mut values = if chunked {
-                Chunked::for_decode(kind.build()).decompress(bytes, n)
-            } else {
-                kind.build().decompress(bytes, n)
-            }
-            .unwrap();
-            let squares =
-                restore_in_place(&mut values, &s.triangles, &s.coarse, &s.mapping, weights);
-            (values, squares)
-        }
-
-        fn tiled(
-            s: &Synthetic,
-            kind: CodecKind,
-            chunked: bool,
-            bytes: &[u8],
-            weights: Weights<'_>,
-        ) -> Result<(Vec<f64>, TilePass), CanopusError> {
-            decode_restore_tiles(
-                &kind.build_any(),
-                chunked,
-                bytes,
-                s.delta.len(),
-                |tile, first| {
-                    restore_tile(tile, first, &s.triangles, &s.coarse, &s.mapping, weights)
-                },
-            )
-        }
-
-        #[test]
-        fn tiles_at_the_boundaries_give_the_oracles_bits_and_sum() {
-            let obs = Arc::new(Registry::new());
-            for n in [TILE - 1, TILE, TILE + 1, 3 * TILE + 5] {
-                let s = synthetic(n);
-                for kind in kinds() {
-                    let (bytes, id) = compress_stream(&s.delta, kind, &obs).unwrap();
-                    let chunked = id & CHUNKED_CODEC_ID_FLAG != 0;
-                    assert_eq!(chunked, n > TILE, "{kind:?} n={n}: framed past one tile");
-                    if chunked {
-                        let table = ChunkTable::parse(&bytes, n).unwrap();
-                        assert_eq!(table.chunk_elems, TILE);
-                        assert_eq!(table.spans.len(), n.div_ceil(TILE));
-                    }
-                    for (estimator, weights) in [
-                        ("mean", Weights::Mean),
-                        (
-                            "barycentric",
-                            Weights::Barycentric {
-                                fine: &s.fine_points,
-                                coarse: &s.coarse_points,
-                            },
-                        ),
-                    ] {
-                        let what = format!("{kind:?} n={n} {estimator}");
-                        let (want, squares) = oracle(&s, kind, chunked, &bytes, weights);
-                        let (got, pass) = tiled(&s, kind, chunked, &bytes, weights).unwrap();
-                        assert_eq!(bits(&got), bits(&want), "{what}");
-                        assert_eq!(pass.squares.to_bits(), squares.to_bits(), "{what}");
-                    }
-                }
-            }
-        }
-
-        #[test]
-        fn a_stream_framed_at_another_grain_restores_to_the_same_bits() {
-            // Files written before the grain was fixed framed a stream
-            // at `n / cores`: two chunks on two cores.
-            let s = synthetic(3 * TILE + 5);
-            let n = s.delta.len();
-            for kind in kinds() {
-                let bytes = Chunked::new(kind.build(), n.div_ceil(2))
-                    .compress(&s.delta)
-                    .unwrap();
-                let (want, squares) = oracle(&s, kind, true, &bytes, Weights::Mean);
-                let (got, pass) = tiled(&s, kind, true, &bytes, Weights::Mean).unwrap();
-                assert_eq!(bits(&got), bits(&want), "{kind:?}");
-                assert!(
-                    (pass.squares - squares).abs() <= 1e-12 * squares,
-                    "{kind:?}"
-                );
-            }
-        }
-
-        #[test]
-        fn a_chunk_table_that_disagrees_with_the_value_count_is_refused() {
-            let s = synthetic(TILE + 1);
-            let obs = Arc::new(Registry::new());
-            let kind = CodecKind::Fpc;
-            let (bytes, _) = compress_stream(&s.delta, kind, &obs).unwrap();
-            let refused = |bytes: &[u8], n: usize, what: &str| {
-                let got = decode_restore_tiles(&kind.build_any(), true, bytes, n, |_, _| 0.0);
-                assert!(got.is_err(), "{what}");
-            };
-            // Two chunks recorded; the manifest's count needs three.
-            refused(&bytes, 2 * TILE + 1, "a chunk count short of the values");
-            // The manifest's count fits one chunk.
-            refused(&bytes, TILE, "a chunk count past the values");
-            // Chunk lengths that run past the stream (they start at byte
-            // 18), or short of the values a chunk holds.
-            let mut bad = bytes.clone();
-            bad[18..26].copy_from_slice(&u64::MAX.to_le_bytes());
-            refused(&bad, TILE + 1, "a length that wraps the cursor");
-            let len0 = u64::from_le_bytes(bytes[18..26].try_into().unwrap());
-            let mut bad = bytes.clone();
-            bad[18..26].copy_from_slice(&(len0 + 1).to_le_bytes());
-            refused(&bad, TILE + 1, "lengths that sum past the stream");
-            let mut bad = bytes.clone();
-            bad[18..26].copy_from_slice(&(len0 / 2).to_le_bytes());
-            bad[26..34].copy_from_slice(&(len0 / 2).to_le_bytes());
-            refused(&bad, TILE + 1, "lengths that cut the first chunk short");
-        }
     }
 }

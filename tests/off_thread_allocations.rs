@@ -128,7 +128,7 @@ fn a_cold_walks_arrays_are_allocated_by_its_caller() {
         );
         assert!(
             elsewhere < ELSEWHERE_LIMIT,
-            "{walk}: tile passes and loader allocated {elsewhere} B"
+            "{walk}: decode, restore and loader threads allocated {elsewhere} B"
         );
     }
 }

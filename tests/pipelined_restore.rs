@@ -127,7 +127,7 @@ fn walks_over_many_shards_restore_identically() {
 }
 
 /// A field large enough to cross the chunk-framing threshold, so the
-/// walk's tile passes handle multi-chunk streams.
+/// walk decodes chunk-framed streams.
 #[test]
 fn chunked_streams_restore_identically() {
     // 82 000 vertices: level 0's delta is longer than one tile, so framed.

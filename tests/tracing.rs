@@ -1,7 +1,7 @@
 //! Span causality: the flat event stream a [`RingBufferSink`] captures
 //! must reassemble into one connected span *tree* per read call — the
 //! property the Chrome-trace exporter and the `canopus trace`
-//! subcommand rely on. The walk hands work to tile-pass and
+//! subcommand rely on. The walk hands work to decode, restore and
 //! geometry-loader threads, so these tests pin down that cross-thread
 //! spans still parent to the calling read's root, that retry/fault
 //! events nest under the block fetch that observed them, and that the
@@ -113,10 +113,11 @@ fn pipelined_decode_spans_all_parent_to_one_read_root() {
     assert_eq!(roots[0].name, "read");
     let root_id = uint(roots[0], "span_id").unwrap();
 
-    // Every field fetch, decode (a tile pass's included), geometry
-    // load (the loader thread's included) and restore of the walk hangs
-    // directly off that root — this is what lets the exporter reassemble
-    // the tree even though the workers emit from their own thread lanes.
+    // Every field fetch, decode (a chunk-decode thread's included),
+    // geometry load (the loader thread's included) and restore of the
+    // walk hangs directly off that root — this is what lets the exporter
+    // reassemble the tree even though the workers emit from their own
+    // thread lanes.
     // A geometry object's fetch hangs off its load.
     let loads: BTreeSet<u64> = events
         .iter()
