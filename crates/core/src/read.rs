@@ -1394,7 +1394,7 @@ impl CanopusReader {
             stats.bytes_read += bytes.len() as u64;
             payloads.push((b, e, bytes));
         }
-        // Decode the fetched chunks in parallel on the worker pool.
+        // Decode the fetched chunks in parallel.
         let t = Instant::now();
         let decoded: DecodedChunks = payloads
             .par_iter()
