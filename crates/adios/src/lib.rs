@@ -16,13 +16,13 @@
 //! * [`store`] — [`store::BpStore`], whose streaming write
 //!   ([`store::BpStore::begin_write`]) places each block by the one
 //!   placement rule onto a [`StorageHierarchy`](canopus_storage::StorageHierarchy)
-//!   while earlier blocks still land in the background, and publishes
-//!   the manifest only once every block has landed; and [`store::BpFile`]
-//!   with `inq_var`-style queries and per-block reads that report which
-//!   tier served them and at what simulated cost. That streaming write is
-//!   the in-transit transport of §III-A: a bounded number of blocks in
-//!   flight, drained by background workers, with a barrier before the
-//!   manifest is published. A write that fails removes what it stored.
+//!   and stores it there as it is pushed, and publishes the manifest
+//!   only once every block is stored; and [`store::BpFile`] with
+//!   `inq_var`-style queries and per-block reads that report which tier
+//!   served them and at what simulated cost. That streaming write is the
+//!   in-transit transport of §III-A: blocks reach the tiers while the
+//!   writer is still producing later ones, and the manifest is published
+//!   last. A write that fails removes what it stored.
 
 pub mod meta;
 pub mod store;

@@ -3,9 +3,7 @@
 
 use crate::meta::{checksum64, AdiosError, BlockMeta, ChunkEntry, FileMeta, VarMeta};
 use bytes::Bytes;
-use canopus_storage::{
-    choose_tier, ProductKind, SimDuration, StorageError, StorageHierarchy, WriteBehind,
-};
+use canopus_storage::{choose_tier, ProductKind, SimDuration, StorageError, StorageHierarchy};
 use std::sync::Arc;
 
 /// Key of the global metadata object for a file.
@@ -77,7 +75,7 @@ fn record_block(vars: &mut Vec<VarMeta>, key: String, b: &BlockWrite) {
 pub struct StoredBlock {
     pub key: String,
     pub kind: ProductKind,
-    /// Tier index the block landed on.
+    /// Tier index the block was stored on.
     pub tier: usize,
     pub raw_bytes: u64,
     pub stored_bytes: u64,
@@ -105,39 +103,33 @@ impl BpStore {
     }
 
     /// Publish a file's global metadata object on the fastest tier that
-    /// can hold it (it is tiny and every open touches it first), through
-    /// the hierarchy's reservation ledger like every block.
+    /// can hold it (it is tiny and every open touches it first), placed
+    /// like every block.
     fn write_file_meta(&self, file: &str, meta: &FileMeta) -> Result<SimDuration, AdiosError> {
         let meta_bytes = Bytes::from(meta.to_bytes());
         let len = meta_bytes.len() as u64;
-        let h = &self.hierarchy;
-        let reservation = h.reserve_with(len, |reserved| {
+        let (_, dt) = self.hierarchy.place(&meta_key(file), meta_bytes, |h| {
             (0..h.num_tiers())
-                .find(|&t| {
-                    h.tier_device(t)
-                        .is_ok_and(|dev| dev.available().saturating_sub(reserved(t)) >= len)
-                })
+                .find(|&t| h.tier_device(t).is_ok_and(|dev| dev.available() >= len))
                 .ok_or_else(|| StorageError::PlacementFailed("no room for metadata".into()))
         })?;
-        Ok(h.land_reserved(reservation, &meta_key(file), meta_bytes)?)
+        Ok(dt)
     }
 
     /// Start a write — the only way a file reaches the tiers. Blocks are
     /// pushed one at a time (base first, deltas coarse→fine: the order
-    /// the placement rule ranks them in), each placement decided
-    /// immediately against reserved-capacity accounting and the device
-    /// write handed to a per-tier write-behind queue bounded at
-    /// `queue_depth` blocks. [`StreamingWrite::commit`] is the barrier
-    /// that drains all tiers and only then publishes the manifest — so a
-    /// reader can never observe the manifest before every block landed.
-    pub fn begin_write(&self, file: &str, num_levels: u32, queue_depth: usize) -> StreamingWrite {
+    /// the placement rule ranks them in), each one placed and stored as
+    /// it is pushed. [`StreamingWrite::commit`] then publishes the
+    /// manifest — so a reader can never observe the manifest before
+    /// every block is stored.
+    pub fn begin_write(&self, file: &str, num_levels: u32) -> StreamingWrite {
         StreamingWrite {
-            writeback: WriteBehind::new(Arc::clone(&self.hierarchy), queue_depth),
             store: self.clone(),
             file: file.to_string(),
             num_levels,
             vars: Vec::new(),
             stored: Vec::new(),
+            tier_time: vec![SimDuration::ZERO; self.hierarchy.num_tiers()],
             committed: false,
         }
     }
@@ -171,52 +163,53 @@ impl BpStore {
 }
 
 /// An in-flight streaming write created by [`BpStore::begin_write`]:
-/// accepts blocks in placement order, overlaps their tier writes with
-/// whatever the caller does next, and publishes the manifest only at the
-/// commit barrier. Dropped without a successful commit — an error, a
-/// panic, a failed commit — it removes every block it landed, from the
-/// tier it landed on.
+/// accepts blocks in placement order, stores each as it arrives, and
+/// publishes the manifest only at commit. Dropped without a successful
+/// commit — an error, a panic, a failed commit — it removes every block
+/// it stored, from the tier it stored it on.
 pub struct StreamingWrite {
     store: BpStore,
     file: String,
     num_levels: u32,
-    writeback: WriteBehind,
     vars: Vec<VarMeta>,
+    /// Every block stored so far, in push order.
     stored: Vec<StoredBlock>,
+    /// Modelled write time of the blocks stored on each tier, summed in
+    /// push order; `commit` adds the tiers up in tier order. A float sum
+    /// depends on its order, and this is the order the benchmark's exact
+    /// `write_io_sim_s` metric is pinned to.
+    tier_time: Vec<SimDuration>,
     committed: bool,
 }
 
 impl StreamingWrite {
-    /// Decide the block's tier (reserving its bytes so later decisions
-    /// see the capacity state of placing one block at a time), queue the
-    /// device write, and record the block's metadata in push order.
+    /// Decide the block's tier and store it there, as one step against
+    /// every other write into the hierarchy
+    /// ([`StorageHierarchy::place`]), then record its metadata in push
+    /// order. A block that fails to place or store is not recorded, and
+    /// the error is the device's or the placement rule's own.
     pub fn push(&mut self, b: BlockWrite) -> Result<(), AdiosError> {
         let key = block_key(&self.file, &b.var, b.kind);
         let len = b.data.len();
-        let hierarchy = &self.store.hierarchy;
-        let reservation = hierarchy.reserve_with(len as u64, |reserved| {
-            choose_tier(hierarchy, b.kind, len, self.num_levels, &key, reserved)
+        let (tier, dt) = self.store.hierarchy.place(&key, b.data.clone(), |h| {
+            choose_tier(h, b.kind, len, self.num_levels, &key)
         })?;
-        let tier = reservation.tier();
+        self.tier_time[tier] += dt;
         record_block(&mut self.vars, key.clone(), &b);
         self.stored.push(StoredBlock {
-            key: key.clone(),
+            key,
             kind: b.kind,
             tier,
             raw_bytes: b.raw_bytes,
             stored_bytes: len as u64,
         });
-        self.writeback.enqueue(reservation, key, b.data)?;
         Ok(())
     }
 
-    /// The commit barrier: wait for every tier's write-behind queue to
-    /// drain (the "fsync"), then publish the manifest. Returns every
-    /// block stored, in push order, and the total simulated write time,
-    /// manifest included — a sum over blocks, so independent of landing
-    /// order.
+    /// Publish the manifest. Returns every block stored, in push order,
+    /// and the total simulated write time, manifest included.
     pub fn commit(mut self) -> Result<(Vec<StoredBlock>, SimDuration), AdiosError> {
-        let write_time = self.writeback.finish()?;
+        let write_time: SimDuration = self.tier_time.iter().copied().sum();
         let meta = FileMeta {
             name: self.file.clone(),
             num_levels: self.num_levels,
@@ -232,7 +225,14 @@ impl StreamingWrite {
 impl Drop for StreamingWrite {
     fn drop(&mut self) {
         if !self.committed {
-            self.writeback.undo();
+            // Through the tier's own device: an object under the same key
+            // on another tier is not this write's.
+            let h = &self.store.hierarchy;
+            for b in &self.stored {
+                if let Ok(device) = h.tier_device(b.tier) {
+                    let _ = device.remove(&b.key);
+                }
+            }
         }
     }
 }
@@ -370,7 +370,7 @@ mod tests {
 
     /// Stream `blocks` into `file` as a 3-level file and commit.
     fn write(s: &BpStore, file: &str, blocks: Vec<BlockWrite>) -> (Vec<StoredBlock>, SimDuration) {
-        let mut sw = s.begin_write(file, 3, 2);
+        let mut sw = s.begin_write(file, 3);
         for b in blocks {
             sw.push(b).unwrap();
         }
@@ -378,8 +378,8 @@ mod tests {
     }
 
     /// The streaming write's oracle: place one block at a time — the
-    /// placement rule with nothing pending, then the device write — and
-    /// publish the manifest. Returns each key's tier and the total time.
+    /// placement rule, then the device write — and publish the manifest.
+    /// Returns each key's tier and the total time.
     fn write_one_at_a_time(
         s: &BpStore,
         file: &str,
@@ -389,7 +389,7 @@ mod tests {
         let (mut tiers, mut vars, mut time) = (Vec::new(), Vec::new(), SimDuration::ZERO);
         for b in blocks {
             let key = block_key(file, &b.var, b.kind);
-            let tier = choose_tier(h, b.kind, b.data.len(), 3, &key, &|_| 0).unwrap();
+            let tier = choose_tier(h, b.kind, b.data.len(), 3, &key).unwrap();
             time += h.write_to_tier(tier, &key, b.data.clone()).unwrap();
             record_block(&mut vars, key.clone(), &b);
             tiers.push((key, tier));
@@ -503,7 +503,7 @@ mod tests {
     #[test]
     fn streaming_commit_is_the_publish_barrier() {
         let s = store();
-        let mut sw = s.begin_write("f.bp", 3, 2);
+        let mut sw = s.begin_write("f.bp", 3);
         for blk in sample_blocks() {
             sw.push(blk).unwrap();
         }
@@ -520,7 +520,7 @@ mod tests {
     #[test]
     fn abandoned_streaming_write_publishes_nothing() {
         let s = store();
-        let mut sw = s.begin_write("f.bp", 3, 2);
+        let mut sw = s.begin_write("f.bp", 3);
         sw.push(sample_blocks().remove(0)).unwrap();
         drop(sw);
         assert!(!s.exists("f.bp"));
@@ -540,7 +540,7 @@ mod tests {
         s.hierarchy()
             .write_to_tier(0, "f.bp/dpot/L2", live.clone())
             .unwrap();
-        let mut sw = s.begin_write("f.bp", 3, 2);
+        let mut sw = s.begin_write("f.bp", 3);
         sw.push(sample_blocks().remove(0)).unwrap();
         assert_eq!(sw.stored[0].tier, 1);
         drop(sw);
@@ -552,25 +552,24 @@ mod tests {
     #[test]
     fn a_failed_write_reports_the_device_error_and_keeps_nothing() {
         // A stray object already holds the first delta's key on tier 1:
-        // the write fails with the device's own refusal, wherever it
-        // surfaces (a later push, or the commit barrier), and undoes
-        // everything it landed.
+        // the push of that delta fails with the device's own refusal, and
+        // dropping the write undoes everything it stored.
         let s = store();
         let stray = Bytes::from_static(b"stray");
         s.hierarchy()
             .write_to_tier(1, "f.bp/dpot/s1-2.0", stray.clone())
             .unwrap();
-        let mut sw = s.begin_write("f.bp", 3, 2);
-        let outcome = sample_blocks()
-            .into_iter()
-            .try_for_each(|b| sw.push(b))
-            .and_then(|()| sw.commit().map(drop));
-        match outcome {
+        let mut sw = s.begin_write("f.bp", 3);
+        let mut blocks = sample_blocks().into_iter();
+        sw.push(blocks.next().unwrap()).unwrap();
+        match sw.push(blocks.next().unwrap()) {
             Err(AdiosError::Storage(StorageError::AlreadyExists(key))) => {
                 assert_eq!(key, "f.bp/dpot/s1-2.0")
             }
             other => panic!("expected the device's AlreadyExists, got {other:?}"),
         }
+        assert_eq!(sw.stored.len(), 1, "the refused block is not recorded");
+        drop(sw);
         assert!(!s.exists("f.bp"));
         let h = s.hierarchy();
         assert!(h.tier_device(0).unwrap().keys().is_empty());
@@ -586,7 +585,7 @@ mod tests {
         s.hierarchy()
             .write_to_tier(0, &meta_key("f.bp"), Bytes::from_static(b"x"))
             .unwrap();
-        let mut sw = s.begin_write("f.bp", 3, 2);
+        let mut sw = s.begin_write("f.bp", 3);
         for b in sample_blocks() {
             sw.push(b).unwrap();
         }

@@ -373,7 +373,7 @@ proptest! {
                 }
             })
             .collect();
-        let mut write = store.begin_write("f.bp", sizes.len() as u32 + 1, 2);
+        let mut write = store.begin_write("f.bp", sizes.len() as u32 + 1);
         for b in blocks {
             write.push(b).unwrap();
         }

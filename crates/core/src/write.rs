@@ -15,10 +15,9 @@ use canopus_refactor::decimate::decimate;
 use canopus_refactor::mapping::build_mapping;
 use canopus_refactor::{compute_delta, Estimator, TILE};
 use canopus_storage::{ProductKind, SimDuration, StorageHierarchy};
-use crossbeam::channel;
 use rayon::prelude::*;
 use std::borrow::Cow;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::Instant;
 
 /// The value range `max - min` every level job's codec resolves against,
@@ -134,8 +133,7 @@ pub(crate) fn chunk_ranges(n: usize, chunks: u32) -> Vec<std::ops::Range<usize>>
     (0..c).map(|i| (i * n / c)..((i + 1) * n / c)).collect()
 }
 
-/// How many decimated level jobs may wait for the write pool, and how
-/// many blocks each tier's write-behind queue holds.
+/// How many decimated level jobs may wait for the write pool.
 const WRITE_DEPTH: usize = 4;
 
 /// How many spatial chunks pack into one shard object. Few shards per
@@ -300,7 +298,7 @@ impl Canopus {
 
     /// The level-streaming write engine — the write-side counterpart of
     /// the restore engine in [`crate::read`]. Three stages run
-    /// concurrently, connected by bounded channels:
+    /// concurrently, connected by channels:
     ///
     /// 1. **Decimate** — this thread walks the level chain (inherently
     ///    sequential: level `l + 1` is decimated from level `l`) and
@@ -312,14 +310,13 @@ impl Canopus {
     ///    jobs arrive;
     /// 3. **Place** — this thread emits finished blocks in placement
     ///    order (base first, then deltas coarse→fine) into a streaming
-    ///    store write; per-tier write-behind queues
-    ///    overlap the device writes with compression still in flight,
-    ///    and the commit barrier drains every queue before the manifest
-    ///    is published.
+    ///    store write, which stores each block on its tier as it is
+    ///    pushed, while later levels are still being compressed; the
+    ///    manifest is published at commit.
     ///
-    /// Placement decisions reserve their bytes as they are made, in
-    /// placement order, so tier choices — and therefore all stored bytes
-    /// and the manifest — do not depend on which job finished first.
+    /// Blocks are placed one at a time in placement order, so tier
+    /// choices — and therefore all stored bytes and the manifest — do
+    /// not depend on which job finished first.
     /// Phase seconds are sums of per-stage work; the overlap won is
     /// exported under [`names::WRITE_OVERLAP`]. `codec_kind` is the
     /// codec [`storable_codec`] resolved.
@@ -354,12 +351,12 @@ impl Canopus {
 
         // Jobs travel with their submit instant so worker pickup can
         // record the queue-wait distribution.
-        let (job_tx, job_rx) = channel::bounded::<(WriteJob, Instant)>(WRITE_DEPTH);
-        // Sized so worker sends can never block: an early error return
+        let (job_tx, job_rx) = mpsc::sync_channel::<(WriteJob, Instant)>(WRITE_DEPTH);
+        let job_rx = Arc::new(Mutex::new(job_rx));
+        // Unbounded, so worker sends never block: an early error return
         // on the emitting side then cannot deadlock the pool, which
         // simply drains the job queue and exits.
-        let (done_tx, done_rx) =
-            channel::bounded::<(usize, Result<LevelBlocks, CanopusError>)>(total_jobs + 1);
+        let (done_tx, done_rx) = mpsc::channel::<(usize, Result<LevelBlocks, CanopusError>)>();
         let depth_gauge = obs.gauge(names::WRITE_STAGE_DEPTH);
         let peak_gauge = obs.gauge(names::WRITE_STAGE_DEPTH_PEAK);
 
@@ -373,25 +370,29 @@ impl Canopus {
 
         let (products, io_time) = std::thread::scope(
             |s| -> Result<(Vec<ProductReport>, SimDuration), CanopusError> {
-                // Stage 2: the worker pool. The receiver is
-                // multi-consumer, so each worker holds its own clone of
-                // the shared queue; workers exit when the decimation
+                // Stage 2: the worker pool. Each worker holds a
+                // handle to the shared job receiver and takes its lock
+                // only to receive; workers exit when the decimation
                 // stage is done and the queue is drained (recv
                 // disconnects). Only the workers hold it: if they all
-                // die, a submit fails instead of waiting for a free
-                // slot forever.
+                // die, the receiver goes with them and a submit fails
+                // instead of waiting for a free slot forever.
                 for _ in 0..workers {
-                    let job_rx = job_rx.clone();
+                    let job_rx = Arc::clone(&job_rx);
                     let done_tx = done_tx.clone();
                     let queue_wait = obs.histogram(names::WRITE_QUEUE_WAIT_HIST);
-                    s.spawn(move || {
-                        while let Ok((job, submitted)) = job_rx.recv() {
-                            depth_gauge.sub(1);
-                            queue_wait.observe_secs(submitted.elapsed().as_secs_f64());
-                            let slot = job.slot(total_jobs);
-                            if done_tx.send((slot, run_write_job(&job, ctx))).is_err() {
-                                break;
-                            }
+                    s.spawn(move || loop {
+                        // Only `recv` runs under the lock, so no worker
+                        // can poison it.
+                        let next = job_rx.lock().expect("job queue lock").recv();
+                        let Ok((job, submitted)) = next else {
+                            break;
+                        };
+                        depth_gauge.sub(1);
+                        queue_wait.observe_secs(submitted.elapsed().as_secs_f64());
+                        let slot = job.slot(total_jobs);
+                        if done_tx.send((slot, run_write_job(&job, ctx))).is_err() {
+                            break;
                         }
                     });
                 }
@@ -439,7 +440,7 @@ impl Canopus {
                 // order as levels complete — base first, then deltas
                 // coarse→fine.
                 let mut slots: Vec<Option<LevelBlocks>> = (0..total_jobs).map(|_| None).collect();
-                let mut stream = self.store.begin_write(file, n, WRITE_DEPTH);
+                let mut stream = self.store.begin_write(file, n);
                 let order =
                     std::iter::once(total_jobs - 1).chain((0..total_jobs.saturating_sub(1)).rev());
                 for slot in order {
@@ -535,7 +536,7 @@ impl Canopus {
         let stats = FieldStats::of(data);
         let geometry = level_meta_block(var, 0, mesh, &[]);
         let t_io = Instant::now();
-        let mut stream = self.store.begin_write(file, 1, WRITE_DEPTH);
+        let mut stream = self.store.begin_write(file, 1);
         stream.push(BlockWrite {
             var: var.to_string(),
             kind: ProductKind::Base { level: 0 },

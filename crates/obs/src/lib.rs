@@ -4,7 +4,7 @@
 //! One [`Registry`] per storage hierarchy holds three instrument kinds:
 //!
 //! - [`Counter`] — monotonic event/byte counts (`fetch_add` relaxed);
-//! - [`Gauge`] — signed up/down quantities (write-behind queue occupancy);
+//! - [`Gauge`] — signed up/down quantities (write-queue depth, in-flight reads);
 //! - [`StageTimer`] — per-stage totals recording **both** wall-clock
 //!   seconds (real compute) and simulated seconds (the deterministic
 //!   [`SimClock`] device model in `canopus-storage`), because the

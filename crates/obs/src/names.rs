@@ -179,9 +179,6 @@ pub const READ_CHUNK_FETCH_HIST: &str = "canopus.read.chunk_fetch.wall";
 /// Histogram (wall): time a level job waited in the bounded write
 /// pipeline queue before a worker picked it up.
 pub const WRITE_QUEUE_WAIT_HIST: &str = "canopus.write.queue_wait.wall";
-/// Histogram (wall): time a finished block waited in a tier's
-/// write-behind queue before its device put started.
-pub const WRITEBACK_QUEUE_WAIT_HIST: &str = "storage.writeback.queue_wait.wall";
 
 /// Histogram (wall): measured device-op latency of one tier read.
 pub fn tier_read_latency_wall(tier: usize) -> String {
@@ -243,17 +240,6 @@ pub fn tier_write_timer(tier: usize) -> String {
 /// errors, corrupted payloads and down-window rejections combined).
 pub fn tier_faults(tier: usize) -> String {
     format!("storage.tier.{tier}.faults_injected")
-}
-
-/// Gauge: blocks queued behind tier `tier`'s write-behind worker
-/// (decided a placement, bytes not yet on the device).
-pub fn writeback_occupancy(tier: usize) -> String {
-    format!("storage.writeback.tier.{tier}.occupancy")
-}
-
-/// Gauge: high-water mark of [`writeback_occupancy`].
-pub fn writeback_occupancy_peak(tier: usize) -> String {
-    format!("storage.writeback.tier.{tier}.occupancy_peak")
 }
 
 pub fn placements_on_tier(tier: usize) -> String {

@@ -15,6 +15,7 @@ use crate::error::StorageError;
 use bytes::Bytes;
 use parking_lot::RwLock;
 use std::collections::HashMap;
+use std::os::unix::fs::FileExt;
 use std::path::PathBuf;
 
 /// Thread-safe object store with a byte-capacity limit.
@@ -215,19 +216,35 @@ impl Device {
     }
 
     /// Fetch `len` bytes of an object starting at `offset` (a zero-copy
-    /// slice of the refcounted buffer for the memory backend; a file
-    /// read + slice for the disk backend). The range must lie entirely
-    /// within the object.
+    /// slice of the refcounted buffer for the memory backend; one
+    /// positioned read of the range alone for the disk backend). The
+    /// range must lie entirely within the object.
     pub fn get_range(&self, key: &str, offset: u64, len: u64) -> Result<Bytes, StorageError> {
-        let data = self.get(key)?;
-        let end = offset.checked_add(len).filter(|&e| e <= data.len() as u64);
-        match end {
-            Some(end) => Ok(data.slice(offset as usize..end as usize)),
-            None => Err(StorageError::NotFound(format!(
-                "{key} (range {offset}+{len} exceeds object of {} B)",
-                data.len()
-            ))),
-        }
+        let inner = self.inner.read();
+        let object = inner
+            .objects
+            .get(key)
+            .ok_or_else(|| StorageError::NotFound(key.to_string()))?;
+        let end_within = |size: u64| {
+            offset
+                .checked_add(len)
+                .filter(|&e| e <= size)
+                .ok_or_else(|| {
+                    StorageError::NotFound(format!(
+                        "{key} (range {offset}+{len} exceeds object of {size} B)"
+                    ))
+                })
+        };
+        let Some(path) = self.path_of(key) else {
+            let end = end_within(object.len() as u64)?;
+            return Ok(object.slice(offset as usize..end as usize));
+        };
+        let io = |e: std::io::Error| StorageError::NotFound(format!("{key} (io: {e})"));
+        let file = std::fs::File::open(path).map_err(io)?;
+        end_within(file.metadata().map_err(io)?.len())?;
+        let mut range = vec![0u8; len as usize];
+        file.read_exact_at(&mut range, offset).map_err(io)?;
+        Ok(Bytes::from(range))
     }
 
     pub fn contains(&self, key: &str) -> bool {

@@ -18,19 +18,15 @@
 //! cross-crate order is: reader caches → scheduler/reader-map → storage
 //! leaves, with at most one held at a time.
 //!
-//! One storage lock is not a leaf: the write **reservation ledger**
-//! ([`StorageHierarchy::reserve_with`]) is held across a placement
-//! decision, which reads the devices' free space, and across a landing
-//! ([`StorageHierarchy::land_reserved`]), which writes a device. It is
-//! taken with no other lock held, and only tier leaves nest inside it.
-//! The ledger is one for the whole hierarchy, so every device write of
-//! every write into it — each tier worker's landing, the manifest —
-//! and every placement decision serialize on it: one block lands at a
-//! time, store-wide. That is the price of exact placement: were the
-//! device write done outside the lock, a decision made while it runs
-//! would count the block both as reserved and as used, and a single
-//! write's placement would depend on how its landings interleave with
-//! its decisions.
+//! One storage lock is not a leaf: the **placement mutex**
+//! ([`StorageHierarchy::place`]) is held across a placement decision,
+//! which reads the devices' free space, and across the device write
+//! that lands the block. It is taken with no other lock held, and only
+//! tier leaves nest inside it. It is one for the whole hierarchy, so
+//! every placed block of every write into it — each block, each
+//! manifest — lands one at a time, store-wide: a decision never sees a
+//! block that is decided but not yet stored, and concurrent writers
+//! spill to the next tier instead of over-committing one.
 
 use crate::clock::{SimClock, SimDuration};
 use crate::device::Device;
@@ -144,40 +140,6 @@ impl FaultState {
     }
 }
 
-/// Bytes [`StorageHierarchy::reserve_with`] set aside on one tier for
-/// one block. Landing the block ([`StorageHierarchy::land_reserved`])
-/// consumes it; dropped unused — the write failed or gave up — it gives
-/// the bytes back to every writer. Only a reservation lands a block
-/// through the ledger, so every landing releases exactly the bytes its
-/// own decision reserved.
-#[derive(Debug)]
-pub struct Reservation {
-    ledger: Arc<Mutex<Vec<u64>>>,
-    tier: usize,
-    len: u64,
-}
-
-impl Reservation {
-    /// The tier the bytes are reserved on.
-    pub fn tier(&self) -> usize {
-        self.tier
-    }
-
-    /// Give the bytes back, under the ledger lock the caller holds.
-    fn release(&mut self, reserved: &mut [u64]) {
-        reserved[self.tier] -= std::mem::take(&mut self.len);
-    }
-}
-
-impl Drop for Reservation {
-    fn drop(&mut self) {
-        if self.len > 0 {
-            let ledger = Arc::clone(&self.ledger);
-            self.release(&mut ledger.lock());
-        }
-    }
-}
-
 /// An ordered stack of storage tiers (index 0 = fastest).
 ///
 /// Also the anchor of the observability layer: the hierarchy owns the
@@ -194,10 +156,9 @@ pub struct StorageHierarchy {
     /// Fast path: false ⇒ no tier has an active [`FaultPlan`], and the
     /// read/write paths skip fault bookkeeping entirely.
     faults_enabled: AtomicBool,
-    /// The write reservation ledger, one for every writer:
-    /// `reserved[tier]` = bytes decided for the tier but not yet landed,
-    /// the sum of the tier's live [`Reservation`]s.
-    reserved: Arc<Mutex<Vec<u64>>>,
+    /// The placement mutex ([`Self::place`]): one decision and its
+    /// device write at a time, for every writer.
+    placing: Mutex<()>,
 }
 
 impl StorageHierarchy {
@@ -222,7 +183,6 @@ impl StorageHierarchy {
     /// own and every tier's instruments resolved.
     fn over(tiers: Vec<(TierSpec, Device)>) -> Self {
         let obs = Arc::new(Registry::new());
-        let ntiers = tiers.len();
         let tiers = tiers
             .into_iter()
             .enumerate()
@@ -241,7 +201,7 @@ impl StorageHierarchy {
             inflight_reads_peak: obs.gauge(names::STORAGE_INFLIGHT_READS_PEAK),
             obs,
             faults_enabled: AtomicBool::new(false),
-            reserved: Arc::new(Mutex::new(vec![0; ntiers])),
+            placing: Mutex::new(()),
         }
     }
 
@@ -436,59 +396,21 @@ impl StorageHierarchy {
         Ok(dt)
     }
 
-    /// Decide a tier for a block of `len` bytes and reserve them there,
-    /// as one step against every other writer's decisions and landings.
-    /// `decide` is handed `reserved(tier)`: the bytes writes in flight
-    /// have decided for the tier but not landed yet. Every streaming
-    /// write into the hierarchy reserves through this one ledger, so
-    /// concurrent writes see the capacity state that placing one block
-    /// at a time would. The bytes stay reserved until the returned
-    /// [`Reservation`] lands ([`Self::land_reserved`]) or is dropped.
-    pub fn reserve_with(
+    /// Decide a tier for `data` and land it there, as one step against
+    /// every other placement into the hierarchy: `decide` runs under the
+    /// placement mutex against the devices' real free space, and the
+    /// block is written before the mutex is released, so every decision
+    /// sees the capacity state of placing one block at a time. Returns
+    /// the tier and the modelled write time.
+    pub fn place(
         &self,
-        len: u64,
-        decide: impl FnOnce(&dyn Fn(usize) -> u64) -> Result<usize, StorageError>,
-    ) -> Result<Reservation, StorageError> {
-        let mut reserved = self.reserved.lock();
-        let tier = decide(&|t| reserved.get(t).copied().unwrap_or(0))?;
-        *reserved
-            .get_mut(tier)
-            .ok_or(StorageError::NoSuchTier(tier))? += len;
-        Ok(Reservation {
-            ledger: Arc::clone(&self.reserved),
-            tier,
-            len,
-        })
-    }
-
-    /// Land `data` on the tier `reservation` holds its bytes on: write
-    /// it and release the reservation as one step against every
-    /// placement decision, so none counts the bytes twice or not at
-    /// all. The reservation is released whether the write succeeds or
-    /// fails. A reservation made in another hierarchy, or for a block
-    /// of another length, is refused and released unused.
-    pub fn land_reserved(
-        &self,
-        mut reservation: Reservation,
         key: &str,
         data: Bytes,
-    ) -> Result<SimDuration, StorageError> {
-        if !Arc::ptr_eq(&reservation.ledger, &self.reserved) {
-            return Err(StorageError::PlacementFailed(format!(
-                "{key}: reserved in another hierarchy"
-            )));
-        }
-        if data.len() as u64 != reservation.len {
-            return Err(StorageError::PlacementFailed(format!(
-                "{key}: {} B block on a {} B reservation",
-                data.len(),
-                reservation.len
-            )));
-        }
-        let mut reserved = self.reserved.lock();
-        let landed = self.write_to_tier(reservation.tier, key, data);
-        reservation.release(&mut reserved);
-        landed
+        decide: impl FnOnce(&Self) -> Result<usize, StorageError>,
+    ) -> Result<(usize, SimDuration), StorageError> {
+        let _placing = self.placing.lock();
+        let tier = decide(self)?;
+        Ok((tier, self.write_to_tier(tier, key, data)?))
     }
 
     /// Locate an object, searching fastest-first. Returns its tier index.
@@ -655,6 +577,39 @@ mod tests {
             .write_to_tier(0, "big", Bytes::from(vec![0u8; 200]))
             .unwrap_err();
         assert!(matches!(err, StorageError::CapacityExceeded { .. }));
+    }
+
+    #[test]
+    fn place_lands_where_the_decision_says_and_sees_what_landed() {
+        let h = two_tier();
+        // The first 60 B fit tier 0; the second decision sees them stored.
+        let fastest_with_room = |h: &StorageHierarchy| {
+            (0..h.num_tiers())
+                .find(|&t| h.tier_device(t).unwrap().available() >= 60)
+                .ok_or_else(|| StorageError::PlacementFailed("full".into()))
+        };
+        let (tier, dt) = h
+            .place("a", Bytes::from(vec![1u8; 60]), fastest_with_room)
+            .unwrap();
+        assert_eq!((tier, h.read("a").unwrap().1), (0, 0));
+        assert!((dt.seconds() - 0.06).abs() < 1e-9);
+        let (tier, _) = h
+            .place("b", Bytes::from(vec![2u8; 60]), fastest_with_room)
+            .unwrap();
+        assert_eq!(tier, 1);
+        // A refused decision writes nothing; a refused write keeps nothing.
+        let err = h
+            .place("c", Bytes::from(vec![0u8; 8]), |_| {
+                Err(StorageError::PlacementFailed("no".into()))
+            })
+            .unwrap_err();
+        assert!(matches!(err, StorageError::PlacementFailed(_)));
+        let err = h
+            .place("a", Bytes::from(vec![0u8; 8]), |_| Ok(0))
+            .unwrap_err();
+        assert_eq!(err, StorageError::AlreadyExists("a".into()));
+        assert_eq!(h.tier_device(0).unwrap().keys(), ["a"]);
+        assert_eq!(h.tier_device(1).unwrap().keys(), ["b"]);
     }
 
     #[test]

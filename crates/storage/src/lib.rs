@@ -19,13 +19,12 @@
 //!   modeled transfer times (`latency + bytes/bandwidth`), giving
 //!   reproducible I/O timings on any host;
 //! * [`hierarchy::StorageHierarchy`] — the ordered tier stack with
-//!   fastest-first reads and per-tier accounting;
+//!   fastest-first reads, per-tier accounting, and
+//!   [`StorageHierarchy::place`], which decides a block's tier and lands
+//!   it there as one step against every other writer;
 //! * [`placement`] — the paper's one placement rule (§III-D),
 //!   [`placement::choose_tier`]: the base on the fastest tier, deltas on
 //!   slower ones, a tier without room bypassed;
-//! * [`writeback::WriteBehind`] — per-tier write-behind queues that land
-//!   the blocks a streaming write placed, and remove them again if the
-//!   write is abandoned;
 //! * [`fault::FaultPlan`] — deterministic, seedable fault injection per
 //!   tier (transient errors, payload corruption, added latency, hard
 //!   tier-down windows) so the layers above can be tested for graceful,
@@ -38,13 +37,11 @@ pub mod fault;
 pub mod hierarchy;
 pub mod placement;
 pub mod tier;
-pub mod writeback;
 
 pub use clock::{SimClock, SimDuration};
 pub use device::Device;
 pub use error::StorageError;
 pub use fault::{FaultOp, FaultPlan};
-pub use hierarchy::{Reservation, StorageHierarchy, TierStats};
+pub use hierarchy::{StorageHierarchy, TierStats};
 pub use placement::{choose_tier, ProductKind};
 pub use tier::TierSpec;
-pub use writeback::WriteBehind;

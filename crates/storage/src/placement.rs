@@ -49,25 +49,20 @@ impl ProductKind {
 /// fastest, deltas toward full accuracy → slower) toward slower tiers,
 /// bypassing any without room for `len` bytes (paper: "it will be
 /// bypassed and the next tier will be selected"). Decides only; the
-/// caller writes. `pending(tier)` is the bytes already decided for a tier
-/// but not yet landed (the hierarchy's reservation ledger, shared by
-/// every write), so a streaming caller
-/// that reserves decided bytes sees exactly the capacity state that
-/// placing one block at a time — zero pending, then the write — would.
+/// caller writes — through [`StorageHierarchy::place`], which runs the
+/// decision and the write as one step against every other writer.
 pub fn choose_tier(
     hierarchy: &StorageHierarchy,
     kind: ProductKind,
     len: usize,
     num_levels: u32,
     key: &str,
-    pending: &dyn Fn(usize) -> u64,
 ) -> Result<usize, StorageError> {
     let ntiers = hierarchy.num_tiers();
     let start = (kind.rank(num_levels) as usize).min(ntiers - 1);
     for tier in start..ntiers {
         let device = hierarchy.tier_device(tier)?;
-        let free = device.available().saturating_sub(pending(tier));
-        if (free as usize) < len {
+        if (device.available() as usize) < len {
             continue;
         }
         let obs = hierarchy.metrics();
@@ -118,8 +113,8 @@ mod tests {
         ]
     }
 
-    /// Place the products one at a time: decide with nothing pending,
-    /// then write. Returns each key's tier and the summed write time.
+    /// Place the products one at a time. Returns each key's tier and the
+    /// summed write time.
     fn place(
         h: &StorageHierarchy,
         products: &[(&str, ProductKind, usize)],
@@ -128,8 +123,10 @@ mod tests {
         let mut tiers = Vec::new();
         let mut time = SimDuration::ZERO;
         for &(key, kind, len) in products {
-            let tier = choose_tier(h, kind, len, num_levels, key, &|_| 0)?;
-            time += h.write_to_tier(tier, key, Bytes::from(vec![0u8; len]))?;
+            let (tier, dt) = h.place(key, Bytes::from(vec![0u8; len]), |h| {
+                choose_tier(h, kind, len, num_levels, key)
+            })?;
+            time += dt;
             tiers.push((key.to_string(), tier));
         }
         Ok((tiers, time))
@@ -241,25 +238,6 @@ mod tests {
         let (_, time) = place(&h, &three_products(), 3).unwrap();
         // 25/100 + 25/10 + 50/10 = 0.25 + 2.5 + 5.0
         assert!((time.seconds() - 7.75).abs() < 1e-9);
-    }
-
-    #[test]
-    fn choose_tier_respects_pending_reservations() {
-        // Tier 0 holds 30 B free; a 25 B reservation in flight must push
-        // the next 25 B product to tier 1 — the decision placing one block
-        // at a time would make after the reserved block landed.
-        let h = StorageHierarchy::new(vec![
-            TierSpec::new("fast", 30, 100.0, 100.0, 0.0),
-            TierSpec::new("slow", 1000, 1.0, 1.0, 0.0),
-        ]);
-        let base = ProductKind::Base { level: 2 };
-        let free = choose_tier(&h, base, 25, 3, "v/L2", &|_| 0).unwrap();
-        assert_eq!(free, 0);
-        let reserved =
-            choose_tier(&h, base, 25, 3, "v/L2", &|t| if t == 0 { 25 } else { 0 }).unwrap();
-        assert_eq!(reserved, 1, "pending bytes count against capacity");
-        let err = choose_tier(&h, base, 25, 3, "v/L2", &|_| 10_000).unwrap_err();
-        assert!(matches!(err, StorageError::PlacementFailed(_)));
     }
 
     #[test]

@@ -46,8 +46,9 @@ proptest! {
         let outcome = products
             .iter()
             .map(|(key, kind, data)| {
-                let tier = choose_tier(&h, *kind, data.len(), n, key, &|_| 0)?;
-                h.write_to_tier(tier, key, data.clone())?;
+                let (tier, _) = h.place(key, data.clone(), |h| {
+                    choose_tier(h, *kind, data.len(), n, key)
+                })?;
                 Ok(tier)
             })
             .collect::<Result<Vec<usize>, StorageError>>();

@@ -1,9 +1,9 @@
 //! The level-streaming write engine (decimation overlapped with
-//! mapping/delta/compression workers and per-tier write-behind queues)
-//! pinned without a twin: the exact bytes it places on each tier are
-//! fixed by a digest table, every level it stores restores bit for bit
-//! to what an in-memory refactoring of the same input computes, and two
-//! writes of one input are byte-identical. The products it places must
+//! mapping/delta/compression workers, blocks placed in order) pinned
+//! without a twin: the exact bytes it places on each tier are fixed by a
+//! digest table, every level it stores restores bit for bit to what an
+//! in-memory refactoring of the same input computes, and two writes of
+//! one input are byte-identical. The products it places must
 //! also round-trip through the restore engine.
 
 use bytes::Bytes;
@@ -643,7 +643,7 @@ fn concurrent_writes_into_one_store_spill_instead_of_failing() {
                 .map(|w| {
                     let (store, start) = (&store, &start);
                     s.spawn(move || {
-                        let mut write = store.begin_write(&format!("w{w}.bp"), 1, 4);
+                        let mut write = store.begin_write(&format!("w{w}.bp"), 1);
                         start.wait();
                         write.push(BlockWrite {
                             var: "v".into(),

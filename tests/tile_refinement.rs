@@ -169,7 +169,7 @@ fn copy_recoded(
     recode: impl Fn(&[u8], u8, f64, usize) -> (Vec<u8>, u8),
 ) {
     let bp = src.store().open(from).expect("open");
-    let mut write = dest.store().begin_write(to, bp.meta().num_levels, 4);
+    let mut write = dest.store().begin_write(to, bp.meta().num_levels);
     for var in &bp.meta().vars {
         for block in &var.blocks {
             let (bytes, _, _) = bp.read_block(block).expect("read");
